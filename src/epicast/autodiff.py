@@ -240,8 +240,12 @@ class Tensor:
                 ga = g @ np.swapaxes(b.data, -1, -2)
                 a._accumulate(unbroadcast(ga, a.data.shape))
             if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b._accumulate(unbroadcast(gb, b.data.shape))
+                if b.data.ndim == 2:
+                    # One GEMM over all batch rows, not a batched product plus unbroadcast.
+                    gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                else:
+                    gb = unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+                b._accumulate(gb)
 
         return _from_op(out_data, (a, b), backward)
 
@@ -291,7 +295,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
                 buffer = np.zeros_like(a.data)
-                buffer[index] += g
+                np.add.at(buffer, index, g)
                 a._accumulate(buffer)
 
         return _from_op(out_data, (a,), backward)
@@ -394,12 +398,10 @@ def tanh(value):
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    grown = np.exp(x[~positive])
-    out[~positive] = grown / (1.0 + grown)
-    return out
+    # exp(-|x|) cannot overflow; min(x, -x) is -|x| but keeps a NaN's sign bit.
+    with np.errstate(under="ignore"):
+        e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(value):

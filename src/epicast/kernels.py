@@ -136,13 +136,14 @@ def _conv_fwd_numpy(xpad, weight, bias, dilation):
 
 
 def _conv_bwd_numpy(g, xpad, weight, dilation):
-    K = weight.shape[0]
+    K, C_in, C_out = weight.shape
     T = g.shape[2]
     g_x = np.zeros_like(xpad)
     g_w = np.empty_like(weight)
+    # One GEMM per tap over all B*N*T rows: einsum never reaches BLAS here.
     for k in range(K):
         window = slice(k * dilation, k * dilation + T)
-        g_w[k] = np.einsum("bnti,bnto->io", xpad[:, :, window, :], g)
+        g_w[k] = xpad[:, :, window, :].reshape(-1, C_in).T @ g.reshape(-1, C_out)
         g_x[:, :, window, :] += g @ weight[k].T
     g_b = g.sum(axis=(0, 1, 2))
     return g_x, g_w, g_b

@@ -25,7 +25,7 @@ from .estimator import (
     ParameterHeads,
     SpatialPrior,
 )
-from .suppression import EmaState, ThresholdConfig, _detect_quiet, _detect_small
+from .suppression import EmaState, ThresholdConfig, detect
 
 __all__ = ["ForecastModel", "ForwardResult", "ModelConfig", "WindowBatch"]
 
@@ -267,16 +267,9 @@ class ForecastModel:
         self, beta: np.ndarray, gamma: np.ndarray, infected: np.ndarray, training: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-window suppression decisions (EMA advances in batch order)."""
-        B = beta.shape[0]
-        small = np.empty(beta.shape[:2], dtype=bool)
-        quiet = np.empty(beta.shape[:2], dtype=bool)
-        for b in range(B):
-            small[b], _, _ = _detect_small(
-                beta[b], gamma[b], self.config.thresholds, self.ema, training
-            )
-            quiet[b], _, _, _ = _detect_quiet(
-                infected[b], self.config.thresholds, self.ema, training
-            )
+        small, quiet, *_ = detect(
+            beta, gamma, infected, self.config.thresholds, self.ema, training
+        )
         return small, quiet, small | quiet
 
     def forward(

@@ -18,6 +18,7 @@ are constants as far as gradients are concerned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,12 +33,14 @@ from .domain import (
 from . import metapop
 
 __all__ = [
+    "Detection",
     "EmaSlot",
     "EmaState",
     "SuppressionReport",
     "ThresholdConfig",
     "adaptive_threshold",
     "build_filter",
+    "detect",
     "detect_low_infection",
     "detect_small_params",
     "forecast",
@@ -118,48 +121,85 @@ def adaptive_threshold(
     and the smoothed value is used; outside training the stored average is
     read without being advanced.
     """
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    fresh = float(np.quantile(flat, quantile))
-    if slot is None:
-        smoothed = fresh
-    else:
+    rows = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    return float(_thresholds(rows, quantile, floor, slot, training, decay)[0])
+
+
+def _thresholds(rows: np.ndarray, quantile, floor, slot, training, decay) -> np.ndarray:
+    """``adaptive_threshold`` of each row of (B, M) ``rows``: one vectorized
+    quantile call, then the scalar EMA fold row by row, in row order."""
+    if slot is None:  # no smoothing: an unseeded slot that never advances
+        slot, training = EmaSlot(), False
+    cuts = np.quantile(rows, quantile, axis=1)
+    for b, fresh in enumerate(cuts.tolist()):
         if training:
             slot.value = (
-                fresh
-                if slot.value is None
-                else decay * slot.value + (1.0 - decay) * fresh
+                fresh if slot.value is None else decay * slot.value + (1.0 - decay) * fresh
             )
-        smoothed = fresh if slot.value is None else slot.value
-    return max(smoothed, floor)
+        cuts[b] = max(fresh if slot.value is None else slot.value, floor)
+    return cuts
+
+
+class Detection(NamedTuple):
+    """Both detectors over a batch: flags and quiet ratios (B, N), cutoffs (B,)."""
+
+    small_params: np.ndarray
+    quiet_history: np.ndarray
+    beta_cutoff: np.ndarray
+    gamma_cutoff: np.ndarray
+    infection_level: np.ndarray
+    quiet_cutoff: np.ndarray
+    quiet_ratio: np.ndarray
 
 
 def _detect_small(
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    config: ThresholdConfig,
-    state: EmaState | None,
-    training: bool,
-) -> tuple[np.ndarray, float, float]:
-    beta_peaks = np.asarray(beta, dtype=np.float64).max(axis=1)
-    gamma_peaks = np.asarray(gamma, dtype=np.float64).max(axis=1)
-    beta_cut = adaptive_threshold(
-        beta_peaks,
-        config.beta_quantile,
-        config.beta_floor,
-        state.beta if state is not None else None,
-        training,
-        config.ema_decay,
+    beta, gamma, config: ThresholdConfig, state: EmaState | None, training: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weak-rate detector over (B, N, T) rates: flags, beta and gamma cuts."""
+    beta_peaks = np.asarray(beta, dtype=np.float64).max(axis=2)
+    gamma_peaks = np.asarray(gamma, dtype=np.float64).max(axis=2)
+    beta_cut = _thresholds(
+        beta_peaks, config.beta_quantile, config.beta_floor,
+        state and state.beta, training, config.ema_decay,
     )
-    gamma_cut = adaptive_threshold(
-        gamma_peaks,
-        config.gamma_quantile,
-        config.gamma_floor,
-        state.gamma if state is not None else None,
-        training,
-        config.ema_decay,
+    gamma_cut = _thresholds(
+        gamma_peaks, config.gamma_quantile, config.gamma_floor,
+        state and state.gamma, training, config.ema_decay,
     )
-    flags = (beta_peaks <= beta_cut) & (gamma_peaks <= gamma_cut)
+    flags = (beta_peaks <= beta_cut[:, None]) & (gamma_peaks <= gamma_cut[:, None])
     return flags, beta_cut, gamma_cut
+
+
+def _detect_quiet(
+    infected_history, config: ThresholdConfig, state: EmaState | None, training: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Quiet-history detector over (B, N, T_in): flags, level, cutoff, ratio."""
+    history = np.asarray(infected_history, dtype=np.float64)
+    level = _thresholds(
+        history.reshape(len(history), -1), config.infection_quantile,
+        config.infection_floor, state and state.infection, training, config.ema_decay,
+    )
+    quiet_ratio = (history <= level[:, None, None]).mean(axis=2)
+    ratio_cut = _thresholds(
+        quiet_ratio, config.quiet_ratio_quantile, config.quiet_ratio_floor,
+        state and state.quiet_ratio, training, config.ema_decay,
+    )
+    cutoff = np.minimum(ratio_cut, config.quiet_ratio_cap)
+    flags = quiet_ratio >= cutoff[:, None]
+    return flags, level, cutoff, quiet_ratio
+
+
+def detect(
+    beta, gamma, infected_history, config: ThresholdConfig,
+    state: EmaState | None = None, training: bool = False,
+) -> Detection:
+    """Both detectors on a batch: rates (B, N, T), infected history (B, N, T_in).
+
+    While training, the EMA slots advance once per window, in batch order.
+    """
+    small, beta_cut, gamma_cut = _detect_small(beta, gamma, config, state, training)
+    quiet, level, cutoff, ratio = _detect_quiet(infected_history, config, state, training)
+    return Detection(small, quiet, beta_cut, gamma_cut, level, cutoff, ratio)
 
 
 def detect_small_params(
@@ -173,38 +213,7 @@ def detect_small_params(
     A region is flagged only when BOTH its peak infection rate and its peak
     recovery rate fall at or below their adaptive thresholds.
     """
-    return _detect_small(params.beta, params.gamma, config, state, training)[0]
-
-
-def _detect_quiet(
-    infected_history: np.ndarray,
-    config: ThresholdConfig,
-    state: EmaState | None,
-    training: bool,
-) -> tuple[np.ndarray, float, float, np.ndarray]:
-    history = np.asarray(infected_history, dtype=np.float64)
-    level = adaptive_threshold(
-        history,
-        config.infection_quantile,
-        config.infection_floor,
-        state.infection if state is not None else None,
-        training,
-        config.ema_decay,
-    )
-    quiet_ratio = (history <= level).mean(axis=1)
-    cutoff = min(
-        adaptive_threshold(
-            quiet_ratio,
-            config.quiet_ratio_quantile,
-            config.quiet_ratio_floor,
-            state.quiet_ratio if state is not None else None,
-            training,
-            config.ema_decay,
-        ),
-        config.quiet_ratio_cap,
-    )
-    flags = quiet_ratio >= cutoff
-    return flags, level, cutoff, quiet_ratio
+    return _detect_small([params.beta], [params.gamma], config, state, training)[0][0]
 
 
 def detect_low_infection(
@@ -219,7 +228,7 @@ def detect_low_infection(
     entry in the window; the per-region quiet-day fraction is then held
     against an adaptive cutoff over regions (floored, then capped).
     """
-    return _detect_quiet(infected_history, config, state, training)[0]
+    return _detect_quiet([infected_history], config, state, training)[0][0]
 
 
 def build_filter(small_params, quiet_history) -> SuppressionFilter:
@@ -269,25 +278,19 @@ def forecast_with_details(
     training: bool = False,
 ) -> tuple[Forecast, SuppressionReport]:
     """Run detection, suppress, and roll the mechanistic core forward."""
-    small, beta_cut, gamma_cut = _detect_small(
-        params.beta, params.gamma, config, state, training
-    )
-    quiet, level, cutoff, ratio = _detect_quiet(
-        infected_history, config, state, training
-    )
-    decision = build_filter(small, quiet)
+    found = detect([params.beta], [params.gamma], [infected_history], config, state, training)
+    decision = build_filter(found.small_params[0], found.quiet_history[0])
     applied = suppress_beta(params, decision, config.downscale)
     rolled = metapop.rollout(state0, applied, mobility, population)
-    report = SuppressionReport(
+    return rolled, SuppressionReport(
         decision=decision,
-        infection_level=level,
-        quiet_cutoff=cutoff,
-        quiet_ratio=ratio,
-        beta_cutoff=beta_cut,
-        gamma_cutoff=gamma_cut,
+        infection_level=float(found.infection_level[0]),
+        quiet_cutoff=float(found.quiet_cutoff[0]),
+        quiet_ratio=found.quiet_ratio[0],
+        beta_cutoff=float(found.beta_cutoff[0]),
+        gamma_cutoff=float(found.gamma_cutoff[0]),
         applied=applied,
     )
-    return rolled, report
 
 
 def forecast(

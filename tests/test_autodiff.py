@@ -146,7 +146,10 @@ class TestArithmetic:
         def build(a, b):
             return project(a @ b, 12)
 
-        check_op(build, [(5, 3, 4), (4, 2)], tag=12)
+        # a 2-D right operand takes the flattened weight-gradient GEMM (the
+        # model's (B, N, T, C) @ (C, C') lift); a 3-D one the general path
+        for shapes in ([(5, 3, 4), (4, 2)], [(2, 3, 5, 4), (4, 2)], [(5, 3, 4), (1, 4, 2)]):
+            check_op(build, shapes, tag=12)
 
     def test_rmatmul_plain_left(self):
         fixed = rng_for(13).standard_normal((2, 3))
@@ -176,6 +179,21 @@ class TestElementwise:
             return project(fn(a), hash(name) % 1000)
 
         check_op(build, [(3, 4)], tag=hash(name) % 1000, low=low, high=high)
+
+    def test_sigmoid_matches_masked_formula_bitwise(self):
+        x = np.array(
+            [-800.0, -745.0, -1e-300, -0.0, 0.0, 1e-300, 37.0, 745.0, 800.0, np.nan]
+        )
+        # the two-branch formula, each branch evaluated only where it is stable
+        want = np.empty_like(x)
+        positive = x >= 0
+        with np.errstate(under="ignore"):
+            want[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+            grown = np.exp(x[~positive])
+        want[~positive] = grown / (1.0 + grown)
+        with np.errstate(all="raise"):
+            got = ad._sigmoid_np(x)
+        assert got.tobytes() == want.tobytes()
 
     def test_relu_away_from_kink(self):
         rng = rng_for(20)
@@ -263,6 +281,10 @@ class TestShapeOps:
         a = Tensor(np.arange(4.0), requires_grad=True)
         (a[1] + a[1] + a[2]).backward()
         np.testing.assert_array_equal(a.grad, [0.0, 2.0, 1.0, 0.0])
+        # repeated fancy indices add up instead of overwriting each other
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        x[[0, 0, 1]].sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 1.0, 0.0])
 
     def test_sum_axis_keepdims(self):
         def build(a):

@@ -207,25 +207,56 @@ class TestDilatedCausalConv:
         assert np.asarray(out).shape == (1, 1, 7, 4)
 
     @pytest.mark.parametrize("backend", kernels.available_backends())
-    def test_gradients_match_finite_differences(self, backend):
+    @pytest.mark.parametrize(
+        "batch,regions,taps,dilation",
+        [
+            pytest.param(1, 2, 2, 2, id="b1-n2-k2-d2"),
+            pytest.param(2, 3, 2, 1, id="b2-n3-k2-d1"),
+            pytest.param(3, 2, 3, 2, id="b3-n2-k3-d2"),
+            pytest.param(2, 2, 2, 4, id="b2-n2-k2-d4"),
+            # (taps - 1) * dilation >= days: early taps read only padding
+            pytest.param(2, 3, 2, 8, id="b2-n3-k2-d8"),
+            pytest.param(2, 2, 3, 4, id="b2-n2-k3-d4"),
+        ],
+    )
+    def test_gradients_match_finite_differences(
+        self, batch, regions, taps, dilation, backend
+    ):
         previous = kernels.active()
         kernels.use(backend)
         try:
             rng = rng_for(315)
-            x = rng.standard_normal((1, 2, 6, 3))
-            weight = rng.standard_normal((2, 3, 2))
+            days = 6
+            x = rng.standard_normal((batch, regions, days, 3))
+            weight = rng.standard_normal((taps, 3, 2))
             bias = rng.standard_normal(2)
-            proj = rng.standard_normal((1, 2, 6, 2))
+            proj = rng.standard_normal((batch, regions, days, 2))
 
             def loss(xa, wa, ba):
-                out = oracle_causal_conv(xa, wa, ba, 2)
+                out = oracle_causal_conv(xa, wa, ba, dilation)
                 return float((out * proj).sum())
 
             xt = Tensor(x.copy(), requires_grad=True)
             wt = Tensor(weight.copy(), requires_grad=True)
             bt = Tensor(bias.copy(), requires_grad=True)
-            out = estimator.dilated_causal_conv(xt, wt, bt, 2)
+            out = estimator.dilated_causal_conv(xt, wt, bt, dilation)
             (out * proj).sum().backward()
+
+            # contraction oracle for the weight gradient: tap k sees the
+            # padded input shifted by k * dilation against the upstream grad
+            pad = (taps - 1) * dilation
+            xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
+            want_w = np.stack(
+                [
+                    np.einsum(
+                        "bnti,bnto->io",
+                        xpad[:, :, k * dilation : k * dilation + days, :],
+                        proj,
+                    )
+                    for k in range(taps)
+                ]
+            )
+            np.testing.assert_allclose(wt.grad, want_w, rtol=1e-12, atol=1e-12)
 
             for tensor, array in ((xt, x), (wt, weight), (bt, bias)):
                 flat = array.ravel()

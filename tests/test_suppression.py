@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epicast import metapop, suppression
@@ -202,15 +202,15 @@ class TestDetectSmallParams:
         np.testing.assert_array_equal(flags, [True, False])
 
     def test_worked_example_thresholds(self):
-        _, beta_cut, gamma_cut = suppression._detect_small(
-            params_from_peaks([0.01, 0.5], [0.01, 0.4]).beta,
-            params_from_peaks([0.01, 0.5], [0.01, 0.4]).gamma,
+        params = params_from_peaks([0.01, 0.5], [0.01, 0.4])
+        found = suppression.detect(
+            params.beta[None],
+            params.gamma[None],
+            np.zeros((1, 2, 3)),
             ThresholdConfig(beta_quantile=0.2, gamma_quantile=0.2),
-            None,
-            False,
         )
-        assert beta_cut == pytest.approx(0.108, abs=1e-12)
-        assert gamma_cut == pytest.approx(0.088, abs=1e-12)
+        assert found.beta_cutoff[0] == pytest.approx(0.108, abs=1e-12)
+        assert found.gamma_cutoff[0] == pytest.approx(0.088, abs=1e-12)
 
     def test_identical_regions_all_flagged(self):
         params = params_from_peaks([0.3] * 4, [0.2] * 4)
@@ -278,6 +278,101 @@ class TestDetectLowInfection:
             got = detect_low_infection(history, config)
             want = oracle_quiet_flags(history, config)
             np.testing.assert_array_equal(got, want)
+
+
+def loop_detect(beta, gamma, history, config, state, training):
+    """Per-window reference for the batched detector.
+
+    Every threshold comes from one call of the public ``adaptive_threshold``
+    on one window; the EMA slots advance window by window, small-parameter
+    detector first.  Returns flags (B, N) twice and cutoffs (B, 4).
+    """
+    slots = {} if state is None else vars(state)
+    small, quiet, cuts = [], [], []
+    for b in range(beta.shape[0]):
+
+        def cut(values, kind):
+            return adaptive_threshold(
+                values,
+                getattr(config, f"{kind}_quantile"),
+                getattr(config, f"{kind}_floor"),
+                slots.get(kind),
+                training,
+                config.ema_decay,
+            )
+
+        beta_peaks, gamma_peaks = beta[b].max(axis=1), gamma[b].max(axis=1)
+        beta_cut, gamma_cut = cut(beta_peaks, "beta"), cut(gamma_peaks, "gamma")
+        level = cut(history[b], "infection")
+        ratio = (history[b] <= level).mean(axis=1)
+        cutoff = min(cut(ratio, "quiet_ratio"), config.quiet_ratio_cap)
+        small.append((beta_peaks <= beta_cut) & (gamma_peaks <= gamma_cut))
+        quiet.append(ratio >= cutoff)
+        cuts.append([beta_cut, gamma_cut, level, cutoff])
+    return np.array(small), np.array(quiet), np.array(cuts)
+
+
+def slot_bits(state):
+    return None if state is None else {
+        name: None if value is None else value.hex()
+        for name, value in state.as_dict().items()
+    }
+
+
+class TestBatchedDetector:
+    # scale 0 puts every threshold on its floor and every quiet ratio at 1,
+    # where only the cap keeps the quiet cutoff below 1
+    @example(seed=0, calls=[(3, True), (1, False)], regions=4, days=3,
+             history_days=5, scales=(0.0, 0.0, 0.0), seeded=None)
+    @example(seed=1, calls=[(1, True)], regions=1, days=1, history_days=1,
+             scales=(0.0, 0.0, 0.0), seeded=(False, False, False, False))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(
+            st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=3
+        ),
+        regions=st.integers(1, 6),
+        days=st.integers(1, 5),
+        history_days=st.integers(1, 8),
+        scales=st.tuples(*[st.sampled_from([0.0, 1e-3, 1.0, 100.0])] * 3),
+        seeded=st.one_of(st.none(), st.tuples(*[st.booleans()] * 4)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_window_loop_bitwise(
+        self, seed, calls, regions, days, history_days, scales, seeded
+    ):
+        rng = np.random.default_rng(seed)
+        config = ThresholdConfig()
+        if seeded is None:
+            batched_state = loop_state = None
+        else:
+            start = {
+                name: float(rng.uniform(0, 2)) if on else None
+                for name, on in zip(("infection", "quiet_ratio", "beta", "gamma"), seeded)
+            }
+            batched_state = EmaState.from_dict(start)
+            loop_state = EmaState.from_dict(start)
+        for batch, training in calls:
+            rates = (batch, regions, days)
+            # sparse draws and small integer counts make ties common
+            beta = scales[0] * rng.random(rates) * (rng.random(rates) > 0.3)
+            gamma = scales[1] * rng.random(rates) * (rng.random(rates) > 0.3)
+            history = scales[2] * rng.integers(0, 4, (batch, regions, history_days))
+            found = suppression.detect(
+                beta, gamma, history, config, batched_state, training
+            )
+            small, quiet, cuts = loop_detect(
+                beta, gamma, history, config, loop_state, training
+            )
+            np.testing.assert_array_equal(found.small_params, small)
+            np.testing.assert_array_equal(found.quiet_history, quiet)
+            got = np.stack(
+                [found.beta_cutoff, found.gamma_cutoff, found.infection_level,
+                 found.quiet_cutoff],
+                axis=1,
+            )
+            assert got.tobytes() == cuts.tobytes()
+            assert slot_bits(batched_state) == slot_bits(loop_state)
 
 
 class TestFilterAndSuppression:
