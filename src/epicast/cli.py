@@ -340,7 +340,7 @@ def _cmd_forecast(args) -> int:
     base_date = date_type.fromisoformat(dataset.dates[end_index])
 
     out = Path(args.out)
-    with out.open("w", newline="", encoding="utf-8") as handle:
+    with datasets.atomic_write(out) as handle:
         writer = csv.writer(handle)
         writer.writerow(
             [
@@ -425,7 +425,7 @@ def _cmd_evaluate(args) -> int:
     )
     print(evaluation.report_table(baseline_report, title="persistence baseline"))
     if args.out:
-        with Path(args.out).open("w", newline="", encoding="utf-8") as handle:
+        with datasets.atomic_write(args.out) as handle:
             writer = csv.DictWriter(
                 handle,
                 fieldnames=[

@@ -7,7 +7,10 @@ On-disk layout is three UTF-8 CSV files with headers and ISO-8601 dates:
 * ``mobility.csv``: date, origin, destination, flow;
 * ``population.csv``: region, population.
 
-``population.csv`` defines the region universe and its order.  Floats are
+``population.csv`` defines the region universe and its order.  Observation
+dates must be consecutive calendar days, and ``mobility.csv`` must hold one
+row per day, origin and destination; a gap or a missing flow is a
+``DataError`` naming the file and line, never filled in.  Floats are
 written with 17 significant digits so a save/load round trip is exact.
 
 The synthetic generator runs the mechanistic core day by day, so at zero
@@ -18,6 +21,8 @@ forecaster's own rollout given the true rates and flows.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as date_type, timedelta
 from pathlib import Path
@@ -40,6 +45,7 @@ __all__ = [
     "Dataset",
     "SyntheticScenario",
     "WindowSet",
+    "atomic_write",
     "chronological_split",
     "derive_compartments",
     "generate_synthetic",
@@ -212,6 +218,13 @@ def load_dataset(directory: str | Path) -> Dataset:
                     f"non-decreasing, {day} follows {last}"
                 )
             if last != day:
+                if last is not None:
+                    step = date_type.fromisoformat(day) - date_type.fromisoformat(last)
+                    if step != timedelta(days=1):
+                        raise DataError(
+                            f"{observation_path.name}:{line}: calendar gap, {day} "
+                            f"follows {last}; dates must be consecutive days"
+                        )
                 dates.append(day)
                 last = day
             key = (day, name)
@@ -255,6 +268,7 @@ def load_dataset(directory: str | Path) -> Dataset:
                 f"{mobility_path.name}:1: header must be 'date,origin,destination,flow'"
             )
         last = None
+        line = 1
         for line, row in enumerate(reader, start=2):
             if len(row) < 4:
                 raise DataError(f"{mobility_path.name}:{line}: expected 4 columns")
@@ -289,6 +303,22 @@ def load_dataset(directory: str | Path) -> Dataset:
                     f"{mobility_path.name}:{line}: flow must be >= 0, got {value}"
                 )
             flows[region_index[origin], region_index[destination], date_index[day]] = value
+    # Rows are unique and on known days and regions, so a short count means
+    # some flows are missing; zero-filling them would invent data.
+    expected = n * n * length
+    if len(seen_flow) != expected:
+        missing = next(
+            (day, origin, destination)
+            for day in dates
+            for origin in regions
+            for destination in regions
+            if (day, origin, destination) not in seen_flow
+        )
+        raise DataError(
+            f"{mobility_path.name}:{line}: {len(seen_flow)} flow rows, expected "
+            f"{n}*{n}*{length} = {expected} (every origin, destination and day); "
+            f"first missing: {missing[1]!r}->{missing[2]!r} on {missing[0]}"
+        )
 
     dataset = Dataset(
         regions=regions,
@@ -303,6 +333,29 @@ def load_dataset(directory: str | Path) -> Dataset:
     )
     dataset.bundle()  # surface invariant violations as early as possible
     return dataset
+
+
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False):
+    """Write ``path`` all at once: yield a handle to a temporary sibling file,
+    then move it over ``path`` only after the block finishes cleanly.
+
+    A failure partway removes the temporary file and leaves whatever was at
+    ``path`` before byte-identical.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    text = {} if binary else {"newline": "", "encoding": "utf-8"}
+    handle = temporary.open("xb" if binary else "x", **text)
+    try:
+        with handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(value: float) -> str:

@@ -11,7 +11,11 @@ convolutions with graph mixing distills the window into one latent vector
 per region and horizon day; two sigmoid heads read off the rates.
 
 All operations accept plain ndarrays or autodiff Tensors, batched
-(leading B axis) or single-instance.
+(leading B axis) or single-instance.  Two layers are fused tape nodes
+built with ``make_op``, each with a hand-derived backward: the attention
+dependency (a closed-form softmax Jacobian-vector product, so none of its
+(B, H, T, N, N) intermediates is recorded) and the dilated causal
+convolution (on the active kernel backend).
 """
 
 from __future__ import annotations
@@ -63,32 +67,67 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     ``lifted`` is (B, N, T, C) or (N, T, C).  Per head and timestep the
     scaled dot-product attention scores over regions are row-softmaxed; the
     returned (B, N, N) (or (N, N)) matrix is their mean, hence row-stochastic.
+
+    One fused tape node: the forward keeps only the (B, H, T, N, N) softmax
+    rows, and the backward applies the closed-form softmax Jacobian to the
+    pooled gradient, which the mean hands to every head and day alike.
     """
-    squeeze = ad.as_data(lifted).ndim == 3
-    if squeeze:
-        lifted = ad.reshape(lifted, (1, *ad.as_data(lifted).shape))
-    shape = ad.as_data(lifted).shape
-    batch, regions, days, channels = shape
+    data = ad.as_data(lifted)
+    q_data = ad.as_data(query_weight)
+    k_data = ad.as_data(key_weight)
+    squeeze = data.ndim == 3
+    batched = data[None] if squeeze else data
+    batch, regions, days, channels = batched.shape
     if channels % heads != 0:
         raise DimensionMismatchError(
             f"{heads} attention heads do not evenly divide {channels} channels"
         )
     head_dim = channels // heads
-    query = ad.matmul(lifted, query_weight)
-    key = ad.matmul(lifted, key_weight)
-    # (B, N, T, C) -> (B, H, T, N, head)
-    query = ad.transpose(
-        ad.reshape(query, (batch, regions, days, heads, head_dim)), (0, 3, 2, 1, 4)
-    )
-    key = ad.transpose(
-        ad.reshape(key, (batch, regions, days, heads, head_dim)), (0, 3, 2, 1, 4)
-    )
-    scores = ad.matmul(query, ad.swapaxes(key, -1, -2)) / np.sqrt(head_dim)
-    rows = ad.softmax(scores, axis=-1)
-    pooled = ad.mean(rows, axis=(1, 2))
-    if squeeze:
-        pooled = ad.reshape(pooled, (regions, regions))
-    return pooled
+    scale = np.sqrt(head_dim)
+    flat_lifted = batched.reshape(-1, channels)
+
+    def split_heads(projected: np.ndarray) -> np.ndarray:
+        # (B*N*T, C) -> (B, H, T, N, head)
+        return projected.reshape(batch, regions, days, heads, head_dim).transpose(
+            0, 3, 2, 1, 4
+        )
+
+    query = split_heads(flat_lifted @ q_data)
+    key = split_heads(flat_lifted @ k_data)
+    rows = query @ np.swapaxes(key, -1, -2)
+    rows /= scale
+    rows -= rows.max(axis=-1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    count = heads * days
+    pooled = rows.sum(axis=(1, 2)) * (1.0 / count)
+    out_shape = (regions, regions) if squeeze else pooled.shape
+    tracked = [t for t in (lifted, query_weight, key_weight) if isinstance(t, Tensor)]
+    if not tracked:
+        return pooled.reshape(out_shape)
+
+    def backward(g: np.ndarray) -> None:
+        # d(mean)/d(scores) for one (head, day) block is P * (G - rowsum(G * P));
+        # the 1/(H*T) of the mean and the 1/sqrt(d) of the scores fold into G.
+        upstream = (g.reshape(batch, 1, 1, regions, regions) * (1.0 / count)) / scale
+        g_scores = rows * upstream
+        row_dot = g_scores.sum(axis=-1, keepdims=True)
+        np.subtract(upstream, row_dot, out=g_scores)
+        g_scores *= rows
+        # (B, H, T, N, head) -> (B*N*T, C)
+        g_query = (g_scores @ key).transpose(0, 3, 2, 1, 4).reshape(-1, channels)
+        g_key = (np.swapaxes(g_scores, -1, -2) @ query).transpose(
+            0, 3, 2, 1, 4
+        ).reshape(-1, channels)
+        if isinstance(lifted, Tensor) and lifted.requires_grad:
+            g_flat = g_query @ q_data.T + g_key @ k_data.T
+            lifted._accumulate(g_flat.reshape(data.shape))
+        if isinstance(query_weight, Tensor) and query_weight.requires_grad:
+            query_weight._accumulate(flat_lifted.T @ g_query)
+        if isinstance(key_weight, Tensor) and key_weight.requires_grad:
+            key_weight._accumulate(flat_lifted.T @ g_key)
+
+    return make_op(pooled.reshape(out_shape), tracked, backward)
 
 
 @dataclass

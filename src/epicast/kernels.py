@@ -39,7 +39,10 @@ class KernelSet(NamedTuple):
 #
 # Rollout shapes: s0/i0/r0 (B, N); beta/gamma (B, N, T); flows (B, N, N, T);
 # pop (N,).  Forward returns the predicted cases plus full trajectories and
-# the saved masks the backward pass needs.
+# the saved masks the backward pass needs.  The numpy kernels copy flows to
+# time-major (T, B, N, N) once per call, so each day's coupling is a batched
+# matmul over a contiguous (B, N, N) block; the flow gradient is built
+# time-major and moved back to (B, N, N, T) at the end.
 
 
 def _rollout_fwd_numpy(s0, i0, r0, beta, gamma, flows, pop):
@@ -54,12 +57,13 @@ def _rollout_fwd_numpy(s0, i0, r0, beta, gamma, flows, pop):
     mi = np.empty((B, N, T), dtype=np.bool_)
     mr = np.empty((B, N, T), dtype=np.bool_)
     inv = 1.0 / pop
+    by_day = np.ascontiguousarray(np.moveaxis(flows, 3, 0))
     s, i_cur, r = s0.copy(), i0.copy(), r0.copy()
     for t in range(T):
-        moved = flows[:, :, :, t]
-        pi = np.einsum("bnm,bm->bn", moved, i_cur * inv) + np.einsum(
-            "bmn,bm->bn", moved, i_cur
-        ) * inv
+        moved = by_day[t]
+        pi = (moved @ (i_cur * inv)[:, :, None])[:, :, 0] + (
+            i_cur[:, None, :] @ moved
+        )[:, 0, :] * inv
         strength[:, :, t] = pi
         force = beta[:, :, t] * pi
         capped = force <= s
@@ -87,9 +91,13 @@ def _rollout_bwd_numpy(
 ):
     B, N, T = beta.shape
     inv = 1.0 / pop
+    by_day = np.ascontiguousarray(np.moveaxis(flows, 3, 0))
     g_beta = np.zeros_like(beta)
     g_gamma = np.zeros_like(gamma)
-    g_flows = np.zeros_like(flows)
+    # Day t's flow adjoint is g_pi (x) i_prev/P + i_prev (x) g_pi/P: stack the
+    # two factor pairs per day and form every day's outer sums in one matmul.
+    left = np.empty((T, B, N, 2))
+    right = np.empty((T, B, 2, N))
     gs = np.zeros((B, N))
     gi = np.zeros((B, N))
     gr = np.zeros((B, N))
@@ -105,20 +113,22 @@ def _rollout_bwd_numpy(
         g_force = np.where(capped, gx, 0.0)
         g_beta[:, :, t] = g_force * strength[:, :, t]
         g_pi = g_force * beta[:, :, t]
-        moved = flows[:, :, :, t]
+        g_pi_scaled = g_pi * inv
+        moved = by_day[t]
         gi_next = (
             (1.0 - gamma_t) * gi_pre
             + gamma_t * gr_pre
-            + np.einsum("bnm,bn->bm", moved, g_pi) * inv
-            + np.einsum("bmn,bn->bm", moved, g_pi * inv)
+            + (g_pi[:, None, :] @ moved)[:, 0, :] * inv
+            + (moved @ g_pi_scaled[:, :, None])[:, :, 0]
         )
-        g_flows[:, :, :, t] = (
-            g_pi[:, :, None] * (i_prev * inv)[:, None, :]
-            + i_prev[:, :, None] * (g_pi * inv)[:, None, :]
-        )
+        left[t, :, :, 0] = g_pi
+        left[t, :, :, 1] = i_prev
+        right[t, :, 0, :] = i_prev * inv
+        right[t, :, 1, :] = g_pi_scaled
         gs = gs_pre + np.where(capped, 0.0, gx)
         gi = gi_next
         gr = gr_pre
+    g_flows = np.ascontiguousarray(np.moveaxis(left @ right, 0, 3))
     return g_beta, g_gamma, g_flows
 
 

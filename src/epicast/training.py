@@ -18,6 +18,9 @@ Checkpoint container (documented layout, version 1):
   in manifest order.
 
 Round trips are bit-exact: identical state serializes to identical bytes.
+A checkpoint is written to a temporary sibling and renamed into place, so a
+failed save leaves the previous file intact; a manifest key that is missing
+or of the wrong JSON type is a ``ValueError`` naming the key.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datasets import WindowSet
+from .datasets import WindowSet, atomic_write
 from .domain import DimensionMismatchError
 from .pipeline import ForecastModel, ModelConfig
 from .suppression import EmaState
@@ -295,12 +298,40 @@ def save_checkpoint(
         "params": records,
     }
     encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with Path(path).open("wb") as handle:
+    with atomic_write(path, binary=True) as handle:
         handle.write(_MAGIC)
         handle.write(len(encoded).to_bytes(4, "little"))
         handle.write(encoded)
         for blob in blobs:
             handle.write(blob)
+
+
+# Manifest keys that loading reads, with the JSON type each must have.
+_MANIFEST_KEYS = {
+    "config_hash": str,
+    "model_config": dict,
+    "n_regions": int,
+    "seed": int,
+    "params": list,
+    "scaler_mean": list,
+    "scaler_scale": list,
+    "ema": dict,
+}
+_PARAM_KEYS = {"name": str, "shape": list, "offset": int, "count": int}
+
+
+def _require_keys(mapping, keys: dict, where: str, path) -> None:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{path}: checkpoint {where} is not a JSON object")
+    for key, kind in keys.items():
+        if key not in mapping:
+            raise ValueError(f"{path}: checkpoint {where} lacks key {key!r}")
+        value = mapping[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(
+                f"{path}: checkpoint {where} key {key!r} must be a JSON "
+                f"{kind.__name__}, got {type(value).__name__}"
+            )
 
 
 @dataclass
@@ -322,7 +353,15 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     manifest = json.loads(raw[cursor : cursor + manifest_length].decode("utf-8"))
     cursor += manifest_length
     payload = raw[cursor:]
-    config = ModelConfig.from_dict(manifest["model_config"])
+    _require_keys(manifest, _MANIFEST_KEYS, "manifest", path)
+    for index, record in enumerate(manifest["params"]):
+        _require_keys(record, _PARAM_KEYS, f"manifest params[{index}]", path)
+    try:
+        config = ModelConfig.from_dict(manifest["model_config"])
+    except (TypeError, AttributeError) as err:
+        raise ValueError(
+            f"{path}: checkpoint manifest key 'model_config' is malformed ({err})"
+        ) from None
     if _config_hash(config) != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration hash mismatch")
     model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"])

@@ -3,6 +3,7 @@ synthetic dataset, plus exit-code and error-message behaviour."""
 
 from __future__ import annotations
 
+import builtins
 import csv
 import subprocess
 import sys
@@ -314,6 +315,100 @@ class TestForecast:
         )
         assert code == EXIT_DATA
         assert "region" in capsys.readouterr().err
+
+
+def rewrite_manifest(source, target, edit):
+    """Copy a checkpoint with its JSON manifest changed by ``edit``."""
+    import json
+
+    raw = Path(source).read_bytes()
+    length = int.from_bytes(raw[8:12], "little")
+    manifest = json.loads(raw[12 : 12 + length])
+    edit(manifest)
+    encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    Path(target).write_bytes(
+        raw[:8] + len(encoded).to_bytes(4, "little") + encoded + raw[12 + length :]
+    )
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda m: m.pop("seed"), "seed"),
+            (lambda m: m.update(n_regions="3"), "n_regions"),
+            (lambda m: m["params"][0].pop("offset"), "offset"),
+            (lambda m: m.update(model_config={"no_such_field": 1}), "model_config"),
+        ],
+        ids=["missing-seed", "string-n_regions", "record-without-offset", "bad-config"],
+    )
+    def test_manifest_defect_is_data_error(self, workdir, tmp_path, capsys, edit, key):
+        broken = tmp_path / "broken.ckpt"
+        rewrite_manifest(workdir["ckpt"], broken, edit)
+        code = main(
+            [
+                "forecast",
+                "--data",
+                str(workdir["data"]),
+                "--checkpoint",
+                str(broken),
+                "--out",
+                str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert repr(key) in capsys.readouterr().err
+
+
+class TestAtomicOutputs:
+    """A forecast or report that fails partway leaves the previous file."""
+
+    def run(self, workdir, command, out):
+        return main(
+            [
+                command,
+                "--data",
+                str(workdir["data"]),
+                "--checkpoint",
+                str(workdir["ckpt"]),
+                "--out",
+                str(out),
+            ]
+        )
+
+    def test_forecast_failing_mid_write(self, workdir, tmp_path, monkeypatch):
+        out = tmp_path / "forecast.csv"
+        assert self.run(workdir, "forecast", out) == EXIT_OK
+        before = out.read_bytes()
+        calls = []
+
+        def failing_format(value, spec):
+            calls.append(value)
+            if len(calls) > 20:
+                raise RuntimeError("interrupted")
+            return builtins.format(value, spec)
+
+        monkeypatch.setattr(cli, "format", failing_format, raising=False)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            self.run(workdir, "forecast", out)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["forecast.csv"]
+
+    def test_evaluate_failing_mid_write(self, workdir, tmp_path, monkeypatch):
+        out = tmp_path / "report.csv"
+        assert self.run(workdir, "evaluate", out) == EXIT_OK
+        before = out.read_bytes()
+        rows = cli.evaluation.report_rows
+
+        def failing_rows(report):
+            yield next(iter(rows(report)))
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(cli.evaluation, "report_rows", failing_rows)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            self.run(workdir, "evaluate", out)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
 class TestEvaluate:

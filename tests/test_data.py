@@ -142,6 +142,35 @@ class TestLoadErrors:
         with pytest.raises(DataError, match="does not appear"):
             load_dataset(tmp_path)
 
+    def test_calendar_gap_rejected(self, tmp_path):
+        save_dataset(panel(2, 5), tmp_path)
+        obs = tmp_path / "observations.csv"
+        lines = obs.read_text().splitlines()
+        # drop both regions of 2021-03-03; line 6 then holds 2021-03-04
+        obs.write_text("\n".join(lines[:5] + lines[7:]) + "\n")
+        mob = tmp_path / "mobility.csv"
+        mob.write_text(
+            "\n".join(l for l in mob.read_text().splitlines() if "2021-03-03" not in l)
+            + "\n"
+        )
+        with pytest.raises(
+            DataError, match=r"observations\.csv:6: calendar gap, 2021-03-04 follows 2021-03-02"
+        ):
+            load_dataset(tmp_path)
+
+    def test_missing_mobility_row_rejected(self, tmp_path):
+        self.write_valid(tmp_path)
+        mob = tmp_path / "mobility.csv"
+        lines = mob.read_text().splitlines()
+        del lines[6]  # the r0 -> r1 flow on 2021-03-02
+        mob.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            DataError,
+            match=r"mobility\.csv:12: 11 flow rows, expected 2\*2\*3 = 12 .*"
+            r"first missing: 'r0'->'r1' on 2021-03-02",
+        ):
+            load_dataset(tmp_path)
+
     def test_duplicate_region_in_population(self, tmp_path):
         self.write_valid(tmp_path)
         pop = tmp_path / "population.csv"

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from epicast import autodiff as ad
 from epicast import estimator, kernels
 from epicast.autodiff import Tensor
 from epicast.domain import DimensionMismatchError, ValidationError
@@ -57,6 +58,102 @@ class TestDynamicDependency:
             estimator.dynamic_dependency(
                 lifted, np.eye(6), np.eye(6), heads=4
             )
+
+
+def composed_dependency(lifted, query_weight, key_weight, heads):
+    """The dependency built from generic tape operations (reference)."""
+    batch, regions, days, channels = lifted.shape
+    head_dim = channels // heads
+
+    def split_heads(projected):
+        return ad.transpose(
+            ad.reshape(projected, (batch, regions, days, heads, head_dim)),
+            (0, 3, 2, 1, 4),
+        )
+
+    query = split_heads(ad.matmul(lifted, query_weight))
+    key = split_heads(ad.matmul(lifted, key_weight))
+    scores = ad.matmul(query, ad.swapaxes(key, -1, -2)) / np.sqrt(head_dim)
+    return ad.mean(ad.softmax(scores, axis=-1), axis=(1, 2))
+
+
+def max_raw_score(lifted, query_weight, key_weight, heads):
+    batch, regions, days, channels = lifted.shape
+    head_dim = channels // heads
+    q = (lifted @ query_weight).reshape(batch, regions, days, heads, head_dim)
+    k = (lifted @ key_weight).reshape(batch, regions, days, heads, head_dim)
+    return (np.einsum("bnthd,bmthd->bhtnm", q, k) / np.sqrt(head_dim)).max()
+
+
+def dependency_inputs(rng, shape, offset=0.0):
+    lifted = rng.standard_normal(shape) + offset
+    channels = shape[-1]
+    query_weight = np.eye(channels) + 0.3 * rng.standard_normal((channels, channels))
+    key_weight = np.eye(channels) + 0.3 * rng.standard_normal((channels, channels))
+    return lifted, query_weight, key_weight
+
+
+class TestFusedDependencyGradients:
+    """The fused dependency node against central differences and against the
+    same map composed from generic tape operations."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (3, 4, 4)], ids=["batched", "squeezed"])
+    def test_gradients_match_finite_differences(self, shape, heads):
+        rng = rng_for(320 + heads)
+        arrays = dependency_inputs(rng, shape)
+        regions = shape[-3]
+        weights = rng.standard_normal(shape[:-3] + (regions, regions))
+
+        def loss_of(*values):
+            out = estimator.dynamic_dependency(*values, heads=heads)
+            return float((np.asarray(out) * weights).sum())
+
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = estimator.dynamic_dependency(*tensors, heads=heads)
+        assert out.shape == weights.shape
+        (out * weights).sum().backward()
+        for tensor, array in zip(tensors, arrays):
+            numeric = np.empty_like(array)
+            flat, slope = array.ravel(), numeric.ravel()
+            for k in range(flat.size):
+                keep = flat[k]
+                flat[k] = keep + 1e-6
+                hi = loss_of(*arrays)
+                flat[k] = keep - 1e-6
+                lo = loss_of(*arrays)
+                flat[k] = keep
+                slope[k] = (hi - lo) / 2e-6
+            np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("offset", [0.0, 20.0], ids=["plain", "scores-above-1000"])
+    def test_matches_composed_reference(self, heads, offset):
+        rng = rng_for(330 + heads)
+        arrays = dependency_inputs(rng, (3, 5, 6, 8), offset)
+        if offset:
+            # exp() of these scores overflows unless the softmax shifts by the row max
+            assert max_raw_score(*arrays, heads) > 1000.0
+        upstream = rng.standard_normal((3, 5, 5))
+        results = []
+        for build in (estimator.dynamic_dependency, composed_dependency):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = build(*tensors, heads=heads)
+            out.backward(upstream)
+            results.append([out.data] + [t.grad for t in tensors])
+        for fused, reference in zip(*results):
+            assert np.isfinite(fused).all()
+            np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
+
+    def test_plain_arrays_build_no_tape(self):
+        rng = rng_for(334)
+        lifted, query_weight, key_weight = dependency_inputs(rng, (2, 3, 4, 4))
+        out = estimator.dynamic_dependency(lifted, query_weight, key_weight, heads=2)
+        assert type(out) is np.ndarray
+        tracked = estimator.dynamic_dependency(
+            lifted, Tensor(query_weight, requires_grad=True), key_weight, heads=2
+        )
+        np.testing.assert_array_equal(tracked.data, out)
 
 
 class TestStaticDependency:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicast import kernels, metapop
 from epicast.autodiff import Tensor
@@ -334,3 +336,106 @@ class TestRolloutBatch:
         np.testing.assert_allclose(
             results["numba"], results["numpy"], rtol=1e-13, atol=1e-10
         )
+
+
+# -------------------------------------------- property: adjoint and forward
+
+
+@st.composite
+def clamp_regimes(draw):
+    """Random batched instances in which chosen regions are starved (tiny or
+    empty susceptible pools, so the infection cap and the S clamp fire) or
+    dead (no infected, no recovered, no flows, so the I and R clamps fire).
+
+    Returns the rollout inputs, the regions whose pool is empty (where the
+    cap must fire on day one) and the dead regions."""
+    batch = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    horizon = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starved = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    dead = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    pool = draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+    pop = rng.uniform(100.0, 1e4, size=n)
+    i0 = pop * rng.uniform(0.01, 0.2, size=(batch, n))
+    r0 = pop * rng.uniform(0.0, 0.2, size=(batch, n))
+    s0 = pop - i0 - r0
+    s0[:, starved] = pop[starved] * pool * rng.uniform(0.0, 1.0, size=(batch, starved.sum()))
+    i0[:, dead] = 0.0
+    r0[:, dead] = 0.0
+    flows = rng.uniform(0.0, 1.0, size=(batch, n, n, horizon)) * pop[None, None, :, None] * 0.05
+    flows[:, dead] = 0.0
+    flows[:, :, dead] = 0.0
+    beta = rng.uniform(0.01, 0.99, size=(batch, n, horizon))
+    gamma = rng.uniform(0.01, 0.99, size=(batch, n, horizon))
+    return (s0, i0, r0, beta, gamma, flows, pop), starved & (pool == 0.0), dead
+
+
+def branch_pattern(aux):
+    """Which side of the cap and of each clamp every entry took."""
+    return tuple(
+        aux[key] if key == "capped" else aux[key] > 0.0
+        for key in ("capped", "susceptible", "infected", "recovered")
+    )
+
+
+class TestRolloutBatchProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(clamp_regimes())
+    def test_adjoint_and_forward_in_every_branch(self, case):
+        (s0, i0, r0, beta, gamma, flows, pop), empty, dead = case
+        cases, aux = metapop.rollout_batch(s0, i0, r0, beta, gamma, flows, pop)
+        if (empty & ~dead).any():
+            assert aux["capped"][:, empty & ~dead, 0].all()
+            assert (aux["susceptible"][:, empty & ~dead, 0] == 0.0).all()
+        if dead.any():
+            assert (aux["infected"][:, dead] == 0.0).all()
+            assert (aux["recovered"][:, dead] == 0.0).all()
+
+        # forward: the day-by-day loop of metapop.rollout, one window at a time
+        for b in range(s0.shape[0]):
+            single = metapop.rollout(
+                CompartmentState(susceptible=s0[b], infected=i0[b], recovered=r0[b]),
+                EpidemicParams(beta=beta[b], gamma=gamma[b]),
+                MobilitySeries(flows=flows[b], horizon_kind="forecast"),
+                PopulationVector(sizes=pop),
+            )
+            for got, want in (
+                (cases[b], single.cases),
+                (aux["susceptible"][b], single.susceptible),
+                (aux["infected"][b], single.infected),
+                (aux["recovered"][b], single.recovered),
+            ):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+        # adjoint: central differences wherever a probe stays on one branch
+        weights = np.random.default_rng(int(pop[0])).standard_normal(cases.shape)
+        inputs = [beta, gamma, flows]
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+        tracked, _ = metapop.rollout_batch(s0, i0, r0, *tensors, pop)
+        (tracked * weights).sum().backward()
+        base = branch_pattern(aux)
+
+        def probe(values):
+            out, probe_aux = metapop.rollout_batch(s0, i0, r0, *values, pop)
+            same = all(
+                np.array_equal(x, y) for x, y in zip(branch_pattern(probe_aux), base)
+            )
+            return float((out * weights).sum()), same
+
+        for slot, tensor in enumerate(tensors):
+            flat = inputs[slot].ravel()
+            scale = max(np.abs(tensor.grad).max(), 1.0)
+            for k in range(flat.size):
+                keep = flat[k]
+                step = 1e-6 * max(1.0, abs(keep))
+                values = [a.copy() for a in inputs]
+                values[slot].ravel()[k] = keep + step
+                hi, same_hi = probe(values)
+                values[slot].ravel()[k] = keep - step
+                lo, same_lo = probe(values)
+                if not (same_hi and same_lo):
+                    continue  # the probe straddles a kink
+                numeric = (hi - lo) / (2 * step)
+                analytic = tensor.grad.ravel()[k]
+                assert abs(numeric - analytic) <= 1e-6 * scale, (slot, k)

@@ -269,6 +269,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic|recognized"):
             load_checkpoint(path)
 
+    def test_failed_save_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        train_w, _, config = build_windows()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(train_w, config, seed=3), path)
+        before = path.read_bytes()
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(datasets.os, "fsync", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(build_model(train_w, config, seed=4), path, epoch=9)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_truncated_payload_rejected(self, tmp_path):
         train_w, _, config = build_windows()
         model = build_model(train_w, config)
