@@ -7,11 +7,22 @@ On-disk layout is three UTF-8 CSV files with headers and ISO-8601 dates:
 * ``mobility.csv``: date, origin, destination, flow;
 * ``population.csv``: region, population.
 
-``population.csv`` defines the region universe and its order.  Observation
-dates must be consecutive calendar days, and ``mobility.csv`` must hold one
-row per day, origin and destination; a gap or a missing flow is a
-``DataError`` naming the file and line, never filled in.  Floats are
+``population.csv`` defines the region universe and its order.  Floats are
 written with 17 significant digits so a save/load round trip is exact.
+
+``load_dataset`` reads each file once, row by row, never holding a whole
+file.  Days must be non-decreasing in both dated files; within a day, rows
+may come in any order.  It rejects, as a ``DataError`` naming the file and
+line (never filling anything in):
+
+* a bad header, a wrong column count, an unparseable date or number;
+* a region missing from ``population.csv``, or named twice there;
+* a calendar gap between observation days, or a mobility date that is not
+  an observation day;
+* a duplicate row, a region missing from an observation day (reported
+  where that day ends) or a missing flow (reported after the last row);
+* a non-finite value anywhere, a negative case, S/I/R count or flow, and a
+  population that is not positive.
 
 The synthetic generator runs the mechanistic core day by day, so at zero
 observation noise the stored cases are an exact fixed point of the
@@ -129,6 +140,9 @@ class Dataset:
 # ----------------------------------------------------------------------- CSV
 
 
+_INF = float("inf")
+
+
 def _parse_date(raw: str, path: Path, line: int) -> str:
     try:
         return date_type.fromisoformat(raw.strip()).isoformat()
@@ -136,13 +150,27 @@ def _parse_date(raw: str, path: Path, line: int) -> str:
         raise DataError(f"{path.name}:{line}: bad date {raw!r} ({err})") from None
 
 
+def _non_numeric(raw: str, column: str, path: Path, line: int) -> DataError:
+    return DataError(
+        f"{path.name}:{line}: column {column!r} has non-numeric value {raw!r}"
+    )
+
+
 def _parse_float(raw: str, column: str, path: Path, line: int) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise DataError(
-            f"{path.name}:{line}: column {column!r} has non-numeric value {raw!r}"
-        ) from None
+        raise _non_numeric(raw, column, path, line) from None
+
+
+def _region(lookup: dict[str, int], raw: str) -> int | None:
+    """Index of the region spelled ``raw`` (surrounding blanks ignored), or
+    None.  ``lookup`` starts as the name -> index map and caches each new
+    spelling, so every distinct field is stripped once per file."""
+    index = lookup.get(raw.strip())
+    if index is not None:
+        lookup[raw] = index
+    return index
 
 
 def load_dataset(directory: str | Path) -> Dataset:
@@ -155,107 +183,158 @@ def load_dataset(directory: str | Path) -> Dataset:
         if not path.exists():
             raise DataError(f"missing input file: {path}")
 
-    regions: list[str] = []
+    regions, population = _read_population(population_path)
+    dates, values = _read_observations(observation_path, regions)
+    flows = _read_mobility(mobility_path, regions, dates)
+    dataset = Dataset(
+        regions=regions,
+        dates=dates,
+        cases=values[:, :, 0],
+        susceptible=values[:, :, 1],
+        infected=values[:, :, 2],
+        recovered=values[:, :, 3],
+        flows=flows,
+        population=population,
+        extras=values[:, :, 4:],
+    )
+    dataset.bundle()  # surface invariant violations as early as possible
+    return dataset
+
+
+def _read_population(path: Path) -> tuple[list[str], np.ndarray]:
     population: dict[str, float] = {}
-    with population_path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["region", "population"]:
-            raise DataError(
-                f"{population_path.name}:1: header must be 'region,population'"
-            )
+            raise DataError(f"{path.name}:1: header must be 'region,population'")
         for line, row in enumerate(reader, start=2):
             if len(row) < 2:
-                raise DataError(f"{population_path.name}:{line}: expected 2 columns")
+                raise DataError(f"{path.name}:{line}: expected 2 columns")
             name = row[0].strip()
             if name in population:
+                raise DataError(f"{path.name}:{line}: duplicate region {name!r}")
+            value = _parse_float(row[1], "population", path, line)
+            if not 0.0 < value < _INF:
                 raise DataError(
-                    f"{population_path.name}:{line}: duplicate region {name!r}"
+                    f"{path.name}:{line}: population for {name!r} "
+                    f"must be > 0 and finite, got {value}"
                 )
-            value = _parse_float(row[1], "population", population_path, line)
-            if value <= 0:
-                raise DataError(
-                    f"{population_path.name}:{line}: population for {name!r} "
-                    f"must be > 0, got {value}"
-                )
-            regions.append(name)
             population[name] = value
-    if not regions:
-        raise DataError(f"{population_path.name}: no regions defined")
-    region_index = {name: i for i, name in enumerate(regions)}
+    if not population:
+        raise DataError(f"{path.name}: no regions defined")
+    return list(population), np.array(list(population.values()))
 
-    expected_head = ["date", "region", "cases", "susceptible", "infected", "recovered"]
-    observed: dict[tuple[str, str], list[float]] = {}
-    dates: list[str] = []
-    extra_names: list[str] = []
-    with observation_path.open(newline="", encoding="utf-8") as handle:
+
+def _read_observations(path: Path, regions: list[str]) -> tuple[list[str], np.ndarray]:
+    """Dates and the ``(N, L, C)`` channel values.  Rows of one day may come
+    in any order; a day is checked for completeness as soon as it ends."""
+    n = len(regions)
+    lookup = {name: i for i, name in enumerate(regions)}
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
+        expected_head = [
+            "date", "region", "cases", "susceptible", "infected", "recovered"
+        ]
         if header is None or [h.strip() for h in header[:6]] != expected_head:
             raise DataError(
-                f"{observation_path.name}:1: header must start with "
-                f"'{','.join(expected_head)}'"
+                f"{path.name}:1: header must start with '{','.join(expected_head)}'"
             )
-        extra_names = [h.strip() for h in header[6:]]
-        width = 6 + len(extra_names)
-        last = None
+        columns = [h.strip() for h in header[2:]]
+        channels = len(columns)
+        width = 2 + channels
+        values: list[float] = []  # day-major (L, N, C), a day block at a time
+        blank_day = [0.0] * (n * channels)
+        dates: list[str] = []
+        raw_date = last = None
+        seen = bytearray(n)  # regions already read on the current day
+        count = 0
         for line, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise DataError(
-                    f"{observation_path.name}:{line}: expected {width} columns, "
-                    f"got {len(row)}"
+                    f"{path.name}:{line}: expected {width} columns, got {len(row)}"
                 )
-            day = _parse_date(row[0], observation_path, line)
-            name = row[1].strip()
-            if name not in region_index:
+            if row[0] != raw_date:
+                day = _parse_date(row[0], path, line)
+                raw_date = row[0]
+            r = lookup.get(row[1])
+            if r is None and (r := _region(lookup, row[1])) is None:
                 raise DataError(
-                    f"{observation_path.name}:{line}: unknown region {name!r} "
+                    f"{path.name}:{line}: unknown region {row[1].strip()!r} "
                     f"(not in population.csv)"
                 )
-            if last is not None and day < last:
-                raise DataError(
-                    f"{observation_path.name}:{line}: dates must be "
-                    f"non-decreasing, {day} follows {last}"
-                )
-            if last != day:
+            if day != last:
                 if last is not None:
+                    if day < last:
+                        raise DataError(
+                            f"{path.name}:{line}: dates must be "
+                            f"non-decreasing, {day} follows {last}"
+                        )
+                    if count != n:
+                        raise _missing_entry(path, line, regions, seen, last)
                     step = date_type.fromisoformat(day) - date_type.fromisoformat(last)
                     if step != timedelta(days=1):
                         raise DataError(
-                            f"{observation_path.name}:{line}: calendar gap, {day} "
+                            f"{path.name}:{line}: calendar gap, {day} "
                             f"follows {last}; dates must be consecutive days"
                         )
+                base = len(values)
+                values.extend(blank_day)
+                seen = bytearray(n)
+                count = 0
                 dates.append(day)
                 last = day
-            key = (day, name)
-            if key in observed:
+            if seen[r]:
                 raise DataError(
-                    f"{observation_path.name}:{line}: duplicate entry for "
-                    f"{name!r} on {day}"
+                    f"{path.name}:{line}: duplicate entry for {regions[r]!r} on {day}"
                 )
-            observed[key] = [
-                _parse_float(row[k], header[k].strip(), observation_path, line)
-                for k in range(2, width)
-            ]
+            seen[r] = 1
+            count += 1
+            try:
+                parsed = list(map(float, row[2:]))
+            except ValueError:
+                for column, raw in zip(columns, row[2:]):
+                    _parse_float(raw, column, path, line)  # raises at the culprit
+                raise
+            for k, value in enumerate(parsed):
+                # the S/I/R core is a head count; extra channels may go negative
+                if not (-_INF < value < _INF and (value >= 0.0 or k >= 4)):
+                    bound = "finite" if k >= 4 else ">= 0 and finite"
+                    raise DataError(
+                        f"{path.name}:{line}: column {columns[k]!r} must be "
+                        f"{bound}, got {value}"
+                    )
+            offset = base + r * channels
+            values[offset : offset + channels] = parsed
     if not dates:
-        raise DataError(f"{observation_path.name}: no data rows")
+        raise DataError(f"{path.name}: no data rows")
+    if count != n:
+        raise _missing_entry(path, line, regions, seen, last)
+    by_day = np.array(values).reshape(len(dates), n, channels)
+    return dates, by_day.transpose(1, 0, 2).copy()
 
-    n, length, extra_count = len(regions), len(dates), len(extra_names)
-    values = np.empty((n, length, 4 + extra_count))
-    for d_idx, day in enumerate(dates):
-        for name, r_idx in region_index.items():
-            row = observed.get((day, name))
-            if row is None:
-                raise DataError(
-                    f"{observation_path.name}: missing entry for region "
-                    f"{name!r} on {day}"
-                )
-            values[r_idx, d_idx, :] = row
 
-    flows = np.zeros((n, n, length))
-    seen_flow: set[tuple[str, str, str]] = set()
-    date_index = {day: i for i, day in enumerate(dates)}
-    with mobility_path.open(newline="", encoding="utf-8") as handle:
+def _missing_entry(
+    path: Path, line: int, regions: list[str], seen: bytearray, day: str
+) -> DataError:
+    name = regions[seen.index(0)]
+    return DataError(f"{path.name}:{line}: missing entry for region {name!r} on {day}")
+
+
+def _read_mobility(path: Path, regions: list[str], dates: list[str]) -> np.ndarray:
+    """The ``(N, N, L)`` flows.  Rows of one day may come in any order; every
+    origin, destination and day needs exactly one row."""
+    n, length = len(regions), len(dates)
+    lookup = {name: i for i, name in enumerate(regions)}
+    date_index = {day: t for t, day in enumerate(dates)}
+    days = dict(date_index)  # raw date field -> day index, grown as met
+    flows = np.zeros(n * n * length)
+    cells = memoryview(flows)
+    seen = bytearray(n * n * length)  # by flat (origin, destination, day)
+    count = last = 0
+    line = 1
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:4]] != [
@@ -265,74 +344,64 @@ def load_dataset(directory: str | Path) -> Dataset:
             "flow",
         ]:
             raise DataError(
-                f"{mobility_path.name}:1: header must be 'date,origin,destination,flow'"
+                f"{path.name}:1: header must be 'date,origin,destination,flow'"
             )
-        last = None
-        line = 1
         for line, row in enumerate(reader, start=2):
             if len(row) < 4:
-                raise DataError(f"{mobility_path.name}:{line}: expected 4 columns")
-            day = _parse_date(row[0], mobility_path, line)
-            if day not in date_index:
-                raise DataError(
-                    f"{mobility_path.name}:{line}: date {day} does not appear "
-                    f"in observations.csv"
-                )
-            if last is not None and day < last:
-                raise DataError(
-                    f"{mobility_path.name}:{line}: dates must be non-decreasing, "
-                    f"{day} follows {last}"
-                )
-            last = day
-            origin, destination = row[1].strip(), row[2].strip()
-            for name in (origin, destination):
-                if name not in region_index:
+                raise DataError(f"{path.name}:{line}: expected 4 columns")
+            t = days.get(row[0])
+            if t is None:
+                day = _parse_date(row[0], path, line)
+                t = date_index.get(day)
+                if t is None:
                     raise DataError(
-                        f"{mobility_path.name}:{line}: unknown region {name!r}"
+                        f"{path.name}:{line}: date {day} does not appear "
+                        f"in observations.csv"
                     )
-            key = (day, origin, destination)
-            if key in seen_flow:
+                days[row[0]] = t
+            # days are consecutive, so index order is calendar order
+            if t < last:
                 raise DataError(
-                    f"{mobility_path.name}:{line}: duplicate flow "
-                    f"{origin!r}->{destination!r} on {day}"
+                    f"{path.name}:{line}: dates must be non-decreasing, "
+                    f"{dates[t]} follows {dates[last]}"
                 )
-            seen_flow.add(key)
-            value = _parse_float(row[3], "flow", mobility_path, line)
-            if value < 0:
+            last = t
+            o = lookup.get(row[1])
+            if o is None and (o := _region(lookup, row[1])) is None:
+                raise DataError(f"{path.name}:{line}: unknown region {row[1].strip()!r}")
+            d = lookup.get(row[2])
+            if d is None and (d := _region(lookup, row[2])) is None:
+                raise DataError(f"{path.name}:{line}: unknown region {row[2].strip()!r}")
+            flat = (o * n + d) * length + t
+            if seen[flat]:
                 raise DataError(
-                    f"{mobility_path.name}:{line}: flow must be >= 0, got {value}"
+                    f"{path.name}:{line}: duplicate flow "
+                    f"{regions[o]!r}->{regions[d]!r} on {dates[t]}"
                 )
-            flows[region_index[origin], region_index[destination], date_index[day]] = value
+            seen[flat] = 1
+            count += 1
+            try:
+                value = float(row[3])
+            except ValueError:
+                raise _non_numeric(row[3], "flow", path, line) from None
+            if not 0.0 <= value < _INF:
+                raise DataError(
+                    f"{path.name}:{line}: flow must be >= 0 and finite, got {value}"
+                )
+            cells[flat] = value
     # Rows are unique and on known days and regions, so a short count means
     # some flows are missing; zero-filling them would invent data.
     expected = n * n * length
-    if len(seen_flow) != expected:
-        missing = next(
-            (day, origin, destination)
-            for day in dates
-            for origin in regions
-            for destination in regions
-            if (day, origin, destination) not in seen_flow
-        )
+    if count != expected:
+        # the first unmarked cell in (day, origin, destination) order
+        marks = np.frombuffer(seen, dtype=np.uint8).reshape(n, n, length)
+        t, o, d = np.unravel_index(np.argmin(marks.transpose(2, 0, 1)), (length, n, n))
         raise DataError(
-            f"{mobility_path.name}:{line}: {len(seen_flow)} flow rows, expected "
+            f"{path.name}:{line}: {count} flow rows, expected "
             f"{n}*{n}*{length} = {expected} (every origin, destination and day); "
-            f"first missing: {missing[1]!r}->{missing[2]!r} on {missing[0]}"
+            f"first missing: {regions[o]!r}->{regions[d]!r} on {dates[t]}"
         )
-
-    dataset = Dataset(
-        regions=regions,
-        dates=dates,
-        cases=values[:, :, 0],
-        susceptible=values[:, :, 1],
-        infected=values[:, :, 2],
-        recovered=values[:, :, 3],
-        flows=flows,
-        population=np.array([population[name] for name in regions]),
-        extras=values[:, :, 4:],
-    )
-    dataset.bundle()  # surface invariant violations as early as possible
-    return dataset
+    return flows.reshape(n, n, length)
 
 
 @contextmanager

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import builtins
 import csv
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -315,6 +317,44 @@ class TestForecast:
         )
         assert code == EXIT_DATA
         assert "region" in capsys.readouterr().err
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize(
+        "file_name,column,value",
+        [
+            ("population.csv", "population", "nan"),
+            ("population.csv", "population", "inf"),
+            ("observations.csv", "cases", "-1.0"),
+            ("observations.csv", "cases", "nan"),
+            ("observations.csv", "susceptible", "inf"),
+            ("observations.csv", "infected", "-inf"),
+            ("observations.csv", "recovered", "nan"),
+            ("mobility.csv", "flow", "nan"),
+            ("mobility.csv", "flow", "inf"),
+        ],
+    )
+    def test_forecast_names_file_and_line(
+        self, workdir, tmp_path, capsys, file_name, column, value
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(workdir["data"], data)
+        path = data / file_name
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[lines[0].split(",").index(column)] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "f.csv"
+        code = main(
+            ["forecast", "--data", str(data), "--checkpoint", str(workdir["ckpt"]),
+             "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        pattern = rf"{re.escape(file_name)}:3: .*{column}.* must be .*, got {float(value)}"
+        assert re.search(pattern, err), err
+        assert not out.exists()
 
 
 def rewrite_manifest(source, target, edit):

@@ -3,10 +3,16 @@ compartment derivation, and the seeded synthetic generator."""
 
 from __future__ import annotations
 
+import re
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from epicast import metapop
 from epicast.datasets import (
@@ -116,7 +122,10 @@ class TestLoadErrors:
         lines = obs.read_text().splitlines()
         del lines[2]  # drop (day 1, r1)
         obs.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="missing entry for region"):
+        with pytest.raises(
+            DataError,
+            match=r"observations\.csv:3: missing entry for region 'r1' on 2021-03-01",
+        ):
             load_dataset(tmp_path)
 
     def test_wrong_observation_header(self, tmp_path):
@@ -177,6 +186,153 @@ class TestLoadErrors:
         self.replace_line(pop, 3, "r0,500.0")
         with pytest.raises(DataError, match="duplicate region 'r0'"):
             load_dataset(tmp_path)
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fuzz_panels(draw):
+    """A small valid panel with arbitrary float64 values, and a seeded RNG."""
+    n = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 5))
+    extras = draw(st.integers(0, 2))
+    start = draw(st.dates(max_value=date(9000, 1, 1)))
+
+    def grid(shape, elements):
+        return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+    dataset = Dataset(
+        regions=[f"r{k}" for k in range(n)],
+        dates=[(start + timedelta(days=k)).isoformat() for k in range(length)],
+        cases=grid((n, length), NONNEGATIVE),
+        susceptible=grid((n, length), NONNEGATIVE),
+        infected=grid((n, length), NONNEGATIVE),
+        recovered=grid((n, length), NONNEGATIVE),
+        flows=grid((n, n, length), POSITIVE),
+        population=grid((n,), POSITIVE),
+        extras=grid((n, length, extras), FINITE),
+    )
+    return dataset, draw(st.randoms(use_true_random=False))
+
+
+def save_shuffled(dataset, directory, rnd) -> dict[str, list[str]]:
+    """``save_dataset``, then shuffle mobility rows within each day; returns
+    every file's lines (header included, so list index + 1 is the line)."""
+    save_dataset(dataset, directory)
+    mob = directory / "mobility.csv"
+    lines = mob.read_text().splitlines()
+    per_day = dataset.n_regions**2
+    for start in range(1, len(lines), per_day):
+        block = lines[start : start + per_day]
+        rnd.shuffle(block)
+        lines[start : start + per_day] = block
+    mob.write_text("\n".join(lines) + "\n")
+    return {
+        name: (directory / name).read_text().splitlines()
+        for name in ("population.csv", "observations.csv", "mobility.csv")
+    }
+
+
+MUTATIONS = ("drop", "duplicate", "negate", "nan", "swap_days", "rename")
+
+
+def mutate(kind, dataset, files, rnd) -> tuple[str, int, str]:
+    """Apply one defect to ``files`` in place.  Returns the file and line the
+    loader must name and a pattern for the rest of its message."""
+    n, length = dataset.n_regions, dataset.n_days
+    name = rnd.choice(sorted(files))
+    if kind == "drop" and (name == "population.csv" or n == 1):
+        name = "mobility.csv"  # not a lone missing row, but a region or a day
+    if kind in ("negate", "swap_days"):
+        name = "mobility.csv"
+    lines = files[name]
+    k = rnd.randrange(1, len(lines))  # the 0-based index of a data row
+    fields = lines[k].split(",")
+
+    if kind == "drop":
+        del lines[k]
+        if name == "observations.csv":
+            # reported where the day's rows end: the next day's first row
+            line = min(((k - 1) // n + 1) * n + 1, length * n)
+            return name, line, f"missing entry for region '{fields[1]}' on {fields[0]}"
+        rows = n * n * length
+        return name, len(lines), (
+            rf"{rows - 1} flow rows, expected .* first missing: "
+            rf"'{fields[1]}'->'{fields[2]}' on {fields[0]}"
+        )
+    if kind == "duplicate":
+        lines.insert(k + 1, lines[k])
+        return name, k + 2, "duplicate"
+    if kind == "negate":
+        fields[3] = "-" + fields[3]
+        lines[k] = ",".join(fields)
+        return name, k + 1, "flow must be >= 0"
+    if kind == "nan":
+        column = {"population.csv": 1, "mobility.csv": 3}.get(name)
+        if column is None:
+            column = rnd.randrange(2, len(fields))
+        fields[column] = rnd.choice(["nan", "inf", "-inf"])
+        lines[k] = ",".join(fields)
+        return name, k + 1, ".* must be .*finite, got"
+    if kind == "swap_days":
+        a, b = sorted(rnd.sample(range(length), 2))
+        per_day = n * n
+        day_a = slice(1 + a * per_day, 1 + (a + 1) * per_day)
+        day_b = slice(1 + b * per_day, 1 + (b + 1) * per_day)
+        lines[day_a], lines[day_b] = lines[day_b], lines[day_a]
+        # day b now sits in day a's place; the first later row goes back
+        return name, 2 + (a + 1) * per_day, "dates must be non-decreasing"
+    if kind == "rename":
+        if name == "population.csv":
+            lines[k] = "renamed," + fields[1]
+            # observations list day 0's regions first, in population order
+            return "observations.csv", k + 1, f"unknown region 'r{k - 1}'"
+        column = 1 if name == "observations.csv" else rnd.choice([1, 2])
+        fields[column] = "renamed"
+        lines[k] = ",".join(fields)
+        return name, k + 1, "unknown region 'renamed'"
+    raise AssertionError(kind)
+
+
+def assert_bit_identical(loaded, original):
+    assert loaded.regions == original.regions
+    assert loaded.dates == original.dates
+    for field in ("cases", "susceptible", "infected", "recovered", "flows", "population", "extras"):
+        got, want = getattr(loaded, field), getattr(original, field)
+        assert got.shape == want.shape, field
+        assert got.tobytes() == want.tobytes(), field
+
+
+class TestCsvFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(fuzz_panels())
+    def test_round_trip_is_bit_exact(self, case):
+        original, rnd = case
+        with tempfile.TemporaryDirectory() as directory:
+            save_shuffled(original, Path(directory), rnd)
+            assert_bit_identical(load_dataset(directory), original)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fuzz_panels(), st.sampled_from(MUTATIONS))
+    def test_each_mutation_names_file_and_line(self, case, kind):
+        original, rnd = case
+        if kind == "swap_days" and original.n_days == 1:
+            kind = "duplicate"
+        with tempfile.TemporaryDirectory() as directory:
+            directory = Path(directory)
+            files = save_shuffled(original, directory, rnd)
+            name, line, message = mutate(kind, original, files, rnd)
+            for file_name, lines in files.items():
+                (directory / file_name).write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataError) as raised:
+                load_dataset(directory)
+        assert re.match(rf"{re.escape(name)}:{line}: {message}", str(raised.value)), (
+            kind,
+            str(raised.value),
+        )
 
 
 class TestChronologicalSplit:
