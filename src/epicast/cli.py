@@ -326,7 +326,8 @@ def _cmd_forecast(args) -> int:
                 f"({dataset.dates[0]} .. {dataset.dates[-1]})"
             ) from None
     batch = _window_ending_at(dataset, model.config.t_in, end_index)
-    result = model.forward(batch, training=False)
+    with model.inference():
+        result = model.forward(batch, training=False)
 
     beta = np.clip(result.beta.data[0], RATE_EPSILON, 1.0 - RATE_EPSILON)
     gamma = np.clip(result.gamma.data[0], RATE_EPSILON, 1.0 - RATE_EPSILON)
@@ -391,10 +392,10 @@ def _cmd_forecast(args) -> int:
 
 def _batched_predictions(model: ForecastModel, windows: datasets.WindowSet) -> np.ndarray:
     chunks = []
-    for start in range(0, len(windows), 32):
-        indices = np.arange(start, min(start + 32, len(windows)))
-        result = model.forward(windows.batch(indices), training=False)
-        chunks.append(result.cases.data)
+    with model.inference():
+        for start in range(0, len(windows), 32):
+            indices = np.arange(start, min(start + 32, len(windows)))
+            chunks.append(model.forward(windows.batch(indices)).cases.data)
     return np.concatenate(chunks, axis=0)
 
 

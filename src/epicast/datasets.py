@@ -492,7 +492,10 @@ def chronological_split(dataset: Dataset) -> tuple[Dataset, Dataset, Dataset]:
 
 @dataclass
 class WindowSet:
-    """Materialized sliding windows (stride 1) over one data segment."""
+    """Sliding windows (stride 1) over one data segment.
+
+    ``mobility`` is a read-only view of the segment's flows; ``batch`` copies.
+    """
 
     observations: np.ndarray  # (W, N, T_in, C)
     mobility: np.ndarray  # (W, N, N, T_in)
@@ -536,7 +539,6 @@ def windowize(dataset: Dataset, t_in: int, t_out: int) -> WindowSet:
     stacked = dataset.stacked()
     n, channels = dataset.n_regions, dataset.n_channels
     observations = np.empty((count, n, t_in, channels))
-    mobility = np.empty((count, n, n, t_in))
     targets = np.empty((count, n, t_out))
     susceptible0 = np.empty((count, n))
     infected0 = np.empty((count, n))
@@ -545,15 +547,15 @@ def windowize(dataset: Dataset, t_in: int, t_out: int) -> WindowSet:
     for w in range(count):
         stop = w + t_in
         observations[w] = stacked[:, w:stop]
-        mobility[w] = dataset.flows[:, :, w:stop]
         targets[w] = dataset.cases[:, stop : stop + t_out]
         susceptible0[w] = dataset.susceptible[:, stop - 1]
         infected0[w] = dataset.infected[:, stop - 1]
         recovered0[w] = dataset.recovered[:, stop - 1]
         end_dates.append(dataset.dates[stop - 1])
+    mobility = np.lib.stride_tricks.sliding_window_view(dataset.flows, t_in, axis=2)
     return WindowSet(
         observations=observations,
-        mobility=mobility,
+        mobility=mobility[:, :, :count].transpose(2, 0, 1, 3),
         susceptible0=susceptible0,
         infected0=infected0,
         recovered0=recovered0,

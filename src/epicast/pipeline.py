@@ -10,8 +10,9 @@ mechanistic core and the loss stay in raw counts.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -225,6 +226,20 @@ class ForecastModel:
     def zero_grad(self) -> None:
         for tensor in self.parameters().values():
             tensor.grad = None
+
+    @contextmanager
+    def inference(self) -> Iterator["ForecastModel"]:
+        """Forwards in the block record no tape, for callers that never call
+        ``backward``.  Each ``requires_grad`` is restored on exit, also on error.
+        """
+        saved = [(p, p.requires_grad) for p in self.parameters().values()]
+        for p, _ in saved:
+            p.requires_grad = False
+        try:
+            yield self
+        finally:
+            for p, flag in saved:
+                p.requires_grad = flag
 
     def clamp_blend(self) -> None:
         """Keep the enhancement blend inside [0, 1] (called after each step)."""

@@ -59,7 +59,7 @@ _MAGIC = b"EPCAST\x00\x01"
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a non-finite loss appears (with context for debugging)."""
+    """Raised when a non-finite loss or gradient appears (with context)."""
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,13 @@ def validation_loss(
     """Full-horizon MAE over a window set (no smoothing updates)."""
     total_error = 0.0
     total_count = 0
-    for start in range(0, len(windows), batch_size):
-        indices = np.arange(start, min(start + batch_size, len(windows)))
-        batch = windows.batch(indices)
-        result = model.forward(batch, training=False)
-        total_error += float(np.abs(result.cases.data - batch.targets).sum())
-        total_count += batch.targets.size
+    with model.inference():
+        for start in range(0, len(windows), batch_size):
+            indices = np.arange(start, min(start + batch_size, len(windows)))
+            batch = windows.batch(indices)
+            cases = model.forward(batch, training=False).cases.data
+            total_error += float(np.abs(cases - batch.targets).sum())
+            total_count += batch.targets.size
     return total_error / total_count
 
 
@@ -219,6 +220,12 @@ def fit(
                     f"inspect the learning rate and input scaling"
                 )
             loss.backward()
+            for name, param in optimizer.params.items():
+                if param.grad is not None and not np.isfinite(param.grad).all():
+                    raise TrainingDivergedError(
+                        f"non-finite gradient in parameter group {name!r} at epoch "
+                        f"{epoch}, iteration {history.iterations}; nothing was updated"
+                    )
             optimizer.step()
             model.clamp_blend()
             history.iterations += 1

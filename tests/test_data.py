@@ -403,6 +403,33 @@ class TestWindowize:
         np.testing.assert_array_equal(batch.targets[1], windows.targets[7])
         assert batch.size == 2
 
+    def test_mobility_is_a_read_only_view_of_the_flows(self):
+        data = panel(2, 18)
+        windows = windowize(data, 5, 3)
+        assert np.shares_memory(windows.mobility, data.flows)
+        with pytest.raises(ValueError, match="read-only"):
+            windows.mobility[0, 0, 1, 0] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            windows.mobility += 1.0
+
+    # 18 days give 11 windows; 8 days are exactly one 5+3-day window
+    @pytest.mark.parametrize("days", [18, 8])
+    def test_batch_mobility_equals_per_window_copies(self, days):
+        data = panel(3, days)
+        t_in, t_out = 5, 3
+        windows = windowize(data, t_in, t_out)
+        last = len(windows) - 1
+        indices = [last, 0, last // 2, last]
+        mobility = windows.batch(indices).mobility
+        assert mobility.flags.c_contiguous and mobility.flags.writeable
+        copies = np.empty((len(indices), 3, 3, t_in))
+        for k, w in enumerate(indices):
+            copies[k] = data.flows[:, :, w : w + t_in]
+        assert mobility.tobytes() == copies.tobytes()
+        # the gathered batch is the caller's to write into
+        mobility[...] = 0.0
+        np.testing.assert_array_equal(windows.mobility[last], copies[0])
+
     def test_too_short_segment_rejected(self):
         with pytest.raises(DataError, match="too short"):
             windowize(panel(1, 9), t_in=6, t_out=4)

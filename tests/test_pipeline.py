@@ -11,7 +11,7 @@ from epicast.domain import DimensionMismatchError, ValidationError
 from epicast.estimator import BackboneConfig
 from epicast.pipeline import ForecastModel, ModelConfig
 from epicast.suppression import ThresholdConfig
-from epicast.training import mae_loss
+from epicast.training import gradient_check, mae_loss
 
 from conftest import rng_for, small_model_config
 
@@ -228,6 +228,65 @@ class TestSuppressionIntegration:
         assert seeded is not None
         small_model.forward(batch, training=False)
         assert small_model.ema.beta.value == seeded
+
+
+class TestInference:
+    @staticmethod
+    def _warmed(small_model, small_windows):
+        # one training forward seeds the EMA so the detectors can fire
+        small_model.forward(small_windows.batch(np.arange(8)), training=True)
+        return small_windows.batch(np.arange(len(small_windows)))
+
+    def test_matches_the_tape_forward_bitwise(self, small_model, small_windows):
+        batch = self._warmed(small_model, small_windows)
+        taped = small_model.forward(batch, training=False)
+        with small_model.inference():
+            untaped = small_model.forward(batch, training=False)
+        tensors = ("cases", "beta", "gamma", "suppressed_beta", "horizon_flows", "coupling")
+        for name in tensors:
+            a, b = getattr(taped, name).data, getattr(untaped, name).data
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("small_flags", "quiet_flags", "flags", "strength"):
+            np.testing.assert_array_equal(
+                getattr(taped, name), getattr(untaped, name), err_msg=name
+            )
+        assert taped.flags.any()
+        for name, trajectory in taped.trajectories.items():
+            assert trajectory.tobytes() == untaped.trajectories[name].tobytes(), name
+
+    def test_records_no_tape(self, small_model, small_windows):
+        batch = self._warmed(small_model, small_windows)
+        with small_model.inference():
+            result = small_model.forward(batch, training=False)
+        assert result.cases._parents == ()
+        assert not result.cases.requires_grad
+        assert small_model.forward(batch).cases._parents != ()
+
+    def test_restores_each_flag_also_when_the_forward_raises(
+        self, small_model, small_windows
+    ):
+        small_model.blend.requires_grad = False
+        before = {k: p.requires_grad for k, p in small_model.parameters().items()}
+        batch = small_windows.batch(np.arange(2))
+        batch.mobility = batch.mobility[:, :, :, :-1]
+        with pytest.raises(DimensionMismatchError, match="mobility"):
+            with small_model.inference():
+                assert not any(
+                    p.requires_grad for p in small_model.parameters().values()
+                )
+                small_model.forward(batch)
+        after = {k: p.requires_grad for k, p in small_model.parameters().items()}
+        assert after == before
+        assert not after["enhance.blend"] and after["lift.weight"]
+
+    def test_gradient_check_still_passes_afterwards(self, small_model, small_windows):
+        batch = small_windows.batch(np.arange(3))
+        with small_model.inference():
+            small_model.forward(batch)
+        report = gradient_check(small_model, batch, samples_per_group=2, seed=4)
+        assert report.passed, {
+            k: g.max_rel_error for k, g in report.groups.items()
+        }
 
 
 class TestBackendAgreement:

@@ -199,6 +199,27 @@ class TestFit:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             fit(model, train_w, val_w, t_config)
 
+    def test_non_finite_gradient_raises_before_the_update(self, monkeypatch):
+        # a finite loss can still backpropagate an inf/NaN into one group;
+        # Adam must never fold it into its moments
+        train_w, val_w, config = build_windows()
+        model = build_model(train_w, config)
+        before = {k: v.data.copy() for k, v in model.parameters().items()}
+        backward = Tensor.backward
+
+        def poisoned(self, seed=None):
+            backward(self, seed)
+            grad = model.lift_bias.grad.copy()
+            grad[1] = np.nan
+            model.lift_bias.grad = grad
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        t_config = TrainConfig(batch_size=8, max_epochs=3, seed=0)
+        with pytest.raises(TrainingDivergedError, match=r"group 'lift\.bias'"):
+            fit(model, train_w, val_w, t_config)
+        for name, param in model.parameters().items():
+            np.testing.assert_array_equal(param.data, before[name], err_msg=name)
+
     def test_identical_seeds_reproduce_identical_history(self):
         train_w, val_w, config = build_windows()
         t_config = TrainConfig(batch_size=8, max_epochs=3, patience=10, seed=7)
