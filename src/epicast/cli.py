@@ -395,7 +395,7 @@ def _batched_predictions(model: ForecastModel, windows: datasets.WindowSet) -> n
     with model.inference():
         for start in range(0, len(windows), 32):
             indices = np.arange(start, min(start + 32, len(windows)))
-            chunks.append(model.forward(windows.batch(indices)).cases.data)
+            chunks.append(model.forward(windows.batch(indices), training=False).cases.data)
     return np.concatenate(chunks, axis=0)
 
 

@@ -228,7 +228,7 @@ class ForecastModel:
             tensor.grad = None
 
     @contextmanager
-    def inference(self) -> Iterator["ForecastModel"]:
+    def inference(self) -> Iterator[None]:
         """Forwards in the block record no tape, for callers that never call
         ``backward``.  Each ``requires_grad`` is restored on exit, also on error.
         """
@@ -236,7 +236,7 @@ class ForecastModel:
         for p, _ in saved:
             p.requires_grad = False
         try:
-            yield self
+            yield
         finally:
             for p, flag in saved:
                 p.requires_grad = flag

@@ -223,8 +223,8 @@ def fit(
             for name, param in optimizer.params.items():
                 if param.grad is not None and not np.isfinite(param.grad).all():
                     raise TrainingDivergedError(
-                        f"non-finite gradient in parameter group {name!r} at epoch "
-                        f"{epoch}, iteration {history.iterations}; nothing was updated"
+                        f"non-finite gradient in parameter group {name!r} at epoch {epoch}, "
+                        f"iteration {history.iterations}; this step's update was not applied"
                     )
             optimizer.step()
             model.clamp_blend()
