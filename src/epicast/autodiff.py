@@ -7,6 +7,13 @@ topological order and accumulates ``grad`` arrays on every tensor built with
 requirement are plain constants (no tape entry), so mixing learnable tensors
 with large constant data stays cheap.
 
+One ``backward()`` walks a graph: each intermediate node it leaves drops its
+gradient, parents and backward closure, so the walk holds a few buffers, not
+one per node.  Leaves keep ``grad``; walking a freed node again raises
+``RuntimeError``.  Importing the module sets glibc's heap trim threshold to
+256 MB and its mmap threshold to 32 MB, so buffers freed mid-walk stay in the
+heap for the next step instead of going back to the OS to be faulted in again.
+
 Broadcasting follows numpy semantics; gradients flowing back through a
 broadcast are summed down to the original operand shape.
 
@@ -18,6 +25,7 @@ training (differentiable) and as plain array math.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +49,26 @@ __all__ = [
     "tanh",
     "transpose",
 ]
+
+
+def _keep_heap_resident(load_library=ctypes.CDLL) -> bool:
+    """Keep freed buffers in glibc's heap; False without glibc's ``mallopt``."""
+    try:
+        mallopt = load_library("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    return True
+
+
+_keep_heap_resident()
+
+
+def _freed(grad: np.ndarray) -> None:
+    raise RuntimeError("graph already freed by backward()")
 
 
 def _asarray(value) -> np.ndarray:
@@ -114,7 +142,7 @@ class Tensor:
     # ------------------------------------------------------------ graph engine
 
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor (seed defaults to ones)."""
+        """Backpropagate from this tensor (seed defaults to ones); frees the graph."""
         if seed is None:
             seed = np.ones_like(self.data)
         else:
@@ -140,8 +168,10 @@ class Tensor:
                     stack.append((parent, False))
         self._accumulate(seed)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), _freed
 
     # ------------------------------------------------------------- arithmetic
 

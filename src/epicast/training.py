@@ -429,12 +429,16 @@ def gradient_check(
     as exact agreement.
     """
     rng = np.random.default_rng(seed)
-    probe = model.forward(batch, training=False)
-    flags = probe.flags
+    with model.inference():
+        flags = model.forward(batch, training=False).flags
 
     def loss_tensor():
         result = model.forward(batch, training=False, fixed_filter=flags)
         return mae_loss(result.cases, batch.targets)
+
+    def numeric_loss() -> float:
+        with model.inference():  # the finite differences need no tape
+            return loss_tensor().item()
 
     model.zero_grad()
     loss = loss_tensor()
@@ -461,9 +465,9 @@ def gradient_check(
         for index in chosen:
             original = flat[index]
             flat[index] = original + fd_step
-            upper = loss_tensor().item()
+            upper = numeric_loss()
             flat[index] = original - fd_step
-            lower = loss_tensor().item()
+            lower = numeric_loss()
             flat[index] = original
             numeric = (upper - lower) / (2.0 * fd_step)
             exact = float(analytic[name].reshape(-1)[index])

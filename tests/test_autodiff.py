@@ -3,18 +3,27 @@
 Every differentiable operation is checked against central finite
 differences on randomized dense inputs, including broadcast shapes, and the
 graph engine is exercised on shared subexpressions, diamonds, and custom
-fused operations.
+fused operations.  The walk that frees the graph as it goes is checked
+against the walk that keeps every gradient, bit for bit, on a training step.
 """
 
 from __future__ import annotations
+
+import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from epicast import autodiff as ad
+from epicast import cli, datasets, training
 from epicast.autodiff import Tensor
+from epicast.pipeline import ForecastModel
 
 from conftest import rng_for
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def numeric_gradient(fn, arrays, index, step=1e-6):
@@ -433,3 +442,128 @@ class TestGraphEngine:
             return (ad.tanh(a @ b) * ad.sigmoid(a @ b)).sum()
 
         check_op(build, [(3, 4), (4, 2)], tag=50)
+
+
+# ------------------------------------------------------------- freed graph
+
+
+def topological(root: Tensor) -> list[Tensor]:
+    """Every node reachable from ``root``, parents before children."""
+    order, visited = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return order
+
+
+def keeping_backward(root: Tensor) -> None:
+    """The walk that frees nothing: every node keeps its grad (the oracle)."""
+    order = topological(root)
+    root._accumulate(np.ones_like(root.data))
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def acceptance_step_gradients(walk) -> tuple[dict, list[Tensor]]:
+    """One B=32 step on the acceptance world, walked by ``walk``.
+
+    Returns every parameter's gradient and the step's non-leaf nodes.
+    """
+    payload = cli.load_config(CONFIG_DIR / "acceptance.yaml")
+    config = cli.model_config_from(payload)
+    world = datasets.generate_synthetic(cli.scenario_from(payload))
+    train_split, _, _ = datasets.chronological_split(world)
+    windows = datasets.windowize(train_split, config.t_in, config.t_out)
+    seed = cli.train_config_from(payload).seed
+    model = ForecastModel(config, world.n_regions, seed=seed)
+    obs = windows.observations
+    model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+    batch = windows.batch(np.arange(32))
+    loss = training.mae_loss(model.forward(batch, training=True).cases, batch.targets)
+    intermediates = [node for node in topological(loss) if node._backward is not None]
+    walk(loss)
+    grads = {name: p.grad for name, p in model.parameters().items()}
+    return grads, intermediates
+
+
+class TestFreedGraph:
+    def test_second_backward_on_the_same_root_raises(self):
+        x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        loss = (ad.exp(x) * 2.0).sum()
+        loss.backward()
+        first, kept = x.grad, x.grad.copy()
+        with pytest.raises(RuntimeError, match="graph already freed by backward"):
+            loss.backward()
+        assert x.grad is first
+        np.testing.assert_array_equal(x.grad, kept)
+
+    def test_backward_through_a_freed_intermediate_raises(self):
+        x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        hidden = ad.tanh(x * 3.0)
+        hidden.sum().backward()
+        first, kept = x.grad, x.grad.copy()
+        with pytest.raises(RuntimeError, match="graph already freed by backward"):
+            (hidden * 2.0).sum().backward()
+        assert x.grad is first
+        np.testing.assert_array_equal(x.grad, kept)
+
+    def test_acceptance_step_gradients_match_the_keeping_walk_bitwise(self):
+        want, _ = acceptance_step_gradients(keeping_backward)
+        got, intermediates = acceptance_step_gradients(Tensor.backward)
+        assert got.keys() == want.keys()
+        assert sum(grad is not None for grad in want.values()) > len(want) // 2
+        for name in want:
+            if want[name] is None:
+                assert got[name] is None, name
+            else:
+                assert np.array_equal(got[name], want[name]), name
+        assert intermediates
+        for node in intermediates:
+            assert node.grad is None and node._parents == ()
+
+    def test_backward_of_a_long_chain_holds_a_few_buffers(self):
+        x = Tensor(np.ones(1 << 17), requires_grad=True)  # 1 MB
+        y = x
+        for _ in range(40):
+            y = y * 1.0001
+        loss = y.sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.data.nbytes, f"backward peaked at {peak / 2**20:.1f} MB"
+
+
+class TestHeapResidency:
+    def test_missing_libc_is_a_no_op(self):
+        def no_libc(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        assert ad._keep_heap_resident(no_libc) is False
+
+    def test_libc_without_mallopt_is_a_no_op(self):
+        assert ad._keep_heap_resident(lambda name: types.SimpleNamespace()) is False
+
+    def test_sets_the_trim_and_mmap_thresholds(self):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        assert ad._keep_heap_resident(lambda name: libc) is True
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
