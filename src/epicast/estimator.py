@@ -14,8 +14,9 @@ All operations accept plain ndarrays or autodiff Tensors, batched
 (leading B axis) or single-instance.  Two layers are fused tape nodes
 built with ``make_op``, each with a hand-derived backward: the attention
 dependency (a closed-form softmax Jacobian-vector product, so none of its
-(B, H, T, N, N) intermediates is recorded) and the dilated causal
-convolution (on the active kernel backend).
+(B, H, T, N, N) intermediates is recorded) and the whole backbone (one
+convolution per gated layer on the active kernel backend, a closed-form
+gate, mixing and readout backward).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "FusionGate",
     "ParameterHeads",
     "SpatialPrior",
-    "dilated_causal_conv",
     "dynamic_dependency",
     "enhance_features",
     "estimate_params",
@@ -199,45 +199,6 @@ def enhance_features(lifted, dependency, blend):
     return out
 
 
-# ---------------------------------------------------------------- convolution
-
-
-def dilated_causal_conv(x, weight, bias, dilation: int):
-    """Left-padded dilated convolution along the time axis of (B, N, T, C).
-
-    ``weight`` is (taps, C_in, C_out).  Output keeps the input length; tap
-    k reads ``dilation * k`` steps into the past... the last tap is aligned
-    with the current step.  Forward and backward run on the active kernel
-    backend.
-    """
-    kern = kernels.active()
-    x_data = np.ascontiguousarray(ad.as_data(x))
-    w_data = np.ascontiguousarray(ad.as_data(weight))
-    b_data = np.ascontiguousarray(ad.as_data(bias))
-    taps = w_data.shape[0]
-    pad = (taps - 1) * dilation
-    xpad = np.ascontiguousarray(
-        np.pad(x_data, ((0, 0), (0, 0), (pad, 0), (0, 0)))
-    )
-    out = kern.conv_fwd(xpad, w_data, b_data, dilation)
-    tracked = [t for t in (x, weight, bias) if isinstance(t, Tensor)]
-    if not tracked:
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        g_x, g_w, g_b = kern.conv_bwd(
-            np.ascontiguousarray(g), xpad, w_data, dilation
-        )
-        if isinstance(x, Tensor) and x.requires_grad:
-            x._accumulate(g_x[:, :, pad:, :] if pad else g_x)
-        if isinstance(weight, Tensor) and weight.requires_grad:
-            weight._accumulate(g_w)
-        if isinstance(bias, Tensor) and bias.requires_grad:
-            bias._accumulate(g_b)
-
-    return make_op(out, tracked, backward)
-
-
 # ------------------------------------------------------------------- backbone
 
 
@@ -264,6 +225,16 @@ class Backbone:
     row-normalized absolute adjacency plus a learned self-loop map, added
     residually.  The skip sum is read out through an affine channel map and
     an affine time map onto the forecast horizon.
+
+    Convolution taps are causal: with ``K`` taps, tap ``k`` reads
+    ``(K - 1 - k) * dilation`` steps into the past, so the last tap is aligned
+    with the current step; the sequence is left-padded with zeros so the
+    output keeps the input length.
+
+    The last layer's residual output is never read, so its
+    ``neighbor_weight``, ``self_weight`` and ``mix_bias`` are inert: they stay
+    in ``params`` (keeping the initialization draws and the checkpoint layout)
+    but are not computed with and receive no gradient.
     """
 
     def __init__(
@@ -317,58 +288,190 @@ class Backbone:
         return dict(self.params)
 
     def __call__(self, features, adjacency):
-        """Distill (B, N, T_in, C) + (B, N, N) into (B, N, T_out, out_dim)."""
-        squeeze = ad.as_data(features).ndim == 3
+        """Distill (B, N, T_in, C) + (B, N, N) into (B, N, T_out, out_dim).
+
+        One fused tape node.  Per layer, the filter and gate convolutions run
+        as one convolution over their weights concatenated to 2 x hidden
+        output channels, the gate half scaled by 1/2, so that one ``tanh``
+        pass gives both ``tanh(f)`` and ``sigmoid(g) = (1 + tanh(g / 2)) / 2``.
+        The skip projections of all layers are one GEMM over the layers'
+        outputs stacked along channels.  The forward keeps each layer's padded
+        input and activations; the backward differentiates the gate, mixing,
+        readout and adjacency normalization in closed form.
+        """
+        feat = ad.as_data(features)
+        adj = ad.as_data(adjacency)
+        squeeze = feat.ndim == 3
         if squeeze:
-            features = ad.reshape(features, (1, *ad.as_data(features).shape))
-            if ad.as_data(adjacency).ndim == 2:
-                adjacency = ad.reshape(
-                    adjacency, (1, *ad.as_data(adjacency).shape)
-                )
-        batch, regions, days, _ = ad.as_data(features).shape
+            feat = feat[None]
+        batch, regions, days, channels = feat.shape
         if days != self.t_in:
             raise DimensionMismatchError(
                 f"backbone built for {self.t_in}-day windows, got {days}"
             )
+        adj3 = adj[None] if adj.ndim == 2 else adj
+        hid, layers = self.config.hidden_dim, len(self.config.dilations)
+        rows, width = batch * regions * days, days * hid
         p = self.params
-        magnitude = ad.absolute(adjacency)
-        support = magnitude / (
-            ad.summation(magnitude, axis=-1, keepdims=True) + _EPSILON
+        data = {name: ad.as_data(value) for name, value in p.items()}
+        tags = [f"layer{index}_" for index in range(layers)]
+        conv_weights = [
+            np.concatenate(
+                (data[tag + "filter_weight"], 0.5 * data[tag + "gate_weight"]), axis=-1
+            )
+            for tag in tags
+        ]
+        conv_biases = [
+            np.concatenate((data[tag + "filter_bias"], 0.5 * data[tag + "gate_bias"]))
+            for tag in tags
+        ]
+        skip_weight = np.concatenate([data[tag + "skip_weight"] for tag in tags])
+        kern = kernels.active()
+
+        magnitude = np.abs(adj3)
+        norm = magnitude.sum(axis=-1, keepdims=True) + _EPSILON
+        support = magnitude / norm
+        flat_feat = feat.reshape(rows, channels)
+        x = flat_feat @ data["input_weight"] + data["input_bias"]
+        stacked = np.empty((rows, layers * hid))  # every layer's h, side by side
+        padded, tanhs, sigmoids = [], [], []
+        for index, (tag, dilation) in enumerate(zip(tags, self.config.dilations)):
+            pad = (self.config.kernel_size - 1) * dilation
+            xpad = np.zeros((batch, regions, days + pad, hid))
+            xpad[:, :, pad:, :] = x.reshape(batch, regions, days, hid)
+            z = kern.conv_fwd(xpad, conv_weights[index], conv_biases[index], dilation)
+            z = z.reshape(rows, 2 * hid)
+            np.tanh(z, out=z)
+            sg = z[:, hid:] * 0.5
+            sg += 0.5
+            h = z[:, :hid] * sg
+            stacked[:, index * hid : (index + 1) * hid] = h
+            padded.append(xpad)
+            tanhs.append(z)
+            sigmoids.append(sg)
+            if index < layers - 1:
+                mixed = (support @ h.reshape(batch, regions, width)).reshape(rows, hid)
+                x += mixed @ data[tag + "neighbor_weight"]
+                x += h @ data[tag + "self_weight"]
+                x += data[tag + "mix_bias"]
+        skip_total = stacked @ skip_weight
+        skip_read = np.maximum(skip_total, 0.0)
+        read = np.maximum(skip_read @ data["end_weight"] + data["end_bias"], 0.0)
+        out_dim = read.shape[-1]
+        # (B, N, T_in, out) -> (B*N*out, T_in) for the time map
+        over_time = read.reshape(batch, regions, days, out_dim).transpose(0, 1, 3, 2)
+        over_time = over_time.reshape(-1, days)
+        mapped = over_time @ data["time_weight"] + data["time_bias"]
+        latent = np.ascontiguousarray(
+            mapped.reshape(batch, regions, out_dim, self.t_out).transpose(0, 1, 3, 2)
         )
-        x = ad.matmul(features, p["input_weight"]) + p["input_bias"]
-        hid = self.config.hidden_dim
-        skip_total = None
-        for index, dilation in enumerate(self.config.dilations):
-            tag = f"layer{index}_"
-            filt = dilated_causal_conv(
-                x, p[tag + "filter_weight"], p[tag + "filter_bias"], dilation
-            )
-            gate = dilated_causal_conv(
-                x, p[tag + "gate_weight"], p[tag + "gate_bias"], dilation
-            )
-            h = ad.tanh(filt) * ad.sigmoid(gate)
-            contribution = ad.matmul(h, p[tag + "skip_weight"])
-            skip_total = (
-                contribution if skip_total is None else skip_total + contribution
-            )
-            flat = ad.reshape(h, (batch, regions, days * hid))
-            mixed = ad.reshape(
-                ad.matmul(support, flat), (batch, regions, days, hid)
-            )
-            x = x + (
-                ad.matmul(mixed, p[tag + "neighbor_weight"])
-                + ad.matmul(h, p[tag + "self_weight"])
-                + p[tag + "mix_bias"]
-            )
-        read = ad.relu(
-            ad.matmul(ad.relu(skip_total), p["end_weight"]) + p["end_bias"]
-        )
-        over_time = ad.swapaxes(read, 2, 3)  # (B, N, out, T_in)
-        mapped = ad.matmul(over_time, p["time_weight"]) + p["time_bias"]
-        latent = ad.swapaxes(mapped, 2, 3)  # (B, N, T_out, out)
         if squeeze:
-            latent = ad.reshape(latent, ad.as_data(latent).shape[1:])
-        return latent
+            latent = latent[0]
+
+        inert = {tags[-1] + name for name in ("neighbor_weight", "self_weight", "mix_bias")}
+        live = {name: value for name, value in p.items() if name not in inert}
+        tracked = [
+            t for t in (features, adjacency, *live.values()) if isinstance(t, Tensor)
+        ]
+        if not tracked:
+            return latent
+
+        def wants(value) -> bool:
+            return isinstance(value, Tensor) and value.requires_grad
+
+        def backward(g: np.ndarray) -> None:
+            grads: dict[str, np.ndarray] = {}
+            ones = np.ones(max(rows, batch * regions * out_dim))
+
+            def column_sums(block: np.ndarray) -> np.ndarray:
+                # a GEMV: numpy's axis-0 reduction is several times slower here
+                return ones[: block.shape[0]] @ block
+
+            # time map, then the channel readout, back to the skip sum
+            g_mapped = g.reshape(batch, regions, self.t_out, out_dim).transpose(0, 1, 3, 2)
+            g_mapped = g_mapped.reshape(-1, self.t_out)
+            grads["time_bias"] = column_sums(g_mapped)
+            grads["time_weight"] = over_time.T @ g_mapped
+            g_read = (g_mapped @ data["time_weight"].T).reshape(
+                batch, regions, out_dim, days
+            )
+            g_read = g_read.transpose(0, 1, 3, 2).reshape(rows, out_dim)
+            g_read *= read > 0.0
+            grads["end_bias"] = column_sums(g_read)
+            grads["end_weight"] = skip_read.T @ g_read
+            g_skip = g_read @ data["end_weight"].T
+            g_skip *= skip_total > 0.0
+            g_skip_weight = stacked.T @ g_skip
+            g_stacked = g_skip @ skip_weight.T
+            g_support = np.zeros((batch, regions, regions)) if wants(adjacency) else None
+            g_x = None  # gradient of the current layer's residual output
+            for index in range(layers - 1, -1, -1):
+                tag, dilation = tags[index], self.config.dilations[index]
+                columns = slice(index * hid, (index + 1) * hid)
+                grads[tag + "skip_weight"] = g_skip_weight[columns]
+                g_h = g_stacked[:, columns]
+                if g_x is not None:
+                    # x_next = x + (support @ h) @ W_nb + h @ W_self + b: the
+                    # neighbor terms go through P = support^T @ g_x.
+                    h = np.ascontiguousarray(stacked[:, columns])
+                    g_flat = g_x.reshape(batch, regions, width)
+                    pulled = (np.swapaxes(support, -1, -2) @ g_flat).reshape(rows, hid)
+                    grads[tag + "mix_bias"] = column_sums(g_x)
+                    grads[tag + "self_weight"] = h.T @ g_x
+                    grads[tag + "neighbor_weight"] = h.T @ pulled
+                    g_h = g_h + pulled @ data[tag + "neighbor_weight"].T
+                    g_h += g_x @ data[tag + "self_weight"].T
+                    if g_support is not None:
+                        g_mixed = g_x @ data[tag + "neighbor_weight"].T
+                        g_support += g_mixed.reshape(batch, regions, width) @ np.swapaxes(
+                            h.reshape(batch, regions, width), -1, -2
+                        )
+                # h = tanh(f) * sg with sg = (1 + tanh(u)) / 2 and u = g / 2:
+                #   g_f = g_h * sg * (1 - tanh(f)^2)
+                #   g_u = g_h * tanh(f) / 2 * (1 - tanh(u)^2), i.e. 2 * g_g.
+                # The saved tanh block becomes the conv's upstream gradient in
+                # place (this closure runs once per walk).
+                z, sg = tanhs[index], sigmoids[index]
+                g_f = g_h * sg
+                g_u = g_h * z[:, :hid]
+                g_u *= 0.5
+                np.multiply(z, z, out=z)
+                np.subtract(1.0, z, out=z)
+                z[:, :hid] *= g_f
+                z[:, hid:] *= g_u
+                pad = (self.config.kernel_size - 1) * dilation
+                g_xpad, g_w, g_b = kern.conv_bwd(
+                    z.reshape(batch, regions, days, 2 * hid),
+                    padded[index],
+                    conv_weights[index],
+                    dilation,
+                )
+                # the conv saw the gate weights halved
+                grads[tag + "filter_weight"] = g_w[..., :hid]
+                grads[tag + "gate_weight"] = 0.5 * g_w[..., hid:]
+                grads[tag + "filter_bias"] = g_b[:hid]
+                grads[tag + "gate_bias"] = 0.5 * g_b[hid:]
+                g_conv = g_xpad[:, :, pad:, :].reshape(rows, hid)
+                g_x = g_conv if g_x is None else g_x + g_conv
+            grads["input_bias"] = column_sums(g_x)
+            grads["input_weight"] = flat_feat.T @ g_x
+            for name, value in live.items():
+                if wants(value):
+                    value._accumulate(grads[name])
+            if wants(features):
+                features._accumulate(
+                    (g_x @ data["input_weight"].T).reshape(ad.as_data(features).shape)
+                )
+            if g_support is not None:
+                # support = |A| / (rowsum|A| + eps), then d|A|/dA = sign(A)
+                g_magnitude = g_support - (g_support * support).sum(axis=-1, keepdims=True)
+                g_magnitude /= norm
+                g_magnitude *= np.sign(adj3)
+                adjacency._accumulate(
+                    ad.unbroadcast(g_magnitude, adj3.shape).reshape(adj.shape)
+                )
+
+        return make_op(latent, tracked, backward)
 
 
 @dataclass

@@ -133,7 +133,9 @@ def _rollout_bwd_numpy(
 
 
 # Conv shapes: xpad (B, N, Tp, Ci) already left-padded; weight (K, Ci, Co);
-# bias (Co,).  Output time length is Tp - (K - 1) * dilation.
+# bias (Co,).  Output time length is Tp - (K - 1) * dilation.  Tap k reads
+# (K - 1 - k) * dilation steps into the past: the last tap is aligned with
+# the current step.
 
 
 def _conv_fwd_numpy(xpad, weight, bias, dilation):
@@ -142,7 +144,8 @@ def _conv_fwd_numpy(xpad, weight, bias, dilation):
     out = xpad[:, :, 0:T, :] @ weight[0]
     for k in range(1, K):
         out += xpad[:, :, k * dilation : k * dilation + T, :] @ weight[k]
-    return out + bias
+    out += bias
+    return out
 
 
 def _conv_bwd_numpy(g, xpad, weight, dilation):
@@ -155,7 +158,8 @@ def _conv_bwd_numpy(g, xpad, weight, dilation):
         window = slice(k * dilation, k * dilation + T)
         g_w[k] = xpad[:, :, window, :].reshape(-1, C_in).T @ g.reshape(-1, C_out)
         g_x[:, :, window, :] += g @ weight[k].T
-    g_b = g.sum(axis=(0, 1, 2))
+    rows = g.reshape(-1, C_out)
+    g_b = np.ones(rows.shape[0]) @ rows  # a GEMV: the axis reduction is slower
     return g_x, g_w, g_b
 
 

@@ -522,7 +522,12 @@ class TestFreedGraph:
         want, _ = acceptance_step_gradients(keeping_backward)
         got, intermediates = acceptance_step_gradients(Tensor.backward)
         assert got.keys() == want.keys()
-        assert sum(grad is not None for grad in want.values()) > len(want) // 2
+        # only the last backbone layer's residual mix, whose output nothing reads
+        inert = {
+            f"backbone.layer3_{name}"
+            for name in ("neighbor_weight", "self_weight", "mix_bias")
+        }
+        assert {name for name, grad in want.items() if grad is None} == inert
         for name in want:
             if want[name] is None:
                 assert got[name] is None, name

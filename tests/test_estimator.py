@@ -267,7 +267,16 @@ def oracle_causal_conv(x, weight, bias, dilation):
     return out
 
 
+def kernel_causal_conv(x, weight, bias, dilation):
+    """Left-pad the time axis and run the active backend's convolution."""
+    pad = (weight.shape[0] - 1) * dilation
+    xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
+    return kernels.active().conv_fwd(xpad, weight, bias, dilation)
+
+
 class TestDilatedCausalConv:
+    """The backend convolution that every backbone layer runs."""
+
     @pytest.mark.parametrize("backend", kernels.available_backends())
     @pytest.mark.parametrize("dilation", [1, 2, 3])
     def test_matches_loop_oracle(self, backend, dilation):
@@ -278,9 +287,9 @@ class TestDilatedCausalConv:
             x = rng.standard_normal((2, 3, 8, 4))
             weight = rng.standard_normal((2, 4, 5))
             bias = rng.standard_normal(5)
-            out = estimator.dilated_causal_conv(x, weight, bias, dilation)
+            out = kernel_causal_conv(x, weight, bias, dilation)
             want = oracle_causal_conv(x, weight, bias, dilation)
-            np.testing.assert_allclose(np.asarray(out), want, atol=1e-12)
+            np.testing.assert_allclose(out, want, atol=1e-12)
         finally:
             kernels.use(previous.name)
 
@@ -289,19 +298,17 @@ class TestDilatedCausalConv:
         x = rng.standard_normal((1, 2, 10, 3))
         weight = rng.standard_normal((2, 3, 3))
         bias = np.zeros(3)
-        base = np.asarray(estimator.dilated_causal_conv(x, weight, bias, 2))
+        base = kernel_causal_conv(x, weight, bias, 2)
         bumped = x.copy()
         bumped[:, :, 6:, :] += 100.0  # perturb the future only
-        after = np.asarray(estimator.dilated_causal_conv(bumped, weight, bias, 2))
+        after = kernel_causal_conv(bumped, weight, bias, 2)
         np.testing.assert_array_equal(base[:, :, :6, :], after[:, :, :6, :])
         assert not np.allclose(base[:, :, 6:, :], after[:, :, 6:, :])
 
     def test_length_preserved(self):
         x = np.zeros((1, 1, 7, 2))
-        out = estimator.dilated_causal_conv(
-            x, np.zeros((2, 2, 4)), np.zeros(4), dilation=3
-        )
-        assert np.asarray(out).shape == (1, 1, 7, 4)
+        out = kernel_causal_conv(x, np.zeros((2, 2, 4)), np.zeros(4), dilation=3)
+        assert out.shape == (1, 1, 7, 4)
 
     @pytest.mark.parametrize("backend", kernels.available_backends())
     @pytest.mark.parametrize(
@@ -333,16 +340,13 @@ class TestDilatedCausalConv:
                 out = oracle_causal_conv(xa, wa, ba, dilation)
                 return float((out * proj).sum())
 
-            xt = Tensor(x.copy(), requires_grad=True)
-            wt = Tensor(weight.copy(), requires_grad=True)
-            bt = Tensor(bias.copy(), requires_grad=True)
-            out = estimator.dilated_causal_conv(xt, wt, bt, dilation)
-            (out * proj).sum().backward()
+            pad = (taps - 1) * dilation
+            xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
+            g_xpad, g_w, g_b = kernels.active().conv_bwd(proj, xpad, weight, dilation)
+            g_x = g_xpad[:, :, pad:, :]
 
             # contraction oracle for the weight gradient: tap k sees the
             # padded input shifted by k * dilation against the upstream grad
-            pad = (taps - 1) * dilation
-            xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
             want_w = np.stack(
                 [
                     np.einsum(
@@ -353,9 +357,9 @@ class TestDilatedCausalConv:
                     for k in range(taps)
                 ]
             )
-            np.testing.assert_allclose(wt.grad, want_w, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(g_w, want_w, rtol=1e-12, atol=1e-12)
 
-            for tensor, array in ((xt, x), (wt, weight), (bt, bias)):
+            for grad, array in ((g_x, x), (g_w, weight), (g_b, bias)):
                 flat = array.ravel()
                 for k in range(flat.size):
                     keep = flat[k]
@@ -365,7 +369,7 @@ class TestDilatedCausalConv:
                     lo = loss(x, weight, bias)
                     flat[k] = keep
                     numeric = (hi - lo) / 2e-6
-                    analytic = tensor.grad.ravel()[k]
+                    analytic = grad.ravel()[k]
                     assert abs(numeric - analytic) < 5e-5 * max(
                         1.0, abs(numeric)
                     )
@@ -425,6 +429,190 @@ class TestBackbone:
         out_pos = np.asarray(backbone(features, adj))
         out_neg = np.asarray(backbone(features, -adj))
         np.testing.assert_allclose(out_pos, out_neg, atol=1e-12)
+
+
+def composed_causal_conv(x, weight, bias, dilation):
+    """The dilated causal convolution from generic tape operations."""
+    taps, days = ad.as_data(weight).shape[0], ad.as_data(x).shape[2]
+    xpad = ad.pad_axis(x, 2, (taps - 1) * dilation)
+    out = bias
+    for k in range(taps):
+        out = out + ad.matmul(xpad[:, :, k * dilation : k * dilation + days, :], weight[k])
+    return out
+
+
+def composed_backbone(backbone, features, adjacency):
+    """The backbone built from generic tape operations (reference)."""
+    squeeze = ad.as_data(features).ndim == 3
+    if squeeze:
+        features = ad.reshape(features, (1, *ad.as_data(features).shape))
+        if ad.as_data(adjacency).ndim == 2:
+            adjacency = ad.reshape(adjacency, (1, *ad.as_data(adjacency).shape))
+    batch, regions, days, _ = ad.as_data(features).shape
+    p, hid = backbone.params, backbone.config.hidden_dim
+    magnitude = ad.absolute(adjacency)
+    support = magnitude / (ad.summation(magnitude, axis=-1, keepdims=True) + 1e-8)
+    x = ad.matmul(features, p["input_weight"]) + p["input_bias"]
+    skip_total = None
+    for index, dilation in enumerate(backbone.config.dilations):
+        tag = f"layer{index}_"
+        filt = composed_causal_conv(
+            x, p[tag + "filter_weight"], p[tag + "filter_bias"], dilation
+        )
+        gate = composed_causal_conv(
+            x, p[tag + "gate_weight"], p[tag + "gate_bias"], dilation
+        )
+        h = ad.tanh(filt) * ad.sigmoid(gate)
+        contribution = ad.matmul(h, p[tag + "skip_weight"])
+        skip_total = contribution if skip_total is None else skip_total + contribution
+        flat = ad.reshape(h, (batch, regions, days * hid))
+        mixed = ad.reshape(ad.matmul(support, flat), (batch, regions, days, hid))
+        x = x + (
+            ad.matmul(mixed, p[tag + "neighbor_weight"])
+            + ad.matmul(h, p[tag + "self_weight"])
+            + p[tag + "mix_bias"]
+        )
+    read = ad.relu(ad.matmul(ad.relu(skip_total), p["end_weight"]) + p["end_bias"])
+    mapped = ad.matmul(ad.swapaxes(read, 2, 3), p["time_weight"]) + p["time_bias"]
+    latent = ad.swapaxes(mapped, 2, 3)
+    if squeeze:
+        latent = ad.reshape(latent, ad.as_data(latent).shape[1:])
+    return latent
+
+
+def backbone_inputs(rng, config, shape, t_out):
+    """A backbone with every parameter (biases too) drawn away from zero, plus
+    features and an adjacency with negative entries, exact zeros and one
+    all-zero row (only the 1e-8 guard keeps its normalization finite)."""
+    *lead, regions, days, channels = shape
+    backbone = Backbone.initialize(config, channels, days, t_out, rng)
+    for name, value in backbone.params.items():
+        backbone.params[name] = value + 0.3 * rng.standard_normal(value.shape)
+    features = rng.standard_normal(shape)
+    adjacency = rng.standard_normal((*lead, regions, regions))
+    adjacency[..., 0, 1] = 0.0
+    (adjacency[-1] if lead else adjacency)[1, :] = 0.0
+    return backbone, features, adjacency
+
+
+def inert_params(config):
+    """The last layer's residual-mix parameters, which nothing downstream reads."""
+    last = len(config.dilations) - 1
+    return {f"layer{last}_{name}" for name in ("neighbor_weight", "self_weight", "mix_bias")}
+
+
+def tracked_backbone_pass(build, backbone, features, adjacency, upstream):
+    """Output and the gradients of features, adjacency and every parameter."""
+    params = {
+        name: Tensor(value.copy(), requires_grad=True)
+        for name, value in backbone.params.items()
+    }
+    copy = Backbone(backbone.config, backbone.t_in, backbone.t_out, params)
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in (features, adjacency)]
+    out = build(copy, *inputs)
+    (out * upstream).sum().backward()
+    grads = {"features": inputs[0].grad, "adjacency": inputs[1].grad}
+    grads.update({name: tensor.grad for name, tensor in params.items()})
+    return out.data, grads
+
+
+class TestFusedBackbone:
+    """The fused backbone node against central differences and against the
+    same stack composed from generic tape operations."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 2), (3, 4, 2)], ids=["batched", "squeezed"])
+    def test_gradients_match_finite_differences(self, shape):
+        rng = rng_for(340)
+        config = BackboneConfig(
+            hidden_dim=3, skip_dim=2, output_dim=2, kernel_size=2, dilations=(1, 2)
+        )
+        backbone, features, adjacency = backbone_inputs(rng, config, shape, t_out=2)
+        upstream = rng.standard_normal((*shape[:-2], 2, 2))
+        _, grads = tracked_backbone_pass(
+            Backbone.__call__, backbone, features, adjacency, upstream
+        )
+        inert = inert_params(config)
+        arrays = {"features": features, "adjacency": adjacency, **backbone.params}
+
+        def loss() -> float:
+            return float((backbone(features, adjacency) * upstream).sum())
+
+        for name, array in arrays.items():
+            numeric = np.empty_like(array)
+            flat, slope = array.reshape(-1), numeric.reshape(-1)
+            for k in range(flat.size):
+                keep = flat[k]
+                flat[k] = keep + 1e-6
+                hi = loss()
+                flat[k] = keep - 1e-6
+                lo = loss()
+                flat[k] = keep
+                slope[k] = (hi - lo) / 2e-6
+            if name in inert:
+                assert grads[name] is None, name
+                np.testing.assert_array_equal(numeric, 0.0)
+            else:
+                np.testing.assert_allclose(
+                    grads[name], numeric, rtol=1e-6, atol=1e-8, err_msg=name
+                )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # (K - 1) * d >= T for d = 8: the last layer's first tap reads padding
+            BackboneConfig(
+                hidden_dim=4, skip_dim=6, output_dim=3, kernel_size=2, dilations=(1, 2, 4, 8)
+            ),
+            BackboneConfig(
+                hidden_dim=5, skip_dim=3, output_dim=2, kernel_size=3, dilations=(1, 2, 4)
+            ),
+        ],
+        ids=["k2-d8", "k3-d4"],
+    )
+    @pytest.mark.parametrize("shape", [(3, 4, 8, 3), (4, 8, 3)], ids=["batched", "squeezed"])
+    def test_matches_composed_reference(self, config, shape):
+        rng = rng_for(341)
+        backbone, features, adjacency = backbone_inputs(rng, config, shape, t_out=5)
+        upstream = rng.standard_normal((*shape[:-2], 5, config.output_dim))
+        fused_out, fused = tracked_backbone_pass(
+            Backbone.__call__, backbone, features, adjacency, upstream
+        )
+        want_out, want = tracked_backbone_pass(
+            composed_backbone, backbone, features, adjacency, upstream
+        )
+        np.testing.assert_allclose(fused_out, want_out, rtol=1e-12, atol=1e-12)
+        inert = inert_params(config)
+        assert {name for name, grad in want.items() if grad is None} == inert
+        for name, grad in want.items():
+            if grad is None:
+                assert fused[name] is None, name
+            else:
+                np.testing.assert_allclose(
+                    fused[name], grad, rtol=1e-12, atol=1e-12, err_msg=name
+                )
+
+    def test_plain_arrays_build_no_tape(self, small_model):
+        rng = rng_for(342)
+        backbone = small_model.backbone
+        channels = small_model.config.lifted_channels
+        features = rng.standard_normal((2, 3, small_model.config.t_in, channels))
+        adjacency = rng.uniform(0, 1, (2, 3, 3))
+        plain = Backbone(
+            backbone.config,
+            backbone.t_in,
+            backbone.t_out,
+            {name: value.data for name, value in backbone.params.items()},
+        )
+        out = plain(features, adjacency)
+        assert type(out) is np.ndarray
+        tracked = backbone(features, adjacency)
+        assert tracked.requires_grad and tracked._parents
+        np.testing.assert_array_equal(tracked.data, out)
+        with small_model.inference():
+            quiet = backbone(Tensor(features), adjacency)
+        assert not quiet.requires_grad
+        assert quiet._parents == () and quiet._backward is None
+        np.testing.assert_array_equal(quiet.data, out)
 
 
 class TestParameterHeads:
