@@ -11,9 +11,8 @@ Two ingredients are combined:
   scalar blend factor initialized to zero, so a freshly initialized model
   reproduces the mobility adjacency exactly.
 
-All operations accept either plain ndarrays or autodiff Tensors (leading
-batch dimensions welcome); domain wrappers are unwrapped on entry and
-reapplied on the all-numpy path.
+All operations take and return plain ndarrays or autodiff Tensors (leading
+batch dimensions welcome); domain value types stay at the I/O edge.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .domain import AdjacencyMatrix, DimensionMismatchError, MobilitySeries
+from .domain import DimensionMismatchError
 
 __all__ = [
     "MobilityForecaster",
@@ -112,47 +110,21 @@ class PatternMemory:
 def forecast_mobility(history, transform):
     """Forecast horizon flows: apply ``transform`` along time, clamp at zero.
 
-    ``history`` may be a history-kind MobilitySeries or a raw (..., N, N,
-    T_in) array/Tensor; ``transform`` is (T_in, T_out) (a MobilityForecaster
-    is unwrapped).  Returns a forecast-kind MobilitySeries on the all-numpy
-    path, otherwise a Tensor.
+    ``history`` is (..., N, N, T_in) and ``transform`` (T_in, T_out); the
+    result is (..., N, N, T_out), a Tensor when either input is one.
     """
-    if isinstance(transform, MobilityForecaster):
-        transform = transform.transform
-    wrapped = isinstance(history, MobilitySeries)
-    if wrapped:
-        if history.horizon_kind != "history":
-            raise ValueError(
-                "forecast_mobility expects observed history, got "
-                f"horizon_kind={history.horizon_kind!r}"
-            )
-        history = history.flows
     t_in = ad.as_data(history).shape[-1]
     if ad.as_data(transform).shape[0] != t_in:
         raise DimensionMismatchError(
             f"transform expects {ad.as_data(transform).shape[0]} input days, "
             f"history has {t_in}"
         )
-    horizon = ad.relu(ad.matmul(history, transform))
-    if wrapped and not isinstance(horizon, Tensor):
-        return MobilitySeries(flows=horizon, horizon_kind="forecast")
-    return horizon
+    return ad.relu(ad.matmul(history, transform))
 
 
 def pool_mobility(horizon):
     """Average forecast flows over the horizon into a mobility adjacency."""
-    wrapped = isinstance(horizon, MobilitySeries)
-    if wrapped:
-        if horizon.horizon_kind != "forecast":
-            raise ValueError(
-                "pool_mobility expects forecast flows, got "
-                f"horizon_kind={horizon.horizon_kind!r}"
-            )
-        horizon = horizon.flows
-    pooled = ad.mean(horizon, axis=-1)
-    if wrapped and not isinstance(pooled, Tensor):
-        return AdjacencyMatrix(weights=pooled, normalized=False)
-    return pooled
+    return ad.mean(horizon, axis=-1)
 
 
 def extract_pattern(series: np.ndarray) -> np.ndarray:
@@ -197,10 +169,4 @@ def case_adjacency(representation, memory: PatternMemory):
 
 def compose_adjacency(pooled, correction):
     """Final adjacency: mobility pooling plus the case correction, unclamped."""
-    wrapped = isinstance(pooled, AdjacencyMatrix)
-    if wrapped:
-        pooled = pooled.weights
-    total = pooled + correction
-    if wrapped and not isinstance(total, Tensor):
-        return AdjacencyMatrix(weights=total, normalized=False)
-    return total
+    return pooled + correction

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import datasets, evaluation, kernels, training
+from . import datasets, evaluation, training
 from .datasets import DataError, SyntheticScenario
-from .domain import EpidemicParams, ValidationError
+from .domain import ConfigRangeError, EpidemicParams, ValidationError
 from .estimator import BackboneConfig
 from .pipeline import CASES_CHANNEL, ForecastModel, ModelConfig, WindowBatch
 from .suppression import ThresholdConfig
@@ -58,6 +58,7 @@ _MODEL_KEYS = {
     "lifted_channels": ("lifted_channels", int),
     "attention_heads": ("attention_heads", int),
 }
+_MODEL_FIELD_KEYS = {attr: key for key, (attr, _) in _MODEL_KEYS.items()}
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -109,6 +110,18 @@ def _typed(section: dict, spec: dict[str, type], where: str) -> dict:
     return out
 
 
+def _build(factory, kwargs: dict, where: str, keys: dict[str, str] | None = None):
+    """``factory(**kwargs)``; a value out of range is a usage error that names
+    its config key (``keys`` maps field names that differ from the keys)."""
+    try:
+        return factory(**kwargs)
+    except ConfigRangeError as err:
+        key = (keys or {}).get(err.field, err.field)
+        raise UsageError(
+            f"config {where}.{key} = {err.value!r}; must be {err.rule}"
+        ) from None
+
+
 def model_config_from(config: dict) -> ModelConfig:
     section = _section(config, "model")
     backbone_raw = section.pop("backbone", {}) or {}
@@ -140,15 +153,15 @@ def model_config_from(config: dict) -> ModelConfig:
         except (TypeError, ValueError):
             raise UsageError(f"config model.backbone.{key} is malformed: {value!r}")
     if backbone_kwargs:
-        kwargs["backbone"] = BackboneConfig(**backbone_kwargs)
+        kwargs["backbone"] = _build(BackboneConfig, backbone_kwargs, "model.backbone")
     if not isinstance(suppression_raw, dict):
         raise UsageError("config section 'model.suppression' must be a mapping")
     threshold_spec = {f.name: float for f in fields(ThresholdConfig)}
     typed = _typed(suppression_raw, threshold_spec, "model.suppression")
     if typed:
-        kwargs["thresholds"] = ThresholdConfig(**typed)
+        kwargs["thresholds"] = _build(ThresholdConfig, typed, "model.suppression")
     try:
-        return ModelConfig(**kwargs)
+        return _build(ModelConfig, kwargs, "model", _MODEL_FIELD_KEYS)
     except (ValidationError, ValueError) as err:
         raise UsageError(f"invalid model configuration: {err}") from None
 
@@ -166,7 +179,8 @@ def train_config_from(config: dict) -> TrainConfig:
         "curriculum_step": int,
         "seed": int,
     }
-    return TrainConfig(**_typed(_section(config, "training"), spec, "training"))
+    typed = _typed(_section(config, "training"), spec, "training")
+    return _build(TrainConfig, typed, "training")
 
 
 def scenario_from(config: dict, overrides: dict | None = None) -> SyntheticScenario:
@@ -198,16 +212,10 @@ def scenario_from(config: dict, overrides: dict | None = None) -> SyntheticScena
         raise UsageError(f"invalid synthetic scenario: {err}") from None
 
 
-def _apply_backend(args) -> None:
-    if getattr(args, "backend", None):
-        kernels.use(args.backend)
-
-
 # ----------------------------------------------------------------- subcommands
 
 
 def _cmd_simulate(args) -> int:
-    _apply_backend(args)
     config = load_config(args.config)
     scenario = scenario_from(
         config,
@@ -235,7 +243,6 @@ def _channel_scaler(windows: datasets.WindowSet) -> tuple[np.ndarray, np.ndarray
 
 
 def _cmd_train(args) -> int:
-    _apply_backend(args)
     config = load_config(args.config)
     model_config = model_config_from(config)
     train_config = train_config_from(config)
@@ -303,7 +310,6 @@ def _window_ending_at(dataset: datasets.Dataset, t_in: int, end_index: int) -> W
 
 
 def _cmd_forecast(args) -> int:
-    _apply_backend(args)
     dataset = datasets.load_dataset(args.data)
     loaded = _load_checkpoint(args.checkpoint)
     _check_regions(dataset, loaded.manifest)
@@ -400,7 +406,6 @@ def _batched_predictions(model: ForecastModel, windows: datasets.WindowSet) -> n
 
 
 def _cmd_evaluate(args) -> int:
-    _apply_backend(args)
     dataset = datasets.load_dataset(args.data)
     loaded = _load_checkpoint(args.checkpoint)
     _check_regions(dataset, loaded.manifest)
@@ -503,7 +508,6 @@ def tiny_gradcheck_setup(seed: int = 7):
 
 
 def _cmd_gradcheck(args) -> int:
-    _apply_backend(args)
     model, batch = tiny_gradcheck_setup(seed=args.seed)
     report = training.gradient_check(
         model,
@@ -545,13 +549,6 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_backend(p):
-        p.add_argument(
-            "--backend",
-            choices=sorted(kernels.available_backends()),
-            help="numerical kernel backend (default: EPICAST_BACKEND or auto)",
-        )
-
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output directory for the CSVs")
     p.add_argument("--config", help="YAML file with a 'synthetic' section")
@@ -559,7 +556,6 @@ def build_parser() -> _Parser:
     p.add_argument("--regions", type=int, help="override the region count")
     p.add_argument("--length", type=int, help="override the number of days")
     p.add_argument("--noise", type=float, help="override the observation noise")
-    add_backend(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("train", help="fit a model on a dataset directory")
@@ -567,7 +563,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="checkpoint file to write")
     p.add_argument("--config", help="YAML file with 'model'/'training' sections")
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch lines")
-    add_backend(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("forecast", help="roll a trained model forward")
@@ -579,7 +574,6 @@ def build_parser() -> _Parser:
         help="last observed date (ISO) the forecast starts after "
         "(default: final day)",
     )
-    add_backend(p)
     p.set_defaults(func=_cmd_forecast)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a baseline")
@@ -592,7 +586,6 @@ def build_parser() -> _Parser:
         help="which chronological segment to score (default: test)",
     )
     p.add_argument("--out", help="optional report CSV")
-    add_backend(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
@@ -600,7 +593,6 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--tolerance", type=float, default=1e-4, help="relative tolerance")
     p.add_argument("--seed", type=int, default=7, help="setup and sampling seed")
-    add_backend(p)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

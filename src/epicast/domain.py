@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "AdjacencyMatrix",
     "CompartmentState",
+    "ConfigRangeError",
     "DimensionMismatchError",
     "EpidemicParams",
     "Forecast",
@@ -24,9 +24,9 @@ __all__ = [
     "NonFiniteError",
     "ObservationHistory",
     "PopulationVector",
-    "SuppressionFilter",
     "ValidatedBundle",
     "ValidationError",
+    "check_ranges",
     "validate",
 ]
 
@@ -45,6 +45,33 @@ class NegativeValueError(ValidationError):
 
 class NonFiniteError(ValidationError):
     pass
+
+
+class ConfigRangeError(ValidationError):
+    """A configuration field outside its allowed range; ``field`` names it."""
+
+    def __init__(self, field: str, value, rule: str):
+        super().__init__(f"{field} = {value!r}; must be {rule}")
+        self.field, self.value, self.rule = field, value, rule
+
+
+_RULES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "> 0": lambda v: v > 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "a non-empty list of integers >= 1": lambda v: len(v) > 0 and min(v) >= 1,
+}
+
+
+def check_ranges(config, rules: dict[str, str]) -> None:
+    """Raise ``ConfigRangeError`` for the first field of ``config`` that breaks
+    its rule; rules are the keys of ``_RULES``, and NaN breaks all of them."""
+    for name, rule in rules.items():
+        value = getattr(config, name)
+        if not _RULES[rule](value):
+            raise ConfigRangeError(name, value, rule)
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
@@ -274,38 +301,6 @@ class CompartmentState:
 
 
 @dataclass(frozen=True)
-class AdjacencyMatrix:
-    """Square region-coupling weights; ``normalized`` asserts stochastic rows."""
-
-    weights: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        weights = _frozen(self.weights)
-        _check_ndim("AdjacencyMatrix.weights", weights, 2)
-        if weights.shape[0] != weights.shape[1]:
-            raise DimensionMismatchError(
-                f"AdjacencyMatrix.weights must be square, got {weights.shape}"
-            )
-        _check_finite("AdjacencyMatrix.weights", weights)
-        if self.normalized:
-            _check_nonnegative("AdjacencyMatrix.weights", weights)
-            sums = weights.sum(axis=1)
-            off = np.abs(sums - 1.0) > 1e-9
-            if off.any():
-                row = _first_index(off)[0]
-                raise ValidationError(
-                    f"AdjacencyMatrix row {row} sums to {sums[row]!r}; normalized "
-                    f"rows must sum to 1 within 1e-9"
-                )
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n_regions(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
 class Forecast:
     """Predicted daily new cases plus the S/I/R trajectories behind them."""
 
@@ -336,37 +331,6 @@ class Forecast:
     @property
     def horizon(self) -> int:
         return self.cases.shape[1]
-
-
-@dataclass(frozen=True)
-class SuppressionFilter:
-    """Per-region suppression decision: weak-parameter OR quiet-history."""
-
-    small_params: np.ndarray
-    quiet_history: np.ndarray
-    combined: np.ndarray
-
-    def __post_init__(self):
-        for name in ("small_params", "quiet_history", "combined"):
-            arr = np.array(getattr(self, name), dtype=bool)
-            arr.setflags(write=False)
-            _check_ndim(f"SuppressionFilter.{name}", arr, 1)
-            object.__setattr__(self, name, arr)
-        if not (
-            self.small_params.shape == self.quiet_history.shape == self.combined.shape
-        ):
-            raise DimensionMismatchError(
-                "SuppressionFilter arrays must share one shape"
-            )
-        expected = self.small_params | self.quiet_history
-        if not np.array_equal(self.combined, expected):
-            raise ValidationError(
-                "SuppressionFilter.combined must equal small_params OR quiet_history"
-            )
-
-    @property
-    def n_regions(self) -> int:
-        return self.combined.shape[0]
 
 
 class ValidatedBundle(NamedTuple):

@@ -15,7 +15,7 @@ All operations accept plain ndarrays or autodiff Tensors, batched
 built with ``make_op``, each with a hand-derived backward: the attention
 dependency (a closed-form softmax Jacobian-vector product, so none of its
 (B, H, T, N, N) intermediates is recorded) and the whole backbone (one
-convolution per gated layer on the active kernel backend, a closed-form
+convolution per gated layer through ``kernels.active()``, a closed-form
 gate, mixing and readout backward).
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor, make_op
-from .domain import DimensionMismatchError, ValidationError
+from .domain import DimensionMismatchError, ValidationError, check_ranges
 
 __all__ = [
     "Backbone",
@@ -211,6 +211,13 @@ class BackboneConfig:
     output_dim: int = 16
     kernel_size: int = 2
     dilations: tuple[int, ...] = (1, 2, 4, 8)
+
+    def __post_init__(self):
+        sizes = ("hidden_dim", "skip_dim", "output_dim", "kernel_size")
+        check_ranges(self, {
+            **dict.fromkeys(sizes, ">= 1"),
+            "dilations": "a non-empty list of integers >= 1",
+        })
 
     @property
     def receptive_field(self) -> int:

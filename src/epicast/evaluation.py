@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +16,6 @@ __all__ = [
     "persistence_baseline",
     "report_rows",
     "report_table",
-    "write_report_csv",
 ]
 
 
@@ -117,17 +114,6 @@ def report_rows(report: dict[str, MetricSet]) -> list[dict[str, object]]:
             }
         )
     return rows
-
-
-def write_report_csv(report: dict[str, MetricSet], path: str | Path) -> None:
-    rows = report_rows(report)
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(
-            handle, fieldnames=["slice", "rmse", "mae", "smape", "rae", "rae_defined"]
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
 
 
 def report_table(report: dict[str, MetricSet], title: str = "") -> str:

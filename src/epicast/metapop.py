@@ -15,9 +15,13 @@ with every compartment clamped at zero.  Predicted daily new cases are
 ``new_inf``.  Totals S + I + R are conserved exactly whenever no clamp
 fires, and never increase when one does.
 
-``rollout`` is the plain-array public API.  ``rollout_batch`` is the fused
-differentiable version used in training; its forward and hand-derived
-adjoint run on the active kernel backend (numba or numpy).
+``rollout_batch`` is what the model runs: batched and differentiable, its
+forward and hand-derived adjoint are the rollout kernels of ``kernels``.
+``rollout``, ``step`` and ``transmission_strength`` are the day-by-day
+reference loop over domain types.  They stay separate on purpose: the
+benchmark's output check and the tests compare ``rollout_batch`` against
+them, and ``datasets.generate_synthetic`` steps its worlds with ``step``
+(its ``x / P`` rounds differently from the kernel's ``x * (1 / P)``).
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ def rollout_batch(
     flows,
     population: np.ndarray,
 ):
-    """Batched, differentiable rollout on the active kernel backend.
+    """Batched, differentiable rollout on the rollout kernels.
 
     ``beta``/``gamma`` are (B, N, T) and ``flows`` (B, N, N, T); any of the
     three may be a Tensor, in which case the returned cases are a Tensor

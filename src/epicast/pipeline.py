@@ -18,7 +18,7 @@ import numpy as np
 
 from . import adjacency, estimator, metapop
 from .autodiff import Tensor
-from .domain import DimensionMismatchError, ValidationError
+from .domain import DimensionMismatchError, ValidationError, check_ranges
 from .estimator import (
     Backbone,
     BackboneConfig,
@@ -26,13 +26,18 @@ from .estimator import (
     ParameterHeads,
     SpatialPrior,
 )
-from .suppression import EmaState, ThresholdConfig, detect
+from .suppression import EmaState, ThresholdConfig, detect, suppress_beta
 
 __all__ = ["ForecastModel", "ForwardResult", "ModelConfig", "WindowBatch"]
 
 # Channel order inside stacked observation blocks.
 CASES_CHANNEL = 0
 INFECTED_CHANNEL = 2
+# ModelConfig fields that count something, so must be at least 1.
+_POSITIVE_SIZES = (
+    "t_in", "t_out", "pattern_count", "pattern_window", "pattern_key_dim",
+    "pattern_embed_dim", "lifted_channels", "attention_heads",
+)
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,7 @@ class ModelConfig:
                 f"observations need at least the 4 core channels, got "
                 f"{self.channels}"
             )
+        check_ranges(self, dict.fromkeys(_POSITIVE_SIZES, ">= 1"))
         if self.lifted_channels % self.attention_heads != 0:
             raise DimensionMismatchError(
                 f"{self.attention_heads} attention heads do not evenly divide "
@@ -299,7 +305,7 @@ class ForecastModel:
 
         # Coupling path: forecast mobility, pool, add the case correction.
         horizon_flows = adjacency.forecast_mobility(
-            batch.mobility, self.mobility_transform
+            batch.mobility, self.mobility_transform.transform
         )
         pooled = adjacency.pool_mobility(horizon_flows)
         recent = obs[:, :, cfg.t_in - cfg.pattern_window :, CASES_CHANNEL]
@@ -329,8 +335,7 @@ class ForecastModel:
         else:
             flags = np.asarray(fixed_filter, dtype=bool)
             small, quiet = flags, np.zeros_like(flags)
-        multiplier = np.where(flags, cfg.thresholds.downscale, 1.0)[:, :, None]
-        suppressed = beta * multiplier
+        suppressed = suppress_beta(beta, flags, cfg.thresholds.downscale)
 
         cases, aux = metapop.rollout_batch(
             batch.susceptible0,

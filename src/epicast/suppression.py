@@ -22,29 +22,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import (
-    CompartmentState,
-    EpidemicParams,
-    Forecast,
-    MobilitySeries,
-    PopulationVector,
-    SuppressionFilter,
-)
-from . import metapop
+from .domain import check_ranges
 
 __all__ = [
     "Detection",
     "EmaSlot",
     "EmaState",
-    "SuppressionReport",
     "ThresholdConfig",
     "adaptive_threshold",
-    "build_filter",
     "detect",
-    "detect_low_infection",
-    "detect_small_params",
-    "forecast",
-    "forecast_with_details",
     "suppress_beta",
 ]
 
@@ -64,6 +50,17 @@ class ThresholdConfig:
     quiet_ratio_cap: float = 0.98
     ema_decay: float = 0.9
     downscale: float = 0.5
+
+    def __post_init__(self):
+        kinds = ("infection", "quiet_ratio", "beta", "gamma")
+        check_ranges(self, {
+            **{f"{kind}_quantile": "in [0, 1]" for kind in kinds},
+            **{f"{kind}_floor": ">= 0" for kind in kinds},
+            "quiet_ratio_cap": "in [0, 1]",
+            "ema_decay": "in [0, 1]",
+            # above 1, suppression would raise flagged regions' forecasts
+            "downscale": "in [0, 1]",
+        })
 
 
 class EmaSlot:
@@ -152,158 +149,42 @@ class Detection(NamedTuple):
     quiet_ratio: np.ndarray
 
 
-def _detect_small(
-    beta, gamma, config: ThresholdConfig, state: EmaState | None, training: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weak-rate detector over (B, N, T) rates: flags, beta and gamma cuts."""
-    beta_peaks = np.asarray(beta, dtype=np.float64).max(axis=2)
-    gamma_peaks = np.asarray(gamma, dtype=np.float64).max(axis=2)
-    beta_cut = _thresholds(
-        beta_peaks, config.beta_quantile, config.beta_floor,
-        state and state.beta, training, config.ema_decay,
-    )
-    gamma_cut = _thresholds(
-        gamma_peaks, config.gamma_quantile, config.gamma_floor,
-        state and state.gamma, training, config.ema_decay,
-    )
-    flags = (beta_peaks <= beta_cut[:, None]) & (gamma_peaks <= gamma_cut[:, None])
-    return flags, beta_cut, gamma_cut
-
-
-def _detect_quiet(
-    infected_history, config: ThresholdConfig, state: EmaState | None, training: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quiet-history detector over (B, N, T_in): flags, level, cutoff, ratio."""
-    history = np.asarray(infected_history, dtype=np.float64)
-    level = _thresholds(
-        history.reshape(len(history), -1), config.infection_quantile,
-        config.infection_floor, state and state.infection, training, config.ema_decay,
-    )
-    quiet_ratio = (history <= level[:, None, None]).mean(axis=2)
-    ratio_cut = _thresholds(
-        quiet_ratio, config.quiet_ratio_quantile, config.quiet_ratio_floor,
-        state and state.quiet_ratio, training, config.ema_decay,
-    )
-    cutoff = np.minimum(ratio_cut, config.quiet_ratio_cap)
-    flags = quiet_ratio >= cutoff[:, None]
-    return flags, level, cutoff, quiet_ratio
-
-
 def detect(
     beta, gamma, infected_history, config: ThresholdConfig,
     state: EmaState | None = None, training: bool = False,
 ) -> Detection:
     """Both detectors on a batch: rates (B, N, T), infected history (B, N, T_in).
 
+    Weak-rate: a region's peak infection AND peak recovery rate sit at or
+    below their cuts.  Quiet-history: the absolute quiet level is a cut over
+    every (region, day) entry of the window, and a region is flagged when its
+    fraction of quiet days reaches a cut over regions (floored, then capped).
     While training, the EMA slots advance once per window, in batch order.
     """
-    small, beta_cut, gamma_cut = _detect_small(beta, gamma, config, state, training)
-    quiet, level, cutoff, ratio = _detect_quiet(infected_history, config, state, training)
+
+    def cut(rows, kind):
+        return _thresholds(
+            rows, getattr(config, f"{kind}_quantile"), getattr(config, f"{kind}_floor"),
+            state and getattr(state, kind), training, config.ema_decay,
+        )
+
+    beta_peaks = np.asarray(beta, dtype=np.float64).max(axis=2)
+    gamma_peaks = np.asarray(gamma, dtype=np.float64).max(axis=2)
+    beta_cut, gamma_cut = cut(beta_peaks, "beta"), cut(gamma_peaks, "gamma")
+    small = (beta_peaks <= beta_cut[:, None]) & (gamma_peaks <= gamma_cut[:, None])
+
+    history = np.asarray(infected_history, dtype=np.float64)
+    level = cut(history.reshape(len(history), -1), "infection")
+    ratio = (history <= level[:, None, None]).mean(axis=2)
+    cutoff = np.minimum(cut(ratio, "quiet_ratio"), config.quiet_ratio_cap)
+    quiet = ratio >= cutoff[:, None]
     return Detection(small, quiet, beta_cut, gamma_cut, level, cutoff, ratio)
 
 
-def detect_small_params(
-    params: EpidemicParams,
-    config: ThresholdConfig,
-    state: EmaState | None = None,
-    training: bool = False,
-) -> np.ndarray:
-    """Flag regions whose rates stay small across the whole horizon.
+def suppress_beta(beta, flags, downscale: float):
+    """Scale flagged regions' infection rates by ``downscale``.
 
-    A region is flagged only when BOTH its peak infection rate and its peak
-    recovery rate fall at or below their adaptive thresholds.
+    ``beta`` is (..., N, T), an array or Tensor, and ``flags`` (..., N); the
+    flags are constants, so gradients reach ``beta`` through the multiplier.
     """
-    return _detect_small([params.beta], [params.gamma], config, state, training)[0][0]
-
-
-def detect_low_infection(
-    infected_history: np.ndarray,
-    config: ThresholdConfig,
-    state: EmaState | None = None,
-    training: bool = False,
-) -> np.ndarray:
-    """Flag regions whose infected counts were quiet on most recent days.
-
-    The absolute quiet level is an adaptive quantile of every (region, day)
-    entry in the window; the per-region quiet-day fraction is then held
-    against an adaptive cutoff over regions (floored, then capped).
-    """
-    return _detect_quiet([infected_history], config, state, training)[0][0]
-
-
-def build_filter(small_params, quiet_history) -> SuppressionFilter:
-    """Combine the two detectors with a logical OR."""
-    small_params = np.asarray(small_params, dtype=bool)
-    quiet_history = np.asarray(quiet_history, dtype=bool)
-    return SuppressionFilter(
-        small_params=small_params,
-        quiet_history=quiet_history,
-        combined=small_params | quiet_history,
-    )
-
-
-def suppress_beta(
-    params: EpidemicParams,
-    decision: SuppressionFilter,
-    downscale: float,
-) -> EpidemicParams:
-    """Scale flagged regions' infection rates by ``downscale``; keep the rest."""
-    multiplier = np.where(decision.combined, downscale, 1.0)
-    return EpidemicParams(
-        beta=params.beta * multiplier[:, None], gamma=params.gamma
-    )
-
-
-@dataclass(frozen=True)
-class SuppressionReport:
-    """Diagnostics for one forecast: decision, thresholds, applied rates."""
-
-    decision: SuppressionFilter
-    infection_level: float
-    quiet_cutoff: float
-    quiet_ratio: np.ndarray
-    beta_cutoff: float
-    gamma_cutoff: float
-    applied: EpidemicParams
-
-
-def forecast_with_details(
-    params: EpidemicParams,
-    infected_history: np.ndarray,
-    state0: CompartmentState,
-    mobility: MobilitySeries,
-    population: PopulationVector,
-    config: ThresholdConfig = ThresholdConfig(),
-    state: EmaState | None = None,
-    training: bool = False,
-) -> tuple[Forecast, SuppressionReport]:
-    """Run detection, suppress, and roll the mechanistic core forward."""
-    found = detect([params.beta], [params.gamma], [infected_history], config, state, training)
-    decision = build_filter(found.small_params[0], found.quiet_history[0])
-    applied = suppress_beta(params, decision, config.downscale)
-    rolled = metapop.rollout(state0, applied, mobility, population)
-    return rolled, SuppressionReport(
-        decision=decision,
-        infection_level=float(found.infection_level[0]),
-        quiet_cutoff=float(found.quiet_cutoff[0]),
-        quiet_ratio=found.quiet_ratio[0],
-        beta_cutoff=float(found.beta_cutoff[0]),
-        gamma_cutoff=float(found.gamma_cutoff[0]),
-        applied=applied,
-    )
-
-
-def forecast(
-    params: EpidemicParams,
-    infected_history: np.ndarray,
-    state0: CompartmentState,
-    mobility: MobilitySeries,
-    population: PopulationVector,
-    config: ThresholdConfig = ThresholdConfig(),
-    state: EmaState | None = None,
-    training: bool = False,
-) -> Forecast:
-    """Suppressed mechanistic forecast (see ``forecast_with_details``)."""
-    return forecast_with_details(
-        params, infected_history, state0, mobility, population, config, state, training
-    )[0]
+    return beta * np.where(flags, downscale, 1.0)[..., None]

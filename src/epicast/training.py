@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .datasets import WindowSet, atomic_write
-from .domain import DimensionMismatchError
+from .domain import DimensionMismatchError, check_ranges
 from .pipeline import ForecastModel, ModelConfig
 from .suppression import EmaState
 
@@ -74,6 +74,14 @@ class TrainConfig:
     patience: int = 20
     curriculum_step: int = 300
     seed: int = 2024
+
+    def __post_init__(self):
+        check_ranges(self, {
+            "batch_size": ">= 1", "learning_rate": "> 0", "weight_decay": ">= 0",
+            "beta1": "in [0, 1)", "beta2": "in [0, 1)", "epsilon": "> 0",
+            "max_epochs": ">= 1", "patience": ">= 0", "curriculum_step": ">= 0",
+            "seed": ">= 0",
+        })
 
     def to_dict(self) -> dict:
         return {

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
 from epicast import datasets, kernels
 from epicast.estimator import BackboneConfig
 from epicast.pipeline import ForecastModel, ModelConfig
+
+
+# Tests of the kernels take the kernel set as ``kernel_set``, and their ids
+# carry its name.
+on_kernel_set = pytest.mark.parametrize(
+    "kernel_set", [kernels.active()], ids=attrgetter("name")
+)
 
 
 def small_model_config(**overrides) -> ModelConfig:
@@ -62,15 +71,6 @@ def small_model(model_config, small_windows) -> ForecastModel:
     obs = small_windows.observations
     model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
     return model
-
-
-@pytest.fixture
-def numpy_backend():
-    """Force the portable kernel backend for the duration of one test."""
-    previous = kernels.active()
-    kernels.use("numpy")
-    yield
-    kernels.use(previous.name)
 
 
 def rng_for(test_tag: int) -> np.random.Generator:

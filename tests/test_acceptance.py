@@ -32,30 +32,6 @@ from test_suppression import oracle_quantile, oracle_quiet_flags, oracle_small_f
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    """Load the compiled kernels once so timed sections measure the work."""
-    state = CompartmentState(
-        susceptible=np.array([90.0]),
-        infected=np.array([10.0]),
-        recovered=np.array([0.0]),
-    )
-    params = EpidemicParams(beta=np.full((1, 2), 0.3), gamma=np.full((1, 2), 0.1))
-    mobility = MobilitySeries(
-        flows=np.full((1, 1, 2), 5.0), horizon_kind="forecast"
-    )
-    metapop.rollout(state, params, mobility, PopulationVector(np.array([100.0])))
-    metapop.rollout_batch(
-        np.array([[90.0]]),
-        np.array([[10.0]]),
-        np.array([[0.0]]),
-        np.full((1, 1, 2), 0.3),
-        np.full((1, 1, 2), 0.1),
-        np.full((1, 1, 1, 2), 5.0),
-        np.array([100.0]),
-    )
-
-
 def _as_instance(pop, s, i, r, flows, beta, gamma):
     state = CompartmentState(susceptible=s, infected=i, recovered=r)
     params = EpidemicParams(beta=beta, gamma=gamma)
@@ -163,16 +139,14 @@ def test_criterion_03_threshold_flags_match_sorting_oracle():
         )
         beta = rng.uniform(1e-4, 0.5, size=(n, horizon))
         gamma = rng.uniform(1e-4, 0.5, size=(n, horizon))
-        params = EpidemicParams(beta=beta, gamma=gamma)
-        np.testing.assert_array_equal(
-            suppression.detect_small_params(params, config),
-            oracle_small_flags(beta, gamma, config),
-        )
         history = rng.uniform(0.0, 30.0, size=(n, window))
         history[rng.uniform(size=(n, window)) < 0.4] = rng.uniform(0.0, 0.4)
+        found = suppression.detect(beta[None], gamma[None], history[None], config)
         np.testing.assert_array_equal(
-            suppression.detect_low_infection(history, config),
-            oracle_quiet_flags(history, config),
+            found.small_params[0], oracle_small_flags(beta, gamma, config)
+        )
+        np.testing.assert_array_equal(
+            found.quiet_history[0], oracle_quiet_flags(history, config)
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"threshold sweep took {elapsed:.1f}s (budget 10s)"
@@ -216,9 +190,9 @@ def test_criterion_04_suppression_never_raises_predictions():
         flags = rng.uniform(size=n) < 0.5
         if not flags.any():
             flags[int(rng.integers(0, n))] = True
-        decision = suppression.build_filter(flags, np.zeros(n, dtype=bool))
-        damped = suppression.suppress_beta(
-            params, decision, float(rng.uniform(0.1, 0.9))
+        damped = EpidemicParams(
+            beta=suppression.suppress_beta(beta, flags, float(rng.uniform(0.1, 0.9))),
+            gamma=gamma,
         )
         base = metapop.rollout(state, params, mobility, population)
         softer = metapop.rollout(state, damped, mobility, population)

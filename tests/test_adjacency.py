@@ -8,7 +8,7 @@ import pytest
 
 from epicast import adjacency
 from epicast.autodiff import Tensor
-from epicast.domain import AdjacencyMatrix, DimensionMismatchError, MobilitySeries
+from epicast.domain import DimensionMismatchError
 
 from conftest import rng_for
 
@@ -24,37 +24,25 @@ class TestMobilityForecast:
         rng = rng_for(201)
         flows = rng.uniform(0.0, 50.0, size=(3, 3, 6))
         forecaster = adjacency.MobilityForecaster.initialize(t_in=6, t_out=4)
-        out = adjacency.forecast_mobility(
-            MobilitySeries(flows=flows, horizon_kind="history"), forecaster
-        )
-        assert isinstance(out, MobilitySeries)
-        assert out.horizon_kind == "forecast"
+        out = adjacency.forecast_mobility(flows, forecaster.transform)
+        assert out.shape == (3, 3, 4)
         mean = flows.mean(axis=-1)
         for t in range(4):
-            np.testing.assert_allclose(out.flows[:, :, t], mean, atol=1e-12)
+            np.testing.assert_allclose(out[:, :, t], mean, atol=1e-12)
 
     def test_negative_predictions_clamped(self):
         flows = np.full((1, 1, 2), 3.0)
         out = adjacency.forecast_mobility(flows, np.array([[-1.0], [-1.0]]))
         np.testing.assert_array_equal(out, np.zeros((1, 1, 1)))
 
-    def test_rejects_forecast_kind_input(self):
-        series = MobilitySeries(flows=np.ones((2, 2, 3)), horizon_kind="forecast")
-        with pytest.raises(ValueError, match="history"):
-            adjacency.forecast_mobility(
-                series, adjacency.MobilityForecaster.initialize(3, 2)
-            )
-
     def test_rejects_window_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            adjacency.forecast_mobility(
-                np.ones((2, 2, 5)), adjacency.MobilityForecaster.initialize(4, 2)
-            )
+            adjacency.forecast_mobility(np.ones((2, 2, 5)), np.ones((4, 2)))
 
     def test_tensor_path_returns_tensor(self):
         t = Tensor(np.ones((2, 2, 3)), requires_grad=True)
         out = adjacency.forecast_mobility(
-            t, adjacency.MobilityForecaster.initialize(3, 2)
+            t, adjacency.MobilityForecaster.initialize(3, 2).transform
         )
         assert isinstance(out, Tensor)
 
@@ -63,16 +51,9 @@ class TestPoolMobility:
     def test_average_over_horizon(self):
         rng = rng_for(202)
         flows = rng.uniform(0, 10, size=(3, 3, 5))
-        pooled = adjacency.pool_mobility(
-            MobilitySeries(flows=flows, horizon_kind="forecast")
-        )
-        assert isinstance(pooled, AdjacencyMatrix)
-        assert not pooled.normalized
-        np.testing.assert_allclose(pooled.weights, flows.mean(axis=-1), atol=1e-12)
-
-    def test_rejects_history_kind(self):
-        with pytest.raises(ValueError, match="forecast"):
-            adjacency.pool_mobility(MobilitySeries(flows=np.ones((2, 2, 3))))
+        pooled = adjacency.pool_mobility(flows)
+        assert pooled.shape == (3, 3)
+        np.testing.assert_allclose(pooled, flows.mean(axis=-1), atol=1e-12)
 
     def test_batched_array_path(self):
         rng = rng_for(203)
@@ -148,10 +129,9 @@ class TestRetrieval:
 class TestCompose:
     def test_zero_correction_reproduces_pooled_bitwise(self):
         rng = rng_for(211)
-        pooled = AdjacencyMatrix(weights=rng.uniform(0, 5, size=(4, 4)))
+        pooled = rng.uniform(0, 5, size=(4, 4))
         out = adjacency.compose_adjacency(pooled, np.zeros((4, 4)))
-        assert isinstance(out, AdjacencyMatrix)
-        np.testing.assert_array_equal(out.weights, pooled.weights)
+        np.testing.assert_array_equal(out, pooled)
 
     def test_addition(self):
         pooled = np.full((2, 2), 1.0)

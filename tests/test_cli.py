@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from epicast import cli
 from epicast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -201,6 +202,34 @@ class TestTrain:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "warmup" in err and "valid keys" in err
+
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("model.attention_heads", 0),
+            ("model.forecast_horizon", 0),
+            ("model.backbone.hidden_dim", 0),
+            ("training.batch_size", 0),
+            ("training.max_epochs", 0),
+            ("model.suppression.downscale", 2.0),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(
+        self, workdir, tmp_path, capsys, key, value
+    ):
+        *sections, name = key.split(".")
+        config = {name: value}
+        for section in reversed(sections):
+            config = {section: config}
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(config), encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        argv = ["train", "--config", str(bad), "--data", str(workdir["data"]),
+                "--out", str(out), "--quiet"]
+        assert main(argv) == EXIT_USAGE
+        assert f"config {key} = {value!r}; must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestForecast:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from epicast.domain import (
-    AdjacencyMatrix,
     CompartmentState,
     DimensionMismatchError,
     EpidemicParams,
@@ -16,7 +15,6 @@ from epicast.domain import (
     NonFiniteError,
     ObservationHistory,
     PopulationVector,
-    SuppressionFilter,
     ValidationError,
     validate,
 )
@@ -140,24 +138,6 @@ class TestCompartmentState:
             )
 
 
-class TestAdjacencyMatrix:
-    def test_unnormalized_accepts_negatives(self):
-        AdjacencyMatrix(weights=np.array([[0.5, -0.5], [0.0, 1.0]]))
-
-    def test_normalized_requires_stochastic_rows(self):
-        AdjacencyMatrix(weights=np.array([[0.25, 0.75], [1.0, 0.0]]), normalized=True)
-        with pytest.raises(ValidationError, match="sums to"):
-            AdjacencyMatrix(weights=np.array([[0.5, 0.6], [0.5, 0.5]]), normalized=True)
-
-    def test_normalized_rejects_negative_entries(self):
-        with pytest.raises(NegativeValueError):
-            AdjacencyMatrix(weights=np.array([[1.5, -0.5], [0.5, 0.5]]), normalized=True)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError):
-            AdjacencyMatrix(weights=np.ones((2, 3)))
-
-
 class TestForecast:
     def test_valid(self):
         f = Forecast(
@@ -176,17 +156,6 @@ class TestForecast:
                 susceptible=np.ones((1, 1)),
                 infected=np.ones((1, 1)),
                 recovered=np.ones((1, 1)),
-            )
-
-
-class TestSuppressionFilter:
-    def test_combined_must_be_or(self):
-        small = np.array([True, False])
-        quiet = np.array([False, False])
-        SuppressionFilter(small_params=small, quiet_history=quiet, combined=small | quiet)
-        with pytest.raises(ValidationError, match="OR"):
-            SuppressionFilter(
-                small_params=small, quiet_history=quiet, combined=np.array([False, False])
             )
 
 

@@ -18,7 +18,7 @@ from epicast.estimator import (
     SpatialPrior,
 )
 
-from conftest import rng_for
+from conftest import on_kernel_set, rng_for
 
 
 class TestLiftFeatures:
@@ -267,31 +267,26 @@ def oracle_causal_conv(x, weight, bias, dilation):
     return out
 
 
-def kernel_causal_conv(x, weight, bias, dilation):
-    """Left-pad the time axis and run the active backend's convolution."""
+def kernel_causal_conv(x, weight, bias, dilation, kernel_set=None):
+    """Left-pad the time axis and run the kernel set's convolution."""
     pad = (weight.shape[0] - 1) * dilation
     xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
-    return kernels.active().conv_fwd(xpad, weight, bias, dilation)
+    return (kernel_set or kernels.active()).conv_fwd(xpad, weight, bias, dilation)
 
 
 class TestDilatedCausalConv:
-    """The backend convolution that every backbone layer runs."""
+    """The kernel convolution that every backbone layer runs."""
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @on_kernel_set
     @pytest.mark.parametrize("dilation", [1, 2, 3])
-    def test_matches_loop_oracle(self, backend, dilation):
-        previous = kernels.active()
-        kernels.use(backend)
-        try:
-            rng = rng_for(310 + dilation)
-            x = rng.standard_normal((2, 3, 8, 4))
-            weight = rng.standard_normal((2, 4, 5))
-            bias = rng.standard_normal(5)
-            out = kernel_causal_conv(x, weight, bias, dilation)
-            want = oracle_causal_conv(x, weight, bias, dilation)
-            np.testing.assert_allclose(out, want, atol=1e-12)
-        finally:
-            kernels.use(previous.name)
+    def test_matches_loop_oracle(self, kernel_set, dilation):
+        rng = rng_for(310 + dilation)
+        x = rng.standard_normal((2, 3, 8, 4))
+        weight = rng.standard_normal((2, 4, 5))
+        bias = rng.standard_normal(5)
+        out = kernel_causal_conv(x, weight, bias, dilation, kernel_set)
+        want = oracle_causal_conv(x, weight, bias, dilation)
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_causal_no_future_leakage(self):
         rng = rng_for(314)
@@ -310,7 +305,7 @@ class TestDilatedCausalConv:
         out = kernel_causal_conv(x, np.zeros((2, 2, 4)), np.zeros(4), dilation=3)
         assert out.shape == (1, 1, 7, 4)
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @on_kernel_set
     @pytest.mark.parametrize(
         "batch,regions,taps,dilation",
         [
@@ -324,57 +319,52 @@ class TestDilatedCausalConv:
         ],
     )
     def test_gradients_match_finite_differences(
-        self, batch, regions, taps, dilation, backend
+        self, batch, regions, taps, dilation, kernel_set
     ):
-        previous = kernels.active()
-        kernels.use(backend)
-        try:
-            rng = rng_for(315)
-            days = 6
-            x = rng.standard_normal((batch, regions, days, 3))
-            weight = rng.standard_normal((taps, 3, 2))
-            bias = rng.standard_normal(2)
-            proj = rng.standard_normal((batch, regions, days, 2))
+        rng = rng_for(315)
+        days = 6
+        x = rng.standard_normal((batch, regions, days, 3))
+        weight = rng.standard_normal((taps, 3, 2))
+        bias = rng.standard_normal(2)
+        proj = rng.standard_normal((batch, regions, days, 2))
 
-            def loss(xa, wa, ba):
-                out = oracle_causal_conv(xa, wa, ba, dilation)
-                return float((out * proj).sum())
+        def loss(xa, wa, ba):
+            out = oracle_causal_conv(xa, wa, ba, dilation)
+            return float((out * proj).sum())
 
-            pad = (taps - 1) * dilation
-            xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
-            g_xpad, g_w, g_b = kernels.active().conv_bwd(proj, xpad, weight, dilation)
-            g_x = g_xpad[:, :, pad:, :]
+        pad = (taps - 1) * dilation
+        xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
+        g_xpad, g_w, g_b = kernel_set.conv_bwd(proj, xpad, weight, dilation)
+        g_x = g_xpad[:, :, pad:, :]
 
-            # contraction oracle for the weight gradient: tap k sees the
-            # padded input shifted by k * dilation against the upstream grad
-            want_w = np.stack(
-                [
-                    np.einsum(
-                        "bnti,bnto->io",
-                        xpad[:, :, k * dilation : k * dilation + days, :],
-                        proj,
-                    )
-                    for k in range(taps)
-                ]
-            )
-            np.testing.assert_allclose(g_w, want_w, rtol=1e-12, atol=1e-12)
+        # contraction oracle for the weight gradient: tap k sees the
+        # padded input shifted by k * dilation against the upstream grad
+        want_w = np.stack(
+            [
+                np.einsum(
+                    "bnti,bnto->io",
+                    xpad[:, :, k * dilation : k * dilation + days, :],
+                    proj,
+                )
+                for k in range(taps)
+            ]
+        )
+        np.testing.assert_allclose(g_w, want_w, rtol=1e-12, atol=1e-12)
 
-            for grad, array in ((g_x, x), (g_w, weight), (g_b, bias)):
-                flat = array.ravel()
-                for k in range(flat.size):
-                    keep = flat[k]
-                    flat[k] = keep + 1e-6
-                    hi = loss(x, weight, bias)
-                    flat[k] = keep - 1e-6
-                    lo = loss(x, weight, bias)
-                    flat[k] = keep
-                    numeric = (hi - lo) / 2e-6
-                    analytic = grad.ravel()[k]
-                    assert abs(numeric - analytic) < 5e-5 * max(
-                        1.0, abs(numeric)
-                    )
-        finally:
-            kernels.use(previous.name)
+        for grad, array in ((g_x, x), (g_w, weight), (g_b, bias)):
+            flat = array.ravel()
+            for k in range(flat.size):
+                keep = flat[k]
+                flat[k] = keep + 1e-6
+                hi = loss(x, weight, bias)
+                flat[k] = keep - 1e-6
+                lo = loss(x, weight, bias)
+                flat[k] = keep
+                numeric = (hi - lo) / 2e-6
+                analytic = grad.ravel()[k]
+                assert abs(numeric - analytic) < 5e-5 * max(
+                    1.0, abs(numeric)
+                )
 
 
 class TestBackbone:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from epicast import cli, datasets
 from epicast.domain import DimensionMismatchError
 from epicast.evaluation import (
     MetricSet,
@@ -20,8 +21,8 @@ from epicast.evaluation import (
     persistence_baseline,
     report_rows,
     report_table,
-    write_report_csv,
 )
+from epicast.training import save_checkpoint
 
 from conftest import rng_for
 
@@ -142,14 +143,30 @@ class TestReportOutput:
         assert rows[0]["rmse"] == 2.0
         assert rows[1]["rae_defined"] is False
 
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "report.csv"
-        write_report_csv(self.sample_report(), path)
-        with path.open() as handle:
+    def test_csv_round_trip(self, tmp_path, small_dataset, small_model):
+        """``epicast evaluate --out`` writes every report value back exactly."""
+        data, ckpt, path = tmp_path / "data", tmp_path / "m.ckpt", tmp_path / "r.csv"
+        datasets.save_dataset(small_dataset, data)
+        save_checkpoint(small_model, ckpt, regions=small_dataset.regions)
+        argv = ["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+                "--split", "full", "--out", str(path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        with path.open(newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
-        assert [r["slice"] for r in rows] == ["3d", "overall"]
-        assert float(rows[0]["rmse"]) == 2.0
-        assert rows[1]["rae_defined"] == "False"
+        assert list(rows[0]) == [
+            "source", "slice", "rmse", "mae", "smape", "rae", "rae_defined"
+        ]
+        assert [(r["source"], r["slice"]) for r in rows] == [
+            ("model", "3d"), ("model", "overall"),
+            ("persistence", "3d"), ("persistence", "overall"),
+        ]
+        windows = datasets.windowize(datasets.load_dataset(data), 8, 4)
+        baseline = persistence_baseline(windows.observations[:, :, -1, 0], 4)
+        report = horizon_report(baseline, windows.targets, days=(3,))
+        for row, scores in zip(rows[2:], report.values()):
+            for name in ("rmse", "mae", "smape", "rae"):
+                assert float(row[name]) == getattr(scores, name), name
+            assert row["rae_defined"] == str(scores.rae_defined)
 
     def test_table_marks_undefined_rae(self):
         text = report_table(self.sample_report(), title="scores")

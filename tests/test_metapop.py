@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicast import kernels, metapop
+from epicast import metapop
 from epicast.autodiff import Tensor
 from epicast.domain import (
     CompartmentState,
@@ -19,7 +19,7 @@ from epicast.domain import (
     PopulationVector,
 )
 
-from conftest import rng_for
+from conftest import on_kernel_set, rng_for
 
 
 # ------------------------------------------------------------ oracle (loops)
@@ -219,79 +219,78 @@ class TestRolloutBatch:
             pop,
         )
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
-    def test_matches_single_rollout(self, backend):
-        previous = kernels.active()
-        kernels.use(backend)
-        try:
-            rng = rng_for(108)
-            s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(rng)
-            cases, aux = metapop.rollout_batch(s0, i0, r0, beta, gamma, flows, pop)
-            for b in range(s0.shape[0]):
-                single = metapop.rollout(
-                    CompartmentState(
-                        susceptible=s0[b], infected=i0[b], recovered=r0[b]
-                    ),
-                    EpidemicParams(beta=beta[b], gamma=gamma[b]),
-                    MobilitySeries(flows=flows[b], horizon_kind="forecast"),
-                    PopulationVector(sizes=pop),
-                )
-                np.testing.assert_allclose(cases[b], single.cases, atol=1e-10)
-                np.testing.assert_allclose(
-                    aux["susceptible"][b], single.susceptible, atol=1e-10
-                )
-                np.testing.assert_allclose(
-                    aux["infected"][b], single.infected, atol=1e-10
-                )
-                np.testing.assert_allclose(
-                    aux["recovered"][b], single.recovered, atol=1e-10
-                )
-        finally:
-            kernels.use(previous.name)
-
-    @pytest.mark.parametrize("backend", kernels.available_backends())
-    def test_gradients_match_finite_differences(self, backend):
-        previous = kernels.active()
-        kernels.use(backend)
-        try:
-            rng = rng_for(109)
-            s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(
-                rng, batch=2, n=3, horizon=4
+    @on_kernel_set
+    def test_matches_single_rollout(self, kernel_set):
+        rng = rng_for(108)
+        s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(rng)
+        cases, aux = metapop.rollout_batch(s0, i0, r0, beta, gamma, flows, pop)
+        direct = kernel_set.rollout_fwd(s0, i0, r0, beta, gamma, flows, pop)
+        np.testing.assert_array_equal(cases, direct[0])
+        for b in range(s0.shape[0]):
+            single = metapop.rollout(
+                CompartmentState(
+                    susceptible=s0[b], infected=i0[b], recovered=r0[b]
+                ),
+                EpidemicParams(beta=beta[b], gamma=gamma[b]),
+                MobilitySeries(flows=flows[b], horizon_kind="forecast"),
+                PopulationVector(sizes=pop),
             )
-            weights = rng.standard_normal((2, 3, 4))
+            np.testing.assert_allclose(cases[b], single.cases, atol=1e-10)
+            np.testing.assert_allclose(
+                aux["susceptible"][b], single.susceptible, atol=1e-10
+            )
+            np.testing.assert_allclose(
+                aux["infected"][b], single.infected, atol=1e-10
+            )
+            np.testing.assert_allclose(
+                aux["recovered"][b], single.recovered, atol=1e-10
+            )
 
-            def loss_of(beta_arr, gamma_arr, flows_arr):
-                cases, _ = metapop.rollout_batch(
-                    s0, i0, r0, beta_arr, gamma_arr, flows_arr, pop
-                )
-                data = cases.data if isinstance(cases, Tensor) else cases
-                return float((data * weights).sum())
+    @on_kernel_set
+    def test_gradients_match_finite_differences(self, kernel_set):
+        rng = rng_for(109)
+        s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(
+            rng, batch=2, n=3, horizon=4
+        )
+        weights = rng.standard_normal((2, 3, 4))
 
-            beta_t = Tensor(beta.copy(), requires_grad=True)
-            gamma_t = Tensor(gamma.copy(), requires_grad=True)
-            flows_t = Tensor(flows.copy(), requires_grad=True)
+        def loss_of(beta_arr, gamma_arr, flows_arr):
             cases, _ = metapop.rollout_batch(
-                s0, i0, r0, beta_t, gamma_t, flows_t, pop
+                s0, i0, r0, beta_arr, gamma_arr, flows_arr, pop
             )
-            (cases * weights).sum().backward()
+            data = cases.data if isinstance(cases, Tensor) else cases
+            return float((data * weights).sum())
 
-            for tensor, array in ((beta_t, beta), (gamma_t, gamma), (flows_t, flows)):
-                flat = array.ravel()
-                probes = rng.choice(flat.size, size=min(25, flat.size), replace=False)
-                for k in probes:
-                    keep = flat[k]
-                    step = 1e-6 * max(1.0, abs(keep))
-                    flat[k] = keep + step
-                    hi = loss_of(beta, gamma, flows)
-                    flat[k] = keep - step
-                    lo = loss_of(beta, gamma, flows)
-                    flat[k] = keep
-                    numeric = (hi - lo) / (2 * step)
-                    analytic = tensor.grad.ravel()[k]
-                    denom = max(abs(numeric), abs(analytic), 1e-6)
-                    assert abs(numeric - analytic) / denom < 1e-4
-        finally:
-            kernels.use(previous.name)
+        beta_t = Tensor(beta.copy(), requires_grad=True)
+        gamma_t = Tensor(gamma.copy(), requires_grad=True)
+        flows_t = Tensor(flows.copy(), requires_grad=True)
+        cases, _ = metapop.rollout_batch(
+            s0, i0, r0, beta_t, gamma_t, flows_t, pop
+        )
+        (cases * weights).sum().backward()
+        # the tape's adjoint is the kernel set's backward, unchanged
+        saved = kernel_set.rollout_fwd(s0, i0, r0, beta, gamma, flows, pop)
+        direct = kernel_set.rollout_bwd(
+            weights, s0, i0, r0, beta, gamma, flows, pop, saved[2], *saved[4:]
+        )
+        for tensor, grad in zip((beta_t, gamma_t, flows_t), direct):
+            np.testing.assert_array_equal(tensor.grad, grad)
+
+        for tensor, array in ((beta_t, beta), (gamma_t, gamma), (flows_t, flows)):
+            flat = array.ravel()
+            probes = rng.choice(flat.size, size=min(25, flat.size), replace=False)
+            for k in probes:
+                keep = flat[k]
+                step = 1e-6 * max(1.0, abs(keep))
+                flat[k] = keep + step
+                hi = loss_of(beta, gamma, flows)
+                flat[k] = keep - step
+                lo = loss_of(beta, gamma, flows)
+                flat[k] = keep
+                numeric = (hi - lo) / (2 * step)
+                analytic = tensor.grad.ravel()[k]
+                denom = max(abs(numeric), abs(analytic), 1e-6)
+                assert abs(numeric - analytic) / denom < 1e-4
 
     def test_constant_inputs_return_plain_arrays(self):
         rng = rng_for(110)
@@ -318,24 +317,6 @@ class TestRolloutBatch:
         )
         assert starved["capped"][0, 0, 0]
         assert float(np.asarray(cases)[0, 0, 0]) == 0.5
-
-    def test_backends_agree_bitwise_on_forward(self):
-        if len(kernels.available_backends()) < 2:
-            pytest.skip("only one backend available")
-        rng = rng_for(111)
-        s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(rng)
-        previous = kernels.active()
-        results = {}
-        try:
-            for backend in kernels.available_backends():
-                kernels.use(backend)
-                cases, _ = metapop.rollout_batch(s0, i0, r0, beta, gamma, flows, pop)
-                results[backend] = np.asarray(cases)
-        finally:
-            kernels.use(previous.name)
-        np.testing.assert_allclose(
-            results["numba"], results["numpy"], rtol=1e-13, atol=1e-10
-        )
 
 
 # -------------------------------------------- property: adjoint and forward

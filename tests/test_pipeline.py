@@ -1,12 +1,12 @@
 """End-to-end model wiring: configuration, forward pass, neutral
-initialization, suppression bookkeeping, and kernel-backend agreement."""
+initialization, suppression bookkeeping, and inference without a tape."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from epicast import kernels
+from epicast import suppression
 from epicast.domain import DimensionMismatchError, ValidationError
 from epicast.estimator import BackboneConfig
 from epicast.pipeline import ForecastModel, ModelConfig
@@ -203,6 +203,22 @@ class TestSuppressionIntegration:
         np.testing.assert_allclose(suppressed[flags], beta[flags] * 0.5, atol=1e-15)
         np.testing.assert_array_equal(suppressed[~flags], beta[~flags])
 
+    @pytest.mark.parametrize("fixed", [False, True], ids=["detected", "fixed_filter"])
+    def test_suppressed_beta_is_suppress_beta_bitwise(self, small_windows, fixed):
+        model = ForecastModel(
+            small_model_config(thresholds=ThresholdConfig(downscale=0.3)),
+            n_regions=3, seed=4,
+        )
+        batch = small_windows.batch(np.arange(len(small_windows)))
+        model.forward(batch, training=True)  # seeds the EMA, so detectors fire
+        flags = None
+        if fixed:
+            flags = rng_for(193).uniform(size=(batch.size, 3)) < 0.5
+        result = model.forward(batch, fixed_filter=flags)
+        assert result.flags.any() and not result.flags.all()
+        want = suppression.suppress_beta(result.beta.data, result.flags, 0.3)
+        assert result.suppressed_beta.data.tobytes() == want.tobytes()
+
     def test_flags_are_or_of_detectors(self, small_model, small_windows):
         result = small_model.forward(small_windows.batch(np.arange(4)))
         np.testing.assert_array_equal(
@@ -287,41 +303,3 @@ class TestInference:
         assert report.passed, {
             k: g.max_rel_error for k, g in report.groups.items()
         }
-
-
-class TestBackendAgreement:
-    def test_forward_and_gradients_match_across_backends(
-        self, model_config, small_windows
-    ):
-        if len(kernels.available_backends()) < 2:
-            pytest.skip("only one backend available")
-        batch = small_windows.batch(np.arange(4))
-        losses = {}
-        grads = {}
-        previous = kernels.active()
-        try:
-            for backend in kernels.available_backends():
-                kernels.use(backend)
-                model = ForecastModel(model_config, n_regions=3, seed=9)
-                obs = small_windows.observations
-                model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
-                result = model.forward(batch)
-                loss = mae_loss(result.cases, batch.targets)
-                loss.backward()
-                losses[backend] = float(loss.data)
-                grads[backend] = {
-                    k: (p.grad.copy() if p.grad is not None else None)
-                    for k, p in model.parameters().items()
-                }
-        finally:
-            kernels.use(previous.name)
-        assert losses["numba"] == pytest.approx(losses["numpy"], rel=1e-12)
-        for key in grads["numba"]:
-            a, b = grads["numba"][key], grads["numpy"][key]
-            if a is None or b is None:
-                assert a is None and b is None, key
-                continue
-            scale = max(np.abs(a).max(), np.abs(b).max(), 1e-30)
-            np.testing.assert_allclose(
-                a, b, atol=1e-9 * scale, rtol=1e-7, err_msg=key
-            )

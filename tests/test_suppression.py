@@ -1,5 +1,5 @@
 """Suppression filter: quantile thresholds, EMA smoothing, detector flags,
-and the downscaled mechanistic forecast."""
+and the downscaled infection rates."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epicast import metapop, suppression
+from epicast.autodiff import Tensor
 from epicast.domain import (
     CompartmentState,
     EpidemicParams,
@@ -22,10 +23,6 @@ from epicast.suppression import (
     EmaState,
     ThresholdConfig,
     adaptive_threshold,
-    build_filter,
-    detect_low_infection,
-    detect_small_params,
-    forecast_with_details,
     suppress_beta,
 )
 
@@ -194,11 +191,26 @@ def params_from_peaks(beta_peaks, gamma_peaks, horizon=3):
     return EpidemicParams(beta=beta, gamma=gamma)
 
 
+def small_flags(params, config, state=None, training=False):
+    """Weak-rate flags of one window, through the batched detector."""
+    history = np.zeros((1, params.n_regions, 1))
+    found = suppression.detect(
+        params.beta[None], params.gamma[None], history, config, state, training
+    )
+    return found.small_params[0]
+
+
+def quiet_flags(history, config):
+    """Quiet-history flags of one window, through the batched detector."""
+    rates = np.zeros((1, len(history), 1))
+    return suppression.detect(rates, rates, history[None], config).quiet_history[0]
+
+
 class TestDetectSmallParams:
     def test_worked_two_region_example(self):
         params = params_from_peaks([0.01, 0.5], [0.01, 0.4])
         config = ThresholdConfig(beta_quantile=0.2, gamma_quantile=0.2)
-        flags = detect_small_params(params, config)
+        flags = small_flags(params, config)
         np.testing.assert_array_equal(flags, [True, False])
 
     def test_worked_example_thresholds(self):
@@ -214,13 +226,13 @@ class TestDetectSmallParams:
 
     def test_identical_regions_all_flagged(self):
         params = params_from_peaks([0.3] * 4, [0.2] * 4)
-        flags = detect_small_params(params, ThresholdConfig())
+        flags = small_flags(params, ThresholdConfig())
         assert flags.all()
 
     def test_conjunction_semantics(self):
         # one rate small, the other large: not flagged
         params = params_from_peaks([0.9, 0.01], [0.01, 0.9])
-        flags = detect_small_params(
+        flags = small_flags(
             params, ThresholdConfig(beta_quantile=0.5, gamma_quantile=0.5)
         )
         np.testing.assert_array_equal(flags, [False, False])
@@ -236,7 +248,7 @@ class TestDetectSmallParams:
                 beta_quantile=float(rng.uniform(0.05, 0.95)),
                 gamma_quantile=float(rng.uniform(0.05, 0.95)),
             )
-            got = detect_small_params(EpidemicParams(beta=beta, gamma=gamma), config)
+            got = small_flags(EpidemicParams(beta=beta, gamma=gamma), config)
             want = oracle_small_flags(beta, gamma, config)
             np.testing.assert_array_equal(got, want)
 
@@ -250,7 +262,7 @@ class TestDetectLowInfection:
             quiet_ratio_quantile=0.9,
             quiet_ratio_floor=0.7,
         )
-        flags = detect_low_infection(history, config)
+        flags = quiet_flags(history, config)
         np.testing.assert_array_equal(flags, [True, False])
 
     def test_cap_limits_cutoff(self):
@@ -258,7 +270,7 @@ class TestDetectLowInfection:
         # cutoff would reach 1.0 as well, with it the region stays flagged
         history = np.zeros((1, 5))
         config = ThresholdConfig(quiet_ratio_floor=1.0, quiet_ratio_cap=0.98)
-        flags = detect_low_infection(history, config)
+        flags = quiet_flags(history, config)
         np.testing.assert_array_equal(flags, [True])
 
     def test_matches_oracle_on_random_instances(self):
@@ -275,7 +287,7 @@ class TestDetectLowInfection:
                 infection_floor=float(rng.uniform(0, 2)),
                 quiet_ratio_floor=float(rng.uniform(0, 1)),
             )
-            got = detect_low_infection(history, config)
+            got = quiet_flags(history, config)
             want = oracle_quiet_flags(history, config)
             np.testing.assert_array_equal(got, want)
 
@@ -376,24 +388,21 @@ class TestBatchedDetector:
 
 
 class TestFilterAndSuppression:
-    def test_build_filter_is_or(self):
-        small = np.array([True, False, False])
-        quiet = np.array([False, True, False])
-        decision = build_filter(small, quiet)
-        np.testing.assert_array_equal(decision.combined, [True, True, False])
-
     def test_suppress_scales_only_flagged_infection_rates(self):
-        params = EpidemicParams(
-            beta=np.full((2, 3), 0.4), gamma=np.full((2, 3), 0.2)
-        )
-        decision = build_filter([True, False], [False, False])
-        out = suppress_beta(params, decision, downscale=0.5)
-        np.testing.assert_allclose(out.beta[0], 0.2)
-        np.testing.assert_allclose(out.beta[1], 0.4)
-        np.testing.assert_array_equal(out.gamma, params.gamma)
+        beta = np.full((2, 3), 0.4)
+        out = suppress_beta(beta, np.array([True, False]), downscale=0.5)
+        np.testing.assert_allclose(out[0], 0.2)
+        np.testing.assert_array_equal(out[1], beta[1])
+        # batched Tensor rates: the flags are constants for the gradient
+        rates = Tensor(np.full((2, 2, 3), 0.4), requires_grad=True)
+        flags = np.array([[True, False], [False, True]])
+        suppress_beta(rates, flags, downscale=0.25).sum().backward()
+        want = np.where(flags, 0.25, 1.0)[..., None] * np.ones(3)
+        np.testing.assert_array_equal(rates.grad, want)
 
     def test_forecast_never_exceeds_unsuppressed_counterpart(self):
         rng = rng_for(403)
+        config = ThresholdConfig()
         for _ in range(30):
             n = int(rng.integers(2, 6))
             horizon = int(rng.integers(2, 8))
@@ -414,46 +423,37 @@ class TestFilterAndSuppression:
             )
             population = PopulationVector(sizes=pop)
             history = rng.uniform(0, 20, size=(n, 6))
-            suppressed, report = forecast_with_details(
-                params, history, state0, mobility, population
+            found = suppression.detect(
+                params.beta[None], params.gamma[None], history[None], config
+            )
+            flagged = found.small_params[0] | found.quiet_history[0]
+            applied = suppress_beta(params.beta, flagged, config.downscale)
+            suppressed = metapop.rollout(
+                state0, EpidemicParams(beta=applied, gamma=params.gamma),
+                mobility, population,
             )
             plain = metapop.rollout(state0, params, mobility, population)
             # day one shares the start state exactly
             assert (suppressed.cases[:, 0] <= plain.cases[:, 0] + 1e-15).all()
-            flagged = report.decision.combined
             np.testing.assert_allclose(
-                report.applied.beta[flagged],
-                params.beta[flagged] * ThresholdConfig().downscale,
+                applied[flagged], params.beta[flagged] * config.downscale
             )
-            np.testing.assert_array_equal(
-                report.applied.beta[~flagged], params.beta[~flagged]
-            )
+            np.testing.assert_array_equal(applied[~flagged], params.beta[~flagged])
 
     def test_report_carries_thresholds_and_ratio(self):
         rng = rng_for(404)
         n, horizon = 3, 4
-        pop = np.full(n, 1000.0)
-        state0 = CompartmentState(
-            susceptible=pop * 0.9, infected=pop * 0.1, recovered=np.zeros(n)
+        config = ThresholdConfig()
+        found = suppression.detect(
+            rng.uniform(0.1, 0.9, (1, n, horizon)),
+            rng.uniform(0.1, 0.9, (1, n, horizon)),
+            rng.uniform(0, 5, (1, n, 7)),
+            config,
         )
-        params = EpidemicParams(
-            beta=rng.uniform(0.1, 0.9, (n, horizon)),
-            gamma=rng.uniform(0.1, 0.9, (n, horizon)),
-        )
-        mobility = MobilitySeries(
-            flows=rng.uniform(0, 10, (n, n, horizon)), horizon_kind="forecast"
-        )
-        _, report = forecast_with_details(
-            params,
-            rng.uniform(0, 5, (n, 7)),
-            state0,
-            mobility,
-            PopulationVector(sizes=pop),
-        )
-        assert report.quiet_ratio.shape == (n,)
-        assert report.infection_level >= ThresholdConfig().infection_floor
-        assert report.beta_cutoff >= ThresholdConfig().beta_floor
-        assert report.quiet_cutoff <= ThresholdConfig().quiet_ratio_cap
+        assert found.quiet_ratio.shape == (1, n)
+        assert found.infection_level[0] >= config.infection_floor
+        assert found.beta_cutoff[0] >= config.beta_floor
+        assert found.quiet_cutoff[0] <= config.quiet_ratio_cap
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -464,7 +464,7 @@ class TestFilterAndSuppression:
         for _ in range(3):
             beta = rng.uniform(1e-4, 1 - 1e-4, size=(4, 5))
             gamma = rng.uniform(1e-4, 1 - 1e-4, size=(4, 5))
-            detect_small_params(
+            small_flags(
                 EpidemicParams(beta=beta, gamma=gamma),
                 config,
                 state=state,
