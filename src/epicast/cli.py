@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import fields
 from datetime import date as date_type, timedelta
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import datasets, evaluation, training
 from .datasets import DataError, SyntheticScenario
@@ -67,6 +67,8 @@ def load_config(path: str | Path | None) -> dict:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
+    import yaml  # only here: forecast and evaluate read no config
+
     try:
         payload = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as err:
@@ -183,7 +185,15 @@ def train_config_from(config: dict) -> TrainConfig:
     return _build(TrainConfig, typed, "training")
 
 
+# the scenario fields that ``simulate`` flags override
+_SCENARIO_FLAGS = {
+    "seed": "--seed", "n_regions": "--regions", "length": "--length", "noise": "--noise"
+}
+
+
 def scenario_from(config: dict, overrides: dict | None = None) -> SyntheticScenario:
+    """The ``synthetic`` section with ``overrides`` (None values skipped) on
+    top; an override out of range is reported by its ``simulate`` flag."""
     spec = {
         "seed": int,
         "n_regions": int,
@@ -203,11 +213,17 @@ def scenario_from(config: dict, overrides: dict | None = None) -> SyntheticScena
         "start_date": str,
     }
     kwargs = _typed(_section(config, "synthetic"), spec, "synthetic")
+    overridden = {}
     for key, value in (overrides or {}).items():
         if value is not None:
-            kwargs[key] = value
+            kwargs[key] = overridden[key] = value
     try:
         return SyntheticScenario(**kwargs)
+    except ConfigRangeError as err:
+        where = f"config synthetic.{err.field}"
+        if err.field in overridden:
+            where = _SCENARIO_FLAGS.get(err.field, where)
+        raise UsageError(f"{where} = {err.value!r}; must be {err.rule}") from None
     except DataError as err:
         raise UsageError(f"invalid synthetic scenario: {err}") from None
 
@@ -539,6 +555,20 @@ def _cmd_gradcheck(args) -> int:
 # ----------------------------------------------------------------- entry point
 
 
+def _flag(cast, rule: str, ok):
+    """An argparse ``type``: ``cast`` the text, then refuse what ``ok`` does,
+    so the usage error names the flag before any work starts."""
+
+    def convert(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    convert.__name__ = cast.__name__  # argparse's "invalid float value" wording
+    return convert
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="epicast",
@@ -589,9 +619,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
-    p.add_argument("--samples", type=int, default=50, help="probes per group")
-    p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
-    p.add_argument("--tolerance", type=float, default=1e-4, help="relative tolerance")
+    positive = _flag(float, "> 0 and finite", lambda v: 0.0 < v < math.inf)
+    p.add_argument(
+        "--samples", type=_flag(int, ">= 1", lambda v: v >= 1), default=50,
+        help="probes per group",
+    )
+    p.add_argument("--step", type=positive, default=1e-5, help="finite-difference step")
+    p.add_argument("--tolerance", type=positive, default=1e-4, help="relative tolerance")
     p.add_argument("--seed", type=int, default=7, help="setup and sampling seed")
     p.set_defaults(func=_cmd_gradcheck)
 

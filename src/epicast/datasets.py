@@ -10,12 +10,14 @@ On-disk layout is three UTF-8 CSV files with headers and ISO-8601 dates:
 ``population.csv`` defines the region universe and its order.  Floats are
 written with 17 significant digits so a save/load round trip is exact.
 
-``load_dataset`` reads each file once, row by row, never holding a whole
-file.  Days must be non-decreasing in both dated files; within a day, rows
-may come in any order.  It rejects, as a ``DataError`` naming the file and
-line (never filling anything in):
+``load_dataset`` parses each file in one columnar ``np.loadtxt`` pass
+and runs every check over whole arrays.  Days must be non-decreasing
+in both dated files; within a day, rows may come in any order.  It rejects,
+as a ``DataError`` naming the file and line of the first defect in file
+order (never filling anything in):
 
-* a bad header, a wrong column count, an unparseable date or number;
+* a bad header, a wrong column count (a blank line has none), an
+  unparseable date or number (numbers as ``float()`` reads them), a NUL byte;
 * a region missing from ``population.csv``, or named twice there;
 * a calendar gap between observation days, or a mobility date that is not
   an observation day;
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as date_type, timedelta
@@ -46,6 +49,7 @@ from .domain import (
     ObservationHistory,
     PopulationVector,
     ValidatedBundle,
+    check_ranges,
     validate,
 )
 from . import metapop
@@ -141,36 +145,184 @@ class Dataset:
 
 
 _INF = float("inf")
+# Bytes per text field of the columnar parse.  A field that fills its width
+# may have been cut short, so the file is then parsed again with it wider.
+_DATE_WIDTH = 11  # an ISO date and a spare byte
+_VALUE_WIDTH = 25  # a double at 17 significant digits and a spare byte
 
 
-def _parse_date(raw: str, path: Path, line: int) -> str:
+def _text(raw: bytes) -> str:
+    return raw.decode("utf-8", "replace")
+
+
+def _day(raw: str) -> date_type | str:
+    """The date ``raw`` spells in ISO form (surrounding blanks ignored), or
+    why it is not one."""
     try:
-        return date_type.fromisoformat(raw.strip()).isoformat()
+        return date_type.fromisoformat(raw.strip())
     except ValueError as err:
-        raise DataError(f"{path.name}:{line}: bad date {raw!r} ({err})") from None
+        return f"bad date {raw!r} ({err})"
 
 
-def _non_numeric(raw: str, column: str, path: Path, line: int) -> DataError:
-    return DataError(
-        f"{path.name}:{line}: column {column!r} has non-numeric value {raw!r}"
-    )
+class _Defects:
+    """The first defect among one file's records.
+
+    Readers run their checks in a fixed order, each over the records before
+    the earliest defect found so far.  So the defect raised is the first, in
+    that order, of the earliest record that has one, and a check may rely on
+    every record it sees having passed the checks before it.
+    """
+
+    def __init__(self, path: Path, records: int, message: str | None = None):
+        self.path, self.end, self.message = path, records, message
+
+    def add(self, record: int, message: str) -> None:
+        self.end, self.message = record, message
+
+    def check(self, bad: np.ndarray, message) -> None:
+        """Add the first record ``bad`` marks, worded by ``message(record)``."""
+        hits = np.flatnonzero(bad[: self.end])
+        if hits.size:
+            self.add(int(hits[0]), message(int(hits[0])))
+
+    def raise_first(self) -> None:
+        if self.message is not None:
+            raise DataError(f"{self.path.name}:{self.end + 2}: {self.message}")
 
 
-def _parse_float(raw: str, column: str, path: Path, line: int) -> float:
+def _records(path: Path, head: list[str], rule: str, widths: list[int], exact: bool):
+    """The header's fields, the records after it from one ``np.loadtxt``
+    pass, and the ``_Defects`` to check them.
+
+    Fields ``f0``, ``f1``, ... are raw UTF-8 bytes (first of the given
+    ``widths``); the value fields after them are float64.  A record needs as
+    many columns as the header if ``exact``, else at least ``len(head)``.
+    loadtxt skips blank lines, records of no columns to ``csv``, so records
+    are counted against lines.  If the two differ (a quoted field may span
+    lines) or loadtxt fails, the file is read again record by record for the
+    first misfit, the first defect; the records before it are parsed again
+    with the values as bytes, for ``float()`` (which reads ``1_000``, say).
+    """
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[: len(head)]] != head:
+            raise DataError(f"{path.name}:1: header must {rule}")
+        skip = reader.line_num
+    width = len(header) if exact else len(head)
+    data = path.read_bytes()
+    nul = data.find(b"\0")
+    if nul >= 0:  # loadtxt's parser would end the field there
+        raise DataError(f"{path.name}:{data.count(10, 0, nul) + 1}: a NUL byte")
+    codes = np.frombuffer(data, np.uint8)
+    lf, cr = codes == 10, codes == 13
+    # line ends as csv reads them: "\r\n", "\r" or "\n"
+    crlf = cr[:-1] & lf[1:]
+    ends = np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(crlf)
+    lines = ends + (not data.endswith((b"\n", b"\r"))) - skip
+    del data, codes, lf, cr, crlf  # five bytes per byte of file, none read below
+    names = len(widths)
+    widths = widths + [_VALUE_WIDTH] * (width - names)
+
+    def parse(max_rows, number=None):
+        while True:
+            dtype = np.dtype([
+                (f"f{k}", number if number and k >= names else f"S{w}")
+                for k, w in enumerate(widths)
+            ])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # no records: checked below
+                table = np.loadtxt(
+                    path, dtype, delimiter=",", comments=None, quotechar='"',
+                    skiprows=skip, usecols=None if exact else range(width),
+                    max_rows=max_rows, encoding="latin-1", ndmin=1,
+                )  # latin-1 hands every byte through unchanged
+            cells = table.view(np.uint8).reshape(len(table), dtype.itemsize)
+            full = [
+                k for k, (kind, start) in enumerate(dtype.fields.values())
+                if kind.char == "S" and cells[:, start + kind.itemsize - 1].any()
+            ]
+            if not full:
+                return table
+            for k in full:
+                widths[k] *= 4
+
+    def misfit(count: int) -> str | None:
+        if exact and count != width:
+            return f"expected {width} columns, got {count}"
+        return None if count >= width else f"expected {width} columns"
+
+    table = found = None
     try:
-        return float(raw)
-    except ValueError:
-        raise _non_numeric(raw, column, path, line) from None
+        table = parse(None, "f8")
+    except ValueError:  # a misfit, or a number only float() reads
+        pass
+    if table is None or len(table) != lines:
+        with path.open(newline="", encoding="utf-8") as handle:
+            rows = csv.reader(handle)
+            next(rows)
+            found = next(
+                ((i, why) for i, row in enumerate(rows) if (why := misfit(len(row)))),
+                None,
+            )
+        try:
+            table = parse(None if found is None else found[0])
+        except ValueError as err:
+            raise DataError(f"{path.name}: {err}") from None
+    return header, table, _Defects(path, len(table), found and found[1])
 
 
-def _region(lookup: dict[str, int], raw: str) -> int | None:
-    """Index of the region spelled ``raw`` (surrounding blanks ignored), or
-    None.  ``lookup`` starts as the name -> index map and caches each new
-    spelling, so every distinct field is stripped once per file."""
-    index = lookup.get(raw.strip())
-    if index is not None:
-        lookup[raw] = index
+def _name_width(names: list[str]) -> int:
+    return 1 + max(len(name.encode()) for name in names)
+
+
+def _indices(defects: _Defects, raw: np.ndarray, names: list[str], canonical, unknown):
+    """Each record's position in ``names``, by its bytes or else by the name
+    ``canonical`` makes of its text, once per distinct spelling.  A record
+    that names none is a defect, worded by ``unknown(text)``."""
+    keys = np.array([name.encode() for name in names])
+    order = np.argsort(keys)
+    index = order[np.searchsorted(keys[order], raw).clip(max=len(names) - 1)]
+    miss = keys[index] != raw
+    if miss.any():
+        lookup = {name: i for i, name in enumerate(names)}
+        spellings, inverse = np.unique(raw[miss], return_inverse=True)
+        places = [lookup.get(canonical(_text(s)), -1) for s in spellings]
+        index[miss] = np.array(places)[inverse]
+        defects.check(index < 0, lambda i: unknown(_text(raw[i])))
     return index
+
+
+def _floats(defects: _Defects, raw: np.ndarray, column: str) -> np.ndarray:
+    """The field of every record still checked as a float, up to the first
+    that is not a number, which is a defect."""
+    if raw.dtype.kind == "f":
+        return raw[: defects.end]
+    text = np.char.decode(raw[: defects.end], "utf-8", "replace")
+    try:
+        return text.astype(np.float64)  # float() of each field
+    except ValueError:
+        for i, field in enumerate(map(str, text)):
+            try:
+                float(field)
+            except ValueError:
+                defects.add(i, f"column {column!r} has non-numeric value {field!r}")
+                return text[:i].astype(np.float64)
+        raise
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Marks the records whose key an earlier record already has."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return repeat
+
+
+def _missing(regions: list[str], present: np.ndarray, day: str) -> str:
+    absent = np.setdiff1d(np.arange(len(regions)), present)
+    return f"missing entry for region {regions[absent[0]]!r} on {day}"
 
 
 def load_dataset(directory: str | Path) -> Dataset:
@@ -202,205 +354,147 @@ def load_dataset(directory: str | Path) -> Dataset:
 
 
 def _read_population(path: Path) -> tuple[list[str], np.ndarray]:
-    population: dict[str, float] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["region", "population"]:
-            raise DataError(f"{path.name}:1: header must be 'region,population'")
-        for line, row in enumerate(reader, start=2):
-            if len(row) < 2:
-                raise DataError(f"{path.name}:{line}: expected 2 columns")
-            name = row[0].strip()
-            if name in population:
-                raise DataError(f"{path.name}:{line}: duplicate region {name!r}")
-            value = _parse_float(row[1], "population", path, line)
-            if not 0.0 < value < _INF:
-                raise DataError(
-                    f"{path.name}:{line}: population for {name!r} "
-                    f"must be > 0 and finite, got {value}"
-                )
-            population[name] = value
-    if not population:
+    # 16 bytes is a first guess at the names; a longer one is parsed again wider
+    _, table, defects = _records(
+        path, ["region", "population"], "be 'region,population'", [16], exact=False
+    )
+    names = [raw.decode().strip() for raw in table["f0"]]
+    defects.check(
+        _repeats(np.unique(names, return_inverse=True)[1]),
+        lambda i: f"duplicate region {names[i]!r}",
+    )
+    sizes = _floats(defects, table["f1"], "population")
+    defects.check(~((sizes > 0.0) & (sizes < _INF)), lambda i: (
+        f"population for {names[i]!r} must be > 0 and finite, got {float(sizes[i])}"
+    ))
+    defects.raise_first()
+    if not names:
         raise DataError(f"{path.name}: no regions defined")
-    return list(population), np.array(list(population.values()))
+    return names, np.array(sizes)
 
 
 def _read_observations(path: Path, regions: list[str]) -> tuple[list[str], np.ndarray]:
     """Dates and the ``(N, L, C)`` channel values.  Rows of one day may come
-    in any order; a day is checked for completeness as soon as it ends."""
+    in any order; a day is checked for completeness where it ends."""
     n = len(regions)
-    lookup = {name: i for i, name in enumerate(regions)}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        expected_head = [
-            "date", "region", "cases", "susceptible", "infected", "recovered"
-        ]
-        if header is None or [h.strip() for h in header[:6]] != expected_head:
-            raise DataError(
-                f"{path.name}:1: header must start with '{','.join(expected_head)}'"
-            )
-        columns = [h.strip() for h in header[2:]]
-        channels = len(columns)
-        width = 2 + channels
-        values: list[float] = []  # day-major (L, N, C), a day block at a time
-        blank_day = [0.0] * (n * channels)
-        dates: list[str] = []
-        raw_date = last = None
-        seen = bytearray(n)  # regions already read on the current day
-        count = 0
-        for line, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise DataError(
-                    f"{path.name}:{line}: expected {width} columns, got {len(row)}"
-                )
-            if row[0] != raw_date:
-                day = _parse_date(row[0], path, line)
-                raw_date = row[0]
-            r = lookup.get(row[1])
-            if r is None and (r := _region(lookup, row[1])) is None:
-                raise DataError(
-                    f"{path.name}:{line}: unknown region {row[1].strip()!r} "
-                    f"(not in population.csv)"
-                )
-            if day != last:
-                if last is not None:
-                    if day < last:
-                        raise DataError(
-                            f"{path.name}:{line}: dates must be "
-                            f"non-decreasing, {day} follows {last}"
-                        )
-                    if count != n:
-                        raise _missing_entry(path, line, regions, seen, last)
-                    step = date_type.fromisoformat(day) - date_type.fromisoformat(last)
-                    if step != timedelta(days=1):
-                        raise DataError(
-                            f"{path.name}:{line}: calendar gap, {day} "
-                            f"follows {last}; dates must be consecutive days"
-                        )
-                base = len(values)
-                values.extend(blank_day)
-                seen = bytearray(n)
-                count = 0
-                dates.append(day)
-                last = day
-            if seen[r]:
-                raise DataError(
-                    f"{path.name}:{line}: duplicate entry for {regions[r]!r} on {day}"
-                )
-            seen[r] = 1
-            count += 1
-            try:
-                parsed = list(map(float, row[2:]))
-            except ValueError:
-                for column, raw in zip(columns, row[2:]):
-                    _parse_float(raw, column, path, line)  # raises at the culprit
-                raise
-            for k, value in enumerate(parsed):
-                # the S/I/R core is a head count; extra channels may go negative
-                if not (-_INF < value < _INF and (value >= 0.0 or k >= 4)):
-                    bound = "finite" if k >= 4 else ">= 0 and finite"
-                    raise DataError(
-                        f"{path.name}:{line}: column {columns[k]!r} must be "
-                        f"{bound}, got {value}"
-                    )
-            offset = base + r * channels
-            values[offset : offset + channels] = parsed
-    if not dates:
+    head = ["date", "region", "cases", "susceptible", "infected", "recovered"]
+    header, table, defects = _records(
+        path, head, f"start with '{','.join(head)}'",
+        [_DATE_WIDTH, _name_width(regions)], exact=True,
+    )
+    columns = [h.strip() for h in header[2:]]
+    if defects.message is None and not len(table):
         raise DataError(f"{path.name}: no data rows")
-    if count != n:
-        raise _missing_entry(path, line, regions, seen, last)
-    by_day = np.array(values).reshape(len(dates), n, channels)
-    return dates, by_day.transpose(1, 0, 2).copy()
 
+    spellings, inverse = np.unique(table["f0"], return_inverse=True)
+    days = [_day(_text(s)) for s in spellings]
+    ordinals = [0 if isinstance(d, str) else d.toordinal() for d in days]
+    day = np.array(ordinals, dtype=int)[inverse]
+    defects.check(day == 0, lambda i: _day(_text(table["f0"][i])))
+    region = _indices(
+        defects, table["f1"], regions, str.strip,
+        lambda raw: f"unknown region {raw.strip()!r} (not in population.csv)",
+    )
 
-def _missing_entry(
-    path: Path, line: int, regions: list[str], seen: bytearray, day: str
-) -> DataError:
-    name = regions[seen.index(0)]
-    return DataError(f"{path.name}:{line}: missing entry for region {name!r} on {day}")
+    def iso(i: int) -> str:
+        return date_type.fromordinal(int(day[i])).isoformat()
+
+    step = np.diff(day, prepend=day[:1])  # 0 within a day
+    defects.check(step < 0, lambda i: (
+        f"dates must be non-decreasing, {iso(i)} follows {iso(i - 1)}"
+    ))
+    # A day's first record repeats no key, so checking for repeats before
+    # the day boundaries still reports the first defect.
+    defects.check(
+        _repeats((day - day[:1]) * n + region),
+        lambda i: f"duplicate entry for {regions[region[i]]!r} on {iso(i)}",
+    )
+    starts = np.flatnonzero(np.r_[True, step[1:] != 0])  # each day's first record
+    sizes = np.diff(starts, append=len(day))
+    short = np.zeros(len(day), dtype=bool)
+    short[starts[1:]] = sizes[:-1] != n
+    defects.check(short, lambda i: _missing(
+        regions, region[starts[np.searchsorted(starts, i) - 1] : i], iso(i - 1)
+    ))
+    defects.check(step > 1, lambda i: (
+        f"calendar gap, {iso(i)} follows {iso(i - 1)}; dates must be consecutive days"
+    ))
+    channels = [
+        _floats(defects, table[f"f{k + 2}"], column) for k, column in enumerate(columns)
+    ]
+    for k, (column, values) in enumerate(zip(columns, channels)):
+        # the S/I/R core is a head count; extra channels may go negative
+        bad, bound = ~np.isfinite(values), "finite"
+        if k < 4:
+            bad, bound = bad | (values < 0.0), ">= 0 and finite"
+        defects.check(
+            bad, lambda i: f"column {column!r} must be {bound}, got {float(values[i])}"
+        )
+    defects.raise_first()
+    if sizes[-1] != n:
+        raise DataError(f"{path.name}:{len(day) + 1}: " + _missing(
+            regions, region[starts[-1] :], iso(len(day) - 1)
+        ))
+    by_region = np.empty((n, len(starts), len(columns)))
+    for k, values in enumerate(channels):
+        by_region[region, day - day[0], k] = values
+    return [iso(i) for i in starts], by_region
 
 
 def _read_mobility(path: Path, regions: list[str], dates: list[str]) -> np.ndarray:
     """The ``(N, N, L)`` flows.  Rows of one day may come in any order; every
     origin, destination and day needs exactly one row."""
     n, length = len(regions), len(dates)
-    lookup = {name: i for i, name in enumerate(regions)}
-    date_index = {day: t for t, day in enumerate(dates)}
-    days = dict(date_index)  # raw date field -> day index, grown as met
-    flows = np.zeros(n * n * length)
-    cells = memoryview(flows)
-    seen = bytearray(n * n * length)  # by flat (origin, destination, day)
-    count = last = 0
-    line = 1
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != [
-            "date",
-            "origin",
-            "destination",
-            "flow",
-        ]:
-            raise DataError(
-                f"{path.name}:1: header must be 'date,origin,destination,flow'"
-            )
-        for line, row in enumerate(reader, start=2):
-            if len(row) < 4:
-                raise DataError(f"{path.name}:{line}: expected 4 columns")
-            t = days.get(row[0])
-            if t is None:
-                day = _parse_date(row[0], path, line)
-                t = date_index.get(day)
-                if t is None:
-                    raise DataError(
-                        f"{path.name}:{line}: date {day} does not appear "
-                        f"in observations.csv"
-                    )
-                days[row[0]] = t
-            # days are consecutive, so index order is calendar order
-            if t < last:
-                raise DataError(
-                    f"{path.name}:{line}: dates must be non-decreasing, "
-                    f"{dates[t]} follows {dates[last]}"
-                )
-            last = t
-            o = lookup.get(row[1])
-            if o is None and (o := _region(lookup, row[1])) is None:
-                raise DataError(f"{path.name}:{line}: unknown region {row[1].strip()!r}")
-            d = lookup.get(row[2])
-            if d is None and (d := _region(lookup, row[2])) is None:
-                raise DataError(f"{path.name}:{line}: unknown region {row[2].strip()!r}")
-            flat = (o * n + d) * length + t
-            if seen[flat]:
-                raise DataError(
-                    f"{path.name}:{line}: duplicate flow "
-                    f"{regions[o]!r}->{regions[d]!r} on {dates[t]}"
-                )
-            seen[flat] = 1
-            count += 1
-            try:
-                value = float(row[3])
-            except ValueError:
-                raise _non_numeric(row[3], "flow", path, line) from None
-            if not 0.0 <= value < _INF:
-                raise DataError(
-                    f"{path.name}:{line}: flow must be >= 0 and finite, got {value}"
-                )
-            cells[flat] = value
+    head = ["date", "origin", "destination", "flow"]
+    name = _name_width(regions)
+    _, table, defects = _records(
+        path, head, f"be '{','.join(head)}'", [_DATE_WIDTH, name, name], exact=False
+    )
+
+    def absent(raw: str) -> str:
+        day = _day(raw)
+        return day if isinstance(day, str) else (
+            f"date {day} does not appear in observations.csv"
+        )
+
+    # str() of a date is its ISO form; of a reason, no date at all
+    t = _indices(defects, table["f0"], dates, lambda raw: str(_day(raw)), absent)
+    # days are consecutive, so index order is calendar order
+    defects.check(np.diff(t, prepend=t[:1]) < 0, lambda i: (
+        f"dates must be non-decreasing, {dates[t[i]]} follows {dates[t[i - 1]]}"
+    ))
+    o, d = (
+        _indices(
+            defects, table[field], regions, str.strip,
+            lambda raw: f"unknown region {raw.strip()!r}",
+        )
+        for field in ("f1", "f2")
+    )
+    flat = (o * n + d) * length + t
+    defects.check(_repeats(flat), lambda i: (
+        f"duplicate flow {regions[o[i]]!r}->{regions[d[i]]!r} on {dates[t[i]]}"
+    ))
+    flow = _floats(defects, table["f3"], "flow")
+    defects.check(~((flow >= 0.0) & (flow < _INF)), lambda i: (
+        f"flow must be >= 0 and finite, got {float(flow[i])}"
+    ))
+    defects.raise_first()
     # Rows are unique and on known days and regions, so a short count means
     # some flows are missing; zero-filling them would invent data.
-    expected = n * n * length
+    count, expected = len(flat), n * n * length
     if count != expected:
         # the first unmarked cell in (day, origin, destination) order
-        marks = np.frombuffer(seen, dtype=np.uint8).reshape(n, n, length)
-        t, o, d = np.unravel_index(np.argmin(marks.transpose(2, 0, 1)), (length, n, n))
+        marks = np.zeros(expected, dtype=np.uint8)
+        marks[flat] = 1
+        marks = marks.reshape(n, n, length).transpose(2, 0, 1)
+        t, o, d = np.unravel_index(np.argmin(marks), (length, n, n))
         raise DataError(
-            f"{path.name}:{line}: {count} flow rows, expected "
+            f"{path.name}:{count + 1}: {count} flow rows, expected "
             f"{n}*{n}*{length} = {expected} (every origin, destination and day); "
             f"first missing: {regions[o]!r}->{regions[d]!r} on {dates[t]}"
         )
+    flows = np.empty(expected)
+    flows[flat] = flow
     return flows.reshape(n, n, length)
 
 
@@ -621,6 +715,9 @@ class SyntheticScenario:
     start_date: str = "2020-01-01"
 
     def __post_init__(self):
+        check_ranges(self, {
+            "seed": ">= 0", "n_regions": ">= 1", "length": ">= 1", "noise": ">= 0",
+        })
         if self.beta_kind not in ("seasonal", "bump", "constant"):
             raise DataError(
                 f"beta_kind must be seasonal, bump, or constant, got "

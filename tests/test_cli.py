@@ -18,6 +18,8 @@ import yaml
 from epicast import cli
 from epicast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 TINY_CONFIG = """\
 model:
   input_window: 8
@@ -116,6 +118,42 @@ class TestSimulate:
     def test_needs_out_flag(self, capsys):
         assert main(["simulate"]) == EXIT_USAGE
         assert "usage" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize(
+        "flag,value,rule",
+        [
+            ("--regions", "0", ">= 1"),
+            ("--length", "0", ">= 1"),
+            ("--noise", "-1", ">= 0"),
+            ("--seed", "-1", ">= 0"),
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(
+        self, tmp_path, capsys, flag, value, rule
+    ):
+        out = tmp_path / "panel"
+        assert main(["simulate", "--out", str(out), flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag} = " in err and f"must be {rule}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("n_regions", 0), ("length", -3), ("noise", -0.5)]
+    )
+    def test_out_of_range_config_is_usage_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump({"synthetic": {key: value}}), encoding="utf-8")
+        out = tmp_path / "panel"
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert f"config synthetic.{key} = {value!r}; must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.name
+    )
+    def test_shipped_configs_build_their_scenario(self, config):
+        cli.scenario_from(cli.load_config(config))
 
 
 class TestTrain:
@@ -564,6 +602,30 @@ class TestGradcheck:
         assert code == cli.EXIT_VERIFY
         assert "FAILED" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--step", "0"),
+            ("--step", "-0.5"),
+            ("--step", "nan"),
+            ("--step", "inf"),
+            ("--samples", "0"),
+            ("--samples", "-2"),
+            ("--tolerance", "0"),
+            ("--tolerance", "-1"),
+            ("--tolerance", "inf"),
+        ],
+    )
+    def test_argument_it_cannot_run_or_fail_under_is_usage_error(
+        self, capsys, monkeypatch, flag, value
+    ):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(cli, "tiny_gradcheck_setup", no_model)
+        assert main(["gradcheck", flag, value]) == EXIT_USAGE
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
 
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
@@ -572,6 +634,17 @@ class TestTopLevel:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["simulate", "--frobnicate"]) == EXIT_USAGE
+
+    def test_importing_the_cli_leaves_yaml_unloaded(self):
+        # forecast and evaluate read no config, so they need no YAML parser
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, epicast.cli; print('yaml' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_script_is_installed(self):
         proc = subprocess.run(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from epicast import metapop
+from epicast.domain import ConfigRangeError
 from epicast.datasets import (
     DataError,
     Dataset,
@@ -185,6 +186,166 @@ class TestLoadErrors:
         pop = tmp_path / "population.csv"
         self.replace_line(pop, 3, "r0,500.0")
         with pytest.raises(DataError, match="duplicate region 'r0'"):
+            load_dataset(tmp_path)
+
+
+def edit_line(path: Path, line: int, change) -> None:
+    """Replace 1-based ``line`` of ``path`` with ``change(old_line)``,
+    keeping the file's CRLF line ends."""
+    lines = path.read_bytes().split(b"\r\n")
+    lines[line - 1] = change(lines[line - 1])
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def with_value(value: bytes):
+    """A line edit that replaces the last field."""
+    return lambda line: line.rsplit(b",", 1)[0] + b"," + value
+
+
+def swap(old: bytes, new: bytes):
+    """A line edit that replaces the first ``old`` with ``new``."""
+    return lambda line: line.replace(old, new, 1)
+
+
+class TestLoaderInputRules:
+    """Odd but possible CSV text: what loads unchanged, what is refused, and
+    where the refusal points."""
+
+    def saved(self, directory, **kwargs):
+        original = panel(**kwargs)
+        save_dataset(original, directory)
+        return original
+
+    def test_files_are_written_with_crlf_and_load_with_any_line_end(self, tmp_path):
+        original = self.saved(tmp_path)
+        for name in ("population.csv", "observations.csv", "mobility.csv"):
+            assert b"\r\n" in (tmp_path / name).read_bytes()
+        assert_bit_identical(load_dataset(tmp_path), original)
+        for end in (b"\n", b"\r"):
+            for name in ("population.csv", "observations.csv", "mobility.csv"):
+                path = tmp_path / name
+                path.write_bytes(path.read_bytes().replace(b"\r\n", end))
+            assert_bit_identical(load_dataset(tmp_path), original)
+            self.saved(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name,line,message",
+        [
+            ("observations.csv", 4, "expected 6 columns, got 0"),
+            ("mobility.csv", 6, "expected 4 columns"),
+        ],
+    )
+    def test_blank_line_is_a_record_of_no_columns(self, tmp_path, name, line, message):
+        self.saved(tmp_path)
+        edit_line(tmp_path / name, line, lambda old: b"\r\n" + old)
+        with pytest.raises(DataError, match=rf"^{re.escape(name)}:{line}: {message}$"):
+            load_dataset(tmp_path)
+
+    def test_blank_line_at_the_end_is_refused(self, tmp_path):
+        self.saved(tmp_path, n=2, length=3)
+        mob = tmp_path / "mobility.csv"
+        mob.write_bytes(mob.read_bytes() + b"\r\n")
+        with pytest.raises(DataError, match=r"^mobility\.csv:14: expected 4 columns$"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["observations.csv", "mobility.csv"])
+    def test_hash_starts_no_comment(self, tmp_path, name):
+        self.saved(tmp_path)
+        edit_line(tmp_path / name, 3, lambda old: b"#" + old)
+        with pytest.raises(
+            DataError, match=rf"^{re.escape(name)}:3: bad date '#2021-03-01' "
+        ):
+            load_dataset(tmp_path)
+
+    def test_quoted_names_with_commas_quotes_and_line_breaks_round_trip(self, tmp_path):
+        original = panel(3, 4)
+        original.regions = ["Smith, Jones", 'The "Hub"', "two\nlines"]
+        save_dataset(original, tmp_path)
+        assert b'"The ""Hub"""' in (tmp_path / "mobility.csv").read_bytes()
+        assert_bit_identical(load_dataset(tmp_path), original)
+
+    def test_non_ascii_names_round_trip(self, tmp_path):
+        original = panel(3, 4)
+        original.regions = ["Zürich", "東京", "São Paulo"]
+        save_dataset(original, tmp_path)
+        assert_bit_identical(load_dataset(tmp_path), original)
+
+    def test_names_and_dates_padded_with_blanks_load_unchanged(self, tmp_path):
+        original = self.saved(tmp_path)
+        # wider than any field the parse starts with
+        wide = b" " * 40 + b"r1" + b" " * 40
+        edit_line(tmp_path / "observations.csv", 3, swap(b",r1,", b",  r1 ,"))
+        edit_line(tmp_path / "mobility.csv", 3, swap(b",r1,", b"," + wide + b","))
+        edit_line(tmp_path / "mobility.csv", 4, lambda old: b"   " + old)
+        # every field of one row, the value wider than its first parse
+        padded = b", " + b" " * 30
+        edit_line(tmp_path / "mobility.csv", 5, lambda old: old.replace(b",", padded))
+        assert_bit_identical(load_dataset(tmp_path), original)
+
+    def test_name_longer_than_every_known_name_is_named_in_full(self, tmp_path):
+        self.saved(tmp_path)
+        edit_line(tmp_path / "mobility.csv", 4, swap(b",r1,", b",r1-and-then-some,"))
+        with pytest.raises(
+            DataError, match=r"^mobility\.csv:4: unknown region 'r1-and-then-some'$"
+        ):
+            load_dataset(tmp_path)
+
+    def test_mobility_columns_after_the_fourth_are_ignored(self, tmp_path):
+        original = self.saved(tmp_path)
+        edit_line(tmp_path / "mobility.csv", 3, lambda old: old + b",note,more")
+        assert_bit_identical(load_dataset(tmp_path), original)
+
+    def test_observation_row_with_an_extra_column_is_refused(self, tmp_path):
+        self.saved(tmp_path)
+        edit_line(tmp_path / "observations.csv", 3, lambda old: old + b",1.0")
+        with pytest.raises(
+            DataError, match=r"^observations\.csv:3: expected 6 columns, got 7$"
+        ):
+            load_dataset(tmp_path)
+
+    def test_values_are_read_as_float_reads_them(self, tmp_path):
+        original = self.saved(tmp_path)
+        edit_line(tmp_path / "mobility.csv", 2, with_value(b"1_000"))
+        edit_line(tmp_path / "observations.csv", 2, with_value(b" 2_500.5 "))
+        loaded = load_dataset(tmp_path)
+        assert loaded.flows[0, 0, 0] == 1000.0
+        assert loaded.recovered[0, 0] == 2500.5
+        loaded.flows[0, 0, 0] = original.flows[0, 0, 0]
+        loaded.recovered[0, 0] = original.recovered[0, 0]
+        assert_bit_identical(loaded, original)
+
+    @pytest.mark.parametrize(
+        "name,edits,where",
+        [
+            # a misfit after a bad value: the value's record is first
+            ("mobility.csv", [(3, with_value(b"abc")), (6, lambda old: b"x")],
+             r"3: column 'flow' has non-numeric value 'abc'"),
+            # and the other way round
+            ("mobility.csv", [(3, lambda old: b"x"), (6, with_value(b"abc"))],
+             r"3: expected 4 columns"),
+            # a check that runs late (the range) before one that runs early
+            ("mobility.csv",
+             [(3, with_value(b"-1")), (5, swap(b",r0,", b",ghost,"))],
+             r"3: flow must be >= 0 and finite, got -1\.0"),
+            ("observations.csv",
+             [(3, with_value(b"nan")), (6, swap(b",r0,", b",ghost,"))],
+             r"3: column 'recovered' must be >= 0 and finite, got nan"),
+            ("observations.csv",
+             [(4, swap(b",r0,", b",ghost,")), (6, lambda old: b"")],
+             r"4: unknown region 'ghost' \(not in population\.csv\)"),
+        ],
+    )
+    def test_two_defects_report_the_earlier_record(self, tmp_path, name, edits, where):
+        self.saved(tmp_path)
+        for line, change in edits:
+            edit_line(tmp_path / name, line, change)
+        with pytest.raises(DataError, match=rf"^{re.escape(name)}:{where}$"):
+            load_dataset(tmp_path)
+
+    def test_nul_byte_is_refused(self, tmp_path):
+        self.saved(tmp_path)
+        edit_line(tmp_path / "mobility.csv", 3, with_value(b"1.5\0"))
+        with pytest.raises(DataError, match=r"^mobility\.csv:3: a NUL byte$"):
             load_dataset(tmp_path)
 
 
@@ -577,3 +738,13 @@ class TestSyntheticGenerator:
             SyntheticScenario(beta_kind="spiky")
         with pytest.raises(DataError, match="beta_low"):
             SyntheticScenario(beta_low=0.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_regions", 0), ("length", 0), ("noise", -0.1), ("noise", float("nan")),
+         ("seed", -1)],
+    )
+    def test_out_of_range_scenario_names_its_field(self, field, value):
+        with pytest.raises(ConfigRangeError) as raised:
+            SyntheticScenario(**{field: value})
+        assert raised.value.field == field
