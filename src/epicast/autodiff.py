@@ -35,10 +35,8 @@ __all__ = [
     "absolute",
     "as_data",
     "exp",
-    "log",
     "matmul",
     "mean",
-    "minimum",
     "pad_axis",
     "relu",
     "reshape",
@@ -121,9 +119,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -234,30 +229,6 @@ class Tensor:
 
         return _from_op(out_data, (a, b), backward)
 
-    def __rtruediv__(self, other):
-        return _lift(other).__truediv__(self)
-
-    def __neg__(self):
-        a = self
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(-g)
-
-        return _from_op(-a.data, (a,), backward)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-        out_data = a.data ** exponent
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(g * exponent * a.data ** (exponent - 1))
-
-        return _from_op(out_data, (a,), backward)
-
     def __matmul__(self, other):
         other = _lift(other)
         a, b = self, other
@@ -278,9 +249,6 @@ class Tensor:
                 b._accumulate(gb)
 
         return _from_op(out_data, (a, b), backward)
-
-    def __rmatmul__(self, other):
-        return _lift(other).__matmul__(self)
 
     # ----------------------------------------------------------- shape changes
 
@@ -419,10 +387,6 @@ def exp(value):
     return _unary(value, np.exp, lambda x, out: lambda: out)
 
 
-def log(value):
-    return _unary(value, np.log, lambda x, out: lambda: 1.0 / x)
-
-
 def tanh(value):
     return _unary(value, np.tanh, lambda x, out: lambda: 1.0 - out * out)
 
@@ -448,23 +412,6 @@ def relu(value):
 
 def absolute(value):
     return _unary(value, np.abs, lambda x, out: lambda: np.sign(x))
-
-
-def minimum(first, second):
-    """Elementwise minimum; ties route the gradient to ``first``."""
-    if isinstance(first, Tensor) or isinstance(second, Tensor):
-        a, b = _lift(first), _lift(second)
-        out_data = np.minimum(a.data, b.data)
-        mask = a.data <= b.data
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(unbroadcast(g * mask, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(unbroadcast(g * ~mask, b.data.shape))
-
-        return _from_op(out_data, (a, b), backward)
-    return np.minimum(_asarray(first), _asarray(second))
 
 
 # ----------------------------------------------------------------- reductions

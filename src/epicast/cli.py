@@ -10,7 +10,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import fields
 from datetime import date as date_type, timedelta
 from pathlib import Path
 
@@ -18,10 +17,9 @@ import numpy as np
 
 from . import datasets, evaluation, training
 from .datasets import DataError, SyntheticScenario
-from .domain import ConfigRangeError, EpidemicParams, ValidationError
+from .domain import ConfigRangeError, EpidemicParams, ValidationError, config_from
 from .estimator import BackboneConfig
 from .pipeline import CASES_CHANNEL, ForecastModel, ModelConfig, WindowBatch
-from .suppression import ThresholdConfig
 from .training import TrainConfig
 
 __all__ = ["main"]
@@ -47,20 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
 # -------------------------------------------------------------- configuration
 
-_MODEL_KEYS = {
-    "input_window": ("t_in", int),
-    "forecast_horizon": ("t_out", int),
-    "input_channels": ("channels", int),
-    "pattern_count": ("pattern_count", int),
-    "pattern_window": ("pattern_window", int),
-    "pattern_key_dim": ("pattern_key_dim", int),
-    "pattern_embed_dim": ("pattern_embed_dim", int),
-    "lifted_channels": ("lifted_channels", int),
-    "attention_heads": ("attention_heads", int),
-}
-_MODEL_FIELD_KEYS = {attr: key for key, (attr, _) in _MODEL_KEYS.items()}
-
-
 def load_config(path: str | Path | None) -> dict:
     if path is None:
         return {}
@@ -80,109 +64,12 @@ def load_config(path: str | Path | None) -> dict:
     return payload
 
 
-def _section(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise UsageError(f"config section {name!r} must be a mapping")
-    return dict(section)
-
-
-def _reject_unknown(section: dict, known: set[str], where: str) -> None:
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise UsageError(
-            f"unknown key(s) {', '.join(unknown)} in config section {where!r}; "
-            f"valid keys: {', '.join(sorted(known))}"
-        )
-
-
-def _typed(section: dict, spec: dict[str, type], where: str) -> dict:
-    _reject_unknown(section, set(spec), where)
-    out = {}
-    for key, value in section.items():
-        cast = spec[key]
-        try:
-            out[key] = cast(value)
-        except (TypeError, ValueError):
-            raise UsageError(
-                f"config {where}.{key} must be {cast.__name__}, got {value!r}"
-            ) from None
-    return out
-
-
-def _build(factory, kwargs: dict, where: str, keys: dict[str, str] | None = None):
-    """``factory(**kwargs)``; a value out of range is a usage error that names
-    its config key (``keys`` maps field names that differ from the keys)."""
-    try:
-        return factory(**kwargs)
-    except ConfigRangeError as err:
-        key = (keys or {}).get(err.field, err.field)
-        raise UsageError(
-            f"config {where}.{key} = {err.value!r}; must be {err.rule}"
-        ) from None
-
-
 def model_config_from(config: dict) -> ModelConfig:
-    section = _section(config, "model")
-    backbone_raw = section.pop("backbone", {}) or {}
-    suppression_raw = section.pop("suppression", {}) or {}
-    _reject_unknown(section, set(_MODEL_KEYS), "model")
-    kwargs = {}
-    for key, value in section.items():
-        attr, cast = _MODEL_KEYS[key]
-        try:
-            kwargs[attr] = cast(value)
-        except (TypeError, ValueError):
-            raise UsageError(
-                f"config model.{key} must be {cast.__name__}, got {value!r}"
-            ) from None
-    backbone_spec = {
-        "hidden_dim": int,
-        "skip_dim": int,
-        "output_dim": int,
-        "kernel_size": int,
-        "dilations": lambda v: tuple(int(d) for d in v),
-    }
-    if not isinstance(backbone_raw, dict):
-        raise UsageError("config section 'model.backbone' must be a mapping")
-    _reject_unknown(backbone_raw, set(backbone_spec), "model.backbone")
-    backbone_kwargs = {}
-    for key, value in backbone_raw.items():
-        try:
-            backbone_kwargs[key] = backbone_spec[key](value)
-        except (TypeError, ValueError):
-            raise UsageError(f"config model.backbone.{key} is malformed: {value!r}")
-    if backbone_kwargs:
-        kwargs["backbone"] = _build(BackboneConfig, backbone_kwargs, "model.backbone")
-    if not isinstance(suppression_raw, dict):
-        raise UsageError("config section 'model.suppression' must be a mapping")
-    threshold_spec = {f.name: float for f in fields(ThresholdConfig)}
-    typed = _typed(suppression_raw, threshold_spec, "model.suppression")
-    if typed:
-        kwargs["thresholds"] = _build(ThresholdConfig, typed, "model.suppression")
-    try:
-        return _build(ModelConfig, kwargs, "model", _MODEL_FIELD_KEYS)
-    except (ValidationError, ValueError) as err:
-        raise UsageError(f"invalid model configuration: {err}") from None
+    return config_from(ModelConfig, config.get("model"), "model")
 
 
 def train_config_from(config: dict) -> TrainConfig:
-    spec = {
-        "batch_size": int,
-        "learning_rate": float,
-        "weight_decay": float,
-        "beta1": float,
-        "beta2": float,
-        "epsilon": float,
-        "max_epochs": int,
-        "patience": int,
-        "curriculum_step": int,
-        "seed": int,
-    }
-    typed = _typed(_section(config, "training"), spec, "training")
-    return _build(TrainConfig, typed, "training")
+    return config_from(TrainConfig, config.get("training"), "training")
 
 
 # the scenario fields that ``simulate`` flags override
@@ -194,36 +81,18 @@ _SCENARIO_FLAGS = {
 def scenario_from(config: dict, overrides: dict | None = None) -> SyntheticScenario:
     """The ``synthetic`` section with ``overrides`` (None values skipped) on
     top; an override out of range is reported by its ``simulate`` flag."""
-    spec = {
-        "seed": int,
-        "n_regions": int,
-        "length": int,
-        "beta_low": float,
-        "beta_high": float,
-        "season_period": float,
-        "beta_kind": str,
-        "gamma": float,
-        "noise": float,
-        "population_low": float,
-        "population_high": float,
-        "initial_infected_fraction": float,
-        "self_flow": float,
-        "cross_flow": float,
-        "weekly_amplitude": float,
-        "start_date": str,
-    }
-    kwargs = _typed(_section(config, "synthetic"), spec, "synthetic")
-    overridden = {}
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            kwargs[key] = overridden[key] = value
+    section = config.get("synthetic")
+    overridden = {k: v for k, v in (overrides or {}).items() if v is not None}
+    if section is None or isinstance(section, dict):
+        section = {**(section or {}), **overridden}
     try:
-        return SyntheticScenario(**kwargs)
+        return config_from(SyntheticScenario, section, "synthetic")
     except ConfigRangeError as err:
-        where = f"config synthetic.{err.field}"
-        if err.field in overridden:
-            where = _SCENARIO_FLAGS.get(err.field, where)
-        raise UsageError(f"{where} = {err.value!r}; must be {err.rule}") from None
+        key = err.field.removeprefix("synthetic.")
+        if key not in overridden:
+            raise
+        flag = _SCENARIO_FLAGS[key]
+        raise UsageError(f"{flag} = {err.value!r}; must be {err.rule}") from None
     except DataError as err:
         raise UsageError(f"invalid synthetic scenario: {err}") from None
 
@@ -232,16 +101,8 @@ def scenario_from(config: dict, overrides: dict | None = None) -> SyntheticScena
 
 
 def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    scenario = scenario_from(
-        config,
-        {
-            "seed": args.seed,
-            "n_regions": args.regions,
-            "length": args.length,
-            "noise": args.noise,
-        },
-    )
+    overrides = {key: getattr(args, flag[2:]) for key, flag in _SCENARIO_FLAGS.items()}
+    scenario = scenario_from(load_config(args.config), overrides)
     dataset = datasets.generate_synthetic(scenario)
     datasets.save_dataset(dataset, args.out)
     print(
@@ -640,8 +501,9 @@ def main(argv=None) -> int:
             parser.print_help()
             return EXIT_USAGE
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (UsageError, ConfigRangeError) as err:
+        where = "config " if isinstance(err, ConfigRangeError) else ""
+        print(f"error: {where}{err}", file=sys.stderr)
         print("run 'epicast --help' for usage", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, ValidationError) as err:

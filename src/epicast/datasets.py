@@ -16,8 +16,9 @@ in both dated files; within a day, rows may come in any order.  It rejects,
 as a ``DataError`` naming the file and line of the first defect in file
 order (never filling anything in):
 
+* a byte that is not UTF-8, a NUL byte;
 * a bad header, a wrong column count (a blank line has none), an
-  unparseable date or number (numbers as ``float()`` reads them), a NUL byte;
+  unparseable date or number (numbers as ``float()`` reads them);
 * a region missing from ``population.csv``, or named twice there;
 * a calendar gap between observation days, or a mobility date that is not
   an observation day;
@@ -190,6 +191,12 @@ class _Defects:
             raise DataError(f"{self.path.name}:{self.end + 2}: {self.message}")
 
 
+def _line_at(data: bytes, offset: int) -> int:
+    """The line of ``data[offset]``, each "\\r\\n", "\\r" or "\\n" ending one."""
+    head = data[:offset]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
+
 def _records(path: Path, head: list[str], rule: str, widths: list[int], exact: bool):
     """The header's fields, the records after it from one ``np.loadtxt``
     pass, and the ``_Defects`` to check them.
@@ -203,6 +210,14 @@ def _records(path: Path, head: list[str], rule: str, widths: list[int], exact: b
     first misfit, the first defect; the records before it are parsed again
     with the values as bytes, for ``float()`` (which reads ``1_000``, say).
     """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(
+            f"{path.name}:{_line_at(data, err.start)}: "
+            f"byte 0x{data[err.start]:02x} is not valid UTF-8"
+        ) from None
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -210,10 +225,9 @@ def _records(path: Path, head: list[str], rule: str, widths: list[int], exact: b
             raise DataError(f"{path.name}:1: header must {rule}")
         skip = reader.line_num
     width = len(header) if exact else len(head)
-    data = path.read_bytes()
     nul = data.find(b"\0")
     if nul >= 0:  # loadtxt's parser would end the field there
-        raise DataError(f"{path.name}:{data.count(10, 0, nul) + 1}: a NUL byte")
+        raise DataError(f"{path.name}:{_line_at(data, nul)}: a NUL byte")
     codes = np.frombuffer(data, np.uint8)
     lf, cr = codes == 10, codes == 13
     # line ends as csv reads them: "\r\n", "\r" or "\n"

@@ -8,8 +8,9 @@ first offending index, and the violated rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from datetime import date
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "ValidatedBundle",
     "ValidationError",
     "check_ranges",
+    "config_from",
     "validate",
 ]
 
@@ -48,11 +50,14 @@ class NonFiniteError(ValidationError):
 
 
 class ConfigRangeError(ValidationError):
-    """A configuration field outside its allowed range; ``field`` names it."""
+    """A configuration value the config cannot take; ``field`` names it.
+    ``rule`` says what the value must be, or ``reason`` why it cannot be."""
 
-    def __init__(self, field: str, value, rule: str):
-        super().__init__(f"{field} = {value!r}; must be {rule}")
-        self.field, self.value, self.rule = field, value, rule
+    def __init__(self, field: str, value, rule: str | None, reason: str | None = None):
+        super().__init__(
+            f"{field}: {reason}" if reason else f"{field} = {value!r}; must be {rule}"
+        )
+        self.field, self.value, self.rule, self.reason = field, value, rule, reason
 
 
 _RULES = {
@@ -72,6 +77,67 @@ def check_ranges(config, rules: dict[str, str]) -> None:
         value = getattr(config, name)
         if not _RULES[rule](value):
             raise ConfigRangeError(name, value, rule)
+
+
+def _integral(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          tuple[int, ...]: "a list of integers"}
+
+
+def _field_value(kind, value, where: str, yaml_keys: bool):
+    if is_dataclass(kind):
+        return config_from(kind, value, where, yaml_keys)
+    if kind is int and _integral(value):
+        return int(value)
+    if kind is float and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if kind is str and isinstance(value, (str, date)):
+        return value if isinstance(value, str) else value.isoformat()
+    if kind == tuple[int, ...] and isinstance(value, (list, tuple)):
+        if all(map(_integral, value)):
+            return tuple(map(int, value))
+    raise ConfigRangeError(where, value, _KINDS[kind])
+
+
+def config_from(cls, mapping, where: str, yaml_keys: bool = True):
+    """Build the config dataclass ``cls``, and those nested in it, from
+    ``mapping`` (``None``: all defaults) keyed by YAML key (a field's
+    ``metadata["key"]``, else its name) or, without ``yaml_keys``, by field
+    name.  A bool is never a number.  An int field takes an int or an
+    integral float; a float field a number or a string ``float()`` reads
+    (PyYAML reads ``1e-3`` as one), as a float; a str field a date, as ISO
+    text.  Every defect, ``cls``'s own checks included, is a
+    ``ConfigRangeError`` naming the ``where.key`` path."""
+    mapping = {} if mapping is None else mapping
+    if not isinstance(mapping, dict):
+        raise ConfigRangeError(where, mapping, "a mapping")
+    keys = {
+        f.name: f.metadata.get("key", f.name) if yaml_keys else f.name for f in fields(cls)
+    }
+    names = {key: name for name, key in keys.items()}
+    unknown = sorted(map(str, mapping.keys() - names))
+    if unknown:
+        reason = f"unknown key; valid keys: {', '.join(sorted(names))}"
+        raise ConfigRangeError(f"{where}.{unknown[0]}", None, None, reason)
+    kinds = get_type_hints(cls)
+    kwargs = {
+        names[key]: _field_value(kinds[names[key]], value, f"{where}.{key}", yaml_keys)
+        for key, value in mapping.items()
+    }
+    try:
+        return cls(**kwargs)
+    except ConfigRangeError as err:
+        head, dot, rest = err.field.partition(".")  # ``backbone.dilations`` too
+        field = f"{where}.{keys[head]}{dot}{rest}"
+        raise ConfigRangeError(field, err.value, err.rule, err.reason) from None
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:

@@ -11,14 +11,14 @@ mechanistic core and the loss stay in raw counts.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import adjacency, estimator, metapop
 from .autodiff import Tensor
-from .domain import DimensionMismatchError, ValidationError, check_ranges
+from .domain import ConfigRangeError, DimensionMismatchError, check_ranges
 from .estimator import (
     Backbone,
     BackboneConfig,
@@ -44,9 +44,9 @@ _POSITIVE_SIZES = (
 class ModelConfig:
     """Everything that fixes the model architecture for a dataset."""
 
-    t_in: int = 14
-    t_out: int = 14
-    channels: int = 4
+    t_in: int = field(default=14, metadata={"key": "input_window"})
+    t_out: int = field(default=14, metadata={"key": "forecast_horizon"})
+    channels: int = field(default=4, metadata={"key": "input_channels"})
     pattern_count: int = 9
     pattern_window: int = 7
     pattern_key_dim: int = 16
@@ -54,45 +54,32 @@ class ModelConfig:
     lifted_channels: int = 8
     attention_heads: int = 4
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
+    thresholds: ThresholdConfig = field(
+        default_factory=ThresholdConfig, metadata={"key": "suppression"}
+    )
 
     def __post_init__(self):
+        # each cross-field error names the field a user would change
         if self.channels < 4:
-            raise ValidationError(
-                f"observations need at least the 4 core channels, got "
-                f"{self.channels}"
-            )
+            raise ConfigRangeError("channels", self.channels, None, (
+                f"observations need at least the 4 core channels, got {self.channels}"
+            ))
         check_ranges(self, dict.fromkeys(_POSITIVE_SIZES, ">= 1"))
         if self.lifted_channels % self.attention_heads != 0:
-            raise DimensionMismatchError(
+            raise ConfigRangeError("attention_heads", self.attention_heads, None, (
                 f"{self.attention_heads} attention heads do not evenly divide "
                 f"{self.lifted_channels} lifted channels"
-            )
+            ))
         if self.pattern_window > self.t_in:
-            raise ValidationError(
+            raise ConfigRangeError("pattern_window", self.pattern_window, None, (
                 f"pattern window {self.pattern_window} exceeds the "
                 f"{self.t_in}-day observation window"
-            )
+            ))
         if self.backbone.receptive_field < self.t_in:
-            raise ValidationError(
+            raise ConfigRangeError("backbone.dilations", self.backbone.dilations, None, (
                 f"backbone receptive field {self.backbone.receptive_field} "
                 f"cannot see the full {self.t_in}-day window"
-            )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(payload: Mapping) -> "ModelConfig":
-        payload = dict(payload)
-        payload["backbone"] = BackboneConfig(
-            **{
-                **dict(payload.get("backbone", {})),
-                "dilations": tuple(payload.get("backbone", {}).get("dilations", (1, 2, 4, 8))),
-            }
-        )
-        payload["thresholds"] = ThresholdConfig(**dict(payload.get("thresholds", {})))
-        return ModelConfig(**payload)
+            ))
 
 
 @dataclass

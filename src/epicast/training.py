@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .datasets import WindowSet, atomic_write
-from .domain import DimensionMismatchError, check_ranges
+from .domain import ConfigRangeError, DimensionMismatchError, check_ranges, config_from
 from .pipeline import ForecastModel, ModelConfig
 from .suppression import EmaState
 
@@ -82,20 +82,6 @@ class TrainConfig:
             "max_epochs": ">= 1", "patience": ">= 0", "curriculum_step": ">= 0",
             "seed": ">= 0",
         })
-
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "curriculum_step": self.curriculum_step,
-            "seed": self.seed,
-        }
 
 
 def mae_loss(predictions, truth):
@@ -267,8 +253,8 @@ def fit(
 # ---------------------------------------------------------------- checkpoints
 
 
-def _config_hash(config: ModelConfig) -> str:
-    canonical = json.dumps(config.to_dict(), sort_keys=True)
+def _config_hash(payload: dict) -> str:
+    canonical = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -297,10 +283,11 @@ def save_checkpoint(
         )
         blobs.append(blob)
         offset += len(blob)
+    config = asdict(model.config)
     manifest = {
         "format_version": 1,
-        "config_hash": _config_hash(model.config),
-        "model_config": model.config.to_dict(),
+        "config_hash": _config_hash(config),
+        "model_config": config,
         "n_regions": model.n_regions,
         "regions": regions,
         "seed": model.seed,
@@ -309,7 +296,7 @@ def save_checkpoint(
         "ema": model.ema.as_dict(),
         "scaler_mean": [float(v) for v in model.scaler_mean],
         "scaler_scale": [float(v) for v in model.scaler_scale],
-        "train_config": train_config.to_dict() if train_config else None,
+        "train_config": asdict(train_config) if train_config else None,
         "params": records,
     }
     encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -372,12 +359,16 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     for index, record in enumerate(manifest["params"]):
         _require_keys(record, _PARAM_KEYS, f"manifest params[{index}]", path)
     try:
-        config = ModelConfig.from_dict(manifest["model_config"])
-    except (TypeError, AttributeError) as err:
+        config = config_from(
+            ModelConfig, manifest["model_config"], "model_config", yaml_keys=False
+        )
+    except ConfigRangeError as err:
         raise ValueError(
             f"{path}: checkpoint manifest key 'model_config' is malformed ({err})"
         ) from None
-    if _config_hash(config) != manifest["config_hash"]:
+    # the stored payload, not ``config``: a float field that a caller set to
+    # an int is stored as one but reads back as a float
+    if _config_hash(manifest["model_config"]) != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration hash mismatch")
     model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"])
     params = model.parameters()

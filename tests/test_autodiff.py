@@ -121,24 +121,6 @@ class TestArithmetic:
 
         check_op(build, [(3, 3), (3, 3)], tag=6)
 
-    def test_rdiv(self):
-        def build(a):
-            return project(2.0 / (a * a + 1.0), 7)
-
-        check_op(build, [(4,)], tag=7)
-
-    def test_neg(self):
-        def build(a):
-            return project(-a, 8)
-
-        check_op(build, [(2, 3)], tag=8)
-
-    def test_pow(self):
-        def build(a):
-            return project((a * a + 0.5) ** 1.5, 9)
-
-        check_op(build, [(3, 2)], tag=9)
-
     def test_matmul_2d(self):
         def build(a, b):
             return project(a @ b, 10)
@@ -160,14 +142,6 @@ class TestArithmetic:
         for shapes in ([(5, 3, 4), (4, 2)], [(2, 3, 5, 4), (4, 2)], [(5, 3, 4), (1, 4, 2)]):
             check_op(build, shapes, tag=12)
 
-    def test_rmatmul_plain_left(self):
-        fixed = rng_for(13).standard_normal((2, 3))
-
-        def build(b):
-            return project(fixed @ b, 13)
-
-        check_op(build, [(3, 4)], tag=13)
-
 
 # ------------------------------------------------------------ elementwise ops
 
@@ -177,7 +151,6 @@ class TestElementwise:
         "name,fn,low,high",
         [
             ("exp", ad.exp, -2.0, 2.0),
-            ("log", lambda t: ad.log(t * t + 0.5), -2.0, 2.0),
             ("tanh", ad.tanh, -3.0, 3.0),
             ("sigmoid", ad.sigmoid, -4.0, 4.0),
             ("absolute", ad.absolute, 0.1, 2.0),
@@ -213,23 +186,6 @@ class TestElementwise:
 
         # inputs in [0.5, 1.5] keep every pre-activation at least 1 from zero
         check_op(build, [(4, 5)], tag=20, low=0.5, high=1.5)
-
-    def test_minimum_and_tie_routing(self):
-        # keep the two branches at least 0.5 apart so the crossing kink
-        # never falls inside the finite-difference stencil
-        rng = rng_for(21)
-        gap = np.where(rng.random((4, 4)) < 0.5, 0.75, -0.75)
-
-        def build(a, b):
-            return project(ad.minimum(a, b + gap), 21)
-
-        check_op(build, [(4, 4), (4, 4)], tag=21, low=-0.1, high=0.1)
-        # exact tie: gradient goes to the first argument
-        a = Tensor(np.array([1.0, 5.0]), requires_grad=True)
-        b = Tensor(np.array([1.0, 3.0]), requires_grad=True)
-        ad.minimum(a, b).sum().backward()
-        np.testing.assert_array_equal(a.grad, [1.0, 0.0])
-        np.testing.assert_array_equal(b.grad, [0.0, 1.0])
 
     def test_softmax_rows(self):
         def build(a):
@@ -402,12 +358,6 @@ class TestGraphEngine:
         assert x.grad is None
         (x * 3.0).backward()
         np.testing.assert_allclose(x.grad, [3.0])
-
-    def test_detach_cuts_graph(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        d = x.detach()
-        assert not d.requires_grad
-        np.testing.assert_array_equal(d.data, x.data)
 
     def test_basic_properties(self):
         t = Tensor(np.zeros((2, 3)))

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import builtins
 import csv
+import hashlib
+import json
 import re
 import shutil
 import subprocess
@@ -17,6 +19,9 @@ import yaml
 
 from epicast import cli
 from epicast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from epicast.datasets import SyntheticScenario
+from epicast.pipeline import ModelConfig
+from epicast.training import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -138,7 +143,7 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key,value", [("n_regions", 0), ("length", -3), ("noise", -0.5)]
+        "key,value", [("n_regions", 0), ("length", -3), ("noise", -0.5), ("n_regions", 3.7)]
     )
     def test_out_of_range_config_is_usage_error(self, tmp_path, capsys, key, value):
         config = tmp_path / "bad.yaml"
@@ -251,6 +256,15 @@ class TestTrain:
             ("training.batch_size", 0),
             ("training.max_epochs", 0),
             ("model.suppression.downscale", 2.0),
+            # values a cast would once have changed without a word
+            ("model.input_window", 14.9),
+            ("model.attention_heads", True),
+            ("model.backbone.dilations", [1.5, 2.7]),
+            ("model.backbone.dilations", "1248"),
+            ("model.backbone.hidden_dim", "16"),
+            ("model.suppression.downscale", True),
+            ("training.seed", 2.5),
+            ("training.batch_size", True),
         ],
     )
     def test_out_of_range_value_is_usage_error(
@@ -268,6 +282,40 @@ class TestTrain:
         assert main(argv) == EXIT_USAGE
         assert f"config {key} = {value!r}; must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value,named,reason",
+        [
+            ("lifted_channels", 6, "attention_heads", "do not evenly divide"),
+            ("pattern_window", 20, "pattern_window", "exceeds the 14-day"),
+        ],
+    )
+    def test_cross_field_defect_names_the_key_to_change(
+        self, workdir, tmp_path, capsys, key, value, named, reason
+    ):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"model": {key: value}}), encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        argv = ["train", "--config", str(bad), "--data", str(workdir["data"]),
+                "--out", str(out), "--quiet"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config model.{named}: " in err and reason in err
+        assert not out.exists()
+
+    def test_default_yaml_holds_the_builtin_defaults(self):
+        config = cli.load_config(CONFIG_DIR / "default.yaml")
+        assert cli.model_config_from(config) == ModelConfig()
+        assert cli.train_config_from(config) == TrainConfig()
+        assert cli.scenario_from(config) == SyntheticScenario()
+
+    @pytest.mark.parametrize(
+        "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.name
+    )
+    def test_shipped_configs_build_model_and_training(self, config):
+        payload = cli.load_config(config)
+        cli.model_config_from(payload)
+        cli.train_config_from(payload)
 
 
 class TestForecast:
@@ -426,8 +474,6 @@ class TestOutOfRangeInput:
 
 def rewrite_manifest(source, target, edit):
     """Copy a checkpoint with its JSON manifest changed by ``edit``."""
-    import json
-
     raw = Path(source).read_bytes()
     length = int.from_bytes(raw[8:12], "little")
     manifest = json.loads(raw[12 : 12 + length])
@@ -439,6 +485,24 @@ def rewrite_manifest(source, target, edit):
 
 
 class TestCorruptCheckpoint:
+    def test_non_integral_size_with_its_hash_is_data_error(
+        self, workdir, tmp_path, capsys
+    ):
+        def edit(manifest):
+            manifest["model_config"]["t_in"] = 8.5
+            canonical = json.dumps(manifest["model_config"], sort_keys=True)
+            manifest["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+
+        broken = tmp_path / "broken.ckpt"
+        rewrite_manifest(workdir["ckpt"], broken, edit)
+        out = tmp_path / "x.csv"
+        code = main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                     str(broken), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'model_config' is malformed" in err and "t_in = 8.5" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit,key",
         [

@@ -348,6 +348,35 @@ class TestLoaderInputRules:
         with pytest.raises(DataError, match=r"^mobility\.csv:3: a NUL byte$"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "name,line,change",
+        [
+            ("population.csv", 1, swap(b"region", b"regi\xffon")),
+            ("population.csv", 3, swap(b"r1", b"r\xff1")),
+            ("mobility.csv", 4, lambda old: old + b",n\xffte"),
+        ],
+        ids=["header", "region-name", "mobility-column-after-the-fourth"],
+    )
+    def test_byte_that_is_not_utf8_is_refused(self, tmp_path, name, line, change):
+        self.saved(tmp_path)
+        edit_line(tmp_path / name, line, change)
+        with pytest.raises(
+            DataError, match=rf"^{re.escape(name)}:{line}: byte 0xff is not valid UTF-8$"
+        ):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "byte,message", [(b"\0", "a NUL byte"), (b"\xff", "byte 0xff is not valid UTF-8")]
+    )
+    @pytest.mark.parametrize("end", [b"\n", b"\r"])
+    def test_bad_byte_line_counts_every_line_end(self, tmp_path, byte, message, end):
+        self.saved(tmp_path)
+        edit_line(tmp_path / "mobility.csv", 3, with_value(b"1.5" + byte))
+        path = tmp_path / "mobility.csv"
+        path.write_bytes(path.read_bytes().replace(b"\r\n", end))
+        with pytest.raises(DataError, match=rf"^mobility\.csv:3: {message}$"):
+            load_dataset(tmp_path)
+
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)

@@ -3,11 +3,18 @@ initialization, suppression bookkeeping, and inference without a tape."""
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from epicast import suppression
-from epicast.domain import DimensionMismatchError, ValidationError
+from epicast.domain import (
+    ConfigRangeError,
+    DimensionMismatchError,
+    ValidationError,
+    config_from,
+)
 from epicast.estimator import BackboneConfig
 from epicast.pipeline import ForecastModel, ModelConfig
 from epicast.suppression import ThresholdConfig
@@ -19,7 +26,7 @@ from conftest import rng_for, small_model_config
 class TestModelConfig:
     def test_dict_round_trip(self):
         config = small_model_config()
-        rebuilt = ModelConfig.from_dict(config.to_dict())
+        rebuilt = config_from(ModelConfig, asdict(config), "model_config", yaml_keys=False)
         assert rebuilt == config
         assert rebuilt.backbone.dilations == config.backbone.dilations
 
@@ -28,8 +35,9 @@ class TestModelConfig:
             small_model_config(channels=3)
 
     def test_heads_must_divide_lifted_channels(self):
-        with pytest.raises(DimensionMismatchError, match="heads"):
+        with pytest.raises(ConfigRangeError, match="heads") as raised:
             small_model_config(lifted_channels=6, attention_heads=4)
+        assert raised.value.field == "attention_heads"
 
     def test_pattern_window_within_observation_window(self):
         with pytest.raises(ValidationError, match="pattern window"):

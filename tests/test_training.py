@@ -3,6 +3,8 @@ early stopping, and run-to-run determinism."""
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from epicast import datasets, training
 from epicast.autodiff import Tensor
 from epicast.domain import DimensionMismatchError
 from epicast.pipeline import ForecastModel
+from epicast.suppression import ThresholdConfig
 from epicast.training import (
     Adam,
     TrainConfig,
@@ -149,7 +152,7 @@ class TestAdam:
 class TestTrainConfig:
     def test_to_dict_round_trips_every_field(self):
         config = TrainConfig(batch_size=8, max_epochs=2, seed=99)
-        payload = config.to_dict()
+        payload = asdict(config)
         rebuilt = TrainConfig(**payload)
         assert rebuilt == config
 
@@ -263,7 +266,17 @@ class TestCheckpoint:
         assert loaded.manifest["epoch"] == 4
         assert loaded.manifest["val_loss"] == 1.5
         assert loaded.manifest["regions"] == list(train_w.regions)
-        assert loaded.manifest["train_config"] == t_config.to_dict()
+        assert loaded.manifest["train_config"] == asdict(t_config)
+
+    def test_float_field_set_to_an_int_loads(self, tmp_path):
+        # stored as 1, read back as 1.0: the hash covers the stored payload
+        train_w, _, config = build_windows()
+        config = replace(config, thresholds=ThresholdConfig(downscale=1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(train_w, config), path)
+        loaded = load_checkpoint(path)
+        assert loaded.model.config == config
+        assert type(loaded.model.config.thresholds.downscale) is float
 
     def test_saved_twice_is_byte_identical(self, tmp_path):
         train_w, _, config = build_windows()
