@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from datetime import date as date_type, timedelta
@@ -93,8 +94,6 @@ def scenario_from(config: dict, overrides: dict | None = None) -> SyntheticScena
             raise
         flag = _SCENARIO_FLAGS[key]
         raise UsageError(f"{flag} = {err.value!r}; must be {err.rule}") from None
-    except DataError as err:
-        raise UsageError(f"invalid synthetic scenario: {err}") from None
 
 
 # ----------------------------------------------------------------- subcommands
@@ -430,7 +429,10 @@ def _flag(cast, rule: str, ok):
     return convert
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process: parsing reads it and never
+    changes it, so every ``main`` call shares it."""
     parser = _Parser(
         prog="epicast",
         description=(

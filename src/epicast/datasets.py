@@ -46,6 +46,7 @@ import numpy as np
 
 from .domain import (
     CompartmentState,
+    ConfigRangeError,
     MobilitySeries,
     ObservationHistory,
     PopulationVector,
@@ -733,12 +734,19 @@ class SyntheticScenario:
             "seed": ">= 0", "n_regions": ">= 1", "length": ">= 1", "noise": ">= 0",
         })
         if self.beta_kind not in ("seasonal", "bump", "constant"):
-            raise DataError(
-                f"beta_kind must be seasonal, bump, or constant, got "
-                f"{self.beta_kind!r}"
+            raise ConfigRangeError(
+                "beta_kind", self.beta_kind, "one of seasonal, bump, constant"
             )
-        if not (0.0 < self.beta_low <= self.beta_high < 1.0):
-            raise DataError("need 0 < beta_low <= beta_high < 1")
+        if not 0.0 < self.beta_low < 1.0:
+            raise ConfigRangeError("beta_low", self.beta_low, "in (0, 1)")
+        if not self.beta_low <= self.beta_high < 1.0:
+            raise ConfigRangeError("beta_high", self.beta_high, "in [beta_low, 1)")
+        try:
+            date_type.fromisoformat(self.start_date)
+        except (TypeError, ValueError):
+            raise ConfigRangeError(
+                "start_date", self.start_date, "an ISO date such as 2020-01-01"
+            ) from None
 
 
 def _structure_rng(scenario: SyntheticScenario) -> np.random.Generator:

@@ -12,11 +12,17 @@ per region and horizon day; two sigmoid heads read off the rates.
 
 All operations accept plain ndarrays or autodiff Tensors, batched
 (leading B axis) or single-instance.  Two layers are fused tape nodes
-built with ``make_op``, each with a hand-derived backward: the attention
-dependency (a closed-form softmax Jacobian-vector product, so none of its
-(B, H, T, N, N) intermediates is recorded) and the whole backbone (one
-convolution per gated layer through ``kernels.active()``, a closed-form
-gate, mixing and readout backward).
+built with ``make_op``, each with a hand-derived backward:
+
+* the attention dependency: a closed-form softmax Jacobian-vector product,
+  so none of its (B, H, T, N, N) intermediates is recorded; its softmax and
+  Jacobian passes run over blocks of whole batch elements sized to stay in
+  L2 cache;
+* the whole backbone: separate filter and gate convolutions per gated layer
+  through ``kernels.active()``, each giving one contiguous block that the
+  gate forward and backward work on in place; each layer's input written
+  once, into its zero-padded buffer; a closed-form gate, mixing and readout
+  backward.
 """
 
 from __future__ import annotations
@@ -53,12 +59,40 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int, *lead) -> np.ndarra
     return rng.uniform(-bound, bound, size=(*lead, n_in, n_out))
 
 
+# The backbone's channel maps act on (B*N*T, C) row blocks with C of 16 or
+# 32.  As one product over all rows they leave BLAS's small-matrix kernels
+# and run up to 2.5x slower (bundled OpenBLAS, one thread); one product per
+# batch element stays on them.
+
+
+def _per_element(block: np.ndarray, batch: int) -> np.ndarray:
+    """A (rows, C) block as (batch, rows / batch, C)."""
+    return block.reshape(batch, len(block) // max(batch, 1), block.shape[-1])
+
+
+def _rows_times(block: np.ndarray, weight: np.ndarray, batch: int) -> np.ndarray:
+    """``block @ weight`` for a (rows, C) block, one product per batch element."""
+    return (_per_element(block, batch) @ weight).reshape(len(block), weight.shape[-1])
+
+
+def _rows_gram(left: np.ndarray, right: np.ndarray, batch: int) -> np.ndarray:
+    """``left.T @ right`` over two (rows, C) blocks, summed per batch element."""
+    per_element = np.swapaxes(_per_element(left, batch), 1, 2) @ _per_element(right, batch)
+    return per_element.sum(axis=0)
+
+
 # ------------------------------------------------------------------ feature ops
 
 
 def lift_features(observations, weight, bias):
     """Pointwise affine lift across the channel axis: (..., C) -> (..., C')."""
     return ad.matmul(observations, weight) + bias
+
+
+# The dependency's softmax and Jacobian passes run over blocks of whole batch
+# elements whose (H, T, N, N) score rows fit in about one core's L2 cache, so
+# each elementwise pass reads its block from cache rather than from memory.
+_DEPENDENCY_BLOCK_BYTES = 2 * 1024 * 1024
 
 
 def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
@@ -70,7 +104,8 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
 
     One fused tape node: the forward keeps only the (B, H, T, N, N) softmax
     rows, and the backward applies the closed-form softmax Jacobian to the
-    pooled gradient, which the mean hands to every head and day alike.
+    pooled gradient, which the mean hands to every head and day alike.  Both
+    run block by block over the batch (``_DEPENDENCY_BLOCK_BYTES``).
     """
     data = ad.as_data(lifted)
     q_data = ad.as_data(query_weight)
@@ -85,6 +120,12 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     head_dim = channels // heads
     scale = np.sqrt(head_dim)
     flat_lifted = batched.reshape(-1, channels)
+    block_elements = max(
+        1, _DEPENDENCY_BLOCK_BYTES // (heads * days * regions * regions * 8)
+    )
+    blocks = [
+        slice(start, start + block_elements) for start in range(0, batch, block_elements)
+    ]
 
     def split_heads(projected: np.ndarray) -> np.ndarray:
         # (B*N*T, C) -> (B, H, T, N, head)
@@ -94,13 +135,17 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
 
     query = split_heads(flat_lifted @ q_data)
     key = split_heads(flat_lifted @ k_data)
-    rows = query @ np.swapaxes(key, -1, -2)
-    rows /= scale
-    rows -= rows.max(axis=-1, keepdims=True)
-    np.exp(rows, out=rows)
-    rows /= rows.sum(axis=-1, keepdims=True)
     count = heads * days
-    pooled = rows.sum(axis=(1, 2)) * (1.0 / count)
+    rows = np.empty((batch, heads, days, regions, regions))
+    pooled = np.empty((batch, regions, regions))
+    for part in blocks:
+        block = rows[part]
+        np.matmul(query[part], np.swapaxes(key[part], -1, -2), out=block)
+        block /= scale
+        block -= block.max(axis=-1, keepdims=True)
+        np.exp(block, out=block)
+        block /= block.sum(axis=-1, keepdims=True)
+        pooled[part] = block.sum(axis=(1, 2)) * (1.0 / count)
     out_shape = (regions, regions) if squeeze else pooled.shape
     tracked = [t for t in (lifted, query_weight, key_weight) if isinstance(t, Tensor)]
     if not tracked:
@@ -110,17 +155,25 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
         # d(mean)/d(scores) for one (head, day) block is P * (G - rowsum(G * P));
         # the 1/(H*T) of the mean and the 1/sqrt(d) of the scores fold into G.
         upstream = (g.reshape(batch, 1, 1, regions, regions) * (1.0 / count)) / scale
-        g_scores = rows * upstream
-        row_dot = g_scores.sum(axis=-1, keepdims=True)
-        np.subtract(upstream, row_dot, out=g_scores)
-        g_scores *= rows
+        g_scores = np.empty((min(batch, block_elements), heads, days, regions, regions))
+        g_query = np.empty((batch, heads, days, regions, head_dim))
+        g_key = np.empty_like(g_query)
+        for part in blocks:
+            block, pulled = rows[part], upstream[part]
+            scores = g_scores[: block.shape[0]]
+            np.multiply(block, pulled, out=scores)
+            row_dot = scores.sum(axis=-1, keepdims=True)
+            np.subtract(pulled, row_dot, out=scores)
+            scores *= block
+            np.matmul(scores, key[part], out=g_query[part])
+            np.matmul(np.swapaxes(scores, -1, -2), query[part], out=g_key[part])
         # (B, H, T, N, head) -> (B*N*T, C)
-        g_query = (g_scores @ key).transpose(0, 3, 2, 1, 4).reshape(-1, channels)
-        g_key = (np.swapaxes(g_scores, -1, -2) @ query).transpose(
-            0, 3, 2, 1, 4
-        ).reshape(-1, channels)
+        g_query = g_query.transpose(0, 3, 2, 1, 4).reshape(-1, channels)
+        g_key = g_key.transpose(0, 3, 2, 1, 4).reshape(-1, channels)
         if isinstance(lifted, Tensor) and lifted.requires_grad:
-            g_flat = g_query @ q_data.T + g_key @ k_data.T
+            # contiguous transposes: BLAS's transposed-operand path is slower
+            g_flat = g_query @ np.ascontiguousarray(q_data.T)
+            g_flat += g_key @ np.ascontiguousarray(k_data.T)
             lifted._accumulate(g_flat.reshape(data.shape))
         if isinstance(query_weight, Tensor) and query_weight.requires_grad:
             query_weight._accumulate(flat_lifted.T @ g_query)
@@ -298,13 +351,16 @@ class Backbone:
         """Distill (B, N, T_in, C) + (B, N, N) into (B, N, T_out, out_dim).
 
         One fused tape node.  Per layer, the filter and gate convolutions run
-        as one convolution over their weights concatenated to 2 x hidden
-        output channels, the gate half scaled by 1/2, so that one ``tanh``
-        pass gives both ``tanh(f)`` and ``sigmoid(g) = (1 + tanh(g / 2)) / 2``.
-        The skip projections of all layers are one GEMM over the layers'
-        outputs stacked along channels.  The forward keeps each layer's padded
-        input and activations; the backward differentiates the gate, mixing,
-        readout and adjacency normalization in closed form.
+        as two ``conv_fwd`` calls, so each output is one contiguous
+        (B*N*T, hidden) block; the gate's weights and bias are halved so that
+        ``tanh`` gives ``sigmoid(g) = (1 + tanh(g / 2)) / 2``, and the gate
+        forward and backward run in place on those blocks.  Each layer's
+        input lives only in its zero-padded buffer: the residual update of
+        the layer before writes into it, and the backward reads it back for
+        the weight gradients.  The forward keeps, per layer, that buffer,
+        ``tanh(f)``, the sigmoid and the output ``h``; the backward
+        differentiates the gate, mixing, skip projections, readout and
+        adjacency normalization in closed form.
         """
         feat = ad.as_data(features)
         adj = ad.as_data(adjacency)
@@ -319,56 +375,83 @@ class Backbone:
         adj3 = adj[None] if adj.ndim == 2 else adj
         hid, layers = self.config.hidden_dim, len(self.config.dilations)
         rows, width = batch * regions * days, days * hid
+        series = (batch, regions, width)  # each region's (T, hidden) block as one row
+        cells = (batch, regions, days, hid)
         p = self.params
         data = {name: ad.as_data(value) for name, value in p.items()}
         tags = [f"layer{index}_" for index in range(layers)]
-        conv_weights = [
-            np.concatenate(
-                (data[tag + "filter_weight"], 0.5 * data[tag + "gate_weight"]), axis=-1
-            )
-            for tag in tags
-        ]
-        conv_biases = [
-            np.concatenate((data[tag + "filter_bias"], 0.5 * data[tag + "gate_bias"]))
-            for tag in tags
-        ]
-        skip_weight = np.concatenate([data[tag + "skip_weight"] for tag in tags])
+        pads = [(self.config.kernel_size - 1) * d for d in self.config.dilations]
         kern = kernels.active()
+
+        def times(block: np.ndarray, name: str) -> np.ndarray:
+            return _rows_times(block, data[name], batch)
+
+        def tiled(name: str) -> np.ndarray:
+            # the bias once per day, so that its add runs over whole
+            # (T*width) rows instead of numpy's inner loop over one day's width
+            per_day = np.empty((days, data[name].shape[-1]))
+            per_day[...] = data[name]
+            return per_day.reshape(-1)
+
+        def layer_input(index: int) -> tuple[np.ndarray, np.ndarray]:
+            """Layer ``index``'s zero-padded input buffer, and a (B, N, T*hidden)
+            view of its unpadded part for the layer before to write into."""
+            pad = pads[index]
+            buffer = np.empty((batch, regions, pad + days, hid))
+            flat = buffer.reshape(batch, regions, (pad + days) * hid)
+            flat[:, :, : pad * hid] = 0.0
+            return buffer, flat[:, :, pad * hid :]
 
         magnitude = np.abs(adj3)
         norm = magnitude.sum(axis=-1, keepdims=True) + _EPSILON
         support = magnitude / norm
         flat_feat = feat.reshape(rows, channels)
-        x = flat_feat @ data["input_weight"] + data["input_bias"]
-        stacked = np.empty((rows, layers * hid))  # every layer's h, side by side
-        padded, tanhs, sigmoids = [], [], []
+        xpad, x = layer_input(0)
+        np.add(times(flat_feat, "input_weight").reshape(series), tiled("input_bias"), out=x)
+        padded, tanhs, sigmoids, outputs = [], [], [], []
+        skip_total = None
         for index, (tag, dilation) in enumerate(zip(tags, self.config.dilations)):
-            pad = (self.config.kernel_size - 1) * dilation
-            xpad = np.zeros((batch, regions, days + pad, hid))
-            xpad[:, :, pad:, :] = x.reshape(batch, regions, days, hid)
-            z = kern.conv_fwd(xpad, conv_weights[index], conv_biases[index], dilation)
-            z = z.reshape(rows, 2 * hid)
-            np.tanh(z, out=z)
-            sg = z[:, hid:] * 0.5
-            sg += 0.5
-            h = z[:, :hid] * sg
-            stacked[:, index * hid : (index + 1) * hid] = h
+            filt = kern.conv_fwd(
+                xpad, data[tag + "filter_weight"], data[tag + "filter_bias"], dilation
+            ).reshape(rows, hid)
+            gate = kern.conv_fwd(
+                xpad, 0.5 * data[tag + "gate_weight"], 0.5 * data[tag + "gate_bias"], dilation
+            ).reshape(rows, hid)
+            np.tanh(filt, out=filt)
+            np.tanh(gate, out=gate)
+            gate *= 0.5
+            gate += 0.5
+            h = filt * gate
+            skip = times(h, tag + "skip_weight")
+            if skip_total is None:
+                skip_total = skip
+            else:
+                skip_total += skip
             padded.append(xpad)
-            tanhs.append(z)
-            sigmoids.append(sg)
+            tanhs.append(filt)
+            sigmoids.append(gate)
+            outputs.append(h)
             if index < layers - 1:
-                mixed = (support @ h.reshape(batch, regions, width)).reshape(rows, hid)
-                x += mixed @ data[tag + "neighbor_weight"]
-                x += h @ data[tag + "self_weight"]
-                x += data[tag + "mix_bias"]
-        skip_total = stacked @ skip_weight
+                # x_next = x + ((support @ h) @ W_nb + h @ W_self + b), written
+                # straight into the next layer's padded buffer
+                mixed = (support @ h.reshape(series)).reshape(rows, hid)
+                update = times(mixed, tag + "neighbor_weight")
+                update += times(h, tag + "self_weight")
+                update = update.reshape(series)
+                update += tiled(tag + "mix_bias")
+                xpad, x_next = layer_input(index + 1)
+                np.add(x, update, out=x_next)
+                x = x_next
         skip_read = np.maximum(skip_total, 0.0)
-        read = np.maximum(skip_read @ data["end_weight"] + data["end_bias"], 0.0)
+        read = times(skip_read, "end_weight")
         out_dim = read.shape[-1]
+        per_series = read.reshape(batch, regions, days * out_dim)
+        per_series += tiled("end_bias")
+        np.maximum(read, 0.0, out=read)
         # (B, N, T_in, out) -> (B*N*out, T_in) for the time map
         over_time = read.reshape(batch, regions, days, out_dim).transpose(0, 1, 3, 2)
         over_time = over_time.reshape(-1, days)
-        mapped = over_time @ data["time_weight"] + data["time_bias"]
+        mapped = times(over_time, "time_weight") + data["time_bias"]
         latent = np.ascontiguousarray(
             mapped.reshape(batch, regions, out_dim, self.t_out).transpose(0, 1, 3, 2)
         )
@@ -394,80 +477,80 @@ class Backbone:
                 # a GEMV: numpy's axis-0 reduction is several times slower here
                 return ones[: block.shape[0]] @ block
 
+            def gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+                return _rows_gram(left, right, batch)
+
+            def times_t(block: np.ndarray, name: str) -> np.ndarray:
+                # a contiguous transpose: BLAS's transposed-operand path is slower
+                return _rows_times(block, np.ascontiguousarray(data[name].T), batch)
+
             # time map, then the channel readout, back to the skip sum
             g_mapped = g.reshape(batch, regions, self.t_out, out_dim).transpose(0, 1, 3, 2)
             g_mapped = g_mapped.reshape(-1, self.t_out)
             grads["time_bias"] = column_sums(g_mapped)
-            grads["time_weight"] = over_time.T @ g_mapped
-            g_read = (g_mapped @ data["time_weight"].T).reshape(
-                batch, regions, out_dim, days
-            )
+            grads["time_weight"] = gram(over_time, g_mapped)
+            g_read = times_t(g_mapped, "time_weight").reshape(batch, regions, out_dim, days)
             g_read = g_read.transpose(0, 1, 3, 2).reshape(rows, out_dim)
             g_read *= read > 0.0
             grads["end_bias"] = column_sums(g_read)
-            grads["end_weight"] = skip_read.T @ g_read
-            g_skip = g_read @ data["end_weight"].T
+            grads["end_weight"] = gram(skip_read, g_read)
+            g_skip = times_t(g_read, "end_weight")
             g_skip *= skip_total > 0.0
-            g_skip_weight = stacked.T @ g_skip
-            g_stacked = g_skip @ skip_weight.T
             g_support = np.zeros((batch, regions, regions)) if wants(adjacency) else None
             g_x = None  # gradient of the current layer's residual output
             for index in range(layers - 1, -1, -1):
                 tag, dilation = tags[index], self.config.dilations[index]
-                columns = slice(index * hid, (index + 1) * hid)
-                grads[tag + "skip_weight"] = g_skip_weight[columns]
-                g_h = g_stacked[:, columns]
+                h = outputs[index]
+                grads[tag + "skip_weight"] = gram(h, g_skip)
+                g_h = times_t(g_skip, tag + "skip_weight")
                 if g_x is not None:
                     # x_next = x + (support @ h) @ W_nb + h @ W_self + b: the
                     # neighbor terms go through P = support^T @ g_x.
-                    h = np.ascontiguousarray(stacked[:, columns])
-                    g_flat = g_x.reshape(batch, regions, width)
+                    g_flat = g_x.reshape(series)
                     pulled = (np.swapaxes(support, -1, -2) @ g_flat).reshape(rows, hid)
                     grads[tag + "mix_bias"] = column_sums(g_x)
-                    grads[tag + "self_weight"] = h.T @ g_x
-                    grads[tag + "neighbor_weight"] = h.T @ pulled
-                    g_h = g_h + pulled @ data[tag + "neighbor_weight"].T
-                    g_h += g_x @ data[tag + "self_weight"].T
+                    grads[tag + "self_weight"] = gram(h, g_x)
+                    grads[tag + "neighbor_weight"] = gram(h, pulled)
+                    g_h += times_t(pulled, tag + "neighbor_weight")
+                    g_h += times_t(g_x, tag + "self_weight")
                     if g_support is not None:
-                        g_mixed = g_x @ data[tag + "neighbor_weight"].T
-                        g_support += g_mixed.reshape(batch, regions, width) @ np.swapaxes(
-                            h.reshape(batch, regions, width), -1, -2
-                        )
-                # h = tanh(f) * sg with sg = (1 + tanh(u)) / 2 and u = g / 2:
-                #   g_f = g_h * sg * (1 - tanh(f)^2)
-                #   g_u = g_h * tanh(f) / 2 * (1 - tanh(u)^2), i.e. 2 * g_g.
-                # The saved tanh block becomes the conv's upstream gradient in
-                # place (this closure runs once per walk).
-                z, sg = tanhs[index], sigmoids[index]
-                g_f = g_h * sg
-                g_u = g_h * z[:, :hid]
-                g_u *= 0.5
-                np.multiply(z, z, out=z)
-                np.subtract(1.0, z, out=z)
-                z[:, :hid] *= g_f
-                z[:, hid:] *= g_u
-                pad = (self.config.kernel_size - 1) * dilation
-                g_xpad, g_w, g_b = kern.conv_bwd(
-                    z.reshape(batch, regions, days, 2 * hid),
-                    padded[index],
-                    conv_weights[index],
-                    dilation,
+                        g_mixed = times_t(g_x, tag + "neighbor_weight").reshape(series)
+                        g_support += g_mixed @ np.swapaxes(h.reshape(series), -1, -2)
+                # h = tanh(f) * s with s = sigmoid(g):
+                #   g_f = g_h * s * (1 - tanh(f)^2)
+                #   g_g = g_h * tanh(f) * s * (1 - s)
+                # computed in place in the saved blocks (this closure runs
+                # once per walk); the gate's conv backward then takes the
+                # unhalved weights, so no gradient needs rescaling.
+                t_f, s = tanhs[index], sigmoids[index]
+                g_g = g_h * t_f
+                g_g *= s
+                g_h *= s
+                np.subtract(1.0, s, out=s)
+                g_g *= s
+                np.multiply(t_f, t_f, out=t_f)
+                np.subtract(1.0, t_f, out=t_f)
+                t_f *= g_h
+                xpad, pad = padded[index], pads[index]
+                g_from_filter, grads[tag + "filter_weight"], grads[tag + "filter_bias"] = (
+                    kern.conv_bwd(t_f.reshape(cells), xpad, data[tag + "filter_weight"], dilation)
                 )
-                # the conv saw the gate weights halved
-                grads[tag + "filter_weight"] = g_w[..., :hid]
-                grads[tag + "gate_weight"] = 0.5 * g_w[..., hid:]
-                grads[tag + "filter_bias"] = g_b[:hid]
-                grads[tag + "gate_bias"] = 0.5 * g_b[hid:]
-                g_conv = g_xpad[:, :, pad:, :].reshape(rows, hid)
-                g_x = g_conv if g_x is None else g_x + g_conv
+                g_from_gate, grads[tag + "gate_weight"], grads[tag + "gate_bias"] = (
+                    kern.conv_bwd(g_g.reshape(cells), xpad, data[tag + "gate_weight"], dilation)
+                )
+                g_in = np.add(g_from_filter[:, :, pad:, :], g_from_gate[:, :, pad:, :])
+                g_in = g_in.reshape(rows, hid)
+                if g_x is not None:
+                    g_in += g_x
+                g_x = g_in
             grads["input_bias"] = column_sums(g_x)
-            grads["input_weight"] = flat_feat.T @ g_x
+            grads["input_weight"] = gram(flat_feat, g_x)
             for name, value in live.items():
                 if wants(value):
                     value._accumulate(grads[name])
             if wants(features):
                 features._accumulate(
-                    (g_x @ data["input_weight"].T).reshape(ad.as_data(features).shape)
+                    times_t(g_x, "input_weight").reshape(ad.as_data(features).shape)
                 )
             if g_support is not None:
                 # support = |A| / (rowsum|A| + eps), then d|A|/dA = sign(A)

@@ -132,27 +132,52 @@ def _rollout_bwd(
 
 def _conv_fwd(xpad, weight, bias, dilation):
     K = weight.shape[0]
-    T = xpad.shape[2] - (K - 1) * dilation
+    B, N, Tp, _ = xpad.shape
+    T = Tp - (K - 1) * dilation
     out = xpad[:, :, 0:T, :] @ weight[0]
     for k in range(1, K):
         out += xpad[:, :, k * dilation : k * dilation + T, :] @ weight[k]
-    out += bias
+    # the bias once per day, added over whole (T*Co) rows: a (Co,) broadcast
+    # would run numpy's inner loop over only Co elements at a time
+    C_out = weight.shape[-1]
+    per_day = np.empty((T, C_out))
+    per_day[...] = bias
+    per_series = out.reshape(B, N, T * C_out)
+    per_series += per_day.reshape(-1)
     return out
 
 
 def _conv_bwd(g, xpad, weight, dilation):
     K, C_in, C_out = weight.shape
-    T = g.shape[2]
-    g_x = np.zeros_like(xpad)
+    B, N, Tp, _ = xpad.shape
+    pad = (K - 1) * dilation
+    series = N * Tp
+    # Each batch element's padded rows, flattened over (region, time), form
+    # one contiguous (N*Tp, C) block.  With g left-padded the same way, tap
+    # k pairs input row r with gradient row r + (pad - k*dilation): a
+    # shifted pair of contiguous slices.  Rows that cross a region boundary
+    # meet only the zero padding, so every product is one batched GEMM over
+    # contiguous memory, with no window copy and no strided accumulation.
+    g_pad = np.empty((B, N, Tp, C_out))
+    g_pad[:, :, :pad, :] = 0.0
+    g_pad[:, :, pad:, :] = g
+    g_rows = g_pad.reshape(B, series, C_out)
+    x_rows = xpad.reshape(B, series, C_in)
+    # (K, C_out, C_in): a transposed view would take BLAS's slower path
+    weight_t = np.ascontiguousarray(np.swapaxes(weight, 1, 2))
+    g_x = g_rows @ weight_t[-1]  # the last tap covers every row
     g_w = np.empty_like(weight)
-    # One GEMM per tap over all B*N*T rows: einsum never reaches BLAS here.
-    for k in range(K):
-        window = slice(k * dilation, k * dilation + T)
-        g_w[k] = xpad[:, :, window, :].reshape(-1, C_in).T @ g.reshape(-1, C_out)
-        g_x[:, :, window, :] += g @ weight[k].T
+    g_w[-1] = (np.swapaxes(x_rows, 1, 2) @ g_rows).sum(axis=0)
+    for k in range(K - 1):
+        shift = pad - k * dilation
+        head = g_x[:, : series - shift]
+        head += g_rows[:, shift:] @ weight_t[k]
+        g_w[k] = (np.swapaxes(x_rows[:, : series - shift], 1, 2) @ g_rows[:, shift:]).sum(
+            axis=0
+        )
     rows = g.reshape(-1, C_out)
     g_b = np.ones(rows.shape[0]) @ rows  # a GEMV: the axis reduction is slower
-    return g_x, g_w, g_b
+    return g_x.reshape(xpad.shape), g_w, g_b
 
 
 _KERNELS = KernelSet("numpy", _rollout_fwd, _rollout_bwd, _conv_fwd, _conv_bwd)

@@ -143,7 +143,9 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key,value", [("n_regions", 0), ("length", -3), ("noise", -0.5), ("n_regions", 3.7)]
+        "key,value",
+        [("n_regions", 0), ("length", -3), ("noise", -0.5), ("n_regions", 3.7),
+         ("start_date", "garbage"), ("beta_kind", "spiky"), ("beta_low", 0.0)],
     )
     def test_out_of_range_config_is_usage_error(self, tmp_path, capsys, key, value):
         config = tmp_path / "bad.yaml"
@@ -692,6 +694,32 @@ class TestGradcheck:
 
 
 class TestTopLevel:
+    def test_consecutive_calls_leak_no_values(self, workdir, tmp_path, capsys):
+        # the parser is built once per process; each call must still see
+        # only its own flags and the defaults
+        from epicast import datasets
+
+        served = ["--data", str(workdir["data"]), "--checkpoint", str(workdir["ckpt"])]
+        anchor = datasets.load_dataset(workdir["data"]).dates[20]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["forecast", *served, "--out", str(first), "--at", anchor]) == EXIT_OK
+        assert main(["evaluate", *served, "--split", "val"]) == EXIT_OK
+        assert "model (val split" in capsys.readouterr().out
+        assert main(["forecast", "--data", str(workdir["data"])]) == EXIT_USAGE
+        assert "required" in capsys.readouterr().err
+        assert main(["forecast", *served, "--out", str(second)]) == EXIT_OK
+        assert main(["evaluate", *served]) == EXIT_OK
+        assert "model (test split" in capsys.readouterr().out
+        fresh = tmp_path / "fresh.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "epicast.cli", "forecast", *served, "--out", str(fresh)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert second.read_bytes() == fresh.read_bytes()
+        assert first.read_bytes() != fresh.read_bytes()
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == EXIT_USAGE
         assert "simulate" in capsys.readouterr().out

@@ -763,10 +763,12 @@ class TestSyntheticGenerator:
         data.bundle()  # full domain validation passes
 
     def test_bad_scenario_rejected(self):
-        with pytest.raises(DataError, match="beta_kind"):
-            SyntheticScenario(beta_kind="spiky")
-        with pytest.raises(DataError, match="beta_low"):
-            SyntheticScenario(beta_low=0.0)
+        cases = [("beta_kind", "spiky"), ("beta_low", 0.0), ("beta_high", 0.01),
+                 ("beta_high", 1.0), ("start_date", "garbage"), ("start_date", "2020-02-30")]
+        for field, value in cases:
+            with pytest.raises(ConfigRangeError) as raised:
+                SyntheticScenario(**{field: value})
+            assert raised.value.field == field
 
     @pytest.mark.parametrize(
         "field,value",

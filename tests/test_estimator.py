@@ -145,6 +145,24 @@ class TestFusedDependencyGradients:
             assert np.isfinite(fused).all()
             np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
 
+    def test_blocks_with_a_ragged_tail_match_composed_reference(self, monkeypatch):
+        # blocks of two batch elements: 5 elements make blocks of 2, 2 and 1
+        batch, regions, days, channels, heads = 5, 4, 6, 8, 2
+        monkeypatch.setattr(
+            estimator, "_DEPENDENCY_BLOCK_BYTES", 2 * heads * days * regions * regions * 8
+        )
+        rng = rng_for(335)
+        arrays = dependency_inputs(rng, (batch, regions, days, channels))
+        upstream = rng.standard_normal((batch, regions, regions))
+        results = []
+        for build in (estimator.dynamic_dependency, composed_dependency):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = build(*tensors, heads=heads)
+            out.backward(upstream)
+            results.append([out.data] + [t.grad for t in tensors])
+        for fused, reference in zip(*results):
+            np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
+
     def test_plain_arrays_build_no_tape(self):
         rng = rng_for(334)
         lifted, query_weight, key_weight = dependency_inputs(rng, (2, 3, 4, 4))
@@ -399,6 +417,15 @@ class TestBackbone:
         out = np.asarray(backbone(rng.standard_normal((3, 8, 3)), np.eye(3)))
         assert out.shape == (3, 2, 4)
 
+    def test_empty_batch_keeps_its_shape(self):
+        rng = rng_for(324)
+        config = BackboneConfig(dilations=(1, 2, 4))
+        backbone = Backbone.initialize(config, lifted_channels=4, t_in=8, t_out=2, rng=rng)
+        empty = np.zeros((0, 3, 8, 4))
+        assert np.asarray(backbone(empty, np.zeros((0, 3, 3)))).shape == (0, 3, 2, 16)
+        dep = estimator.dynamic_dependency(empty, np.eye(4), np.eye(4), heads=2)
+        assert np.asarray(dep).shape == (0, 3, 3)
+
     def test_wrong_window_length_rejected(self):
         rng = rng_for(319)
         config = BackboneConfig(dilations=(1, 2, 4))
@@ -556,8 +583,12 @@ class TestFusedBackbone:
             BackboneConfig(
                 hidden_dim=5, skip_dim=3, output_dim=2, kernel_size=3, dilations=(1, 2, 4)
             ),
+            # (K - 1) * d = 16 >= 2T: both early taps of the last layer read padding
+            BackboneConfig(
+                hidden_dim=3, skip_dim=4, output_dim=2, kernel_size=3, dilations=(1, 8)
+            ),
         ],
-        ids=["k2-d8", "k3-d4"],
+        ids=["k2-d8", "k3-d4", "k3-d8"],
     )
     @pytest.mark.parametrize("shape", [(3, 4, 8, 3), (4, 8, 3)], ids=["batched", "squeezed"])
     def test_matches_composed_reference(self, config, shape):
@@ -603,6 +634,31 @@ class TestFusedBackbone:
         assert not quiet.requires_grad
         assert quiet._parents == () and quiet._backward is None
         np.testing.assert_array_equal(quiet.data, out)
+
+
+class TestTapeSize:
+    def test_train_regional_step_records_65_nodes(self):
+        # the acceptance world (N=8) at batch 32, as a training step sees it;
+        # each fused node is one tape node however it works inside
+        from epicast import datasets
+        from epicast.pipeline import ForecastModel, ModelConfig
+
+        config = ModelConfig()
+        world = datasets.generate_synthetic(datasets.SyntheticScenario())
+        windows = datasets.windowize(world, config.t_in, config.t_out)
+        model = ForecastModel(config, len(windows.regions), seed=2024)
+        obs = windows.observations
+        model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+        result = model.forward(windows.batch(np.arange(32)), training=True)
+        stack = [value for value in vars(result).values() if isinstance(value, Tensor)]
+        seen, nodes = set(), 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes += node._backward is not None
+                stack.extend(node._parents)
+        assert nodes == 65
 
 
 class TestParameterHeads:
