@@ -199,9 +199,7 @@ def _cmd_forecast(args) -> int:
         end_index = dataset.n_days - 1
     else:
         try:
-            end_index = dataset.dates.index(
-                date_type.fromisoformat(args.at).isoformat()
-            )
+            end_index = dataset.dates.index(args.at)  # every panel date is YYYY-MM-DD
         except ValueError:
             raise DataError(
                 f"--at {args.at}: not a date in the dataset "

@@ -1,6 +1,6 @@
 """Dataset ingestion, splitting, windowing, and synthetic generation.
 
-On-disk layout is three UTF-8 CSV files with headers and ISO-8601 dates:
+On-disk layout is three UTF-8 CSV files with headers and YYYY-MM-DD dates:
 
 * ``observations.csv``: date, region, cases, susceptible, infected,
   recovered, then any number of extra channel columns;
@@ -151,17 +151,28 @@ _INF = float("inf")
 # may have been cut short, so the file is then parsed again with it wider.
 _DATE_WIDTH = 11  # an ISO date and a spare byte
 _VALUE_WIDTH = 25  # a double at 17 significant digits and a spare byte
+# the days of a common year before each month, and in all
+_MONTH_STARTS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365)
 
 
 def _text(raw: bytes) -> str:
     return raw.decode("utf-8", "replace")
 
 
+def iso_date(text: str) -> date_type:
+    """The date ``text`` spells as ``YYYY-MM-DD``, the one form read alike on
+    every supported Python (``date.fromisoformat`` takes more from 3.11)."""
+    digits = text[:4] + text[5:7] + text[8:]
+    if len(text) != 10 or text[4::3] != "--" or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date_type.fromisoformat(text)
+
+
 def _day(raw: str) -> date_type | str:
-    """The date ``raw`` spells in ISO form (surrounding blanks ignored), or
-    why it is not one."""
+    """The date ``raw`` spells (surrounding blanks ignored), or why it is
+    not one."""
     try:
-        return date_type.fromisoformat(raw.strip())
+        return iso_date(raw.strip())
     except ValueError as err:
         return f"bad date {raw!r} ({err})"
 
@@ -192,12 +203,6 @@ class _Defects:
             raise DataError(f"{self.path.name}:{self.end + 2}: {self.message}")
 
 
-def _line_at(data: bytes, offset: int) -> int:
-    """The line of ``data[offset]``, each "\\r\\n", "\\r" or "\\n" ending one."""
-    head = data[:offset]
-    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-
-
 def _records(path: Path, head: list[str], rule: str, widths: list[int], exact: bool):
     """The header's fields, the records after it from one ``np.loadtxt``
     pass, and the ``_Defects`` to check them.
@@ -210,32 +215,37 @@ def _records(path: Path, head: list[str], rule: str, widths: list[int], exact: b
     lines) or loadtxt fails, the file is read again record by record for the
     first misfit, the first defect; the records before it are parsed again
     with the values as bytes, for ``float()`` (which reads ``1_000``, say).
+    A byte that is not UTF-8, or is NUL, is the defect of its line (on line
+    1, before the header is checked), and only the lines before it are read.
     """
     data = path.read_bytes()
+    bad, why = len(data), None
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise DataError(
-            f"{path.name}:{_line_at(data, err.start)}: "
-            f"byte 0x{data[err.start]:02x} is not valid UTF-8"
-        ) from None
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+        bad, why = err.start, f"byte 0x{data[err.start]:02x} is not valid UTF-8"
+    nul = data.find(b"\0", 0, bad)
+    if nul >= 0:  # loadtxt's parser would end the field there
+        bad, why = nul, "a NUL byte"
+    # the bad byte's line, else the last: "\r\n", "\r" and "\n" end one, so
+    # count each "\r\n", at even and at odd offsets, once
+    view = memoryview(data)[:bad]
+    codes = np.frombuffer(view, np.uint8)
+    pairs = (np.frombuffer(v, "<u2", len(v) // 2) == 0x0A0D for v in (view, view[1:]))
+    ends = np.count_nonzero(codes == 10) + np.count_nonzero(codes == 13)
+    line = int(ends - sum(map(np.count_nonzero, pairs))) + 1
+    if why and line == 1:
+        raise DataError(f"{path.name}:1: {why}")
+    keep = line - bool(why)  # the lines to read; decoding reads ahead of them
+    with path.open(newline="", encoding="utf-8", errors="replace") as handle:
+        reader = csv.reader(text for _, text in zip(range(keep), handle))
         header = next(reader, None)
         if header is None or [h.strip() for h in header[: len(head)]] != head:
             raise DataError(f"{path.name}:1: header must {rule}")
         skip = reader.line_num
     width = len(header) if exact else len(head)
-    nul = data.find(b"\0")
-    if nul >= 0:  # loadtxt's parser would end the field there
-        raise DataError(f"{path.name}:{_line_at(data, nul)}: a NUL byte")
-    codes = np.frombuffer(data, np.uint8)
-    lf, cr = codes == 10, codes == 13
-    # line ends as csv reads them: "\r\n", "\r" or "\n"
-    crlf = cr[:-1] & lf[1:]
-    ends = np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(crlf)
-    lines = ends + (not data.endswith((b"\n", b"\r"))) - skip
-    del data, codes, lf, cr, crlf  # five bytes per byte of file, none read below
+    lines = keep - skip - (why is None and data.endswith((b"\n", b"\r")))
+    del data, view, codes
     names = len(widths)
     widths = widths + [_VALUE_WIDTH] * (width - names)
 
@@ -268,33 +278,35 @@ def _records(path: Path, head: list[str], rule: str, widths: list[int], exact: b
         return None if count >= width else f"expected {width} columns"
 
     table = found = None
-    try:
-        table = parse(None, "f8")
-    except ValueError:  # a misfit, or a number only float() reads
-        pass
-    if table is None or len(table) != lines:
-        with path.open(newline="", encoding="utf-8") as handle:
-            rows = csv.reader(handle)
-            next(rows)
-            found = next(
-                ((i, why) for i, row in enumerate(rows) if (why := misfit(len(row)))),
-                None,
-            )
+    if why is None:
         try:
-            table = parse(None if found is None else found[0])
+            table = parse(None, "f8")
+        except ValueError:  # a misfit, or a number only float() reads
+            pass
+    if table is None or len(table) != lines:
+        with path.open(newline="", encoding="utf-8", errors="replace") as handle:
+            rows = csv.reader(text for _, text in zip(range(keep), handle))
+            next(rows)
+            counts = [len(row) for row in rows]
+        found = next(
+            ((i, reason) for i, count in enumerate(counts) if (reason := misfit(count))),
+            None,
+        )
+        try:
+            table = parse(found[0] if found else len(counts) if why else None)
         except ValueError as err:
             raise DataError(f"{path.name}: {err}") from None
-    return header, table, _Defects(path, len(table), found and found[1])
+    return header, table, _Defects(path, len(table), found[1] if found else why)
 
 
 def _name_width(names: list[str]) -> int:
     return 1 + max(len(name.encode()) for name in names)
 
 
-def _indices(defects: _Defects, raw: np.ndarray, names: list[str], canonical, unknown):
-    """Each record's position in ``names``, by its bytes or else by the name
-    ``canonical`` makes of its text, once per distinct spelling.  A record
-    that names none is a defect, worded by ``unknown(text)``."""
+def _indices(defects: _Defects, raw: np.ndarray, names: list[str], note: str = ""):
+    """Each record's position in ``names``, by its bytes or else by its text
+    less surrounding blanks, once per distinct spelling.  A record that names
+    none is a defect, an unknown region (``note`` says where it is missing)."""
     keys = np.array([name.encode() for name in names])
     order = np.argsort(keys)
     index = order[np.searchsorted(keys[order], raw).clip(max=len(names) - 1)]
@@ -302,9 +314,11 @@ def _indices(defects: _Defects, raw: np.ndarray, names: list[str], canonical, un
     if miss.any():
         lookup = {name: i for i, name in enumerate(names)}
         spellings, inverse = np.unique(raw[miss], return_inverse=True)
-        places = [lookup.get(canonical(_text(s)), -1) for s in spellings]
+        places = [lookup.get(_text(s).strip(), -1) for s in spellings]
         index[miss] = np.array(places)[inverse]
-        defects.check(index < 0, lambda i: unknown(_text(raw[i])))
+        defects.check(index < 0, lambda i: (
+            f"unknown region {_text(raw[i]).strip()!r}{note}"
+        ))
     return index
 
 
@@ -326,12 +340,44 @@ def _floats(defects: _Defects, raw: np.ndarray, column: str) -> np.ndarray:
         raise
 
 
+def _ordinals(defects: _Defects, raw: np.ndarray) -> np.ndarray:
+    """Each record's date as its ``date.toordinal()``.  A field of exactly
+    ``YYYY-MM-DD`` is read by arithmetic on its bytes, once per run of equal
+    fields; any other spelling goes through ``_day`` once, and one that is
+    no date is a defect."""
+    starts = np.flatnonzero(np.r_[len(raw) > 0, raw[1:] != raw[:-1]])  # of each run
+    cells = raw[starts].view(np.uint8).reshape(len(starts), raw.itemsize)
+    digits = (cells[:, [0, 1, 2, 3, 5, 6, 8, 9]] - 48).astype(np.int64)  # a non-digit > 9
+    year, month, day = (digits[:, a:b] @ scale for a, b, scale in (
+        (0, 4, [1000, 100, 10, 1]), (4, 6, [10, 1]), (6, 8, [10, 1])
+    ))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    m = month.clip(1, 12)
+    before = np.take(_MONTH_STARTS, m - 1) + (leap & (m > 2))  # the year's days before
+    ok = (
+        (digits <= 9).all(axis=1) & (cells[:, 4] == 45) & (cells[:, 7] == 45)
+        & ~cells[:, 10:].any(axis=1) & (year > 0) & (month == m) & (day > 0)
+        & (day <= np.take(_MONTH_STARTS, m) + (leap & (m > 1)) - before)
+    )
+    prior = year - 1
+    ordinal = prior * 365 + prior // 4 - prior // 100 + prior // 400 + before + day
+    if not ok.all():
+        spellings, inverse = np.unique(raw[starts[~ok]], return_inverse=True)
+        days = [_day(_text(s)) for s in spellings]
+        places = np.array([0 if isinstance(d, str) else d.toordinal() for d in days])
+        ordinal[~ok] = places[inverse]
+    ordinal = np.repeat(ordinal, np.diff(starts, append=len(raw)))
+    defects.check(ordinal == 0, lambda i: _day(_text(raw[i])))
+    return ordinal
+
+
 def _repeats(keys: np.ndarray) -> np.ndarray:
-    """Marks the records whose key an earlier record already has."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
+    """Marks the records whose key, an int >= 0, an earlier record already has."""
     repeat = np.zeros(len(keys), dtype=bool)
-    repeat[order[1:][ordered[1:] == ordered[:-1]]] = True
+    if np.bincount(keys, minlength=1).max() > 1:  # sorted only to find where
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        repeat[order[1:][ordered[1:] == ordered[:-1]]] = True
     return repeat
 
 
@@ -401,15 +447,8 @@ def _read_observations(path: Path, regions: list[str]) -> tuple[list[str], np.nd
     if defects.message is None and not len(table):
         raise DataError(f"{path.name}: no data rows")
 
-    spellings, inverse = np.unique(table["f0"], return_inverse=True)
-    days = [_day(_text(s)) for s in spellings]
-    ordinals = [0 if isinstance(d, str) else d.toordinal() for d in days]
-    day = np.array(ordinals, dtype=int)[inverse]
-    defects.check(day == 0, lambda i: _day(_text(table["f0"][i])))
-    region = _indices(
-        defects, table["f1"], regions, str.strip,
-        lambda raw: f"unknown region {raw.strip()!r} (not in population.csv)",
-    )
+    day = _ordinals(defects, table["f0"])
+    region = _indices(defects, table["f1"], regions, " (not in population.csv)")
 
     def iso(i: int) -> str:
         return date_type.fromordinal(int(day[i])).isoformat()
@@ -418,10 +457,11 @@ def _read_observations(path: Path, regions: list[str]) -> tuple[list[str], np.nd
     defects.check(step < 0, lambda i: (
         f"dates must be non-decreasing, {iso(i)} follows {iso(i - 1)}"
     ))
+    number = np.cumsum(step != 0)  # each record's day, from 0
     # A day's first record repeats no key, so checking for repeats before
     # the day boundaries still reports the first defect.
     defects.check(
-        _repeats((day - day[:1]) * n + region),
+        _repeats((number * n + region)[: defects.end]),
         lambda i: f"duplicate entry for {regions[region[i]]!r} on {iso(i)}",
     )
     starts = np.flatnonzero(np.r_[True, step[1:] != 0])  # each day's first record
@@ -452,8 +492,10 @@ def _read_observations(path: Path, regions: list[str]) -> tuple[list[str], np.nd
         ))
     by_region = np.empty((n, len(starts), len(columns)))
     for k, values in enumerate(channels):
-        by_region[region, day - day[0], k] = values
-    return [iso(i) for i in starts], by_region
+        by_region[region, number, k] = values
+    # a valid date of 10 bytes is spelt YYYY-MM-DD
+    first = zip(starts.tolist(), table["f0"][starts].tolist())
+    return [s.decode() if len(s) == 10 else iso(i) for i, s in first], by_region
 
 
 def _read_mobility(path: Path, regions: list[str], dates: list[str]) -> np.ndarray:
@@ -466,27 +508,19 @@ def _read_mobility(path: Path, regions: list[str], dates: list[str]) -> np.ndarr
         path, head, f"be '{','.join(head)}'", [_DATE_WIDTH, name, name], exact=False
     )
 
-    def absent(raw: str) -> str:
-        day = _day(raw)
-        return day if isinstance(day, str) else (
-            f"date {day} does not appear in observations.csv"
-        )
-
-    # str() of a date is its ISO form; of a reason, no date at all
-    t = _indices(defects, table["f0"], dates, lambda raw: str(_day(raw)), absent)
-    # days are consecutive, so index order is calendar order
+    # days are consecutive, so a day's index is its ordinal less the first's
+    first = iso_date(dates[0]).toordinal()
+    t = _ordinals(defects, table["f0"]) - first
+    defects.check((t < 0) | (t >= length), lambda i: (
+        f"date {date_type.fromordinal(int(t[i]) + first)} does not appear in "
+        "observations.csv"
+    ))
     defects.check(np.diff(t, prepend=t[:1]) < 0, lambda i: (
         f"dates must be non-decreasing, {dates[t[i]]} follows {dates[t[i - 1]]}"
     ))
-    o, d = (
-        _indices(
-            defects, table[field], regions, str.strip,
-            lambda raw: f"unknown region {raw.strip()!r}",
-        )
-        for field in ("f1", "f2")
-    )
+    o, d = (_indices(defects, table[field], regions) for field in ("f1", "f2"))
     flat = (o * n + d) * length + t
-    defects.check(_repeats(flat), lambda i: (
+    defects.check(_repeats(flat[: defects.end]), lambda i: (
         f"duplicate flow {regions[o[i]]!r}->{regions[d[i]]!r} on {dates[t[i]]}"
     ))
     flow = _floats(defects, table["f3"], "flow")
@@ -742,7 +776,7 @@ class SyntheticScenario:
         if not self.beta_low <= self.beta_high < 1.0:
             raise ConfigRangeError("beta_high", self.beta_high, "in [beta_low, 1)")
         try:
-            date_type.fromisoformat(self.start_date)
+            iso_date(self.start_date)
         except (TypeError, ValueError):
             raise ConfigRangeError(
                 "start_date", self.start_date, "an ISO date such as 2020-01-01"

@@ -107,6 +107,9 @@ def _field_value(kind, value, where: str, yaml_keys: bool):
     raise ConfigRangeError(where, value, _KINDS[kind])
 
 
+_TYPE_HINTS: dict[type, dict] = {}  # per config class, resolved once
+
+
 def config_from(cls, mapping, where: str, yaml_keys: bool = True):
     """Build the config dataclass ``cls``, and those nested in it, from
     ``mapping`` (``None``: all defaults) keyed by YAML key (a field's
@@ -127,7 +130,7 @@ def config_from(cls, mapping, where: str, yaml_keys: bool = True):
     if unknown:
         reason = f"unknown key; valid keys: {', '.join(sorted(names))}"
         raise ConfigRangeError(f"{where}.{unknown[0]}", None, None, reason)
-    kinds = get_type_hints(cls)
+    kinds = _TYPE_HINTS.get(cls) or _TYPE_HINTS.setdefault(cls, get_type_hints(cls))
     kwargs = {
         names[key]: _field_value(kinds[names[key]], value, f"{where}.{key}", yaml_keys)
         for key, value in mapping.items()

@@ -127,6 +127,8 @@ def _thresholds(rows: np.ndarray, quantile, floor, slot, training, decay) -> np.
     quantile call, then the scalar EMA fold row by row, in row order."""
     if slot is None:  # no smoothing: an unseeded slot that never advances
         slot, training = EmaSlot(), False
+    if not training and slot.value is not None:  # read, not advanced
+        return np.full(len(rows), max(slot.value, floor), dtype=np.float64)
     cuts = np.quantile(rows, quantile, axis=1)
     for b, fresh in enumerate(cuts.tolist()):
         if training:

@@ -407,6 +407,31 @@ class TestForecast:
         assert code == EXIT_DATA
         assert "not a date in the dataset" in capsys.readouterr().err
 
+    # both name 2020-02-01, a day of the panel; date.fromisoformat reads them
+    # on Python 3.11 and refuses them on 3.10
+    @pytest.mark.parametrize("anchor", ["20200201", "2020-W05-6"])
+    def test_anchor_date_not_spelt_yyyy_mm_dd_is_data_error(
+        self, workdir, tmp_path, capsys, anchor
+    ):
+        from epicast import datasets
+
+        assert "2020-02-01" in datasets.load_dataset(workdir["data"]).dates
+        code = main(
+            [
+                "forecast",
+                "--data",
+                str(workdir["data"]),
+                "--checkpoint",
+                str(workdir["ckpt"]),
+                "--out",
+                str(tmp_path / "x.csv"),
+                "--at",
+                anchor,
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"--at {anchor}: not a date in the dataset" in capsys.readouterr().err
+
     def test_region_mismatch_is_data_error(self, workdir, tmp_path, capsys):
         other = tmp_path / "other"
         code = main(

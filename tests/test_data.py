@@ -282,6 +282,79 @@ class TestLoaderInputRules:
         edit_line(tmp_path / "mobility.csv", 5, lambda old: old.replace(b",", padded))
         assert_bit_identical(load_dataset(tmp_path), original)
 
+    def test_dates_padded_with_blanks_mix_with_canonical_ones(self, tmp_path):
+        original = self.saved(tmp_path)
+        # lines 2 and 4 are the first records of days 1 and 2, so they
+        # spell the panel's first dates; line 9 is day 4's second record
+        for line in (2, 4):
+            edit_line(tmp_path / "observations.csv", line, lambda old: b"  " + old)
+        edit_line(tmp_path / "observations.csv", 9, swap(b"2021-03-04", b"2021-03-04\t"))
+        for line in (3, 9):
+            edit_line(tmp_path / "mobility.csv", line, swap(b"2021", b" 2021"))
+        assert b"2021-03-04\t" in (tmp_path / "observations.csv").read_bytes()
+        loaded = load_dataset(tmp_path)
+        assert loaded.dates == original.dates
+        assert_bit_identical(loaded, original)
+
+    @pytest.mark.parametrize("name,line", [("observations.csv", 3), ("mobility.csv", 4)])
+    @pytest.mark.parametrize(
+        "spelling,reason",
+        [
+            ("2021-02-29", "day is out of range for month"),
+            ("2020-13-01", "month must be in 1..12"),
+            ("0000-01-01", "year 0 is out of range"),
+            # read by date.fromisoformat on Python 3.11, refused on 3.10
+            ("20210301", "Invalid isoformat string: '20210301'"),
+            ("2021-W09-1", "Invalid isoformat string: '2021-W09-1'"),
+            (" 2021-3-1", "Invalid isoformat string: '2021-3-1'"),
+        ],
+    )
+    def test_only_real_yyyy_mm_dd_dates_are_read(self, tmp_path, name, line, spelling, reason):
+        self.saved(tmp_path)
+        edit_line(tmp_path / name, line, swap(b"2021-03-01", spelling.encode()))
+        message = f"bad date {spelling!r} ({reason})"
+        with pytest.raises(DataError, match=rf"^{re.escape(name)}:{line}: {re.escape(message)}$"):
+            load_dataset(tmp_path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.dates().map(date.isoformat),
+            st.text("0123456789- ", max_size=11),
+            st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32)).map(
+                lambda ymd: "%04d-%02d-%02d" % ymd
+            ),
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_dates_read_by_arithmetic_match_the_per_field_rule(self, spellings):
+        from epicast.datasets import _Defects, _day, _ordinals
+
+        raw = np.array(sorted(s.encode() for s in spellings), dtype="S11")
+        days = [_day(s) for s in sorted(spellings)]
+        want = [0 if isinstance(d, str) else d.toordinal() for d in days]
+        defects = _Defects(Path("x.csv"), len(raw))
+        assert _ordinals(defects, raw).tolist() == want
+        assert defects.end == next((i for i, w in enumerate(want) if not w), len(raw))
+
+    @pytest.mark.parametrize(
+        "line,old,new", [(2, b"2021-03-01", b"2021-02-28"), (13, b"2021-03-03", b"2021-03-04")]
+    )
+    def test_mobility_date_just_outside_the_observed_days(self, tmp_path, line, old, new):
+        self.saved(tmp_path, n=2, length=3)
+        edit_line(tmp_path / "mobility.csv", line, swap(old, new))
+        message = f"date {new.decode()} does not appear in observations.csv"
+        with pytest.raises(DataError, match=rf"^mobility\.csv:{line}: {message}$"):
+            load_dataset(tmp_path)
+
+    def test_repeated_flow_in_a_file_that_covers_every_cell(self, tmp_path):
+        self.saved(tmp_path, n=2, length=3)
+        edit_line(tmp_path / "mobility.csv", 5, lambda old: old + b"\r\n" + old)
+        with pytest.raises(
+            DataError, match=r"^mobility\.csv:6: duplicate flow 'r1'->'r1' on 2021-03-01$"
+        ):
+            load_dataset(tmp_path)
+
     def test_name_longer_than_every_known_name_is_named_in_full(self, tmp_path):
         self.saved(tmp_path)
         edit_line(tmp_path / "mobility.csv", 4, swap(b",r1,", b",r1-and-then-some,"))
@@ -333,10 +406,16 @@ class TestLoaderInputRules:
             ("observations.csv",
              [(4, swap(b",r0,", b",ghost,")), (6, lambda old: b"")],
              r"4: unknown region 'ghost' \(not in population\.csv\)"),
+            # a bad byte is the defect of its line, not of the whole file
+            ("population.csv",
+             [(1, swap(b"region", b"regoin")), (3, swap(b"r1", b"r\xff1"))],
+             r"1: header must be 'region,population'"),
+            ("population.csv", [(3, with_value(b"abc")), (5, with_value(b"1\0"))],
+             r"3: column 'population' has non-numeric value 'abc'"),
         ],
     )
     def test_two_defects_report_the_earlier_record(self, tmp_path, name, edits, where):
-        self.saved(tmp_path)
+        self.saved(tmp_path, n=4 if name == "population.csv" else 2)
         for line, change in edits:
             edit_line(tmp_path / name, line, change)
         with pytest.raises(DataError, match=rf"^{re.escape(name)}:{where}$"):
@@ -764,7 +843,8 @@ class TestSyntheticGenerator:
 
     def test_bad_scenario_rejected(self):
         cases = [("beta_kind", "spiky"), ("beta_low", 0.0), ("beta_high", 0.01),
-                 ("beta_high", 1.0), ("start_date", "garbage"), ("start_date", "2020-02-30")]
+                 ("beta_high", 1.0), ("start_date", "garbage"), ("start_date", "2020-02-30"),
+                 ("start_date", "20200101"), ("start_date", "2020-W01-3")]
         for field, value in cases:
             with pytest.raises(ConfigRangeError) as raised:
                 SyntheticScenario(**{field: value})

@@ -135,6 +135,29 @@ class TestAdaptiveThreshold:
         assert out == 7.0
         assert slot.value is None
 
+    @pytest.mark.parametrize("stored,floor", [(1.5, 0.0), (1.5, 2.0)])
+    def test_batch_outside_training_reads_the_stored_value_floored(
+        self, monkeypatch, stored, floor
+    ):
+        rows = rng_for(401).uniform(0, 10, size=(4, 6))
+        slot = EmaSlot(stored)
+        want = max(stored, floor)
+        got = suppression._thresholds(rows, 0.3, floor, slot, False, 0.9)
+        assert got.dtype == np.float64 and got.tolist() == [want] * 4
+        assert slot.value == stored
+        # the same with no quantile at hand: the fresh values would be unread
+        monkeypatch.setattr(np, "quantile", lambda *args, **kwargs: np.full(4, np.nan))
+        assert suppression._thresholds(rows, 0.3, floor, slot, False, 0.9).tolist() == [
+            want
+        ] * 4
+
+    def test_batch_outside_training_with_unseeded_slot_uses_fresh_values(self):
+        rows = rng_for(402).uniform(0, 10, size=(4, 6))
+        slot = EmaSlot()
+        got = suppression._thresholds(rows, 0.3, 2.0, slot, False, 0.9)
+        assert got.tolist() == np.maximum(np.quantile(rows, 0.3, axis=1), 2.0).tolist()
+        assert slot.value is None
+
     def test_matches_oracle_on_random_instances(self):
         rng = rng_for(400)
         for _ in range(300):
