@@ -214,7 +214,7 @@ def _cmd_forecast(args) -> int:
     suppressed = np.clip(
         result.suppressed_beta.data[0], RATE_EPSILON, 1.0 - RATE_EPSILON
     )
-    EpidemicParams(beta=beta, gamma=gamma)  # validate at the domain edge
+    EpidemicParams(beta=beta, gamma=gamma)  # the output rates must lie in (0, 1)
     cases = result.cases.data[0]
     strength = result.strength[0]
     trajectories = result.trajectories

@@ -44,16 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import (
-    CompartmentState,
-    ConfigRangeError,
-    MobilitySeries,
-    ObservationHistory,
-    PopulationVector,
-    ValidatedBundle,
-    check_ranges,
-    validate,
-)
+from .domain import CompartmentState, ConfigRangeError, check_ranges
 from . import metapop
 from .pipeline import WindowBatch
 
@@ -64,7 +55,6 @@ __all__ = [
     "WindowSet",
     "atomic_write",
     "chronological_split",
-    "derive_compartments",
     "generate_synthetic",
     "load_dataset",
     "mobility_schedule",
@@ -127,19 +117,6 @@ class Dataset:
             flows=self.flows[:, :, start:stop].copy(),
             population=self.population.copy(),
             extras=self.extras[:, start:stop].copy(),
-        )
-
-    def bundle(self) -> ValidatedBundle:
-        return validate(
-            ObservationHistory(
-                cases=self.cases,
-                susceptible=self.susceptible,
-                infected=self.infected,
-                recovered=self.recovered,
-                extra_channels=self.extras,
-            ),
-            MobilitySeries(flows=self.flows, horizon_kind="history"),
-            PopulationVector(sizes=self.population),
         )
 
 
@@ -256,7 +233,7 @@ def _records(path: Path, head: list[str], rule: str, widths: list[int], exact: b
                 for k, w in enumerate(widths)
             ])
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # no records: checked below
+                warnings.simplefilter("ignore", UserWarning)  # no records: checked below
                 table = np.loadtxt(
                     path, dtype, delimiter=",", comments=None, quotechar='"',
                     skiprows=skip, usecols=None if exact else range(width),
@@ -399,7 +376,7 @@ def load_dataset(directory: str | Path) -> Dataset:
     regions, population = _read_population(population_path)
     dates, values = _read_observations(observation_path, regions)
     flows = _read_mobility(mobility_path, regions, dates)
-    dataset = Dataset(
+    return Dataset(
         regions=regions,
         dates=dates,
         cases=values[:, :, 0],
@@ -410,8 +387,6 @@ def load_dataset(directory: str | Path) -> Dataset:
         population=population,
         extras=values[:, :, 4:],
     )
-    dataset.bundle()  # surface invariant violations as early as possible
-    return dataset
 
 
 def _read_population(path: Path) -> tuple[list[str], np.ndarray]:
@@ -709,29 +684,6 @@ def windowize(dataset: Dataset, t_in: int, t_out: int) -> WindowSet:
         t_in=t_in,
         t_out=t_out,
     )
-
-
-def derive_compartments(
-    cases: np.ndarray, population: np.ndarray, recovery_days: int = 10
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convention helper for cases-only sources: S/I/R from a fixed delay.
-
-    Assumes every case stays infectious for exactly ``recovery_days`` days:
-    infected is the trailing sum of that many daily case counts, recovered
-    is everything older, susceptible is the remaining population (floored
-    at zero).  This is a stated convention, not an estimate.
-    """
-    cases = np.asarray(cases, dtype=np.float64)
-    cumulative = np.cumsum(cases, axis=1)
-    shifted = np.zeros_like(cumulative)
-    if cases.shape[1] > recovery_days:
-        shifted[:, recovery_days:] = cumulative[:, :-recovery_days]
-    infected = cumulative - shifted
-    recovered = shifted
-    susceptible = np.maximum(
-        np.asarray(population, dtype=np.float64)[:, None] - infected - recovered, 0.0
-    )
-    return susceptible, infected, recovered
 
 
 # ------------------------------------------------------------------ synthetic

@@ -1,16 +1,17 @@
-"""Shared immutable value types and validation for the forecasting pipeline.
+"""Immutable value types, config mapping and range checks.
 
-Every type freezes its arrays on construction (copied, then marked
-non-writeable), so instances can be shared between pipeline stages without
-defensive copying.  Validation errors always name the offending field, the
-first offending index, and the violated rule.
+The value types are the edge of the reference rollout (``metapop.rollout``)
+and of forecast output: every one freezes its arrays on construction
+(copied, then marked non-writeable) and checks them, and its errors name
+the offending field, the first offending index, and the violated rule.
+Panel input is checked once, by ``datasets.load_dataset``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
-from typing import NamedTuple, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,13 +24,10 @@ __all__ = [
     "MobilitySeries",
     "NegativeValueError",
     "NonFiniteError",
-    "ObservationHistory",
     "PopulationVector",
-    "ValidatedBundle",
     "ValidationError",
     "check_ranges",
     "config_from",
-    "validate",
 ]
 
 
@@ -180,75 +178,11 @@ def _check_ndim(name: str, arr: np.ndarray, ndim: int) -> None:
 
 
 @dataclass(frozen=True)
-class ObservationHistory:
-    """Per-region daily observations: cases plus S/I/R, with optional extras.
-
-    Shapes: ``cases``, ``susceptible``, ``infected``, ``recovered`` are
-    (regions, days); ``extra_channels`` is (regions, days, E) and may be
-    empty.  ``stacked()`` returns the (regions, days, 4 + E) channel block
-    in the fixed order cases, susceptible, infected, recovered, extras.
-    """
-
-    cases: np.ndarray
-    susceptible: np.ndarray
-    infected: np.ndarray
-    recovered: np.ndarray
-    extra_channels: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-
-    def __post_init__(self):
-        for name in ("cases", "susceptible", "infected", "recovered"):
-            arr = _frozen(getattr(self, name))
-            _check_ndim(f"ObservationHistory.{name}", arr, 2)
-            _check_finite(f"ObservationHistory.{name}", arr)
-            _check_nonnegative(f"ObservationHistory.{name}", arr)
-            object.__setattr__(self, name, arr)
-        extras = np.asarray(self.extra_channels, dtype=np.float64)
-        if extras.size == 0:
-            extras = np.zeros((self.cases.shape[0], self.cases.shape[1], 0))
-        extras = _frozen(extras)
-        _check_ndim("ObservationHistory.extra_channels", extras, 3)
-        _check_finite("ObservationHistory.extra_channels", extras)
-        object.__setattr__(self, "extra_channels", extras)
-        base = self.cases.shape
-        for name in ("susceptible", "infected", "recovered"):
-            if getattr(self, name).shape != base:
-                raise DimensionMismatchError(
-                    f"ObservationHistory.{name} shape {getattr(self, name).shape} "
-                    f"does not match cases shape {base}"
-                )
-        if extras.shape[:2] != base:
-            raise DimensionMismatchError(
-                f"ObservationHistory.extra_channels shape {extras.shape} does not "
-                f"match (regions, days) = {base}"
-            )
-
-    @property
-    def n_regions(self) -> int:
-        return self.cases.shape[0]
-
-    @property
-    def n_days(self) -> int:
-        return self.cases.shape[1]
-
-    @property
-    def n_channels(self) -> int:
-        return 4 + self.extra_channels.shape[2]
-
-    def stacked(self) -> np.ndarray:
-        core = np.stack(
-            [self.cases, self.susceptible, self.infected, self.recovered], axis=-1
-        )
-        if self.extra_channels.shape[2] == 0:
-            return core
-        return np.concatenate([core, self.extra_channels], axis=-1)
-
-
-@dataclass(frozen=True)
 class MobilitySeries:
     """Origin-destination daily flow volumes, (regions, regions, days).
 
     ``horizon_kind`` distinguishes observed history from model-forecast
-    flows; operations that require one or the other check it.
+    flows; ``metapop.rollout`` requires ``"forecast"``.
     """
 
     flows: np.ndarray
@@ -400,45 +334,3 @@ class Forecast:
     @property
     def horizon(self) -> int:
         return self.cases.shape[1]
-
-
-class ValidatedBundle(NamedTuple):
-    observations: ObservationHistory
-    mobility: MobilitySeries
-    population: PopulationVector
-
-
-def validate(
-    observations: ObservationHistory,
-    mobility: MobilitySeries,
-    population: PopulationVector,
-) -> ValidatedBundle:
-    """Cross-check a data bundle and return it unchanged.
-
-    Each object already enforces its own invariants at construction; this
-    checks the cross-object ones (matching region counts, matching day
-    counts, history-kind mobility).  Validating an already-validated bundle
-    returns the identical objects, so the call is idempotent.
-    """
-    n = observations.n_regions
-    if mobility.n_regions != n:
-        raise DimensionMismatchError(
-            f"mobility covers {mobility.n_regions} regions but observations "
-            f"cover {n}"
-        )
-    if population.n_regions != n:
-        raise DimensionMismatchError(
-            f"population covers {population.n_regions} regions but observations "
-            f"cover {n}"
-        )
-    if mobility.n_days != observations.n_days:
-        raise DimensionMismatchError(
-            f"mobility spans {mobility.n_days} days but observations span "
-            f"{observations.n_days}"
-        )
-    if mobility.horizon_kind != "history":
-        raise ValidationError(
-            "validate expects observed mobility (horizon_kind='history'), got "
-            f"{mobility.horizon_kind!r}"
-        )
-    return ValidatedBundle(observations, mobility, population)

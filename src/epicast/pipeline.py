@@ -170,7 +170,9 @@ class ForecastModel:
     # ------------------------------------------------------------- parameters
 
     def _tensorize(self) -> None:
-        """Wrap every learnable array in a gradient-tracking Tensor."""
+        """Wrap every learnable array in a gradient-tracking Tensor; the order
+        of the wraps is the order of ``parameters()``."""
+        self._params: dict[str, Tensor] = {}
         self.mobility_transform.transform = self._track(
             "mobility.transform", self.mobility_transform.transform
         )
@@ -189,32 +191,15 @@ class ForecastModel:
         for name, value in self.heads.named_arrays().items():
             setattr(self.heads, name, self._track(f"heads.{name}", value))
 
-    @staticmethod
-    def _track(name: str, value) -> Tensor:
-        if isinstance(value, Tensor):
-            return value
-        return Tensor(np.asarray(value, dtype=np.float64), requires_grad=True, name=name)
+    def _track(self, name: str, value) -> Tensor:
+        if not isinstance(value, Tensor):
+            value = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True, name=name)
+        self._params[name] = value
+        return value
 
     def parameters(self) -> dict[str, Tensor]:
         """Flat name-to-tensor view of every learnable parameter."""
-        table: dict[str, Tensor] = {
-            "mobility.transform": self.mobility_transform.transform
-        }
-        for name in self.memory.named_arrays():
-            table[f"memory.{name}"] = getattr(self.memory, name)
-        table["lift.weight"] = self.lift_weight
-        table["lift.bias"] = self.lift_bias
-        table["attention.query_weight"] = self.query_weight
-        table["attention.key_weight"] = self.key_weight
-        table["spatial.prior"] = self.prior.weights
-        for name in self.gate.named_arrays():
-            table[f"gate.{name}"] = getattr(self.gate, name)
-        table["enhance.blend"] = self.blend
-        for name in self.backbone.params:
-            table[f"backbone.{name}"] = self.backbone.params[name]
-        for name in self.heads.named_arrays():
-            table[f"heads.{name}"] = getattr(self.heads, name)
-        return table
+        return dict(self._params)
 
     def zero_grad(self) -> None:
         for tensor in self.parameters().values():

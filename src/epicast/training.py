@@ -385,7 +385,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         flat = np.frombuffer(
             payload, dtype="<f8", count=record["count"], offset=record["offset"]
         )
-        tensor.data = flat.reshape(record["shape"]).astype(np.float64).copy()
+        tensor.data = flat.reshape(record["shape"]).astype(np.float64)  # a writeable copy
     model.scaler_mean = np.asarray(manifest["scaler_mean"], dtype=np.float64)
     model.scaler_scale = np.asarray(manifest["scaler_scale"], dtype=np.float64)
     model.ema = EmaState.from_dict(manifest["ema"])

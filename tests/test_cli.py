@@ -467,6 +467,8 @@ class TestOutOfRangeInput:
         [
             ("population.csv", "population", "nan"),
             ("population.csv", "population", "inf"),
+            ("population.csv", "population", "0"),
+            ("population.csv", "population", "-5"),
             ("observations.csv", "cases", "-1.0"),
             ("observations.csv", "cases", "nan"),
             ("observations.csv", "susceptible", "inf"),

@@ -21,7 +21,6 @@ from epicast.datasets import (
     Dataset,
     SyntheticScenario,
     chronological_split,
-    derive_compartments,
     generate_synthetic,
     load_dataset,
     mobility_schedule,
@@ -186,6 +185,16 @@ class TestLoadErrors:
         pop = tmp_path / "population.csv"
         self.replace_line(pop, 3, "r0,500.0")
         with pytest.raises(DataError, match="duplicate region 'r0'"):
+            load_dataset(tmp_path)
+
+    def test_non_finite_extra_channel_rejected(self, tmp_path):
+        save_dataset(panel(2, 3, extras=1), tmp_path)
+        obs = tmp_path / "observations.csv"
+        line = obs.read_text().splitlines()[2].rsplit(",", 1)[0]
+        self.replace_line(obs, 3, line + ",nan")
+        with pytest.raises(
+            DataError, match=r"observations\.csv:3: column 'extra0' must be finite, got nan"
+        ):
             load_dataset(tmp_path)
 
 
@@ -704,50 +713,6 @@ class TestWindowize:
             windowize(panel(1, 9), t_in=6, t_out=4)
 
 
-class TestDeriveCompartments:
-    def oracle(self, cases, population, recovery_days):
-        n, length = cases.shape
-        s = np.empty((n, length))
-        i = np.empty((n, length))
-        r = np.empty((n, length))
-        for k in range(n):
-            for t in range(length):
-                window_start = max(0, t - recovery_days + 1)
-                infected_now = cases[k, window_start : t + 1].sum()
-                recovered_now = cases[k, : t + 1].sum() - infected_now
-                i[k, t] = infected_now
-                r[k, t] = recovered_now
-                s[k, t] = max(population[k] - infected_now - recovered_now, 0.0)
-        return s, i, r
-
-    def test_matches_loop_oracle(self):
-        rng = rng_for(601)
-        cases = rng.uniform(0, 20, size=(3, 30))
-        population = rng.uniform(500, 2000, size=3)
-        for recovery_days in (1, 5, 10):
-            got = derive_compartments(cases, population, recovery_days)
-            want = self.oracle(cases, population, recovery_days)
-            for g, w in zip(got, want):
-                np.testing.assert_allclose(g, w, atol=1e-9)
-
-    def test_default_infectious_period_is_ten_days(self):
-        cases = np.zeros((1, 15))
-        cases[0, 0] = 7.0
-        _, infected, recovered = derive_compartments(cases, np.array([100.0]))
-        np.testing.assert_allclose(infected[0, :10], 7.0)
-        np.testing.assert_allclose(infected[0, 10:], 0.0)
-        np.testing.assert_allclose(recovered[0, 10:], 7.0)
-
-    def test_totals_conserved_until_floor(self):
-        rng = rng_for(602)
-        cases = rng.uniform(0, 5, size=(2, 25))
-        population = np.array([1e4, 2e4])
-        s, i, r = derive_compartments(cases, population)
-        np.testing.assert_allclose(
-            s + i + r, np.broadcast_to(population[:, None], s.shape), atol=1e-9
-        )
-
-
 class TestSyntheticGenerator:
     def test_deterministic_given_scenario(self):
         scenario = small_scenario()
@@ -839,7 +804,6 @@ class TestSyntheticGenerator:
         assert data.n_regions == 4
         assert data.n_days == 30
         assert data.dates[0] == scenario.start_date
-        data.bundle()  # full domain validation passes
 
     def test_bad_scenario_rejected(self):
         cases = [("beta_kind", "spiky"), ("beta_low", 0.0), ("beta_high", 0.01),

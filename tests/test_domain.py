@@ -13,59 +13,9 @@ from epicast.domain import (
     MobilitySeries,
     NegativeValueError,
     NonFiniteError,
-    ObservationHistory,
     PopulationVector,
     ValidationError,
-    validate,
 )
-
-
-def history(n=2, t=5, **overrides):
-    base = dict(
-        cases=np.ones((n, t)),
-        susceptible=np.full((n, t), 100.0),
-        infected=np.full((n, t), 5.0),
-        recovered=np.zeros((n, t)),
-    )
-    base.update(overrides)
-    return ObservationHistory(**base)
-
-
-class TestObservationHistory:
-    def test_roundtrip_and_properties(self):
-        obs = history(3, 7)
-        assert obs.n_regions == 3
-        assert obs.n_days == 7
-        assert obs.n_channels == 4
-        assert obs.stacked().shape == (3, 7, 4)
-
-    def test_channel_order_in_stack(self):
-        obs = history(1, 2)
-        stacked = obs.stacked()
-        np.testing.assert_array_equal(stacked[0, 0], [1.0, 100.0, 5.0, 0.0])
-
-    def test_extra_channels_appended(self):
-        obs = history(2, 3, extra_channels=np.full((2, 3, 2), 9.0))
-        assert obs.n_channels == 6
-        assert obs.stacked().shape == (2, 3, 6)
-        np.testing.assert_array_equal(obs.stacked()[..., 4:], np.full((2, 3, 2), 9.0))
-
-    def test_rejects_negative(self):
-        with pytest.raises(NegativeValueError, match="cases"):
-            history(cases=np.array([[-1.0, 0.0], [0.0, 0.0]]), susceptible=np.zeros((2, 2)), infected=np.zeros((2, 2)), recovered=np.zeros((2, 2)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(NonFiniteError, match="infected"):
-            history(infected=np.array([[np.nan] * 5, [0.0] * 5]))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            history(recovered=np.zeros((2, 4)))
-
-    def test_arrays_frozen(self):
-        obs = history()
-        with pytest.raises(ValueError):
-            obs.cases[0, 0] = 7.0
 
 
 class TestMobilitySeries:
@@ -157,37 +107,3 @@ class TestForecast:
                 infected=np.ones((1, 1)),
                 recovered=np.ones((1, 1)),
             )
-
-
-class TestValidateBundle:
-    def bundle_parts(self, n=2, t=5):
-        return (
-            history(n, t),
-            MobilitySeries(flows=np.ones((n, n, t))),
-            PopulationVector(sizes=np.full(n, 1000.0)),
-        )
-
-    def test_idempotent_passthrough(self):
-        obs, mob, pop = self.bundle_parts()
-        out = validate(obs, mob, pop)
-        assert out.observations is obs
-        assert out.mobility is mob
-        assert out.population is pop
-        again = validate(*out)
-        assert again.observations is obs
-
-    def test_region_count_mismatch(self):
-        obs, _, pop = self.bundle_parts()
-        with pytest.raises(DimensionMismatchError, match="regions"):
-            validate(obs, MobilitySeries(flows=np.ones((3, 3, 5))), pop)
-
-    def test_day_count_mismatch(self):
-        obs, _, pop = self.bundle_parts()
-        with pytest.raises(DimensionMismatchError, match="days"):
-            validate(obs, MobilitySeries(flows=np.ones((2, 2, 9))), pop)
-
-    def test_requires_history_kind(self):
-        obs, _, pop = self.bundle_parts()
-        forecast_mob = MobilitySeries(flows=np.ones((2, 2, 5)), horizon_kind="forecast")
-        with pytest.raises(ValidationError, match="history"):
-            validate(obs, forecast_mob, pop)
