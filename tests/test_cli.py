@@ -472,10 +472,14 @@ class TestOutOfRangeInput:
             ("observations.csv", "cases", "-1.0"),
             ("observations.csv", "cases", "nan"),
             ("observations.csv", "susceptible", "inf"),
+            ("observations.csv", "susceptible", "-1.0"),
             ("observations.csv", "infected", "-inf"),
+            ("observations.csv", "infected", "-2.5"),
             ("observations.csv", "recovered", "nan"),
+            ("observations.csv", "recovered", "-1.0"),
             ("mobility.csv", "flow", "nan"),
             ("mobility.csv", "flow", "inf"),
+            ("mobility.csv", "flow", "-1.0"),
         ],
     )
     def test_forecast_names_file_and_line(

@@ -1,5 +1,5 @@
-"""Data layer: CSV round trips, chronological splitting, window slicing,
-compartment derivation, and the seeded synthetic generator."""
+"""Data layer: the panel type, CSV round trips and loader checks,
+chronological splitting, window slicing, and the seeded synthetic generator."""
 
 from __future__ import annotations
 
@@ -70,6 +70,55 @@ class TestCsvRoundTrip:
         loaded = load_dataset(tmp_path)
         np.testing.assert_array_equal(loaded.cases, original.cases)
         np.testing.assert_array_equal(loaded.flows, original.flows)
+
+
+class TestDatasetPanel:
+    def test_sizes_and_stacked_shape(self):
+        data = panel(3, 7)
+        assert data.n_regions == 3
+        assert data.n_days == 7
+        assert data.n_channels == 4
+        assert data.stacked().shape == (3, 7, 4)
+
+    def test_channel_order_in_stack(self):
+        data = panel(2, 4)
+        stacked = data.stacked()
+        for k, field in enumerate(("cases", "susceptible", "infected", "recovered")):
+            np.testing.assert_array_equal(stacked[..., k], getattr(data, field), err_msg=field)
+
+    def test_extra_channels_appended(self):
+        data = panel(2, 3, extras=2)
+        assert data.n_channels == 6
+        stacked = data.stacked()
+        assert stacked.shape == (2, 3, 6)
+        np.testing.assert_array_equal(stacked[..., 4:], data.extras)
+
+    def test_no_extras_is_an_empty_channel_block(self):
+        data = panel(2, 5)
+        assert data.extras.shape == (2, 5, 0)
+
+    def test_day_range_slices_every_field(self):
+        data = panel(2, 10, extras=1)
+        part = data.day_range(3, 7)
+        assert part.regions == data.regions
+        assert part.dates == data.dates[3:7]
+        for field in ("cases", "susceptible", "infected", "recovered", "extras"):
+            np.testing.assert_array_equal(
+                getattr(part, field), getattr(data, field)[:, 3:7], err_msg=field
+            )
+        np.testing.assert_array_equal(part.flows, data.flows[:, :, 3:7])
+        np.testing.assert_array_equal(part.population, data.population)
+
+    def test_day_range_copies_its_arrays(self):
+        data = panel(2, 6, extras=1)
+        before = data.stacked().copy(), data.flows.copy(), data.population.copy()
+        part = data.day_range(1, 4)
+        for array in (part.cases, part.susceptible, part.infected, part.recovered,
+                      part.extras, part.flows, part.population):
+            array[...] = -1.0
+        np.testing.assert_array_equal(data.stacked(), before[0])
+        np.testing.assert_array_equal(data.flows, before[1])
+        np.testing.assert_array_equal(data.population, before[2])
 
 
 class TestLoadErrors:
@@ -194,6 +243,49 @@ class TestLoadErrors:
         self.replace_line(obs, 3, line + ",nan")
         with pytest.raises(
             DataError, match=r"observations\.csv:3: column 'extra0' must be finite, got nan"
+        ):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_extra_channel_rejected(self, tmp_path, value):
+        save_dataset(panel(2, 3, extras=1), tmp_path)
+        obs = tmp_path / "observations.csv"
+        line = obs.read_text().splitlines()[3].rsplit(",", 1)[0]
+        self.replace_line(obs, 4, line + "," + value)
+        with pytest.raises(
+            DataError,
+            match=rf"observations\.csv:4: column 'extra0' must be finite, got {value}",
+        ):
+            load_dataset(tmp_path)
+
+    def test_negative_extra_channel_is_accepted(self, tmp_path):
+        save_dataset(panel(2, 3, extras=1), tmp_path)
+        obs = tmp_path / "observations.csv"
+        line = obs.read_text().splitlines()[2].rsplit(",", 1)[0]
+        self.replace_line(obs, 3, line + ",-0.5")
+        assert load_dataset(tmp_path).extras[1, 0, 0] == -0.5
+
+    def test_population_region_without_observations(self, tmp_path):
+        self.write_valid(tmp_path)
+        pop = tmp_path / "population.csv"
+        pop.write_text(pop.read_text().rstrip("\n") + "\nr2,500.0\n")
+        with pytest.raises(
+            DataError,
+            match=r"observations\.csv:4: missing entry for region 'r2' on 2021-03-01",
+        ):
+            load_dataset(tmp_path)
+
+    def test_observed_day_without_flows(self, tmp_path):
+        save_dataset(panel(2, 4), tmp_path)
+        mob = tmp_path / "mobility.csv"
+        mob.write_text(
+            "\n".join(l for l in mob.read_text().splitlines() if "2021-03-04" not in l)
+            + "\n"
+        )
+        with pytest.raises(
+            DataError,
+            match=r"mobility\.csv:13: 12 flow rows, expected 2\*2\*4 = 16 .*"
+            r"first missing: 'r0'->'r0' on 2021-03-04",
         ):
             load_dataset(tmp_path)
 
