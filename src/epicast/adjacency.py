@@ -112,14 +112,41 @@ def forecast_mobility(history, transform):
 
     ``history`` is (..., N, N, T_in) and ``transform`` (T_in, T_out); the
     result is (..., N, N, T_out), a Tensor when either input is one.
+
+    One fused tape node.  The forward is one GEMM,
+    ``transform.T @ history.reshape(-1, T_in).T``, clamped in place, so the
+    flows are stored time-major as a (T_out, ...·N·N) buffer; the result is
+    a (..., N, N, T_out) view of it, from which the rollout kernels take each
+    day's flows without a copy.  The backward reads the gradient through
+    the same time-major layout.
     """
-    t_in = ad.as_data(history).shape[-1]
-    if ad.as_data(transform).shape[0] != t_in:
+    data = ad.as_data(history)
+    weights = ad.as_data(transform)
+    t_in, t_out = weights.shape
+    if data.shape[-1] != t_in:
         raise DimensionMismatchError(
-            f"transform expects {ad.as_data(transform).shape[0]} input days, "
-            f"history has {t_in}"
+            f"transform expects {t_in} input days, history has {data.shape[-1]}"
         )
-    return ad.relu(ad.matmul(history, transform))
+    lead = data.shape[:-1]
+    rows = data.reshape(-1, t_in)
+    by_day = weights.T @ rows.T  # (T_out, ...·N·N)
+    np.maximum(by_day, 0.0, out=by_day)
+    flows = np.moveaxis(by_day.reshape(t_out, *lead), 0, -1)
+    tracked = [t for t in (history, transform) if isinstance(t, ad.Tensor)]
+    if not tracked:
+        return flows
+
+    def backward(g: np.ndarray) -> None:
+        # a view when g has the flows' time-major layout
+        g_by_day = np.moveaxis(g, -1, 0).reshape(t_out, -1)
+        g_by_day = g_by_day * (by_day > 0.0)
+        if isinstance(transform, ad.Tensor) and transform.requires_grad:
+            transform._accumulate(rows.T @ g_by_day.T)
+        if isinstance(history, ad.Tensor) and history.requires_grad:
+            g_rows = weights @ g_by_day  # (T_in, ...·N·N)
+            history._accumulate(np.moveaxis(g_rows.reshape(t_in, *lead), 0, -1))
+
+    return ad.make_op(flows, tracked, backward)
 
 
 def pool_mobility(horizon):

@@ -79,7 +79,17 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        tail = grad.shape[extra:]
+        width = int(np.prod(tail))
+        if width > 1:
+            # the leading axes as one GEMV: numpy's axis-0 reduction over
+            # many short rows is several times slower
+            lead = grad.size // width
+            grad = (np.ones(lead) @ grad.reshape(lead, width)).reshape(tail)
+        else:
+            # a BLAS product with one output splits its sum across threads,
+            # so its rounding would follow the thread count; numpy's does not
+            grad = grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, size in enumerate(shape) if size == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -130,7 +140,8 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = grad.copy() if grad.base is not None else grad
+            # order="K" keeps a view's layout, e.g. the time-major flows
+            self.grad = grad.copy(order="K") if grad.base is not None else grad
         else:
             self.grad = self.grad + grad
 
@@ -238,7 +249,11 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
+                if b.data.ndim == 2:
+                    # a contiguous transpose: BLAS's transposed-operand path is slower
+                    ga = g @ np.ascontiguousarray(b.data.T)
+                else:
+                    ga = g @ np.swapaxes(b.data, -1, -2)
                 a._accumulate(unbroadcast(ga, a.data.shape))
             if b.requires_grad:
                 if b.data.ndim == 2:
@@ -310,7 +325,9 @@ class Tensor:
             grad = g
             if not keepdims and axis is not None:
                 grad = np.expand_dims(grad, axis)
-            a._accumulate(np.broadcast_to(grad, a.data.shape).copy())
+            spread = np.empty_like(a.data)  # keeps a's layout, e.g. the time-major flows
+            spread[...] = grad
+            a._accumulate(spread)
 
         return _from_op(out_data, (a,), backward)
 

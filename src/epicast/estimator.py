@@ -17,7 +17,11 @@ built with ``make_op``, each with a hand-derived backward:
 * the attention dependency: a closed-form softmax Jacobian-vector product,
   so none of its (B, H, T, N, N) intermediates is recorded; its softmax and
   Jacobian passes run over blocks of whole batch elements sized to stay in
-  L2 cache;
+  L2 cache; each softmax row is shifted by a Cauchy-Schwarz bound on its
+  scores, so the scaled and shifted scores are one product, and a block in
+  which the bound overshoots some row's max by hundreds is recomputed with
+  the exact row max; the rows stay unnormalized, and the reciprocals of
+  their sums weight the pooling GEMV and the backward's (N, head) sides;
 * the whole backbone: separate filter and gate convolutions per gated layer
   through ``kernels.active()``, each giving one contiguous block that the
   gate forward and backward work on in place; each layer's input written
@@ -94,6 +98,17 @@ def lift_features(observations, weight, bias):
 # each elementwise pass reads its block from cache rather than from memory.
 _DEPENDENCY_BLOCK_BYTES = 2 * 1024 * 1024
 
+# A softmax row whose sum of exp(shifted scores) falls below this was shifted
+# by a bound hundreds above its max, so its entries lose precision or vanish.
+_SMALLEST_ROW_SUM = 1e-200
+
+
+def _exp_shifted_by_row_max(block, query, key):
+    """exp(scores - row max) into ``block``: the guard for overshot bounds."""
+    np.matmul(query, np.swapaxes(key, -1, -2), out=block)
+    block -= block.max(axis=-1, keepdims=True)
+    np.exp(block, out=block)
+
 
 def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     """Region dependency from attention scores, averaged over heads and time.
@@ -102,10 +117,12 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     scaled dot-product attention scores over regions are row-softmaxed; the
     returned (B, N, N) (or (N, N)) matrix is their mean, hence row-stochastic.
 
-    One fused tape node: the forward keeps only the (B, H, T, N, N) softmax
-    rows, and the backward applies the closed-form softmax Jacobian to the
-    pooled gradient, which the mean hands to every head and day alike.  Both
-    run block by block over the batch (``_DEPENDENCY_BLOCK_BYTES``).
+    One fused tape node: the forward keeps only the (B, H, T, N, N) rows of
+    exp(shifted scores) and their reciprocal row sums, so a softmax row is
+    never normalized in place, and the backward applies the closed-form
+    softmax Jacobian to the pooled gradient, which the mean hands to every
+    head and day alike.  Both run block by block over the batch
+    (``_DEPENDENCY_BLOCK_BYTES``).
     """
     data = ad.as_data(lifted)
     q_data = ad.as_data(query_weight)
@@ -118,6 +135,7 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
             f"{heads} attention heads do not evenly divide {channels} channels"
         )
     head_dim = channels // heads
+    width = head_dim + 1
     scale = np.sqrt(head_dim)
     flat_lifted = batched.reshape(-1, channels)
     block_elements = max(
@@ -128,55 +146,104 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     ]
 
     def split_heads(projected: np.ndarray) -> np.ndarray:
-        # (B*N*T, C) -> (B, H, T, N, head)
-        return projected.reshape(batch, regions, days, heads, head_dim).transpose(
-            0, 3, 2, 1, 4
-        )
+        """(B*N*T, H*width) -> (B, H, T, N, width), a view."""
+        per_head = projected.shape[-1] // heads
+        return projected.reshape(batch, regions, days, heads, per_head).transpose(0, 3, 2, 1, 4)
 
-    query = split_heads(flat_lifted @ q_data)
-    key = split_heads(flat_lifted @ k_data)
+    def projected(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One GEMM: each head's projection plus a spare zero column, as
+        (B*N*T, H*(head + 1)), and the (B, N, T, H) norms of its rows."""
+        spaced = np.zeros((channels, heads, width))
+        spaced[:, :, :head_dim] = weight.reshape(channels, heads, head_dim)
+        out = flat_lifted @ spaced.reshape(channels, heads * width)
+        norms = np.sqrt(np.square(out).reshape(-1, width) @ np.ones(width))
+        return out, norms.reshape(batch, regions, days, heads)
+
+    # The 1/√d of the scores folds into the query weight.  Each row is
+    # shifted by the Cauchy-Schwarz bound |q_i|·max_j|k_j| on its scores
+    # instead of by its max: with the negated bound in the query's spare
+    # column and 1 in the key's, the shifted scores are one product, none
+    # exceeds 0, and exp cannot overflow.
+    q_scaled = q_data / scale
+    query_flat, bound = projected(q_scaled)
+    key_flat, key_norms = projected(k_data)
+    bound *= key_norms.max(axis=1, keepdims=True)
+    query_ext, key_ext = split_heads(query_flat), split_heads(key_flat)
+    np.negative(bound.transpose(0, 3, 2, 1), out=query_ext[..., head_dim])
+    key_ext[..., head_dim] = 1.0
+    query, key = query_ext[..., :head_dim], key_ext[..., :head_dim]
     count = heads * days
-    rows = np.empty((batch, heads, days, regions, regions))
+
+    def by_row(block: np.ndarray) -> np.ndarray:
+        """(b, H, T, N, N) as (b, N, H*T, N): row i of every head and day,
+        strided by N*N, so that a product over them is one batched GEMV."""
+        return np.swapaxes(block.reshape(len(block), count, regions, regions), 1, 2)
+
+    # The softmax P of a row is its exp row E times the reciprocal r of its
+    # sum; E and r are kept, and r is applied only where a product meets it.
+    grown = np.empty((batch, heads, days, regions, regions))
+    inverse = np.empty((batch, heads, days, regions))
     pooled = np.empty((batch, regions, regions))
+    ones = np.ones(regions)
     for part in blocks:
-        block = rows[part]
-        np.matmul(query[part], np.swapaxes(key[part], -1, -2), out=block)
-        block /= scale
-        block -= block.max(axis=-1, keepdims=True)
+        block = grown[part]
+        np.matmul(query_ext[part], np.swapaxes(key_ext[part], -1, -2), out=block)
         np.exp(block, out=block)
-        block /= block.sum(axis=-1, keepdims=True)
-        pooled[part] = block.sum(axis=(1, 2)) * (1.0 / count)
+        sums = block.reshape(-1, regions) @ ones
+        if sums.min() < _SMALLEST_ROW_SUM:
+            _exp_shifted_by_row_max(block, query[part], key[part])
+            sums = block.reshape(-1, regions) @ ones
+        recips = inverse[part]
+        np.divide(1.0, sums.reshape(recips.shape), out=recips)
+        # the mean over heads and days of r * E: row i weights its H*T rows
+        row_weights = np.swapaxes(recips.reshape(len(block), count, regions), 1, 2)
+        mean = (row_weights[:, :, None, :] @ by_row(block))[:, :, 0, :]
+        pooled[part] = mean * (1.0 / count)
     out_shape = (regions, regions) if squeeze else pooled.shape
     tracked = [t for t in (lifted, query_weight, key_weight) if isinstance(t, Tensor)]
     if not tracked:
         return pooled.reshape(out_shape)
 
     def backward(g: np.ndarray) -> None:
-        # d(mean)/d(scores) for one (head, day) block is P * (G - rowsum(G * P));
-        # the 1/(H*T) of the mean and the 1/sqrt(d) of the scores fold into G.
-        upstream = (g.reshape(batch, 1, 1, regions, regions) * (1.0 / count)) / scale
-        g_scores = np.empty((min(batch, block_elements), heads, days, regions, regions))
-        g_query = np.empty((batch, heads, days, regions, head_dim))
+        # d(mean)/d(scores) for one (head, day) block is P * (G - rowsum(G * P))
+        # = r * E * (G - r * rowsum(G * E)), with the 1/(H*T) of the mean
+        # folded into G; the row factor r moves onto the (N, head) sides of
+        # the products, and the 1/sqrt(d) of the scores lives in the scaled
+        # query weight.  Row i of G - rowsum(G * P) over every head and day
+        # is one product of K=2, [1, rowsum(G * P)] @ [G_i; -1], which beats
+        # a broadcast subtraction over the (H, T, N, N) block.
+        mix = np.empty((batch, regions, 2, regions))
+        np.multiply(g.reshape(batch, regions, regions), 1.0 / count, out=mix[:, :, 0, :])
+        mix[:, :, 1, :] = -1.0
+        pulled = mix[:, :, 0, :, None]  # the rows of G as GEMV vectors
+        size = min(batch, block_elements)
+        factors = np.empty((size, regions, count, 2))
+        factors[..., 0] = 1.0
+        g_scores = np.empty((size, heads, days, regions, regions))
+        # (B*N*T, C) buffers written through (B, H, T, N, head) views
+        g_query = np.empty((batch * regions * days, channels))
         g_key = np.empty_like(g_query)
+        g_query_heads = split_heads(g_query)
+        g_key_heads = split_heads(g_key)
         for part in blocks:
-            block, pulled = rows[part], upstream[part]
-            scores = g_scores[: block.shape[0]]
-            np.multiply(block, pulled, out=scores)
-            row_dot = scores.sum(axis=-1, keepdims=True)
-            np.subtract(pulled, row_dot, out=scores)
+            block = grown[part]
+            elements = len(block)
+            scores, row_dots = g_scores[:elements], factors[:elements]
+            np.matmul(by_row(block), pulled[part], out=row_dots[..., 1:])
+            row_dots[..., 1] *= np.swapaxes(inverse[part].reshape(elements, count, regions), 1, 2)
+            np.matmul(row_dots, mix[part], out=by_row(scores))
             scores *= block
-            np.matmul(scores, key[part], out=g_query[part])
-            np.matmul(np.swapaxes(scores, -1, -2), query[part], out=g_key[part])
-        # (B, H, T, N, head) -> (B*N*T, C)
-        g_query = g_query.transpose(0, 3, 2, 1, 4).reshape(-1, channels)
-        g_key = g_key.transpose(0, 3, 2, 1, 4).reshape(-1, channels)
+            recips = inverse[part][..., None]
+            np.matmul(scores, key[part], out=g_query_heads[part])
+            g_query_heads[part] *= recips
+            np.matmul(np.swapaxes(scores, -1, -2), query[part] * recips, out=g_key_heads[part])
         if isinstance(lifted, Tensor) and lifted.requires_grad:
             # contiguous transposes: BLAS's transposed-operand path is slower
-            g_flat = g_query @ np.ascontiguousarray(q_data.T)
+            g_flat = g_query @ np.ascontiguousarray(q_scaled.T)
             g_flat += g_key @ np.ascontiguousarray(k_data.T)
             lifted._accumulate(g_flat.reshape(data.shape))
         if isinstance(query_weight, Tensor) and query_weight.requires_grad:
-            query_weight._accumulate(flat_lifted.T @ g_query)
+            query_weight._accumulate((flat_lifted.T @ g_query) / scale)
         if isinstance(key_weight, Tensor) and key_weight.requires_grad:
             key_weight._accumulate(flat_lifted.T @ g_key)
 

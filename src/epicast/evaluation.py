@@ -37,7 +37,8 @@ def metrics(predictions, truth) -> MetricSet:
     contributing zero.  RAE divides total absolute error by the total
     absolute deviation of the truth from its mean; for constant truth that
     denominator vanishes and RAE is reported as NaN with ``rae_defined``
-    False.
+    False.  A truth that varies by less than the error over the largest
+    float (a spread near the smallest subnormal) gives RAE +inf.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -58,7 +59,8 @@ def metrics(predictions, truth) -> MetricSet:
     if spread == 0.0:
         rae, defined = float("nan"), False
     else:
-        rae, defined = float(abs_error.sum() / spread), True
+        with np.errstate(over="ignore"):  # +inf is the ratio's value then
+            rae, defined = float(abs_error.sum() / spread), True
     return MetricSet(rmse=rmse, mae=mae, smape=smape, rae=rae, rae_defined=defined)
 
 

@@ -31,10 +31,12 @@ class KernelSet(NamedTuple):
 
 # Rollout shapes: s0/i0/r0 (B, N); beta/gamma (B, N, T); flows (B, N, N, T);
 # pop (N,).  Forward returns the predicted cases plus full trajectories and
-# the saved masks the backward pass needs.  The kernels copy flows to
-# time-major (T, B, N, N) once per call, so each day's coupling is a batched
-# matmul over a contiguous (B, N, N) block; the flow gradient is built
-# time-major and moved back to (B, N, N, T) at the end.
+# the saved masks the backward pass needs.  The kernels read flows
+# time-major, as (T, B, N, N), so each day's coupling is a batched matmul
+# over a contiguous (B, N, N) block.  The model's flows are already stored
+# that way (``adjacency.forecast_mobility``), so this costs no copy; flows in
+# C order are copied once per call.  The flow gradient is built time-major
+# and returned as a (B, N, N, T) view of that buffer.
 
 
 def _rollout_fwd(s0, i0, r0, beta, gamma, flows, pop):
@@ -120,7 +122,7 @@ def _rollout_bwd(
         gs = gs_pre + np.where(capped, 0.0, gx)
         gi = gi_next
         gr = gr_pre
-    g_flows = np.ascontiguousarray(np.moveaxis(left @ right, 0, 3))
+    g_flows = np.moveaxis(left @ right, 0, 3)
     return g_beta, g_gamma, g_flows
 
 

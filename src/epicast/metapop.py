@@ -153,7 +153,7 @@ def rollout_batch(
     population = np.ascontiguousarray(population, dtype=np.float64)
     beta_data = np.ascontiguousarray(as_data(beta))
     gamma_data = np.ascontiguousarray(as_data(gamma))
-    flows_data = np.ascontiguousarray(as_data(flows))
+    flows_data = as_data(flows)  # any layout; the kernels read it time-major
     kern = kernels.active()
     cases, s_traj, i_traj, r_traj, strength, cap, ms, mi, mr = kern.rollout_fwd(
         s0, i0, r0, beta_data, gamma_data, flows_data, population

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from epicast import adjacency
+from epicast import autodiff as ad
 from epicast.autodiff import Tensor
 from epicast.domain import DimensionMismatchError
 
@@ -45,6 +46,61 @@ class TestMobilityForecast:
             t, adjacency.MobilityForecaster.initialize(3, 2).transform
         )
         assert isinstance(out, Tensor)
+
+
+def clamped_forecast_inputs(rng):
+    """Batched flows and a transform with negative entries, so that the
+    clamp at zero is active on part of the horizon."""
+    history = rng.uniform(0.1, 10.0, size=(2, 3, 3, 5))
+    transform = rng.standard_normal((5, 4))
+    return history, transform
+
+
+class TestFusedMobilityForecast:
+    """The fused forecast node against central differences and against the
+    same map composed from generic tape operations."""
+
+    def test_matches_composed_reference(self):
+        rng = rng_for(215)
+        arrays = clamped_forecast_inputs(rng)
+        upstream = rng.standard_normal((2, 3, 3, 4))
+        results = []
+        for build in (
+            adjacency.forecast_mobility,
+            lambda history, transform: ad.relu(ad.matmul(history, transform)),
+        ):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = build(*tensors)
+            out.backward(upstream)
+            results.append([out.data] + [t.grad for t in tensors])
+        clamped = results[1][0] == 0.0
+        assert clamped.any() and not clamped.all()
+        for fused, reference in zip(*results):
+            np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        rng = rng_for(216)
+        arrays = clamped_forecast_inputs(rng)
+        assert (adjacency.forecast_mobility(*arrays) == 0.0).any()
+        weights = rng.standard_normal((2, 3, 3, 4))
+
+        def loss_of(*values):
+            return float((adjacency.forecast_mobility(*values) * weights).sum())
+
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        (adjacency.forecast_mobility(*tensors) * weights).sum().backward()
+        for tensor, array in zip(tensors, arrays):
+            numeric = np.empty_like(array)
+            flat, slope = array.ravel(), numeric.ravel()
+            for k in range(flat.size):
+                keep = flat[k]
+                flat[k] = keep + 1e-6
+                hi = loss_of(*arrays)
+                flat[k] = keep - 1e-6
+                lo = loss_of(*arrays)
+                flat[k] = keep
+                slope[k] = (hi - lo) / 2e-6
+            np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-6, atol=1e-8)
 
 
 class TestPoolMobility:

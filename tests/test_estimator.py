@@ -163,6 +163,43 @@ class TestFusedDependencyGradients:
         for fused, reference in zip(*results):
             np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
 
+    def test_block_with_an_overshot_bound_matches_composed_reference(self, monkeypatch):
+        # blocks of two batch elements: 2, 2 and 1.  In the last element every
+        # key opposes every query, so each row's max lies far below the
+        # Cauchy-Schwarz bound, exp of the bound-shifted scores underflows,
+        # and only that block is recomputed with the exact row max.
+        batch, regions, days, channels, heads = 5, 4, 6, 8, 2
+        monkeypatch.setattr(
+            estimator, "_DEPENDENCY_BLOCK_BYTES", 2 * heads * days * regions * regions * 8
+        )
+        exact = []
+        recompute = estimator._exp_shifted_by_row_max
+
+        def counted(block, *rest):
+            exact.append(block.shape[0])
+            recompute(block, *rest)
+
+        monkeypatch.setattr(estimator, "_exp_shifted_by_row_max", counted)
+        rng = rng_for(336)
+        lifted, query_weight, key_weight = dependency_inputs(
+            rng, (batch, regions, days, channels)
+        )
+        key_weight = -key_weight
+        lifted[-1] = 20.0 + rng.standard_normal((regions, days, channels))
+        upstream = rng.standard_normal((batch, regions, regions))
+        results = []
+        for build in (estimator.dynamic_dependency, composed_dependency):
+            tensors = [
+                Tensor(a.copy(), requires_grad=True) for a in (lifted, query_weight, key_weight)
+            ]
+            out = build(*tensors, heads=heads)
+            out.backward(upstream)
+            results.append([out.data] + [t.grad for t in tensors])
+        assert exact == [1]
+        for fused, reference in zip(*results):
+            assert np.isfinite(fused).all()
+            np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
+
     def test_plain_arrays_build_no_tape(self):
         rng = rng_for(334)
         lifted, query_weight, key_weight = dependency_inputs(rng, (2, 3, 4, 4))
@@ -637,7 +674,7 @@ class TestFusedBackbone:
 
 
 class TestTapeSize:
-    def test_train_regional_step_records_65_nodes(self):
+    def test_train_regional_step_records_64_nodes(self):
         # the acceptance world (N=8) at batch 32, as a training step sees it;
         # each fused node is one tape node however it works inside
         from epicast import datasets
@@ -658,7 +695,7 @@ class TestTapeSize:
                 seen.add(id(node))
                 nodes += node._backward is not None
                 stack.extend(node._parents)
-        assert nodes == 65
+        assert nodes == 64
 
 
 class TestParameterHeads:

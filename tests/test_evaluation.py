@@ -84,6 +84,11 @@ class TestMetricProperties:
         assert 0.0 <= scores.smape <= 200.0 + 1e-9
         assert scores.rmse >= 0.0
 
+    def test_rae_of_a_barely_varying_truth_is_infinite(self):
+        # the spread is the smallest subnormal: the ratio overflows to +inf
+        scores = metrics(np.array([1e6, 1e6]), np.array([0.0, 1e-323]))
+        assert scores.rae_defined and scores.rae == np.inf
+
     def test_smape_symmetric_in_arguments(self):
         rng = rng_for(701)
         pred = rng.uniform(0, 10, 20)

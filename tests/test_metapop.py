@@ -292,6 +292,24 @@ class TestRolloutBatch:
                 denom = max(abs(numeric), abs(analytic), 1e-6)
                 assert abs(numeric - analytic) / denom < 1e-4
 
+    def test_time_major_flows_match_c_ordered(self):
+        # the model's flows are a (B, N, N, T) view of a time-major buffer
+        rng = rng_for(111)
+        s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(rng)
+        time_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(flows, 3, 0)), 0, 3)
+        assert not time_major.flags.c_contiguous
+        weights = rng.standard_normal(beta.shape)
+        results = []
+        for layout in (flows, time_major):
+            tensors = [
+                Tensor(a.copy(order="K"), requires_grad=True) for a in (beta, gamma, layout)
+            ]
+            cases, aux = metapop.rollout_batch(s0, i0, r0, *tensors, pop)
+            (cases * weights).sum().backward()
+            results.append([cases.data, *aux.values(), *(t.grad for t in tensors)])
+        for c_ordered, strided in zip(*results):
+            np.testing.assert_array_equal(strided, c_ordered)
+
     def test_constant_inputs_return_plain_arrays(self):
         rng = rng_for(110)
         s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(rng, batch=1)
