@@ -17,7 +17,7 @@ batch dimensions welcome); domain value types stay at the I/O edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from . import autodiff as ad
 from .domain import DimensionMismatchError
 
 __all__ = [
-    "MobilityForecaster",
     "PatternMemory",
     "case_adjacency",
     "compose_adjacency",
@@ -36,22 +35,6 @@ __all__ = [
 ]
 
 _EPSILON = 1e-8
-
-
-@dataclass
-class MobilityForecaster:
-    """Linear map from the observed window to the forecast horizon.
-
-    ``transform`` has shape (input days, horizon days); each origin,
-    destination pair is forecast independently.  The neutral initialization
-    predicts every horizon day as the mean of the observed window.
-    """
-
-    transform: object
-
-    @staticmethod
-    def initialize(t_in: int, t_out: int) -> "MobilityForecaster":
-        return MobilityForecaster(np.full((t_in, t_out), 1.0 / t_in))
 
 
 @dataclass
@@ -98,13 +81,6 @@ class PatternMemory:
             region_embeddings=rng.standard_normal((n_regions, embed_dim)),
             scale=np.zeros(()),
         )
-
-    @property
-    def window(self) -> int:
-        return ad.as_data(self.patterns).shape[1]
-
-    def named_arrays(self) -> dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def forecast_mobility(history, transform):

@@ -20,7 +20,8 @@ broadcast are summed down to the original operand shape.
 The module-level helpers (``exp``, ``sigmoid``, ``softmax``, ``mean``, ...)
 are polymorphic: given a Tensor they build tape nodes, given an ndarray they
 fall through to numpy.  Model code written against these helpers runs both in
-training (differentiable) and as plain array math.
+training (differentiable) and as plain array math.  A model's parameters
+live in one ``Parameters`` table over flat data and gradient buffers.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "Parameters",
     "Tensor",
     "absolute",
     "as_data",
@@ -334,6 +336,55 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False):
         count = self.data.size if axis is None else _axis_count(self.data.shape, axis)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
+class _Leaf(Tensor):
+    """A table parameter; ``_slot`` is its slice of the table's ``grad``."""
+
+    __slots__ = ("_slot",)
+
+    def zero_grad(self) -> None:
+        self._slot.fill(0.0)
+        self.grad = None
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.grad is None:
+            self._slot[...] = grad
+            self.grad = self._slot
+        else:
+            self.grad += grad
+
+
+class Parameters(dict):
+    """An ordered ``name -> Tensor`` table over flat ``data`` and ``grad`` buffers.
+
+    Each leaf's ``data`` is a view into ``data``.  The backward's first write
+    of a leaf's gradient copies it into the leaf's slice of ``grad``, which
+    becomes the leaf's ``grad``; later writes add into it in place.  So
+    ``grad`` holds every gradient, with zeros where a leaf's ``grad`` is None.
+    A leaf's ``grad`` is never rebound from outside, and its ``data`` is only
+    written in place; ``zero_grad``, of the table or of a leaf, also zeroes
+    the slice.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        super().__init__()
+        arrays = {name: _asarray(value) for name, value in arrays.items()}
+        self.data = np.concatenate([value.ravel() for value in arrays.values()])
+        self.grad = np.zeros_like(self.data)
+        offset = 0
+        for name, value in arrays.items():
+            end = offset + value.size
+            leaf = self[name] = _Leaf(
+                self.data[offset:end].reshape(value.shape), requires_grad=True, name=name
+            )
+            leaf._slot = self.grad[offset:end].reshape(value.shape)
+            offset = end
+
+    def zero_grad(self) -> None:
+        self.grad.fill(0.0)
+        for leaf in self.values():
+            leaf.grad = None
 
 
 def _axis_count(shape: tuple[int, ...], axis) -> int:

@@ -31,7 +31,7 @@ built with ``make_op``, each with a hand-derived backward:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "BackboneConfig",
     "FusionGate",
     "ParameterHeads",
-    "SpatialPrior",
     "dynamic_dependency",
     "enhance_features",
     "estimate_params",
@@ -250,21 +249,9 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     return make_op(pooled.reshape(out_shape), tracked, backward)
 
 
-@dataclass
-class SpatialPrior:
-    """Learnable static region-relation logits; identity at initialization."""
-
-    weights: object
-
-    @staticmethod
-    def initialize(n_regions: int) -> "SpatialPrior":
-        return SpatialPrior(np.eye(n_regions))
-
-
 def static_dependency(prior):
     """Row-softmax the static prior logits into a row-stochastic matrix."""
-    weights = prior.weights if isinstance(prior, SpatialPrior) else prior
-    return ad.softmax(weights, axis=-1)
+    return ad.softmax(prior, axis=-1)
 
 
 @dataclass
@@ -278,9 +265,6 @@ class FusionGate:
     @staticmethod
     def initialize() -> "FusionGate":
         return FusionGate(np.zeros(()), np.zeros(()), np.zeros(()))
-
-    def named_arrays(self) -> dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def fuse_dependencies(node_adj, struct_adj, gate: FusionGate):
@@ -410,9 +394,6 @@ class Backbone:
         params["time_weight"] = _glorot(rng, t_in, t_out)
         params["time_bias"] = np.zeros(t_out)
         return Backbone(config, t_in, t_out, params)
-
-    def named_arrays(self) -> dict[str, object]:
-        return dict(self.params)
 
     def __call__(self, features, adjacency):
         """Distill (B, N, T_in, C) + (B, N, N) into (B, N, T_out, out_dim).
@@ -653,9 +634,6 @@ class ParameterHeads:
             gamma_weight=_glorot(rng, latent_dim, 1),
             gamma_bias=np.full(1, -2.0),
         )
-
-    def named_arrays(self) -> dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def estimate_params(latent, heads: ParameterHeads):

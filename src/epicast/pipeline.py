@@ -17,15 +17,9 @@ from typing import Iterator
 import numpy as np
 
 from . import adjacency, estimator, metapop
-from .autodiff import Tensor
+from .autodiff import Parameters, Tensor
 from .domain import ConfigRangeError, DimensionMismatchError, check_ranges
-from .estimator import (
-    Backbone,
-    BackboneConfig,
-    FusionGate,
-    ParameterHeads,
-    SpatialPrior,
-)
+from .estimator import Backbone, BackboneConfig, FusionGate, ParameterHeads
 from .suppression import EmaState, ThresholdConfig, detect, suppress_beta
 
 __all__ = ["ForecastModel", "ForwardResult", "ModelConfig", "WindowBatch"]
@@ -130,9 +124,8 @@ class ForecastModel:
         self.seed = seed
         rng = np.random.default_rng(seed)
 
-        self.mobility_transform = adjacency.MobilityForecaster.initialize(
-            config.t_in, config.t_out
-        )
+        # neutral: every horizon day forecast as the mean of the window
+        self.mobility_transform = np.full((config.t_in, config.t_out), 1.0 / config.t_in)
         self.memory = adjacency.PatternMemory.initialize(
             n_regions,
             rng,
@@ -154,7 +147,7 @@ class ForecastModel:
         self.key_weight = rng.uniform(
             -bound, bound, size=(config.lifted_channels, config.lifted_channels)
         )
-        self.prior = SpatialPrior.initialize(n_regions)
+        self.prior = np.eye(n_regions)  # static region-relation logits
         self.gate = FusionGate.initialize()
         self.blend = np.zeros(())
         self.backbone = Backbone.initialize(
@@ -170,40 +163,37 @@ class ForecastModel:
     # ------------------------------------------------------------- parameters
 
     def _tensorize(self) -> None:
-        """Wrap every learnable array in a gradient-tracking Tensor; the order
-        of the wraps is the order of ``parameters()``."""
-        self._params: dict[str, Tensor] = {}
-        self.mobility_transform.transform = self._track(
-            "mobility.transform", self.mobility_transform.transform
-        )
-        for name, value in self.memory.named_arrays().items():
-            setattr(self.memory, name, self._track(f"memory.{name}", value))
-        self.lift_weight = self._track("lift.weight", self.lift_weight)
-        self.lift_bias = self._track("lift.bias", self.lift_bias)
-        self.query_weight = self._track("attention.query_weight", self.query_weight)
-        self.key_weight = self._track("attention.key_weight", self.key_weight)
-        self.prior.weights = self._track("spatial.prior", self.prior.weights)
-        for name, value in self.gate.named_arrays().items():
-            setattr(self.gate, name, self._track(f"gate.{name}", value))
-        self.blend = self._track("enhance.blend", self.blend)
-        for name, value in self.backbone.named_arrays().items():
-            self.backbone.params[name] = self._track(f"backbone.{name}", value)
-        for name, value in self.heads.named_arrays().items():
-            setattr(self.heads, name, self._track(f"heads.{name}", value))
+        """Gather every learnable array into one ``Parameters`` table, in the
+        order of ``parameters()``, and put each table Tensor back where the
+        forward reads it."""
+        own = vars(self)
 
-    def _track(self, name: str, value) -> Tensor:
-        if not isinstance(value, Tensor):
-            value = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True, name=name)
-        self._params[name] = value
-        return value
+        def group(prefix: str, space: dict) -> list:
+            return [(f"{prefix}.{key}", space, key) for key in space]
 
-    def parameters(self) -> dict[str, Tensor]:
-        """Flat name-to-tensor view of every learnable parameter."""
-        return dict(self._params)
+        places = [
+            ("mobility.transform", own, "mobility_transform"),
+            *group("memory", vars(self.memory)),
+            ("lift.weight", own, "lift_weight"),
+            ("lift.bias", own, "lift_bias"),
+            ("attention.query_weight", own, "query_weight"),
+            ("attention.key_weight", own, "key_weight"),
+            ("spatial.prior", own, "prior"),
+            *group("gate", vars(self.gate)),
+            ("enhance.blend", own, "blend"),
+            *group("backbone", self.backbone.params),
+            *group("heads", vars(self.heads)),
+        ]
+        self._params = Parameters({name: space[key] for name, space, key in places})
+        for name, space, key in places:
+            space[key] = self._params[name]
+
+    def parameters(self) -> Parameters:
+        """The table of every learnable parameter (not a copy)."""
+        return self._params
 
     def zero_grad(self) -> None:
-        for tensor in self.parameters().values():
-            tensor.grad = None
+        self._params.zero_grad()
 
     @contextmanager
     def inference(self) -> Iterator[None]:
@@ -276,9 +266,7 @@ class ForecastModel:
         obs = batch.observations
 
         # Coupling path: forecast mobility, pool, add the case correction.
-        horizon_flows = adjacency.forecast_mobility(
-            batch.mobility, self.mobility_transform.transform
-        )
+        horizon_flows = adjacency.forecast_mobility(batch.mobility, self.mobility_transform)
         pooled = adjacency.pool_mobility(horizon_flows)
         recent = obs[:, :, cfg.t_in - cfg.pattern_window :, CASES_CHANNEL]
         pattern = adjacency.extract_pattern(recent)

@@ -13,14 +13,18 @@ Checkpoint container (documented layout, version 1):
 * bytes 12 .. 12+M: UTF-8 JSON manifest with the model configuration, its
   sha256 hash, region names, scaler statistics, smoothing state, training
   provenance (epoch, validation loss), and per-parameter ``name``/
-  ``shape``/``offset``/``count`` records;
-* the rest: the parameters' raw little-endian float64 bytes, concatenated
-  in manifest order.
+  ``shape``/``offset``/``count`` records in table order (byte offsets);
+* the rest: the model's flat parameter table ``data`` as raw little-endian
+  float64 bytes, that is each parameter's bytes in manifest order.
 
 Round trips are bit-exact: identical state serializes to identical bytes.
 A checkpoint is written to a temporary sibling and renamed into place, so a
-failed save leaves the previous file intact; a manifest key that is missing
-or of the wrong JSON type is a ``ValueError`` naming the key.
+failed save leaves the previous file intact.  Loading raises a
+``ValueError`` naming the file when the manifest is not UTF-8 JSON, when a
+manifest key is missing or of the wrong JSON type (naming the key), when
+the records differ from the layout of the model the stored configuration
+builds (naming the first differing record), or when the payload is not
+exactly that layout's size.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Parameters
 from .datasets import WindowSet, atomic_write
 from .domain import ConfigRangeError, DimensionMismatchError, check_ranges, config_from
 from .pipeline import ForecastModel, ModelConfig
@@ -103,32 +107,29 @@ def curriculum_horizon(iteration: int, step: int, full_horizon: int) -> int:
 
 
 class Adam:
-    """Adaptive moments with decoupled weight decay on a parameter table."""
+    """Adaptive moments with decoupled weight decay: one set of elementwise
+    passes over a ``Parameters`` table's flat buffers."""
 
-    def __init__(self, params: dict[str, Tensor], config: TrainConfig):
+    def __init__(self, params: Parameters, config: TrainConfig):
         self.params = params
         self.config = config
         self.step_count = 0
-        self.first_moment = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.second_moment = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.first_moment = np.zeros_like(params.data)
+        self.second_moment = np.zeros_like(params.data)
 
     def step(self) -> None:
         cfg = self.config
         self.step_count += 1
         bias1 = 1.0 - cfg.beta1**self.step_count
         bias2 = 1.0 - cfg.beta2**self.step_count
-        for name, param in self.params.items():
-            grad = param.grad
-            if grad is None:
-                grad = 0.0
-            m = self.first_moment[name]
-            v = self.second_moment[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * grad
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * np.square(grad)
-            update = (m / bias1) / (np.sqrt(v / bias2) + cfg.epsilon)
-            param.data -= cfg.learning_rate * (cfg.weight_decay * param.data + update)
+        grad, data = self.params.grad, self.params.data
+        m, v = self.first_moment, self.second_moment
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grad
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * np.square(grad)
+        update = (m / bias1) / (np.sqrt(v / bias2) + cfg.epsilon)
+        data -= cfg.learning_rate * (cfg.weight_decay * data + update)
 
 
 @dataclass
@@ -164,15 +165,11 @@ def validation_loss(
 
 
 def _snapshot(model: ForecastModel) -> dict:
-    return {
-        "params": {name: p.data.copy() for name, p in model.parameters().items()},
-        "ema": model.ema.as_dict(),
-    }
+    return {"params": model.parameters().data.copy(), "ema": model.ema.as_dict()}
 
 
 def _restore(model: ForecastModel, snapshot: dict) -> None:
-    for name, param in model.parameters().items():
-        param.data[...] = snapshot["params"][name]
+    model.parameters().data[...] = snapshot["params"]
     model.ema = EmaState.from_dict(snapshot["ema"])
 
 
@@ -214,12 +211,15 @@ def fit(
                     f"inspect the learning rate and input scaling"
                 )
             loss.backward()
-            for name, param in optimizer.params.items():
-                if param.grad is not None and not np.isfinite(param.grad).all():
-                    raise TrainingDivergedError(
-                        f"non-finite gradient in parameter group {name!r} at epoch {epoch}, "
-                        f"iteration {history.iterations}; this step's update was not applied"
-                    )
+            if not np.isfinite(optimizer.params.grad).all():
+                name = next(
+                    name for name, param in optimizer.params.items()
+                    if param.grad is not None and not np.isfinite(param.grad).all()
+                )
+                raise TrainingDivergedError(
+                    f"non-finite gradient in parameter group {name!r} at epoch {epoch}, "
+                    f"iteration {history.iterations}; this step's update was not applied"
+                )
             optimizer.step()
             model.clamp_blend()
             history.iterations += 1
@@ -258,6 +258,18 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _layout(params: Parameters) -> list[dict]:
+    """The manifest's ``params`` records, in table order, with byte offsets."""
+    records, offset = [], 0
+    for name, tensor in params.items():
+        count = tensor.size
+        records.append(
+            {"name": name, "shape": list(tensor.shape), "offset": offset, "count": count}
+        )
+        offset += 8 * count
+    return records
+
+
 def save_checkpoint(
     model: ForecastModel,
     path: str | Path,
@@ -268,21 +280,6 @@ def save_checkpoint(
 ) -> None:
     """Serialize the model to the versioned container described above."""
     params = model.parameters()
-    records = []
-    offset = 0
-    blobs = []
-    for name, tensor in params.items():
-        blob = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-        records.append(
-            {
-                "name": name,
-                "shape": list(tensor.data.shape),
-                "offset": offset,
-                "count": int(tensor.data.size),
-            }
-        )
-        blobs.append(blob)
-        offset += len(blob)
     config = asdict(model.config)
     manifest = {
         "format_version": 1,
@@ -297,15 +294,14 @@ def save_checkpoint(
         "scaler_mean": [float(v) for v in model.scaler_mean],
         "scaler_scale": [float(v) for v in model.scaler_scale],
         "train_config": asdict(train_config) if train_config else None,
-        "params": records,
+        "params": _layout(params),
     }
     encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with atomic_write(path, binary=True) as handle:
         handle.write(_MAGIC)
         handle.write(len(encoded).to_bytes(4, "little"))
         handle.write(encoded)
-        for blob in blobs:
-            handle.write(blob)
+        handle.write(params.data.astype("<f8", copy=False).tobytes())
 
 
 # Manifest keys that loading reads, with the JSON type each must have.
@@ -352,7 +348,10 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     cursor = len(_MAGIC)
     manifest_length = int.from_bytes(raw[cursor : cursor + 4], "little")
     cursor += 4
-    manifest = json.loads(raw[cursor : cursor + manifest_length].decode("utf-8"))
+    try:
+        manifest = json.loads(raw[cursor : cursor + manifest_length].decode("utf-8"))
+    except ValueError as err:  # a UnicodeDecodeError or a JSONDecodeError
+        raise ValueError(f"{path}: checkpoint manifest is not UTF-8 JSON ({err})") from None
     cursor += manifest_length
     payload = raw[cursor:]
     _require_keys(manifest, _MANIFEST_KEYS, "manifest", path)
@@ -372,20 +371,25 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise ValueError(f"{path}: configuration hash mismatch")
     model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"])
     params = model.parameters()
-    stored = {record["name"]: record for record in manifest["params"]}
-    if set(stored) != set(params):
-        raise ValueError(f"{path}: parameter names do not match this build")
-    for name, tensor in params.items():
-        record = stored[name]
-        if list(tensor.data.shape) != record["shape"]:
-            raise ValueError(
-                f"{path}: parameter {name} has shape {record['shape']} on disk "
-                f"but {list(tensor.data.shape)} in the model"
-            )
-        flat = np.frombuffer(
-            payload, dtype="<f8", count=record["count"], offset=record["offset"]
+    stored, expected = manifest["params"], _layout(params)
+    if stored != expected:
+        pad = [None] * abs(len(stored) - len(expected))  # a missing record reads null
+        index, (have, want) = next(
+            (index, pair)
+            for index, pair in enumerate(zip(stored + pad, expected + pad))
+            if pair[0] != pair[1]
         )
-        tensor.data = flat.reshape(record["shape"]).astype(np.float64)  # a writeable copy
+        have, want = (json.dumps(record, sort_keys=True) for record in (have, want))
+        raise ValueError(
+            f"{path}: checkpoint manifest params[{index}] is {have}, "
+            f"but this build's layout has {want} there"
+        )
+    if len(payload) != params.data.nbytes:
+        raise ValueError(
+            f"{path}: checkpoint payload has {len(payload)} bytes, but the "
+            f"{len(expected)} parameter records take {params.data.nbytes}"
+        )
+    params.data[...] = np.frombuffer(payload, dtype="<f8")
     model.scaler_mean = np.asarray(manifest["scaler_mean"], dtype=np.float64)
     model.scaler_scale = np.asarray(manifest["scaler_scale"], dtype=np.float64)
     model.ema = EmaState.from_dict(manifest["ema"])

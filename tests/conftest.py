@@ -75,3 +75,10 @@ def small_model(model_config, small_windows) -> ForecastModel:
 
 def rng_for(test_tag: int) -> np.random.Generator:
     return np.random.default_rng([97531, test_tag])
+
+
+def assert_leaves_view_the_table(params) -> None:
+    """Every leaf's data, and its grad once written, views the table's buffers."""
+    for name, leaf in params.items():
+        assert np.shares_memory(leaf.data, params.data), name
+        assert leaf.grad is None or np.shares_memory(leaf.grad, params.grad), name

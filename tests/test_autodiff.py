@@ -18,7 +18,7 @@ import pytest
 
 from epicast import autodiff as ad
 from epicast import cli, datasets, training
-from epicast.autodiff import Tensor
+from epicast.autodiff import Parameters, Tensor
 from epicast.pipeline import ForecastModel
 
 from conftest import rng_for
@@ -392,6 +392,57 @@ class TestGraphEngine:
             return (ad.tanh(a @ b) * ad.sigmoid(a @ b)).sum()
 
         check_op(build, [(3, 4), (4, 2)], tag=50)
+
+
+class TestParameterTable:
+    """``Parameters``: leaves viewing one flat data and one flat grad buffer."""
+
+    def table(self):
+        rng = rng_for(60)
+        return Parameters(
+            {"w": rng.standard_normal((2, 3)), "b": rng.standard_normal(3), "s": 0.5}
+        )
+
+    def test_leaves_are_views_of_the_flat_data(self):
+        params = self.table()
+        assert params.data.shape == params.grad.shape == (10,)
+        assert [leaf.shape for leaf in params.values()] == [(2, 3), (3,), ()]
+        np.testing.assert_array_equal(
+            params.data, np.concatenate([leaf.data.ravel() for leaf in params.values()])
+        )
+        params.data[:] = np.arange(10.0)
+        np.testing.assert_array_equal(params["b"].data, [6.0, 7.0, 8.0])
+        assert float(params["s"].data) == 9.0
+        assert all(leaf.grad is None and leaf.requires_grad for leaf in params.values())
+        assert not params.grad.any()
+
+    def test_first_gradient_becomes_a_view_then_adds_in_place(self):
+        params = self.table()
+        w, b = params["w"], params["b"]
+        (w * 2.0).sum().backward()
+        assert params["b"].grad is None
+        assert np.shares_memory(w.grad, params.grad)
+        slot = w.grad
+        (w * 3.0 + b).sum().backward()
+        assert w.grad is slot
+        np.testing.assert_array_equal(w.grad, np.full((2, 3), 5.0))
+        np.testing.assert_array_equal(params.grad[:6], np.full(6, 5.0))
+        np.testing.assert_array_equal(params.grad[6:], [2.0, 2.0, 2.0, 0.0])
+
+    def test_zero_grad_clears_every_leaf_and_the_flat_gradient(self):
+        params = self.table()
+        sum((leaf * 1.5).sum() for leaf in params.values()).backward()
+        assert params.grad.all()
+        params.zero_grad()
+        assert all(leaf.grad is None for leaf in params.values())
+        assert not params.grad.any()
+
+    def test_leaf_zero_grad_zeroes_only_its_slice(self):
+        params = self.table()
+        sum((leaf * 1.5).sum() for leaf in params.values()).backward()
+        params["b"].zero_grad()
+        assert params["b"].grad is None
+        np.testing.assert_array_equal(params.grad, [1.5] * 6 + [0.0] * 3 + [1.5])
 
 
 # ------------------------------------------------------------- freed graph

@@ -505,16 +505,24 @@ class TestOutOfRangeInput:
         assert not out.exists()
 
 
-def rewrite_manifest(source, target, edit):
-    """Copy a checkpoint with its JSON manifest changed by ``edit``."""
+def rewrite_manifest(source, target, edit, payload=None):
+    """Copy a checkpoint with its JSON manifest changed by ``edit`` and, when
+    given, its payload bytes by ``payload``."""
     raw = Path(source).read_bytes()
     length = int.from_bytes(raw[8:12], "little")
     manifest = json.loads(raw[12 : 12 + length])
     edit(manifest)
     encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    tail = raw[12 + length :]
     Path(target).write_bytes(
-        raw[:8] + len(encoded).to_bytes(4, "little") + encoded + raw[12 + length :]
+        raw[:8] + len(encoded).to_bytes(4, "little") + encoded
+        + (payload(tail) if payload else tail)
     )
+
+
+def swap_first_records(manifest):
+    records = manifest["params"]
+    records[0], records[1] = records[1], records[0]
 
 
 class TestCorruptCheckpoint:
@@ -562,6 +570,54 @@ class TestCorruptCheckpoint:
         )
         assert code == EXIT_DATA
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda raw: raw[:12] + b"\xff" + raw[13:], lambda raw: raw[:14]],
+        ids=["not-utf8", "cut-in-manifest"],
+    )
+    def test_undecodable_manifest_names_file(self, workdir, tmp_path, capsys, cut):
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(cut(workdir["ckpt"].read_bytes()))
+        code = main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                     str(broken), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(broken) in err and "not UTF-8 JSON" in err
+
+    @pytest.mark.parametrize(
+        "edit,payload,defect",
+        [
+            (lambda m: None, lambda raw: raw[:-100], "payload has"),
+            (lambda m: None, lambda raw: raw + bytes(8), "payload has"),
+            (lambda m: m["params"][0].update(count=m["params"][0]["count"] + 1), None,
+             "params[0]"),
+            (lambda m: m["params"][2].update(offset=m["params"][1]["offset"]), None,
+             "params[2]"),
+            (swap_first_records, None, "params[0]"),
+            (lambda m: m["params"][3].update(name="no.such"), None, "params[3]"),
+            (lambda m: m["params"][0].update(shape=m["params"][0]["shape"][::-1]), None,
+             "params[0]"),
+            (lambda m: m["params"].pop(), None, "is null"),
+        ],
+        ids=[
+            "truncated-payload", "trailing-bytes", "count-against-shape",
+            "overlapping-offsets", "reordered-records", "unknown-name",
+            "other-shape", "missing-record",
+        ],
+    )
+    def test_layout_defect_names_file_and_record(
+        self, workdir, tmp_path, capsys, edit, payload, defect
+    ):
+        broken = tmp_path / "broken.ckpt"
+        rewrite_manifest(workdir["ckpt"], broken, edit, payload)
+        out = tmp_path / "x.csv"
+        code = main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                     str(broken), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(broken) in err and defect in err
+        assert not out.exists()
 
 
 class TestAtomicOutputs:

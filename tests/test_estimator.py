@@ -10,13 +10,7 @@ from epicast import autodiff as ad
 from epicast import estimator, kernels
 from epicast.autodiff import Tensor
 from epicast.domain import DimensionMismatchError, ValidationError
-from epicast.estimator import (
-    Backbone,
-    BackboneConfig,
-    FusionGate,
-    ParameterHeads,
-    SpatialPrior,
-)
+from epicast.estimator import Backbone, BackboneConfig, FusionGate, ParameterHeads
 
 from conftest import on_kernel_set, rng_for
 
@@ -213,8 +207,7 @@ class TestFusedDependencyGradients:
 
 class TestStaticDependency:
     def test_identity_prior_rows_softmaxed(self):
-        prior = SpatialPrior.initialize(4)
-        dep = np.asarray(estimator.static_dependency(prior))
+        dep = np.asarray(estimator.static_dependency(np.eye(4)))
         np.testing.assert_allclose(dep.sum(axis=-1), 1.0, atol=1e-12)
         # diagonal logits of 1 versus 0 elsewhere: diagonal entries dominate
         off = dep[~np.eye(4, dtype=bool)]

@@ -20,7 +20,7 @@ from epicast.pipeline import ForecastModel, ModelConfig
 from epicast.suppression import ThresholdConfig
 from epicast.training import gradient_check, mae_loss
 
-from conftest import rng_for, small_model_config
+from conftest import assert_leaves_view_the_table, rng_for, small_model_config
 
 
 class TestModelConfig:
@@ -65,13 +65,26 @@ class TestParameters:
         assert any(name.startswith("attention.") for name in names)
         assert all(p.requires_grad for p in model.parameters().values())
 
+    def test_forward_reads_the_table_leaves(self, small_model):
+        params = small_model.parameters()
+        assert_leaves_view_the_table(params)
+        assert small_model.mobility_transform is params["mobility.transform"]
+        assert small_model.prior is params["spatial.prior"]
+        assert small_model.memory.scale is params["memory.scale"]
+        assert small_model.gate.bias is params["gate.bias"]
+        assert small_model.backbone.params["end_bias"] is params["backbone.end_bias"]
+        assert small_model.heads.gamma_bias is params["heads.gamma_bias"]
+
     def test_zero_grad_clears_all(self, small_model, small_windows):
         batch = small_windows.batch(np.arange(2))
         result = small_model.forward(batch)
         mae_loss(result.cases, batch.targets).backward()
-        assert any(p.grad is not None for p in small_model.parameters().values())
+        params = small_model.parameters()
+        assert any(p.grad is not None for p in params.values())
+        assert_leaves_view_the_table(params)
         small_model.zero_grad()
-        assert all(p.grad is None for p in small_model.parameters().values())
+        assert all(p.grad is None for p in params.values())
+        assert not params.grad.any()
 
     def test_clamp_blend(self, small_model):
         small_model.blend.data[...] = 1.7

@@ -3,13 +3,14 @@ early stopping, and run-to-run determinism."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from epicast import datasets, training
-from epicast.autodiff import Tensor
+from epicast.autodiff import Parameters, Tensor
 from epicast.domain import DimensionMismatchError
 from epicast.pipeline import ForecastModel
 from epicast.suppression import ThresholdConfig
@@ -26,7 +27,12 @@ from epicast.training import (
     validation_loss,
 )
 
-from conftest import rng_for, small_model_config, small_scenario
+from conftest import (
+    assert_leaves_view_the_table,
+    rng_for,
+    small_model_config,
+    small_scenario,
+)
 
 
 def build_windows(scenario=None, config=None):
@@ -98,6 +104,13 @@ def reference_adam(params, grads, config, steps):
     return out
 
 
+def give_gradients(params, grads):
+    """Set each named leaf's gradient exactly, through a backward pass."""
+    params.zero_grad()
+    for name, grad in grads.items():
+        (params[name] * grad).sum().backward()
+
+
 class TestAdam:
     def test_matches_reference_implementation(self):
         rng = rng_for(500)
@@ -108,45 +121,43 @@ class TestAdam:
         grads = {
             k: [rng.standard_normal(s) for _ in range(steps)] for k, s in shapes.items()
         }
-        tensors = {
-            k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()
-        }
-        optimizer = Adam(tensors, config)
+        params = Parameters(start)
+        optimizer = Adam(params, config)
         for t in range(steps):
-            for k in tensors:
-                tensors[k].grad = np.array(grads[k][t])
+            give_gradients(params, {k: grads[k][t] for k in params})
             optimizer.step()
         want = reference_adam(start, grads, config, steps)
-        for k in tensors:
-            np.testing.assert_allclose(tensors[k].data, want[k], atol=1e-12)
+        for k in params:
+            np.testing.assert_allclose(params[k].data, want[k], atol=1e-12)
 
     def test_decay_decoupled_from_gradient(self):
         # a parameter with zero gradient still shrinks by lr * wd * theta
         config = TrainConfig(learning_rate=0.1, weight_decay=0.01)
-        theta = Tensor(np.array([2.0, -4.0]), requires_grad=True)
-        optimizer = Adam({"theta": theta}, config)
-        theta.grad = np.zeros(2)
+        params = Parameters({"theta": np.array([2.0, -4.0])})
+        optimizer = Adam(params, config)
+        give_gradients(params, {"theta": np.zeros(2)})
         optimizer.step()
         np.testing.assert_allclose(
-            theta.data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.01), atol=1e-15
+            params["theta"].data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.01), atol=1e-15
         )
 
     def test_none_gradient_treated_as_zero(self):
         config = TrainConfig(learning_rate=0.1, weight_decay=0.01)
-        theta = Tensor(np.array([1.0]), requires_grad=True)
-        optimizer = Adam({"theta": theta}, config)
-        theta.grad = None
+        params = Parameters({"theta": np.array([1.0]), "other": np.array([3.0])})
+        optimizer = Adam(params, config)
+        give_gradients(params, {"other": np.array([2.0])})
+        assert params["theta"].grad is None
         optimizer.step()
-        np.testing.assert_allclose(theta.data, [1.0 * (1 - 0.001)], atol=1e-15)
+        np.testing.assert_allclose(params["theta"].data, [1.0 * (1 - 0.001)], atol=1e-15)
 
     def test_first_step_magnitude_is_learning_rate(self):
         config = TrainConfig(learning_rate=0.05, weight_decay=0.0)
-        theta = Tensor(np.array([0.0]), requires_grad=True)
-        optimizer = Adam({"theta": theta}, config)
-        theta.grad = np.array([7.3])
+        params = Parameters({"theta": np.array([0.0])})
+        optimizer = Adam(params, config)
+        give_gradients(params, {"theta": np.array([7.3])})
         optimizer.step()
         # bias correction makes the first update lr * g / (|g| + eps)
-        assert float(theta.data[0]) == pytest.approx(-0.05, rel=1e-6)
+        assert float(params["theta"].data[0]) == pytest.approx(-0.05, rel=1e-6)
 
 
 class TestTrainConfig:
@@ -183,6 +194,7 @@ class TestFit:
         assert validation_loss(model, val_w) == pytest.approx(
             history.best_val_loss, rel=1e-12
         )
+        assert_leaves_view_the_table(model.parameters())
 
     def test_early_stopping_fires(self):
         train_w, val_w, config = build_windows()
@@ -212,9 +224,7 @@ class TestFit:
 
         def poisoned(self, seed=None):
             backward(self, seed)
-            grad = model.lift_bias.grad.copy()
-            grad[1] = np.nan
-            model.lift_bias.grad = grad
+            model.lift_bias.grad[1] = np.nan  # in place: grad is a table view
 
         monkeypatch.setattr(Tensor, "backward", poisoned)
         t_config = TrainConfig(batch_size=8, max_epochs=3, seed=0)
@@ -297,6 +307,45 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             model.forward(batch).cases.data, clone.forward(batch).cases.data
         )
+
+    def test_loaded_leaves_view_the_table(self, tmp_path):
+        train_w, _, config = build_windows()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(train_w, config), path)
+        model = load_checkpoint(path).model
+        batch = train_w.batch(np.arange(2))
+        mae_loss(model.forward(batch).cases, batch.targets).backward()
+        params = model.parameters()
+        assert any(p.grad is not None for p in params.values())
+        assert_leaves_view_the_table(params)
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        # magic, manifest length, sorted-key JSON manifest, then each
+        # record's float64 bytes in manifest order at its byte offset
+        train_w, _, config = build_windows()
+        model = build_model(train_w, config)
+        params = model.parameters()
+        params.data += rng_for(510).normal(0.0, 0.1, params.data.shape)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, epoch=2, regions=list(train_w.regions))
+        raw = path.read_bytes()
+        length = int.from_bytes(raw[8:12], "little")
+        manifest = json.loads(raw[12 : 12 + length])
+        encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        records = manifest["params"]
+        assert [record["name"] for record in records] == list(params)
+        blobs = []
+        for record in records:
+            tensor = params[record["name"]]
+            assert record == {
+                "name": record["name"],
+                "shape": list(tensor.data.shape),
+                "offset": sum(len(blob) for blob in blobs),
+                "count": tensor.data.size,
+            }
+            blobs.append(tensor.data.astype("<f8").tobytes())
+        want = b"EPCAST\x00\x01" + len(encoded).to_bytes(4, "little") + encoded
+        assert raw == want + b"".join(blobs)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
