@@ -115,7 +115,7 @@ def forecast_mobility(history, transform):
     def backward(g: np.ndarray) -> None:
         # a view when g has the flows' time-major layout
         g_by_day = np.moveaxis(g, -1, 0).reshape(t_out, -1)
-        g_by_day = g_by_day * (by_day > 0.0)
+        g_by_day = np.where(by_day > 0.0, g_by_day, 0.0)
         if isinstance(transform, ad.Tensor) and transform.requires_grad:
             transform._accumulate(rows.T @ g_by_day.T)
         if isinstance(history, ad.Tensor) and history.requires_grad:

@@ -101,7 +101,7 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A float64 array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name", "_owns_grad")
 
     # Keep numpy from consuming us in mixed expressions; python then falls
     # back to our reflected dunders.
@@ -141,11 +141,16 @@ class Tensor:
         return f"Tensor{label}(shape={self.data.shape}{flag})"
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # another node may hold ``grad``: only a buffer made here is added into
         if self.grad is None:
+            self._owns_grad = grad.base is not None
             # order="K" keeps a view's layout, e.g. the time-major flows
-            self.grad = grad.copy(order="K") if grad.base is not None else grad
+            self.grad = grad.copy(order="K") if self._owns_grad else grad
+        elif self._owns_grad:
+            self.grad += grad
         else:
             self.grad = self.grad + grad
+            self._owns_grad = True
 
     # ------------------------------------------------------------ graph engine
 

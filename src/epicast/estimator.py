@@ -22,11 +22,11 @@ built with ``make_op``, each with a hand-derived backward:
   which the bound overshoots some row's max by hundreds is recomputed with
   the exact row max; the rows stay unnormalized, and the reciprocals of
   their sums weight the pooling GEMV and the backward's (N, head) sides;
-* the whole backbone: separate filter and gate convolutions per gated layer
-  through ``kernels.active()``, each giving one contiguous block that the
-  gate forward and backward work on in place; each layer's input written
-  once, into its zero-padded buffer; a closed-form gate, mixing and readout
-  backward.
+* the whole backbone, over time-major (day, region) rows with no padding:
+  separate filter and gate convolutions per gated layer through
+  ``kernels.active()``, each giving one contiguous block that the gate
+  forward and backward work on in place, and whose two backward calls add
+  into one input gradient; a closed-form gate, mixing and readout backward.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int, *lead) -> np.ndarra
     return rng.uniform(-bound, bound, size=(*lead, n_in, n_out))
 
 
-# The backbone's channel maps act on (B*N*T, C) row blocks with C of 16 or
+# The backbone's channel maps act on (B*T*N, C) row blocks with C of 16 or
 # 32.  As one product over all rows they leave BLAS's small-matrix kernels
 # and run up to 2.5x slower (bundled OpenBLAS, one thread); one product per
 # batch element stays on them.
@@ -339,7 +339,7 @@ class Backbone:
 
     Convolution taps are causal: with ``K`` taps, tap ``k`` reads
     ``(K - 1 - k) * dilation`` steps into the past, so the last tap is aligned
-    with the current step; the sequence is left-padded with zeros so the
+    with the current step; the days before the window read as zeros, so the
     output keeps the input length.
 
     The last layer's residual output is never read, so its
@@ -398,17 +398,17 @@ class Backbone:
     def __call__(self, features, adjacency):
         """Distill (B, N, T_in, C) + (B, N, N) into (B, N, T_out, out_dim).
 
-        One fused tape node.  Per layer, the filter and gate convolutions run
-        as two ``conv_fwd`` calls, so each output is one contiguous
-        (B*N*T, hidden) block; the gate's weights and bias are halved so that
-        ``tanh`` gives ``sigmoid(g) = (1 + tanh(g / 2)) / 2``, and the gate
-        forward and backward run in place on those blocks.  Each layer's
-        input lives only in its zero-padded buffer: the residual update of
-        the layer before writes into it, and the backward reads it back for
-        the weight gradients.  The forward keeps, per layer, that buffer,
-        ``tanh(f)``, the sigmoid and the output ``h``; the backward
-        differentiates the gate, mixing, skip projections, readout and
-        adjacency normalization in closed form.
+        One fused tape node over time-major buffers: each batch element is
+        one (T*N, C) block of rows ordered (day, region), the ``kernels``
+        convolution layout, so no row is padding.  Per layer, the filter and
+        gate convolutions run as two ``conv_fwd`` calls, so each output is
+        one contiguous (B*T*N, hidden) block; the gate's weights and bias are
+        halved so that ``tanh`` gives ``sigmoid(g) = (1 + tanh(g / 2)) / 2``,
+        and the gate forward and backward run in place on those blocks.  The
+        forward keeps, per layer, its input, ``tanh(f)``, the sigmoid and the
+        output ``h``; the backward differentiates the gate, mixing, skip
+        projections, readout and adjacency normalization in closed form, and
+        a layer's two ``conv_bwd`` calls add into the residual's gradient.
         """
         feat = ad.as_data(features)
         adj = ad.as_data(adjacency)
@@ -422,48 +422,40 @@ class Backbone:
             )
         adj3 = adj[None] if adj.ndim == 2 else adj
         hid, layers = self.config.hidden_dim, len(self.config.dilations)
-        rows, width = batch * regions * days, days * hid
-        series = (batch, regions, width)  # each region's (T, hidden) block as one row
-        cells = (batch, regions, days, hid)
+        rows = batch * days * regions
+        cells = (batch, days, regions, hid)
         p = self.params
         data = {name: ad.as_data(value) for name, value in p.items()}
         tags = [f"layer{index}_" for index in range(layers)]
-        pads = [(self.config.kernel_size - 1) * d for d in self.config.dilations]
         kern = kernels.active()
 
         def times(block: np.ndarray, name: str) -> np.ndarray:
             return _rows_times(block, data[name], batch)
 
-        def tiled(name: str) -> np.ndarray:
-            # the bias once per day, so that its add runs over whole
-            # (T*width) rows instead of numpy's inner loop over one day's width
-            per_day = np.empty((days, data[name].shape[-1]))
-            per_day[...] = data[name]
-            return per_day.reshape(-1)
-
-        def layer_input(index: int) -> tuple[np.ndarray, np.ndarray]:
-            """Layer ``index``'s zero-padded input buffer, and a (B, N, T*hidden)
-            view of its unpadded part for the layer before to write into."""
-            pad = pads[index]
-            buffer = np.empty((batch, regions, pad + days, hid))
-            flat = buffer.reshape(batch, regions, (pad + days) * hid)
-            flat[:, :, : pad * hid] = 0.0
-            return buffer, flat[:, :, pad * hid :]
+        def add_bias(block: np.ndarray, name: str) -> None:
+            # the bias once per row, so that its add runs over each batch
+            # element's whole block instead of numpy's inner loop over one row
+            per_row = np.empty((days * regions, data[name].shape[-1]))
+            per_row[...] = data[name]
+            per_element = block.reshape(batch, per_row.size)
+            per_element += per_row.reshape(-1)
 
         magnitude = np.abs(adj3)
         norm = magnitude.sum(axis=-1, keepdims=True) + _EPSILON
         support = magnitude / norm
-        flat_feat = feat.reshape(rows, channels)
-        xpad, x = layer_input(0)
-        np.add(times(flat_feat, "input_weight").reshape(series), tiled("input_bias"), out=x)
-        padded, tanhs, sigmoids, outputs = [], [], [], []
+        mixing = support[:, None]  # each day's (N, N) map of a batch element
+        feat_rows = np.ascontiguousarray(feat.transpose(0, 2, 1, 3)).reshape(rows, channels)
+        x = times(feat_rows, "input_weight")
+        add_bias(x, "input_bias")
+        inputs, tanhs, sigmoids, outputs = [], [], [], []
         skip_total = None
         for index, (tag, dilation) in enumerate(zip(tags, self.config.dilations)):
+            x = x.reshape(cells)
             filt = kern.conv_fwd(
-                xpad, data[tag + "filter_weight"], data[tag + "filter_bias"], dilation
+                x, data[tag + "filter_weight"], data[tag + "filter_bias"], dilation
             ).reshape(rows, hid)
             gate = kern.conv_fwd(
-                xpad, 0.5 * data[tag + "gate_weight"], 0.5 * data[tag + "gate_bias"], dilation
+                x, 0.5 * data[tag + "gate_weight"], 0.5 * data[tag + "gate_bias"], dilation
             ).reshape(rows, hid)
             np.tanh(filt, out=filt)
             np.tanh(gate, out=gate)
@@ -475,33 +467,29 @@ class Backbone:
                 skip_total = skip
             else:
                 skip_total += skip
-            padded.append(xpad)
+            inputs.append(x)
             tanhs.append(filt)
             sigmoids.append(gate)
             outputs.append(h)
             if index < layers - 1:
-                # x_next = x + ((support @ h) @ W_nb + h @ W_self + b), written
-                # straight into the next layer's padded buffer
-                mixed = (support @ h.reshape(series)).reshape(rows, hid)
+                # x_next = x + ((support @ h) @ W_nb + h @ W_self + b)
+                mixed = (mixing @ h.reshape(cells)).reshape(rows, hid)
                 update = times(mixed, tag + "neighbor_weight")
                 update += times(h, tag + "self_weight")
-                update = update.reshape(series)
-                update += tiled(tag + "mix_bias")
-                xpad, x_next = layer_input(index + 1)
-                np.add(x, update, out=x_next)
-                x = x_next
+                add_bias(update, tag + "mix_bias")
+                update += x.reshape(rows, hid)
+                x = update
         skip_read = np.maximum(skip_total, 0.0)
         read = times(skip_read, "end_weight")
-        out_dim = read.shape[-1]
-        per_series = read.reshape(batch, regions, days * out_dim)
-        per_series += tiled("end_bias")
+        add_bias(read, "end_bias")
         np.maximum(read, 0.0, out=read)
-        # (B, N, T_in, out) -> (B*N*out, T_in) for the time map
-        over_time = read.reshape(batch, regions, days, out_dim).transpose(0, 1, 3, 2)
-        over_time = over_time.reshape(-1, days)
-        mapped = times(over_time, "time_weight") + data["time_bias"]
+        out_dim = read.shape[-1]
+        # the time map: one (T_out, T_in) @ (T_in, N*out) product per batch element
+        by_day = read.reshape(batch, days, regions * out_dim)
+        mapped = np.ascontiguousarray(data["time_weight"].T) @ by_day
+        mapped += data["time_bias"][:, None]
         latent = np.ascontiguousarray(
-            mapped.reshape(batch, regions, out_dim, self.t_out).transpose(0, 1, 3, 2)
+            mapped.reshape(batch, self.t_out, regions, out_dim).transpose(0, 2, 1, 3)
         )
         if squeeze:
             latent = latent[0]
@@ -519,7 +507,7 @@ class Backbone:
 
         def backward(g: np.ndarray) -> None:
             grads: dict[str, np.ndarray] = {}
-            ones = np.ones(max(rows, batch * regions * out_dim))
+            ones = np.ones(max(rows, regions * out_dim))
 
             def column_sums(block: np.ndarray) -> np.ndarray:
                 # a GEMV: numpy's axis-0 reduction is several times slower here
@@ -532,20 +520,26 @@ class Backbone:
                 # a contiguous transpose: BLAS's transposed-operand path is slower
                 return _rows_times(block, np.ascontiguousarray(data[name].T), batch)
 
+            def region_major(block: np.ndarray) -> np.ndarray:
+                """A (B*T*N, hidden) block as (B, N, T*hidden), copied."""
+                by_region = block.reshape(cells).transpose(0, 2, 1, 3)
+                return np.ascontiguousarray(by_region).reshape(batch, regions, days * hid)
+
             # time map, then the channel readout, back to the skip sum
-            g_mapped = g.reshape(batch, regions, self.t_out, out_dim).transpose(0, 1, 3, 2)
-            g_mapped = g_mapped.reshape(-1, self.t_out)
-            grads["time_bias"] = column_sums(g_mapped)
-            grads["time_weight"] = gram(over_time, g_mapped)
-            g_read = times_t(g_mapped, "time_weight").reshape(batch, regions, out_dim, days)
-            g_read = g_read.transpose(0, 1, 3, 2).reshape(rows, out_dim)
+            g_mapped = g.reshape(batch, regions, self.t_out, out_dim).transpose(0, 2, 1, 3)
+            g_mapped = np.ascontiguousarray(g_mapped).reshape(batch, self.t_out, regions * out_dim)
+            per_day = g_mapped.reshape(-1, regions * out_dim) @ ones[: regions * out_dim]
+            grads["time_bias"] = column_sums(per_day.reshape(batch, self.t_out))
+            grads["time_weight"] = (by_day @ np.swapaxes(g_mapped, 1, 2)).sum(axis=0)
+            g_read = (data["time_weight"] @ g_mapped).reshape(rows, out_dim)
             g_read *= read > 0.0
             grads["end_bias"] = column_sums(g_read)
             grads["end_weight"] = gram(skip_read, g_read)
             g_skip = times_t(g_read, "end_weight")
             g_skip *= skip_total > 0.0
             g_support = np.zeros((batch, regions, regions)) if wants(adjacency) else None
-            g_x = None  # gradient of the current layer's residual output
+            pulling = np.swapaxes(mixing, -1, -2)
+            g_x = None  # gradient of the current layer's residual output, (B, T, N, hidden)
             for index in range(layers - 1, -1, -1):
                 tag, dilation = tags[index], self.config.dilations[index]
                 h = outputs[index]
@@ -554,16 +548,18 @@ class Backbone:
                 if g_x is not None:
                     # x_next = x + (support @ h) @ W_nb + h @ W_self + b: the
                     # neighbor terms go through P = support^T @ g_x.
-                    g_flat = g_x.reshape(series)
-                    pulled = (np.swapaxes(support, -1, -2) @ g_flat).reshape(rows, hid)
-                    grads[tag + "mix_bias"] = column_sums(g_x)
-                    grads[tag + "self_weight"] = gram(h, g_x)
+                    pulled = (pulling @ g_x).reshape(rows, hid)
+                    g_rows = g_x.reshape(rows, hid)
+                    grads[tag + "mix_bias"] = column_sums(g_rows)
+                    grads[tag + "self_weight"] = gram(h, g_rows)
                     grads[tag + "neighbor_weight"] = gram(h, pulled)
                     g_h += times_t(pulled, tag + "neighbor_weight")
-                    g_h += times_t(g_x, tag + "self_weight")
+                    g_h += times_t(g_rows, tag + "self_weight")
                     if g_support is not None:
-                        g_mixed = times_t(g_x, tag + "neighbor_weight").reshape(series)
-                        g_support += g_mixed @ np.swapaxes(h.reshape(series), -1, -2)
+                        # the sum over days of g_mixed @ h^T: one GEMM per
+                        # batch element over region-major copies
+                        g_mixed = region_major(times_t(g_rows, tag + "neighbor_weight"))
+                        g_support += g_mixed @ np.swapaxes(region_major(h), -1, -2)
                 # h = tanh(f) * s with s = sigmoid(g):
                 #   g_f = g_h * s * (1 - tanh(f)^2)
                 #   g_g = g_h * tanh(f) * s * (1 - s)
@@ -579,27 +575,24 @@ class Backbone:
                 np.multiply(t_f, t_f, out=t_f)
                 np.subtract(1.0, t_f, out=t_f)
                 t_f *= g_h
-                xpad, pad = padded[index], pads[index]
-                g_from_filter, grads[tag + "filter_weight"], grads[tag + "filter_bias"] = (
-                    kern.conv_bwd(t_f.reshape(cells), xpad, data[tag + "filter_weight"], dilation)
-                )
-                g_from_gate, grads[tag + "gate_weight"], grads[tag + "gate_bias"] = (
-                    kern.conv_bwd(g_g.reshape(cells), xpad, data[tag + "gate_weight"], dilation)
-                )
-                g_in = np.add(g_from_filter[:, :, pad:, :], g_from_gate[:, :, pad:, :])
-                g_in = g_in.reshape(rows, hid)
-                if g_x is not None:
-                    g_in += g_x
-                g_x = g_in
-            grads["input_bias"] = column_sums(g_x)
-            grads["input_weight"] = gram(flat_feat, g_x)
+                # both convolutions add into the residual's gradient
+                for name, g_conv in (("filter", t_f), ("gate", g_g)):
+                    g_x, grads[tag + name + "_weight"], grads[tag + name + "_bias"] = (
+                        kern.conv_bwd(
+                            g_conv.reshape(cells), inputs[index],
+                            data[tag + name + "_weight"], dilation, g_x=g_x,
+                        )
+                    )
+            g_rows = g_x.reshape(rows, hid)
+            grads["input_bias"] = column_sums(g_rows)
+            grads["input_weight"] = gram(feat_rows, g_rows)
             for name, value in live.items():
                 if wants(value):
                     value._accumulate(grads[name])
             if wants(features):
-                features._accumulate(
-                    times_t(g_x, "input_weight").reshape(ad.as_data(features).shape)
-                )
+                g_feat = times_t(g_rows, "input_weight").reshape(batch, days, regions, channels)
+                g_feat = np.ascontiguousarray(g_feat.transpose(0, 2, 1, 3))
+                features._accumulate(g_feat.reshape(ad.as_data(features).shape))
             if g_support is not None:
                 # support = |A| / (rowsum|A| + eps), then d|A|/dA = sign(A)
                 g_magnitude = g_support - (g_support * support).sum(axis=-1, keepdims=True)

@@ -126,60 +126,61 @@ def _rollout_bwd(
     return g_beta, g_gamma, g_flows
 
 
-# Conv shapes: xpad (B, N, Tp, Ci) already left-padded; weight (K, Ci, Co);
-# bias (Co,).  Output time length is Tp - (K - 1) * dilation.  Tap k reads
-# (K - 1 - k) * dilation steps into the past: the last tap is aligned with
-# the current step.
+# Conv shapes: x (B, T, N, Ci), time-major and unpadded, so each batch
+# element is one (T*N, Ci) block of rows ordered (day, region); weight
+# (K, Ci, Co); bias (Co,).  The output is (B, T, N, Co), as long as the
+# input.  Tap k reads s = (K - 1 - k) * dilation days into the past, so the
+# last tap is aligned with the current day, and the days before the window
+# are zeros: output rows from s*N on take input rows up to (T - s)*N, one
+# contiguous pair of slices, and a tap with s >= T reads only zeros and is
+# skipped.  The backward pairs the same slices the other way round and
+# returns (g_x, g_weight, g_bias); given a (B, T, N, Ci) ``g_x``, it adds the
+# input gradient into that array in place.
 
 
-def _conv_fwd(xpad, weight, bias, dilation):
-    K = weight.shape[0]
-    B, N, Tp, _ = xpad.shape
-    T = Tp - (K - 1) * dilation
-    out = xpad[:, :, 0:T, :] @ weight[0]
-    for k in range(1, K):
-        out += xpad[:, :, k * dilation : k * dilation + T, :] @ weight[k]
-    # the bias once per day, added over whole (T*Co) rows: a (Co,) broadcast
-    # would run numpy's inner loop over only Co elements at a time
-    C_out = weight.shape[-1]
-    per_day = np.empty((T, C_out))
-    per_day[...] = bias
-    per_series = out.reshape(B, N, T * C_out)
-    per_series += per_day.reshape(-1)
-    return out
-
-
-def _conv_bwd(g, xpad, weight, dilation):
+def _conv_fwd(x, weight, bias, dilation):
     K, C_in, C_out = weight.shape
-    B, N, Tp, _ = xpad.shape
-    pad = (K - 1) * dilation
-    series = N * Tp
-    # Each batch element's padded rows, flattened over (region, time), form
-    # one contiguous (N*Tp, C) block.  With g left-padded the same way, tap
-    # k pairs input row r with gradient row r + (pad - k*dilation): a
-    # shifted pair of contiguous slices.  Rows that cross a region boundary
-    # meet only the zero padding, so every product is one batched GEMM over
-    # contiguous memory, with no window copy and no strided accumulation.
-    g_pad = np.empty((B, N, Tp, C_out))
-    g_pad[:, :, :pad, :] = 0.0
-    g_pad[:, :, pad:, :] = g
-    g_rows = g_pad.reshape(B, series, C_out)
-    x_rows = xpad.reshape(B, series, C_in)
+    B, T, N, _ = x.shape
+    rows = x.reshape(B, T * N, C_in)
+    out = rows @ weight[-1]  # the last tap covers every row
+    for k in range(K - 2, -1, -1):
+        shift = (K - 1 - k) * dilation
+        if shift >= T:
+            break  # this tap and the earlier ones read only the zero past
+        out[:, shift * N :] += rows[:, : (T - shift) * N] @ weight[k]
+    # the bias once per row, added over each batch element's whole block: a
+    # (Co,) broadcast would run numpy's inner loop over only Co elements
+    per_row = np.empty((T * N, C_out))
+    per_row[...] = bias
+    per_element = out.reshape(B, T * N * C_out)
+    per_element += per_row.reshape(-1)
+    return out.reshape(B, T, N, C_out)
+
+
+def _conv_bwd(g, x, weight, dilation, g_x=None):
+    K, C_in, C_out = weight.shape
+    B, T, N, _ = x.shape
+    g_rows = g.reshape(B, T * N, C_out)
+    x_rows = x.reshape(B, T * N, C_in)
     # (K, C_out, C_in): a transposed view would take BLAS's slower path
     weight_t = np.ascontiguousarray(np.swapaxes(weight, 1, 2))
-    g_x = g_rows @ weight_t[-1]  # the last tap covers every row
-    g_w = np.empty_like(weight)
-    g_w[-1] = (np.swapaxes(x_rows, 1, 2) @ g_rows).sum(axis=0)
-    for k in range(K - 1):
-        shift = pad - k * dilation
-        head = g_x[:, : series - shift]
-        head += g_rows[:, shift:] @ weight_t[k]
-        g_w[k] = (np.swapaxes(x_rows[:, : series - shift], 1, 2) @ g_rows[:, shift:]).sum(
+    g_w = np.zeros_like(weight)  # a tap that reads only zeros has none
+    for k in range(K - 1, -1, -1):
+        shift = (K - 1 - k) * dilation
+        if shift >= T:
+            break
+        kept = T - shift
+        products = (g_rows[:, shift * N :] @ weight_t[k]).reshape(B, kept, N, C_in)
+        if g_x is None:
+            g_x = products  # the last tap covers every row
+        else:
+            g_x[:, :kept] += products
+        g_w[k] = (np.swapaxes(x_rows[:, : kept * N], 1, 2) @ g_rows[:, shift * N :]).sum(
             axis=0
         )
     rows = g.reshape(-1, C_out)
     g_b = np.ones(rows.shape[0]) @ rows  # a GEMV: the axis reduction is slower
-    return g_x.reshape(xpad.shape), g_w, g_b
+    return g_x, g_w, g_b
 
 
 _KERNELS = KernelSet("numpy", _rollout_fwd, _rollout_bwd, _conv_fwd, _conv_bwd)

@@ -393,6 +393,37 @@ class TestGraphEngine:
 
         check_op(build, [(3, 4), (4, 2)], tag=50)
 
+    def test_an_upstream_array_held_by_two_parents_is_not_added_into(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        y = Tensor(np.zeros(3), requires_grad=True)
+
+        def backward(g):
+            shared = 2.0 * g  # one array, handed to both parents as it is
+            x._accumulate(shared)
+            y._accumulate(shared)
+            x._accumulate(np.ones(3))
+            x._accumulate(np.ones(3))
+
+        ad.make_op(np.zeros(3), (x, y), backward).backward()
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+        np.testing.assert_array_equal(y.grad, [2.0, 2.0, 2.0])
+
+    def test_a_copied_gradient_is_added_into_in_place(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        upstream = np.arange(12.0).reshape(3, 4)
+        buffers = []
+
+        def backward(g):
+            x._accumulate(upstream[1:, :3])  # a view: its first write copies
+            buffers.append(x.grad)
+            x._accumulate(g)
+            buffers.append(x.grad)
+
+        ad.make_op(np.zeros((2, 3)), (x,), backward).backward()
+        assert buffers[0] is buffers[1] is x.grad
+        np.testing.assert_array_equal(x.grad, upstream[1:, :3] + 1.0)
+        np.testing.assert_array_equal(upstream, np.arange(12.0).reshape(3, 4))
+
 
 class TestParameterTable:
     """``Parameters``: leaves viewing one flat data and one flat grad buffer."""

@@ -315,11 +315,15 @@ def oracle_causal_conv(x, weight, bias, dilation):
     return out
 
 
+def swap_major(array):
+    """(B, N, T, C) as (B, T, N, C), or back: the kernels take time-major rows."""
+    return np.ascontiguousarray(np.swapaxes(array, 1, 2))
+
+
 def kernel_causal_conv(x, weight, bias, dilation, kernel_set=None):
-    """Left-pad the time axis and run the kernel set's convolution."""
-    pad = (weight.shape[0] - 1) * dilation
-    xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
-    return (kernel_set or kernels.active()).conv_fwd(xpad, weight, bias, dilation)
+    """The kernel set's convolution of region-major ``x``, region-major."""
+    kernel_set = kernel_set or kernels.active()
+    return swap_major(kernel_set.conv_fwd(swap_major(x), weight, bias, dilation))
 
 
 class TestDilatedCausalConv:
@@ -380,13 +384,20 @@ class TestDilatedCausalConv:
             out = oracle_causal_conv(xa, wa, ba, dilation)
             return float((out * proj).sum())
 
-        pad = (taps - 1) * dilation
-        xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
-        g_xpad, g_w, g_b = kernel_set.conv_bwd(proj, xpad, weight, dilation)
-        g_x = g_xpad[:, :, pad:, :]
+        g_x, g_w, g_b = kernel_set.conv_bwd(swap_major(proj), swap_major(x), weight, dilation)
+        # given a buffer, the kernel adds the input gradient into it
+        start = rng.standard_normal(g_x.shape)
+        into = start.copy()
+        assert kernel_set.conv_bwd(
+            swap_major(proj), swap_major(x), weight, dilation, g_x=into
+        )[0] is into
+        np.testing.assert_allclose(into, start + g_x, rtol=1e-12, atol=1e-12)
+        g_x = swap_major(g_x)
 
         # contraction oracle for the weight gradient: tap k sees the
-        # padded input shifted by k * dilation against the upstream grad
+        # zero-padded input shifted by k * dilation against the upstream grad
+        pad = (taps - 1) * dilation
+        xpad = np.pad(x, ((0, 0), (0, 0), (pad, 0), (0, 0)))
         want_w = np.stack(
             [
                 np.einsum(
