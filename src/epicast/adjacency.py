@@ -11,13 +11,13 @@ Two ingredients are combined:
   scalar blend factor initialized to zero, so a freshly initialized model
   reproduces the mobility adjacency exactly.
 
-All operations take and return plain ndarrays or autodiff Tensors (leading
-batch dimensions welcome); domain value types stay at the I/O edge.
+All operations take and return plain ndarrays or autodiff Tensors, with
+any leading batch axes; the learned memory arrives as a mapping of the
+``memory.*`` parameters keyed by short name (``patterns``, ``key_weight``,
+...).  Domain value types stay at the I/O edge.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from . import autodiff as ad
 from .domain import DimensionMismatchError
 
 __all__ = [
-    "PatternMemory",
     "case_adjacency",
     "compose_adjacency",
     "extract_pattern",
@@ -35,52 +34,6 @@ __all__ = [
 ]
 
 _EPSILON = 1e-8
-
-
-@dataclass
-class PatternMemory:
-    """Learnable case-pattern bank plus the retrieval and scoring maps.
-
-    Shapes: ``patterns`` (bank size, window); ``key_weight``/``value_weight``
-    (window, key dim) with matching biases; ``output_weight`` (key dim,
-    embed dim) with bias; ``region_embeddings`` (regions, embed dim);
-    ``scale`` a scalar blend factor, zero at initialization.
-    """
-
-    patterns: object
-    key_weight: object
-    key_bias: object
-    value_weight: object
-    value_bias: object
-    output_weight: object
-    output_bias: object
-    region_embeddings: object
-    scale: object
-
-    @staticmethod
-    def initialize(
-        n_regions: int,
-        rng: np.random.Generator,
-        pattern_count: int = 9,
-        window: int = 7,
-        key_dim: int = 16,
-        embed_dim: int = 16,
-    ) -> "PatternMemory":
-        def dense(n_in: int, n_out: int) -> np.ndarray:
-            bound = np.sqrt(6.0 / (n_in + n_out))
-            return rng.uniform(-bound, bound, size=(n_in, n_out))
-
-        return PatternMemory(
-            patterns=rng.standard_normal((pattern_count, window)),
-            key_weight=dense(window, key_dim),
-            key_bias=np.zeros(key_dim),
-            value_weight=dense(window, key_dim),
-            value_bias=np.zeros(key_dim),
-            output_weight=dense(key_dim, embed_dim),
-            output_bias=np.zeros(embed_dim),
-            region_embeddings=rng.standard_normal((n_regions, embed_dim)),
-            scale=np.zeros(()),
-        )
 
 
 def forecast_mobility(history, transform):
@@ -142,32 +95,35 @@ def extract_pattern(series: np.ndarray) -> np.ndarray:
     return center / (spread + _EPSILON)
 
 
-def retrieve_representation(pattern, memory: PatternMemory):
+def retrieve_representation(pattern, memory):
     """Attend over the pattern bank and map the blend to a retrieval vector.
 
     ``pattern`` is (..., window).  The query is the key-space projection of
-    the pattern; keys and values are projections of every bank entry; the
-    attention weights are a softmax of scaled dot products; the weighted
-    value blend passes through the output map.
+    the pattern; keys and values are projections of every bank entry
+    (``patterns``, (bank size, window)); the attention weights are a softmax
+    of scaled dot products; the weighted value blend passes through the
+    output map.
     """
-    key_dim = ad.as_data(memory.key_weight).shape[1]
-    query = ad.matmul(pattern, memory.key_weight) + memory.key_bias
-    keys = ad.matmul(memory.patterns, memory.key_weight) + memory.key_bias
-    values = ad.matmul(memory.patterns, memory.value_weight) + memory.value_bias
+    key_weight, key_bias = memory["key_weight"], memory["key_bias"]
+    key_dim = ad.as_data(key_weight).shape[1]
+    query = ad.matmul(pattern, key_weight) + key_bias
+    keys = ad.matmul(memory["patterns"], key_weight) + key_bias
+    values = ad.matmul(memory["patterns"], memory["value_weight"]) + memory["value_bias"]
     scores = ad.matmul(query, ad.swapaxes(keys, -1, -2)) / np.sqrt(key_dim)
     weights = ad.softmax(scores, axis=-1)
     blended = ad.matmul(weights, values)
-    return ad.matmul(blended, memory.output_weight) + memory.output_bias
+    return ad.matmul(blended, memory["output_weight"]) + memory["output_bias"]
 
 
-def case_adjacency(representation, memory: PatternMemory):
+def case_adjacency(representation, memory):
     """Score retrievals against region embeddings, scaled by the blend factor.
 
     Entry (n, m) is ``scale * <representation_n, embedding_m>``; with the
     zero-initialized scale the correction vanishes identically.
     """
-    inner = ad.matmul(representation, ad.swapaxes(memory.region_embeddings, -1, -2))
-    return memory.scale * inner
+    embeddings = memory["region_embeddings"]
+    inner = ad.matmul(representation, ad.swapaxes(embeddings, -1, -2))
+    return memory["scale"] * inner
 
 
 def compose_adjacency(pooled, correction):

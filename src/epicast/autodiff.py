@@ -391,6 +391,13 @@ class Parameters(dict):
         for leaf in self.values():
             leaf.grad = None
 
+    def group(self, prefix: str) -> dict[str, Tensor]:
+        """The leaves named ``prefix.<short>``, keyed by short name, in order."""
+        head = prefix + "."
+        return {
+            name[len(head) :]: leaf for name, leaf in self.items() if name.startswith(head)
+        }
+
 
 def _axis_count(shape: tuple[int, ...], axis) -> int:
     if isinstance(axis, int):

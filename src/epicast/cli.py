@@ -270,15 +270,6 @@ def _cmd_forecast(args) -> int:
     return EXIT_OK
 
 
-def _batched_predictions(model: ForecastModel, windows: datasets.WindowSet) -> np.ndarray:
-    chunks = []
-    with model.inference():
-        for start in range(0, len(windows), 32):
-            indices = np.arange(start, min(start + 32, len(windows)))
-            chunks.append(model.forward(windows.batch(indices), training=False).cases.data)
-    return np.concatenate(chunks, axis=0)
-
-
 def _cmd_evaluate(args) -> int:
     dataset = datasets.load_dataset(args.data)
     loaded = _load_checkpoint(args.checkpoint)
@@ -290,7 +281,7 @@ def _cmd_evaluate(args) -> int:
     splits["full"] = dataset
     segment = splits[args.split]
     windows = datasets.windowize(segment, model.config.t_in, model.config.t_out)
-    predictions = _batched_predictions(model, windows)
+    predictions = np.concatenate([c for _, c in training.predict_batches(model, windows)])
     truth = windows.targets
     days = tuple(d for d in (3, 7, 14) if d <= model.config.t_out)
     model_report = evaluation.horizon_report(predictions, truth, days=days)
@@ -367,17 +358,18 @@ def tiny_gradcheck_setup(seed: int = 7):
     # gradients off the finite-difference noise floor; the backbone keeps a
     # gentle one so no activation sits within a step of a relu/min kink.
     rng = np.random.default_rng([seed, 11])
-    for name, tensor in model.parameters().items():
+    params = model.parameters()
+    for name, tensor in params.items():
         if name.startswith(("attention.", "spatial.", "gate.")):
             spread = 0.4  # attenuated but smooth: lift gradients well off zero
         else:
             spread = 0.05  # generic nudge; keeps kinked paths off boundaries
         tensor.data += rng.normal(0.0, spread, size=tensor.data.shape)
-    model.blend.data[...] = 0.9
+    params["enhance.blend"].data[...] = 0.9
     # A large retrieval scale amplifies every memory-bank gradient linearly
     # without sharpening its softmax, keeping that path's finite differences
     # well conditioned.
-    model.memory.scale.data[...] = 5.0
+    params["memory.scale"].data[...] = 5.0
     return model, batch
 
 

@@ -10,9 +10,12 @@ pass through at initialization); a stack of gated dilated causal
 convolutions with graph mixing distills the window into one latent vector
 per region and horizon day; two sigmoid heads read off the rates.
 
-All operations accept plain ndarrays or autodiff Tensors, batched
-(leading B axis) or single-instance.  Two layers are fused tape nodes
-built with ``make_op``, each with a hand-derived backward:
+All operations accept plain ndarrays or autodiff Tensors over a leading
+batch axis B.  Parameters come from the model's table: a layer with one or
+two takes them as arguments, and the fusion gate, the backbone and the rate
+heads take their group as a mapping keyed by short name (``bias``,
+``end_weight``, ...).  Two layers are fused tape nodes built with
+``make_op``, each with a hand-derived backward:
 
 * the attention dependency: a closed-form softmax Jacobian-vector product,
   so none of its (B, H, T, N, N) intermediates is recorded; its softmax and
@@ -38,13 +41,11 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor, make_op
-from .domain import DimensionMismatchError, ValidationError, check_ranges
+from .domain import DimensionMismatchError, check_ranges
 
 __all__ = [
     "Backbone",
     "BackboneConfig",
-    "FusionGate",
-    "ParameterHeads",
     "dynamic_dependency",
     "enhance_features",
     "estimate_params",
@@ -55,11 +56,6 @@ __all__ = [
 ]
 
 _EPSILON = 1e-8
-
-
-def _glorot(rng: np.random.Generator, n_in: int, n_out: int, *lead) -> np.ndarray:
-    bound = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-bound, bound, size=(*lead, n_in, n_out))
 
 
 # The backbone's channel maps act on (B*T*N, C) row blocks with C of 16 or
@@ -112,9 +108,9 @@ def _exp_shifted_by_row_max(block, query, key):
 def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     """Region dependency from attention scores, averaged over heads and time.
 
-    ``lifted`` is (B, N, T, C) or (N, T, C).  Per head and timestep the
-    scaled dot-product attention scores over regions are row-softmaxed; the
-    returned (B, N, N) (or (N, N)) matrix is their mean, hence row-stochastic.
+    ``lifted`` is (B, N, T, C).  Per head and timestep the scaled
+    dot-product attention scores over regions are row-softmaxed; the
+    returned (B, N, N) matrix is their mean, hence row-stochastic.
 
     One fused tape node: the forward keeps only the (B, H, T, N, N) rows of
     exp(shifted scores) and their reciprocal row sums, so a softmax row is
@@ -126,9 +122,7 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     data = ad.as_data(lifted)
     q_data = ad.as_data(query_weight)
     k_data = ad.as_data(key_weight)
-    squeeze = data.ndim == 3
-    batched = data[None] if squeeze else data
-    batch, regions, days, channels = batched.shape
+    batch, regions, days, channels = data.shape
     if channels % heads != 0:
         raise DimensionMismatchError(
             f"{heads} attention heads do not evenly divide {channels} channels"
@@ -136,7 +130,7 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     head_dim = channels // heads
     width = head_dim + 1
     scale = np.sqrt(head_dim)
-    flat_lifted = batched.reshape(-1, channels)
+    flat_lifted = data.reshape(-1, channels)
     block_elements = max(
         1, _DEPENDENCY_BLOCK_BYTES // (heads * days * regions * regions * 8)
     )
@@ -198,10 +192,9 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
         row_weights = np.swapaxes(recips.reshape(len(block), count, regions), 1, 2)
         mean = (row_weights[:, :, None, :] @ by_row(block))[:, :, 0, :]
         pooled[part] = mean * (1.0 / count)
-    out_shape = (regions, regions) if squeeze else pooled.shape
     tracked = [t for t in (lifted, query_weight, key_weight) if isinstance(t, Tensor)]
     if not tracked:
-        return pooled.reshape(out_shape)
+        return pooled
 
     def backward(g: np.ndarray) -> None:
         # d(mean)/d(scores) for one (head, day) block is P * (G - rowsum(G * P))
@@ -246,7 +239,7 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
         if isinstance(key_weight, Tensor) and key_weight.requires_grad:
             key_weight._accumulate(flat_lifted.T @ g_key)
 
-    return make_op(pooled.reshape(out_shape), tracked, backward)
+    return make_op(pooled, tracked, backward)
 
 
 def static_dependency(prior):
@@ -254,23 +247,12 @@ def static_dependency(prior):
     return ad.softmax(prior, axis=-1)
 
 
-@dataclass
-class FusionGate:
-    """Entrywise 2-to-1 affine gate deciding the dynamic/static blend."""
-
-    node_weight: object
-    struct_weight: object
-    bias: object
-
-    @staticmethod
-    def initialize() -> "FusionGate":
-        return FusionGate(np.zeros(()), np.zeros(()), np.zeros(()))
-
-
-def fuse_dependencies(node_adj, struct_adj, gate: FusionGate):
-    """Convex per-entry blend of the dynamic and static dependency maps."""
+def fuse_dependencies(node_adj, struct_adj, gate):
+    """Convex per-entry blend of the dynamic and static dependency maps,
+    opened by the entrywise affine ``gate`` (``node_weight``,
+    ``struct_weight``, ``bias``) through a sigmoid."""
     logits = (
-        gate.node_weight * node_adj + gate.struct_weight * struct_adj + gate.bias
+        gate["node_weight"] * node_adj + gate["struct_weight"] * struct_adj + gate["bias"]
     )
     opening = ad.sigmoid(logits)
     return opening * node_adj + (1.0 - opening) * struct_adj
@@ -289,18 +271,10 @@ def enhance_features(lifted, dependency, blend):
     ``blend`` is the scalar mixing factor (zero keeps the lifted features
     bit-for-bit).  ``dependency`` rows weight the regions being averaged.
     """
-    squeeze = ad.as_data(lifted).ndim == 3
-    if squeeze:
-        lifted = ad.reshape(lifted, (1, *ad.as_data(lifted).shape))
-        if ad.as_data(dependency).ndim == 2:
-            dependency = ad.reshape(dependency, (1, *ad.as_data(dependency).shape))
     batch, regions, days, channels = ad.as_data(lifted).shape
     flat = ad.reshape(lifted, (batch, regions, days * channels))
     mixed = ad.reshape(ad.matmul(dependency, flat), (batch, regions, days, channels))
-    out = (1.0 - blend) * lifted + blend * mixed
-    if squeeze:
-        out = ad.reshape(out, (regions, days, channels))
-    return out
+    return (1.0 - blend) * lifted + blend * mixed
 
 
 # ------------------------------------------------------------------- backbone
@@ -342,58 +316,19 @@ class Backbone:
     with the current step; the days before the window read as zeros, so the
     output keeps the input length.
 
-    The last layer's residual output is never read, so its
-    ``neighbor_weight``, ``self_weight`` and ``mix_bias`` are inert: they stay
-    in ``params`` (keeping the initialization draws and the checkpoint layout)
-    but are not computed with and receive no gradient.
+    ``params`` maps the ``backbone.*`` parameters by short name
+    (``input_weight``, ``layer0_filter_weight``, ...).  The last layer's
+    residual output is never read, so its ``neighbor_weight``,
+    ``self_weight`` and ``mix_bias`` are inert: they stay in the table
+    (keeping the initialization draws and the checkpoint layout) but are not
+    computed with and receive no gradient.
     """
 
-    def __init__(
-        self,
-        config: BackboneConfig,
-        t_in: int,
-        t_out: int,
-        params: dict[str, object],
-    ):
-        if config.receptive_field < t_in:
-            raise ValidationError(
-                f"backbone receptive field {config.receptive_field} cannot see "
-                f"the full {t_in}-day window; extend the dilation schedule"
-            )
+    def __init__(self, config: BackboneConfig, t_in: int, t_out: int, params: dict):
         self.config = config
         self.t_in = t_in
         self.t_out = t_out
         self.params = params
-
-    @staticmethod
-    def initialize(
-        config: BackboneConfig,
-        lifted_channels: int,
-        t_in: int,
-        t_out: int,
-        rng: np.random.Generator,
-    ) -> "Backbone":
-        hid, skip, out = config.hidden_dim, config.skip_dim, config.output_dim
-        taps = config.kernel_size
-        params: dict[str, np.ndarray] = {
-            "input_weight": _glorot(rng, lifted_channels, hid),
-            "input_bias": np.zeros(hid),
-        }
-        for index in range(len(config.dilations)):
-            tag = f"layer{index}_"
-            params[tag + "filter_weight"] = _glorot(rng, hid, hid, taps)
-            params[tag + "filter_bias"] = np.zeros(hid)
-            params[tag + "gate_weight"] = _glorot(rng, hid, hid, taps)
-            params[tag + "gate_bias"] = np.zeros(hid)
-            params[tag + "neighbor_weight"] = _glorot(rng, hid, hid)
-            params[tag + "self_weight"] = _glorot(rng, hid, hid)
-            params[tag + "mix_bias"] = np.zeros(hid)
-            params[tag + "skip_weight"] = _glorot(rng, hid, skip)
-        params["end_weight"] = _glorot(rng, skip, out)
-        params["end_bias"] = np.zeros(out)
-        params["time_weight"] = _glorot(rng, t_in, t_out)
-        params["time_bias"] = np.zeros(t_out)
-        return Backbone(config, t_in, t_out, params)
 
     def __call__(self, features, adjacency):
         """Distill (B, N, T_in, C) + (B, N, N) into (B, N, T_out, out_dim).
@@ -412,15 +347,11 @@ class Backbone:
         """
         feat = ad.as_data(features)
         adj = ad.as_data(adjacency)
-        squeeze = feat.ndim == 3
-        if squeeze:
-            feat = feat[None]
         batch, regions, days, channels = feat.shape
         if days != self.t_in:
             raise DimensionMismatchError(
                 f"backbone built for {self.t_in}-day windows, got {days}"
             )
-        adj3 = adj[None] if adj.ndim == 2 else adj
         hid, layers = self.config.hidden_dim, len(self.config.dilations)
         rows = batch * days * regions
         cells = (batch, days, regions, hid)
@@ -440,7 +371,7 @@ class Backbone:
             per_element = block.reshape(batch, per_row.size)
             per_element += per_row.reshape(-1)
 
-        magnitude = np.abs(adj3)
+        magnitude = np.abs(adj)
         norm = magnitude.sum(axis=-1, keepdims=True) + _EPSILON
         support = magnitude / norm
         mixing = support[:, None]  # each day's (N, N) map of a batch element
@@ -491,8 +422,6 @@ class Backbone:
         latent = np.ascontiguousarray(
             mapped.reshape(batch, self.t_out, regions, out_dim).transpose(0, 2, 1, 3)
         )
-        if squeeze:
-            latent = latent[0]
 
         inert = {tags[-1] + name for name in ("neighbor_weight", "self_weight", "mix_bias")}
         live = {name: value for name, value in p.items() if name not in inert}
@@ -592,50 +521,28 @@ class Backbone:
             if wants(features):
                 g_feat = times_t(g_rows, "input_weight").reshape(batch, days, regions, channels)
                 g_feat = np.ascontiguousarray(g_feat.transpose(0, 2, 1, 3))
-                features._accumulate(g_feat.reshape(ad.as_data(features).shape))
+                features._accumulate(g_feat)
             if g_support is not None:
                 # support = |A| / (rowsum|A| + eps), then d|A|/dA = sign(A)
                 g_magnitude = g_support - (g_support * support).sum(axis=-1, keepdims=True)
                 g_magnitude /= norm
-                g_magnitude *= np.sign(adj3)
-                adjacency._accumulate(
-                    ad.unbroadcast(g_magnitude, adj3.shape).reshape(adj.shape)
-                )
+                g_magnitude *= np.sign(adj)
+                adjacency._accumulate(g_magnitude)
 
         return make_op(latent, tracked, backward)
 
 
-@dataclass
-class ParameterHeads:
-    """Sigmoid read-out heads for the infection and recovery rates."""
+def estimate_params(latent, heads):
+    """Map latent (..., T_out, d) to rates in (0, 1): returns (beta, gamma).
 
-    beta_weight: object
-    beta_bias: object
-    gamma_weight: object
-    gamma_bias: object
-
-    @staticmethod
-    def initialize(latent_dim: int, rng: np.random.Generator) -> "ParameterHeads":
-        # Start the rates in the epidemiologically plausible low range
-        # (sigmoid(-1) ~ 0.27 for infection, sigmoid(-2) ~ 0.12 for recovery)
-        # rather than at 0.5.  Per-day rates are only weakly identified from
-        # short horizons, so a run that begins near a realistic regime avoids
-        # the compensating high-recovery/high-infection valley.
-        return ParameterHeads(
-            beta_weight=_glorot(rng, latent_dim, 1),
-            beta_bias=np.full(1, -1.0),
-            gamma_weight=_glorot(rng, latent_dim, 1),
-            gamma_bias=np.full(1, -2.0),
-        )
-
-
-def estimate_params(latent, heads: ParameterHeads):
-    """Map latent (..., T_out, d) to rates in (0, 1): returns (beta, gamma)."""
+    ``heads`` holds one sigmoid read-out per rate: ``beta_weight`` (d, 1)
+    and ``beta_bias`` (1,), likewise ``gamma_*``.
+    """
     shape = ad.as_data(latent).shape[:-1]
     beta = ad.sigmoid(
-        ad.reshape(ad.matmul(latent, heads.beta_weight) + heads.beta_bias, shape)
+        ad.reshape(ad.matmul(latent, heads["beta_weight"]) + heads["beta_bias"], shape)
     )
     gamma = ad.sigmoid(
-        ad.reshape(ad.matmul(latent, heads.gamma_weight) + heads.gamma_bias, shape)
+        ad.reshape(ad.matmul(latent, heads["gamma_weight"]) + heads["gamma_bias"], shape)
     )
     return beta, gamma

@@ -1,10 +1,12 @@
 """End-to-end forecast model: learned rates driving the mechanistic core.
 
-``ForecastModel`` owns every learnable tensor, the input scaler, and the
-suppression smoothing state.  ``forward`` consumes a window batch and
-produces predicted daily cases along with the intermediate quantities the
-CLI exposes (rates before and after suppression, coupling strengths,
-flags, trajectories).  The feature path sees standardized channels; the
+``ForecastModel`` holds the input scaler, the suppression smoothing state,
+and one ``Parameters`` table built from ``_parameter_list``, the one
+ordered list that names and initializes every learnable tensor.  ``forward``
+reads each parameter from that table and turns a window batch into
+predicted daily cases along with the intermediate quantities the CLI
+exposes (rates before and after suppression, coupling strengths, flags,
+trajectories).  The feature path sees standardized channels; the
 mechanistic core and the loss stay in raw counts.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 from . import adjacency, estimator, metapop
 from .autodiff import Parameters, Tensor
 from .domain import ConfigRangeError, DimensionMismatchError, check_ranges
-from .estimator import Backbone, BackboneConfig, FusionGate, ParameterHeads
+from .estimator import Backbone, BackboneConfig
 from .suppression import EmaState, ThresholdConfig, detect, suppress_beta
 
 __all__ = ["ForecastModel", "ForwardResult", "ModelConfig", "WindowBatch"]
@@ -115,6 +117,79 @@ class ForwardResult:
     trajectories: dict
 
 
+def _glorot(n_in: int, n_out: int, *lead: int):
+    """A Glorot-uniform draw shaped (*lead, n_in, n_out)."""
+    bound = np.sqrt(6.0 / (n_in + n_out))
+    return lambda rng: rng.uniform(-bound, bound, size=(*lead, n_in, n_out))
+
+
+def _normal(*shape: int):
+    return lambda rng: rng.standard_normal(shape)
+
+
+def _full(shape, value: float):
+    return lambda rng: np.full(shape, value)
+
+
+def _zeros(*shape: int):
+    return _full(shape, 0.0)
+
+
+def _parameter_list(config: ModelConfig, n_regions: int) -> list:
+    """Every learnable tensor as ``(name, initializer)``, in table order.
+
+    The order is also the order of the seeded draws, so it fixes every
+    initial value and the checkpoint layout.  Names are ``group.short``; the
+    memory, gate, backbone and heads layers take their group as a
+    short-name mapping (``Parameters.group``).
+    """
+    t_in, t_out, lifted = config.t_in, config.t_out, config.lifted_channels
+    window, key = config.pattern_window, config.pattern_key_dim
+    embed, bb = config.pattern_embed_dim, config.backbone
+    hid, taps, skip, out = bb.hidden_dim, bb.kernel_size, bb.skip_dim, bb.output_dim
+    layer = [
+        ("filter_weight", _glorot(hid, hid, taps)), ("filter_bias", _zeros(hid)),
+        ("gate_weight", _glorot(hid, hid, taps)), ("gate_bias", _zeros(hid)),
+        ("neighbor_weight", _glorot(hid, hid)), ("self_weight", _glorot(hid, hid)),
+        ("mix_bias", _zeros(hid)), ("skip_weight", _glorot(hid, skip)),
+    ]
+    return [
+        # CAL: a neutral mobility forecast (every horizon day the window
+        # mean) and the case-pattern memory, whose correction starts at zero
+        ("mobility.transform", _full((t_in, t_out), 1.0 / t_in)),
+        ("memory.patterns", _normal(config.pattern_count, window)),
+        ("memory.key_weight", _glorot(window, key)), ("memory.key_bias", _zeros(key)),
+        ("memory.value_weight", _glorot(window, key)), ("memory.value_bias", _zeros(key)),
+        ("memory.output_weight", _glorot(key, embed)),
+        ("memory.output_bias", _zeros(embed)),
+        ("memory.region_embeddings", _normal(n_regions, embed)),
+        ("memory.scale", _zeros()),
+        # SPE: lift, attention dependency, static prior logits (identity),
+        # fusion gate, enhancement blend (zero: the lift passes untouched)
+        ("lift.weight", _glorot(config.channels, lifted)), ("lift.bias", _zeros(lifted)),
+        ("attention.query_weight", _glorot(lifted, lifted)),
+        ("attention.key_weight", _glorot(lifted, lifted)),
+        ("spatial.prior", lambda rng: np.eye(n_regions)),
+        ("gate.node_weight", _zeros()), ("gate.struct_weight", _zeros()),
+        ("gate.bias", _zeros()), ("enhance.blend", _zeros()),
+        ("backbone.input_weight", _glorot(lifted, hid)),
+        ("backbone.input_bias", _zeros(hid)),
+        *[
+            (f"backbone.layer{index}_{name}", init)
+            for index in range(len(bb.dilations)) for name, init in layer
+        ],
+        ("backbone.end_weight", _glorot(skip, out)), ("backbone.end_bias", _zeros(out)),
+        ("backbone.time_weight", _glorot(t_in, t_out)),
+        ("backbone.time_bias", _zeros(t_out)),
+        # rate heads, biased to sigmoid(-1) ~ 0.27 for infection and
+        # sigmoid(-2) ~ 0.12 for recovery: per-day rates are weakly
+        # identified from short horizons, and a start near a realistic
+        # regime avoids the high-recovery/high-infection valley
+        ("heads.beta_weight", _glorot(out, 1)), ("heads.beta_bias", _full(1, -1.0)),
+        ("heads.gamma_weight", _glorot(out, 1)), ("heads.gamma_bias", _full(1, -2.0)),
+    ]
+
+
 class ForecastModel:
     """Owns parameters, scaler, and smoothing state; runs the forward pass."""
 
@@ -123,70 +198,14 @@ class ForecastModel:
         self.n_regions = n_regions
         self.seed = seed
         rng = np.random.default_rng(seed)
-
-        # neutral: every horizon day forecast as the mean of the window
-        self.mobility_transform = np.full((config.t_in, config.t_out), 1.0 / config.t_in)
-        self.memory = adjacency.PatternMemory.initialize(
-            n_regions,
-            rng,
-            pattern_count=config.pattern_count,
-            window=config.pattern_window,
-            key_dim=config.pattern_key_dim,
-            embed_dim=config.pattern_embed_dim,
+        self._params = Parameters(
+            {name: init(rng) for name, init in _parameter_list(config, n_regions)}
         )
-        bound = np.sqrt(6.0 / (2 * config.lifted_channels))
-        self.lift_weight = rng.uniform(
-            -np.sqrt(6.0 / (config.channels + config.lifted_channels)),
-            np.sqrt(6.0 / (config.channels + config.lifted_channels)),
-            size=(config.channels, config.lifted_channels),
-        )
-        self.lift_bias = np.zeros(config.lifted_channels)
-        self.query_weight = rng.uniform(
-            -bound, bound, size=(config.lifted_channels, config.lifted_channels)
-        )
-        self.key_weight = rng.uniform(
-            -bound, bound, size=(config.lifted_channels, config.lifted_channels)
-        )
-        self.prior = np.eye(n_regions)  # static region-relation logits
-        self.gate = FusionGate.initialize()
-        self.blend = np.zeros(())
-        self.backbone = Backbone.initialize(
-            config.backbone, config.lifted_channels, config.t_in, config.t_out, rng
-        )
-        self.heads = ParameterHeads.initialize(config.backbone.output_dim, rng)
-
         self.scaler_mean = np.zeros(config.channels)
         self.scaler_scale = np.ones(config.channels)
         self.ema = EmaState()
-        self._tensorize()
 
     # ------------------------------------------------------------- parameters
-
-    def _tensorize(self) -> None:
-        """Gather every learnable array into one ``Parameters`` table, in the
-        order of ``parameters()``, and put each table Tensor back where the
-        forward reads it."""
-        own = vars(self)
-
-        def group(prefix: str, space: dict) -> list:
-            return [(f"{prefix}.{key}", space, key) for key in space]
-
-        places = [
-            ("mobility.transform", own, "mobility_transform"),
-            *group("memory", vars(self.memory)),
-            ("lift.weight", own, "lift_weight"),
-            ("lift.bias", own, "lift_bias"),
-            ("attention.query_weight", own, "query_weight"),
-            ("attention.key_weight", own, "key_weight"),
-            ("spatial.prior", own, "prior"),
-            *group("gate", vars(self.gate)),
-            ("enhance.blend", own, "blend"),
-            *group("backbone", self.backbone.params),
-            *group("heads", vars(self.heads)),
-        ]
-        self._params = Parameters({name: space[key] for name, space, key in places})
-        for name, space, key in places:
-            space[key] = self._params[name]
 
     def parameters(self) -> Parameters:
         """The table of every learnable parameter (not a copy)."""
@@ -211,7 +230,8 @@ class ForecastModel:
 
     def clamp_blend(self) -> None:
         """Keep the enhancement blend inside [0, 1] (called after each step)."""
-        np.clip(self.blend.data, 0.0, 1.0, out=self.blend.data)
+        blend = self._params["enhance.blend"].data
+        np.clip(blend, 0.0, 1.0, out=blend)
 
     def set_scaler(self, mean: np.ndarray, scale: np.ndarray) -> None:
         mean = np.asarray(mean, dtype=np.float64)
@@ -266,26 +286,30 @@ class ForecastModel:
         obs = batch.observations
 
         # Coupling path: forecast mobility, pool, add the case correction.
-        horizon_flows = adjacency.forecast_mobility(batch.mobility, self.mobility_transform)
+        p = self._params
+        memory = p.group("memory")
+        horizon_flows = adjacency.forecast_mobility(batch.mobility, p["mobility.transform"])
         pooled = adjacency.pool_mobility(horizon_flows)
         recent = obs[:, :, cfg.t_in - cfg.pattern_window :, CASES_CHANNEL]
         pattern = adjacency.extract_pattern(recent)
-        retrieval = adjacency.retrieve_representation(pattern, self.memory)
-        correction = adjacency.case_adjacency(retrieval, self.memory)
+        retrieval = adjacency.retrieve_representation(pattern, memory)
+        correction = adjacency.case_adjacency(retrieval, memory)
         coupling = adjacency.compose_adjacency(pooled, correction)
 
         # Estimation path: standardized channels through the backbone.
         scaled = (obs - self.scaler_mean) / self.scaler_scale
-        lifted = estimator.lift_features(scaled, self.lift_weight, self.lift_bias)
+        lifted = estimator.lift_features(scaled, p["lift.weight"], p["lift.bias"])
         node_adj = estimator.dynamic_dependency(
-            lifted, self.query_weight, self.key_weight, cfg.attention_heads
+            lifted, p["attention.query_weight"], p["attention.key_weight"],
+            cfg.attention_heads,
         )
-        struct_adj = estimator.static_dependency(self.prior)
-        fused = estimator.fuse_dependencies(node_adj, struct_adj, self.gate)
+        struct_adj = estimator.static_dependency(p["spatial.prior"])
+        fused = estimator.fuse_dependencies(node_adj, struct_adj, p.group("gate"))
         dependency = estimator.regularize_dependency(fused)
-        enhanced = estimator.enhance_features(lifted, dependency, self.blend)
-        latent = self.backbone(enhanced, coupling)
-        beta, gamma = estimator.estimate_params(latent, self.heads)
+        enhanced = estimator.enhance_features(lifted, dependency, p["enhance.blend"])
+        backbone = Backbone(cfg.backbone, cfg.t_in, cfg.t_out, p.group("backbone"))
+        latent = backbone(enhanced, coupling)
+        beta, gamma = estimator.estimate_params(latent, p.group("heads"))
 
         # Suppression decisions are constants with respect to gradients.
         if fixed_filter is None:

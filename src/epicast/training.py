@@ -21,10 +21,10 @@ Round trips are bit-exact: identical state serializes to identical bytes.
 A checkpoint is written to a temporary sibling and renamed into place, so a
 failed save leaves the previous file intact.  Loading raises a
 ``ValueError`` naming the file when the manifest is not UTF-8 JSON, when a
-manifest key is missing or of the wrong JSON type (naming the key), when
-the records differ from the layout of the model the stored configuration
-builds (naming the first differing record), or when the payload is not
-exactly that layout's size.
+manifest key is missing, of the wrong JSON type or of a value the model
+cannot take (naming the key), when the records differ from the layout of
+the model the stored configuration builds (naming the first differing
+record), or when the payload is not exactly that layout's size.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "gradient_check",
     "load_checkpoint",
     "mae_loss",
+    "predict_batches",
     "save_checkpoint",
     "validation_loss",
 ]
@@ -148,19 +149,24 @@ def _batch_order(count: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
+def predict_batches(model: ForecastModel, windows: WindowSet, batch_size: int = 32):
+    """Each consecutive batch of ``windows`` with its predicted cases, from
+    tape-free forwards that leave the smoothing state alone."""
+    with model.inference():
+        for start in range(0, len(windows), batch_size):
+            batch = windows.batch(np.arange(start, min(start + batch_size, len(windows))))
+            yield batch, model.forward(batch, training=False).cases.data
+
+
 def validation_loss(
     model: ForecastModel, windows: WindowSet, batch_size: int = 32
 ) -> float:
     """Full-horizon MAE over a window set (no smoothing updates)."""
     total_error = 0.0
     total_count = 0
-    with model.inference():
-        for start in range(0, len(windows), batch_size):
-            indices = np.arange(start, min(start + batch_size, len(windows)))
-            batch = windows.batch(indices)
-            cases = model.forward(batch, training=False).cases.data
-            total_error += float(np.abs(cases - batch.targets).sum())
-            total_count += batch.targets.size
+    for batch, cases in predict_batches(model, windows, batch_size):
+        total_error += float(np.abs(cases - batch.targets).sum())
+        total_count += batch.targets.size
     return total_error / total_count
 
 
@@ -332,6 +338,34 @@ def _require_keys(mapping, keys: dict, where: str, path) -> None:
             )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_values(manifest: dict, channels: int, path) -> None:
+    """Refuse well-typed manifest values that the model cannot take."""
+    count, regions, ema = manifest["n_regions"], manifest.get("regions"), manifest["ema"]
+    rules = {
+        "n_regions": (">= 1", count >= 1),
+        "seed": (">= 0", manifest["seed"] >= 0),
+        "regions": (f"null or a list of {count} names", regions is None or (
+            isinstance(regions, list) and len(regions) == count
+            and all(isinstance(name, str) for name in regions))),
+        "ema": ("a number or null in each slot", all(
+            ema.get(slot) is None or _is_number(ema[slot])
+            for slot in EmaState().as_dict())),
+        **{key: (f"a list of {channels} numbers", len(manifest[key]) == channels
+                 and all(map(_is_number, manifest[key])))
+           for key in ("scaler_mean", "scaler_scale")},
+    }
+    for key, (rule, ok) in rules.items():
+        if not ok:
+            raise ValueError(
+                f"{path}: checkpoint manifest key {key!r} must be {rule}, "
+                f"got {manifest.get(key)!r}"
+            )
+
+
 @dataclass
 class LoadedCheckpoint:
     model: ForecastModel
@@ -369,6 +403,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     # an int is stored as one but reads back as a float
     if _config_hash(manifest["model_config"]) != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration hash mismatch")
+    _check_values(manifest, config.channels, path)
     model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"])
     params = model.parameters()
     stored, expected = manifest["params"], _layout(params)
@@ -390,8 +425,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"{len(expected)} parameter records take {params.data.nbytes}"
         )
     params.data[...] = np.frombuffer(payload, dtype="<f8")
-    model.scaler_mean = np.asarray(manifest["scaler_mean"], dtype=np.float64)
-    model.scaler_scale = np.asarray(manifest["scaler_scale"], dtype=np.float64)
+    model.set_scaler(manifest["scaler_mean"], manifest["scaler_scale"])
     model.ema = EmaState.from_dict(manifest["ema"])
     return LoadedCheckpoint(model=model, manifest=manifest)
 

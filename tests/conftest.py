@@ -73,6 +73,13 @@ def small_model(model_config, small_windows) -> ForecastModel:
     return model
 
 
+def initial_group(prefix: str, n_regions: int = 3, seed: int = 0, **overrides) -> dict:
+    """A fresh model's ``prefix`` parameters, keyed by short name, as plain
+    array copies (``overrides`` adjust ``small_model_config``)."""
+    params = ForecastModel(small_model_config(**overrides), n_regions, seed=seed).parameters()
+    return {name: leaf.data.copy() for name, leaf in params.group(prefix).items()}
+
+
 def rng_for(test_tag: int) -> np.random.Generator:
     return np.random.default_rng([97531, test_tag])
 

@@ -244,8 +244,8 @@ def test_criterion_06_zeroed_corrections_are_bitwise_neutral():
 
     base = ForecastModel(config, n_regions=3, seed=3)
     base.set_scaler(mean, scale)
-    assert float(base.blend.data) == 0.0
-    assert float(base.memory.scale.data) == 0.0
+    assert float(base.parameters()["enhance.blend"].data) == 0.0
+    assert float(base.parameters()["memory.scale"].data) == 0.0
     result = base.forward(batch)
     np.testing.assert_array_equal(
         result.coupling.data,

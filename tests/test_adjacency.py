@@ -12,12 +12,13 @@ from epicast.autodiff import Tensor
 from epicast.domain import DimensionMismatchError
 from epicast.pipeline import ForecastModel
 
-from conftest import rng_for, small_model_config
+from conftest import initial_group, rng_for, small_model_config
 
 
-def memory_for(n_regions, tag=200, **kwargs):
-    return adjacency.PatternMemory.initialize(
-        n_regions, rng_for(tag), **kwargs
+def memory_for(n_regions, tag=200, pattern_count=9, window=7, key_dim=16, embed_dim=16):
+    return initial_group(
+        "memory", n_regions, seed=tag, pattern_count=pattern_count,
+        pattern_window=window, pattern_key_dim=key_dim, pattern_embed_dim=embed_dim,
     )
 
 
@@ -26,7 +27,7 @@ class TestMobilityForecast:
         rng = rng_for(201)
         model = ForecastModel(small_model_config(t_in=8, t_out=4), n_regions=3)
         flows = rng.uniform(0.0, 50.0, size=(3, 3, 8))
-        out = adjacency.forecast_mobility(flows, model.mobility_transform.data)
+        out = adjacency.forecast_mobility(flows, model.parameters()["mobility.transform"].data)
         assert out.shape == (3, 3, 4)
         mean = flows.mean(axis=-1)
         for t in range(4):
@@ -161,8 +162,8 @@ class TestRetrieval:
         memory = memory_for(2, pattern_count=1, window=4, key_dim=3, embed_dim=3)
         pattern = rng_for(208).standard_normal((2, 4))
         rep = adjacency.retrieve_representation(pattern, memory)
-        value = memory.patterns @ memory.value_weight + memory.value_bias
-        expected = value @ memory.output_weight + memory.output_bias
+        value = memory["patterns"] @ memory["value_weight"] + memory["value_bias"]
+        expected = value @ memory["output_weight"] + memory["output_bias"]
         np.testing.assert_allclose(rep, np.broadcast_to(expected, (2, 3)), atol=1e-12)
 
     def test_zero_scale_kills_correction(self):
@@ -174,9 +175,9 @@ class TestRetrieval:
     def test_correction_scales_linearly(self):
         memory = memory_for(3)
         rep = rng_for(210).standard_normal((3, 16))
-        memory.scale = np.array(0.5)
+        memory["scale"] = np.array(0.5)
         half = np.asarray(adjacency.case_adjacency(rep, memory))
-        memory.scale = np.array(1.0)
+        memory["scale"] = np.array(1.0)
         full = np.asarray(adjacency.case_adjacency(rep, memory))
         np.testing.assert_allclose(2.0 * half, full, atol=1e-12)
 
@@ -201,8 +202,8 @@ class TestGradientFlow:
         rng = rng_for(212)
         n, t_in, t_out = 3, 6, 4
         memory = memory_for(n, tag=213, pattern_count=4, window=5, key_dim=6, embed_dim=6)
-        memory.scale = Tensor(np.array(0.7), requires_grad=True)
-        memory.patterns = Tensor(np.asarray(memory.patterns), requires_grad=True)
+        memory["scale"] = Tensor(np.array(0.7), requires_grad=True)
+        memory["patterns"] = Tensor(memory["patterns"], requires_grad=True)
         transform = Tensor(np.full((t_in, t_out), 1.0 / t_in), requires_grad=True)
         flows = rng.uniform(0.1, 10.0, size=(n, n, t_in))
         cases = rng.uniform(0, 50, size=(n, 5))
@@ -216,5 +217,5 @@ class TestGradientFlow:
         assert isinstance(total, Tensor)
         total.sum().backward()
         assert transform.grad is not None and np.abs(transform.grad).sum() > 0
-        assert memory.scale.grad is not None
-        assert memory.patterns.grad is not None
+        assert memory["scale"].grad is not None
+        assert memory["patterns"].grad is not None

@@ -572,6 +572,30 @@ class TestCorruptCheckpoint:
         assert repr(key) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda m: m["scaler_mean"].pop(), "scaler_mean"),
+            (lambda m: m["scaler_scale"].__setitem__(0, "wide"), "scaler_scale"),
+            (lambda m: m.update(ema={"beta": "high"}), "ema"),
+            (lambda m: m.update(regions=5), "regions"),
+            (lambda m: m.update(seed=-1), "seed"),
+        ],
+        ids=["short-scaler", "non-numeric-scaler", "string-ema-slot", "integer-regions",
+             "negative-seed"],
+    )
+    def test_value_defect_names_file_and_key(self, workdir, tmp_path, capsys, edit, key):
+        # each passes the configuration hash, which covers only model_config
+        broken = tmp_path / "broken.ckpt"
+        rewrite_manifest(workdir["ckpt"], broken, edit)
+        out = tmp_path / "x.csv"
+        code = main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                     str(broken), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(broken) in err and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "cut",
         [lambda raw: raw[:12] + b"\xff" + raw[13:], lambda raw: raw[:14]],
         ids=["not-utf8", "cut-in-manifest"],

@@ -9,10 +9,10 @@ import pytest
 from epicast import autodiff as ad
 from epicast import estimator, kernels
 from epicast.autodiff import Tensor
-from epicast.domain import DimensionMismatchError, ValidationError
-from epicast.estimator import Backbone, BackboneConfig, FusionGate, ParameterHeads
+from epicast.domain import ConfigRangeError, DimensionMismatchError
+from epicast.estimator import Backbone, BackboneConfig
 
-from conftest import on_kernel_set, rng_for
+from conftest import initial_group, on_kernel_set, rng_for, small_model_config
 
 
 class TestLiftFeatures:
@@ -35,15 +35,6 @@ class TestDynamicDependency:
         assert dep.shape == (2, 4, 4)
         np.testing.assert_allclose(dep.sum(axis=-1), 1.0, atol=1e-10)
         assert (dep >= 0).all()
-
-    def test_single_instance_squeezed(self):
-        rng = rng_for(302)
-        lifted = rng.standard_normal((5, 6, 8))
-        qw = rng.standard_normal((8, 8))
-        kw = rng.standard_normal((8, 8))
-        dep = np.asarray(estimator.dynamic_dependency(lifted, qw, kw, heads=2))
-        assert dep.shape == (5, 5)
-        np.testing.assert_allclose(dep.sum(axis=-1), 1.0, atol=1e-10)
 
     def test_head_divisibility_enforced(self):
         rng = rng_for(303)
@@ -92,12 +83,12 @@ class TestFusedDependencyGradients:
     same map composed from generic tape operations."""
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (3, 4, 4)], ids=["batched", "squeezed"])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (1, 3, 4, 4)], ids=["batched", "one-element"])
     def test_gradients_match_finite_differences(self, shape, heads):
         rng = rng_for(320 + heads)
         arrays = dependency_inputs(rng, shape)
-        regions = shape[-3]
-        weights = rng.standard_normal(shape[:-3] + (regions, regions))
+        regions = shape[1]
+        weights = rng.standard_normal((shape[0], regions, regions))
 
         def loss_of(*values):
             out = estimator.dynamic_dependency(*values, heads=heads)
@@ -220,15 +211,11 @@ class TestFuseDependencies:
         rng = rng_for(304)
         node = rng.uniform(0, 1, (3, 3))
         struct = rng.uniform(0, 1, (3, 3))
-        fused = np.asarray(
-            estimator.fuse_dependencies(node, struct, FusionGate.initialize())
-        )
+        fused = np.asarray(estimator.fuse_dependencies(node, struct, initial_group("gate")))
         np.testing.assert_allclose(fused, 0.5 * node + 0.5 * struct, atol=1e-12)
 
     def test_saturated_gate_selects_node_side(self):
-        gate = FusionGate(
-            node_weight=np.array(50.0), struct_weight=np.array(50.0), bias=np.array(50.0)
-        )
+        gate = dict.fromkeys(("node_weight", "struct_weight", "bias"), np.array(50.0))
         node = np.full((2, 2), 0.25)
         struct = np.full((2, 2), 0.75)
         fused = np.asarray(estimator.fuse_dependencies(node, struct, gate))
@@ -238,11 +225,10 @@ class TestFuseDependencies:
         rng = rng_for(305)
         node = rng.uniform(0, 1, (4, 4))
         struct = rng.uniform(0, 1, (4, 4))
-        gate = FusionGate(
-            node_weight=np.array(rng.standard_normal()),
-            struct_weight=np.array(rng.standard_normal()),
-            bias=np.array(rng.standard_normal()),
-        )
+        gate = {
+            name: np.array(rng.standard_normal())
+            for name in ("node_weight", "struct_weight", "bias")
+        }
         fused = np.asarray(estimator.fuse_dependencies(node, struct, gate))
         lo = np.minimum(node, struct) - 1e-12
         hi = np.maximum(node, struct) + 1e-12
@@ -286,9 +272,9 @@ class TestEnhanceFeatures:
 
     def test_identity_dependency_is_noop_at_any_blend(self):
         rng = rng_for(309)
-        lifted = rng.standard_normal((3, 4, 5))
+        lifted = rng.standard_normal((1, 3, 4, 5))
         out = np.asarray(
-            estimator.enhance_features(lifted, np.eye(3), np.array(0.37))
+            estimator.enhance_features(lifted, np.eye(3)[None], np.array(0.37))
         )
         np.testing.assert_allclose(out, lifted, atol=1e-12)
 
@@ -426,6 +412,15 @@ class TestDilatedCausalConv:
                 )
 
 
+def fresh_backbone(config, channels, days, t_out, seed=0):
+    """A backbone over a fresh model's initial ``backbone.*`` parameters."""
+    params = initial_group(
+        "backbone", seed=seed, t_in=days, t_out=t_out, lifted_channels=channels,
+        attention_heads=1, pattern_window=1, backbone=config,
+    )
+    return Backbone(config, days, t_out, params)
+
+
 class TestBackbone:
     def test_receptive_field_formula(self):
         config = BackboneConfig(kernel_size=2, dilations=(1, 2, 4, 8))
@@ -435,33 +430,24 @@ class TestBackbone:
 
     def test_window_must_fit_receptive_field(self):
         config = BackboneConfig(kernel_size=2, dilations=(1, 2))  # field = 4
-        with pytest.raises(ValidationError, match="receptive field"):
-            Backbone.initialize(config, lifted_channels=4, t_in=14, t_out=4, rng=rng_for(316))
+        with pytest.raises(ConfigRangeError, match="receptive field") as raised:
+            small_model_config(t_in=14, backbone=config)
+        assert raised.value.field == "backbone.dilations"
 
     def test_output_shape(self):
         rng = rng_for(317)
         config = BackboneConfig(
             hidden_dim=6, skip_dim=5, output_dim=7, kernel_size=2, dilations=(1, 2, 4)
         )
-        backbone = Backbone.initialize(config, lifted_channels=4, t_in=8, t_out=3, rng=rng)
+        backbone = fresh_backbone(config, channels=4, days=8, t_out=3)
         features = rng.standard_normal((2, 4, 8, 4))
         adj = rng.uniform(0, 1, (2, 4, 4))
         out = np.asarray(backbone(features, adj))
         assert out.shape == (2, 4, 3, 7)
 
-    def test_single_instance_squeezed(self):
-        rng = rng_for(318)
-        config = BackboneConfig(
-            hidden_dim=4, skip_dim=4, output_dim=4, kernel_size=2, dilations=(1, 2, 4)
-        )
-        backbone = Backbone.initialize(config, lifted_channels=3, t_in=8, t_out=2, rng=rng)
-        out = np.asarray(backbone(rng.standard_normal((3, 8, 3)), np.eye(3)))
-        assert out.shape == (3, 2, 4)
-
     def test_empty_batch_keeps_its_shape(self):
-        rng = rng_for(324)
         config = BackboneConfig(dilations=(1, 2, 4))
-        backbone = Backbone.initialize(config, lifted_channels=4, t_in=8, t_out=2, rng=rng)
+        backbone = fresh_backbone(config, channels=4, days=8, t_out=2)
         empty = np.zeros((0, 3, 8, 4))
         assert np.asarray(backbone(empty, np.zeros((0, 3, 3)))).shape == (0, 3, 2, 16)
         dep = estimator.dynamic_dependency(empty, np.eye(4), np.eye(4), heads=2)
@@ -470,9 +456,9 @@ class TestBackbone:
     def test_wrong_window_length_rejected(self):
         rng = rng_for(319)
         config = BackboneConfig(dilations=(1, 2, 4))
-        backbone = Backbone.initialize(config, lifted_channels=3, t_in=8, t_out=2, rng=rng)
+        backbone = fresh_backbone(config, channels=3, days=8, t_out=2)
         with pytest.raises(DimensionMismatchError, match="8-day"):
-            backbone(rng.standard_normal((1, 3, 9, 3)), np.eye(3))
+            backbone(rng.standard_normal((1, 3, 9, 3)), np.eye(3)[None])
 
     def test_adjacency_sign_irrelevant_after_normalization(self):
         # the backbone mixes over |A| row-normalized, so flipping signs of
@@ -481,7 +467,7 @@ class TestBackbone:
         config = BackboneConfig(
             hidden_dim=4, skip_dim=4, output_dim=4, kernel_size=2, dilations=(1, 2, 4)
         )
-        backbone = Backbone.initialize(config, lifted_channels=3, t_in=8, t_out=2, rng=rng)
+        backbone = fresh_backbone(config, channels=3, days=8, t_out=2)
         features = rng.standard_normal((1, 3, 8, 3))
         adj = rng.standard_normal((1, 3, 3))
         out_pos = np.asarray(backbone(features, adj))
@@ -501,11 +487,6 @@ def composed_causal_conv(x, weight, bias, dilation):
 
 def composed_backbone(backbone, features, adjacency):
     """The backbone built from generic tape operations (reference)."""
-    squeeze = ad.as_data(features).ndim == 3
-    if squeeze:
-        features = ad.reshape(features, (1, *ad.as_data(features).shape))
-        if ad.as_data(adjacency).ndim == 2:
-            adjacency = ad.reshape(adjacency, (1, *ad.as_data(adjacency).shape))
     batch, regions, days, _ = ad.as_data(features).shape
     p, hid = backbone.params, backbone.config.hidden_dim
     magnitude = ad.absolute(adjacency)
@@ -532,24 +513,21 @@ def composed_backbone(backbone, features, adjacency):
         )
     read = ad.relu(ad.matmul(ad.relu(skip_total), p["end_weight"]) + p["end_bias"])
     mapped = ad.matmul(ad.swapaxes(read, 2, 3), p["time_weight"]) + p["time_bias"]
-    latent = ad.swapaxes(mapped, 2, 3)
-    if squeeze:
-        latent = ad.reshape(latent, ad.as_data(latent).shape[1:])
-    return latent
+    return ad.swapaxes(mapped, 2, 3)
 
 
 def backbone_inputs(rng, config, shape, t_out):
     """A backbone with every parameter (biases too) drawn away from zero, plus
     features and an adjacency with negative entries, exact zeros and one
     all-zero row (only the 1e-8 guard keeps its normalization finite)."""
-    *lead, regions, days, channels = shape
-    backbone = Backbone.initialize(config, channels, days, t_out, rng)
-    for name, value in backbone.params.items():
-        backbone.params[name] = value + 0.3 * rng.standard_normal(value.shape)
+    batch, regions, days, channels = shape
+    backbone = fresh_backbone(config, channels, days, t_out, seed=int(rng.integers(1 << 30)))
+    for value in backbone.params.values():
+        value += 0.3 * rng.standard_normal(value.shape)
     features = rng.standard_normal(shape)
-    adjacency = rng.standard_normal((*lead, regions, regions))
+    adjacency = rng.standard_normal((batch, regions, regions))
     adjacency[..., 0, 1] = 0.0
-    (adjacency[-1] if lead else adjacency)[1, :] = 0.0
+    adjacency[-1, 1, :] = 0.0
     return backbone, features, adjacency
 
 
@@ -578,14 +556,14 @@ class TestFusedBackbone:
     """The fused backbone node against central differences and against the
     same stack composed from generic tape operations."""
 
-    @pytest.mark.parametrize("shape", [(2, 3, 4, 2), (3, 4, 2)], ids=["batched", "squeezed"])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 2), (1, 3, 4, 2)], ids=["batched", "one-element"])
     def test_gradients_match_finite_differences(self, shape):
         rng = rng_for(340)
         config = BackboneConfig(
             hidden_dim=3, skip_dim=2, output_dim=2, kernel_size=2, dilations=(1, 2)
         )
         backbone, features, adjacency = backbone_inputs(rng, config, shape, t_out=2)
-        upstream = rng.standard_normal((*shape[:-2], 2, 2))
+        upstream = rng.standard_normal((*shape[:2], 2, 2))
         _, grads = tracked_backbone_pass(
             Backbone.__call__, backbone, features, adjacency, upstream
         )
@@ -631,11 +609,11 @@ class TestFusedBackbone:
         ],
         ids=["k2-d8", "k3-d4", "k3-d8"],
     )
-    @pytest.mark.parametrize("shape", [(3, 4, 8, 3), (4, 8, 3)], ids=["batched", "squeezed"])
+    @pytest.mark.parametrize("shape", [(3, 4, 8, 3), (1, 4, 8, 3)], ids=["batched", "one-element"])
     def test_matches_composed_reference(self, config, shape):
         rng = rng_for(341)
         backbone, features, adjacency = backbone_inputs(rng, config, shape, t_out=5)
-        upstream = rng.standard_normal((*shape[:-2], 5, config.output_dim))
+        upstream = rng.standard_normal((*shape[:2], 5, config.output_dim))
         fused_out, fused = tracked_backbone_pass(
             Backbone.__call__, backbone, features, adjacency, upstream
         )
@@ -655,15 +633,16 @@ class TestFusedBackbone:
 
     def test_plain_arrays_build_no_tape(self, small_model):
         rng = rng_for(342)
-        backbone = small_model.backbone
-        channels = small_model.config.lifted_channels
-        features = rng.standard_normal((2, 3, small_model.config.t_in, channels))
+        config = small_model.config
+        leaves = small_model.parameters().group("backbone")
+        backbone = Backbone(config.backbone, config.t_in, config.t_out, leaves)
+        features = rng.standard_normal((2, 3, config.t_in, config.lifted_channels))
         adjacency = rng.uniform(0, 1, (2, 3, 3))
         plain = Backbone(
-            backbone.config,
-            backbone.t_in,
-            backbone.t_out,
-            {name: value.data for name, value in backbone.params.items()},
+            config.backbone,
+            config.t_in,
+            config.t_out,
+            {name: value.data for name, value in leaves.items()},
         )
         out = plain(features, adjacency)
         assert type(out) is np.ndarray
@@ -703,34 +682,35 @@ class TestTapeSize:
 
 
 class TestParameterHeads:
+    """The read-out heads over a fresh model's ``heads.*`` (latent dim 8)."""
+
     def test_outputs_strictly_inside_unit_interval(self):
         rng = rng_for(321)
-        heads = ParameterHeads.initialize(6, rng)
-        latent = rng.standard_normal((2, 3, 4, 6)) * 3
+        heads = initial_group("heads", seed=321)
+        latent = rng.standard_normal((2, 3, 4, 8)) * 3
         beta, gamma = estimator.estimate_params(latent, heads)
         for rates in (np.asarray(beta), np.asarray(gamma)):
             assert rates.shape == (2, 3, 4)
             assert (rates > 0).all() and (rates < 1).all()
 
     def test_zero_latent_reads_bias(self):
-        rng = rng_for(322)
-        heads = ParameterHeads.initialize(5, rng)
-        beta, gamma = estimator.estimate_params(np.zeros((1, 2, 5)), heads)
+        heads = initial_group("heads", seed=322)
+        beta, gamma = estimator.estimate_params(np.zeros((1, 2, 8)), heads)
         sigmoid = lambda v: 1.0 / (1.0 + np.exp(-v))
         np.testing.assert_allclose(
             np.asarray(beta),
-            sigmoid(float(np.asarray(heads.beta_bias)[0])),
+            sigmoid(float(heads["beta_bias"][0])),
             atol=1e-12,
         )
         np.testing.assert_allclose(
             np.asarray(gamma),
-            sigmoid(float(np.asarray(heads.gamma_bias)[0])),
+            sigmoid(float(heads["gamma_bias"][0])),
             atol=1e-12,
         )
 
     def test_initial_recovery_rate_below_infection_rate(self):
         # fresh heads start in the plausible regime: recovery slower than
         # transmission, both well inside (0, 1)
-        heads = ParameterHeads.initialize(4, rng_for(323))
-        beta, gamma = estimator.estimate_params(np.zeros((1, 1, 4)), heads)
+        heads = initial_group("heads", seed=323)
+        beta, gamma = estimator.estimate_params(np.zeros((1, 1, 8)), heads)
         assert 0.05 < float(np.asarray(gamma)[0, 0]) < float(np.asarray(beta)[0, 0]) < 0.5

@@ -3,6 +3,7 @@ initialization, suppression bookkeeping, and inference without a tape."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict
 
 import numpy as np
@@ -65,15 +66,59 @@ class TestParameters:
         assert any(name.startswith("attention.") for name in names)
         assert all(p.requires_grad for p in model.parameters().values())
 
-    def test_forward_reads_the_table_leaves(self, small_model):
+    def test_forward_reads_the_table_leaves(self, small_model, small_windows):
+        # a gradient reaches every leaf but the last backbone layer's inert
+        # residual mix, so the forward read each of them from the table
         params = small_model.parameters()
+        batch = small_windows.batch(np.arange(2))
+        mae_loss(small_model.forward(batch).cases, batch.targets).backward()
         assert_leaves_view_the_table(params)
-        assert small_model.mobility_transform is params["mobility.transform"]
-        assert small_model.prior is params["spatial.prior"]
-        assert small_model.memory.scale is params["memory.scale"]
-        assert small_model.gate.bias is params["gate.bias"]
-        assert small_model.backbone.params["end_bias"] is params["backbone.end_bias"]
-        assert small_model.heads.gamma_bias is params["heads.gamma_bias"]
+        unread = {name for name, leaf in params.items() if leaf.grad is None}
+        assert unread == {
+            f"backbone.layer2_{name}" for name in ("neighbor_weight", "self_weight", "mix_bias")
+        }
+
+    def test_group_maps_short_names_to_the_leaves(self, small_model):
+        params = small_model.parameters()
+        gate = params.group("gate")
+        assert list(gate) == ["node_weight", "struct_weight", "bias"]
+        assert gate["bias"] is params["gate.bias"]
+        assert params.group("memory")["scale"] is params["memory.scale"]
+        assert list(params.group("lift")) == ["weight", "bias"]
+        assert params.group("lif") == {}
+
+    def test_initial_draws_are_pinned(self):
+        # every initial value and the checkpoint layout follow from the
+        # parameter list's order, which is also its draw order
+        params = ForecastModel(ModelConfig(), 8, seed=2024).parameters()
+        layer = [
+            ("filter_weight", (2, 16, 16)), ("filter_bias", (16,)),
+            ("gate_weight", (2, 16, 16)), ("gate_bias", (16,)),
+            ("neighbor_weight", (16, 16)), ("self_weight", (16, 16)),
+            ("mix_bias", (16,)), ("skip_weight", (16, 32)),
+        ]
+        assert [(name, leaf.shape) for name, leaf in params.items()] == [
+            ("mobility.transform", (14, 14)),
+            ("memory.patterns", (9, 7)),
+            ("memory.key_weight", (7, 16)), ("memory.key_bias", (16,)),
+            ("memory.value_weight", (7, 16)), ("memory.value_bias", (16,)),
+            ("memory.output_weight", (16, 16)), ("memory.output_bias", (16,)),
+            ("memory.region_embeddings", (8, 16)), ("memory.scale", ()),
+            ("lift.weight", (4, 8)), ("lift.bias", (8,)),
+            ("attention.query_weight", (8, 8)), ("attention.key_weight", (8, 8)),
+            ("spatial.prior", (8, 8)),
+            ("gate.node_weight", ()), ("gate.struct_weight", ()), ("gate.bias", ()),
+            ("enhance.blend", ()),
+            ("backbone.input_weight", (8, 16)), ("backbone.input_bias", (16,)),
+            *[(f"backbone.layer{i}_{name}", shape) for i in range(4) for name, shape in layer],
+            ("backbone.end_weight", (32, 16)), ("backbone.end_bias", (16,)),
+            ("backbone.time_weight", (14, 14)), ("backbone.time_bias", (14,)),
+            ("heads.beta_weight", (16, 1)), ("heads.beta_bias", (1,)),
+            ("heads.gamma_weight", (16, 1)), ("heads.gamma_bias", (1,)),
+        ]
+        assert len(params) == 61 and params.data.size == 10_452
+        digest = hashlib.sha256(params.data.astype("<f8").tobytes()).hexdigest()
+        assert digest == "471b3d1f247c5e362a200cdbc60d91922b0dffb47b556eab465c0a22011b9098"
 
     def test_zero_grad_clears_all(self, small_model, small_windows):
         batch = small_windows.batch(np.arange(2))
@@ -87,12 +132,13 @@ class TestParameters:
         assert not params.grad.any()
 
     def test_clamp_blend(self, small_model):
-        small_model.blend.data[...] = 1.7
+        blend = small_model.parameters()["enhance.blend"]
+        blend.data[...] = 1.7
         small_model.clamp_blend()
-        assert float(small_model.blend.data) == 1.0
-        small_model.blend.data[...] = -0.3
+        assert float(blend.data) == 1.0
+        blend.data[...] = -0.3
         small_model.clamp_blend()
-        assert float(small_model.blend.data) == 0.0
+        assert float(blend.data) == 0.0
 
     def test_scaler_guard_against_flat_channels(self):
         model = ForecastModel(small_model_config(), n_regions=3, seed=0)
@@ -189,7 +235,7 @@ class TestNeutralInitialization:
     def test_blend_breaks_neutrality_once_enabled(self, model_config, small_windows):
         batch = small_windows.batch(np.arange(3))
         base, peer = self._twin_models(model_config, small_windows)
-        peer.blend.data[...] = 0.8
+        peer.parameters()["enhance.blend"].data[...] = 0.8
         rng = rng_for(802)
         peer.parameters()["spatial.prior"].data += rng.normal(0, 1, size=(3, 3))
         assert not np.array_equal(
@@ -302,7 +348,7 @@ class TestInference:
     def test_restores_each_flag_also_when_the_forward_raises(
         self, small_model, small_windows
     ):
-        small_model.blend.requires_grad = False
+        small_model.parameters()["enhance.blend"].requires_grad = False
         before = {k: p.requires_grad for k, p in small_model.parameters().items()}
         batch = small_windows.batch(np.arange(2))
         batch.mobility = batch.mobility[:, :, :, :-1]

@@ -224,7 +224,7 @@ class TestFit:
 
         def poisoned(self, seed=None):
             backward(self, seed)
-            model.lift_bias.grad[1] = np.nan  # in place: grad is a table view
+            model.parameters()["lift.bias"].grad[1] = np.nan  # in place: a table view
 
         monkeypatch.setattr(Tensor, "backward", poisoned)
         t_config = TrainConfig(batch_size=8, max_epochs=3, seed=0)
