@@ -215,53 +215,36 @@ def _cmd_forecast(args) -> int:
         result.suppressed_beta.data[0], RATE_EPSILON, 1.0 - RATE_EPSILON
     )
     EpidemicParams(beta=beta, gamma=gamma)  # the output rates must lie in (0, 1)
-    cases = result.cases.data[0]
-    strength = result.strength[0]
-    trajectories = result.trajectories
     base_date = date_type.fromisoformat(dataset.dates[end_index])
+    leads = range(1, model.config.t_out + 1)
+    # each column broadcasts to (regions, lead days); rows run lead-major
+    columns = {
+        "date": np.array(
+            [(base_date + timedelta(days=lead)).isoformat() for lead in leads], dtype=object
+        ),
+        "lead_day": np.array(leads),
+        "region": np.array(dataset.regions, dtype=object)[:, None],
+        "cases_pred": result.cases.data[0],
+        "beta": beta,
+        "beta_suppressed": suppressed,
+        "gamma": gamma,
+        "transmission_strength": result.strength[0],
+        "small_rates_flag": result.small_flags[0, :, None].astype(int),
+        "quiet_history_flag": result.quiet_flags[0, :, None].astype(int),
+        "suppressed_flag": result.flags[0, :, None].astype(int),
+        **{name: result.trajectories[name][0]
+           for name in ("susceptible", "infected", "recovered")},
+    }
+    shape = (dataset.n_regions, model.config.t_out)
+    cells = [np.broadcast_to(values, shape).T.ravel().tolist() for values in columns.values()]
 
     out = Path(args.out)
     with datasets.atomic_write(out) as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "date",
-                "lead_day",
-                "region",
-                "cases_pred",
-                "beta",
-                "beta_suppressed",
-                "gamma",
-                "transmission_strength",
-                "small_rates_flag",
-                "quiet_history_flag",
-                "suppressed_flag",
-                "susceptible",
-                "infected",
-                "recovered",
-            ]
+        writer.writerow(columns)
+        writer.writerows(
+            [v if isinstance(v, str) else format(v, ".10g") for v in row] for row in zip(*cells)
         )
-        for lead in range(model.config.t_out):
-            day = (base_date + timedelta(days=lead + 1)).isoformat()
-            for r, region in enumerate(dataset.regions):
-                writer.writerow(
-                    [
-                        day,
-                        lead + 1,
-                        region,
-                        format(cases[r, lead], ".10g"),
-                        format(beta[r, lead], ".10g"),
-                        format(suppressed[r, lead], ".10g"),
-                        format(gamma[r, lead], ".10g"),
-                        format(strength[r, lead], ".10g"),
-                        int(result.small_flags[0, r]),
-                        int(result.quiet_flags[0, r]),
-                        int(result.flags[0, r]),
-                        format(trajectories["susceptible"][0, r, lead], ".10g"),
-                        format(trajectories["infected"][0, r, lead], ".10g"),
-                        format(trajectories["recovered"][0, r, lead], ".10g"),
-                    ]
-                )
     suppressed_count = int(result.flags.sum())
     print(
         f"forecast from {dataset.dates[end_index]} for {model.config.t_out} days "
@@ -297,25 +280,15 @@ def _cmd_evaluate(args) -> int:
     print(evaluation.report_table(baseline_report, title="persistence baseline"))
     if args.out:
         with datasets.atomic_write(args.out) as handle:
-            writer = csv.DictWriter(
-                handle,
-                fieldnames=[
-                    "source",
-                    "slice",
-                    "rmse",
-                    "mae",
-                    "smape",
-                    "rae",
-                    "rae_defined",
-                ],
-            )
+            sources = {"model": model_report, "persistence": baseline_report}
+            rows = [
+                {"source": source, **row}
+                for source, report in sources.items()
+                for row in evaluation.report_rows(report)
+            ]
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
             writer.writeheader()
-            for source, report in (
-                ("model", model_report),
-                ("persistence", baseline_report),
-            ):
-                for row in evaluation.report_rows(report):
-                    writer.writerow({"source": source, **row})
+            writer.writerows(rows)
         print(f"report -> {args.out}")
     return EXIT_OK
 

@@ -642,9 +642,6 @@ class WindowSet:
             targets=self.targets[indices],
         )
 
-    def full_batch(self) -> WindowBatch:
-        return self.batch(np.arange(len(self)))
-
 
 def windowize(dataset: Dataset, t_in: int, t_out: int) -> WindowSet:
     """All windows of ``t_in`` observed days plus ``t_out`` target days."""
@@ -718,6 +715,10 @@ class SyntheticScenario:
     def __post_init__(self):
         check_ranges(self, {
             "seed": ">= 0", "n_regions": ">= 1", "length": ">= 1", "noise": ">= 0",
+            "season_period": "finite and > 0", "gamma": "in [0, 1]",
+            "population_low": "finite and > 0", "initial_infected_fraction": "in [0, 1]",
+            "self_flow": "finite and >= 0", "cross_flow": "finite and >= 0",
+            "weekly_amplitude": "in [0, 1]",
         })
         if self.beta_kind not in ("seasonal", "bump", "constant"):
             raise ConfigRangeError(
@@ -727,6 +728,10 @@ class SyntheticScenario:
             raise ConfigRangeError("beta_low", self.beta_low, "in (0, 1)")
         if not self.beta_low <= self.beta_high < 1.0:
             raise ConfigRangeError("beta_high", self.beta_high, "in [beta_low, 1)")
+        if not self.population_low <= self.population_high < np.inf:
+            raise ConfigRangeError(
+                "population_high", self.population_high, "finite and >= population_low"
+            )
         try:
             iso_date(self.start_date)
         except (TypeError, ValueError):

@@ -62,6 +62,8 @@ _RULES = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "> 0": lambda v: v > 0,
+    "finite and >= 0": lambda v: 0 <= v < np.inf,
+    "finite and > 0": lambda v: 0 < v < np.inf,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in [0, 1)": lambda v: 0 <= v < 1,
     "a non-empty list of integers >= 1": lambda v: len(v) > 0 and min(v) >= 1,

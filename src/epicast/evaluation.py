@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,19 +103,7 @@ def horizon_report(
 
 
 def report_rows(report: dict[str, MetricSet]) -> list[dict[str, object]]:
-    rows = []
-    for name, scores in report.items():
-        rows.append(
-            {
-                "slice": name,
-                "rmse": scores.rmse,
-                "mae": scores.mae,
-                "smape": scores.smape,
-                "rae": scores.rae,
-                "rae_defined": scores.rae_defined,
-            }
-        )
-    return rows
+    return [{"slice": name, **asdict(scores)} for name, scores in report.items()]
 
 
 def report_table(report: dict[str, MetricSet], title: str = "") -> str:

@@ -22,7 +22,7 @@ from . import adjacency, estimator, metapop
 from .autodiff import Parameters, Tensor
 from .domain import ConfigRangeError, DimensionMismatchError, check_ranges
 from .estimator import Backbone, BackboneConfig
-from .suppression import EmaState, ThresholdConfig, detect, suppress_beta
+from .suppression import THRESHOLD_KINDS, ThresholdConfig, detect, suppress_beta
 
 __all__ = ["ForecastModel", "ForwardResult", "ModelConfig", "WindowBatch"]
 
@@ -203,7 +203,7 @@ class ForecastModel:
         )
         self.scaler_mean = np.zeros(config.channels)
         self.scaler_scale = np.ones(config.channels)
-        self.ema = EmaState()
+        self.ema = dict.fromkeys(THRESHOLD_KINDS)
 
     # ------------------------------------------------------------- parameters
 

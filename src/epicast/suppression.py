@@ -10,14 +10,17 @@ Two per-region detectors feed one decision:
 Thresholds are interpolated quantiles over the regions of the current
 window, smoothed by an exponential moving average that only advances while
 training, and floored by configured minimums (the quiet-ratio cutoff is
-additionally capped).  A flagged region has its infection rate multiplied
-by a fixed downscale before the mechanistic rollout; the flags themselves
-are constants as far as gradients are concerned.
+additionally capped).  The smoothing state is a plain dict keyed by the
+threshold kinds of ``THRESHOLD_KINDS``, each value a float or None until
+first seeded; the model checkpoints it as is.  A flagged region has its
+infection rate multiplied by a fixed downscale before the mechanistic
+rollout; the flags themselves are constants as far as gradients are
+concerned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,13 +29,16 @@ from .domain import check_ranges
 
 __all__ = [
     "Detection",
-    "EmaSlot",
-    "EmaState",
+    "THRESHOLD_KINDS",
     "ThresholdConfig",
     "adaptive_threshold",
     "detect",
     "suppress_beta",
 ]
+
+# The four smoothed thresholds, each with a ``{kind}_quantile`` and a
+# ``{kind}_floor`` in ``ThresholdConfig``; the keys of the smoothing state.
+THRESHOLD_KINDS = ("infection", "quiet_ratio", "beta", "gamma")
 
 
 @dataclass(frozen=True)
@@ -52,10 +58,9 @@ class ThresholdConfig:
     downscale: float = 0.5
 
     def __post_init__(self):
-        kinds = ("infection", "quiet_ratio", "beta", "gamma")
         check_ranges(self, {
-            **{f"{kind}_quantile": "in [0, 1]" for kind in kinds},
-            **{f"{kind}_floor": ">= 0" for kind in kinds},
+            **{f"{kind}_quantile": "in [0, 1]" for kind in THRESHOLD_KINDS},
+            **{f"{kind}_floor": ">= 0" for kind in THRESHOLD_KINDS},
             "quiet_ratio_cap": "in [0, 1]",
             "ema_decay": "in [0, 1]",
             # above 1, suppression would raise flagged regions' forecasts
@@ -63,79 +68,41 @@ class ThresholdConfig:
         })
 
 
-class EmaSlot:
-    """One scalar exponential-moving-average accumulator (None until seeded)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float | None = None):
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"EmaSlot({self.value!r})"
-
-
-@dataclass
-class EmaState:
-    """The four smoothing slots used by the detectors (checkpointed)."""
-
-    infection: EmaSlot = field(default_factory=EmaSlot)
-    quiet_ratio: EmaSlot = field(default_factory=EmaSlot)
-    beta: EmaSlot = field(default_factory=EmaSlot)
-    gamma: EmaSlot = field(default_factory=EmaSlot)
-
-    def as_dict(self) -> dict[str, float | None]:
-        return {
-            "infection": self.infection.value,
-            "quiet_ratio": self.quiet_ratio.value,
-            "beta": self.beta.value,
-            "gamma": self.gamma.value,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict[str, float | None]) -> "EmaState":
-        return EmaState(
-            infection=EmaSlot(payload.get("infection")),
-            quiet_ratio=EmaSlot(payload.get("quiet_ratio")),
-            beta=EmaSlot(payload.get("beta")),
-            gamma=EmaSlot(payload.get("gamma")),
-        )
-
-
 def adaptive_threshold(
     values,
     quantile: float,
     floor: float,
-    slot: EmaSlot | None = None,
+    state: dict | None = None,
+    kind: str | None = None,
     training: bool = False,
     decay: float = 0.9,
 ) -> float:
     """Smoothed interpolated quantile of ``values``, never below ``floor``.
 
     The fresh quantile interpolates linearly between order statistics at
-    rank 1 + (count - 1) * quantile.  With a slot attached, training steps
-    fold the fresh value into the running average (seeding it on first use)
-    and the smoothed value is used; outside training the stored average is
-    read without being advanced.
+    rank 1 + (count - 1) * quantile.  With a smoothing ``state`` attached,
+    training steps fold the fresh value into ``state[kind]`` (seeding it on
+    first use) and the smoothed value is used; outside training the stored
+    average is read without being advanced.
     """
     rows = np.asarray(values, dtype=np.float64).reshape(1, -1)
-    return float(_thresholds(rows, quantile, floor, slot, training, decay)[0])
+    return float(_thresholds(rows, quantile, floor, state, kind, training, decay)[0])
 
 
-def _thresholds(rows: np.ndarray, quantile, floor, slot, training, decay) -> np.ndarray:
+def _thresholds(rows: np.ndarray, quantile, floor, state, kind, training, decay) -> np.ndarray:
     """``adaptive_threshold`` of each row of (B, M) ``rows``: one vectorized
     quantile call, then the scalar EMA fold row by row, in row order."""
-    if slot is None:  # no smoothing: an unseeded slot that never advances
-        slot, training = EmaSlot(), False
-    if not training and slot.value is not None:  # read, not advanced
-        return np.full(len(rows), max(slot.value, floor), dtype=np.float64)
+    if state is None:  # no smoothing: an unseeded value that never advances
+        state, training = {kind: None}, False
+    value = state[kind]
+    if not training and value is not None:  # read, not advanced
+        return np.full(len(rows), max(value, floor), dtype=np.float64)
     cuts = np.quantile(rows, quantile, axis=1)
     for b, fresh in enumerate(cuts.tolist()):
         if training:
-            slot.value = (
-                fresh if slot.value is None else decay * slot.value + (1.0 - decay) * fresh
-            )
-        cuts[b] = max(fresh if slot.value is None else slot.value, floor)
+            value = fresh if value is None else decay * value + (1.0 - decay) * fresh
+        cuts[b] = max(fresh if value is None else value, floor)
+    state[kind] = value
     return cuts
 
 
@@ -153,7 +120,7 @@ class Detection(NamedTuple):
 
 def detect(
     beta, gamma, infected_history, config: ThresholdConfig,
-    state: EmaState | None = None, training: bool = False,
+    state: dict | None = None, training: bool = False,
 ) -> Detection:
     """Both detectors on a batch: rates (B, N, T), infected history (B, N, T_in).
 
@@ -161,13 +128,14 @@ def detect(
     below their cuts.  Quiet-history: the absolute quiet level is a cut over
     every (region, day) entry of the window, and a region is flagged when its
     fraction of quiet days reaches a cut over regions (floored, then capped).
-    While training, the EMA slots advance once per window, in batch order.
+    While training, each ``state`` value advances once per window, in batch
+    order.
     """
 
     def cut(rows, kind):
         return _thresholds(
             rows, getattr(config, f"{kind}_quantile"), getattr(config, f"{kind}_floor"),
-            state and getattr(state, kind), training, config.ema_decay,
+            state, kind, training, config.ema_decay,
         )
 
     beta_peaks = np.asarray(beta, dtype=np.float64).max(axis=2)

@@ -11,9 +11,10 @@ Checkpoint container (documented layout, version 1):
 * bytes 0-7: magic ``EPCAST\\x00\\x01`` (last byte is the format version);
 * bytes 8-11: little-endian uint32 manifest length ``M``;
 * bytes 12 .. 12+M: UTF-8 JSON manifest with the model configuration, its
-  sha256 hash, region names, scaler statistics, smoothing state, training
-  provenance (epoch, validation loss), and per-parameter ``name``/
-  ``shape``/``offset``/``count`` records in table order (byte offsets);
+  sha256 hash, region names, scaler statistics, the smoothing state
+  (``ema``: one number or null per threshold kind), training provenance
+  (epoch, validation loss), and per-parameter ``name``/``shape``/
+  ``offset``/``count`` records in table order (byte offsets);
 * the rest: the model's flat parameter table ``data`` as raw little-endian
   float64 bytes, that is each parameter's bytes in manifest order.
 
@@ -22,9 +23,10 @@ A checkpoint is written to a temporary sibling and renamed into place, so a
 failed save leaves the previous file intact.  Loading raises a
 ``ValueError`` naming the file when the manifest is not UTF-8 JSON, when a
 manifest key is missing, of the wrong JSON type or of a value the model
-cannot take (naming the key), when the records differ from the layout of
-the model the stored configuration builds (naming the first differing
-record), or when the payload is not exactly that layout's size.
+cannot take (naming the key; ``ema`` must hold exactly the four threshold
+kinds), when the records differ from the layout of the model the stored
+configuration builds (naming the first differing record), or when the
+payload is not exactly that layout's size.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .autodiff import Parameters
 from .datasets import WindowSet, atomic_write
 from .domain import ConfigRangeError, DimensionMismatchError, check_ranges, config_from
 from .pipeline import ForecastModel, ModelConfig
-from .suppression import EmaState
+from .suppression import THRESHOLD_KINDS
 
 __all__ = [
     "Adam",
@@ -171,12 +173,12 @@ def validation_loss(
 
 
 def _snapshot(model: ForecastModel) -> dict:
-    return {"params": model.parameters().data.copy(), "ema": model.ema.as_dict()}
+    return {"params": model.parameters().data.copy(), "ema": dict(model.ema)}
 
 
 def _restore(model: ForecastModel, snapshot: dict) -> None:
     model.parameters().data[...] = snapshot["params"]
-    model.ema = EmaState.from_dict(snapshot["ema"])
+    model.ema = dict(snapshot["ema"])
 
 
 def fit(
@@ -296,7 +298,7 @@ def save_checkpoint(
         "seed": model.seed,
         "epoch": epoch,
         "val_loss": val_loss,
-        "ema": model.ema.as_dict(),
+        "ema": dict(model.ema),
         "scaler_mean": [float(v) for v in model.scaler_mean],
         "scaler_scale": [float(v) for v in model.scaler_scale],
         "train_config": asdict(train_config) if train_config else None,
@@ -351,9 +353,9 @@ def _check_values(manifest: dict, channels: int, path) -> None:
         "regions": (f"null or a list of {count} names", regions is None or (
             isinstance(regions, list) and len(regions) == count
             and all(isinstance(name, str) for name in regions))),
-        "ema": ("a number or null in each slot", all(
-            ema.get(slot) is None or _is_number(ema[slot])
-            for slot in EmaState().as_dict())),
+        "ema": (f"a number or null for exactly {', '.join(THRESHOLD_KINDS)}",
+                set(ema) == set(THRESHOLD_KINDS)
+                and all(v is None or _is_number(v) for v in ema.values())),
         **{key: (f"a list of {channels} numbers", len(manifest[key]) == channels
                  and all(map(_is_number, manifest[key])))
            for key in ("scaler_mean", "scaler_scale")},
@@ -426,7 +428,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         )
     params.data[...] = np.frombuffer(payload, dtype="<f8")
     model.set_scaler(manifest["scaler_mean"], manifest["scaler_scale"])
-    model.ema = EmaState.from_dict(manifest["ema"])
+    model.ema = {kind: manifest["ema"][kind] for kind in THRESHOLD_KINDS}
     return LoadedCheckpoint(model=model, manifest=manifest)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import builtins
 import csv
+import datetime
 import hashlib
 import json
 import re
@@ -145,7 +146,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "key,value",
         [("n_regions", 0), ("length", -3), ("noise", -0.5), ("n_regions", 3.7),
-         ("start_date", "garbage"), ("beta_kind", "spiky"), ("beta_low", 0.0)],
+         ("start_date", "garbage"), ("beta_kind", "spiky"), ("beta_low", 0.0),
+         ("population_low", -5.0), ("population_high", 10.0), ("season_period", 0.0),
+         ("initial_infected_fraction", 2.0), ("self_flow", -1.0), ("cross_flow", -0.1),
+         ("weekly_amplitude", 3.0), ("gamma", 1.5)],
     )
     def test_out_of_range_config_is_usage_error(self, tmp_path, capsys, key, value):
         config = tmp_path / "bad.yaml"
@@ -365,6 +369,46 @@ class TestForecast:
             if row["suppressed_flag"] == "0":
                 assert float(row["beta_suppressed"]) == beta
 
+    def test_columns_are_pinned_and_match_the_forward(self, workdir, tmp_path):
+        from epicast import datasets, training
+
+        out, report = tmp_path / "forecast.csv", tmp_path / "report.csv"
+        common = ["--data", str(workdir["data"]), "--checkpoint", str(workdir["ckpt"])]
+        assert main(["forecast", *common, "--out", str(out)]) == EXIT_OK
+        assert main(["evaluate", *common, "--out", str(report)]) == EXIT_OK
+        with out.open(newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == [
+            "date", "lead_day", "region", "cases_pred", "beta", "beta_suppressed",
+            "gamma", "transmission_strength", "small_rates_flag", "quiet_history_flag",
+            "suppressed_flag", "susceptible", "infected", "recovered",
+        ]
+        dataset = datasets.load_dataset(workdir["data"])
+        model = training.load_checkpoint(workdir["ckpt"]).model
+        end = dataset.n_days - 1
+        result = model.forward(cli._window_ending_at(dataset, model.config.t_in, end))
+        beta, gamma, suppressed = (
+            np.clip(rates.data[0], cli.RATE_EPSILON, 1 - cli.RATE_EPSILON)
+            for rates in (result.beta, result.gamma, result.suppressed_beta)
+        )
+        flags = (result.small_flags[0], result.quiet_flags[0], result.flags[0])
+        states = [result.trajectories[k][0] for k in ("susceptible", "infected", "recovered")]
+        want = []
+        for lead in range(model.config.t_out):
+            day = (datetime.date.fromisoformat(dataset.dates[end])
+                   + datetime.timedelta(days=lead + 1)).isoformat()
+            for r, region in enumerate(dataset.regions):
+                numbers = [result.cases.data[0], beta, suppressed, gamma, result.strength[0]]
+                want.append(
+                    [day, str(lead + 1), region]
+                    + [format(x[r, lead], ".10g") for x in numbers]
+                    + ["1" if flag[r] else "0" for flag in flags]
+                    + [format(x[r, lead], ".10g") for x in states]
+                )
+        assert rows == want
+        header = report.read_text(encoding="utf-8").splitlines()[0]
+        assert header == "source,slice,rmse,mae,smape,rae,rae_defined"
+
     def test_anchor_date_moves_forecast_start(self, workdir, tmp_path):
         from epicast import datasets
 
@@ -576,12 +620,15 @@ class TestCorruptCheckpoint:
         [
             (lambda m: m["scaler_mean"].pop(), "scaler_mean"),
             (lambda m: m["scaler_scale"].__setitem__(0, "wide"), "scaler_scale"),
-            (lambda m: m.update(ema={"beta": "high"}), "ema"),
+            (lambda m: m["ema"].update(beta="high"), "ema"),
+            (lambda m: m["ema"].update(betta=m["ema"].pop("beta")), "ema"),
+            (lambda m: m.update(ema={}), "ema"),
+            (lambda m: m["ema"].update(delta=0.5), "ema"),
             (lambda m: m.update(regions=5), "regions"),
             (lambda m: m.update(seed=-1), "seed"),
         ],
-        ids=["short-scaler", "non-numeric-scaler", "string-ema-slot", "integer-regions",
-             "negative-seed"],
+        ids=["short-scaler", "non-numeric-scaler", "string-ema-slot", "misspelt-ema-slot",
+             "empty-ema", "extra-ema-slot", "integer-regions", "negative-seed"],
     )
     def test_value_defect_names_file_and_key(self, workdir, tmp_path, capsys, edit, key):
         # each passes the configuration hash, which covers only model_config

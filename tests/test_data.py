@@ -900,7 +900,9 @@ class TestSyntheticGenerator:
     def test_bad_scenario_rejected(self):
         cases = [("beta_kind", "spiky"), ("beta_low", 0.0), ("beta_high", 0.01),
                  ("beta_high", 1.0), ("start_date", "garbage"), ("start_date", "2020-02-30"),
-                 ("start_date", "20200101"), ("start_date", "2020-W01-3")]
+                 ("start_date", "20200101"), ("start_date", "2020-W01-3"),
+                 ("population_high", 10.0), ("population_high", float("inf")),
+                 ("population_high", float("nan"))]
         for field, value in cases:
             with pytest.raises(ConfigRangeError) as raised:
                 SyntheticScenario(**{field: value})
@@ -909,7 +911,10 @@ class TestSyntheticGenerator:
     @pytest.mark.parametrize(
         "field,value",
         [("n_regions", 0), ("length", 0), ("noise", -0.1), ("noise", float("nan")),
-         ("seed", -1)],
+         ("seed", -1), ("population_low", -5.0), ("population_low", 0.0),
+         ("season_period", 0.0), ("season_period", float("inf")), ("gamma", -0.1),
+         ("gamma", 1.5), ("initial_infected_fraction", 2.0), ("weekly_amplitude", 3.0),
+         ("self_flow", -1.0), ("self_flow", float("inf")), ("cross_flow", -0.1)],
     )
     def test_out_of_range_scenario_names_its_field(self, field, value):
         with pytest.raises(ConfigRangeError) as raised:

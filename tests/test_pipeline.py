@@ -166,12 +166,12 @@ class TestForward:
         assert result.trajectories["infected"].shape == (4, n, t_out)
 
     def test_rates_inside_unit_interval(self, small_model, small_windows):
-        result = small_model.forward(small_windows.full_batch())
+        result = small_model.forward(small_windows.batch(np.arange(len(small_windows))))
         assert (result.beta.data > 0).all() and (result.beta.data < 1).all()
         assert (result.gamma.data > 0).all() and (result.gamma.data < 1).all()
 
     def test_cases_nonnegative(self, small_model, small_windows):
-        result = small_model.forward(small_windows.full_batch())
+        result = small_model.forward(small_windows.batch(np.arange(len(small_windows))))
         assert (result.cases.data >= 0).all()
 
     def test_batch_shape_validation(self, small_model, small_windows):
@@ -299,18 +299,18 @@ class TestSuppressionIntegration:
         result = small_model.forward(batch, training=True, fixed_filter=fixed)
         np.testing.assert_array_equal(result.flags, fixed)
         # detection was skipped entirely: no smoothing state advanced
-        assert small_model.ema.beta.value is None
-        assert small_model.ema.infection.value is None
+        assert small_model.ema["beta"] is None
+        assert small_model.ema["infection"] is None
 
     def test_training_advances_ema_inference_does_not(self, small_model, small_windows):
         batch = small_windows.batch(np.arange(2))
         small_model.forward(batch, training=False)
-        assert small_model.ema.beta.value is None
+        assert small_model.ema["beta"] is None
         small_model.forward(batch, training=True)
-        seeded = small_model.ema.beta.value
+        seeded = small_model.ema["beta"]
         assert seeded is not None
         small_model.forward(batch, training=False)
-        assert small_model.ema.beta.value == seeded
+        assert small_model.ema["beta"] == seeded
 
 
 class TestInference:

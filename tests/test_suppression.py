@@ -19,8 +19,7 @@ from epicast.domain import (
     PopulationVector,
 )
 from epicast.suppression import (
-    EmaSlot,
-    EmaState,
+    THRESHOLD_KINDS,
     ThresholdConfig,
     adaptive_threshold,
     suppress_beta,
@@ -106,57 +105,58 @@ class TestAdaptiveThreshold:
         assert adaptive_threshold(np.full(4, 0.001), 0.5, 0.5) == 0.5
 
     def test_ema_step(self):
-        slot = EmaSlot(1.0)
+        state = {"beta": 1.0}
         out = adaptive_threshold(
-            np.full(3, 2.0), 0.5, 0.0, slot=slot, training=True, decay=0.9
+            np.full(3, 2.0), 0.5, 0.0, state=state, kind="beta", training=True, decay=0.9
         )
         assert out == pytest.approx(1.1, abs=1e-12)
-        assert slot.value == pytest.approx(1.1, abs=1e-12)
+        assert state == {"beta": pytest.approx(1.1, abs=1e-12)}
 
     def test_ema_seeds_on_first_training_use(self):
-        slot = EmaSlot()
+        state = dict.fromkeys(THRESHOLD_KINDS)
         out = adaptive_threshold(
-            np.full(3, 2.0), 0.5, 0.0, slot=slot, training=True
+            np.full(3, 2.0), 0.5, 0.0, state=state, kind="gamma", training=True
         )
         assert out == 2.0
-        assert slot.value == 2.0
+        assert state == {"infection": None, "quiet_ratio": None, "beta": None, "gamma": 2.0}
 
     def test_inference_reads_without_advancing(self):
-        slot = EmaSlot(1.5)
+        state = {"beta": 1.5}
         out = adaptive_threshold(
-            np.full(3, 99.0), 0.5, 0.0, slot=slot, training=False
+            np.full(3, 99.0), 0.5, 0.0, state=state, kind="beta", training=False
         )
         assert out == 1.5
-        assert slot.value == 1.5
+        assert state == {"beta": 1.5}
 
     def test_inference_with_unseeded_slot_uses_fresh_value(self):
-        slot = EmaSlot()
-        out = adaptive_threshold(np.full(3, 7.0), 0.5, 0.0, slot=slot, training=False)
+        state = {"beta": None}
+        out = adaptive_threshold(
+            np.full(3, 7.0), 0.5, 0.0, state=state, kind="beta", training=False
+        )
         assert out == 7.0
-        assert slot.value is None
+        assert state == {"beta": None}
 
     @pytest.mark.parametrize("stored,floor", [(1.5, 0.0), (1.5, 2.0)])
     def test_batch_outside_training_reads_the_stored_value_floored(
         self, monkeypatch, stored, floor
     ):
         rows = rng_for(401).uniform(0, 10, size=(4, 6))
-        slot = EmaSlot(stored)
+        state = {"infection": stored}
         want = max(stored, floor)
-        got = suppression._thresholds(rows, 0.3, floor, slot, False, 0.9)
+        got = suppression._thresholds(rows, 0.3, floor, state, "infection", False, 0.9)
         assert got.dtype == np.float64 and got.tolist() == [want] * 4
-        assert slot.value == stored
+        assert state == {"infection": stored}
         # the same with no quantile at hand: the fresh values would be unread
         monkeypatch.setattr(np, "quantile", lambda *args, **kwargs: np.full(4, np.nan))
-        assert suppression._thresholds(rows, 0.3, floor, slot, False, 0.9).tolist() == [
-            want
-        ] * 4
+        got = suppression._thresholds(rows, 0.3, floor, state, "infection", False, 0.9)
+        assert got.tolist() == [want] * 4
 
     def test_batch_outside_training_with_unseeded_slot_uses_fresh_values(self):
         rows = rng_for(402).uniform(0, 10, size=(4, 6))
-        slot = EmaSlot()
-        got = suppression._thresholds(rows, 0.3, 2.0, slot, False, 0.9)
+        state = {"infection": None}
+        got = suppression._thresholds(rows, 0.3, 2.0, state, "infection", False, 0.9)
         assert got.tolist() == np.maximum(np.quantile(rows, 0.3, axis=1), 2.0).tolist()
-        assert slot.value is None
+        assert state == {"infection": None}
 
     def test_matches_oracle_on_random_instances(self):
         rng = rng_for(400)
@@ -183,22 +183,13 @@ class TestAdaptiveThreshold:
 
 
 class TestEmaState:
-    def test_dict_round_trip(self):
-        state = EmaState()
-        state.beta.value = 0.25
-        state.infection.value = 3.5
-        payload = state.as_dict()
-        back = EmaState.from_dict(payload)
-        assert back.beta.value == 0.25
-        assert back.infection.value == 3.5
-        assert back.gamma.value is None
-        assert back.quiet_ratio.value is None
-
     def test_repeated_training_contracts_toward_fresh_value(self):
-        slot = EmaSlot(10.0)
+        state = {"beta": 10.0}
         for _ in range(200):
-            adaptive_threshold(np.full(3, 2.0), 0.5, 0.0, slot=slot, training=True)
-        assert slot.value == pytest.approx(2.0, abs=1e-6)
+            adaptive_threshold(
+                np.full(3, 2.0), 0.5, 0.0, state=state, kind="beta", training=True
+            )
+        assert state["beta"] == pytest.approx(2.0, abs=1e-6)
 
 
 # -------------------------------------------------------------- detectors
@@ -319,10 +310,10 @@ def loop_detect(beta, gamma, history, config, state, training):
     """Per-window reference for the batched detector.
 
     Every threshold comes from one call of the public ``adaptive_threshold``
-    on one window; the EMA slots advance window by window, small-parameter
-    detector first.  Returns flags (B, N) twice and cutoffs (B, 4).
+    on one window; the ``state`` values advance window by window,
+    small-parameter detector first.  Returns flags (B, N) twice and cutoffs
+    (B, 4).
     """
-    slots = {} if state is None else vars(state)
     small, quiet, cuts = [], [], []
     for b in range(beta.shape[0]):
 
@@ -331,7 +322,8 @@ def loop_detect(beta, gamma, history, config, state, training):
                 values,
                 getattr(config, f"{kind}_quantile"),
                 getattr(config, f"{kind}_floor"),
-                slots.get(kind),
+                state,
+                kind,
                 training,
                 config.ema_decay,
             )
@@ -350,7 +342,7 @@ def loop_detect(beta, gamma, history, config, state, training):
 def slot_bits(state):
     return None if state is None else {
         name: None if value is None else value.hex()
-        for name, value in state.as_dict().items()
+        for name, value in state.items()
     }
 
 
@@ -383,10 +375,9 @@ class TestBatchedDetector:
         else:
             start = {
                 name: float(rng.uniform(0, 2)) if on else None
-                for name, on in zip(("infection", "quiet_ratio", "beta", "gamma"), seeded)
+                for name, on in zip(THRESHOLD_KINDS, seeded)
             }
-            batched_state = EmaState.from_dict(start)
-            loop_state = EmaState.from_dict(start)
+            batched_state, loop_state = dict(start), dict(start)
         for batch, training in calls:
             rates = (batch, regions, days)
             # sparse draws and small integer counts make ties common
@@ -482,7 +473,7 @@ class TestFilterAndSuppression:
     @settings(max_examples=40, deadline=None)
     def test_training_ema_keeps_thresholds_positive(self, seed):
         rng = np.random.default_rng(seed)
-        state = EmaState()
+        state = dict.fromkeys(THRESHOLD_KINDS)
         config = ThresholdConfig()
         for _ in range(3):
             beta = rng.uniform(1e-4, 1 - 1e-4, size=(4, 5))
@@ -493,5 +484,5 @@ class TestFilterAndSuppression:
                 state=state,
                 training=True,
             )
-        assert state.beta.value is not None and state.beta.value > 0
-        assert state.gamma.value is not None and state.gamma.value > 0
+        assert state["beta"] is not None and state["beta"] > 0
+        assert state["gamma"] is not None and state["gamma"] > 0

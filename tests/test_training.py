@@ -173,7 +173,7 @@ class TestValidationLoss:
         train_w, val_w, config = build_windows()
         model = build_model(train_w, config)
         got = validation_loss(model, val_w, batch_size=3)
-        result = model.forward(val_w.full_batch(), training=False)
+        result = model.forward(val_w.batch(np.arange(len(val_w))), training=False)
         want = float(np.abs(result.cases.data - val_w.targets).mean())
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -254,7 +254,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         train_w, val_w, config = build_windows()
         model = build_model(train_w, config)
-        model.ema.beta.value = 0.123
+        model.ema["beta"] = 0.123
         path = tmp_path / "model.ckpt"
         t_config = TrainConfig(max_epochs=5)
         save_checkpoint(
@@ -272,7 +272,7 @@ class TestCheckpoint:
             )
         np.testing.assert_array_equal(loaded.model.scaler_mean, model.scaler_mean)
         np.testing.assert_array_equal(loaded.model.scaler_scale, model.scaler_scale)
-        assert loaded.model.ema.beta.value == 0.123
+        assert loaded.model.ema == model.ema and model.ema["beta"] == 0.123
         assert loaded.manifest["epoch"] == 4
         assert loaded.manifest["val_loss"] == 1.5
         assert loaded.manifest["regions"] == list(train_w.regions)
