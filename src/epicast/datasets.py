@@ -714,7 +714,8 @@ class SyntheticScenario:
 
     def __post_init__(self):
         check_ranges(self, {
-            "seed": ">= 0", "n_regions": ">= 1", "length": ">= 1", "noise": ">= 0",
+            "seed": ">= 0", "n_regions": ">= 1", "length": ">= 1",
+            "noise": "finite and >= 0",
             "season_period": "finite and > 0", "gamma": "in [0, 1]",
             "population_low": "finite and > 0", "initial_infected_fraction": "in [0, 1]",
             "self_flow": "finite and >= 0", "cross_flow": "finite and >= 0",

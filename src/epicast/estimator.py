@@ -24,12 +24,15 @@ heads take their group as a mapping keyed by short name (``bias``,
   scores, so the scaled and shifted scores are one product, and a block in
   which the bound overshoots some row's max by hundreds is recomputed with
   the exact row max; the rows stay unnormalized, and the reciprocals of
-  their sums weight the pooling GEMV and the backward's (N, head) sides;
+  their sums weight the pooling GEMV and the backward's K=2 row factors;
 * the whole backbone, over time-major (day, region) rows with no padding:
   separate filter and gate convolutions per gated layer through
   ``kernels.active()``, each giving one contiguous block that the gate
   forward and backward work on in place, and whose two backward calls add
   into one input gradient; a closed-form gate, mixing and readout backward.
+  It computes in float32 by default (``Backbone``'s ``dtype``): its inputs
+  and parameters are cast on entry, and its latent and input gradients
+  leave as float64, so everything outside the node stays float64.
 """
 
 from __future__ import annotations
@@ -198,19 +201,18 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
 
     def backward(g: np.ndarray) -> None:
         # d(mean)/d(scores) for one (head, day) block is P * (G - rowsum(G * P))
-        # = r * E * (G - r * rowsum(G * E)), with the 1/(H*T) of the mean
-        # folded into G; the row factor r moves onto the (N, head) sides of
-        # the products, and the 1/sqrt(d) of the scores lives in the scaled
-        # query weight.  Row i of G - rowsum(G * P) over every head and day
-        # is one product of K=2, [1, rowsum(G * P)] @ [G_i; -1], which beats
-        # a broadcast subtraction over the (H, T, N, N) block.
+        # = E * (r * G - r^2 * rowsum(G * E)), with the 1/(H*T) of the mean
+        # folded into G, and the 1/sqrt(d) of the scores in the scaled query
+        # weight.  Row i of r * G - r^2 * rowsum(G * E) over every head and
+        # day is one product of K=2, [r, r^2 * rowsum(G * E)] @ [G_i; -1],
+        # which beats a broadcast subtraction over the (H, T, N, N) block
+        # and leaves no row factor for the (N, head) products.
         mix = np.empty((batch, regions, 2, regions))
         np.multiply(g.reshape(batch, regions, regions), 1.0 / count, out=mix[:, :, 0, :])
         mix[:, :, 1, :] = -1.0
         pulled = mix[:, :, 0, :, None]  # the rows of G as GEMV vectors
         size = min(batch, block_elements)
         factors = np.empty((size, regions, count, 2))
-        factors[..., 0] = 1.0
         g_scores = np.empty((size, heads, days, regions, regions))
         # (B*N*T, C) buffers written through (B, H, T, N, head) views
         g_query = np.empty((batch * regions * days, channels))
@@ -221,14 +223,15 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
             block = grown[part]
             elements = len(block)
             scores, row_dots = g_scores[:elements], factors[:elements]
+            recips = np.swapaxes(inverse[part].reshape(elements, count, regions), 1, 2)
             np.matmul(by_row(block), pulled[part], out=row_dots[..., 1:])
-            row_dots[..., 1] *= np.swapaxes(inverse[part].reshape(elements, count, regions), 1, 2)
+            row_dots[..., 0] = recips
+            row_dots[..., 1] *= recips
+            row_dots[..., 1] *= recips
             np.matmul(row_dots, mix[part], out=by_row(scores))
             scores *= block
-            recips = inverse[part][..., None]
             np.matmul(scores, key[part], out=g_query_heads[part])
-            g_query_heads[part] *= recips
-            np.matmul(np.swapaxes(scores, -1, -2), query[part] * recips, out=g_key_heads[part])
+            np.matmul(np.swapaxes(scores, -1, -2), query[part], out=g_key_heads[part])
         if isinstance(lifted, Tensor) and lifted.requires_grad:
             # contiguous transposes: BLAS's transposed-operand path is slower
             g_flat = g_query @ np.ascontiguousarray(q_scaled.T)
@@ -317,18 +320,25 @@ class Backbone:
     output keeps the input length.
 
     ``params`` maps the ``backbone.*`` parameters by short name
-    (``input_weight``, ``layer0_filter_weight``, ...).  The last layer's
+    (``input_weight``, ``layer0_filter_weight``, ...).  ``dtype`` is the
+    node's compute dtype: float32 runs its small GEMMs and ``tanh`` passes
+    1.5-4x faster than float64, and float64 serves the finite-difference
+    oracles, which float32 rounding would swamp.  The last layer's
     residual output is never read, so its ``neighbor_weight``,
     ``self_weight`` and ``mix_bias`` are inert: they stay in the table
     (keeping the initialization draws and the checkpoint layout) but are not
     computed with and receive no gradient.
     """
 
-    def __init__(self, config: BackboneConfig, t_in: int, t_out: int, params: dict):
+    def __init__(
+        self, config: BackboneConfig, t_in: int, t_out: int, params: dict,
+        dtype=np.float32,
+    ):
         self.config = config
         self.t_in = t_in
         self.t_out = t_out
         self.params = params
+        self.dtype = np.dtype(dtype)
 
     def __call__(self, features, adjacency):
         """Distill (B, N, T_in, C) + (B, N, N) into (B, N, T_out, out_dim).
@@ -344,6 +354,14 @@ class Backbone:
         output ``h``; the backward differentiates the gate, mixing, skip
         projections, readout and adjacency normalization in closed form, and
         a layer's two ``conv_bwd`` calls add into the residual's gradient.
+
+        In the compute dtype: the features and parameters, cast once per
+        call, every layer buffer, the readout and the time map, and in the
+        backward the incoming gradient and the adjacency's gradient sum.  In
+        float64: the adjacency's normalization and its backward (only the
+        normalized map the mixing reads is cast), the returned latent and
+        the features' gradient.  Parameter gradients leave in the compute
+        dtype; a table leaf's float64 slot takes them as they are written.
         """
         feat = ad.as_data(features)
         adj = ad.as_data(adjacency)
@@ -355,8 +373,9 @@ class Backbone:
         hid, layers = self.config.hidden_dim, len(self.config.dilations)
         rows = batch * days * regions
         cells = (batch, days, regions, hid)
+        dtype = self.dtype
         p = self.params
-        data = {name: ad.as_data(value) for name, value in p.items()}
+        data = {name: np.asarray(ad.as_data(value), dtype=dtype) for name, value in p.items()}
         tags = [f"layer{index}_" for index in range(layers)]
         kern = kernels.active()
 
@@ -366,16 +385,18 @@ class Backbone:
         def add_bias(block: np.ndarray, name: str) -> None:
             # the bias once per row, so that its add runs over each batch
             # element's whole block instead of numpy's inner loop over one row
-            per_row = np.empty((days * regions, data[name].shape[-1]))
+            per_row = np.empty((days * regions, data[name].shape[-1]), dtype=dtype)
             per_row[...] = data[name]
             per_element = block.reshape(batch, per_row.size)
             per_element += per_row.reshape(-1)
 
+        # the normalization stays float64; only the map the mixing reads is cast
         magnitude = np.abs(adj)
         norm = magnitude.sum(axis=-1, keepdims=True) + _EPSILON
         support = magnitude / norm
-        mixing = support[:, None]  # each day's (N, N) map of a batch element
-        feat_rows = np.ascontiguousarray(feat.transpose(0, 2, 1, 3)).reshape(rows, channels)
+        mixing = support.astype(dtype, copy=False)[:, None]  # each day's (N, N) map
+        feat_rows = np.ascontiguousarray(feat.transpose(0, 2, 1, 3), dtype=dtype)
+        feat_rows = feat_rows.reshape(rows, channels)
         x = times(feat_rows, "input_weight")
         add_bias(x, "input_bias")
         inputs, tanhs, sigmoids, outputs = [], [], [], []
@@ -420,7 +441,8 @@ class Backbone:
         mapped = np.ascontiguousarray(data["time_weight"].T) @ by_day
         mapped += data["time_bias"][:, None]
         latent = np.ascontiguousarray(
-            mapped.reshape(batch, self.t_out, regions, out_dim).transpose(0, 2, 1, 3)
+            mapped.reshape(batch, self.t_out, regions, out_dim).transpose(0, 2, 1, 3),
+            dtype=np.float64,
         )
 
         inert = {tags[-1] + name for name in ("neighbor_weight", "self_weight", "mix_bias")}
@@ -436,7 +458,7 @@ class Backbone:
 
         def backward(g: np.ndarray) -> None:
             grads: dict[str, np.ndarray] = {}
-            ones = np.ones(max(rows, regions * out_dim))
+            ones = np.ones(max(rows, regions * out_dim), dtype=dtype)
 
             def column_sums(block: np.ndarray) -> np.ndarray:
                 # a GEMV: numpy's axis-0 reduction is several times slower here
@@ -456,7 +478,8 @@ class Backbone:
 
             # time map, then the channel readout, back to the skip sum
             g_mapped = g.reshape(batch, regions, self.t_out, out_dim).transpose(0, 2, 1, 3)
-            g_mapped = np.ascontiguousarray(g_mapped).reshape(batch, self.t_out, regions * out_dim)
+            g_mapped = np.ascontiguousarray(g_mapped, dtype=dtype)
+            g_mapped = g_mapped.reshape(batch, self.t_out, regions * out_dim)
             per_day = g_mapped.reshape(-1, regions * out_dim) @ ones[: regions * out_dim]
             grads["time_bias"] = column_sums(per_day.reshape(batch, self.t_out))
             grads["time_weight"] = (by_day @ np.swapaxes(g_mapped, 1, 2)).sum(axis=0)
@@ -466,7 +489,9 @@ class Backbone:
             grads["end_weight"] = gram(skip_read, g_read)
             g_skip = times_t(g_read, "end_weight")
             g_skip *= skip_total > 0.0
-            g_support = np.zeros((batch, regions, regions)) if wants(adjacency) else None
+            g_support = None
+            if wants(adjacency):
+                g_support = np.zeros((batch, regions, regions), dtype=dtype)
             pulling = np.swapaxes(mixing, -1, -2)
             g_x = None  # gradient of the current layer's residual output, (B, T, N, hidden)
             for index in range(layers - 1, -1, -1):
@@ -520,10 +545,11 @@ class Backbone:
                     value._accumulate(grads[name])
             if wants(features):
                 g_feat = times_t(g_rows, "input_weight").reshape(batch, days, regions, channels)
-                g_feat = np.ascontiguousarray(g_feat.transpose(0, 2, 1, 3))
+                g_feat = np.ascontiguousarray(g_feat.transpose(0, 2, 1, 3), dtype=np.float64)
                 features._accumulate(g_feat)
             if g_support is not None:
                 # support = |A| / (rowsum|A| + eps), then d|A|/dA = sign(A)
+                g_support = g_support.astype(np.float64, copy=False)
                 g_magnitude = g_support - (g_support * support).sum(axis=-1, keepdims=True)
                 g_magnitude /= norm
                 g_magnitude *= np.sign(adj)

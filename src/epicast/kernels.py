@@ -5,7 +5,10 @@
 
 Both are plain numpy over batched ``matmul``.  Callers reach them through
 ``active()`` at call time, which returns the one ``KernelSet``; the layer
-tracer of the benchmark wraps that accessor.
+tracer of the benchmark wraps that accessor.  The convolution follows its
+input's dtype: the temporaries it makes (the bias row, the ones of the bias
+gradient's GEMV) take the block's dtype, so a float32 block stays float32
+instead of being silently upcast to float64.
 
 Branching conventions: ties in the infection cap route the gradient to the
 force term; clamps pass gradient only where the pre-clamp value is strictly
@@ -150,7 +153,7 @@ def _conv_fwd(x, weight, bias, dilation):
         out[:, shift * N :] += rows[:, : (T - shift) * N] @ weight[k]
     # the bias once per row, added over each batch element's whole block: a
     # (Co,) broadcast would run numpy's inner loop over only Co elements
-    per_row = np.empty((T * N, C_out))
+    per_row = np.empty((T * N, C_out), dtype=out.dtype)
     per_row[...] = bias
     per_element = out.reshape(B, T * N * C_out)
     per_element += per_row.reshape(-1)
@@ -179,7 +182,7 @@ def _conv_bwd(g, x, weight, dilation, g_x=None):
             axis=0
         )
     rows = g.reshape(-1, C_out)
-    g_b = np.ones(rows.shape[0]) @ rows  # a GEMV: the axis reduction is slower
+    g_b = np.ones(rows.shape[0], dtype=rows.dtype) @ rows  # a GEMV: the axis sum is slower
     return g_x, g_w, g_b
 
 

@@ -204,6 +204,7 @@ class ForecastModel:
         self.scaler_mean = np.zeros(config.channels)
         self.scaler_scale = np.ones(config.channels)
         self.ema = dict.fromkeys(THRESHOLD_KINDS)
+        self._backbone_dtype = np.float32
 
     # ------------------------------------------------------------- parameters
 
@@ -227,6 +228,19 @@ class ForecastModel:
         finally:
             for p, flag in saved:
                 p.requires_grad = flag
+
+    @contextmanager
+    def float64_backbone(self) -> Iterator[None]:
+        """Forwards in the block run the backbone in float64 instead of
+        float32, for the finite-difference oracles.  The previous compute
+        dtype is restored on exit, also on error.
+        """
+        saved = self._backbone_dtype
+        self._backbone_dtype = np.float64
+        try:
+            yield
+        finally:
+            self._backbone_dtype = saved
 
     def clamp_blend(self) -> None:
         """Keep the enhancement blend inside [0, 1] (called after each step)."""
@@ -307,7 +321,9 @@ class ForecastModel:
         fused = estimator.fuse_dependencies(node_adj, struct_adj, p.group("gate"))
         dependency = estimator.regularize_dependency(fused)
         enhanced = estimator.enhance_features(lifted, dependency, p["enhance.blend"])
-        backbone = Backbone(cfg.backbone, cfg.t_in, cfg.t_out, p.group("backbone"))
+        backbone = Backbone(
+            cfg.backbone, cfg.t_in, cfg.t_out, p.group("backbone"), dtype=self._backbone_dtype
+        )
         latent = backbone(enhanced, coupling)
         beta, gamma = estimator.estimate_params(latent, p.group("heads"))
 

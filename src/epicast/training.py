@@ -465,61 +465,64 @@ def gradient_check(
     evaluation, matching its constant role in training.  Each parameter
     group is probed at up to ``samples_per_group`` randomly chosen entries;
     the relative error guards its denominator so exactly-zero pairs count
-    as exact agreement.
+    as exact agreement.  Every forward runs the backbone in float64
+    (``ForecastModel.float64_backbone``).
     """
-    rng = np.random.default_rng(seed)
-    with model.inference():
-        flags = model.forward(batch, training=False).flags
+    # float32 rounding in the backbone would swamp the finite differences
+    with model.float64_backbone():
+        rng = np.random.default_rng(seed)
+        with model.inference():
+            flags = model.forward(batch, training=False).flags
 
-    def loss_tensor():
-        result = model.forward(batch, training=False, fixed_filter=flags)
-        return mae_loss(result.cases, batch.targets)
+        def loss_tensor():
+            result = model.forward(batch, training=False, fixed_filter=flags)
+            return mae_loss(result.cases, batch.targets)
 
-    def numeric_loss() -> float:
-        with model.inference():  # the finite differences need no tape
-            return loss_tensor().item()
+        def numeric_loss() -> float:
+            with model.inference():  # the finite differences need no tape
+                return loss_tensor().item()
 
-    model.zero_grad()
-    loss = loss_tensor()
-    loss.backward()
-    params = model.parameters()
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
+        model.zero_grad()
+        loss = loss_tensor()
+        loss.backward()
+        params = model.parameters()
+        analytic = {
+            name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+            for name, p in params.items()
+        }
 
-    groups: dict[str, GroupCheck] = {}
-    passed = True
-    for name, param in params.items():
-        flat = param.data.reshape(-1)
-        count = min(samples_per_group, flat.size)
-        chosen = rng.choice(flat.size, size=count, replace=False)
-        worst = GroupCheck(
-            checked=count,
-            max_rel_error=0.0,
-            worst_index=None,
-            analytic_at_worst=0.0,
-            numeric_at_worst=0.0,
-        )
-        for index in chosen:
-            original = flat[index]
-            flat[index] = original + fd_step
-            upper = numeric_loss()
-            flat[index] = original - fd_step
-            lower = numeric_loss()
-            flat[index] = original
-            numeric = (upper - lower) / (2.0 * fd_step)
-            exact = float(analytic[name].reshape(-1)[index])
-            scale = max(abs(exact), abs(numeric), 1e-10)
-            rel = abs(exact - numeric) / scale
-            if rel > worst.max_rel_error:
-                worst.max_rel_error = rel
-                worst.worst_index = tuple(
-                    int(i) for i in np.unravel_index(index, param.data.shape)
-                )
-                worst.analytic_at_worst = exact
-                worst.numeric_at_worst = numeric
-        groups[name] = worst
-        if worst.max_rel_error >= tolerance:
-            passed = False
-    return GradientCheckReport(groups=groups, tolerance=tolerance, passed=passed)
+        groups: dict[str, GroupCheck] = {}
+        passed = True
+        for name, param in params.items():
+            flat = param.data.reshape(-1)
+            count = min(samples_per_group, flat.size)
+            chosen = rng.choice(flat.size, size=count, replace=False)
+            worst = GroupCheck(
+                checked=count,
+                max_rel_error=0.0,
+                worst_index=None,
+                analytic_at_worst=0.0,
+                numeric_at_worst=0.0,
+            )
+            for index in chosen:
+                original = flat[index]
+                flat[index] = original + fd_step
+                upper = numeric_loss()
+                flat[index] = original - fd_step
+                lower = numeric_loss()
+                flat[index] = original
+                numeric = (upper - lower) / (2.0 * fd_step)
+                exact = float(analytic[name].reshape(-1)[index])
+                scale = max(abs(exact), abs(numeric), 1e-10)
+                rel = abs(exact - numeric) / scale
+                if rel > worst.max_rel_error:
+                    worst.max_rel_error = rel
+                    worst.worst_index = tuple(
+                        int(i) for i in np.unravel_index(index, param.data.shape)
+                    )
+                    worst.analytic_at_worst = exact
+                    worst.numeric_at_worst = numeric
+            groups[name] = worst
+            if worst.max_rel_error >= tolerance:
+                passed = False
+        return GradientCheckReport(groups=groups, tolerance=tolerance, passed=passed)

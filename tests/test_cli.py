@@ -130,7 +130,8 @@ class TestSimulate:
         [
             ("--regions", "0", ">= 1"),
             ("--length", "0", ">= 1"),
-            ("--noise", "-1", ">= 0"),
+            ("--noise", "-1", "finite and >= 0"),
+            ("--noise", "inf", "finite and >= 0"),
             ("--seed", "-1", ">= 0"),
         ],
     )
@@ -145,7 +146,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("n_regions", 0), ("length", -3), ("noise", -0.5), ("n_regions", 3.7),
+        [("n_regions", 0), ("length", -3), ("noise", -0.5), ("noise", float("inf")),
+         ("noise", float("nan")), ("n_regions", 3.7),
          ("start_date", "garbage"), ("beta_kind", "spiky"), ("beta_low", 0.0),
          ("population_low", -5.0), ("population_high", 10.0), ("season_period", 0.0),
          ("initial_infected_fraction", 2.0), ("self_flow", -1.0), ("cross_flow", -0.1),

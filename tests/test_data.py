@@ -910,7 +910,8 @@ class TestSyntheticGenerator:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("n_regions", 0), ("length", 0), ("noise", -0.1), ("noise", float("nan")),
+        [("n_regions", 0), ("length", 0), ("noise", -0.1), ("noise", float("inf")),
+         ("noise", float("nan")),
          ("seed", -1), ("population_low", -5.0), ("population_low", 0.0),
          ("season_period", 0.0), ("season_period", float("inf")), ("gamma", -0.1),
          ("gamma", 1.5), ("initial_infected_fraction", 2.0), ("weekly_amplitude", 3.0),

@@ -411,14 +411,30 @@ class TestDilatedCausalConv:
                     1.0, abs(numeric)
                 )
 
+    @on_kernel_set
+    def test_float32_blocks_stay_float32(self, kernel_set):
+        # a default-dtype temporary silently upcasts: float64 ones in the
+        # bias gradient's GEMV make g_b float64.  (The forward's bias row is
+        # added in place, which casts back to float32, so a float64 row shows
+        # only in the time: it made that add about 9x slower.)
+        rng = rng_for(316)
+        x = rng.standard_normal((2, 6, 3, 4)).astype(np.float32)
+        g = rng.standard_normal((2, 6, 3, 5)).astype(np.float32)
+        weight = rng.standard_normal((2, 4, 5)).astype(np.float32)
+        bias = rng.standard_normal(5).astype(np.float32)
+        out = kernel_set.conv_fwd(x, weight, bias, 2)
+        g_x, g_w, g_b = kernel_set.conv_bwd(g, x, weight, 2)
+        for name, array in {"out": out, "g_x": g_x, "g_w": g_w, "g_b": g_b}.items():
+            assert array.dtype == np.float32, name
 
-def fresh_backbone(config, channels, days, t_out, seed=0):
+
+def fresh_backbone(config, channels, days, t_out, seed=0, dtype=np.float32):
     """A backbone over a fresh model's initial ``backbone.*`` parameters."""
     params = initial_group(
         "backbone", seed=seed, t_in=days, t_out=t_out, lifted_channels=channels,
         attention_heads=1, pattern_window=1, backbone=config,
     )
-    return Backbone(config, days, t_out, params)
+    return Backbone(config, days, t_out, params, dtype=dtype)
 
 
 class TestBackbone:
@@ -474,6 +490,25 @@ class TestBackbone:
         out_neg = np.asarray(backbone(features, -adj))
         np.testing.assert_allclose(out_pos, out_neg, atol=1e-12)
 
+    def test_float32_node_returns_float64(self):
+        # the node computes in float32 and hands float64 to everything
+        # outside it: the latent and the input gradients
+        rng = rng_for(324)
+        config = BackboneConfig(
+            hidden_dim=4, skip_dim=4, output_dim=3, kernel_size=2, dilations=(1, 2, 4)
+        )
+        backbone = fresh_backbone(config, channels=3, days=8, t_out=2)
+        assert backbone.dtype == np.float32
+        features = rng.standard_normal((2, 3, 8, 3))
+        adjacency = rng.standard_normal((2, 3, 3))
+        latent = backbone(features, adjacency)
+        assert type(latent) is np.ndarray and latent.dtype == np.float64
+        inputs = [Tensor(a, requires_grad=True) for a in (features, adjacency)]
+        tracked = backbone(*inputs)
+        assert tracked.data.dtype == np.float64
+        tracked.sum().backward()
+        assert [t.grad.dtype for t in inputs] == [np.float64, np.float64]
+
 
 def composed_causal_conv(x, weight, bias, dilation):
     """The dilated causal convolution from generic tape operations."""
@@ -516,12 +551,15 @@ def composed_backbone(backbone, features, adjacency):
     return ad.swapaxes(mapped, 2, 3)
 
 
-def backbone_inputs(rng, config, shape, t_out):
+def backbone_inputs(rng, config, shape, t_out, dtype=np.float64):
     """A backbone with every parameter (biases too) drawn away from zero, plus
     features and an adjacency with negative entries, exact zeros and one
-    all-zero row (only the 1e-8 guard keeps its normalization finite)."""
+    all-zero row (only the 1e-8 guard keeps its normalization finite).  It
+    computes in float64 unless ``dtype`` says otherwise: the exact oracles
+    need float64 arithmetic."""
     batch, regions, days, channels = shape
-    backbone = fresh_backbone(config, channels, days, t_out, seed=int(rng.integers(1 << 30)))
+    seed = int(rng.integers(1 << 30))
+    backbone = fresh_backbone(config, channels, days, t_out, seed=seed, dtype=dtype)
     for value in backbone.params.values():
         value += 0.3 * rng.standard_normal(value.shape)
     features = rng.standard_normal(shape)
@@ -543,7 +581,7 @@ def tracked_backbone_pass(build, backbone, features, adjacency, upstream):
         name: Tensor(value.copy(), requires_grad=True)
         for name, value in backbone.params.items()
     }
-    copy = Backbone(backbone.config, backbone.t_in, backbone.t_out, params)
+    copy = Backbone(backbone.config, backbone.t_in, backbone.t_out, params, dtype=backbone.dtype)
     inputs = [Tensor(a.copy(), requires_grad=True) for a in (features, adjacency)]
     out = build(copy, *inputs)
     (out * upstream).sum().backward()
@@ -630,6 +668,48 @@ class TestFusedBackbone:
                 np.testing.assert_allclose(
                     fused[name], grad, rtol=1e-12, atol=1e-12, err_msg=name
                 )
+
+    @pytest.mark.parametrize(
+        "shape", [(32, 8, 14, 8), (1, 8, 14, 8)], ids=["batched", "one-element"]
+    )
+    def test_float32_node_matches_float64_node(self, shape):
+        # The default stack at the acceptance world's shape (B=32, N=8,
+        # T=14, 8 lifted channels).  Tolerance from float32 rounding, unit
+        # u = 2^-24: an inner product of n terms rounds to within n*u of the
+        # sum of its terms' magnitudes (Higham, "Accuracy and Stability of
+        # Numerical Algorithms", section 3.1), and the errors of chained
+        # products add.  The longest chain runs forward through the input
+        # map (C terms), each layer's convolution (K*hidden), mixing (N) and
+        # neighbor and self maps (2*hidden), the readout (skip) and the time
+        # map (T); then back along the same chain, ending in a weight
+        # gradient's sum over the T*N rows of each of the B batch elements.
+        # So every array is held to n*u of its largest entry, n the total.
+        rng = rng_for(343)
+        config = BackboneConfig()
+        batch, regions, days, channels = shape
+        hid, layers = config.hidden_dim, len(config.dilations)
+        forward = (
+            channels + layers * (config.kernel_size * hid + regions + 2 * hid)
+            + config.skip_dim + days
+        )
+        tolerance = (2 * forward + days * regions + batch) * 2.0**-24
+        exact, features, adjacency = backbone_inputs(rng, config, shape, t_out=14)
+        upstream = rng.standard_normal((batch, regions, 14, config.output_dim))
+        single = Backbone(config, days, 14, exact.params, dtype=np.float32)
+        want_out, want = tracked_backbone_pass(
+            Backbone.__call__, exact, features, adjacency, upstream
+        )
+        out, got = tracked_backbone_pass(
+            Backbone.__call__, single, features, adjacency, upstream
+        )
+        arrays = {"latent": (out, want_out)}
+        arrays.update({name: (got[name], grad) for name, grad in want.items()})
+        for name, (value, reference) in arrays.items():
+            if reference is None:  # an inert parameter
+                assert value is None, name
+                continue
+            scale = np.abs(reference).max()
+            assert np.abs(value - reference).max() <= tolerance * scale, name
 
     def test_plain_arrays_build_no_tape(self, small_model):
         rng = rng_for(342)

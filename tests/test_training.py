@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from conftest import (
     small_model_config,
     small_scenario,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def build_windows(scenario=None, config=None):
@@ -346,6 +349,40 @@ class TestCheckpoint:
             blobs.append(tensor.data.astype("<f8").tobytes())
         want = b"EPCAST\x00\x01" + len(encoded).to_bytes(4, "little") + encoded
         assert raw == want + b"".join(blobs)
+
+    def test_float32_backbone_step_keeps_the_table_float64(self, tmp_path):
+        # the backbone computes in float32 inside its node; the table, its
+        # gradients, Adam and the checkpoint stay float64
+        train_w, _, config = build_windows()
+        model = build_model(train_w, config)
+        batch = train_w.batch(np.arange(4))
+        optimizer = Adam(model.parameters(), TrainConfig())
+        model.zero_grad()
+        mae_loss(model.forward(batch, training=True).cases, batch.targets).backward()
+        optimizer.step()
+        params = model.parameters()
+        assert params.data.dtype == np.float64 and params.grad.dtype == np.float64
+        assert params["backbone.input_weight"].grad.dtype == np.float64
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        payload = raw[12 + int.from_bytes(raw[8:12], "little") :]
+        assert len(payload) == 8 * params.data.size
+        np.testing.assert_array_equal(np.frombuffer(payload, dtype="<f8"), params.data)
+
+    def test_checkpoint_from_the_float64_backbone_loads_and_forecasts(self):
+        # small_model.ckpt was saved while the backbone still computed in
+        # float64: build_model's model, its parameters moved by a seeded
+        # normal draw; small_model_cases.npy holds that code's forecast of the
+        # first three validation windows
+        _, val_w, _ = build_windows()
+        model = load_checkpoint(DATA / "small_model.ckpt").model
+        want = np.load(DATA / "small_model_cases.npy")
+        batch = val_w.batch(np.arange(3))
+        with model.inference():
+            np.testing.assert_allclose(model.forward(batch).cases.data, want, rtol=1e-5)
+            with model.float64_backbone():
+                np.testing.assert_array_equal(model.forward(batch).cases.data, want)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
