@@ -20,7 +20,7 @@ from . import datasets, evaluation, training
 from .datasets import DataError, SyntheticScenario
 from .domain import ConfigRangeError, EpidemicParams, ValidationError, config_from
 from .estimator import BackboneConfig
-from .pipeline import CASES_CHANNEL, ForecastModel, ModelConfig, WindowBatch
+from .pipeline import CASES_CHANNEL, ForecastModel, ModelConfig
 from .training import TrainConfig
 
 __all__ = ["main"]
@@ -166,25 +166,6 @@ def _check_regions(dataset: datasets.Dataset, manifest: dict) -> None:
         )
 
 
-def _window_ending_at(dataset: datasets.Dataset, t_in: int, end_index: int) -> WindowBatch:
-    start = end_index - t_in + 1
-    if start < 0:
-        raise DataError(
-            f"need {t_in} observed days before {dataset.dates[end_index]}, "
-            f"but only {end_index + 1} are available"
-        )
-    stop = end_index + 1
-    return WindowBatch(
-        observations=dataset.stacked()[:, start:stop][None],
-        mobility=dataset.flows[:, :, start:stop][None],
-        susceptible0=dataset.susceptible[:, end_index][None],
-        infected0=dataset.infected[:, end_index][None],
-        recovered0=dataset.recovered[:, end_index][None],
-        population=dataset.population,
-        targets=None,
-    )
-
-
 def _cmd_forecast(args) -> int:
     dataset = datasets.load_dataset(args.data)
     loaded = _load_checkpoint(args.checkpoint)
@@ -205,7 +186,15 @@ def _cmd_forecast(args) -> int:
                 f"--at {args.at}: not a date in the dataset "
                 f"({dataset.dates[0]} .. {dataset.dates[-1]})"
             ) from None
-    batch = _window_ending_at(dataset, model.config.t_in, end_index)
+    t_in = model.config.t_in
+    if end_index + 1 < t_in:
+        raise DataError(
+            f"need {t_in} observed days before {dataset.dates[end_index]}, "
+            f"but only {end_index + 1} are available"
+        )
+    # the one window that ends on the anchor, with no target days
+    window = dataset.day_range(end_index + 1 - t_in, end_index + 1)
+    batch = datasets.windowize(window, t_in, 0).batch([0])
     with model.inference():
         result = model.forward(batch, training=False)
 

@@ -27,9 +27,14 @@ order (never filling anything in):
 * a non-finite value anywhere, a negative case, S/I/R count or flow, and a
   population that is not positive.
 
-The synthetic generator runs the mechanistic core day by day, so at zero
-observation noise the stored cases are an exact fixed point of the
-forecaster's own rollout given the true rates and flows.
+A ``Dataset`` holds the channels as one (N, L, C) block, ``values``, from
+load to window.  ``windowize`` cuts every window (the forecast's too) as
+contiguous copies of sliding views of it.
+
+The synthetic generator runs the mechanistic core day by day
+(``metapop.trajectory``), so at zero observation noise the stored cases
+are an exact fixed point of the forecaster's own rollout given the true
+rates and flows.
 """
 
 from __future__ import annotations
@@ -44,11 +49,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import CompartmentState, ConfigRangeError, check_ranges
+from .domain import ConfigRangeError, check_ranges
 from . import metapop
 from .pipeline import WindowBatch
 
 __all__ = [
+    "CORE_CHANNELS",
     "DataError",
     "Dataset",
     "SyntheticScenario",
@@ -68,23 +74,24 @@ class DataError(ValueError):
     """Malformed or inconsistent input data (CLI exit code 2)."""
 
 
+# the channels every panel starts with, in observations.csv column order
+CORE_CHANNELS = ("cases", "susceptible", "infected", "recovered")
+
+
 @dataclass
 class Dataset:
-    """A complete aligned panel: observations, flows, and populations."""
+    """A complete aligned panel: observations, flows, and populations.
+
+    ``values`` is the (N, L, C) channel block: the ``CORE_CHANNELS``, then
+    any extra channels, in ``observations.csv`` column order.  ``flows`` is
+    (N, N, L) and ``population`` (N,).
+    """
 
     regions: list[str]
     dates: list[str]
-    cases: np.ndarray
-    susceptible: np.ndarray
-    infected: np.ndarray
-    recovered: np.ndarray
+    values: np.ndarray
     flows: np.ndarray
     population: np.ndarray
-    extras: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.extras is None:
-            self.extras = np.zeros((len(self.regions), len(self.dates), 0))
 
     @property
     def n_regions(self) -> int:
@@ -94,29 +101,13 @@ class Dataset:
     def n_days(self) -> int:
         return len(self.dates)
 
-    @property
-    def n_channels(self) -> int:
-        return 4 + self.extras.shape[2]
-
-    def stacked(self) -> np.ndarray:
-        core = np.stack(
-            [self.cases, self.susceptible, self.infected, self.recovered], axis=-1
-        )
-        if self.extras.shape[2] == 0:
-            return core
-        return np.concatenate([core, self.extras], axis=-1)
-
     def day_range(self, start: int, stop: int) -> "Dataset":
         return Dataset(
             regions=list(self.regions),
             dates=self.dates[start:stop],
-            cases=self.cases[:, start:stop].copy(),
-            susceptible=self.susceptible[:, start:stop].copy(),
-            infected=self.infected[:, start:stop].copy(),
-            recovered=self.recovered[:, start:stop].copy(),
+            values=self.values[:, start:stop].copy(),
             flows=self.flows[:, :, start:stop].copy(),
             population=self.population.copy(),
-            extras=self.extras[:, start:stop].copy(),
         )
 
 
@@ -376,17 +367,7 @@ def load_dataset(directory: str | Path) -> Dataset:
     regions, population = _read_population(population_path)
     dates, values = _read_observations(observation_path, regions)
     flows = _read_mobility(mobility_path, regions, dates)
-    return Dataset(
-        regions=regions,
-        dates=dates,
-        cases=values[:, :, 0],
-        susceptible=values[:, :, 1],
-        infected=values[:, :, 2],
-        recovered=values[:, :, 3],
-        flows=flows,
-        population=population,
-        extras=values[:, :, 4:],
-    )
+    return Dataset(regions, dates, values, flows, population)
 
 
 def _read_population(path: Path) -> tuple[list[str], np.ndarray]:
@@ -413,7 +394,7 @@ def _read_observations(path: Path, regions: list[str]) -> tuple[list[str], np.nd
     """Dates and the ``(N, L, C)`` channel values.  Rows of one day may come
     in any order; a day is checked for completeness where it ends."""
     n = len(regions)
-    head = ["date", "region", "cases", "susceptible", "infected", "recovered"]
+    head = ["date", "region", *CORE_CHANNELS]
     header, table, defects = _records(
         path, head, f"start with '{','.join(head)}'",
         [_DATE_WIDTH, _name_width(regions)], exact=True,
@@ -558,27 +539,16 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> None:
         writer.writerow(["region", "population"])
         for name, size in zip(dataset.regions, dataset.population):
             writer.writerow([name, _fmt(size)])
-    extra_names = [f"extra{k}" for k in range(dataset.extras.shape[2])]
+    extras = range(dataset.values.shape[2] - len(CORE_CHANNELS))
     with (directory / "observations.csv").open(
         "w", newline="", encoding="utf-8"
     ) as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["date", "region", "cases", "susceptible", "infected", "recovered"]
-            + extra_names
-        )
+        writer.writerow(["date", "region", *CORE_CHANNELS, *(f"extra{k}" for k in extras)])
         for d_idx, day in enumerate(dataset.dates):
             for r_idx, name in enumerate(dataset.regions):
                 writer.writerow(
-                    [
-                        day,
-                        name,
-                        _fmt(dataset.cases[r_idx, d_idx]),
-                        _fmt(dataset.susceptible[r_idx, d_idx]),
-                        _fmt(dataset.infected[r_idx, d_idx]),
-                        _fmt(dataset.recovered[r_idx, d_idx]),
-                    ]
-                    + [_fmt(v) for v in dataset.extras[r_idx, d_idx]]
+                    [day, name, *(_fmt(v) for v in dataset.values[r_idx, d_idx])]
                 )
     with (directory / "mobility.csv").open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -621,10 +591,8 @@ class WindowSet:
     infected0: np.ndarray
     recovered0: np.ndarray
     targets: np.ndarray  # (W, N, T_out)
-    end_dates: list[str]
     population: np.ndarray
     regions: list[str]
-    t_in: int
     t_out: int
 
     def __len__(self) -> int:
@@ -644,41 +612,34 @@ class WindowSet:
 
 
 def windowize(dataset: Dataset, t_in: int, t_out: int) -> WindowSet:
-    """All windows of ``t_in`` observed days plus ``t_out`` target days."""
+    """All windows of ``t_in`` observed days plus ``t_out`` target days.
+
+    Window ``w`` observes days ``w .. w + t_in - 1``, starts its rollout from
+    the S/I/R counts of the last of them and targets the cases of the
+    ``t_out`` days after it.
+    """
     length = dataset.n_days
     count = length - (t_in + t_out) + 1
     if count < 1:
         raise DataError(
             f"segment of {length} days is too short for {t_in}+{t_out}-day windows"
         )
-    stacked = dataset.stacked()
-    n, channels = dataset.n_regions, dataset.n_channels
-    observations = np.empty((count, n, t_in, channels))
-    targets = np.empty((count, n, t_out))
-    susceptible0 = np.empty((count, n))
-    infected0 = np.empty((count, n))
-    recovered0 = np.empty((count, n))
-    end_dates = []
-    for w in range(count):
-        stop = w + t_in
-        observations[w] = stacked[:, w:stop]
-        targets[w] = dataset.cases[:, stop : stop + t_out]
-        susceptible0[w] = dataset.susceptible[:, stop - 1]
-        infected0[w] = dataset.infected[:, stop - 1]
-        recovered0[w] = dataset.recovered[:, stop - 1]
-        end_dates.append(dataset.dates[stop - 1])
-    mobility = np.lib.stride_tricks.sliding_window_view(dataset.flows, t_in, axis=2)
+    view = np.lib.stride_tricks.sliding_window_view
+    # (W, N, t_in + t_out, C): each window's days, observed then targeted
+    days = view(dataset.values, t_in + t_out, axis=1).transpose(1, 0, 3, 2)
+    susceptible0, infected0, recovered0 = np.ascontiguousarray(
+        days[:, :, t_in - 1, 1:4].transpose(2, 0, 1)  # the S/I/R channels
+    )
+    mobility = view(dataset.flows, t_in, axis=2)
     return WindowSet(
-        observations=observations,
+        observations=np.ascontiguousarray(days[:, :, :t_in]),
         mobility=mobility[:, :, :count].transpose(2, 0, 1, 3),
         susceptible0=susceptible0,
         infected0=infected0,
         recovered0=recovered0,
-        targets=targets,
-        end_dates=end_dates,
+        targets=np.ascontiguousarray(days[:, :, t_in:, 0]),
         population=dataset.population.copy(),
         regions=list(dataset.regions),
-        t_in=t_in,
         t_out=t_out,
     )
 
@@ -814,42 +775,21 @@ def generate_synthetic(scenario: SyntheticScenario) -> Dataset:
     n, length = scenario.n_regions, scenario.length
 
     initial_infected = scenario.initial_infected_fraction * population
-    state = CompartmentState(
-        susceptible=population - initial_infected,
-        infected=initial_infected,
-        recovered=np.zeros(n),
+    cases, *compartments = metapop.trajectory(
+        population - initial_infected, initial_infected, np.zeros(n),
+        beta, gamma, flows, population,
     )
-    cases = np.empty((n, length))
-    susceptible = np.empty((n, length))
-    infected = np.empty((n, length))
-    recovered = np.empty((n, length))
-    for t in range(length):
-        strength = metapop.transmission_strength(
-            flows[:, :, t], population, state.infected
-        )
-        state, new_inf = metapop.step(state, beta[:, t], gamma[:, t], strength)
-        cases[:, t] = new_inf
-        susceptible[:, t] = state.susceptible
-        infected[:, t] = state.infected
-        recovered[:, t] = state.recovered
-
-    observed = cases
     if scenario.noise > 0.0:
         rng = _noise_rng(scenario)
         sigma = scenario.noise
-        observed = cases * np.exp(
-            rng.normal(-0.5 * sigma * sigma, sigma, size=cases.shape)
-        )
+        cases = cases * np.exp(rng.normal(-0.5 * sigma * sigma, sigma, size=cases.shape))
 
     start = date_type.fromisoformat(scenario.start_date)
     dates = [(start + timedelta(days=k)).isoformat() for k in range(length)]
     return Dataset(
         regions=[f"region{k:02d}" for k in range(n)],
         dates=dates,
-        cases=observed,
-        susceptible=susceptible,
-        infected=infected,
-        recovered=recovered,
+        values=np.stack([cases, *compartments], axis=-1),
         flows=flows,
         population=population,
     )

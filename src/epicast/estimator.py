@@ -360,8 +360,8 @@ class Backbone:
         backward the incoming gradient and the adjacency's gradient sum.  In
         float64: the adjacency's normalization and its backward (only the
         normalized map the mixing reads is cast), the returned latent and
-        the features' gradient.  Parameter gradients leave in the compute
-        dtype; a table leaf's float64 slot takes them as they are written.
+        the features' gradient and every parameter gradient, each cast as it
+        leaves the node.
         """
         feat = ad.as_data(features)
         adj = ad.as_data(adjacency)
@@ -542,7 +542,7 @@ class Backbone:
             grads["input_weight"] = gram(feat_rows, g_rows)
             for name, value in live.items():
                 if wants(value):
-                    value._accumulate(grads[name])
+                    value._accumulate(grads[name].astype(np.float64, copy=False))
             if wants(features):
                 g_feat = times_t(g_rows, "input_weight").reshape(batch, days, regions, channels)
                 g_feat = np.ascontiguousarray(g_feat.transpose(0, 2, 1, 3), dtype=np.float64)

@@ -17,11 +17,13 @@ fires, and never increase when one does.
 
 ``rollout_batch`` is what the model runs: batched and differentiable, its
 forward and hand-derived adjoint are the rollout kernels of ``kernels``.
-``rollout``, ``step`` and ``transmission_strength`` are the day-by-day
-reference loop over domain types.  They stay separate on purpose: the
-benchmark's output check and the tests compare ``rollout_batch`` against
-them, and ``datasets.generate_synthetic`` steps its worlds with ``step``
-(its ``x / P`` rounds differently from the kernel's ``x * (1 / P)``).
+``trajectory`` is the day-by-day reference loop on arrays: each day it
+calls ``transmission_strength`` and ``step``.  ``rollout`` checks its domain
+types and runs ``trajectory``.  The loop stays separate from the kernels on
+purpose: the benchmark's output check and the tests compare
+``rollout_batch`` against it, and ``datasets.generate_synthetic`` runs its
+worlds through it (its ``x / P`` rounds differently from the kernel's
+``x * (1 / P)``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .domain import (
     PopulationVector,
 )
 
-__all__ = ["rollout", "rollout_batch", "step", "transmission_strength"]
+__all__ = ["rollout", "rollout_batch", "step", "trajectory", "transmission_strength"]
 
 
 def transmission_strength(
@@ -58,30 +60,42 @@ def transmission_strength(
     return flows_day @ (infected / population) + (flows_day.T @ infected) / population
 
 
-def step(
-    state: CompartmentState,
-    beta_day: np.ndarray,
-    gamma_day: np.ndarray,
-    strength: np.ndarray,
-) -> tuple[CompartmentState, np.ndarray]:
-    """One forward-Euler day; returns the next state and predicted new cases."""
-    beta_day = np.asarray(beta_day, dtype=np.float64)
-    gamma_day = np.asarray(gamma_day, dtype=np.float64)
-    strength = np.asarray(strength, dtype=np.float64)
-    n = state.n_regions
-    for name, arr in (("beta", beta_day), ("gamma", gamma_day), ("strength", strength)):
+def step(s, i, r, beta_day, gamma_day, strength) -> tuple[np.ndarray, ...]:
+    """One forward-Euler day over (N,) arrays: the next susceptible, infected
+    and recovered counts, then the day's predicted new cases."""
+    names = ("susceptible", "infected", "recovered", "beta", "gamma", "strength")
+    arrays = [np.asarray(a, dtype=np.float64) for a in (s, i, r, beta_day, gamma_day, strength)]
+    n = len(arrays[0])
+    for name, arr in zip(names, arrays):
         if arr.shape != (n,):
             raise DimensionMismatchError(
                 f"step got {name} with shape {arr.shape}, expected ({n},)"
             )
-    new_inf = np.minimum(beta_day * strength, state.susceptible)
-    recovered_now = gamma_day * state.infected
-    nxt = CompartmentState(
-        susceptible=np.maximum(state.susceptible - new_inf, 0.0),
-        infected=np.maximum(state.infected + new_inf - recovered_now, 0.0),
-        recovered=np.maximum(state.recovered + recovered_now, 0.0),
+    s, i, r, beta_day, gamma_day, strength = arrays
+    new_inf = np.minimum(beta_day * strength, s)
+    recovered_now = gamma_day * i
+    return (
+        np.maximum(s - new_inf, 0.0),
+        np.maximum(i + new_inf - recovered_now, 0.0),
+        np.maximum(r + recovered_now, 0.0),
+        new_inf,
     )
-    return nxt, new_inf
+
+
+def trajectory(s0, i0, r0, beta, gamma, flows, population) -> np.ndarray:
+    """Step the core from the start state ``s0``, ``i0``, ``r0`` (N,) for
+    the T days of ``beta`` and ``gamma`` (N, T), over ``flows`` (N, N, T).
+
+    Returns a (4, N, T) array: each day's new cases, then the susceptible,
+    infected and recovered counts at its end.
+    """
+    out = np.empty((4, *np.shape(beta)))
+    s, i, r = s0, i0, r0
+    for t in range(out.shape[2]):
+        strength = transmission_strength(flows[:, :, t], population, i)
+        s, i, r, out[0, :, t] = step(s, i, r, beta[:, t], gamma[:, t], strength)
+        out[1:, :, t] = s, i, r
+    return out
 
 
 def rollout(
@@ -110,23 +124,11 @@ def rollout(
             "rollout consumes forecast-horizon mobility "
             f"(horizon_kind='forecast'), got {mobility.horizon_kind!r}"
         )
-    cases = np.empty((n, horizon))
-    s_traj = np.empty((n, horizon))
-    i_traj = np.empty((n, horizon))
-    r_traj = np.empty((n, horizon))
-    state = state0
-    for t in range(horizon):
-        strength = transmission_strength(
-            mobility.flows[:, :, t], population.sizes, state.infected
-        )
-        state, new_inf = step(state, params.beta[:, t], params.gamma[:, t], strength)
-        cases[:, t] = new_inf
-        s_traj[:, t] = state.susceptible
-        i_traj[:, t] = state.infected
-        r_traj[:, t] = state.recovered
-    return Forecast(
-        cases=cases, susceptible=s_traj, infected=i_traj, recovered=r_traj
+    cases, s, i, r = trajectory(
+        state0.susceptible, state0.infected, state0.recovered,
+        params.beta, params.gamma, mobility.flows, population.sizes,
     )
+    return Forecast(cases=cases, susceptible=s, infected=i, recovered=r)
 
 
 def rollout_batch(

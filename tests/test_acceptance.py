@@ -101,16 +101,10 @@ def test_criterion_02_mechanistic_core_matches_loop_oracle():
         np.testing.assert_allclose(
             strength, oracle_strength(flows[:, :, 0], pop, i), rtol=1e-12, atol=1e-12
         )
-        state = CompartmentState(susceptible=s, infected=i, recovered=r)
-        nxt, fresh = metapop.step(state, beta[:, 0], gamma[:, 0], strength)
-        es, ei, er, ef = oracle_step(s, i, r, beta[:, 0], gamma[:, 0], strength)
-        for got, want in (
-            (nxt.susceptible, es),
-            (nxt.infected, ei),
-            (nxt.recovered, er),
-            (fresh, ef),
-        ):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        got = metapop.step(s, i, r, beta[:, 0], gamma[:, 0], strength)
+        want = oracle_step(s, i, r, beta[:, 0], gamma[:, 0], strength)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s (budget 10s)"
     print(f"\n  mechanistic oracle: 1000 instances + worked example, {elapsed:.1f}s < 10s")

@@ -326,6 +326,30 @@ class TestTrain:
         cli.train_config_from(payload)
 
 
+def forecast_rows(model, batch, dataset, end: int) -> list[list[str]]:
+    """The forecast CSV's rows for a forward on ``batch``, anchored on day ``end``."""
+    result = model.forward(batch)
+    beta, gamma, suppressed = (
+        np.clip(rates.data[0], cli.RATE_EPSILON, 1 - cli.RATE_EPSILON)
+        for rates in (result.beta, result.gamma, result.suppressed_beta)
+    )
+    flags = (result.small_flags[0], result.quiet_flags[0], result.flags[0])
+    states = [result.trajectories[k][0] for k in ("susceptible", "infected", "recovered")]
+    rows = []
+    for lead in range(model.config.t_out):
+        day = (datetime.date.fromisoformat(dataset.dates[end])
+               + datetime.timedelta(days=lead + 1)).isoformat()
+        for r, region in enumerate(dataset.regions):
+            numbers = [result.cases.data[0], beta, suppressed, gamma, result.strength[0]]
+            rows.append(
+                [day, str(lead + 1), region]
+                + [format(x[r, lead], ".10g") for x in numbers]
+                + ["1" if flag[r] else "0" for flag in flags]
+                + [format(x[r, lead], ".10g") for x in states]
+            )
+    return rows
+
+
 class TestForecast:
     def test_emits_plot_ready_csv(self, workdir, tmp_path):
         out = tmp_path / "forecast.csv"
@@ -387,27 +411,9 @@ class TestForecast:
         ]
         dataset = datasets.load_dataset(workdir["data"])
         model = training.load_checkpoint(workdir["ckpt"]).model
-        end = dataset.n_days - 1
-        result = model.forward(cli._window_ending_at(dataset, model.config.t_in, end))
-        beta, gamma, suppressed = (
-            np.clip(rates.data[0], cli.RATE_EPSILON, 1 - cli.RATE_EPSILON)
-            for rates in (result.beta, result.gamma, result.suppressed_beta)
-        )
-        flags = (result.small_flags[0], result.quiet_flags[0], result.flags[0])
-        states = [result.trajectories[k][0] for k in ("susceptible", "infected", "recovered")]
-        want = []
-        for lead in range(model.config.t_out):
-            day = (datetime.date.fromisoformat(dataset.dates[end])
-                   + datetime.timedelta(days=lead + 1)).isoformat()
-            for r, region in enumerate(dataset.regions):
-                numbers = [result.cases.data[0], beta, suppressed, gamma, result.strength[0]]
-                want.append(
-                    [day, str(lead + 1), region]
-                    + [format(x[r, lead], ".10g") for x in numbers]
-                    + ["1" if flag[r] else "0" for flag in flags]
-                    + [format(x[r, lead], ".10g") for x in states]
-                )
-        assert rows == want
+        end, t_in = dataset.n_days - 1, model.config.t_in
+        window = datasets.windowize(dataset.day_range(end + 1 - t_in, end + 1), t_in, 0)
+        assert rows == forecast_rows(model, window.batch([0]), dataset, end)
         header = report.read_text(encoding="utf-8").splitlines()[0]
         assert header == "source,slice,rmse,mae,smape,rae,rae_defined"
 
@@ -435,6 +441,36 @@ class TestForecast:
             rows = list(csv.DictReader(handle))
         assert rows[0]["date"] == dataset.dates[21]
         assert rows[0]["lead_day"] == "1"
+
+    def test_first_full_window_is_the_earliest_anchor(self, workdir, tmp_path):
+        from epicast import datasets, training
+
+        dataset = datasets.load_dataset(workdir["data"])
+        model = training.load_checkpoint(workdir["ckpt"]).model
+        t_in = model.config.t_in
+        out = tmp_path / "first.csv"
+        common = ["--data", str(workdir["data"]), "--checkpoint", str(workdir["ckpt"])]
+        assert main(["forecast", *common, "--out", str(out), "--at", dataset.dates[t_in - 1]]) == EXIT_OK
+        with out.open(newline="", encoding="utf-8") as handle:
+            _, *rows = list(csv.reader(handle))
+        window = datasets.windowize(dataset.day_range(0, t_in), t_in, 0)
+        assert rows == forecast_rows(model, window.batch([0]), dataset, t_in - 1)
+
+    def test_anchor_before_the_first_full_window_is_data_error(
+        self, workdir, tmp_path, capsys
+    ):
+        from epicast import datasets, training
+
+        dates = datasets.load_dataset(workdir["data"]).dates
+        t_in = training.load_checkpoint(workdir["ckpt"]).model.config.t_in
+        out = tmp_path / "early.csv"
+        common = ["--data", str(workdir["data"]), "--checkpoint", str(workdir["ckpt"])]
+        assert main(["forecast", *common, "--out", str(out), "--at", dates[t_in - 2]]) == EXIT_DATA
+        assert (
+            f"need {t_in} observed days before {dates[t_in - 2]}, but only {t_in - 1} "
+            "are available"
+        ) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_anchor_date_is_data_error(self, workdir, tmp_path, capsys):
         code = main(

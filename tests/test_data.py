@@ -3,6 +3,7 @@ chronological splitting, window slicing, and the seeded synthetic generator."""
 
 from __future__ import annotations
 
+import csv
 import re
 import tempfile
 from datetime import date, timedelta
@@ -17,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from epicast import metapop
 from epicast.domain import ConfigRangeError
 from epicast.datasets import (
+    CORE_CHANNELS,
     DataError,
     Dataset,
     SyntheticScenario,
@@ -38,17 +40,18 @@ def panel(n=2, length=20, extras=0, seed=600):
     start = date(2021, 3, 1)
     dates = [(start + timedelta(days=k)).isoformat() for k in range(length)]
     pop = rng.uniform(1e3, 1e4, size=n)
-    extra = rng.uniform(0, 1, size=(n, length, extras)) if extras else None
+    extra = rng.uniform(0, 1, size=(n, length, extras)) if extras else np.empty((n, length, 0))
+    # cases, susceptible, infected, recovered
+    core = [
+        rng.uniform(low, high, size=(n, length))
+        for low, high in ((0, 100), (100, 1000), (0, 100), (0, 100))
+    ]
     return Dataset(
         regions=[f"r{k}" for k in range(n)],
         dates=dates,
-        cases=rng.uniform(0, 100, size=(n, length)),
-        susceptible=rng.uniform(100, 1000, size=(n, length)),
-        infected=rng.uniform(0, 100, size=(n, length)),
-        recovered=rng.uniform(0, 100, size=(n, length)),
+        values=np.concatenate([np.stack(core, axis=-1), extra], axis=-1),
         flows=rng.uniform(0, 50, size=(n, n, length)),
         population=pop,
-        extras=extra,
     )
 
 
@@ -59,7 +62,7 @@ class TestCsvRoundTrip:
         loaded = load_dataset(tmp_path)
         assert loaded.regions == original.regions
         assert loaded.dates == original.dates
-        for field in ("cases", "susceptible", "infected", "recovered", "flows", "population", "extras"):
+        for field in ("values", "flows", "population"):
             np.testing.assert_array_equal(
                 getattr(loaded, field), getattr(original, field), err_msg=field
             )
@@ -68,55 +71,47 @@ class TestCsvRoundTrip:
         original = generate_synthetic(small_scenario())
         save_dataset(original, tmp_path)
         loaded = load_dataset(tmp_path)
-        np.testing.assert_array_equal(loaded.cases, original.cases)
+        np.testing.assert_array_equal(loaded.values, original.values)
         np.testing.assert_array_equal(loaded.flows, original.flows)
 
 
 class TestDatasetPanel:
-    def test_sizes_and_stacked_shape(self):
+    def test_sizes_and_values_shape(self):
         data = panel(3, 7)
         assert data.n_regions == 3
         assert data.n_days == 7
-        assert data.n_channels == 4
-        assert data.stacked().shape == (3, 7, 4)
+        assert data.values.shape == (3, 7, 4)
 
-    def test_channel_order_in_stack(self):
-        data = panel(2, 4)
-        stacked = data.stacked()
-        for k, field in enumerate(("cases", "susceptible", "infected", "recovered")):
-            np.testing.assert_array_equal(stacked[..., k], getattr(data, field), err_msg=field)
-
-    def test_extra_channels_appended(self):
-        data = panel(2, 3, extras=2)
-        assert data.n_channels == 6
-        stacked = data.stacked()
-        assert stacked.shape == (2, 3, 6)
-        np.testing.assert_array_equal(stacked[..., 4:], data.extras)
-
-    def test_no_extras_is_an_empty_channel_block(self):
-        data = panel(2, 5)
-        assert data.extras.shape == (2, 5, 0)
+    @pytest.mark.parametrize("extras", [0, 2])
+    def test_channels_follow_the_observation_columns(self, tmp_path, extras):
+        # each channel of values is one observations.csv column, in file order
+        save_dataset(panel(2, 4, extras=extras), tmp_path)
+        loaded = load_dataset(tmp_path)
+        with (tmp_path / "observations.csv").open(newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        channels = header[2:]
+        assert channels == [*CORE_CHANNELS, *(f"extra{k}" for k in range(extras))]
+        assert loaded.values.shape == (2, 4, 4 + extras)
+        for row in rows:
+            r, d = loaded.regions.index(row[1]), loaded.dates.index(row[0])
+            assert [float(v) for v in row[2:]] == loaded.values[r, d].tolist()
 
     def test_day_range_slices_every_field(self):
         data = panel(2, 10, extras=1)
         part = data.day_range(3, 7)
         assert part.regions == data.regions
         assert part.dates == data.dates[3:7]
-        for field in ("cases", "susceptible", "infected", "recovered", "extras"):
-            np.testing.assert_array_equal(
-                getattr(part, field), getattr(data, field)[:, 3:7], err_msg=field
-            )
+        np.testing.assert_array_equal(part.values, data.values[:, 3:7])
         np.testing.assert_array_equal(part.flows, data.flows[:, :, 3:7])
         np.testing.assert_array_equal(part.population, data.population)
 
     def test_day_range_copies_its_arrays(self):
         data = panel(2, 6, extras=1)
-        before = data.stacked().copy(), data.flows.copy(), data.population.copy()
+        before = data.values.copy(), data.flows.copy(), data.population.copy()
         part = data.day_range(1, 4)
-        for array in (part.cases, part.susceptible, part.infected, part.recovered,
-                      part.extras, part.flows, part.population):
+        for array in (part.values, part.flows, part.population):
             array[...] = -1.0
-        np.testing.assert_array_equal(data.stacked(), before[0])
+        np.testing.assert_array_equal(data.values, before[0])
         np.testing.assert_array_equal(data.flows, before[1])
         np.testing.assert_array_equal(data.population, before[2])
 
@@ -263,7 +258,7 @@ class TestLoadErrors:
         obs = tmp_path / "observations.csv"
         line = obs.read_text().splitlines()[2].rsplit(",", 1)[0]
         self.replace_line(obs, 3, line + ",-0.5")
-        assert load_dataset(tmp_path).extras[1, 0, 0] == -0.5
+        assert load_dataset(tmp_path).values[1, 0, 4] == -0.5
 
     def test_population_region_without_observations(self, tmp_path):
         self.write_valid(tmp_path)
@@ -483,9 +478,9 @@ class TestLoaderInputRules:
         edit_line(tmp_path / "observations.csv", 2, with_value(b" 2_500.5 "))
         loaded = load_dataset(tmp_path)
         assert loaded.flows[0, 0, 0] == 1000.0
-        assert loaded.recovered[0, 0] == 2500.5
+        assert loaded.values[0, 0, 3] == 2500.5  # recovered
         loaded.flows[0, 0, 0] = original.flows[0, 0, 0]
-        loaded.recovered[0, 0] = original.recovered[0, 0]
+        loaded.values[0, 0, 3] = original.values[0, 0, 3]
         assert_bit_identical(loaded, original)
 
     @pytest.mark.parametrize(
@@ -574,16 +569,13 @@ def fuzz_panels(draw):
     def grid(shape, elements):
         return draw(hnp.arrays(np.float64, shape, elements=elements))
 
+    core = grid((n, length, 4), NONNEGATIVE)  # cases and the S/I/R counts
     dataset = Dataset(
         regions=[f"r{k}" for k in range(n)],
         dates=[(start + timedelta(days=k)).isoformat() for k in range(length)],
-        cases=grid((n, length), NONNEGATIVE),
-        susceptible=grid((n, length), NONNEGATIVE),
-        infected=grid((n, length), NONNEGATIVE),
-        recovered=grid((n, length), NONNEGATIVE),
+        values=np.concatenate([core, grid((n, length, extras), FINITE)], axis=-1),
         flows=grid((n, n, length), POSITIVE),
         population=grid((n,), POSITIVE),
-        extras=grid((n, length, extras), FINITE),
     )
     return dataset, draw(st.randoms(use_true_random=False))
 
@@ -670,7 +662,7 @@ def mutate(kind, dataset, files, rnd) -> tuple[str, int, str]:
 def assert_bit_identical(loaded, original):
     assert loaded.regions == original.regions
     assert loaded.dates == original.dates
-    for field in ("cases", "susceptible", "infected", "recovered", "flows", "population", "extras"):
+    for field in ("values", "flows", "population"):
         got, want = getattr(loaded, field), getattr(original, field)
         assert got.shape == want.shape, field
         assert got.tobytes() == want.tobytes(), field
@@ -722,7 +714,7 @@ class TestChronologicalSplit:
         assert train.dates == data.dates[:30]
         assert val.dates == data.dates[30:35]
         assert test.dates == data.dates[35:]
-        np.testing.assert_array_equal(val.cases, data.cases[:, 30:35])
+        np.testing.assert_array_equal(val.values, data.values[:, 30:35])
         np.testing.assert_array_equal(test.flows, data.flows[:, :, 35:])
 
     def test_too_short_rejected(self):
@@ -742,28 +734,46 @@ class TestWindowize:
         assert windows.susceptible0.shape == (count, 3)
 
     def test_alignment_with_source_panel(self):
-        data = panel(2, 18)
+        data = panel(2, 18, extras=1)
         t_in, t_out = 5, 3
         windows = windowize(data, t_in, t_out)
-        stacked = data.stacked()
-        for w in (0, 4, len(windows) - 1):
+        for w in range(len(windows)):
             np.testing.assert_array_equal(
-                windows.observations[w], stacked[:, w : w + t_in]
+                windows.observations[w], data.values[:, w : w + t_in]
             )
             np.testing.assert_array_equal(
                 windows.mobility[w], data.flows[:, :, w : w + t_in]
             )
             np.testing.assert_array_equal(
-                windows.targets[w], data.cases[:, w + t_in : w + t_in + t_out]
+                windows.targets[w], data.values[:, w + t_in : w + t_in + t_out, 0]
             )
             # the start state is the last observed day of the window
-            np.testing.assert_array_equal(
-                windows.susceptible0[w], data.susceptible[:, w + t_in - 1]
-            )
-            np.testing.assert_array_equal(
-                windows.infected0[w], data.infected[:, w + t_in - 1]
-            )
-            assert windows.end_dates[w] == data.dates[w + t_in - 1]
+            last = data.values[:, w + t_in - 1]
+            for k, start in enumerate(
+                (windows.susceptible0, windows.infected0, windows.recovered0), 1
+            ):
+                np.testing.assert_array_equal(start[w], last[:, k])
+
+    def test_windows_are_contiguous_copies(self):
+        data = panel(3, 12, extras=2)
+        windows = windowize(data, 4, 2)
+        before = data.values.copy()
+        for name in ("observations", "targets", "susceptible0", "infected0", "recovered0"):
+            array = getattr(windows, name)
+            assert array.flags.c_contiguous and array.flags.writeable, name
+            assert not np.shares_memory(array, data.values), name
+            array[...] = -1.0
+        np.testing.assert_array_equal(data.values, before)
+
+    def test_no_target_days_gives_every_observed_window(self):
+        # the forecast's cut: each window ending on a day with t_in days before it
+        data = panel(2, 9)
+        windows = windowize(data, 9, 0)
+        assert len(windows) == 1
+        assert windows.targets.shape == (1, 2, 0)
+        np.testing.assert_array_equal(windows.observations[0], data.values)
+        np.testing.assert_array_equal(windows.infected0[0], data.values[:, -1, 2])
+        assert len(windowize(data, 4, 0)) == 6
 
     def test_batch_selects_requested_windows(self):
         data = panel(2, 20)
@@ -810,14 +820,14 @@ class TestSyntheticGenerator:
         scenario = small_scenario()
         a = generate_synthetic(scenario)
         b = generate_synthetic(scenario)
-        np.testing.assert_array_equal(a.cases, b.cases)
+        np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.flows, b.flows)
         assert a.dates == b.dates
 
     def test_seed_changes_world(self):
         a = generate_synthetic(small_scenario(seed=1))
         b = generate_synthetic(small_scenario(seed=2))
-        assert not np.array_equal(a.cases, b.cases)
+        assert not np.array_equal(a.values[..., 0], b.values[..., 0])
         assert not np.array_equal(a.population, b.population)
 
     def test_zero_noise_reports_exact_mechanistic_cases(self):
@@ -826,39 +836,31 @@ class TestSyntheticGenerator:
         beta, gamma = true_parameter_series(scenario)
         flows = mobility_schedule(scenario)
         # replay the simulation with the public mechanistic pieces
-        from epicast.domain import CompartmentState
-
         infected0 = scenario.initial_infected_fraction * data.population
-        state = CompartmentState(
-            susceptible=data.population - infected0,
-            infected=infected0,
-            recovered=np.zeros(scenario.n_regions),
-        )
+        s, i, r = data.population - infected0, infected0, np.zeros(scenario.n_regions)
         for t in range(scenario.length):
-            strength = metapop.transmission_strength(
-                flows[:, :, t], data.population, state.infected
-            )
-            state, fresh = metapop.step(state, beta[:, t], gamma[:, t], strength)
-            np.testing.assert_array_equal(data.cases[:, t], fresh)
-        np.testing.assert_array_equal(data.susceptible[:, -1], state.susceptible)
+            strength = metapop.transmission_strength(flows[:, :, t], data.population, i)
+            s, i, r, fresh = metapop.step(s, i, r, beta[:, t], gamma[:, t], strength)
+            np.testing.assert_array_equal(data.values[:, t, 0], fresh)
+            np.testing.assert_array_equal(data.values[:, t, 1:], np.stack([s, i, r], axis=-1))
 
     def test_noise_only_touches_observed_cases(self):
         quiet = generate_synthetic(small_scenario(noise=0.0))
         noisy = generate_synthetic(small_scenario(noise=0.3))
-        np.testing.assert_array_equal(quiet.susceptible, noisy.susceptible)
-        np.testing.assert_array_equal(quiet.infected, noisy.infected)
+        np.testing.assert_array_equal(quiet.values[..., 1:], noisy.values[..., 1:])
         np.testing.assert_array_equal(quiet.flows, noisy.flows)
-        assert not np.array_equal(quiet.cases, noisy.cases)
+        assert not np.array_equal(quiet.values[..., 0], noisy.values[..., 0])
 
     def test_noise_is_mean_one_multiplicative(self):
         # the log-normal observation factor has expectation one, so large
         # samples preserve the underlying case level
         quiet = generate_synthetic(small_scenario(length=200, noise=0.0))
         noisy = generate_synthetic(small_scenario(length=200, noise=0.1))
-        alive = quiet.cases > 1.0
-        ratio = noisy.cases[alive] / quiet.cases[alive]
+        quiet_cases, noisy_cases = quiet.values[..., 0], noisy.values[..., 0]
+        alive = quiet_cases > 1.0
+        ratio = noisy_cases[alive] / quiet_cases[alive]
         assert abs(ratio.mean() - 1.0) < 0.02
-        assert (noisy.cases >= 0).all()
+        assert (noisy_cases >= 0).all()
 
     def test_rates_span_the_configured_band(self):
         scenario = small_scenario(n_regions=6, length=400)

@@ -509,6 +509,24 @@ class TestBackbone:
         tracked.sum().backward()
         assert [t.grad.dtype for t in inputs] == [np.float64, np.float64]
 
+    def test_float32_node_hands_parameter_gradients_over_in_float64(self):
+        # a parameter held as a plain Tensor, outside a Parameters table,
+        # gets a float64 gradient as a table leaf does
+        rng = rng_for(325)
+        config = BackboneConfig(
+            hidden_dim=4, skip_dim=4, output_dim=3, kernel_size=2, dilations=(1, 2, 4)
+        )
+        backbone = fresh_backbone(config, channels=3, days=8, t_out=2)
+        features = rng.standard_normal((2, 3, 8, 3))
+        adjacency = rng.standard_normal((2, 3, 3))
+        upstream = rng.standard_normal((2, 3, 2, 3))
+        _, grads = tracked_backbone_pass(
+            Backbone.__call__, backbone, features, adjacency, upstream
+        )
+        inert = inert_params(config)
+        dtypes = {name: grad.dtype for name, grad in grads.items() if name not in inert}
+        assert dtypes == dict.fromkeys(dtypes, np.float64)
+
 
 def composed_causal_conv(x, weight, bias, dilation):
     """The dilated causal convolution from generic tape operations."""

@@ -111,43 +111,35 @@ class TestStep:
         for _ in range(200):
             pop, s, i, r, flows, beta, gamma = random_instance(rng)
             strength = oracle_strength(flows[:, :, 0], pop, i)
-            state = CompartmentState(susceptible=s, infected=i, recovered=r)
-            nxt, fresh = metapop.step(state, beta[:, 0], gamma[:, 0], strength)
-            s2, i2, r2, fresh2 = oracle_step(s, i, r, beta[:, 0], gamma[:, 0], strength)
-            np.testing.assert_allclose(nxt.susceptible, s2, atol=1e-12, rtol=1e-12)
-            np.testing.assert_allclose(nxt.infected, i2, atol=1e-12, rtol=1e-12)
-            np.testing.assert_allclose(nxt.recovered, r2, atol=1e-12, rtol=1e-12)
-            np.testing.assert_allclose(fresh, fresh2, atol=1e-12, rtol=1e-12)
+            got = metapop.step(s, i, r, beta[:, 0], gamma[:, 0], strength)
+            want = oracle_step(s, i, r, beta[:, 0], gamma[:, 0], strength)
+            for name, a, b in zip(("susceptible", "infected", "recovered", "cases"), got, want):
+                np.testing.assert_allclose(a, b, atol=1e-12, rtol=1e-12, err_msg=name)
 
     def test_cases_capped_by_susceptibles(self):
-        state = CompartmentState(
-            susceptible=np.array([1.0]),
-            infected=np.array([50.0]),
-            recovered=np.array([0.0]),
-        )
-        nxt, fresh = metapop.step(
-            state, np.array([0.999]), np.array([0.001]), np.array([1e6])
+        s, _, _, fresh = metapop.step(
+            np.array([1.0]), np.array([50.0]), np.array([0.0]),
+            np.array([0.999]), np.array([0.001]), np.array([1e6]),
         )
         np.testing.assert_allclose(fresh, [1.0])
-        np.testing.assert_allclose(nxt.susceptible, [0.0])
+        np.testing.assert_allclose(s, [0.0])
 
     def test_conserves_totals_without_clamp(self):
         rng = rng_for(104)
         for _ in range(50):
             pop, s, i, r, flows, beta, gamma = random_instance(rng)
             strength = metapop.transmission_strength(flows[:, :, 0], pop, i)
-            state = CompartmentState(susceptible=s, infected=i, recovered=r)
-            nxt, _ = metapop.step(state, beta[:, 0], gamma[:, 0], strength)
-            np.testing.assert_allclose(
-                nxt.totals(), state.totals(), rtol=1e-12, atol=1e-9
-            )
+            *nxt, _ = metapop.step(s, i, r, beta[:, 0], gamma[:, 0], strength)
+            np.testing.assert_allclose(sum(nxt), s + i + r, rtol=1e-12, atol=1e-9)
 
     def test_shape_error(self):
-        state = CompartmentState(
-            susceptible=np.ones(2), infected=np.ones(2), recovered=np.ones(2)
-        )
-        with pytest.raises(DimensionMismatchError, match="beta"):
-            metapop.step(state, np.full(3, 0.1), np.full(2, 0.1), np.zeros(2))
+        # every argument must be shaped like the susceptible counts
+        names = ("susceptible", "infected", "recovered", "beta", "gamma", "strength")
+        for wrong in range(1, 6):
+            args = [np.ones(2)] * 6
+            args[wrong] = np.ones(3)
+            with pytest.raises(DimensionMismatchError, match=f"step got {names[wrong]} "):
+                metapop.step(*args)
 
 
 class TestRollout:
@@ -179,6 +171,17 @@ class TestRollout:
             np.testing.assert_allclose(result.susceptible[:, t], s, atol=1e-12)
             np.testing.assert_allclose(result.infected[:, t], i, atol=1e-12)
             np.testing.assert_allclose(result.recovered[:, t], r, atol=1e-12)
+
+    def test_is_the_array_loop(self):
+        rng = rng_for(108)
+        state0, params, mobility, population = self.build(rng)
+        result = metapop.rollout(state0, params, mobility, population)
+        loop = metapop.trajectory(
+            state0.susceptible, state0.infected, state0.recovered,
+            params.beta, params.gamma, mobility.flows, population.sizes,
+        )
+        for k, name in enumerate(("cases", "susceptible", "infected", "recovered")):
+            assert getattr(result, name).tobytes() == loop[k].tobytes(), name
 
     def test_requires_forecast_kind(self):
         rng = rng_for(106)
