@@ -11,10 +11,12 @@ Two ingredients are combined:
   scalar blend factor initialized to zero, so a freshly initialized model
   reproduces the mobility adjacency exactly.
 
-All operations take and return plain ndarrays or autodiff Tensors, with
-any leading batch axes; the learned memory arrives as a mapping of the
-``memory.*`` parameters keyed by short name (``patterns``, ``key_weight``,
-...).  Domain value types stay at the I/O edge.
+One calling convention, with any leading batch axes: panel data (the
+mobility history, the case windows) are ndarrays, learned parameters and
+everything computed from them are Tensors, and every layer but the
+parameter-free ``extract_pattern`` returns a Tensor.  The learned memory
+arrives as a mapping of the ``memory.*`` parameters keyed by short name
+(``patterns``, ``key_weight``, ...).  Domain value types stay at the I/O edge.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ __all__ = [
 _EPSILON = 1e-8
 
 
-def forecast_mobility(history, transform):
+def forecast_mobility(history: np.ndarray, transform: ad.Tensor) -> ad.Tensor:
     """Forecast horizon flows: apply ``transform`` along time, clamp at zero.
 
-    ``history`` is (..., N, N, T_in) and ``transform`` (T_in, T_out); the
-    result is (..., N, N, T_out), a Tensor when either input is one.
+    ``history`` is the (..., N, N, T_in) mobility panel and ``transform``
+    the (T_in, T_out) parameter; the result is (..., N, N, T_out).
 
     One fused tape node.  The forward is one GEMM,
     ``transform.T @ history.reshape(-1, T_in).T``, clamped in place, so the
@@ -49,38 +51,29 @@ def forecast_mobility(history, transform):
     day's flows without a copy.  The backward reads the gradient through
     the same time-major layout.
     """
-    data = ad.as_data(history)
-    weights = ad.as_data(transform)
-    t_in, t_out = weights.shape
-    if data.shape[-1] != t_in:
+    t_in, t_out = transform.shape
+    if history.shape[-1] != t_in:
         raise DimensionMismatchError(
-            f"transform expects {t_in} input days, history has {data.shape[-1]}"
+            f"transform expects {t_in} input days, history has {history.shape[-1]}"
         )
-    lead = data.shape[:-1]
-    rows = data.reshape(-1, t_in)
-    by_day = weights.T @ rows.T  # (T_out, ...·N·N)
+    lead = history.shape[:-1]
+    rows = history.reshape(-1, t_in)
+    by_day = transform.data.T @ rows.T  # (T_out, ...·N·N)
     np.maximum(by_day, 0.0, out=by_day)
     flows = np.moveaxis(by_day.reshape(t_out, *lead), 0, -1)
-    tracked = [t for t in (history, transform) if isinstance(t, ad.Tensor)]
-    if not tracked:
-        return flows
 
     def backward(g: np.ndarray) -> None:
         # a view when g has the flows' time-major layout
         g_by_day = np.moveaxis(g, -1, 0).reshape(t_out, -1)
         g_by_day = np.where(by_day > 0.0, g_by_day, 0.0)
-        if isinstance(transform, ad.Tensor) and transform.requires_grad:
-            transform._accumulate(rows.T @ g_by_day.T)
-        if isinstance(history, ad.Tensor) and history.requires_grad:
-            g_rows = weights @ g_by_day  # (T_in, ...·N·N)
-            history._accumulate(np.moveaxis(g_rows.reshape(t_in, *lead), 0, -1))
+        transform._accumulate(rows.T @ g_by_day.T)
 
-    return ad.make_op(flows, tracked, backward)
+    return ad.make_op(flows, (transform,), backward)
 
 
-def pool_mobility(horizon):
+def pool_mobility(horizon: ad.Tensor) -> ad.Tensor:
     """Average forecast flows over the horizon into a mobility adjacency."""
-    return ad.mean(horizon, axis=-1)
+    return horizon.mean(axis=-1)
 
 
 def extract_pattern(series: np.ndarray) -> np.ndarray:
@@ -95,7 +88,7 @@ def extract_pattern(series: np.ndarray) -> np.ndarray:
     return center / (spread + _EPSILON)
 
 
-def retrieve_representation(pattern, memory):
+def retrieve_representation(pattern: np.ndarray, memory: dict) -> ad.Tensor:
     """Attend over the pattern bank and map the blend to a retrieval vector.
 
     ``pattern`` is (..., window).  The query is the key-space projection of
@@ -105,27 +98,25 @@ def retrieve_representation(pattern, memory):
     output map.
     """
     key_weight, key_bias = memory["key_weight"], memory["key_bias"]
-    key_dim = ad.as_data(key_weight).shape[1]
-    query = ad.matmul(pattern, key_weight) + key_bias
-    keys = ad.matmul(memory["patterns"], key_weight) + key_bias
-    values = ad.matmul(memory["patterns"], memory["value_weight"]) + memory["value_bias"]
-    scores = ad.matmul(query, ad.swapaxes(keys, -1, -2)) / np.sqrt(key_dim)
+    key_dim = key_weight.shape[1]
+    query = pattern @ key_weight + key_bias
+    keys = memory["patterns"] @ key_weight + key_bias
+    values = memory["patterns"] @ memory["value_weight"] + memory["value_bias"]
+    scores = (query @ keys.swapaxes(-1, -2)) / np.sqrt(key_dim)
     weights = ad.softmax(scores, axis=-1)
-    blended = ad.matmul(weights, values)
-    return ad.matmul(blended, memory["output_weight"]) + memory["output_bias"]
+    return (weights @ values) @ memory["output_weight"] + memory["output_bias"]
 
 
-def case_adjacency(representation, memory):
+def case_adjacency(representation: ad.Tensor, memory: dict) -> ad.Tensor:
     """Score retrievals against region embeddings, scaled by the blend factor.
 
     Entry (n, m) is ``scale * <representation_n, embedding_m>``; with the
     zero-initialized scale the correction vanishes identically.
     """
-    embeddings = memory["region_embeddings"]
-    inner = ad.matmul(representation, ad.swapaxes(embeddings, -1, -2))
+    inner = representation @ memory["region_embeddings"].swapaxes(-1, -2)
     return memory["scale"] * inner
 
 
-def compose_adjacency(pooled, correction):
+def compose_adjacency(pooled: ad.Tensor, correction: ad.Tensor) -> ad.Tensor:
     """Final adjacency: mobility pooling plus the case correction, unclamped."""
     return pooled + correction

@@ -17,11 +17,10 @@ heap for the next step instead of going back to the OS to be faulted in again.
 Broadcasting follows numpy semantics; gradients flowing back through a
 broadcast are summed down to the original operand shape.
 
-The module-level helpers (``exp``, ``sigmoid``, ``softmax``, ``mean``, ...)
-are polymorphic: given a Tensor they build tape nodes, given an ndarray they
-fall through to numpy.  Model code written against these helpers runs both in
-training (differentiable) and as plain array math.  A model's parameters
-live in one ``Parameters`` table over flat data and gradient buffers.
+The module-level helpers (``exp``, ``sigmoid``, ``softmax``, ...) take a
+Tensor and return one; an ndarray operand of a Tensor operator, on either
+side (``@`` included), is lifted to a constant.  A model's parameters live
+in one ``Parameters`` table over flat data and gradient buffers.
 """
 
 from __future__ import annotations
@@ -37,17 +36,11 @@ __all__ = [
     "absolute",
     "as_data",
     "exp",
-    "matmul",
-    "mean",
     "pad_axis",
     "relu",
-    "reshape",
     "sigmoid",
     "softmax",
-    "summation",
-    "swapaxes",
     "tanh",
-    "transpose",
 ]
 
 
@@ -272,6 +265,9 @@ class Tensor:
 
         return _from_op(out_data, (a, b), backward)
 
+    def __rmatmul__(self, other):
+        return _lift(other).__matmul__(self)
+
     # ----------------------------------------------------------- shape changes
 
     def reshape(self, *shape):
@@ -449,25 +445,22 @@ def as_data(value) -> np.ndarray:
 # ------------------------------------------------------------------ elementwise
 
 
-def _unary(value, fn_np, make_grad):
-    if isinstance(value, Tensor):
-        a = value
-        out_data = fn_np(a.data)
-        grad_fn = make_grad(a.data, out_data)
+def _unary(a: Tensor, fn_np, make_grad) -> Tensor:
+    out_data = fn_np(a.data)
+    grad_fn = make_grad(a.data, out_data)
 
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(g * grad_fn())
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(g * grad_fn())
 
-        return _from_op(out_data, (a,), backward)
-    return fn_np(_asarray(value))
+    return _from_op(out_data, (a,), backward)
 
 
-def exp(value):
+def exp(value: Tensor) -> Tensor:
     return _unary(value, np.exp, lambda x, out: lambda: out)
 
 
-def tanh(value):
+def tanh(value: Tensor) -> Tensor:
     return _unary(value, np.tanh, lambda x, out: lambda: 1.0 - out * out)
 
 
@@ -478,11 +471,11 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(value):
+def sigmoid(value: Tensor) -> Tensor:
     return _unary(value, _sigmoid_np, lambda x, out: lambda: out * (1.0 - out))
 
 
-def relu(value):
+def relu(value: Tensor) -> Tensor:
     return _unary(
         value,
         lambda x: np.maximum(x, 0.0),
@@ -490,81 +483,28 @@ def relu(value):
     )
 
 
-def absolute(value):
+def absolute(value: Tensor) -> Tensor:
     return _unary(value, np.abs, lambda x, out: lambda: np.sign(x))
 
 
-# ----------------------------------------------------------------- reductions
-
-
-def summation(value, axis=None, keepdims: bool = False):
-    if isinstance(value, Tensor):
-        return value.sum(axis=axis, keepdims=keepdims)
-    return _asarray(value).sum(axis=axis, keepdims=keepdims)
-
-
-def mean(value, axis=None, keepdims: bool = False):
-    if isinstance(value, Tensor):
-        return value.mean(axis=axis, keepdims=keepdims)
-    return _asarray(value).mean(axis=axis, keepdims=keepdims)
-
-
-def softmax(value, axis: int = -1):
+def softmax(value: Tensor, axis: int = -1) -> Tensor:
     """Row-stochastic softmax along ``axis`` (max-shifted for stability)."""
-    if isinstance(value, Tensor):
-        shifted = value - np.max(value.data, axis=axis, keepdims=True)
-        grown = exp(shifted)
-        return grown / grown.sum(axis=axis, keepdims=True)
-    raw = _asarray(value)
-    shifted = raw - raw.max(axis=axis, keepdims=True)
-    grown = np.exp(shifted)
+    shifted = value - np.max(value.data, axis=axis, keepdims=True)
+    grown = exp(shifted)
     return grown / grown.sum(axis=axis, keepdims=True)
 
 
-# --------------------------------------------------------------- shape helpers
-
-
-def reshape(value, shape):
-    if isinstance(value, Tensor):
-        return value.reshape(shape)
-    return _asarray(value).reshape(shape)
-
-
-def transpose(value, axes: Sequence[int]):
-    if isinstance(value, Tensor):
-        return value.transpose(axes)
-    return _asarray(value).transpose(tuple(axes))
-
-
-def swapaxes(value, axis1: int, axis2: int):
-    if isinstance(value, Tensor):
-        return value.swapaxes(axis1, axis2)
-    return np.swapaxes(_asarray(value), axis1, axis2)
-
-
-def matmul(first, second):
-    if isinstance(first, Tensor) or isinstance(second, Tensor):
-        return _lift(first) @ _lift(second)
-    return _asarray(first) @ _asarray(second)
-
-
-def pad_axis(value, axis: int, before: int, after: int = 0):
+def pad_axis(a: Tensor, axis: int, before: int, after: int = 0) -> Tensor:
     """Zero-pad one axis (used for causal left-padding of the time axis)."""
-    if isinstance(value, Tensor):
-        a = value
-        widths = [(0, 0)] * a.data.ndim
-        widths[axis] = (before, after)
-        out_data = np.pad(a.data, widths)
-        slicer = [slice(None)] * a.data.ndim
-        slicer[axis] = slice(before, before + a.data.shape[axis])
-        slicer = tuple(slicer)
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(g[slicer])
-
-        return _from_op(out_data, (a,), backward)
-    raw = _asarray(value)
-    widths = [(0, 0)] * raw.ndim
+    widths = [(0, 0)] * a.data.ndim
     widths[axis] = (before, after)
-    return np.pad(raw, widths)
+    out_data = np.pad(a.data, widths)
+    slicer = [slice(None)] * a.data.ndim
+    slicer[axis] = slice(before, before + a.data.shape[axis])
+    slicer = tuple(slicer)
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(g[slicer])
+
+    return _from_op(out_data, (a,), backward)

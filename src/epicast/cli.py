@@ -18,7 +18,7 @@ import numpy as np
 
 from . import datasets, evaluation, training
 from .datasets import DataError, SyntheticScenario
-from .domain import ConfigRangeError, EpidemicParams, ValidationError, config_from
+from .domain import ConfigRangeError, ValidationError, config_from
 from .estimator import BackboneConfig
 from .pipeline import CASES_CHANNEL, ForecastModel, ModelConfig
 from .training import TrainConfig
@@ -30,8 +30,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
 
-# Domain objects require rates strictly inside (0, 1); a saturated sigmoid
-# can emit exactly 1.0, so outputs are nudged inward at construction edges.
+# Written rates lie strictly inside (0, 1): a saturated sigmoid can emit
+# exactly 0.0 or 1.0, so the forecast clips its rates this far inward.
 RATE_EPSILON = 1e-12
 
 
@@ -203,7 +203,6 @@ def _cmd_forecast(args) -> int:
     suppressed = np.clip(
         result.suppressed_beta.data[0], RATE_EPSILON, 1.0 - RATE_EPSILON
     )
-    EpidemicParams(beta=beta, gamma=gamma)  # the output rates must lie in (0, 1)
     base_date = date_type.fromisoformat(dataset.dates[end_index])
     leads = range(1, model.config.t_out + 1)
     # each column broadcasts to (regions, lead days); rows run lead-major
@@ -224,6 +223,12 @@ def _cmd_forecast(args) -> int:
         **{name: result.trajectories[name][0]
            for name in ("susceptible", "infected", "recovered")},
     }
+    for name, values in columns.items():
+        if values.dtype != object and not np.isfinite(values).all():
+            raise DataError(
+                f"forecast from {dataset.dates[end_index]}: column {name!r} "
+                f"holds a non-finite value; nothing was written"
+            )
     shape = (dataset.n_regions, model.config.t_out)
     cells = [np.broadcast_to(values, shape).T.ravel().tolist() for values in columns.values()]
 
@@ -460,10 +465,8 @@ def main(argv=None) -> int:
         print(f"error: {where}{err}", file=sys.stderr)
         print("run 'epicast --help' for usage", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValidationError) as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as err:
+    except (DataError, ValidationError, OSError) as err:
+        # OSError: a missing input, or an input or output path that is a directory
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import csv
 import os
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import date as date_type, timedelta
 from pathlib import Path
@@ -531,32 +531,36 @@ def _fmt(value: float) -> str:
 
 
 def save_dataset(dataset: Dataset, directory: str | Path) -> None:
-    """Write the three CSV files (round-trip exact via 17 significant digits)."""
+    """Write the three CSV files (round-trip exact via 17 significant digits).
+
+    Each goes through ``atomic_write``, and all three temporary files are
+    complete before any is moved into place, so a failure while writing
+    leaves the old panel byte-identical.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with (directory / "population.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["region", "population"])
-        for name, size in zip(dataset.regions, dataset.population):
-            writer.writerow([name, _fmt(size)])
     extras = range(dataset.values.shape[2] - len(CORE_CHANNELS))
-    with (directory / "observations.csv").open(
-        "w", newline="", encoding="utf-8"
-    ) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "region", *CORE_CHANNELS, *(f"extra{k}" for k in extras)])
+    with ExitStack() as files:
+        population, observations, mobility = (
+            csv.writer(files.enter_context(atomic_write(directory / name)))
+            for name in ("population.csv", "observations.csv", "mobility.csv")
+        )
+        population.writerow(["region", "population"])
+        for name, size in zip(dataset.regions, dataset.population):
+            population.writerow([name, _fmt(size)])
+        observations.writerow(
+            ["date", "region", *CORE_CHANNELS, *(f"extra{k}" for k in extras)]
+        )
         for d_idx, day in enumerate(dataset.dates):
             for r_idx, name in enumerate(dataset.regions):
-                writer.writerow(
+                observations.writerow(
                     [day, name, *(_fmt(v) for v in dataset.values[r_idx, d_idx])]
                 )
-    with (directory / "mobility.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "origin", "destination", "flow"])
+        mobility.writerow(["date", "origin", "destination", "flow"])
         for d_idx, day in enumerate(dataset.dates):
             for o_idx, origin in enumerate(dataset.regions):
                 for t_idx, destination in enumerate(dataset.regions):
-                    writer.writerow(
+                    mobility.writerow(
                         [day, origin, destination, _fmt(dataset.flows[o_idx, t_idx, d_idx])]
                     )
 

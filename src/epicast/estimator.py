@@ -10,9 +10,11 @@ pass through at initialization); a stack of gated dilated causal
 convolutions with graph mixing distills the window into one latent vector
 per region and horizon day; two sigmoid heads read off the rates.
 
-All operations accept plain ndarrays or autodiff Tensors over a leading
-batch axis B.  Parameters come from the model's table: a layer with one or
-two takes them as arguments, and the fusion gate, the backbone and the rate
+All operations work over a leading batch axis B, with one calling
+convention: the observations are an ndarray, learned parameters and every
+activation computed from them are Tensors, and every layer returns a
+Tensor.  Parameters come from the model's table: a layer with one or two
+takes them as arguments, and the fusion gate, the backbone and the rate
 heads take their group as a mapping keyed by short name (``bias``,
 ``end_weight``, ...).  Two layers are fused tape nodes built with
 ``make_op``, each with a hand-derived backward:
@@ -86,9 +88,9 @@ def _rows_gram(left: np.ndarray, right: np.ndarray, batch: int) -> np.ndarray:
 # ------------------------------------------------------------------ feature ops
 
 
-def lift_features(observations, weight, bias):
+def lift_features(observations: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
     """Pointwise affine lift across the channel axis: (..., C) -> (..., C')."""
-    return ad.matmul(observations, weight) + bias
+    return observations @ weight + bias
 
 
 # The dependency's softmax and Jacobian passes run over blocks of whole batch
@@ -108,7 +110,9 @@ def _exp_shifted_by_row_max(block, query, key):
     np.exp(block, out=block)
 
 
-def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
+def dynamic_dependency(
+    lifted: Tensor, query_weight: Tensor, key_weight: Tensor, heads: int
+) -> Tensor:
     """Region dependency from attention scores, averaged over heads and time.
 
     ``lifted`` is (B, N, T, C).  Per head and timestep the scaled
@@ -122,9 +126,7 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
     head and day alike.  Both run block by block over the batch
     (``_DEPENDENCY_BLOCK_BYTES``).
     """
-    data = ad.as_data(lifted)
-    q_data = ad.as_data(query_weight)
-    k_data = ad.as_data(key_weight)
+    data, q_data, k_data = lifted.data, query_weight.data, key_weight.data
     batch, regions, days, channels = data.shape
     if channels % heads != 0:
         raise DimensionMismatchError(
@@ -195,9 +197,6 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
         row_weights = np.swapaxes(recips.reshape(len(block), count, regions), 1, 2)
         mean = (row_weights[:, :, None, :] @ by_row(block))[:, :, 0, :]
         pooled[part] = mean * (1.0 / count)
-    tracked = [t for t in (lifted, query_weight, key_weight) if isinstance(t, Tensor)]
-    if not tracked:
-        return pooled
 
     def backward(g: np.ndarray) -> None:
         # d(mean)/d(scores) for one (head, day) block is P * (G - rowsum(G * P))
@@ -232,25 +231,25 @@ def dynamic_dependency(lifted, query_weight, key_weight, heads: int):
             scores *= block
             np.matmul(scores, key[part], out=g_query_heads[part])
             np.matmul(np.swapaxes(scores, -1, -2), query[part], out=g_key_heads[part])
-        if isinstance(lifted, Tensor) and lifted.requires_grad:
+        if lifted.requires_grad:
             # contiguous transposes: BLAS's transposed-operand path is slower
             g_flat = g_query @ np.ascontiguousarray(q_scaled.T)
             g_flat += g_key @ np.ascontiguousarray(k_data.T)
             lifted._accumulate(g_flat.reshape(data.shape))
-        if isinstance(query_weight, Tensor) and query_weight.requires_grad:
+        if query_weight.requires_grad:
             query_weight._accumulate((flat_lifted.T @ g_query) / scale)
-        if isinstance(key_weight, Tensor) and key_weight.requires_grad:
+        if key_weight.requires_grad:
             key_weight._accumulate(flat_lifted.T @ g_key)
 
-    return make_op(pooled, tracked, backward)
+    return make_op(pooled, (lifted, query_weight, key_weight), backward)
 
 
-def static_dependency(prior):
+def static_dependency(prior: Tensor) -> Tensor:
     """Row-softmax the static prior logits into a row-stochastic matrix."""
     return ad.softmax(prior, axis=-1)
 
 
-def fuse_dependencies(node_adj, struct_adj, gate):
+def fuse_dependencies(node_adj: Tensor, struct_adj: Tensor, gate: dict) -> Tensor:
     """Convex per-entry blend of the dynamic and static dependency maps,
     opened by the entrywise affine ``gate`` (``node_weight``,
     ``struct_weight``, ``bias``) through a sigmoid."""
@@ -261,22 +260,22 @@ def fuse_dependencies(node_adj, struct_adj, gate):
     return opening * node_adj + (1.0 - opening) * struct_adj
 
 
-def regularize_dependency(fused):
+def regularize_dependency(fused: Tensor) -> Tensor:
     """Symmetrize, clamp at zero, then row-normalize (guarded by 1e-8)."""
-    symmetric = (fused + ad.swapaxes(fused, -1, -2)) * 0.5
+    symmetric = (fused + fused.swapaxes(-1, -2)) * 0.5
     rectified = ad.relu(symmetric)
-    return rectified / (ad.summation(rectified, axis=-1, keepdims=True) + _EPSILON)
+    return rectified / (rectified.sum(axis=-1, keepdims=True) + _EPSILON)
 
 
-def enhance_features(lifted, dependency, blend):
+def enhance_features(lifted: Tensor, dependency: Tensor, blend: Tensor) -> Tensor:
     """Blend features with their dependency-weighted neighborhood average.
 
     ``blend`` is the scalar mixing factor (zero keeps the lifted features
     bit-for-bit).  ``dependency`` rows weight the regions being averaged.
     """
-    batch, regions, days, channels = ad.as_data(lifted).shape
-    flat = ad.reshape(lifted, (batch, regions, days * channels))
-    mixed = ad.reshape(ad.matmul(dependency, flat), (batch, regions, days, channels))
+    batch, regions, days, channels = lifted.shape
+    flat = lifted.reshape(batch, regions, days * channels)
+    mixed = (dependency @ flat).reshape(batch, regions, days, channels)
     return (1.0 - blend) * lifted + blend * mixed
 
 
@@ -340,7 +339,7 @@ class Backbone:
         self.params = params
         self.dtype = np.dtype(dtype)
 
-    def __call__(self, features, adjacency):
+    def __call__(self, features: Tensor, adjacency: Tensor) -> Tensor:
         """Distill (B, N, T_in, C) + (B, N, N) into (B, N, T_out, out_dim).
 
         One fused tape node over time-major buffers: each batch element is
@@ -363,8 +362,7 @@ class Backbone:
         the features' gradient and every parameter gradient, each cast as it
         leaves the node.
         """
-        feat = ad.as_data(features)
-        adj = ad.as_data(adjacency)
+        feat, adj = features.data, adjacency.data
         batch, regions, days, channels = feat.shape
         if days != self.t_in:
             raise DimensionMismatchError(
@@ -375,7 +373,7 @@ class Backbone:
         cells = (batch, days, regions, hid)
         dtype = self.dtype
         p = self.params
-        data = {name: np.asarray(ad.as_data(value), dtype=dtype) for name, value in p.items()}
+        data = {name: np.asarray(value.data, dtype=dtype) for name, value in p.items()}
         tags = [f"layer{index}_" for index in range(layers)]
         kern = kernels.active()
 
@@ -447,14 +445,6 @@ class Backbone:
 
         inert = {tags[-1] + name for name in ("neighbor_weight", "self_weight", "mix_bias")}
         live = {name: value for name, value in p.items() if name not in inert}
-        tracked = [
-            t for t in (features, adjacency, *live.values()) if isinstance(t, Tensor)
-        ]
-        if not tracked:
-            return latent
-
-        def wants(value) -> bool:
-            return isinstance(value, Tensor) and value.requires_grad
 
         def backward(g: np.ndarray) -> None:
             grads: dict[str, np.ndarray] = {}
@@ -490,7 +480,7 @@ class Backbone:
             g_skip = times_t(g_read, "end_weight")
             g_skip *= skip_total > 0.0
             g_support = None
-            if wants(adjacency):
+            if adjacency.requires_grad:
                 g_support = np.zeros((batch, regions, regions), dtype=dtype)
             pulling = np.swapaxes(mixing, -1, -2)
             g_x = None  # gradient of the current layer's residual output, (B, T, N, hidden)
@@ -541,9 +531,9 @@ class Backbone:
             grads["input_bias"] = column_sums(g_rows)
             grads["input_weight"] = gram(feat_rows, g_rows)
             for name, value in live.items():
-                if wants(value):
+                if value.requires_grad:
                     value._accumulate(grads[name].astype(np.float64, copy=False))
-            if wants(features):
+            if features.requires_grad:
                 g_feat = times_t(g_rows, "input_weight").reshape(batch, days, regions, channels)
                 g_feat = np.ascontiguousarray(g_feat.transpose(0, 2, 1, 3), dtype=np.float64)
                 features._accumulate(g_feat)
@@ -555,20 +545,16 @@ class Backbone:
                 g_magnitude *= np.sign(adj)
                 adjacency._accumulate(g_magnitude)
 
-        return make_op(latent, tracked, backward)
+        return make_op(latent, (features, adjacency, *live.values()), backward)
 
 
-def estimate_params(latent, heads):
+def estimate_params(latent: Tensor, heads: dict) -> tuple[Tensor, Tensor]:
     """Map latent (..., T_out, d) to rates in (0, 1): returns (beta, gamma).
 
     ``heads`` holds one sigmoid read-out per rate: ``beta_weight`` (d, 1)
     and ``beta_bias`` (1,), likewise ``gamma_*``.
     """
-    shape = ad.as_data(latent).shape[:-1]
-    beta = ad.sigmoid(
-        ad.reshape(ad.matmul(latent, heads["beta_weight"]) + heads["beta_bias"], shape)
-    )
-    gamma = ad.sigmoid(
-        ad.reshape(ad.matmul(latent, heads["gamma_weight"]) + heads["gamma_bias"], shape)
-    )
+    shape = latent.shape[:-1]
+    beta = ad.sigmoid((latent @ heads["beta_weight"] + heads["beta_bias"]).reshape(shape))
+    gamma = ad.sigmoid((latent @ heads["gamma_weight"] + heads["gamma_bias"]).reshape(shape))
     return beta, gamma

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .autodiff import Tensor
 from .domain import check_ranges
 
 __all__ = [
@@ -151,10 +152,12 @@ def detect(
     return Detection(small, quiet, beta_cut, gamma_cut, level, cutoff, ratio)
 
 
-def suppress_beta(beta, flags, downscale: float):
+def suppress_beta(beta: Tensor, flags: np.ndarray, downscale: float) -> Tensor:
     """Scale flagged regions' infection rates by ``downscale``.
 
-    ``beta`` is (..., N, T), an array or Tensor, and ``flags`` (..., N); the
-    flags are constants, so gradients reach ``beta`` through the multiplier.
+    The model layers' convention: the rates ``beta`` (..., N, T) are a
+    Tensor, the boolean ``flags`` (..., N) an ndarray, and the result is a
+    Tensor.  The flags are constants, so gradients reach ``beta`` through
+    the multiplier.
     """
     return beta * np.where(flags, downscale, 1.0)[..., None]

@@ -25,8 +25,9 @@ failed save leaves the previous file intact.  Loading raises a
 manifest key is missing, of the wrong JSON type or of a value the model
 cannot take (naming the key; ``ema`` must hold exactly the four threshold
 kinds), when the records differ from the layout of the model the stored
-configuration builds (naming the first differing record), or when the
-payload is not exactly that layout's size.
+configuration builds (naming the first differing record), when the
+payload is not exactly that layout's size, or when it holds a NaN or an
+infinity (naming the first record that does).
 """
 
 from __future__ import annotations
@@ -91,15 +92,14 @@ class TrainConfig:
         })
 
 
-def mae_loss(predictions, truth):
-    """Mean absolute error; polymorphic over Tensors and ndarrays."""
-    pred_shape = ad.as_data(predictions).shape
-    truth_shape = ad.as_data(truth).shape
-    if pred_shape != truth_shape:
+def mae_loss(predictions: ad.Tensor, truth: np.ndarray) -> ad.Tensor:
+    """Mean absolute error of predicted cases (a Tensor) against the target
+    panel (an ndarray), as a scalar Tensor."""
+    if predictions.shape != truth.shape:
         raise DimensionMismatchError(
-            f"loss shapes differ: predictions {pred_shape}, truth {truth_shape}"
+            f"loss shapes differ: predictions {predictions.shape}, truth {truth.shape}"
         )
-    return ad.mean(ad.absolute(predictions - truth))
+    return ad.absolute(predictions - truth).mean()
 
 
 def curriculum_horizon(iteration: int, step: int, full_horizon: int) -> int:
@@ -427,6 +427,15 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"{len(expected)} parameter records take {params.data.nbytes}"
         )
     params.data[...] = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(params.data).all():
+        index, name = next(
+            (index, name) for index, (name, leaf) in enumerate(params.items())
+            if not np.isfinite(leaf.data).all()
+        )
+        raise ValueError(
+            f"{path}: checkpoint payload of manifest params[{index}] ({name!r}) "
+            f"holds a non-finite value"
+        )
     model.set_scaler(manifest["scaler_mean"], manifest["scaler_scale"])
     model.ema = {kind: manifest["ema"][kind] for kind in THRESHOLD_KINDS}
     return LoadedCheckpoint(model=model, manifest=manifest)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from epicast import datasets, kernels
+from epicast.autodiff import Tensor
 from epicast.estimator import BackboneConfig
 from epicast.pipeline import ForecastModel, ModelConfig
 
@@ -74,10 +75,10 @@ def small_model(model_config, small_windows) -> ForecastModel:
 
 
 def initial_group(prefix: str, n_regions: int = 3, seed: int = 0, **overrides) -> dict:
-    """A fresh model's ``prefix`` parameters, keyed by short name, as plain
-    array copies (``overrides`` adjust ``small_model_config``)."""
+    """A fresh model's ``prefix`` parameters, keyed by short name, as constant
+    Tensor copies (``overrides`` adjust ``small_model_config``)."""
     params = ForecastModel(small_model_config(**overrides), n_regions, seed=seed).parameters()
-    return {name: leaf.data.copy() for name, leaf in params.group(prefix).items()}
+    return {name: Tensor(leaf.data.copy()) for name, leaf in params.group(prefix).items()}
 
 
 def rng_for(test_tag: int) -> np.random.Generator:

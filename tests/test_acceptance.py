@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from epicast import cli, datasets, evaluation, metapop, suppression, training
+from epicast.autodiff import Tensor
 from epicast.domain import (
     CompartmentState,
     EpidemicParams,
@@ -185,7 +186,9 @@ def test_criterion_04_suppression_never_raises_predictions():
         if not flags.any():
             flags[int(rng.integers(0, n))] = True
         damped = EpidemicParams(
-            beta=suppression.suppress_beta(beta, flags, float(rng.uniform(0.1, 0.9))),
+            beta=suppression.suppress_beta(
+                Tensor(beta), flags, float(rng.uniform(0.1, 0.9))
+            ).data,
             gamma=gamma,
         )
         base = metapop.rollout(state, params, mobility, population)

@@ -46,14 +46,15 @@ def numeric_gradient(fn, arrays, index, step=1e-6):
 def check_op(build, shapes, tag, tol=5e-6, low=-2.0, high=2.0):
     """Compare analytic and numeric gradients of ``build`` on random inputs.
 
-    ``build`` maps one Tensor (or ndarray, for the numeric path) per shape
-    to a scalar; a fixed random projection densifies vector outputs.
+    ``build`` maps one Tensor per shape to a scalar Tensor; a fixed random
+    projection densifies vector outputs.  The numeric path feeds it constant
+    Tensors.
     """
     rng = rng_for(tag)
     arrays = [rng.uniform(low, high, size=shape) for shape in shapes]
 
     def scalar_fn(*raw):
-        return float(ad.as_data(build(*raw)))
+        return build(*[Tensor(a) for a in raw]).item()
 
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = build(*tensors)
@@ -71,13 +72,10 @@ def check_op(build, shapes, tag, tol=5e-6, low=-2.0, high=2.0):
         )
 
 
-def project(value, tag):
+def project(value: Tensor, tag) -> Tensor:
     """Reduce any-shaped op output to a scalar with fixed random weights."""
-    data = ad.as_data(value)
-    weights = rng_for(10_000 + tag).standard_normal(data.shape)
-    if isinstance(value, Tensor):
-        return (value * weights).sum()
-    return float((data * weights).sum())
+    weights = rng_for(10_000 + tag).standard_normal(value.shape)
+    return (value * weights).sum()
 
 
 # ------------------------------------------------------------- arithmetic ops
@@ -142,6 +140,20 @@ class TestArithmetic:
         for shapes in ([(5, 3, 4), (4, 2)], [(2, 3, 5, 4), (4, 2)], [(5, 3, 4), (1, 4, 2)]):
             check_op(build, shapes, tag=12)
 
+    def test_rmatmul_lifts_an_ndarray_left_operand(self):
+        rng = rng_for(13)
+        left = rng.standard_normal((5, 3, 4))
+        right = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        lifted = Tensor(right.data.copy(), requires_grad=True)
+        out = left @ right
+        assert isinstance(out, Tensor)
+        reference = Tensor(left) @ lifted
+        assert out.data.tobytes() == reference.data.tobytes()
+        upstream = rng.standard_normal(out.shape)
+        out.backward(upstream)
+        reference.backward(upstream)
+        assert right.grad.tobytes() == lifted.grad.tobytes()
+
 
 # ------------------------------------------------------------ elementwise ops
 
@@ -201,8 +213,8 @@ class TestElementwise:
 
     def test_softmax_rows_sum_to_one(self):
         rng = rng_for(24)
-        x = rng.standard_normal((6, 7)) * 5
-        rows = ad.softmax(x, axis=-1)
+        x = Tensor(rng.standard_normal((6, 7)) * 5)
+        rows = ad.softmax(x, axis=-1).data
         np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-12)
         assert (rows >= 0).all()
 
@@ -210,7 +222,7 @@ class TestElementwise:
         rng = rng_for(25)
         x = rng.standard_normal((4, 4))
         np.testing.assert_allclose(
-            ad.softmax(x), ad.softmax(x + 1000.0), atol=1e-12
+            ad.softmax(Tensor(x)).data, ad.softmax(Tensor(x + 1000.0)).data, atol=1e-12
         )
 
 

@@ -10,6 +10,7 @@ import hashlib
 import json
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +20,10 @@ import pytest
 import yaml
 
 from epicast import cli
+from epicast.autodiff import Tensor
 from epicast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from epicast.datasets import SyntheticScenario
-from epicast.pipeline import ModelConfig
+from epicast.pipeline import ForecastModel, ModelConfig
 from epicast.training import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -167,6 +169,26 @@ class TestSimulate:
     )
     def test_shipped_configs_build_their_scenario(self, config):
         cli.scenario_from(cli.load_config(config))
+
+    def test_unwritable_panel_file_is_data_error_and_keeps_the_old_panel(
+        self, workdir, tmp_path, capsys
+    ):
+        panel = tmp_path / "panel"
+        shutil.copytree(workdir["data"], panel)
+        (panel / "mobility.csv").unlink()
+        (panel / "mobility.csv").mkdir()
+        before = {path.name: path.read_bytes() for path in panel.glob("*.csv") if path.is_file()}
+        # another seed, so that a file moved into place would differ
+        argv = ["simulate", "--config", str(workdir["config"]), "--out", str(panel)]
+        assert main([*argv, "--seed", "9"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "mobility.csv" in err
+        assert sorted(path.name for path in panel.iterdir()) == [
+            "mobility.csv", "observations.csv", "population.csv"
+        ]
+        assert {name: (panel / name).read_bytes() for name in before} == before
+        assert not any((panel / "mobility.csv").iterdir())
 
 
 class TestTrain:
@@ -416,6 +438,30 @@ class TestForecast:
         assert rows == forecast_rows(model, window.batch([0]), dataset, end)
         header = report.read_text(encoding="utf-8").splitlines()[0]
         assert header == "source,slice,rmse,mae,smape,rae,rae_defined"
+
+    @pytest.mark.parametrize(
+        "field,column",
+        [("cases", "cases_pred"), ("gamma", "gamma"), ("strength", "transmission_strength")],
+    )
+    def test_non_finite_output_is_data_error(
+        self, workdir, tmp_path, capsys, monkeypatch, field, column
+    ):
+        forward = ForecastModel.forward
+
+        def poisoned(self, *args, **kwargs):
+            result = forward(self, *args, **kwargs)
+            value = getattr(result, field)
+            (value.data if isinstance(value, Tensor) else value)[0, -1, -1] = np.nan
+            return result
+
+        monkeypatch.setattr(ForecastModel, "forward", poisoned)
+        out = tmp_path / "forecast.csv"
+        code = main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                     str(workdir["ckpt"]), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"column {column!r} holds a non-finite value" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_anchor_date_moves_forecast_start(self, workdir, tmp_path):
         from epicast import datasets
@@ -729,6 +775,30 @@ class TestCorruptCheckpoint:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")], ids=["nan", "inf"])
+    def test_non_finite_payload_names_file_and_record(
+        self, workdir, tmp_path, capsys, bad
+    ):
+        raw = workdir["ckpt"].read_bytes()
+        manifest = json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
+        record = manifest["params"][5]
+        at = record["offset"] + 8 * (record["count"] - 1)  # its last float
+
+        def poison(payload):
+            return payload[:at] + struct.pack("<d", bad) + payload[at + 8 :]
+
+        broken = tmp_path / "broken.ckpt"
+        rewrite_manifest(workdir["ckpt"], broken, lambda m: None, poison)
+        out = tmp_path / "x.csv"
+        code = main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                     str(broken), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(broken) in err and "params[5]" in err and repr(record["name"]) in err
+        assert "non-finite" in err
+        assert not out.exists()
+
+
 class TestAtomicOutputs:
     """A forecast or report that fails partway leaves the previous file."""
 
@@ -778,6 +848,24 @@ class TestAtomicOutputs:
             self.run(workdir, "evaluate", out)
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    @pytest.mark.parametrize("command", ["train", "forecast", "evaluate"])
+    def test_out_that_is_a_directory_is_data_error(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.mkdir()
+        (out / "kept.txt").write_text("old", encoding="utf-8")
+        if command == "train":
+            argv = ["train", "--config", str(workdir["config"]), "--data",
+                    str(workdir["data"]), "--out", str(out), "--quiet"]
+            assert main(argv) == EXIT_DATA
+        else:
+            assert self.run(workdir, command, out) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(out) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text(encoding="utf-8") == "old"
 
 
 class TestEvaluate:

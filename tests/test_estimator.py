@@ -6,11 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from epicast import adjacency, datasets, estimator, kernels, pipeline
 from epicast import autodiff as ad
-from epicast import estimator, kernels
 from epicast.autodiff import Tensor
 from epicast.domain import ConfigRangeError, DimensionMismatchError
 from epicast.estimator import Backbone, BackboneConfig
+from epicast.pipeline import ForecastModel, ModelConfig
 
 from conftest import initial_group, on_kernel_set, rng_for, small_model_config
 
@@ -21,27 +22,27 @@ class TestLiftFeatures:
         obs = rng.standard_normal((2, 3, 4, 5))
         weight = rng.standard_normal((5, 7))
         bias = rng.standard_normal(7)
-        out = estimator.lift_features(obs, weight, bias)
-        np.testing.assert_allclose(out, obs @ weight + bias, atol=1e-12)
+        out = estimator.lift_features(obs, Tensor(weight), Tensor(bias))
+        np.testing.assert_allclose(out.data, obs @ weight + bias, atol=1e-12)
 
 
 class TestDynamicDependency:
     def test_rows_stochastic(self):
         rng = rng_for(301)
-        lifted = rng.standard_normal((2, 4, 6, 8))
-        qw = rng.standard_normal((8, 8))
-        kw = rng.standard_normal((8, 8))
-        dep = np.asarray(estimator.dynamic_dependency(lifted, qw, kw, heads=4))
+        lifted, qw, kw = (
+            Tensor(rng.standard_normal(shape)) for shape in ((2, 4, 6, 8), (8, 8), (8, 8))
+        )
+        dep = estimator.dynamic_dependency(lifted, qw, kw, heads=4).data
         assert dep.shape == (2, 4, 4)
         np.testing.assert_allclose(dep.sum(axis=-1), 1.0, atol=1e-10)
         assert (dep >= 0).all()
 
     def test_head_divisibility_enforced(self):
         rng = rng_for(303)
-        lifted = rng.standard_normal((2, 3, 4, 6))
+        lifted = Tensor(rng.standard_normal((2, 3, 4, 6)))
         with pytest.raises(DimensionMismatchError, match="heads"):
             estimator.dynamic_dependency(
-                lifted, np.eye(6), np.eye(6), heads=4
+                lifted, Tensor(np.eye(6)), Tensor(np.eye(6)), heads=4
             )
 
 
@@ -51,15 +52,14 @@ def composed_dependency(lifted, query_weight, key_weight, heads):
     head_dim = channels // heads
 
     def split_heads(projected):
-        return ad.transpose(
-            ad.reshape(projected, (batch, regions, days, heads, head_dim)),
-            (0, 3, 2, 1, 4),
+        return projected.reshape(batch, regions, days, heads, head_dim).transpose(
+            (0, 3, 2, 1, 4)
         )
 
-    query = split_heads(ad.matmul(lifted, query_weight))
-    key = split_heads(ad.matmul(lifted, key_weight))
-    scores = ad.matmul(query, ad.swapaxes(key, -1, -2)) / np.sqrt(head_dim)
-    return ad.mean(ad.softmax(scores, axis=-1), axis=(1, 2))
+    query = split_heads(lifted @ query_weight)
+    key = split_heads(lifted @ key_weight)
+    scores = (query @ key.swapaxes(-1, -2)) / np.sqrt(head_dim)
+    return ad.softmax(scores, axis=-1).mean(axis=(1, 2))
 
 
 def max_raw_score(lifted, query_weight, key_weight, heads):
@@ -91,8 +91,8 @@ class TestFusedDependencyGradients:
         weights = rng.standard_normal((shape[0], regions, regions))
 
         def loss_of(*values):
-            out = estimator.dynamic_dependency(*values, heads=heads)
-            return float((np.asarray(out) * weights).sum())
+            out = estimator.dynamic_dependency(*map(Tensor, values), heads=heads)
+            return float((out.data * weights).sum())
 
         tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = estimator.dynamic_dependency(*tensors, heads=heads)
@@ -185,20 +185,21 @@ class TestFusedDependencyGradients:
             assert np.isfinite(fused).all()
             np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
 
-    def test_plain_arrays_build_no_tape(self):
+    def test_constant_inputs_build_no_tape(self):
         rng = rng_for(334)
-        lifted, query_weight, key_weight = dependency_inputs(rng, (2, 3, 4, 4))
+        lifted, query_weight, key_weight = map(Tensor, dependency_inputs(rng, (2, 3, 4, 4)))
         out = estimator.dynamic_dependency(lifted, query_weight, key_weight, heads=2)
-        assert type(out) is np.ndarray
+        assert not out.requires_grad and out._backward is None
         tracked = estimator.dynamic_dependency(
-            lifted, Tensor(query_weight, requires_grad=True), key_weight, heads=2
+            lifted, Tensor(query_weight.data, requires_grad=True), key_weight, heads=2
         )
-        np.testing.assert_array_equal(tracked.data, out)
+        assert tracked.requires_grad
+        np.testing.assert_array_equal(tracked.data, out.data)
 
 
 class TestStaticDependency:
     def test_identity_prior_rows_softmaxed(self):
-        dep = np.asarray(estimator.static_dependency(np.eye(4)))
+        dep = estimator.static_dependency(Tensor(np.eye(4))).data
         np.testing.assert_allclose(dep.sum(axis=-1), 1.0, atol=1e-12)
         # diagonal logits of 1 versus 0 elsewhere: diagonal entries dominate
         off = dep[~np.eye(4, dtype=bool)]
@@ -211,14 +212,15 @@ class TestFuseDependencies:
         rng = rng_for(304)
         node = rng.uniform(0, 1, (3, 3))
         struct = rng.uniform(0, 1, (3, 3))
-        fused = np.asarray(estimator.fuse_dependencies(node, struct, initial_group("gate")))
+        gate = initial_group("gate")
+        fused = estimator.fuse_dependencies(Tensor(node), Tensor(struct), gate).data
         np.testing.assert_allclose(fused, 0.5 * node + 0.5 * struct, atol=1e-12)
 
     def test_saturated_gate_selects_node_side(self):
-        gate = dict.fromkeys(("node_weight", "struct_weight", "bias"), np.array(50.0))
+        gate = dict.fromkeys(("node_weight", "struct_weight", "bias"), Tensor(np.array(50.0)))
         node = np.full((2, 2), 0.25)
         struct = np.full((2, 2), 0.75)
-        fused = np.asarray(estimator.fuse_dependencies(node, struct, gate))
+        fused = estimator.fuse_dependencies(Tensor(node), Tensor(struct), gate).data
         np.testing.assert_allclose(fused, node, atol=1e-9)
 
     def test_blend_stays_between_inputs(self):
@@ -226,10 +228,10 @@ class TestFuseDependencies:
         node = rng.uniform(0, 1, (4, 4))
         struct = rng.uniform(0, 1, (4, 4))
         gate = {
-            name: np.array(rng.standard_normal())
+            name: Tensor(np.array(rng.standard_normal()))
             for name in ("node_weight", "struct_weight", "bias")
         }
-        fused = np.asarray(estimator.fuse_dependencies(node, struct, gate))
+        fused = estimator.fuse_dependencies(Tensor(node), Tensor(struct), gate).data
         lo = np.minimum(node, struct) - 1e-12
         hi = np.maximum(node, struct) + 1e-12
         assert ((fused >= lo) & (fused <= hi)).all()
@@ -239,7 +241,7 @@ class TestRegularizeDependency:
     def test_output_symmetric_nonnegative_row_normalized(self):
         rng = rng_for(306)
         raw = rng.standard_normal((5, 5)) * 3
-        out = np.asarray(estimator.regularize_dependency(raw))
+        out = estimator.regularize_dependency(Tensor(raw)).data
         assert (out >= 0).all()
         sums = out.sum(axis=-1)
         # rows with any surviving mass normalize to 1 (up to the 1e-8 guard)
@@ -249,7 +251,7 @@ class TestRegularizeDependency:
     def test_negative_half_discarded(self):
         raw = np.array([[-4.0, 2.0], [2.0, -4.0]])
         # symmetrized matrix equals the input; relu kills the diagonal
-        out = np.asarray(estimator.regularize_dependency(raw))
+        out = estimator.regularize_dependency(Tensor(raw)).data
         np.testing.assert_allclose(np.diag(out), 0.0, atol=1e-12)
         np.testing.assert_allclose(out[0, 1], 1.0, atol=1e-6)
 
@@ -259,23 +261,23 @@ class TestEnhanceFeatures:
         rng = rng_for(307)
         lifted = rng.standard_normal((2, 3, 4, 5))
         dep = rng.uniform(0, 1, (2, 3, 3))
-        out = np.asarray(estimator.enhance_features(lifted, dep, np.zeros(())))
+        out = estimator.enhance_features(Tensor(lifted), Tensor(dep), Tensor(np.zeros(()))).data
         np.testing.assert_array_equal(out, lifted)
 
     def test_full_blend_is_neighborhood_average(self):
         rng = rng_for(308)
         lifted = rng.standard_normal((1, 3, 2, 2))
         dep = rng.uniform(0, 1, (1, 3, 3))
-        out = np.asarray(estimator.enhance_features(lifted, dep, np.ones(())))
+        out = estimator.enhance_features(Tensor(lifted), Tensor(dep), Tensor(np.ones(()))).data
         expected = np.einsum("bnm,bmtc->bntc", dep, lifted)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_identity_dependency_is_noop_at_any_blend(self):
         rng = rng_for(309)
         lifted = rng.standard_normal((1, 3, 4, 5))
-        out = np.asarray(
-            estimator.enhance_features(lifted, np.eye(3)[None], np.array(0.37))
-        )
+        out = estimator.enhance_features(
+            Tensor(lifted), Tensor(np.eye(3)[None]), Tensor(np.array(0.37))
+        ).data
         np.testing.assert_allclose(out, lifted, atol=1e-12)
 
 
@@ -456,25 +458,25 @@ class TestBackbone:
             hidden_dim=6, skip_dim=5, output_dim=7, kernel_size=2, dilations=(1, 2, 4)
         )
         backbone = fresh_backbone(config, channels=4, days=8, t_out=3)
-        features = rng.standard_normal((2, 4, 8, 4))
-        adj = rng.uniform(0, 1, (2, 4, 4))
-        out = np.asarray(backbone(features, adj))
-        assert out.shape == (2, 4, 3, 7)
+        features = Tensor(rng.standard_normal((2, 4, 8, 4)))
+        adj = Tensor(rng.uniform(0, 1, (2, 4, 4)))
+        assert backbone(features, adj).shape == (2, 4, 3, 7)
 
     def test_empty_batch_keeps_its_shape(self):
         config = BackboneConfig(dilations=(1, 2, 4))
         backbone = fresh_backbone(config, channels=4, days=8, t_out=2)
-        empty = np.zeros((0, 3, 8, 4))
-        assert np.asarray(backbone(empty, np.zeros((0, 3, 3)))).shape == (0, 3, 2, 16)
-        dep = estimator.dynamic_dependency(empty, np.eye(4), np.eye(4), heads=2)
-        assert np.asarray(dep).shape == (0, 3, 3)
+        empty = Tensor(np.zeros((0, 3, 8, 4)))
+        assert backbone(empty, Tensor(np.zeros((0, 3, 3)))).shape == (0, 3, 2, 16)
+        identity = Tensor(np.eye(4))
+        dep = estimator.dynamic_dependency(empty, identity, identity, heads=2)
+        assert dep.shape == (0, 3, 3)
 
     def test_wrong_window_length_rejected(self):
         rng = rng_for(319)
         config = BackboneConfig(dilations=(1, 2, 4))
         backbone = fresh_backbone(config, channels=3, days=8, t_out=2)
         with pytest.raises(DimensionMismatchError, match="8-day"):
-            backbone(rng.standard_normal((1, 3, 9, 3)), np.eye(3)[None])
+            backbone(Tensor(rng.standard_normal((1, 3, 9, 3))), Tensor(np.eye(3)[None]))
 
     def test_adjacency_sign_irrelevant_after_normalization(self):
         # the backbone mixes over |A| row-normalized, so flipping signs of
@@ -484,10 +486,10 @@ class TestBackbone:
             hidden_dim=4, skip_dim=4, output_dim=4, kernel_size=2, dilations=(1, 2, 4)
         )
         backbone = fresh_backbone(config, channels=3, days=8, t_out=2)
-        features = rng.standard_normal((1, 3, 8, 3))
+        features = Tensor(rng.standard_normal((1, 3, 8, 3)))
         adj = rng.standard_normal((1, 3, 3))
-        out_pos = np.asarray(backbone(features, adj))
-        out_neg = np.asarray(backbone(features, -adj))
+        out_pos = backbone(features, Tensor(adj)).data
+        out_neg = backbone(features, Tensor(-adj)).data
         np.testing.assert_allclose(out_pos, out_neg, atol=1e-12)
 
     def test_float32_node_returns_float64(self):
@@ -501,8 +503,8 @@ class TestBackbone:
         assert backbone.dtype == np.float32
         features = rng.standard_normal((2, 3, 8, 3))
         adjacency = rng.standard_normal((2, 3, 3))
-        latent = backbone(features, adjacency)
-        assert type(latent) is np.ndarray and latent.dtype == np.float64
+        latent = backbone(Tensor(features), Tensor(adjacency))
+        assert latent.data.dtype == np.float64
         inputs = [Tensor(a, requires_grad=True) for a in (features, adjacency)]
         tracked = backbone(*inputs)
         assert tracked.data.dtype == np.float64
@@ -530,21 +532,21 @@ class TestBackbone:
 
 def composed_causal_conv(x, weight, bias, dilation):
     """The dilated causal convolution from generic tape operations."""
-    taps, days = ad.as_data(weight).shape[0], ad.as_data(x).shape[2]
+    taps, days = weight.shape[0], x.shape[2]
     xpad = ad.pad_axis(x, 2, (taps - 1) * dilation)
     out = bias
     for k in range(taps):
-        out = out + ad.matmul(xpad[:, :, k * dilation : k * dilation + days, :], weight[k])
+        out = out + xpad[:, :, k * dilation : k * dilation + days, :] @ weight[k]
     return out
 
 
 def composed_backbone(backbone, features, adjacency):
     """The backbone built from generic tape operations (reference)."""
-    batch, regions, days, _ = ad.as_data(features).shape
+    batch, regions, days, _ = features.shape
     p, hid = backbone.params, backbone.config.hidden_dim
     magnitude = ad.absolute(adjacency)
-    support = magnitude / (ad.summation(magnitude, axis=-1, keepdims=True) + 1e-8)
-    x = ad.matmul(features, p["input_weight"]) + p["input_bias"]
+    support = magnitude / (magnitude.sum(axis=-1, keepdims=True) + 1e-8)
+    x = features @ p["input_weight"] + p["input_bias"]
     skip_total = None
     for index, dilation in enumerate(backbone.config.dilations):
         tag = f"layer{index}_"
@@ -555,18 +557,16 @@ def composed_backbone(backbone, features, adjacency):
             x, p[tag + "gate_weight"], p[tag + "gate_bias"], dilation
         )
         h = ad.tanh(filt) * ad.sigmoid(gate)
-        contribution = ad.matmul(h, p[tag + "skip_weight"])
+        contribution = h @ p[tag + "skip_weight"]
         skip_total = contribution if skip_total is None else skip_total + contribution
-        flat = ad.reshape(h, (batch, regions, days * hid))
-        mixed = ad.reshape(ad.matmul(support, flat), (batch, regions, days, hid))
+        flat = h.reshape(batch, regions, days * hid)
+        mixed = (support @ flat).reshape(batch, regions, days, hid)
         x = x + (
-            ad.matmul(mixed, p[tag + "neighbor_weight"])
-            + ad.matmul(h, p[tag + "self_weight"])
-            + p[tag + "mix_bias"]
+            mixed @ p[tag + "neighbor_weight"] + h @ p[tag + "self_weight"] + p[tag + "mix_bias"]
         )
-    read = ad.relu(ad.matmul(ad.relu(skip_total), p["end_weight"]) + p["end_bias"])
-    mapped = ad.matmul(ad.swapaxes(read, 2, 3), p["time_weight"]) + p["time_bias"]
-    return ad.swapaxes(mapped, 2, 3)
+    read = ad.relu(ad.relu(skip_total) @ p["end_weight"] + p["end_bias"])
+    mapped = read.swapaxes(2, 3) @ p["time_weight"] + p["time_bias"]
+    return mapped.swapaxes(2, 3)
 
 
 def backbone_inputs(rng, config, shape, t_out, dtype=np.float64):
@@ -579,7 +579,7 @@ def backbone_inputs(rng, config, shape, t_out, dtype=np.float64):
     seed = int(rng.integers(1 << 30))
     backbone = fresh_backbone(config, channels, days, t_out, seed=seed, dtype=dtype)
     for value in backbone.params.values():
-        value += 0.3 * rng.standard_normal(value.shape)
+        value.data += 0.3 * rng.standard_normal(value.shape)
     features = rng.standard_normal(shape)
     adjacency = rng.standard_normal((batch, regions, regions))
     adjacency[..., 0, 1] = 0.0
@@ -596,7 +596,7 @@ def inert_params(config):
 def tracked_backbone_pass(build, backbone, features, adjacency, upstream):
     """Output and the gradients of features, adjacency and every parameter."""
     params = {
-        name: Tensor(value.copy(), requires_grad=True)
+        name: Tensor(value.data.copy(), requires_grad=True)
         for name, value in backbone.params.items()
     }
     copy = Backbone(backbone.config, backbone.t_in, backbone.t_out, params, dtype=backbone.dtype)
@@ -624,10 +624,13 @@ class TestFusedBackbone:
             Backbone.__call__, backbone, features, adjacency, upstream
         )
         inert = inert_params(config)
-        arrays = {"features": features, "adjacency": adjacency, **backbone.params}
+        arrays = {
+            "features": features, "adjacency": adjacency,
+            **{name: value.data for name, value in backbone.params.items()},
+        }
 
         def loss() -> float:
-            return float((backbone(features, adjacency) * upstream).sum())
+            return float((backbone(Tensor(features), Tensor(adjacency)).data * upstream).sum())
 
         for name, array in arrays.items():
             numeric = np.empty_like(array)
@@ -729,54 +732,100 @@ class TestFusedBackbone:
             scale = np.abs(reference).max()
             assert np.abs(value - reference).max() <= tolerance * scale, name
 
-    def test_plain_arrays_build_no_tape(self, small_model):
+    def test_constant_inputs_build_no_tape(self, small_model):
         rng = rng_for(342)
         config = small_model.config
         leaves = small_model.parameters().group("backbone")
         backbone = Backbone(config.backbone, config.t_in, config.t_out, leaves)
-        features = rng.standard_normal((2, 3, config.t_in, config.lifted_channels))
-        adjacency = rng.uniform(0, 1, (2, 3, 3))
-        plain = Backbone(
+        features = Tensor(rng.standard_normal((2, 3, config.t_in, config.lifted_channels)))
+        adjacency = Tensor(rng.uniform(0, 1, (2, 3, 3)))
+        constant = Backbone(
             config.backbone,
             config.t_in,
             config.t_out,
-            {name: value.data for name, value in leaves.items()},
+            {name: Tensor(value.data) for name, value in leaves.items()},
         )
-        out = plain(features, adjacency)
-        assert type(out) is np.ndarray
+        out = constant(features, adjacency)
+        assert not out.requires_grad and out._backward is None
         tracked = backbone(features, adjacency)
         assert tracked.requires_grad and tracked._parents
-        np.testing.assert_array_equal(tracked.data, out)
+        np.testing.assert_array_equal(tracked.data, out.data)
         with small_model.inference():
-            quiet = backbone(Tensor(features), adjacency)
+            quiet = backbone(features, adjacency)
         assert not quiet.requires_grad
         assert quiet._parents == () and quiet._backward is None
-        np.testing.assert_array_equal(quiet.data, out)
+        np.testing.assert_array_equal(quiet.data, out.data)
+
+
+def tape_nodes(result) -> int:
+    """Recorded operations reachable from a forward result's tracked tensors,
+    counted as the benchmark's tracer counts them."""
+    stack = [value for value in vars(result).values() if getattr(value, "requires_grad", False)]
+    seen, nodes = set(), 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes += node._backward is not None
+            stack.extend(node._parents)
+    return nodes
+
+
+# Every layer the forward calls, as (owner, attribute) for monkeypatching.
+MODEL_LAYERS = (
+    *[(adjacency, name) for name in (
+        "forecast_mobility", "pool_mobility", "retrieve_representation",
+        "case_adjacency", "compose_adjacency",
+    )],
+    *[(estimator, name) for name in (
+        "lift_features", "dynamic_dependency", "static_dependency",
+        "fuse_dependencies", "regularize_dependency", "enhance_features",
+        "estimate_params",
+    )],
+    (Backbone, "__call__"),
+    (pipeline, "suppress_beta"),
+)
 
 
 class TestTapeSize:
-    def test_train_regional_step_records_64_nodes(self):
-        # the acceptance world (N=8) at batch 32, as a training step sees it;
-        # each fused node is one tape node however it works inside
-        from epicast import datasets
-        from epicast.pipeline import ForecastModel, ModelConfig
-
+    @pytest.fixture(scope="class")
+    def acceptance_step(self):
+        """The acceptance world (N=8) at batch 32 with a default model."""
         config = ModelConfig()
         world = datasets.generate_synthetic(datasets.SyntheticScenario())
         windows = datasets.windowize(world, config.t_in, config.t_out)
         model = ForecastModel(config, len(windows.regions), seed=2024)
         obs = windows.observations
         model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
-        result = model.forward(windows.batch(np.arange(32)), training=True)
-        stack = [value for value in vars(result).values() if isinstance(value, Tensor)]
-        seen, nodes = set(), 0
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                nodes += node._backward is not None
-                stack.extend(node._parents)
-        assert nodes == 64
+        return model, windows.batch(np.arange(32))
+
+    def test_train_regional_step_records_64_nodes(self, acceptance_step):
+        # as a training step sees it; each fused node is one tape node
+        # however it works inside
+        model, batch = acceptance_step
+        assert tape_nodes(model.forward(batch, training=True)) == 64
+
+    def test_inference_forward_records_none(self, acceptance_step):
+        model, batch = acceptance_step
+        with model.inference():
+            result = model.forward(batch)
+        assert tape_nodes(result) == 0
+        tensors = [value for value in vars(result).values() if isinstance(value, Tensor)]
+        assert tensors and not any(t.requires_grad or t._parents for t in tensors)
+
+    def test_every_layer_returns_a_tensor(self, small_model, small_windows, monkeypatch):
+        returned = {}
+        for owner, name in MODEL_LAYERS:
+            def recording(*args, _layer=getattr(owner, name), _name=name, **kwargs):
+                returned[_name] = _layer(*args, **kwargs)
+                return returned[_name]
+
+            monkeypatch.setattr(owner, name, recording)
+        small_model.forward(small_windows.batch(np.arange(2)), training=True)
+        assert set(returned) == {name for _, name in MODEL_LAYERS}
+        for name, out in returned.items():
+            outputs = out if isinstance(out, tuple) else (out,)
+            assert all(type(value) is Tensor for value in outputs), name
 
 
 class TestParameterHeads:
@@ -785,24 +834,24 @@ class TestParameterHeads:
     def test_outputs_strictly_inside_unit_interval(self):
         rng = rng_for(321)
         heads = initial_group("heads", seed=321)
-        latent = rng.standard_normal((2, 3, 4, 8)) * 3
+        latent = Tensor(rng.standard_normal((2, 3, 4, 8)) * 3)
         beta, gamma = estimator.estimate_params(latent, heads)
-        for rates in (np.asarray(beta), np.asarray(gamma)):
+        for rates in (beta.data, gamma.data):
             assert rates.shape == (2, 3, 4)
             assert (rates > 0).all() and (rates < 1).all()
 
     def test_zero_latent_reads_bias(self):
         heads = initial_group("heads", seed=322)
-        beta, gamma = estimator.estimate_params(np.zeros((1, 2, 8)), heads)
+        beta, gamma = estimator.estimate_params(Tensor(np.zeros((1, 2, 8))), heads)
         sigmoid = lambda v: 1.0 / (1.0 + np.exp(-v))
         np.testing.assert_allclose(
-            np.asarray(beta),
-            sigmoid(float(heads["beta_bias"][0])),
+            beta.data,
+            sigmoid(float(heads["beta_bias"].data[0])),
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            np.asarray(gamma),
-            sigmoid(float(heads["gamma_bias"][0])),
+            gamma.data,
+            sigmoid(float(heads["gamma_bias"].data[0])),
             atol=1e-12,
         )
 
@@ -810,5 +859,5 @@ class TestParameterHeads:
         # fresh heads start in the plausible regime: recovery slower than
         # transmission, both well inside (0, 1)
         heads = initial_group("heads", seed=323)
-        beta, gamma = estimator.estimate_params(np.zeros((1, 1, 8)), heads)
-        assert 0.05 < float(np.asarray(gamma)[0, 0]) < float(np.asarray(beta)[0, 0]) < 0.5
+        beta, gamma = estimator.estimate_params(Tensor(np.zeros((1, 1, 8))), heads)
+        assert 0.05 < float(gamma.data[0, 0]) < float(beta.data[0, 0]) < 0.5

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from epicast import suppression
+from epicast.autodiff import Tensor
 from epicast.domain import (
     ConfigRangeError,
     DimensionMismatchError,
@@ -283,8 +284,8 @@ class TestSuppressionIntegration:
             flags = rng_for(193).uniform(size=(batch.size, 3)) < 0.5
         result = model.forward(batch, fixed_filter=flags)
         assert result.flags.any() and not result.flags.all()
-        want = suppression.suppress_beta(result.beta.data, result.flags, 0.3)
-        assert result.suppressed_beta.data.tobytes() == want.tobytes()
+        want = suppression.suppress_beta(Tensor(result.beta.data), result.flags, 0.3)
+        assert result.suppressed_beta.data.tobytes() == want.data.tobytes()
 
     def test_flags_are_or_of_detectors(self, small_model, small_windows):
         result = small_model.forward(small_windows.batch(np.arange(4)))

@@ -404,7 +404,7 @@ class TestBatchedDetector:
 class TestFilterAndSuppression:
     def test_suppress_scales_only_flagged_infection_rates(self):
         beta = np.full((2, 3), 0.4)
-        out = suppress_beta(beta, np.array([True, False]), downscale=0.5)
+        out = suppress_beta(Tensor(beta), np.array([True, False]), downscale=0.5).data
         np.testing.assert_allclose(out[0], 0.2)
         np.testing.assert_array_equal(out[1], beta[1])
         # batched Tensor rates: the flags are constants for the gradient
@@ -441,7 +441,7 @@ class TestFilterAndSuppression:
                 params.beta[None], params.gamma[None], history[None], config
             )
             flagged = found.small_params[0] | found.quiet_history[0]
-            applied = suppress_beta(params.beta, flagged, config.downscale)
+            applied = suppress_beta(Tensor(params.beta), flagged, config.downscale).data
             suppressed = metapop.rollout(
                 state0, EpidemicParams(beta=applied, gamma=params.gamma),
                 mobility, population,

@@ -58,10 +58,12 @@ def build_model(train_windows, config, seed=3):
 
 
 class TestMaeLoss:
-    def test_plain_arrays(self):
-        pred = np.array([[1.0, 2.0], [3.0, 4.0]])
+    def test_constant_predictions(self):
+        pred = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         truth = np.array([[1.0, 4.0], [0.0, 4.0]])
-        assert float(mae_loss(pred, truth)) == pytest.approx(1.25)
+        loss = mae_loss(pred, truth)
+        assert loss.item() == pytest.approx(1.25)
+        assert not loss.requires_grad
 
     def test_tensor_gradient_is_sign_over_count(self):
         pred = Tensor(np.array([2.0, -1.0, 5.0]), requires_grad=True)
@@ -72,7 +74,7 @@ class TestMaeLoss:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            mae_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+            mae_loss(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
 
 
 class TestCurriculum:
