@@ -509,7 +509,8 @@ def atomic_write(path: str | Path, binary: bool = False):
     then move it over ``path`` only after the block finishes cleanly.
 
     A failure partway removes the temporary file and leaves whatever was at
-    ``path`` before byte-identical.
+    ``path`` before byte-identical.  A failed move is reported against
+    ``path`` alone, since the temporary file is gone by then.
     """
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
@@ -520,7 +521,10 @@ def atomic_write(path: str | Path, binary: bool = False):
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(temporary, path)
+        try:
+            os.replace(temporary, path)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, str(path)) from None
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
@@ -535,15 +539,23 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> None:
 
     Each goes through ``atomic_write``, and all three temporary files are
     complete before any is moved into place, so a failure while writing
-    leaves the old panel byte-identical.
+    leaves the old panel byte-identical.  A panel file that exists as
+    anything but a regular file is refused (``DataError``) before anything
+    is written.  The three moves are still not one atomic step: a rename
+    that fails after an earlier one succeeded leaves a mixed panel.
     """
     directory = Path(directory)
+    names = ("population.csv", "observations.csv", "mobility.csv")
+    for name in names:
+        target = directory / name
+        if target.exists() and not target.is_file():
+            raise DataError(f"{target}: exists and is not a regular file")
     directory.mkdir(parents=True, exist_ok=True)
     extras = range(dataset.values.shape[2] - len(CORE_CHANNELS))
     with ExitStack() as files:
         population, observations, mobility = (
             csv.writer(files.enter_context(atomic_write(directory / name)))
-            for name in ("population.csv", "observations.csv", "mobility.csv")
+            for name in names
         )
         population.writerow(["region", "population"])
         for name, size in zip(dataset.regions, dataset.population):

@@ -32,13 +32,19 @@ heads take their group as a mapping keyed by short name (``bias``,
   ``kernels.active()``, each giving one contiguous block that the gate
   forward and backward work on in place, and whose two backward calls add
   into one input gradient; a closed-form gate, mixing and readout backward.
-  It computes in float32 by default (``Backbone``'s ``dtype``): its inputs
-  and parameters are cast on entry, and its latent and input gradients
-  leave as float64, so everything outside the node stays float64.
+
+Both nodes compute in float32 by default (``dynamic_dependency``'s and
+``Backbone``'s ``dtype``): each casts its inputs and parameters once on
+entry, and its output and every gradient it hands back leave as float64.
+Everything outside the two nodes stays float64: the fusion, regularization
+and enhancement around the dependency, the rate heads, the parameter table,
+Adam and checkpoints.  float64 serves the finite-difference oracles, which
+float32 rounding would swamp.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +104,13 @@ def lift_features(observations: np.ndarray, weight: Tensor, bias: Tensor) -> Ten
 # each elementwise pass reads its block from cache rather than from memory.
 _DEPENDENCY_BLOCK_BYTES = 2 * 1024 * 1024
 
-# A softmax row whose sum of exp(shifted scores) falls below this was shifted
-# by a bound hundreds above its max, so its entries lose precision or vanish.
-_SMALLEST_ROW_SUM = 1e-200
+# A softmax row whose sum of exp(shifted scores) falls below this floor, per
+# compute dtype, was shifted by a bound far above its max: its small entries
+# fall into the subnormal range, where only an absolute spacing is kept (5e-324
+# in float64, 1.4e-45 in float32).  Above the floor that spacing moves a
+# softmax entry by less than 1e-123 in float64 and 1e-14 in float32, far below
+# either rounding unit; below it, the block is recomputed with the row max.
+_SMALLEST_ROW_SUM = {np.dtype(np.float64): 1e-200, np.dtype(np.float32): 1e-30}
 
 
 def _exp_shifted_by_row_max(block, query, key):
@@ -111,7 +121,8 @@ def _exp_shifted_by_row_max(block, query, key):
 
 
 def dynamic_dependency(
-    lifted: Tensor, query_weight: Tensor, key_weight: Tensor, heads: int
+    lifted: Tensor, query_weight: Tensor, key_weight: Tensor, heads: int,
+    dtype=np.float32,
 ) -> Tensor:
     """Region dependency from attention scores, averaged over heads and time.
 
@@ -125,8 +136,17 @@ def dynamic_dependency(
     softmax Jacobian to the pooled gradient, which the mean hands to every
     head and day alike.  Both run block by block over the batch
     (``_DEPENDENCY_BLOCK_BYTES``).
+
+    ``dtype`` is the node's compute dtype, float32 or float64, as for
+    ``Backbone``: ``lifted`` and both weights are cast once on entry, and
+    the projections, the exp rows, their reciprocal sums and every backward
+    buffer and product stay in it.  The pooled map and the gradients of
+    ``lifted`` and both weights leave as float64.
     """
-    data, q_data, k_data = lifted.data, query_weight.data, key_weight.data
+    dtype = np.dtype(dtype)
+    data = np.asarray(lifted.data, dtype=dtype)
+    q_data = np.asarray(query_weight.data, dtype=dtype)
+    k_data = np.asarray(key_weight.data, dtype=dtype)
     batch, regions, days, channels = data.shape
     if channels % heads != 0:
         raise DimensionMismatchError(
@@ -134,10 +154,10 @@ def dynamic_dependency(
         )
     head_dim = channels // heads
     width = head_dim + 1
-    scale = np.sqrt(head_dim)
+    scale = math.sqrt(head_dim)  # a Python float keeps float32 blocks float32
     flat_lifted = data.reshape(-1, channels)
     block_elements = max(
-        1, _DEPENDENCY_BLOCK_BYTES // (heads * days * regions * regions * 8)
+        1, _DEPENDENCY_BLOCK_BYTES // (heads * days * regions * regions * dtype.itemsize)
     )
     blocks = [
         slice(start, start + block_elements) for start in range(0, batch, block_elements)
@@ -151,10 +171,10 @@ def dynamic_dependency(
     def projected(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One GEMM: each head's projection plus a spare zero column, as
         (B*N*T, H*(head + 1)), and the (B, N, T, H) norms of its rows."""
-        spaced = np.zeros((channels, heads, width))
+        spaced = np.zeros((channels, heads, width), dtype=dtype)
         spaced[:, :, :head_dim] = weight.reshape(channels, heads, head_dim)
         out = flat_lifted @ spaced.reshape(channels, heads * width)
-        norms = np.sqrt(np.square(out).reshape(-1, width) @ np.ones(width))
+        norms = np.sqrt(np.square(out).reshape(-1, width) @ np.ones(width, dtype=dtype))
         return out, norms.reshape(batch, regions, days, heads)
 
     # The 1/√d of the scores folds into the query weight.  Each row is
@@ -179,16 +199,17 @@ def dynamic_dependency(
 
     # The softmax P of a row is its exp row E times the reciprocal r of its
     # sum; E and r are kept, and r is applied only where a product meets it.
-    grown = np.empty((batch, heads, days, regions, regions))
-    inverse = np.empty((batch, heads, days, regions))
+    grown = np.empty((batch, heads, days, regions, regions), dtype=dtype)
+    inverse = np.empty((batch, heads, days, regions), dtype=dtype)
     pooled = np.empty((batch, regions, regions))
-    ones = np.ones(regions)
+    ones = np.ones(regions, dtype=dtype)
+    smallest_row_sum = _SMALLEST_ROW_SUM[dtype]
     for part in blocks:
         block = grown[part]
         np.matmul(query_ext[part], np.swapaxes(key_ext[part], -1, -2), out=block)
         np.exp(block, out=block)
         sums = block.reshape(-1, regions) @ ones
-        if sums.min() < _SMALLEST_ROW_SUM:
+        if sums.min() < smallest_row_sum:
             _exp_shifted_by_row_max(block, query[part], key[part])
             sums = block.reshape(-1, regions) @ ones
         recips = inverse[part]
@@ -206,15 +227,15 @@ def dynamic_dependency(
         # day is one product of K=2, [r, r^2 * rowsum(G * E)] @ [G_i; -1],
         # which beats a broadcast subtraction over the (H, T, N, N) block
         # and leaves no row factor for the (N, head) products.
-        mix = np.empty((batch, regions, 2, regions))
+        mix = np.empty((batch, regions, 2, regions), dtype=dtype)
         np.multiply(g.reshape(batch, regions, regions), 1.0 / count, out=mix[:, :, 0, :])
         mix[:, :, 1, :] = -1.0
         pulled = mix[:, :, 0, :, None]  # the rows of G as GEMV vectors
         size = min(batch, block_elements)
-        factors = np.empty((size, regions, count, 2))
-        g_scores = np.empty((size, heads, days, regions, regions))
+        factors = np.empty((size, regions, count, 2), dtype=dtype)
+        g_scores = np.empty((size, heads, days, regions, regions), dtype=dtype)
         # (B*N*T, C) buffers written through (B, H, T, N, head) views
-        g_query = np.empty((batch * regions * days, channels))
+        g_query = np.empty((batch * regions * days, channels), dtype=dtype)
         g_key = np.empty_like(g_query)
         g_query_heads = split_heads(g_query)
         g_key_heads = split_heads(g_key)
@@ -235,11 +256,12 @@ def dynamic_dependency(
             # contiguous transposes: BLAS's transposed-operand path is slower
             g_flat = g_query @ np.ascontiguousarray(q_scaled.T)
             g_flat += g_key @ np.ascontiguousarray(k_data.T)
-            lifted._accumulate(g_flat.reshape(data.shape))
+            lifted._accumulate(g_flat.reshape(data.shape).astype(np.float64, copy=False))
         if query_weight.requires_grad:
-            query_weight._accumulate((flat_lifted.T @ g_query) / scale)
+            g_weight = (flat_lifted.T @ g_query) / scale
+            query_weight._accumulate(g_weight.astype(np.float64, copy=False))
         if key_weight.requires_grad:
-            key_weight._accumulate(flat_lifted.T @ g_key)
+            key_weight._accumulate((flat_lifted.T @ g_key).astype(np.float64, copy=False))
 
     return make_op(pooled, (lifted, query_weight, key_weight), backward)
 

@@ -204,7 +204,8 @@ class ForecastModel:
         self.scaler_mean = np.zeros(config.channels)
         self.scaler_scale = np.ones(config.channels)
         self.ema = dict.fromkeys(THRESHOLD_KINDS)
-        self._backbone_dtype = np.float32
+        # the compute dtype of both fused nodes; everything else is float64
+        self._compute_dtype = np.float32
 
     # ------------------------------------------------------------- parameters
 
@@ -230,17 +231,18 @@ class ForecastModel:
                 p.requires_grad = flag
 
     @contextmanager
-    def float64_backbone(self) -> Iterator[None]:
-        """Forwards in the block run the backbone in float64 instead of
-        float32, for the finite-difference oracles.  The previous compute
-        dtype is restored on exit, also on error.
+    def float64_compute(self) -> Iterator[None]:
+        """Forwards in the block run both fused nodes, the attention
+        dependency and the backbone, in float64 instead of float32, for the
+        finite-difference oracles.  The previous compute dtype is restored
+        on exit, also on error.
         """
-        saved = self._backbone_dtype
-        self._backbone_dtype = np.float64
+        saved = self._compute_dtype
+        self._compute_dtype = np.float64
         try:
             yield
         finally:
-            self._backbone_dtype = saved
+            self._compute_dtype = saved
 
     def clamp_blend(self) -> None:
         """Keep the enhancement blend inside [0, 1] (called after each step)."""
@@ -315,14 +317,14 @@ class ForecastModel:
         lifted = estimator.lift_features(scaled, p["lift.weight"], p["lift.bias"])
         node_adj = estimator.dynamic_dependency(
             lifted, p["attention.query_weight"], p["attention.key_weight"],
-            cfg.attention_heads,
+            cfg.attention_heads, dtype=self._compute_dtype,
         )
         struct_adj = estimator.static_dependency(p["spatial.prior"])
         fused = estimator.fuse_dependencies(node_adj, struct_adj, p.group("gate"))
         dependency = estimator.regularize_dependency(fused)
         enhanced = estimator.enhance_features(lifted, dependency, p["enhance.blend"])
         backbone = Backbone(
-            cfg.backbone, cfg.t_in, cfg.t_out, p.group("backbone"), dtype=self._backbone_dtype
+            cfg.backbone, cfg.t_in, cfg.t_out, p.group("backbone"), dtype=self._compute_dtype
         )
         latent = backbone(enhanced, coupling)
         beta, gamma = estimator.estimate_params(latent, p.group("heads"))

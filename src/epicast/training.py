@@ -474,11 +474,13 @@ def gradient_check(
     evaluation, matching its constant role in training.  Each parameter
     group is probed at up to ``samples_per_group`` randomly chosen entries;
     the relative error guards its denominator so exactly-zero pairs count
-    as exact agreement.  Every forward runs the backbone in float64
-    (``ForecastModel.float64_backbone``).
+    as exact agreement.  Every forward runs both fused nodes, the attention
+    dependency and the backbone, in float64 (``ForecastModel.float64_compute``),
+    as everything outside them always does; training and forecasting run
+    those two nodes in float32.
     """
-    # float32 rounding in the backbone would swamp the finite differences
-    with model.float64_backbone():
+    # float32 rounding in the fused nodes would swamp the finite differences
+    with model.float64_compute():
         rng = np.random.default_rng(seed)
         with model.inference():
             flags = model.forward(batch, training=False).flags

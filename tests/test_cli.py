@@ -190,6 +190,26 @@ class TestSimulate:
         assert {name: (panel / name).read_bytes() for name in before} == before
         assert not any((panel / "mobility.csv").iterdir())
 
+    @pytest.mark.parametrize("name", ["observations.csv", "population.csv"])
+    def test_panel_file_that_is_a_directory_keeps_the_old_panel(
+        self, workdir, tmp_path, capsys, name
+    ):
+        # mobility.csv is moved into place first: a later file that cannot be
+        # replaced must stop the write before that move
+        panel = tmp_path / "panel"
+        shutil.copytree(workdir["data"], panel)
+        (panel / name).unlink()
+        (panel / name).mkdir()
+        before = {path.name: path.read_bytes() for path in panel.iterdir() if path.is_file()}
+        argv = ["simulate", "--config", str(workdir["config"]), "--out", str(panel)]
+        assert main([*argv, "--seed", "9"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {panel / name}: exists and is not a regular file\n"
+        assert sorted(path.name for path in panel.iterdir()) == [
+            "mobility.csv", "observations.csv", "population.csv"
+        ]
+        assert {path.name: path.read_bytes() for path in panel.iterdir() if path.is_file()} == before
+
 
 class TestTrain:
     def test_reports_best_epoch(self, workdir, tmp_path, capsys):
@@ -863,6 +883,8 @@ class TestAtomicOutputs:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert str(out) in err
+        # the temporary sibling is already removed, so the message names only out
+        assert ".tmp" not in err, err
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert [p.name for p in out.iterdir()] == ["kept.txt"]
         assert (out / "kept.txt").read_text(encoding="utf-8") == "old"

@@ -22,6 +22,7 @@ from epicast.datasets import (
     DataError,
     Dataset,
     SyntheticScenario,
+    atomic_write,
     chronological_split,
     generate_synthetic,
     load_dataset,
@@ -73,6 +74,33 @@ class TestCsvRoundTrip:
         loaded = load_dataset(tmp_path)
         np.testing.assert_array_equal(loaded.values, original.values)
         np.testing.assert_array_equal(loaded.flows, original.flows)
+
+
+class TestAtomicWrite:
+    def test_failed_move_names_the_target_alone(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as caught:
+            with atomic_write(target) as handle:
+                handle.write("new")
+        assert caught.value.filename == str(target)
+        assert caught.value.filename2 is None
+        assert ".tmp" not in str(caught.value)
+        assert [path.name for path in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("name", ["population.csv", "observations.csv", "mobility.csv"])
+    def test_panel_file_that_is_not_a_file_is_refused_before_any_write(self, tmp_path, name):
+        save_dataset(panel(2, 3), tmp_path)
+        (tmp_path / name).unlink()
+        (tmp_path / name).mkdir()
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        with pytest.raises(DataError, match=rf"{re.escape(name)}: exists and is not a regular file"):
+            save_dataset(panel(2, 4, seed=601), tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["population.csv", "observations.csv", "mobility.csv"]
+        )
+        after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        assert after == before
 
 
 class TestDatasetPanel:

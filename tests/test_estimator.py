@@ -32,7 +32,7 @@ class TestDynamicDependency:
         lifted, qw, kw = (
             Tensor(rng.standard_normal(shape)) for shape in ((2, 4, 6, 8), (8, 8), (8, 8))
         )
-        dep = estimator.dynamic_dependency(lifted, qw, kw, heads=4).data
+        dep = exact_dependency(lifted, qw, kw, heads=4).data
         assert dep.shape == (2, 4, 4)
         np.testing.assert_allclose(dep.sum(axis=-1), 1.0, atol=1e-10)
         assert (dep >= 0).all()
@@ -44,6 +44,14 @@ class TestDynamicDependency:
             estimator.dynamic_dependency(
                 lifted, Tensor(np.eye(6)), Tensor(np.eye(6)), heads=4
             )
+
+
+def exact_dependency(lifted, query_weight, key_weight, heads):
+    """The fused dependency on its float64 route: the exact oracles need
+    float64 arithmetic."""
+    return estimator.dynamic_dependency(
+        lifted, query_weight, key_weight, heads, dtype=np.float64
+    )
 
 
 def composed_dependency(lifted, query_weight, key_weight, heads):
@@ -70,12 +78,74 @@ def max_raw_score(lifted, query_weight, key_weight, heads):
     return (np.einsum("bnthd,bmthd->bhtnm", q, k) / np.sqrt(head_dim)).max()
 
 
+def float32_tolerance(lifted, query_weight, key_weight, heads):
+    """The error, relative to an array's largest entry, that float32 rounding
+    (unit u = 2^-24) allows the fused dependency's output and gradients.
+
+    An inner product of n terms rounds to within n*u of the sum of its terms'
+    magnitudes (Higham, "Accuracy and Stability of Numerical Algorithms",
+    section 3.1), and the errors of chained products add.  A shifted score,
+    q.k / sqrt(d) minus the row's bound, comes from products over C and
+    d + 1 terms whose magnitudes sum to at most 2S, S the largest
+    Cauchy-Schwarz bound |q_i| max_j |k_j| / sqrt(d); exp turns that
+    absolute error into a relative one.  Then come the row sums (N terms)
+    and the mean over heads and days (H*T); back, the row products (N), the
+    K=2 factors, the products with keys and queries (N), the channel sum of
+    the features' gradient (C) and the weights' sum over all B*N*T rows."""
+    batch, regions, days, channels = lifted.shape
+    head_dim = channels // heads
+
+    def largest_head_norm(weight):
+        projected = (lifted @ weight).reshape(batch, regions, days, heads, head_dim)
+        return np.linalg.norm(projected, axis=-1).max()
+
+    bound = largest_head_norm(query_weight) * largest_head_norm(key_weight) / np.sqrt(head_dim)
+    score = (channels + head_dim + 1) * 2 * bound + 1
+    forward = score + regions + heads * days
+    backward = 3 * regions + 2 + channels + batch * regions * days
+    return (forward + backward) * 2.0**-24
+
+
 def dependency_inputs(rng, shape, offset=0.0):
     lifted = rng.standard_normal(shape) + offset
     channels = shape[-1]
     query_weight = np.eye(channels) + 0.3 * rng.standard_normal((channels, channels))
     key_weight = np.eye(channels) + 0.3 * rng.standard_normal((channels, channels))
     return lifted, query_weight, key_weight
+
+
+def dependency_pass(build, arrays, upstream, heads):
+    """Output and the gradients of the features and both weights."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(*tensors, heads=heads)
+    out.backward(upstream)
+    return [out.data] + [t.grad for t in tensors]
+
+
+def overshot_bound_inputs(monkeypatch, itemsize):
+    """Five batch elements in blocks of two (2, 2 and 1) at ``itemsize`` bytes
+    a float.  In the last element every key opposes every query, so each
+    row's max lies far below the Cauchy-Schwarz bound and exp of the
+    bound-shifted scores underflows.  Returns the inputs, an upstream
+    gradient, the head count and the list that records the size of every
+    block recomputed with the exact row max."""
+    batch, regions, days, channels, heads = 5, 4, 6, 8, 2
+    monkeypatch.setattr(
+        estimator, "_DEPENDENCY_BLOCK_BYTES", 2 * heads * days * regions * regions * itemsize
+    )
+    exact = []
+    recompute = estimator._exp_shifted_by_row_max
+
+    def counted(block, *rest):
+        exact.append(block.shape[0])
+        recompute(block, *rest)
+
+    monkeypatch.setattr(estimator, "_exp_shifted_by_row_max", counted)
+    rng = rng_for(336)
+    lifted, query_weight, key_weight = dependency_inputs(rng, (batch, regions, days, channels))
+    lifted[-1] = 20.0 + rng.standard_normal((regions, days, channels))
+    upstream = rng.standard_normal((batch, regions, regions))
+    return (lifted, query_weight, -key_weight), upstream, heads, exact
 
 
 class TestFusedDependencyGradients:
@@ -91,11 +161,11 @@ class TestFusedDependencyGradients:
         weights = rng.standard_normal((shape[0], regions, regions))
 
         def loss_of(*values):
-            out = estimator.dynamic_dependency(*map(Tensor, values), heads=heads)
+            out = exact_dependency(*map(Tensor, values), heads=heads)
             return float((out.data * weights).sum())
 
         tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        out = estimator.dynamic_dependency(*tensors, heads=heads)
+        out = exact_dependency(*tensors, heads=heads)
         assert out.shape == weights.shape
         (out * weights).sum().backward()
         for tensor, array in zip(tensors, arrays):
@@ -120,12 +190,10 @@ class TestFusedDependencyGradients:
             # exp() of these scores overflows unless the softmax shifts by the row max
             assert max_raw_score(*arrays, heads) > 1000.0
         upstream = rng.standard_normal((3, 5, 5))
-        results = []
-        for build in (estimator.dynamic_dependency, composed_dependency):
-            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            out = build(*tensors, heads=heads)
-            out.backward(upstream)
-            results.append([out.data] + [t.grad for t in tensors])
+        results = [
+            dependency_pass(build, arrays, upstream, heads)
+            for build in (exact_dependency, composed_dependency)
+        ]
         for fused, reference in zip(*results):
             assert np.isfinite(fused).all()
             np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
@@ -139,47 +207,20 @@ class TestFusedDependencyGradients:
         rng = rng_for(335)
         arrays = dependency_inputs(rng, (batch, regions, days, channels))
         upstream = rng.standard_normal((batch, regions, regions))
-        results = []
-        for build in (estimator.dynamic_dependency, composed_dependency):
-            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            out = build(*tensors, heads=heads)
-            out.backward(upstream)
-            results.append([out.data] + [t.grad for t in tensors])
+        results = [
+            dependency_pass(build, arrays, upstream, heads)
+            for build in (exact_dependency, composed_dependency)
+        ]
         for fused, reference in zip(*results):
             np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
 
     def test_block_with_an_overshot_bound_matches_composed_reference(self, monkeypatch):
-        # blocks of two batch elements: 2, 2 and 1.  In the last element every
-        # key opposes every query, so each row's max lies far below the
-        # Cauchy-Schwarz bound, exp of the bound-shifted scores underflows,
-        # and only that block is recomputed with the exact row max.
-        batch, regions, days, channels, heads = 5, 4, 6, 8, 2
-        monkeypatch.setattr(
-            estimator, "_DEPENDENCY_BLOCK_BYTES", 2 * heads * days * regions * regions * 8
-        )
-        exact = []
-        recompute = estimator._exp_shifted_by_row_max
-
-        def counted(block, *rest):
-            exact.append(block.shape[0])
-            recompute(block, *rest)
-
-        monkeypatch.setattr(estimator, "_exp_shifted_by_row_max", counted)
-        rng = rng_for(336)
-        lifted, query_weight, key_weight = dependency_inputs(
-            rng, (batch, regions, days, channels)
-        )
-        key_weight = -key_weight
-        lifted[-1] = 20.0 + rng.standard_normal((regions, days, channels))
-        upstream = rng.standard_normal((batch, regions, regions))
-        results = []
-        for build in (estimator.dynamic_dependency, composed_dependency):
-            tensors = [
-                Tensor(a.copy(), requires_grad=True) for a in (lifted, query_weight, key_weight)
-            ]
-            out = build(*tensors, heads=heads)
-            out.backward(upstream)
-            results.append([out.data] + [t.grad for t in tensors])
+        # only the last block, of one element, is recomputed with the exact row max
+        arrays, upstream, heads, exact = overshot_bound_inputs(monkeypatch, itemsize=8)
+        results = [
+            dependency_pass(build, arrays, upstream, heads)
+            for build in (exact_dependency, composed_dependency)
+        ]
         assert exact == [1]
         for fused, reference in zip(*results):
             assert np.isfinite(fused).all()
@@ -195,6 +236,44 @@ class TestFusedDependencyGradients:
         )
         assert tracked.requires_grad
         np.testing.assert_array_equal(tracked.data, out.data)
+
+
+class TestFloat32Dependency:
+    """The fused dependency's default float32 route against its float64 one."""
+
+    @pytest.mark.parametrize(
+        "shape", [(32, 8, 14, 8), (8, 64, 14, 8)], ids=["train-regional", "train-wide"]
+    )
+    def test_float32_node_matches_float64_node(self, shape):
+        rng = rng_for(337)
+        arrays = dependency_inputs(rng, shape)
+        upstream = rng.standard_normal((shape[0], shape[1], shape[1]))
+        got = dependency_pass(estimator.dynamic_dependency, arrays, upstream, heads=4)
+        want = dependency_pass(exact_dependency, arrays, upstream, heads=4)
+        tolerance = float32_tolerance(*arrays, heads=4)
+        names = ("dependency", "lifted", "query_weight", "key_weight")
+        for name, value, reference in zip(names, got, want):
+            scale = np.abs(reference).max()
+            assert np.abs(value - reference).max() <= tolerance * scale, name
+
+    def test_block_with_an_overshot_bound_is_recomputed_once(self, monkeypatch):
+        # float32 blocks of the same two elements: only the last block falls
+        # below float32's row-sum floor
+        arrays, upstream, heads, exact = overshot_bound_inputs(monkeypatch, itemsize=4)
+        got = dependency_pass(estimator.dynamic_dependency, arrays, upstream, heads)
+        assert exact == [1]
+        want = dependency_pass(composed_dependency, arrays, upstream, heads)
+        tolerance = float32_tolerance(*arrays, heads=heads)
+        for value, reference in zip(got, want):
+            assert np.isfinite(value).all()
+            assert np.abs(value - reference).max() <= tolerance * np.abs(reference).max()
+
+    def test_output_and_gradients_are_float64(self):
+        rng = rng_for(338)
+        arrays = dependency_inputs(rng, (2, 3, 4, 4))
+        upstream = rng.standard_normal((2, 3, 3))
+        results = dependency_pass(estimator.dynamic_dependency, arrays, upstream, heads=2)
+        assert [value.dtype for value in results] == [np.float64] * 4
 
 
 class TestStaticDependency:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epicast import datasets, training
+from epicast import datasets, estimator, training
 from epicast.autodiff import Parameters, Tensor
 from epicast.domain import DimensionMismatchError
 from epicast.pipeline import ForecastModel
@@ -383,7 +383,7 @@ class TestCheckpoint:
         batch = val_w.batch(np.arange(3))
         with model.inference():
             np.testing.assert_allclose(model.forward(batch).cases.data, want, rtol=1e-5)
-            with model.float64_backbone():
+            with model.float64_compute():
                 np.testing.assert_array_equal(model.forward(batch).cases.data, want)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -419,6 +419,43 @@ class TestCheckpoint:
 
 
 class TestGradientCheck:
+    def test_runs_both_fused_nodes_in_float64(self, monkeypatch):
+        # spies record the compute dtype of every call of the two fused nodes
+        seen = {"dependency": [], "backbone": []}
+        dependency, backbone_call = estimator.dynamic_dependency, estimator.Backbone.__call__
+
+        def dependency_spy(*args, dtype=np.float32, **kwargs):
+            seen["dependency"].append(np.dtype(dtype))
+            return dependency(*args, dtype=dtype, **kwargs)
+
+        def backbone_spy(self, *args):
+            seen["backbone"].append(self.dtype)
+            return backbone_call(self, *args)
+
+        monkeypatch.setattr(estimator, "dynamic_dependency", dependency_spy)
+        monkeypatch.setattr(estimator.Backbone, "__call__", backbone_spy)
+        train_w, _, config = build_windows()
+        model = build_model(train_w, config)
+        batch = train_w.batch(np.arange(2))
+
+        def dtypes_of(run) -> dict:
+            for calls in seen.values():
+                calls.clear()
+            run()
+            return {node: set(calls) for node, calls in seen.items()}
+
+        def forward():
+            with model.inference():
+                model.forward(batch)
+
+        float32, float64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
+        assert dtypes_of(forward) == {"dependency": float32, "backbone": float32}
+        def check():
+            gradient_check(model, batch, samples_per_group=1, seed=1)
+
+        assert dtypes_of(check) == {"dependency": float64, "backbone": float64}
+        assert dtypes_of(forward) == {"dependency": float32, "backbone": float32}
+
     def test_report_shape_on_tiny_model(self):
         train_w, _, config = build_windows()
         model = build_model(train_w, config)
