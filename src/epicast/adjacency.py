@@ -44,12 +44,18 @@ def forecast_mobility(history: np.ndarray, transform: ad.Tensor) -> ad.Tensor:
     ``history`` is the (..., N, N, T_in) mobility panel and ``transform``
     the (T_in, T_out) parameter; the result is (..., N, N, T_out).
 
-    One fused tape node.  The forward is one GEMM,
-    ``transform.T @ history.reshape(-1, T_in).T``, clamped in place, so the
-    flows are stored time-major as a (T_out, ...·N·N) buffer; the result is
-    a (..., N, N, T_out) view of it, from which the rollout kernels take each
-    day's flows without a copy.  The backward reads the gradient through
-    the same time-major layout.
+    One fused tape node.  The forward is one stacked matmul that runs a GEMM
+    per window (the last three axes), ``transform.T @ window.T`` on that
+    window's (N·N, T_in) rows, each written into its own columns of one
+    day-major (T_out, ...·N·N) buffer, which is then clamped in place;
+    the result is a (..., N, N, T_out) view of it, from which the rollout
+    kernels take each day's flows without a copy.  A window's rows are a
+    view for a gathered batch and for a read-only slice of a ``WindowSet``'s
+    panel windows alike, so the forward copies no history.  The backward
+    reads the gradient through the same day-major layout, masks it only if
+    the forward clamped an entry to zero, and forms the transform gradient
+    as ``(g_by_day @ rows).T`` over the (…·N·N, T_in) rows of the whole
+    history, which it reshapes (copying a strided view) only when it runs.
     """
     t_in, t_out = transform.shape
     if history.shape[-1] != t_in:
@@ -57,16 +63,22 @@ def forecast_mobility(history: np.ndarray, transform: ad.Tensor) -> ad.Tensor:
             f"transform expects {t_in} input days, history has {history.shape[-1]}"
         )
     lead = history.shape[:-1]
-    rows = history.reshape(-1, t_in)
-    by_day = transform.data.T @ rows.T  # (T_out, ...·N·N)
+    pairs = lead[-1] * lead[-2]
+    windows = history.reshape(-1, pairs, t_in)
+    by_day = np.empty((t_out, len(windows), pairs))
+    # one stacked matmul: a GEMM per window, each into its own columns
+    np.matmul(transform.data.T, windows.transpose(0, 2, 1), out=by_day.transpose(1, 0, 2))
+    by_day = by_day.reshape(t_out, -1)  # (T_out, ...·N·N)
     np.maximum(by_day, 0.0, out=by_day)
     flows = np.moveaxis(by_day.reshape(t_out, *lead), 0, -1)
 
     def backward(g: np.ndarray) -> None:
-        # a view when g has the flows' time-major layout
+        # a view when g has the flows' day-major layout
         g_by_day = np.moveaxis(g, -1, 0).reshape(t_out, -1)
-        g_by_day = np.where(by_day > 0.0, g_by_day, 0.0)
-        transform._accumulate(rows.T @ g_by_day.T)
+        if not by_day.min(initial=np.inf) > 0.0:  # a clamped or NaN entry passes none
+            g_by_day = g_by_day * (by_day > 0.0)
+        rows = history.reshape(-1, t_in)
+        transform._accumulate((g_by_day @ rows).T)
 
     return ad.make_op(flows, (transform,), backward)
 

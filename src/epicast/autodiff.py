@@ -133,12 +133,14 @@ class Tensor:
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label}(shape={self.data.shape}{flag})"
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        # another node may hold ``grad``: only a buffer made here is added into
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        # another node may hold ``grad``: only a buffer made here, or one the
+        # caller made for this tensor alone (``fresh``), is added into
         if self.grad is None:
-            self._owns_grad = grad.base is not None
+            copy = grad.base is not None and not fresh
             # order="K" keeps a view's layout, e.g. the time-major flows
-            self.grad = grad.copy(order="K") if self._owns_grad else grad
+            self.grad = grad.copy(order="K") if copy else grad
+            self._owns_grad = copy or fresh
         elif self._owns_grad:
             self.grad += grad
         else:
@@ -348,7 +350,7 @@ class _Leaf(Tensor):
         self._slot.fill(0.0)
         self.grad = None
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
         if self.grad is None:
             self._slot[...] = grad
             self.grad = self._slot

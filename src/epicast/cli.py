@@ -194,7 +194,7 @@ def _cmd_forecast(args) -> int:
         )
     # the one window that ends on the anchor, with no target days
     window = dataset.day_range(end_index + 1 - t_in, end_index + 1)
-    batch = datasets.windowize(window, t_in, 0).batch([0])
+    batch = datasets.windowize(window, t_in, 0).batch(slice(1))
     with model.inference():
         result = model.forward(batch, training=False)
 

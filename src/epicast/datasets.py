@@ -29,7 +29,11 @@ order (never filling anything in):
 
 A ``Dataset`` holds the channels as one (N, L, C) block, ``values``, from
 load to window.  ``windowize`` cuts every window (the forecast's too) as
-contiguous copies of sliding views of it.
+contiguous copies of sliding views of it, except the mobility, which stays
+one read-only sliding view of the segment's flows.  ``WindowSet.batch`` of
+a slice (validation, ``evaluate``, ``forecast``) hands out views, so their
+mobility is never gathered; a shuffled training batch asks with an index
+array and gets copies.
 
 The synthetic generator runs the mechanistic core day by day
 (``metapop.trajectory``), so at zero observation noise the stored cases
@@ -598,7 +602,10 @@ def chronological_split(dataset: Dataset) -> tuple[Dataset, Dataset, Dataset]:
 class WindowSet:
     """Sliding windows (stride 1) over one data segment.
 
-    ``mobility`` is a read-only view of the segment's flows; ``batch`` copies.
+    ``mobility`` is a read-only view of the segment's flows.  ``batch`` of a
+    slice returns views of every array, mobility included (read-only, never
+    gathered); ``batch`` of an integer index array gathers fresh, writeable
+    copies, the mobility as C-ordered (B, N, N, T_in) rows.
     """
 
     observations: np.ndarray  # (W, N, T_in, C)
@@ -615,7 +622,14 @@ class WindowSet:
         return self.observations.shape[0]
 
     def batch(self, indices) -> WindowBatch:
-        indices = np.asarray(indices, dtype=int)
+        """The windows at ``indices``: a slice, or a 1-D integer index array."""
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices)
+            if indices.ndim != 1 or indices.dtype.kind not in "iu":
+                raise TypeError(
+                    "WindowSet.batch takes a slice or a 1-D integer index array, "
+                    f"got {indices.dtype} values of shape {indices.shape}"
+                )
         return WindowBatch(
             observations=self.observations[indices],
             mobility=self.mobility[indices],

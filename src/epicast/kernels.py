@@ -32,55 +32,55 @@ class KernelSet(NamedTuple):
     conv_bwd: Callable
 
 
-# Rollout shapes: s0/i0/r0 (B, N); beta/gamma (B, N, T); flows (B, N, N, T);
-# pop (N,).  Forward returns the predicted cases plus full trajectories and
-# the saved masks the backward pass needs.  The kernels read flows
-# time-major, as (T, B, N, N), so each day's coupling is a batched matmul
-# over a contiguous (B, N, N) block.  The model's flows are already stored
-# that way (``adjacency.forecast_mobility``), so this costs no copy; flows in
-# C order are copied once per call.  The flow gradient is built time-major
-# and returned as a (B, N, N, T) view of that buffer.
+# Rollout shapes: s0/i0/r0 (B, N); beta/gamma (B, N, T); flows (B, N, N, T)
+# in any layout; pop (N,).  Forward returns the predicted cases plus full
+# trajectories and the saved masks the backward pass needs.  Both kernels
+# work day-major: the flows are read as (T, B, N, N), so each day's coupling
+# is a batched matmul over a contiguous (B, N, N) block; the model's flows
+# are already stored that way (``adjacency.forecast_mobility``), and flows in
+# C order are copied once per call.  The forward keeps S, I and R stacked as
+# one (3, B, N) block per day, so that day's clamp masks, clamps and state
+# stores are one pass each, and every output leaves as a (B, N, T) view of
+# its day-major buffer.  The backward carries the three state adjoints
+# stacked the same way; the flow gradient is built day-major and returned as
+# a (B, N, N, T) view of that buffer, while the beta and gamma gradients are
+# C-ordered, as the layers before the rollout expect.
 
 
 def _rollout_fwd(s0, i0, r0, beta, gamma, flows, pop):
     B, N, T = beta.shape
-    cases = np.empty((B, N, T))
-    s_traj = np.empty((B, N, T))
-    i_traj = np.empty((B, N, T))
-    r_traj = np.empty((B, N, T))
-    strength = np.empty((B, N, T))
-    cap = np.empty((B, N, T), dtype=np.bool_)
-    ms = np.empty((B, N, T), dtype=np.bool_)
-    mi = np.empty((B, N, T), dtype=np.bool_)
-    mr = np.empty((B, N, T), dtype=np.bool_)
+    cases = np.empty((T, B, N))
+    strength = np.empty((T, B, N))
+    cap = np.empty((T, B, N), dtype=np.bool_)
+    # day t's start state is states[t]; its end state, clamped, states[t + 1]
+    states = np.empty((T + 1, 3, B, N))
+    states[0] = s0, i0, r0
+    kept = np.empty((T, 3, B, N), dtype=np.bool_)
     inv = 1.0 / pop
     by_day = np.ascontiguousarray(np.moveaxis(flows, 3, 0))
-    s, i_cur, r = s0.copy(), i0.copy(), r0.copy()
     for t in range(T):
+        s, i_cur, r = states[t]
         moved = by_day[t]
-        pi = (moved @ (i_cur * inv)[:, :, None])[:, :, 0] + (
-            i_cur[:, None, :] @ moved
-        )[:, 0, :] * inv
-        strength[:, :, t] = pi
+        pi = strength[t]
+        np.add(
+            (moved @ (i_cur * inv)[:, :, None])[:, :, 0],
+            (i_cur[:, None, :] @ moved)[:, 0, :] * inv,
+            out=pi,
+        )
         force = beta[:, :, t] * pi
-        capped = force <= s
-        cap[:, :, t] = capped
-        new_inf = np.where(capped, force, s)
+        capped = np.less_equal(force, s, out=cap[t])
+        new_inf = cases[t]
+        new_inf[...] = np.where(capped, force, s)
         recovered_now = gamma[:, :, t] * i_cur
-        raw_s = s - new_inf
-        raw_i = i_cur + new_inf - recovered_now
-        raw_r = r + recovered_now
-        ms[:, :, t] = raw_s > 0.0
-        mi[:, :, t] = raw_i > 0.0
-        mr[:, :, t] = raw_r > 0.0
-        s = np.maximum(raw_s, 0.0)
-        i_cur = np.maximum(raw_i, 0.0)
-        r = np.maximum(raw_r, 0.0)
-        cases[:, :, t] = new_inf
-        s_traj[:, :, t] = s
-        i_traj[:, :, t] = i_cur
-        r_traj[:, :, t] = r
-    return cases, s_traj, i_traj, r_traj, strength, cap, ms, mi, mr
+        raw = states[t + 1]
+        np.subtract(s, new_inf, out=raw[0])
+        np.add(i_cur, new_inf, out=raw[1])
+        raw[1] -= recovered_now
+        np.add(r, recovered_now, out=raw[2])
+        np.greater(raw, 0.0, out=kept[t])
+        np.maximum(raw, 0.0, out=raw)
+    saved = (cases, *states[1:].swapaxes(0, 1), strength, cap, *kept.swapaxes(0, 1))
+    return tuple(np.moveaxis(a, 0, -1) for a in saved)  # (T, B, N) -> (B, N, T)
 
 
 def _rollout_bwd(
@@ -89,21 +89,19 @@ def _rollout_bwd(
     B, N, T = beta.shape
     inv = 1.0 / pop
     by_day = np.ascontiguousarray(np.moveaxis(flows, 3, 0))
-    g_beta = np.zeros_like(beta)
-    g_gamma = np.zeros_like(gamma)
+    kept = np.stack([np.moveaxis(m, -1, 0) for m in (ms, mi, mr)], axis=1)  # (T, 3, B, N)
+    g_beta = np.empty_like(beta)
+    g_gamma = np.empty_like(gamma)
     # Day t's flow adjoint is g_pi (x) i_prev/P + i_prev (x) g_pi/P: stack the
     # two factor pairs per day and form every day's outer sums in one matmul.
     left = np.empty((T, B, N, 2))
     right = np.empty((T, B, 2, N))
-    gs = np.zeros((B, N))
-    gi = np.zeros((B, N))
-    gr = np.zeros((B, N))
+    g_state = np.zeros((3, B, N))  # the S, I and R adjoints
     for t in range(T - 1, -1, -1):
         i_prev = i_traj[:, :, t - 1] if t > 0 else i0
         gamma_t = gamma[:, :, t]
-        gs_pre = gs * ms[:, :, t]
-        gi_pre = gi * mi[:, :, t]
-        gr_pre = gr * mr[:, :, t]
+        g_state *= kept[t]
+        gs_pre, gi_pre, gr_pre = g_state
         gx = g_cases[:, :, t] + gi_pre - gs_pre
         g_gamma[:, :, t] = i_prev * (gr_pre - gi_pre)
         capped = cap[:, :, t]
@@ -122,9 +120,8 @@ def _rollout_bwd(
         left[t, :, :, 1] = i_prev
         right[t, :, 0, :] = i_prev * inv
         right[t, :, 1, :] = g_pi_scaled
-        gs = gs_pre + np.where(capped, 0.0, gx)
-        gi = gi_next
-        gr = gr_pre
+        gs_pre += np.where(capped, 0.0, gx)
+        gi_pre[...] = gi_next  # the R adjoint carries over as it is
     g_flows = np.moveaxis(left @ right, 0, 3)
     return g_beta, g_gamma, g_flows
 

@@ -142,12 +142,15 @@ def rollout_batch(
 ):
     """Batched, differentiable rollout on the rollout kernels.
 
-    ``beta``/``gamma`` are (B, N, T) and ``flows`` (B, N, N, T); any of the
-    three may be a Tensor, in which case the returned cases are a Tensor
-    whose backward pass runs the fused adjoint kernel.  The start state and
-    population are constants.  Returns ``(cases, aux)`` where ``aux`` holds
-    the (non-differentiable) trajectories and coupling strengths as plain
-    arrays.
+    ``beta``/``gamma`` are (B, N, T) and ``flows`` (B, N, N, T) in any
+    layout; any of the three may be a Tensor, in which case the returned
+    cases are a Tensor whose backward pass runs the fused adjoint kernel.
+    The start state and population are constants.  Returns ``(cases, aux)``
+    where ``aux`` holds the (non-differentiable) trajectories and coupling
+    strengths as plain arrays.  The cases and ``aux`` arrays are (B, N, T)
+    views of the kernel's day-major buffers.  The flow gradient is a view of
+    a buffer the backward kernel made for it alone, so the flows Tensor
+    takes it over without the copy it makes of other views.
     """
     s0 = np.ascontiguousarray(s0, dtype=np.float64)
     i0 = np.ascontiguousarray(i0, dtype=np.float64)
@@ -195,6 +198,6 @@ def rollout_batch(
         if isinstance(gamma, Tensor) and gamma.requires_grad:
             gamma._accumulate(g_gamma)
         if isinstance(flows, Tensor) and flows.requires_grad:
-            flows._accumulate(g_flows)
+            flows._accumulate(g_flows, fresh=True)  # a view of the kernel's own buffer
 
     return make_op(cases, tracked, backward), aux

@@ -153,10 +153,13 @@ def _batch_order(count: int, batch_size: int, rng: np.random.Generator):
 
 def predict_batches(model: ForecastModel, windows: WindowSet, batch_size: int = 32):
     """Each consecutive batch of ``windows`` with its predicted cases, from
-    tape-free forwards that leave the smoothing state alone."""
+    tape-free forwards that leave the smoothing state alone.
+
+    Each batch is a slice of ``windows``: views, not copies, so the mobility
+    windows are read in place from the segment's flows."""
     with model.inference():
         for start in range(0, len(windows), batch_size):
-            batch = windows.batch(np.arange(start, min(start + batch_size, len(windows))))
+            batch = windows.batch(slice(start, start + batch_size))
             yield batch, model.forward(batch, training=False).cases.data
 
 

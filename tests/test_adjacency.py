@@ -6,13 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from epicast import adjacency
+from epicast import adjacency, datasets
 from epicast import autodiff as ad
 from epicast.autodiff import Tensor
 from epicast.domain import DimensionMismatchError
 from epicast.pipeline import ForecastModel
 
-from conftest import initial_group, rng_for, small_model_config
+from conftest import initial_group, rng_for, small_model_config, small_scenario
 
 
 def memory_for(n_regions, tag=200, pattern_count=9, window=7, key_dim=16, embed_dim=16):
@@ -77,6 +77,74 @@ class TestFusedMobilityForecast:
         assert clamped.any() and not clamped.all()
         for fused, reference in zip(*results):
             np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def fused_and_composed(history, transform, upstream):
+        """(flows, transform gradient) of the fused node, then of the
+        composed ``relu(history @ transform)``."""
+        results = []
+        for build in (
+            adjacency.forecast_mobility,
+            lambda history, transform: ad.relu(history @ transform),
+        ):
+            weights = Tensor(transform.copy(), requires_grad=True)
+            out = build(history, weights)
+            out.backward(upstream)
+            results.append((out.data, weights.grad))
+        return results
+
+    def test_zero_flow_gets_no_gradient(self):
+        # a pair whose flows fall on days the non-negative transform does
+        # not read forecasts exactly 0: nothing is clamped there, yet the
+        # entry passes no gradient, as relu's does, although its history
+        # is not zero
+        rng = rng_for(216)
+        history = rng.uniform(0.1, 10.0, size=(2, 3, 3, 5))
+        history[1, 2, 0, 2:] = 0.0
+        transform = rng.uniform(0.1, 1.0, size=(5, 4))
+        transform[:2] = 0.0
+        upstream = rng.standard_normal((2, 3, 3, 4))
+        (flows, grad), (ref_flows, ref_grad) = self.fused_and_composed(
+            history, transform, upstream
+        )
+        assert (flows == 0.0).sum() == 4 and (flows[1, 2, 0] == 0.0).all()
+        np.testing.assert_allclose(flows, ref_flows, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+        # the entry is inert: moving its upstream gradient moves nothing
+        upstream[1, 2, 0] += 100.0
+        _, (_, moved) = self.fused_and_composed(history, transform, upstream)
+        np.testing.assert_allclose(grad, moved, rtol=1e-12, atol=1e-12)
+
+    def test_unclamped_history_matches_composed_reference(self):
+        rng = rng_for(217)
+        history = rng.uniform(0.1, 10.0, size=(2, 3, 3, 5))
+        transform = rng.uniform(0.05, 1.0, size=(5, 4))
+        upstream = rng.standard_normal((2, 3, 3, 4))
+        (flows, grad), (ref_flows, ref_grad) = self.fused_and_composed(
+            history, transform, upstream
+        )
+        assert (flows > 0.0).all()
+        np.testing.assert_allclose(flows, ref_flows, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_regions", [3, 8])
+    def test_panel_window_view_matches_gathered_copy_bitwise(self, n_regions):
+        data = datasets.generate_synthetic(small_scenario(n_regions=n_regions, length=40))
+        windows = datasets.windowize(data, 8, 4)
+        view = windows.batch(slice(2, 7)).mobility
+        gathered = windows.batch(np.arange(2, 7)).mobility
+        assert not view.flags.writeable and gathered.flags.c_contiguous
+        rng = rng_for(218)
+        transform = rng.standard_normal((8, 4))  # clamps part of the horizon
+        upstream = rng.standard_normal(gathered.shape[:-1] + (4,))
+        results = []
+        for history in (view, gathered):
+            weights = Tensor(transform.copy(), requires_grad=True)
+            out = adjacency.forecast_mobility(history, weights)
+            out.backward(upstream)
+            results.append((out.data.tobytes(), weights.grad.tobytes()))
+        assert (out.data == 0.0).any()
+        assert results[0] == results[1]
 
     def test_gradients_match_finite_differences(self):
         rng = rng_for(216)

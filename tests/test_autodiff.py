@@ -436,6 +436,20 @@ class TestGraphEngine:
         np.testing.assert_array_equal(x.grad, upstream[1:, :3] + 1.0)
         np.testing.assert_array_equal(upstream, np.arange(12.0).reshape(3, 4))
 
+    def test_a_fresh_view_is_taken_over_without_a_copy(self):
+        # a backward that made a buffer for one parent alone hands it a view
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        made = np.arange(6.0).reshape(3, 2)
+        view = made.T  # (2, 3), not C-ordered
+
+        def backward(g):
+            x._accumulate(view, fresh=True)
+            x._accumulate(g)
+
+        ad.make_op(np.zeros((2, 3)), (x,), backward).backward()
+        assert x.grad is view  # kept, layout and all, and added into in place
+        np.testing.assert_array_equal(made, np.arange(6.0).reshape(3, 2) + 1.0)
+
 
 class TestParameterTable:
     """``Parameters``: leaves viewing one flat data and one flat grad buffer."""

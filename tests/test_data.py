@@ -838,6 +838,33 @@ class TestWindowize:
         mobility[...] = 0.0
         np.testing.assert_array_equal(windows.mobility[last], copies[0])
 
+    def test_batch_of_a_slice_is_views(self):
+        data = panel(3, 20)
+        windows = windowize(data, 5, 3)
+        batch = windows.batch(slice(2, 6))
+        gathered = windows.batch(np.arange(2, 6))
+        for name in ("observations", "mobility", "susceptible0", "infected0",
+                     "recovered0", "targets"):
+            view, copy = getattr(batch, name), getattr(gathered, name)
+            assert np.shares_memory(view, getattr(windows, name)), name
+            assert view.tobytes() == copy.tobytes(), name
+        assert not batch.mobility.flags.writeable
+        assert np.shares_memory(batch.mobility, data.flows)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.mobility[0, 0, 0, 0] = -1.0
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[0.7, 2.9], np.array([0.0, 2.0]), [True, False], np.ones(4, dtype=bool),
+         [], 3, [[0, 1]], "0"],
+        ids=["float-list", "float-array", "bool-list", "bool-mask", "empty-list",
+             "scalar", "2-d", "string"],
+    )
+    def test_batch_refuses_what_is_not_an_integer_index_array(self, indices):
+        windows = windowize(panel(2, 20), 4, 2)
+        with pytest.raises(TypeError, match="slice or a 1-D integer index array"):
+            windows.batch(indices)
+
     def test_too_short_segment_rejected(self):
         with pytest.raises(DataError, match="too short"):
             windowize(panel(1, 9), t_in=6, t_out=4)

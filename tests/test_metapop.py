@@ -313,6 +313,24 @@ class TestRolloutBatch:
         for c_ordered, strided in zip(*results):
             np.testing.assert_array_equal(strided, c_ordered)
 
+    @on_kernel_set
+    def test_kernels_read_c_ordered_and_day_major_flows_alike(self, kernel_set):
+        # the model hands the kernels day-major flows; a caller may pass C order
+        rng = rng_for(112)
+        s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(rng, n=5, horizon=6)
+        day_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(flows, 3, 0)), 0, 3)
+        g_cases = rng.standard_normal(beta.shape)
+        results = []
+        for layout in (flows, day_major):
+            saved = kernel_set.rollout_fwd(s0, i0, r0, beta, gamma, layout, pop)
+            grads = kernel_set.rollout_bwd(
+                g_cases, s0, i0, r0, beta, gamma, layout, pop, saved[2], *saved[4:]
+            )
+            assert all(a.shape == beta.shape for a in saved)
+            assert grads[2].shape == flows.shape
+            results.append([a.tobytes() for a in (*saved, *grads)])
+        assert results[0] == results[1]
+
     def test_constant_inputs_return_plain_arrays(self):
         rng = rng_for(110)
         s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(rng, batch=1)

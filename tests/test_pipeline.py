@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from epicast import suppression
+from epicast import datasets, suppression
 from epicast.autodiff import Tensor
 from epicast.domain import (
     ConfigRangeError,
@@ -22,7 +22,12 @@ from epicast.pipeline import ForecastModel, ModelConfig
 from epicast.suppression import ThresholdConfig
 from epicast.training import gradient_check, mae_loss
 
-from conftest import assert_leaves_view_the_table, rng_for, small_model_config
+from conftest import (
+    assert_leaves_view_the_table,
+    rng_for,
+    small_model_config,
+    small_scenario,
+)
 
 
 class TestModelConfig:
@@ -180,6 +185,29 @@ class TestForward:
         batch.mobility = batch.mobility[:, :, :, :-1]
         with pytest.raises(DimensionMismatchError, match="mobility"):
             small_model.forward(batch)
+
+    @pytest.mark.parametrize("n_regions", [3, 9])
+    def test_slice_batch_matches_gathered_batch_bitwise(self, n_regions, model_config):
+        # a slice batch reads its mobility in place from the panel's flows
+        data = datasets.generate_synthetic(
+            small_scenario(n_regions=n_regions, length=40)
+        )
+        windows = datasets.windowize(data, model_config.t_in, model_config.t_out)
+        model = ForecastModel(model_config, n_regions=n_regions, seed=11)
+        obs = windows.observations
+        model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+        results = []
+        for indices in (slice(3, 8), np.arange(3, 8)):
+            with model.inference():
+                results.append(model.forward(windows.batch(indices)))
+        view, gathered = results
+        assert not windows.batch(slice(3, 8)).mobility.flags.writeable
+        for name in ("cases", "beta", "gamma", "suppressed_beta", "horizon_flows", "coupling"):
+            got, want = getattr(view, name).data, getattr(gathered, name).data
+            assert got.tobytes() == want.tobytes(), name
+        assert view.strength.tobytes() == gathered.strength.tobytes()
+        for name, trajectory in view.trajectories.items():
+            assert trajectory.tobytes() == gathered.trajectories[name].tobytes(), name
 
     def test_region_count_validation(self, small_model, small_windows):
         batch = small_windows.batch(np.arange(2))

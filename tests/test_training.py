@@ -182,6 +182,20 @@ class TestValidationLoss:
         want = float(np.abs(result.cases.data - val_w.targets).mean())
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_slice_batches_give_the_gathered_batches_loss_bitwise(self):
+        # validation reads its mobility windows in place; the sum it reports
+        # is the one that gathered index-array batches give
+        train_w, val_w, config = build_windows()
+        model = build_model(train_w, config)
+        total, count = 0.0, 0
+        with model.inference():
+            for start in range(0, len(val_w), 3):
+                batch = val_w.batch(np.arange(start, min(start + 3, len(val_w))))
+                cases = model.forward(batch, training=False).cases.data
+                total += float(np.abs(cases - batch.targets).sum())
+                count += batch.targets.size
+        assert validation_loss(model, val_w, batch_size=3) == total / count
+
 
 class TestFit:
     def test_loss_improves_and_history_is_consistent(self):
