@@ -122,7 +122,8 @@ def _cmd_train(args) -> int:
     config = load_config(args.config)
     model_config = model_config_from(config)
     train_config = train_config_from(config)
-    dataset = datasets.load_dataset(args.data)
+    # later forecasts and evaluations read the panel's binary copy
+    dataset = datasets.load_and_copy_dataset(args.data)
     train_split, val_split, _ = datasets.chronological_split(dataset)
     train_windows = datasets.windowize(train_split, model_config.t_in, model_config.t_out)
     val_windows = datasets.windowize(val_split, model_config.t_in, model_config.t_out)

@@ -27,6 +27,17 @@ order (never filling anything in):
 * a non-finite value anywhere, a negative case, S/I/R count or flow, and a
   population that is not positive.
 
+``save_dataset`` (and so ``epicast simulate``) also writes ``panel.npz``, a
+binary copy of the panel: the parse of the CSVs it just wrote, with the
+sha256 of each one's bytes.  ``load_and_copy_dataset`` (and so ``epicast
+train``) writes it for a panel written by hand or by another tool when it
+has to parse one.  ``load_dataset`` (``forecast``, ``evaluate``) returns
+the copy in place of the parse only when it is of the current format, all
+three digests match the files on disk and its arrays pass the loader's
+value rules; any other copy is ignored, and ``load_dataset`` never writes
+one.  So an edited CSV is always parsed and checked again, and a panel
+without a copy is parsed as before.
+
 A ``Dataset`` holds the channels as one (N, L, C) block, ``values``, from
 load to window.  ``windowize`` cuts every window (the forecast's too) as
 contiguous copies of sliding views of it, except the mobility, which stays
@@ -44,11 +55,17 @@ rates and flows.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import os
+import tokenize
 import warnings
+import zipfile
+import zlib
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import date as date_type, timedelta
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +83,7 @@ __all__ = [
     "atomic_write",
     "chronological_split",
     "generate_synthetic",
+    "load_and_copy_dataset",
     "load_dataset",
     "mobility_schedule",
     "save_dataset",
@@ -359,15 +377,58 @@ def _missing(regions: list[str], present: np.ndarray, day: str) -> str:
 
 
 def load_dataset(directory: str | Path) -> Dataset:
-    """Read the three CSV files under ``directory`` into an aligned panel."""
-    directory = Path(directory)
-    population_path = directory / "population.csv"
-    observation_path = directory / "observations.csv"
-    mobility_path = directory / "mobility.csv"
-    for path in (population_path, observation_path, mobility_path):
+    """Read the three CSV files under ``directory`` into an aligned panel.
+
+    When ``directory`` also holds the binary copy ``panel.npz`` (written by
+    ``save_dataset`` and ``load_and_copy_dataset``), and the sha256 of each
+    CSV's bytes matches the digest the copy holds, the panel is read from
+    the copy instead, which equals the parse bit for bit.  Any other copy
+    (stale, corrupt, hand-made, of another format, or one whose arrays
+    break the loader's rules) is ignored, and the CSVs are parsed.  This
+    never writes the copy.
+    """
+    paths = _csv_paths(directory)
+    copy = paths[0].with_name(_COPY_NAME)
+    if copy.is_file():
+        try:
+            return _read_copy(copy, _digests(paths))
+        except _COPY_ERRORS:
+            pass
+    return _parse(*paths)
+
+
+def load_and_copy_dataset(directory: str | Path) -> Dataset:
+    """``load_dataset``, which also writes the binary copy of a panel it
+    has to parse (``epicast train`` loads its panel this way).
+
+    So a panel written by hand or by another tool is read from the copy by
+    every ``forecast`` and ``evaluate`` after training, until one of its
+    CSVs changes.  The copy is a cache: one that cannot be written (a
+    read-only directory, a full disk) is left out without an error, and a
+    panel the parse refuses raises its ``DataError`` as before.
+    """
+    paths = _csv_paths(directory)
+    digests = _digests(paths)
+    try:
+        return _read_copy(paths[0].with_name(_COPY_NAME), digests)
+    except _COPY_ERRORS:
+        pass
+    return _parse_and_copy(paths, digests)
+
+
+def _csv_paths(directory: str | Path) -> list[Path]:
+    paths = [Path(directory) / name for name in _CSV_NAMES]
+    for path in paths:
         if not path.exists():
             raise DataError(f"missing input file: {path}")
+    return paths
 
+
+def _digests(paths: list[Path]) -> list[str]:
+    return [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths]
+
+
+def _parse(population_path: Path, observation_path: Path, mobility_path: Path) -> Dataset:
     regions, population = _read_population(population_path)
     dates, values = _read_observations(observation_path, regions)
     flows = _read_mobility(mobility_path, regions, dates)
@@ -507,6 +568,97 @@ def _read_mobility(path: Path, regions: list[str], dates: list[str]) -> np.ndarr
     return flows.reshape(n, n, length)
 
 
+# ---------------------------------------------------------------- binary copy
+
+
+_CSV_NAMES = ("population.csv", "observations.csv", "mobility.csv")
+_COPY_NAME = "panel.npz"
+# The copy stores the parse, so it is only as current as ``_parse``: bump
+# this whenever ``_parse`` may return another panel for the same bytes, and
+# every copy written before is ignored.
+_COPY_FORMAT = "epicast-panel-1"
+_COPY_MEMBERS = ("format", "values", "flows", "population", "regions", "dates", "sha256")
+# What reading a damaged or hand-made copy may raise; each means "parse".
+# zipfile raises RuntimeError (NotImplementedError among them) for flags and
+# compression methods it does not take, zlib.error for a corrupt compressed
+# member, and numpy's header parser may let tokenize.TokenError through.
+# numpy allocates a member's array from its header before reading any data,
+# so a header that claims a huge shape raises MemoryError.
+_COPY_ERRORS = (
+    OSError, ValueError, KeyError, EOFError, RuntimeError, MemoryError,
+    zipfile.BadZipFile, zlib.error, tokenize.TokenError,
+)
+
+
+def _member(archive, name: str, ndim: int) -> np.ndarray:
+    """The copy's member ``name``: a C-ordered array of ``ndim`` dimensions,
+    of native float64 or, for the format, names and digests, of text."""
+    array = archive[name]  # a member not stored as .npy comes back as bytes
+    text = name in ("format", "regions", "dates", "sha256")
+    if not (
+        isinstance(array, np.ndarray) and array.ndim == ndim and array.flags.c_contiguous
+        and (array.dtype.kind == "U" if text else array.dtype == np.float64)
+    ):
+        raise ValueError(f"{_COPY_NAME}: bad member {name!r}")
+    return array
+
+
+def _read_copy(path: Path, digests: list[str]) -> Dataset:
+    """The panel in the binary copy at ``path`` if it is of this
+    ``_COPY_FORMAT``, was written for CSVs of these ``digests`` and its
+    arrays pass the parse's value rules; else one of ``_COPY_ERRORS`` is
+    raised."""
+    archive = np.load(path, allow_pickle=False)  # an object member raises
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{_COPY_NAME}: not an .npz archive")
+    with archive:
+        if sorted(archive.files) != sorted(_COPY_MEMBERS):
+            raise ValueError(f"{_COPY_NAME}: members {archive.files}")
+        if _member(archive, "format", 0).item() != _COPY_FORMAT:
+            raise ValueError(f"{_COPY_NAME}: of another format")
+        if _member(archive, "sha256", 1).tolist() != digests:
+            raise ValueError(f"{_COPY_NAME}: written for other CSVs")
+        values, flows, population = (
+            _member(archive, name, ndim)
+            for name, ndim in (("values", 3), ("flows", 3), ("population", 1))
+        )
+        regions, dates = (_member(archive, name, 1).tolist() for name in ("regions", "dates"))
+    n, length = len(regions), len(dates)
+    if not (n and length) or (values.shape[:2], flows.shape, population.shape) != (
+        (n, length), (n, n, length), (n,)
+    ) or values.shape[2] < len(CORE_CHANNELS):
+        raise ValueError(f"{_COPY_NAME}: shapes disagree")
+    days = np.datetime64(iso_date(dates[0]), "D") + np.arange(length)
+    if not (
+        np.isfinite(values).all() and (values[..., : len(CORE_CHANNELS)] >= 0.0).all()
+        and ((flows >= 0.0) & (flows < _INF)).all()
+        and ((population > 0.0) & (population < _INF)).all()
+        and len(set(regions)) == n and all(name == name.strip() for name in regions)
+        and days.astype(str).tolist() == dates
+    ):
+        raise ValueError(f"{_COPY_NAME}: arrays break the panel's rules")
+    return Dataset(regions, dates, values, flows, population)
+
+
+def _parse_and_copy(paths: list[Path], digests: list[str]) -> Dataset:
+    """The parse of the CSVs at ``paths``, whose bytes had these
+    ``digests``; the binary copy is written beside them when no file changed
+    while the parse ran.  A copy that cannot be written is left out."""
+    panel = _parse(*paths)
+    if _digests(paths) == digests:
+        try:
+            with atomic_write(paths[0].with_name(_COPY_NAME), binary=True) as handle:
+                np.savez(
+                    handle, format=np.array(_COPY_FORMAT), values=panel.values,
+                    flows=panel.flows, population=panel.population,
+                    regions=np.array(panel.regions), dates=np.array(panel.dates),
+                    sha256=np.array(digests),
+                )
+        except OSError:  # atomic_write has removed its temporary file
+            pass
+    return panel
+
+
 @contextmanager
 def atomic_write(path: str | Path, binary: bool = False):
     """Write ``path`` all at once: yield a handle to a temporary sibling file,
@@ -538,47 +690,92 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def save_dataset(dataset: Dataset, directory: str | Path) -> None:
-    """Write the three CSV files (round-trip exact via 17 significant digits).
+def _quoted(fields) -> list[str]:
+    """Each field as ``csv.writer`` spells it within a row of several."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    spelt = []
+    for field in fields:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([field, ""])  # a lone empty field would be quoted
+        spelt.append(buffer.getvalue()[: -len(",\r\n")])
+    return spelt
 
-    Each goes through ``atomic_write``, and all three temporary files are
-    complete before any is moved into place, so a failure while writing
-    leaves the old panel byte-identical.  A panel file that exists as
-    anything but a regular file is refused (``DataError``) before anything
-    is written.  The three moves are still not one atomic step: a rename
-    that fails after an earlier one succeeded leaves a mixed panel.
+
+def _csv_chunks(dataset: Dataset):
+    """The text of ``population.csv``, ``observations.csv`` and
+    ``mobility.csv``, each in pieces of at most a day, as ``csv.writer``
+    writes it row by row."""
+    names, days = _quoted(dataset.regions), _quoted(dataset.dates)
+    n, length = len(names), len(days)
+    if (dataset.values.shape[:2], dataset.flows.shape, dataset.population.shape) != (
+        (n, length), (n, n, length), (n,)
+    ):
+        raise ValueError("the panel's arrays do not match its regions and dates")
+    extras = (f"extra{k}" for k in range(dataset.values.shape[2] - len(CORE_CHANNELS)))
+    population = ["region,population\r\n" + "".join(
+        f"{name},{_fmt(size)}\r\n" for name, size in zip(names, dataset.population.tolist())
+    )]
+    observations = chain([",".join(["date", "region", *CORE_CHANNELS, *extras]) + "\r\n"], (
+        "".join(
+            f"{day},{name},{','.join(map(_fmt, row))}\r\n"
+            for name, row in zip(names, dataset.values[:, t].tolist())
+        )
+        for t, day in enumerate(days)
+    ))
+    pairs = [f"{origin},{destination}," for origin, destination in product(names, repeat=2)]
+    mobility = chain(["date,origin,destination,flow\r\n"], (
+        "".join(
+            f"{day},{pair}{_fmt(flow)}\r\n"
+            for pair, flow in zip(pairs, dataset.flows[:, :, t].ravel().tolist())
+        )
+        for t, day in enumerate(days)
+    ))
+    return population, observations, mobility
+
+
+def save_dataset(dataset: Dataset, directory: str | Path) -> None:
+    """Write the three CSV files (round-trip exact via 17 significant digits)
+    and their binary copy, ``panel.npz``.
+
+    Each CSV goes through ``atomic_write``, and all three temporary files
+    are complete before any is moved into place, so a failure while writing
+    leaves the old panel byte-identical.  Any old copy is deleted before the
+    moves.  A panel file that exists as anything but a regular file is
+    refused (``DataError``) before anything is written.  The three moves are
+    still not one atomic step: a rename that fails after an earlier one
+    succeeded leaves a mixed panel.
+
+    The copy is the parse of the files just written, with the sha256 of
+    each file's bytes, so ``load_dataset`` can return it in place of the
+    parse while the CSVs stay unchanged.  A panel the parse refuses
+    (``DataError``) gets no copy, and neither does one whose copy cannot be
+    written (``OSError``) or whose CSVs change while they are parsed; the
+    save succeeds all the same.
     """
     directory = Path(directory)
-    names = ("population.csv", "observations.csv", "mobility.csv")
-    for name in names:
+    for name in (*_CSV_NAMES, _COPY_NAME):
         target = directory / name
         if target.exists() and not target.is_file():
             raise DataError(f"{target}: exists and is not a regular file")
     directory.mkdir(parents=True, exist_ok=True)
-    extras = range(dataset.values.shape[2] - len(CORE_CHANNELS))
-    with ExitStack() as files:
-        population, observations, mobility = (
-            csv.writer(files.enter_context(atomic_write(directory / name)))
-            for name in names
-        )
-        population.writerow(["region", "population"])
-        for name, size in zip(dataset.regions, dataset.population):
-            population.writerow([name, _fmt(size)])
-        observations.writerow(
-            ["date", "region", *CORE_CHANNELS, *(f"extra{k}" for k in extras)]
-        )
-        for d_idx, day in enumerate(dataset.dates):
-            for r_idx, name in enumerate(dataset.regions):
-                observations.writerow(
-                    [day, name, *(_fmt(v) for v in dataset.values[r_idx, d_idx])]
-                )
-        mobility.writerow(["date", "origin", "destination", "flow"])
-        for d_idx, day in enumerate(dataset.dates):
-            for o_idx, origin in enumerate(dataset.regions):
-                for t_idx, destination in enumerate(dataset.regions):
-                    mobility.writerow(
-                        [day, origin, destination, _fmt(dataset.flows[o_idx, t_idx, d_idx])]
-                    )
+    paths = [directory / name for name in _CSV_NAMES]
+    digests = []
+    with ExitStack() as moves:
+        for path, chunks in zip(paths, _csv_chunks(dataset)):
+            handle = moves.enter_context(atomic_write(path, binary=True))
+            digest = hashlib.sha256()
+            for chunk in chunks:
+                data = chunk.encode()
+                handle.write(data)
+                digest.update(data)
+            digests.append(digest.hexdigest())
+        (directory / _COPY_NAME).unlink(missing_ok=True)
+    try:
+        _parse_and_copy(paths, digests)
+    except DataError:
+        pass
 
 
 # ------------------------------------------------------------------ splitting

@@ -96,8 +96,10 @@ class TestSimulate:
             ["simulate", "--config", str(workdir["config"]), "--out", str(twin)]
         )
         assert code == EXIT_OK
-        originals = sorted(Path(workdir["data"]).glob("*.csv"))
-        assert originals
+        originals = sorted(Path(workdir["data"]).iterdir())
+        assert [path.name for path in originals] == [
+            "mobility.csv", "observations.csv", "panel.npz", "population.csv"
+        ]
         for original in originals:
             assert (twin / original.name).read_bytes() == original.read_bytes()
 
@@ -185,7 +187,7 @@ class TestSimulate:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert "mobility.csv" in err
         assert sorted(path.name for path in panel.iterdir()) == [
-            "mobility.csv", "observations.csv", "population.csv"
+            "mobility.csv", "observations.csv", "panel.npz", "population.csv"
         ]
         assert {name: (panel / name).read_bytes() for name in before} == before
         assert not any((panel / "mobility.csv").iterdir())
@@ -206,7 +208,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"data error: {panel / name}: exists and is not a regular file\n"
         assert sorted(path.name for path in panel.iterdir()) == [
-            "mobility.csv", "observations.csv", "population.csv"
+            "mobility.csv", "observations.csv", "panel.npz", "population.csv"
         ]
         assert {path.name: path.read_bytes() for path in panel.iterdir() if path.is_file()} == before
 
@@ -245,6 +247,31 @@ class TestTrain:
             ]
         )
         assert "epoch" in capsys.readouterr().out
+
+    def test_a_panel_without_a_copy_gets_one_and_serves_the_same_bytes(
+        self, workdir, tmp_path
+    ):
+        # the simulated CSVs alone, as another tool would leave a panel
+        data, bare = tmp_path / "data", tmp_path / "csv-only"
+        for target in (data, bare):
+            shutil.copytree(workdir["data"], target, ignore=shutil.ignore_patterns("*.npz"))
+        ckpt = tmp_path / "m.ckpt"
+        code = main(
+            ["train", "--config", str(workdir["config"]), "--data", str(data),
+             "--out", str(ckpt), "--quiet"]
+        )
+        assert code == EXIT_OK
+        # the parse of the same CSVs gives the copy simulate wrote
+        assert (data / "panel.npz").read_bytes() == (workdir["data"] / "panel.npz").read_bytes()
+        outputs = []
+        for panel in (data, bare):
+            out, report = tmp_path / f"{panel.name}.csv", tmp_path / f"{panel.name}-report.csv"
+            common = ["--data", str(panel), "--checkpoint", str(ckpt)]
+            assert main(["forecast", *common, "--out", str(out)]) == EXIT_OK
+            assert main(["evaluate", *common, "--out", str(report)]) == EXIT_OK
+            outputs.append((out.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert not (bare / "panel.npz").exists()
 
     def test_missing_dataset_is_data_error(self, workdir, tmp_path, capsys):
         code = main(
@@ -440,10 +467,19 @@ class TestForecast:
     def test_columns_are_pinned_and_match_the_forward(self, workdir, tmp_path):
         from epicast import datasets, training
 
+        # the same bytes from the panel's binary copy and from its CSVs alone
+        bare = tmp_path / "csv-only"
+        shutil.copytree(workdir["data"], bare, ignore=shutil.ignore_patterns("*.npz"))
+        assert (workdir["data"] / "panel.npz").is_file()
         out, report = tmp_path / "forecast.csv", tmp_path / "report.csv"
-        common = ["--data", str(workdir["data"]), "--checkpoint", str(workdir["ckpt"])]
-        assert main(["forecast", *common, "--out", str(out)]) == EXIT_OK
-        assert main(["evaluate", *common, "--out", str(report)]) == EXIT_OK
+        outputs = []
+        for data in (bare, workdir["data"]):
+            common = ["--data", str(data), "--checkpoint", str(workdir["ckpt"])]
+            assert main(["forecast", *common, "--out", str(out)]) == EXIT_OK
+            assert main(["evaluate", *common, "--out", str(report)]) == EXIT_OK
+            outputs.append((out.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert not (bare / "panel.npz").exists()  # forecast and evaluate write no copy
         with out.open(newline="", encoding="utf-8") as handle:
             header, *rows = list(csv.reader(handle))
         assert header == [

@@ -4,10 +4,13 @@ chronological splitting, window slicing, and the seeded synthetic generator."""
 from __future__ import annotations
 
 import csv
+import io
 import re
 import tempfile
+import zipfile
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from epicast import metapop
+from epicast import datasets as datasets_module, metapop
 from epicast.domain import ConfigRangeError
 from epicast.datasets import (
     CORE_CHANNELS,
@@ -25,6 +28,7 @@ from epicast.datasets import (
     atomic_write,
     chronological_split,
     generate_synthetic,
+    load_and_copy_dataset,
     load_dataset,
     mobility_schedule,
     save_dataset,
@@ -88,7 +92,9 @@ class TestAtomicWrite:
         assert ".tmp" not in str(caught.value)
         assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
-    @pytest.mark.parametrize("name", ["population.csv", "observations.csv", "mobility.csv"])
+    @pytest.mark.parametrize(
+        "name", ["population.csv", "observations.csv", "mobility.csv", "panel.npz"]
+    )
     def test_panel_file_that_is_not_a_file_is_refused_before_any_write(self, tmp_path, name):
         save_dataset(panel(2, 3), tmp_path)
         (tmp_path / name).unlink()
@@ -97,7 +103,7 @@ class TestAtomicWrite:
         with pytest.raises(DataError, match=rf"{re.escape(name)}: exists and is not a regular file"):
             save_dataset(panel(2, 4, seed=601), tmp_path)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
-            ["population.csv", "observations.csv", "mobility.csv"]
+            ["population.csv", "observations.csv", "mobility.csv", "panel.npz"]
         )
         after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
         assert after == before
@@ -723,6 +729,432 @@ class TestCsvFuzz:
             kind,
             str(raised.value),
         )
+
+
+# names csv must quote, that carry blanks the parse strips, and non-ASCII
+ODD_NAMES = ["Smith, Jones", 'The "Hub"', "two\nlines", "  padded ", "Zürich", "東京"]
+
+
+def reference_texts(dataset) -> dict[str, bytes]:
+    """The three files as a row-by-row ``csv.writer`` writes them."""
+    files = {}
+    for name, header, rows in (
+        ("population.csv", ["region", "population"],
+         ([r, p] for r, p in zip(dataset.regions, dataset.population))),
+        ("observations.csv",
+         ["date", "region", *CORE_CHANNELS,
+          *(f"extra{k}" for k in range(dataset.values.shape[2] - 4))],
+         ([d, r, *dataset.values[i, t]]
+          for t, d in enumerate(dataset.dates) for i, r in enumerate(dataset.regions))),
+        ("mobility.csv", ["date", "origin", "destination", "flow"],
+         ([d, o, e, dataset.flows[i, j, t]]
+          for t, d in enumerate(dataset.dates)
+          for i, o in enumerate(dataset.regions) for j, e in enumerate(dataset.regions))),
+    ):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else format(float(v), ".17g") for v in row])
+        files[name] = buffer.getvalue().encode()
+    return files
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize(
+        "names", [ODD_NAMES, ["Smith, Jones", "two\r\nlines", "", "r"]], ids=["odd", "empty"]
+    )
+    def test_bytes_match_a_row_by_row_csv_writer(self, tmp_path, names):
+        original = panel(len(names), 3, extras=2)
+        original.regions = list(names)
+        original.dates = ["2021-03-01", " 2021-03-02", 'a,"b"']
+        original.values[0, 0, :] = [-0.0, np.nan, np.inf, 1e300, -1e-300, -0.0]
+        original.flows[1, 2, 0] = -0.0
+        save_dataset(original, tmp_path)
+        for name, expected in reference_texts(original).items():
+            assert (tmp_path / name).read_bytes() == expected, name
+
+    def test_arrays_that_disagree_with_the_names_are_refused(self, tmp_path):
+        original = panel(3, 4)
+        original.regions = original.regions[:2]
+        with pytest.raises(ValueError):
+            save_dataset(original, tmp_path)
+        assert not any(tmp_path.iterdir())
+
+
+def assert_same_panel(got, want):
+    """Bitwise equal, with equal dtypes and C-ordered arrays."""
+    assert got.regions == want.regions and got.dates == want.dates
+    assert all(type(text) is str for text in got.regions + got.dates)
+    for field in ("values", "flows", "population"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype == np.float64, field
+        assert a.flags.c_contiguous and a.flags.writeable, field
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+def parsed(directory: Path):
+    """The panel the CSVs under ``directory`` parse to, copy or not."""
+    with tempfile.TemporaryDirectory() as bare:
+        for name in ("population.csv", "observations.csv", "mobility.csv"):
+            (Path(bare) / name).write_bytes((directory / name).read_bytes())
+        return load_dataset(bare)
+
+
+def rewrite_copy(directory: Path, **members) -> None:
+    """Write ``panel.npz`` again with ``members`` replaced (None drops one)."""
+    path = directory / "panel.npz"
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays.update(members)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+
+
+UNPICKLED = []
+
+
+def unpickled() -> None:
+    UNPICKLED.append(True)
+
+
+class Tripwire:
+    """Records being unpickled."""
+
+    def __reduce__(self):
+        return unpickled, ()
+
+
+def load_noting_parses(directory: Path):
+    """``load_dataset(directory)``, and whether it parsed a CSV."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        return load_dataset(directory), loadtxt.called
+
+
+class TestBinaryCopy:
+    """``panel.npz``: written by ``save_dataset`` as the parse of its CSVs,
+    read by ``load_dataset`` only while the CSVs' digests match."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(fuzz_panels(), st.integers(0, len(ODD_NAMES)))
+    def test_copy_loads_bitwise_equal_to_the_parse(self, case, odd):
+        original, rnd = case
+        # some names odd, blanks the parse strips among them
+        original.regions = [
+            ODD_NAMES[(k + odd) % len(ODD_NAMES)] if k < odd else name
+            for k, name in enumerate(original.regions)
+        ]
+        original.values[rnd.randrange(original.n_regions), 0, 0] = -0.0
+        original.flows[0, 0, rnd.randrange(original.n_days)] = -0.0
+        with tempfile.TemporaryDirectory() as directory:
+            directory = Path(directory)
+            save_dataset(original, directory)
+            with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+                from_copy = load_dataset(directory)
+            (directory / "panel.npz").unlink()
+            from_csv = load_dataset(directory)
+        assert_same_panel(from_copy, from_csv)
+        assert [name.strip() for name in original.regions] == from_copy.regions
+        assert np.signbit(from_copy.flows).any()
+
+    def test_a_matching_copy_is_read_without_parsing(self, tmp_path):
+        original = panel(len(ODD_NAMES), 5, extras=1)
+        original.regions = list(ODD_NAMES)
+        save_dataset(original, tmp_path)
+        expected = parsed(tmp_path)
+        assert "padded" in expected.regions  # as the parse strips it
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+            assert_same_panel(load_dataset(tmp_path), expected)
+
+    @pytest.mark.parametrize(
+        "name,line,value,field,where",
+        [
+            ("population.csv", 2, b"4321", "population", (0,)),
+            ("observations.csv", 2, b"7", "values", (0, 0, 3)),
+            ("mobility.csv", 2, b"5", "flows", (0, 0, 0)),
+        ],
+    )
+    def test_an_edited_csv_is_parsed_again(self, tmp_path, name, line, value, field, where):
+        save_dataset(panel(2, 3), tmp_path)
+        edit_line(tmp_path / name, line, with_value(value))
+        loaded, parsed_csv = load_noting_parses(tmp_path)
+        assert parsed_csv
+        assert getattr(loaded, field)[where] == float(value)
+        assert_same_panel(loaded, parsed(tmp_path))
+
+    def test_an_edit_that_breaks_a_rule_still_names_file_and_line(self, tmp_path):
+        save_dataset(panel(2, 3), tmp_path)
+        edit_line(tmp_path / "mobility.csv", 4, with_value(b"-1"))
+        with pytest.raises(DataError, match=r"^mobility\.csv:4: flow must be >= 0"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated", "empty", "not a zip", "an .npy", "directory", "compressed and corrupt",
+            "wrong digest", "digests of other files", "missing member", "extra member",
+            "member not stored as .npy", "another format", "no format (an older copy)",
+            "digests claiming a huge shape", "values claiming a huge shape",
+            "float32 values", "big-endian flows", "Fortran-ordered values",
+            "names as bytes", "dates as floats",
+            "a day short", "a region short", "flows transposed", "population 2-d", "3 channels",
+            "negative case", "infinite extra", "nan flow", "zero population",
+            "repeated name", "unstripped name", "a calendar gap", "a bad date",
+        ],
+    )
+    def test_a_damaged_or_hand_made_copy_is_ignored(self, tmp_path, damage):
+        original = panel(2, 3, extras=1)
+        save_dataset(original, tmp_path)
+        copy = tmp_path / "panel.npz"
+        with np.load(copy) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        values, flows, population = arrays["values"], arrays["flows"], arrays["population"]
+        if damage == "truncated":
+            copy.write_bytes(copy.read_bytes()[: copy.stat().st_size // 2])
+        elif damage == "empty":
+            copy.write_bytes(b"")
+        elif damage == "not a zip":
+            copy.write_bytes(b"region,population\r\n")
+        elif damage == "an .npy":
+            with copy.open("wb") as handle:
+                np.save(handle, values)
+        elif damage == "directory":
+            copy.unlink()
+            copy.mkdir()
+        elif damage == "compressed and corrupt":
+            np.savez_compressed(copy, **arrays)
+            data = bytearray(copy.read_bytes())
+            start = data.index(b"values.npy") + len(b"values.npy") + 40
+            data[start : start + 8] = b"\xff" * 8
+            copy.write_bytes(bytes(data))
+        elif damage == "wrong digest":
+            digests = arrays["sha256"].tolist()
+            digests[1] = digests[1][::-1]
+            rewrite_copy(tmp_path, sha256=np.array(digests))
+        elif damage == "digests of other files":
+            save_dataset(panel(2, 3, extras=1, seed=601), tmp_path / "other")
+            with np.load(tmp_path / "other" / "panel.npz") as archive:
+                rewrite_copy(tmp_path, sha256=archive["sha256"])
+        elif damage == "missing member":
+            rewrite_copy(tmp_path, regions=None)
+        elif damage == "extra member":
+            rewrite_copy(tmp_path, notes=np.zeros(1))
+        elif damage == "member not stored as .npy":
+            rewrite_copy(tmp_path, values=None)
+            with zipfile.ZipFile(copy, "a") as archive:
+                archive.writestr("values", values.tobytes())
+        elif damage == "another format":
+            rewrite_copy(tmp_path, format=np.array("epicast-panel-0"))
+        elif damage == "no format (an older copy)":
+            rewrite_copy(tmp_path, format=None)
+        elif damage.endswith("claiming a huge shape"):
+            # numpy allocates the array its header claims before reading it
+            member = "sha256" if damage.startswith("digests") else "values"
+            rewrite_copy(tmp_path, **{member: None})
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, {"descr": arrays[member].dtype.str, "fortran_order": False,
+                         "shape": (10**13,)},
+            )
+            with zipfile.ZipFile(copy, "a") as archive:
+                archive.writestr(f"{member}.npy", header.getvalue())
+        elif damage == "float32 values":
+            rewrite_copy(tmp_path, values=values.astype(np.float32))
+        elif damage == "big-endian flows":
+            rewrite_copy(tmp_path, flows=flows.astype(">f8"))
+        elif damage == "Fortran-ordered values":
+            rewrite_copy(tmp_path, values=np.asfortranarray(values))
+        elif damage == "names as bytes":
+            rewrite_copy(tmp_path, regions=arrays["regions"].astype("S"))
+        elif damage == "dates as floats":
+            rewrite_copy(tmp_path, dates=np.arange(3.0))
+        elif damage == "a day short":
+            rewrite_copy(tmp_path, values=values[:, :2].copy())
+        elif damage == "a region short":
+            rewrite_copy(tmp_path, population=population[:1].copy())
+        elif damage == "flows transposed":
+            rewrite_copy(tmp_path, flows=flows.transpose(2, 0, 1).copy())
+        elif damage == "population 2-d":
+            rewrite_copy(tmp_path, population=population[None].copy())
+        elif damage == "3 channels":
+            rewrite_copy(tmp_path, values=values[..., :3].copy())
+        elif damage == "negative case":
+            values[1, 2, 0] = -1.0
+            rewrite_copy(tmp_path, values=values)
+        elif damage == "infinite extra":
+            values[0, 1, 4] = np.inf
+            rewrite_copy(tmp_path, values=values)
+        elif damage == "nan flow":
+            flows[0, 1, 1] = np.nan
+            rewrite_copy(tmp_path, flows=flows)
+        elif damage == "zero population":
+            population[0] = 0.0
+            rewrite_copy(tmp_path, population=population)
+        elif damage == "repeated name":
+            rewrite_copy(tmp_path, regions=np.array(["r0", "r0"]))
+        elif damage == "unstripped name":
+            rewrite_copy(tmp_path, regions=np.array(["r0", " r1"]))
+        elif damage == "a calendar gap":
+            rewrite_copy(tmp_path, dates=np.array(["2021-03-01", "2021-03-02", "2021-03-04"]))
+        elif damage == "a bad date":
+            rewrite_copy(tmp_path, dates=np.array(["2021-02-29", "2021-03-01", "2021-03-02"]))
+        else:
+            raise AssertionError(damage)
+        loaded, parsed_csv = load_noting_parses(tmp_path)
+        assert parsed_csv, "the damaged copy was read"
+        assert_same_panel(loaded, original)
+
+    def test_an_object_member_is_refused_without_unpickling(self, tmp_path):
+        original = panel(2, 3)
+        save_dataset(original, tmp_path)
+        rewrite_copy(tmp_path, regions=np.array([Tripwire(), Tripwire()], dtype=object))
+        UNPICKLED.clear()
+        loaded, parsed_csv = load_noting_parses(tmp_path)
+        assert_same_panel(loaded, original)
+        assert parsed_csv and not UNPICKLED
+
+    def test_single_byte_damage_falls_back_or_reads_the_same(self, tmp_path):
+        original = panel(1, 1)
+        save_dataset(original, tmp_path)
+        copy = tmp_path / "panel.npz"
+        good = copy.read_bytes()
+        for at in range(0, len(good), 3):  # every third byte, headers and data alike
+            damaged = bytearray(good)
+            damaged[at] ^= 0xFF
+            copy.write_bytes(bytes(damaged))
+            assert_same_panel(load_dataset(tmp_path), original)
+
+    @pytest.mark.parametrize("name", ["population.csv", "observations.csv", "mobility.csv"])
+    def test_a_missing_csv_is_still_a_missing_input_file(self, tmp_path, name):
+        save_dataset(panel(2, 3), tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(DataError, match=rf"missing input file: .*{re.escape(name)}$"):
+            load_dataset(tmp_path)
+
+    def test_a_panel_the_parse_refuses_gets_no_copy(self, tmp_path):
+        save_dataset(panel(2, 3), tmp_path)
+        bad = panel(2, 3, seed=601)
+        bad.values[1, 1, 2] = -5.0
+        save_dataset(bad, tmp_path)  # raises nothing, as a save never has
+        assert not (tmp_path / "panel.npz").exists()
+        with pytest.raises(DataError, match=r"^observations\.csv:5: column 'infected'"):
+            load_dataset(tmp_path)
+
+    def test_a_save_that_fails_keeps_the_old_copy(self, tmp_path):
+        save_dataset(panel(2, 3), tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        flows = panel(2, 3, seed=601)
+        flows.flows = flows.flows[:, :, :2]  # one day short: refused while writing
+        with pytest.raises(ValueError):
+            save_dataset(flows, tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_a_hand_written_panel_has_no_copy_and_parses(self, tmp_path):
+        original = panel(2, 3)
+        for name, text in reference_texts(original).items():
+            (tmp_path / name).write_bytes(text)
+        loaded, parsed_csv = load_noting_parses(tmp_path)
+        assert_same_panel(loaded, original)
+        assert parsed_csv and not (tmp_path / "panel.npz").exists()
+
+    @pytest.mark.parametrize("old_copy", [False, True])
+    def test_a_copy_that_cannot_be_written_leaves_the_save_whole(self, tmp_path, old_copy):
+        if old_copy:
+            save_dataset(panel(2, 3, seed=601), tmp_path)
+        original = panel(2, 3, extras=1)
+        full = OSError(28, "No space left on device")
+        with mock.patch.object(np, "savez", side_effect=full):
+            save_dataset(original, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "mobility.csv", "observations.csv", "population.csv"
+        ]
+        assert {name: (tmp_path / name).read_bytes() for name in reference_texts(original)} \
+            == reference_texts(original)
+        assert_same_panel(load_dataset(tmp_path), original)
+
+
+def hand_written(directory: Path, dataset) -> None:
+    for name, text in reference_texts(dataset).items():
+        (directory / name).write_bytes(text)
+
+
+class TestTrainingLoad:
+    """``load_and_copy_dataset`` (``epicast train``): ``load_dataset`` that
+    writes the copy of a panel it has to parse."""
+
+    def test_a_hand_written_panel_gets_its_copy(self, tmp_path):
+        original = panel(len(ODD_NAMES), 4, extras=1)
+        original.regions = list(ODD_NAMES)
+        hand_written(tmp_path, original)
+        expected = parsed(tmp_path)
+        assert_same_panel(load_and_copy_dataset(tmp_path), expected)
+        assert (tmp_path / "panel.npz").is_file()
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+            assert_same_panel(load_dataset(tmp_path), expected)
+            assert_same_panel(load_and_copy_dataset(tmp_path), expected)
+
+    def test_a_matching_copy_is_read_and_kept(self, tmp_path):
+        save_dataset(panel(2, 3), tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        expected = parsed(tmp_path)
+        with mock.patch.object(np, "savez", side_effect=AssertionError("written")), \
+                mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+            assert_same_panel(load_and_copy_dataset(tmp_path), expected)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_a_stale_copy_is_written_again(self, tmp_path):
+        save_dataset(panel(2, 3), tmp_path)
+        edit_line(tmp_path / "mobility.csv", 2, with_value(b"5"))
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            loaded = load_and_copy_dataset(tmp_path)
+        assert loadtxt.called and loaded.flows[0, 0, 0] == 5.0
+        loaded, parsed_csv = load_noting_parses(tmp_path)
+        assert not parsed_csv
+        assert_same_panel(loaded, parsed(tmp_path))
+
+    def test_a_csv_that_changes_during_the_parse_gets_no_copy(self, tmp_path, monkeypatch):
+        original = panel(2, 3)
+        hand_written(tmp_path, original)
+        parse = datasets_module._parse
+
+        def parse_then_edit(*paths):
+            panel_parsed = parse(*paths)
+            edit_line(tmp_path / "observations.csv", 2, with_value(b"7"))
+            return panel_parsed
+
+        monkeypatch.setattr(datasets_module, "_parse", parse_then_edit)
+        assert_same_panel(load_and_copy_dataset(tmp_path), original)
+        assert not (tmp_path / "panel.npz").exists()
+
+    @pytest.mark.parametrize("obstacle", ["a directory", "a full disk"])
+    def test_a_copy_that_cannot_be_written_is_left_out(self, tmp_path, obstacle):
+        original = panel(2, 3)
+        hand_written(tmp_path, original)
+        if obstacle == "a directory":
+            (tmp_path / "panel.npz").mkdir()
+            loaded = load_and_copy_dataset(tmp_path)
+        else:
+            full = OSError(28, "No space left on device")
+            with mock.patch.object(np, "savez", side_effect=full):
+                loaded = load_and_copy_dataset(tmp_path)
+        assert_same_panel(loaded, original)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["mobility.csv", "observations.csv", "population.csv"]
+            + (["panel.npz"] if obstacle == "a directory" else [])
+        )
+
+    def test_a_refused_panel_still_raises_and_gets_no_copy(self, tmp_path):
+        hand_written(tmp_path, panel(2, 3))
+        edit_line(tmp_path / "mobility.csv", 4, with_value(b"-1"))
+        with pytest.raises(DataError, match=r"^mobility\.csv:4: flow must be >= 0"):
+            load_and_copy_dataset(tmp_path)
+        assert not (tmp_path / "panel.npz").exists()
+
+    @pytest.mark.parametrize("name", ["population.csv", "observations.csv", "mobility.csv"])
+    def test_a_missing_csv_is_still_a_missing_input_file(self, tmp_path, name):
+        save_dataset(panel(2, 3), tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(DataError, match=rf"missing input file: .*{re.escape(name)}$"):
+            load_and_copy_dataset(tmp_path)
 
 
 class TestChronologicalSplit:
