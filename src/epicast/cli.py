@@ -12,6 +12,7 @@ import functools
 import math
 import sys
 from datetime import date as date_type, timedelta
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +213,7 @@ def _cmd_forecast(args) -> int:
             [(base_date + timedelta(days=lead)).isoformat() for lead in leads], dtype=object
         ),
         "lead_day": np.array(leads),
-        "region": np.array(dataset.regions, dtype=object)[:, None],
+        "region": np.array(datasets._quoted(dataset.regions), dtype=object)[:, None],
         "cases_pred": result.cases.data[0],
         "beta": beta,
         "beta_suppressed": suppressed,
@@ -230,16 +231,18 @@ def _cmd_forecast(args) -> int:
                 f"forecast from {dataset.dates[end_index]}: column {name!r} "
                 f"holds a non-finite value; nothing was written"
             )
+    # csv.writer's bytes in one pass: names are spelt as it quotes them,
+    # dates and numbers never need quoting
     shape = (dataset.n_regions, model.config.t_out)
     cells = [np.broadcast_to(values, shape).T.ravel().tolist() for values in columns.values()]
+    row = ",".join("%s" if v.dtype == object else "%.10g" for v in columns.values()) + "\r\n"
+    text = ",".join(columns) + "\r\n" + row * len(cells[0]) % tuple(
+        chain.from_iterable(zip(*cells))
+    )
 
     out = Path(args.out)
     with datasets.atomic_write(out) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(
-            [v if isinstance(v, str) else format(v, ".10g") for v in row] for row in zip(*cells)
-        )
+        handle.write(text)
     suppressed_count = int(result.flags.sum())
     print(
         f"forecast from {dataset.dates[end_index]} for {model.config.t_out} days "

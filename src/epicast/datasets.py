@@ -27,16 +27,21 @@ order (never filling anything in):
 * a non-finite value anywhere, a negative case, S/I/R count or flow, and a
   population that is not positive.
 
-``save_dataset`` (and so ``epicast simulate``) also writes ``panel.npz``, a
+``save_dataset`` (and so ``epicast simulate``) also writes ``panel.bin``, a
 binary copy of the panel: the parse of the CSVs it just wrote, with the
 sha256 of each one's bytes.  ``load_and_copy_dataset`` (and so ``epicast
 train``) writes it for a panel written by hand or by another tool when it
 has to parse one.  ``load_dataset`` (``forecast``, ``evaluate``) returns
 the copy in place of the parse only when it is of the current format, all
-three digests match the files on disk and its arrays pass the loader's
-value rules; any other copy is ignored, and ``load_dataset`` never writes
-one.  So an edited CSV is always parsed and checked again, and a panel
-without a copy is parsed as before.
+three digests match the files on disk, the crc32 of its manifest and body
+matches and its arrays pass the loader's value rules; any other copy is
+ignored, and ``load_dataset`` never writes one.  So an edited CSV is always parsed and
+checked again, and a panel without a copy is parsed as before.
+
+The copy is one binary frame, the container checkpoints use too
+(``write_frame``, ``read_frame``): an 8-byte magic, the manifest's length
+as a little-endian uint32, the manifest as UTF-8 JSON with sorted keys,
+then the body, raw little-endian float64 values.
 
 A ``Dataset`` holds the channels as one (N, L, C) block, ``values``, from
 load to window.  ``windowize`` cuts every window (the forecast's too) as
@@ -57,10 +62,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import os
-import tokenize
 import warnings
-import zipfile
 import zlib
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -86,9 +90,11 @@ __all__ = [
     "load_and_copy_dataset",
     "load_dataset",
     "mobility_schedule",
+    "read_frame",
     "save_dataset",
     "true_parameter_series",
     "windowize",
+    "write_frame",
 ]
 
 
@@ -379,10 +385,11 @@ def _missing(regions: list[str], present: np.ndarray, day: str) -> str:
 def load_dataset(directory: str | Path) -> Dataset:
     """Read the three CSV files under ``directory`` into an aligned panel.
 
-    When ``directory`` also holds the binary copy ``panel.npz`` (written by
+    When ``directory`` also holds the binary copy ``panel.bin`` (written by
     ``save_dataset`` and ``load_and_copy_dataset``), and the sha256 of each
     CSV's bytes matches the digest the copy holds, the panel is read from
-    the copy instead, which equals the parse bit for bit.  Any other copy
+    the copy instead, which equals the parse bit for bit; its arrays are
+    views of the one buffer the file was read into.  Any other copy
     (stale, corrupt, hand-made, of another format, or one whose arrays
     break the loader's rules) is ignored, and the CSVs are parsed.  This
     never writes the copy.
@@ -425,7 +432,17 @@ def _csv_paths(directory: str | Path) -> list[Path]:
 
 
 def _digests(paths: list[Path]) -> list[str]:
-    return [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths]
+    """The sha256 of each file's bytes, read in blocks of at most
+    ``_HASH_BLOCK`` bytes into one buffer, so no file is held whole."""
+    block = memoryview(np.empty(_HASH_BLOCK, np.uint8))  # pages are touched only as read
+    digests = []
+    for path in paths:
+        digest = hashlib.sha256()
+        with path.open("rb", buffering=0) as handle:
+            while count := handle.readinto(block):
+                digest.update(block[:count])
+        digests.append(digest.hexdigest())
+    return digests
 
 
 def _parse(population_path: Path, observation_path: Path, mobility_path: Path) -> Dataset:
@@ -572,62 +589,127 @@ def _read_mobility(path: Path, regions: list[str], dates: list[str]) -> np.ndarr
 
 
 _CSV_NAMES = ("population.csv", "observations.csv", "mobility.csv")
-_COPY_NAME = "panel.npz"
+_HASH_BLOCK = 1 << 20  # the bytes of a CSV hashed at a time
+_COPY_NAME = "panel.bin"
+_COPY_MAGIC = b"EPPANEL\x00"
 # The copy stores the parse, so it is only as current as ``_parse``: bump
 # this whenever ``_parse`` may return another panel for the same bytes, and
 # every copy written before is ignored.
-_COPY_FORMAT = "epicast-panel-1"
-_COPY_MEMBERS = ("format", "values", "flows", "population", "regions", "dates", "sha256")
+_COPY_FORMAT = "epicast-panel-2"
+# The copy's manifest keys and the JSON type of each (``require_keys``).
+# Its body is ``values``, ``flows`` and ``population``.
+_COPY_KEYS = {
+    "format": str, "regions": [str], "dates": [str], "sha256": [str], "shape": [int],
+    "crc32": int,
+}
 # What reading a damaged or hand-made copy may raise; each means "parse".
-# zipfile raises RuntimeError (NotImplementedError among them) for flags and
-# compression methods it does not take, zlib.error for a corrupt compressed
-# member, and numpy's header parser may let tokenize.TokenError through.
-# numpy allocates a member's array from its header before reading any data,
-# so a header that claims a huge shape raises MemoryError.
-_COPY_ERRORS = (
-    OSError, ValueError, KeyError, EOFError, RuntimeError, MemoryError,
-    zipfile.BadZipFile, zlib.error, tokenize.TokenError,
-)
+_COPY_ERRORS = (OSError, ValueError)
 
 
-def _member(archive, name: str, ndim: int) -> np.ndarray:
-    """The copy's member ``name``: a C-ordered array of ``ndim`` dimensions,
-    of native float64 or, for the format, names and digests, of text."""
-    array = archive[name]  # a member not stored as .npy comes back as bytes
-    text = name in ("format", "regions", "dates", "sha256")
-    if not (
-        isinstance(array, np.ndarray) and array.ndim == ndim and array.flags.c_contiguous
-        and (array.dtype.kind == "U" if text else array.dtype == np.float64)
-    ):
-        raise ValueError(f"{_COPY_NAME}: bad member {name!r}")
-    return array
+def frame_crc(manifest: dict, body) -> int:
+    """The zlib crc32 of a frame's contents: of ``manifest`` (string keys
+    only, its crc key left out) as UTF-8 JSON with sorted keys, then of each
+    part of ``body`` in turn.  It covers the manifest too, so a flipped bit
+    in a name or a shape is caught like one in a value."""
+    crc = zlib.crc32(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+    for part in body:
+        crc = zlib.crc32(part, crc)
+    return crc
+
+
+def write_frame(path: str | Path, magic: bytes, manifest: dict, arrays, crc_key: str) -> None:
+    """Write ``path`` through ``atomic_write`` as one frame: the 8-byte
+    ``magic``, the manifest's length as a little-endian uint32, ``manifest``
+    as UTF-8 JSON with sorted keys, then the body, each of ``arrays`` in
+    turn as raw little-endian float64 values in C order.  The manifest
+    written also holds the frame's ``frame_crc`` under ``crc_key``."""
+    body = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
+    crc = frame_crc(manifest, body)
+    encoded = json.dumps({**manifest, crc_key: crc}, sort_keys=True).encode("utf-8")
+    with atomic_write(path, binary=True) as handle:
+        handle.write(magic + len(encoded).to_bytes(4, "little") + encoded)
+        for part in body:
+            handle.write(part)
+
+
+def read_frame(path: str | Path, magic: bytes, what: str) -> tuple[dict, memoryview]:
+    """The manifest and the body of the frame at ``path`` (``write_frame``).
+
+    The file is read into one writable buffer, and the body is a view of
+    it, unchecked.  A file of another ``magic``, or whose manifest runs past
+    its end or is not a UTF-8 JSON object, raises a ``ValueError`` that
+    names ``path`` and ``what`` it was read as.
+    """
+    with open(path, "rb") as handle:
+        buffer = bytearray(os.fstat(handle.fileno()).st_size)
+        view = memoryview(buffer)[: handle.readinto(buffer)]
+    if view[: len(magic)] != magic:
+        raise ValueError(f"{path}: not a recognized {what} (bad magic or version)")
+    start = len(magic) + 4
+    end = start + int.from_bytes(view[len(magic) : start], "little")
+    try:
+        if end > len(view):
+            raise ValueError(f"it would end at byte {end} of {len(view)}")
+        manifest = json.loads(str(view[start:end], "utf-8"))
+    # a UnicodeDecodeError or a JSONDecodeError is a ValueError; JSON nested
+    # past the interpreter's recursion limit raises a RecursionError
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"{path}: {what} manifest is not UTF-8 JSON ({err})") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: {what} manifest is not a JSON object")
+    return manifest, view[end:]
+
+
+def require_keys(mapping, keys: dict, where: str, path) -> None:
+    """Refuse, with a ``ValueError`` naming ``path`` and ``where`` in it,
+    a ``mapping`` read from JSON that is not an object, lacks one of
+    ``keys`` or holds one whose value is not of its JSON type: a Python
+    type, or ``[t]`` for a list of ``t``.  A bool is never a number."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{path}: {where} is not a JSON object")
+    for key, kind in keys.items():
+        if key not in mapping:
+            raise ValueError(f"{path}: {where} lacks key {key!r}")
+        value = mapping[key]
+        outer, inner = (list, kind[0]) if isinstance(kind, list) else (kind, None)
+        typed = isinstance(value, outer) and not isinstance(value, bool)
+        if typed and inner:
+            typed = all(isinstance(item, inner) and not isinstance(item, bool) for item in value)
+        if not typed:
+            name = f"list of {inner.__name__}" if inner else outer.__name__
+            raise ValueError(
+                f"{path}: {where} key {key!r} must be a JSON {name}, got {type(value).__name__}"
+            )
 
 
 def _read_copy(path: Path, digests: list[str]) -> Dataset:
     """The panel in the binary copy at ``path`` if it is of this
-    ``_COPY_FORMAT``, was written for CSVs of these ``digests`` and its
-    arrays pass the parse's value rules; else one of ``_COPY_ERRORS`` is
-    raised."""
-    archive = np.load(path, allow_pickle=False)  # an object member raises
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"{_COPY_NAME}: not an .npz archive")
-    with archive:
-        if sorted(archive.files) != sorted(_COPY_MEMBERS):
-            raise ValueError(f"{_COPY_NAME}: members {archive.files}")
-        if _member(archive, "format", 0).item() != _COPY_FORMAT:
-            raise ValueError(f"{_COPY_NAME}: of another format")
-        if _member(archive, "sha256", 1).tolist() != digests:
-            raise ValueError(f"{_COPY_NAME}: written for other CSVs")
-        values, flows, population = (
-            _member(archive, name, ndim)
-            for name, ndim in (("values", 3), ("flows", 3), ("population", 1))
-        )
-        regions, dates = (_member(archive, name, 1).tolist() for name in ("regions", "dates"))
+    ``_COPY_FORMAT``, was written for CSVs of these ``digests``, its body is
+    whole and its arrays pass the parse's value rules; else one of
+    ``_COPY_ERRORS`` is raised.  The manifest is checked in full, and the
+    body's length against it, before any array exists, so no manifest can
+    make this allocate.  The arrays are views of the buffer read."""
+    manifest, body = read_frame(path, _COPY_MAGIC, "panel copy")
+    if manifest.keys() != _COPY_KEYS.keys():
+        raise ValueError(f"{path}: manifest keys are not the format's")
+    require_keys(manifest, _COPY_KEYS, "panel copy manifest", path)
+    if manifest["format"] != _COPY_FORMAT:
+        raise ValueError(f"{path}: of another format")
+    if manifest["sha256"] != digests:
+        raise ValueError(f"{path}: written for other CSVs")
+    regions, dates, shape = manifest["regions"], manifest["dates"], manifest["shape"]
     n, length = len(regions), len(dates)
-    if not (n and length) or (values.shape[:2], flows.shape, population.shape) != (
-        (n, length), (n, n, length), (n,)
-    ) or values.shape[2] < len(CORE_CHANNELS):
-        raise ValueError(f"{_COPY_NAME}: shapes disagree")
+    if not (n and length) or len(shape) != 3 or shape[:2] != [n, length] \
+            or shape[2] < len(CORE_CHANNELS):
+        raise ValueError(f"{path}: shapes disagree")
+    sizes = [n * length * shape[2], n * n * length, n]
+    if len(body) != 8 * sum(sizes):
+        raise ValueError(f"{path}: body of {len(body)} bytes, not {8 * sum(sizes)}")
+    crc = manifest.pop("crc32")
+    if frame_crc(manifest, [body]) != crc:
+        raise ValueError(f"{path}: corrupt (crc32 mismatch)")
+    values, flows, population = np.split(np.frombuffer(body, "<f8"), np.cumsum(sizes[:2]))
+    values, flows = values.reshape(shape), flows.reshape(n, n, length)
     days = np.datetime64(iso_date(dates[0]), "D") + np.arange(length)
     if not (
         np.isfinite(values).all() and (values[..., : len(CORE_CHANNELS)] >= 0.0).all()
@@ -636,7 +718,7 @@ def _read_copy(path: Path, digests: list[str]) -> Dataset:
         and len(set(regions)) == n and all(name == name.strip() for name in regions)
         and days.astype(str).tolist() == dates
     ):
-        raise ValueError(f"{_COPY_NAME}: arrays break the panel's rules")
+        raise ValueError(f"{path}: arrays break the panel's rules")
     return Dataset(regions, dates, values, flows, population)
 
 
@@ -646,14 +728,13 @@ def _parse_and_copy(paths: list[Path], digests: list[str]) -> Dataset:
     while the parse ran.  A copy that cannot be written is left out."""
     panel = _parse(*paths)
     if _digests(paths) == digests:
+        manifest = {
+            "format": _COPY_FORMAT, "regions": panel.regions, "dates": panel.dates,
+            "sha256": digests, "shape": list(panel.values.shape),
+        }
+        arrays = (panel.values, panel.flows, panel.population)
         try:
-            with atomic_write(paths[0].with_name(_COPY_NAME), binary=True) as handle:
-                np.savez(
-                    handle, format=np.array(_COPY_FORMAT), values=panel.values,
-                    flows=panel.flows, population=panel.population,
-                    regions=np.array(panel.regions), dates=np.array(panel.dates),
-                    sha256=np.array(digests),
-                )
+            write_frame(paths[0].with_name(_COPY_NAME), _COPY_MAGIC, manifest, arrays, "crc32")
         except OSError:  # atomic_write has removed its temporary file
             pass
     return panel
@@ -665,13 +746,17 @@ def atomic_write(path: str | Path, binary: bool = False):
     then move it over ``path`` only after the block finishes cleanly.
 
     A failure partway removes the temporary file and leaves whatever was at
-    ``path`` before byte-identical.  A failed move is reported against
-    ``path`` alone, since the temporary file is gone by then.
+    ``path`` before byte-identical.  A temporary file that cannot be opened
+    and a failed move are reported against ``path`` alone, since the
+    temporary file never existed or is gone by then.
     """
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     text = {} if binary else {"newline": "", "encoding": "utf-8"}
-    handle = temporary.open("xb" if binary else "x", **text)
+    try:
+        handle = temporary.open("xb" if binary else "x", **text)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, str(path)) from None
     try:
         with handle:
             yield handle
@@ -737,7 +822,7 @@ def _csv_chunks(dataset: Dataset):
 
 def save_dataset(dataset: Dataset, directory: str | Path) -> None:
     """Write the three CSV files (round-trip exact via 17 significant digits)
-    and their binary copy, ``panel.npz``.
+    and their binary copy, ``panel.bin``.
 
     Each CSV goes through ``atomic_write``, and all three temporary files
     are complete before any is moved into place, so a failure while writing

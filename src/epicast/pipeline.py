@@ -120,15 +120,16 @@ class ForwardResult:
 def _glorot(n_in: int, n_out: int, *lead: int):
     """A Glorot-uniform draw shaped (*lead, n_in, n_out)."""
     bound = np.sqrt(6.0 / (n_in + n_out))
-    return lambda rng: rng.uniform(-bound, bound, size=(*lead, n_in, n_out))
+    shape = (*lead, n_in, n_out)
+    return shape, lambda rng: rng.uniform(-bound, bound, size=shape)
 
 
 def _normal(*shape: int):
-    return lambda rng: rng.standard_normal(shape)
+    return shape, lambda rng: rng.standard_normal(shape)
 
 
 def _full(shape, value: float):
-    return lambda rng: np.full(shape, value)
+    return shape, lambda rng: np.full(shape, value)
 
 
 def _zeros(*shape: int):
@@ -136,7 +137,8 @@ def _zeros(*shape: int):
 
 
 def _parameter_list(config: ModelConfig, n_regions: int) -> list:
-    """Every learnable tensor as ``(name, initializer)``, in table order.
+    """Every learnable tensor as ``(name, shape, draw)``, in table order;
+    ``draw(rng)`` returns its initial value.
 
     The order is also the order of the seeded draws, so it fixes every
     initial value and the checkpoint layout.  Names are ``group.short``; the
@@ -148,59 +150,63 @@ def _parameter_list(config: ModelConfig, n_regions: int) -> list:
     embed, bb = config.pattern_embed_dim, config.backbone
     hid, taps, skip, out = bb.hidden_dim, bb.kernel_size, bb.skip_dim, bb.output_dim
     layer = [
-        ("filter_weight", _glorot(hid, hid, taps)), ("filter_bias", _zeros(hid)),
-        ("gate_weight", _glorot(hid, hid, taps)), ("gate_bias", _zeros(hid)),
-        ("neighbor_weight", _glorot(hid, hid)), ("self_weight", _glorot(hid, hid)),
-        ("mix_bias", _zeros(hid)), ("skip_weight", _glorot(hid, skip)),
+        ("filter_weight", *_glorot(hid, hid, taps)), ("filter_bias", *_zeros(hid)),
+        ("gate_weight", *_glorot(hid, hid, taps)), ("gate_bias", *_zeros(hid)),
+        ("neighbor_weight", *_glorot(hid, hid)), ("self_weight", *_glorot(hid, hid)),
+        ("mix_bias", *_zeros(hid)), ("skip_weight", *_glorot(hid, skip)),
     ]
     return [
         # CAL: a neutral mobility forecast (every horizon day the window
         # mean) and the case-pattern memory, whose correction starts at zero
-        ("mobility.transform", _full((t_in, t_out), 1.0 / t_in)),
-        ("memory.patterns", _normal(config.pattern_count, window)),
-        ("memory.key_weight", _glorot(window, key)), ("memory.key_bias", _zeros(key)),
-        ("memory.value_weight", _glorot(window, key)), ("memory.value_bias", _zeros(key)),
-        ("memory.output_weight", _glorot(key, embed)),
-        ("memory.output_bias", _zeros(embed)),
-        ("memory.region_embeddings", _normal(n_regions, embed)),
-        ("memory.scale", _zeros()),
+        ("mobility.transform", *_full((t_in, t_out), 1.0 / t_in)),
+        ("memory.patterns", *_normal(config.pattern_count, window)),
+        ("memory.key_weight", *_glorot(window, key)), ("memory.key_bias", *_zeros(key)),
+        ("memory.value_weight", *_glorot(window, key)), ("memory.value_bias", *_zeros(key)),
+        ("memory.output_weight", *_glorot(key, embed)),
+        ("memory.output_bias", *_zeros(embed)),
+        ("memory.region_embeddings", *_normal(n_regions, embed)),
+        ("memory.scale", *_zeros()),
         # SPE: lift, attention dependency, static prior logits (identity),
         # fusion gate, enhancement blend (zero: the lift passes untouched)
-        ("lift.weight", _glorot(config.channels, lifted)), ("lift.bias", _zeros(lifted)),
-        ("attention.query_weight", _glorot(lifted, lifted)),
-        ("attention.key_weight", _glorot(lifted, lifted)),
-        ("spatial.prior", lambda rng: np.eye(n_regions)),
-        ("gate.node_weight", _zeros()), ("gate.struct_weight", _zeros()),
-        ("gate.bias", _zeros()), ("enhance.blend", _zeros()),
-        ("backbone.input_weight", _glorot(lifted, hid)),
-        ("backbone.input_bias", _zeros(hid)),
+        ("lift.weight", *_glorot(config.channels, lifted)), ("lift.bias", *_zeros(lifted)),
+        ("attention.query_weight", *_glorot(lifted, lifted)),
+        ("attention.key_weight", *_glorot(lifted, lifted)),
+        ("spatial.prior", (n_regions, n_regions), lambda rng: np.eye(n_regions)),
+        ("gate.node_weight", *_zeros()), ("gate.struct_weight", *_zeros()),
+        ("gate.bias", *_zeros()), ("enhance.blend", *_zeros()),
+        ("backbone.input_weight", *_glorot(lifted, hid)),
+        ("backbone.input_bias", *_zeros(hid)),
         *[
-            (f"backbone.layer{index}_{name}", init)
-            for index in range(len(bb.dilations)) for name, init in layer
+            (f"backbone.layer{index}_{name}", *entry)
+            for index in range(len(bb.dilations)) for name, *entry in layer
         ],
-        ("backbone.end_weight", _glorot(skip, out)), ("backbone.end_bias", _zeros(out)),
-        ("backbone.time_weight", _glorot(t_in, t_out)),
-        ("backbone.time_bias", _zeros(t_out)),
+        ("backbone.end_weight", *_glorot(skip, out)), ("backbone.end_bias", *_zeros(out)),
+        ("backbone.time_weight", *_glorot(t_in, t_out)),
+        ("backbone.time_bias", *_zeros(t_out)),
         # rate heads, biased to sigmoid(-1) ~ 0.27 for infection and
         # sigmoid(-2) ~ 0.12 for recovery: per-day rates are weakly
         # identified from short horizons, and a start near a realistic
         # regime avoids the high-recovery/high-infection valley
-        ("heads.beta_weight", _glorot(out, 1)), ("heads.beta_bias", _full(1, -1.0)),
-        ("heads.gamma_weight", _glorot(out, 1)), ("heads.gamma_bias", _full(1, -2.0)),
+        ("heads.beta_weight", *_glorot(out, 1)), ("heads.beta_bias", *_full(1, -1.0)),
+        ("heads.gamma_weight", *_glorot(out, 1)), ("heads.gamma_bias", *_full(1, -2.0)),
     ]
 
 
 class ForecastModel:
     """Owns parameters, scaler, and smoothing state; runs the forward pass."""
 
-    def __init__(self, config: ModelConfig, n_regions: int, seed: int = 0):
+    def __init__(self, config: ModelConfig, n_regions: int, seed: int = 0, *, _draw=True):
+        """``_draw=False`` leaves every parameter zero and draws nothing, for a
+        caller that fills the table itself (``load_checkpoint``)."""
         self.config = config
         self.n_regions = n_regions
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        self._params = Parameters(
-            {name: init(rng) for name, init in _parameter_list(config, n_regions)}
-        )
+        entries = _parameter_list(config, n_regions)
+        self._params = Parameters({name: np.zeros(shape) for name, shape, _ in entries})
+        if _draw:
+            rng = np.random.default_rng(seed)
+            for name, _, draw in entries:
+                self._params[name].data[...] = draw(rng)
         self.scaler_mean = np.zeros(config.channels)
         self.scaler_scale = np.ones(config.channels)
         self.ema = dict.fromkeys(THRESHOLD_KINDS)

@@ -18,16 +18,23 @@ Checkpoint container (documented layout, version 1):
 * the rest: the model's flat parameter table ``data`` as raw little-endian
   float64 bytes, that is each parameter's bytes in manifest order.
 
-Round trips are bit-exact: identical state serializes to identical bytes.
-A checkpoint is written to a temporary sibling and renamed into place, so a
-failed save leaves the previous file intact.  Loading raises a
-``ValueError`` naming the file when the manifest is not UTF-8 JSON, when a
-manifest key is missing, of the wrong JSON type or of a value the model
-cannot take (naming the key; ``ema`` must hold exactly the four threshold
-kinds), when the records differ from the layout of the model the stored
-configuration builds (naming the first differing record), when the
-payload is not exactly that layout's size, or when it holds a NaN or an
-infinity (naming the first record that does).
+This is the binary frame of ``datasets.write_frame``, which also puts the
+``datasets.frame_crc`` of the rest of the manifest and of the payload in the
+manifest as ``payload_crc32``.  Round trips are
+bit-exact: identical state serializes to identical bytes.  A checkpoint is
+written to a temporary sibling and renamed into place, so a failed save
+leaves the previous file intact.  Loading raises a ``ValueError`` naming
+the file when the manifest is not UTF-8 JSON, when a manifest key is
+missing, of the wrong JSON type or of a value the model cannot take (naming
+the key; ``ema`` must hold exactly the four threshold kinds), when the
+records differ from the layout of the model the stored configuration builds
+(naming the first differing record), when the payload is not exactly that
+layout's size, when it holds a NaN or an infinity (naming the first record
+that does), or when the crc32 of its manifest and payload differs from
+``payload_crc32`` (a checkpoint written before that key existed has none,
+and loads unchecked).  Loading
+draws no initial values: the parameter table is laid out from the stored
+configuration and filled from the payload.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameters
-from .datasets import WindowSet, atomic_write
+from .datasets import WindowSet, frame_crc, read_frame, require_keys, write_frame
 from .domain import ConfigRangeError, DimensionMismatchError, check_ranges, config_from
 from .pipeline import ForecastModel, ModelConfig
 from .suppression import THRESHOLD_KINDS
@@ -307,12 +314,7 @@ def save_checkpoint(
         "train_config": asdict(train_config) if train_config else None,
         "params": _layout(params),
     }
-    encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with atomic_write(path, binary=True) as handle:
-        handle.write(_MAGIC)
-        handle.write(len(encoded).to_bytes(4, "little"))
-        handle.write(encoded)
-        handle.write(params.data.astype("<f8", copy=False).tobytes())
+    write_frame(path, _MAGIC, manifest, [params.data], "payload_crc32")
 
 
 # Manifest keys that loading reads, with the JSON type each must have.
@@ -327,20 +329,6 @@ _MANIFEST_KEYS = {
     "ema": dict,
 }
 _PARAM_KEYS = {"name": str, "shape": list, "offset": int, "count": int}
-
-
-def _require_keys(mapping, keys: dict, where: str, path) -> None:
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{path}: checkpoint {where} is not a JSON object")
-    for key, kind in keys.items():
-        if key not in mapping:
-            raise ValueError(f"{path}: checkpoint {where} lacks key {key!r}")
-        value = mapping[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(
-                f"{path}: checkpoint {where} key {key!r} must be a JSON "
-                f"{kind.__name__}, got {type(value).__name__}"
-            )
 
 
 def _is_number(value) -> bool:
@@ -379,23 +367,10 @@ class LoadedCheckpoint:
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Rebuild a model bit-for-bit from a checkpoint file."""
-    raw = Path(path).read_bytes()
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(
-            f"{path}: not a recognized checkpoint (bad magic or version)"
-        )
-    cursor = len(_MAGIC)
-    manifest_length = int.from_bytes(raw[cursor : cursor + 4], "little")
-    cursor += 4
-    try:
-        manifest = json.loads(raw[cursor : cursor + manifest_length].decode("utf-8"))
-    except ValueError as err:  # a UnicodeDecodeError or a JSONDecodeError
-        raise ValueError(f"{path}: checkpoint manifest is not UTF-8 JSON ({err})") from None
-    cursor += manifest_length
-    payload = raw[cursor:]
-    _require_keys(manifest, _MANIFEST_KEYS, "manifest", path)
+    manifest, payload = read_frame(path, _MAGIC, "checkpoint")
+    require_keys(manifest, _MANIFEST_KEYS, "checkpoint manifest", path)
     for index, record in enumerate(manifest["params"]):
-        _require_keys(record, _PARAM_KEYS, f"manifest params[{index}]", path)
+        require_keys(record, _PARAM_KEYS, f"checkpoint manifest params[{index}]", path)
     try:
         config = config_from(
             ModelConfig, manifest["model_config"], "model_config", yaml_keys=False
@@ -409,7 +384,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if _config_hash(manifest["model_config"]) != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration hash mismatch")
     _check_values(manifest, config.channels, path)
-    model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"])
+    model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"], _draw=False)
     params = model.parameters()
     stored, expected = manifest["params"], _layout(params)
     if stored != expected:
@@ -439,6 +414,14 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"{path}: checkpoint payload of manifest params[{index}] ({name!r}) "
             f"holds a non-finite value"
         )
+    if "payload_crc32" in manifest:
+        rest = {key: value for key, value in manifest.items() if key != "payload_crc32"}
+        crc = frame_crc(rest, [payload])
+        if crc != manifest["payload_crc32"]:
+            raise ValueError(
+                f"{path}: checkpoint is corrupt (its crc32 is {crc}, but the "
+                f"manifest's payload_crc32 is {manifest['payload_crc32']!r})"
+            )
     model.set_scaler(manifest["scaler_mean"], manifest["scaler_scale"])
     model.ema = {kind: manifest["ema"][kind] for kind in THRESHOLD_KINDS}
     return LoadedCheckpoint(model=model, manifest=manifest)

@@ -3,9 +3,10 @@ synthetic dataset, plus exit-code and error-message behaviour."""
 
 from __future__ import annotations
 
-import builtins
+import contextlib
 import csv
 import datetime
+import io
 import hashlib
 import json
 import re
@@ -98,7 +99,7 @@ class TestSimulate:
         assert code == EXIT_OK
         originals = sorted(Path(workdir["data"]).iterdir())
         assert [path.name for path in originals] == [
-            "mobility.csv", "observations.csv", "panel.npz", "population.csv"
+            "mobility.csv", "observations.csv", "panel.bin", "population.csv"
         ]
         for original in originals:
             assert (twin / original.name).read_bytes() == original.read_bytes()
@@ -187,7 +188,7 @@ class TestSimulate:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert "mobility.csv" in err
         assert sorted(path.name for path in panel.iterdir()) == [
-            "mobility.csv", "observations.csv", "panel.npz", "population.csv"
+            "mobility.csv", "observations.csv", "panel.bin", "population.csv"
         ]
         assert {name: (panel / name).read_bytes() for name in before} == before
         assert not any((panel / "mobility.csv").iterdir())
@@ -208,7 +209,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"data error: {panel / name}: exists and is not a regular file\n"
         assert sorted(path.name for path in panel.iterdir()) == [
-            "mobility.csv", "observations.csv", "panel.npz", "population.csv"
+            "mobility.csv", "observations.csv", "panel.bin", "population.csv"
         ]
         assert {path.name: path.read_bytes() for path in panel.iterdir() if path.is_file()} == before
 
@@ -254,7 +255,7 @@ class TestTrain:
         # the simulated CSVs alone, as another tool would leave a panel
         data, bare = tmp_path / "data", tmp_path / "csv-only"
         for target in (data, bare):
-            shutil.copytree(workdir["data"], target, ignore=shutil.ignore_patterns("*.npz"))
+            shutil.copytree(workdir["data"], target, ignore=shutil.ignore_patterns("*.bin"))
         ckpt = tmp_path / "m.ckpt"
         code = main(
             ["train", "--config", str(workdir["config"]), "--data", str(data),
@@ -262,7 +263,7 @@ class TestTrain:
         )
         assert code == EXIT_OK
         # the parse of the same CSVs gives the copy simulate wrote
-        assert (data / "panel.npz").read_bytes() == (workdir["data"] / "panel.npz").read_bytes()
+        assert (data / "panel.bin").read_bytes() == (workdir["data"] / "panel.bin").read_bytes()
         outputs = []
         for panel in (data, bare):
             out, report = tmp_path / f"{panel.name}.csv", tmp_path / f"{panel.name}-report.csv"
@@ -271,7 +272,7 @@ class TestTrain:
             assert main(["evaluate", *common, "--out", str(report)]) == EXIT_OK
             outputs.append((out.read_bytes(), report.read_bytes()))
         assert outputs[0] == outputs[1]
-        assert not (bare / "panel.npz").exists()
+        assert not (bare / "panel.bin").exists()
 
     def test_missing_dataset_is_data_error(self, workdir, tmp_path, capsys):
         code = main(
@@ -469,8 +470,8 @@ class TestForecast:
 
         # the same bytes from the panel's binary copy and from its CSVs alone
         bare = tmp_path / "csv-only"
-        shutil.copytree(workdir["data"], bare, ignore=shutil.ignore_patterns("*.npz"))
-        assert (workdir["data"] / "panel.npz").is_file()
+        shutil.copytree(workdir["data"], bare, ignore=shutil.ignore_patterns("*.bin"))
+        assert (workdir["data"] / "panel.bin").is_file()
         out, report = tmp_path / "forecast.csv", tmp_path / "report.csv"
         outputs = []
         for data in (bare, workdir["data"]):
@@ -479,7 +480,7 @@ class TestForecast:
             assert main(["evaluate", *common, "--out", str(report)]) == EXIT_OK
             outputs.append((out.read_bytes(), report.read_bytes()))
         assert outputs[0] == outputs[1]
-        assert not (bare / "panel.npz").exists()  # forecast and evaluate write no copy
+        assert not (bare / "panel.bin").exists()  # forecast and evaluate write no copy
         with out.open(newline="", encoding="utf-8") as handle:
             header, *rows = list(csv.reader(handle))
         assert header == [
@@ -494,6 +495,68 @@ class TestForecast:
         assert rows == forecast_rows(model, window.batch([0]), dataset, end)
         header = report.read_text(encoding="utf-8").splitlines()[0]
         assert header == "source,slice,rmse,mae,smape,rae,rae_defined"
+
+    def test_a_load_that_draws_nothing_forecasts_the_same_bytes(
+        self, workdir, tmp_path, monkeypatch
+    ):
+        outputs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(np.random, "default_rng", None)  # calling it raises
+            out = tmp_path / f"forecast-{patched}.csv"
+            assert main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                         str(workdir["ckpt"]), "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_bytes_match_a_row_by_row_csv_writer(self, tmp_path, monkeypatch):
+        from epicast import datasets, training
+
+        # names csv.writer has to quote, or keeps as they are: commas, quotes,
+        # a line break (the parse reads any as "\n"), blanks, an empty name
+        # and non-ASCII ones
+        names = ["a, b", 'say "hi"', "two\r\nlines", "  inner  blanks ", "", "Zürich 東京"]
+        world = datasets.generate_synthetic(SyntheticScenario(n_regions=len(names), length=40))
+        world.regions = names
+        data = tmp_path / "data"
+        datasets.save_dataset(world, data)
+        dataset = datasets.load_dataset(data)
+        assert dataset.regions[2:5] == ["two\nlines", "inner  blanks", ""]
+        config = cli.model_config_from(yaml.safe_load(TINY_CONFIG))
+        ckpt = tmp_path / "model.ckpt"
+        training.save_checkpoint(
+            ForecastModel(config, len(names), seed=3), ckpt, regions=dataset.regions
+        )
+        forward = ForecastModel.forward
+
+        def extremes(self, *args, **kwargs):
+            # -0.0, subnormal, huge and 10-digit values in unclipped columns
+            result = forward(self, *args, **kwargs)
+            result.cases.data[0, :, 0] = [-0.0, 5e-324, 1.7976931348623157e308, 1e-300,
+                                          123456789.987654321, -2.5e-7]
+            result.strength[0, :, -1] = [1e300, -0.0, 0.1, 1 / 3, 2.0**60, -1e-320]
+            result.trajectories["infected"][0, :, 1] = -0.0
+            return result
+
+        monkeypatch.setattr(ForecastModel, "forward", extremes)
+        out = tmp_path / "forecast.csv"
+        assert main(["forecast", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == EXIT_OK
+        model = training.load_checkpoint(ckpt).model
+        end, t_in = dataset.n_days - 1, model.config.t_in
+        window = datasets.windowize(dataset.day_range(end + 1 - t_in, end + 1), t_in, 0)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow([
+            "date", "lead_day", "region", "cases_pred", "beta", "beta_suppressed",
+            "gamma", "transmission_strength", "small_rates_flag", "quiet_history_flag",
+            "suppressed_flag", "susceptible", "infected", "recovered",
+        ])
+        for row in forecast_rows(model, window.batch([0]), dataset, end):
+            writer.writerow(row)
+        expected = buffer.getvalue().encode()
+        assert b",-0," in expected and b"4.940656458e-324" in expected and b"1e+300" in expected
+        assert out.read_bytes() == expected
 
     @pytest.mark.parametrize(
         "field,column",
@@ -855,6 +918,20 @@ class TestCorruptCheckpoint:
         assert not out.exists()
 
 
+    def test_corrupt_payload_names_file(self, workdir, tmp_path, capsys):
+        raw = bytearray(workdir["ckpt"].read_bytes())
+        raw[-3] ^= 0x10  # a mantissa bit of the last float: still finite
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(bytes(raw))
+        out = tmp_path / "x.csv"
+        code = main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                     str(broken), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {broken}: checkpoint is corrupt")
+        assert not out.exists()
+
+
 class TestAtomicOutputs:
     """A forecast or report that fails partway leaves the previous file."""
 
@@ -875,15 +952,24 @@ class TestAtomicOutputs:
         out = tmp_path / "forecast.csv"
         assert self.run(workdir, "forecast", out) == EXIT_OK
         before = out.read_bytes()
-        calls = []
+        atomic_write = cli.datasets.atomic_write
 
-        def failing_format(value, spec):
-            calls.append(value)
-            if len(calls) > 20:
+        class Interrupted:
+            """A handle whose write stops halfway through its text."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
                 raise RuntimeError("interrupted")
-            return builtins.format(value, spec)
 
-        monkeypatch.setattr(cli, "format", failing_format, raising=False)
+        @contextlib.contextmanager
+        def interrupted_write(path, *args, **kwargs):
+            with atomic_write(path, *args, **kwargs) as handle:
+                yield Interrupted(handle)
+
+        monkeypatch.setattr(cli.datasets, "atomic_write", interrupted_write)
         with pytest.raises(RuntimeError, match="interrupted"):
             self.run(workdir, "forecast", out)
         assert out.read_bytes() == before
@@ -924,6 +1010,20 @@ class TestAtomicOutputs:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert [p.name for p in out.iterdir()] == ["kept.txt"]
         assert (out / "kept.txt").read_text(encoding="utf-8") == "old"
+
+
+    @pytest.mark.parametrize("command", ["train", "forecast", "evaluate"])
+    def test_out_in_a_missing_directory_names_out(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "no" / "such" / "dir" / "out.csv"
+        if command == "train":
+            argv = ["train", "--config", str(workdir["config"]), "--data",
+                    str(workdir["data"]), "--out", str(out), "--quiet"]
+            assert main(argv) == EXIT_DATA
+        else:
+            assert self.run(workdir, command, out) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert not any(tmp_path.iterdir())
 
 
 class TestEvaluate:

@@ -4,11 +4,14 @@ chronological splitting, window slicing, and the seeded synthetic generator."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 import re
 import tempfile
-import zipfile
+import zlib
 from datetime import date, timedelta
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -93,7 +96,7 @@ class TestAtomicWrite:
         assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
     @pytest.mark.parametrize(
-        "name", ["population.csv", "observations.csv", "mobility.csv", "panel.npz"]
+        "name", ["population.csv", "observations.csv", "mobility.csv", "panel.bin"]
     )
     def test_panel_file_that_is_not_a_file_is_refused_before_any_write(self, tmp_path, name):
         save_dataset(panel(2, 3), tmp_path)
@@ -103,7 +106,7 @@ class TestAtomicWrite:
         with pytest.raises(DataError, match=rf"{re.escape(name)}: exists and is not a regular file"):
             save_dataset(panel(2, 4, seed=601), tmp_path)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
-            ["population.csv", "observations.csv", "mobility.csv", "panel.npz"]
+            ["population.csv", "observations.csv", "mobility.csv", "panel.bin"]
         )
         after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
         assert after == before
@@ -801,13 +804,46 @@ def parsed(directory: Path):
         return load_dataset(bare)
 
 
-def rewrite_copy(directory: Path, **members) -> None:
-    """Write ``panel.npz`` again with ``members`` replaced (None drops one)."""
-    path = directory / "panel.npz"
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    arrays.update(members)
-    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+COPY_MAGIC = b"EPPANEL\x00"
+
+
+def frame(manifest, body: bytes) -> bytes:
+    """A panel copy's bytes: the magic, the manifest's length, the manifest
+    (a dict as sorted-key JSON, or raw bytes), then the body."""
+    if isinstance(manifest, dict):
+        manifest = json.dumps(manifest, sort_keys=True).encode()
+    return COPY_MAGIC + len(manifest).to_bytes(4, "little") + manifest + body
+
+
+def read_copy(directory: Path):
+    """The manifest of ``panel.bin`` and its body's three arrays, read by
+    the format's layout."""
+    raw = (directory / "panel.bin").read_bytes()
+    assert raw[:8] == COPY_MAGIC
+    end = 12 + int.from_bytes(raw[8:12], "little")
+    manifest = json.loads(raw[12:end])
+    n, length, channels = manifest["shape"]
+    body = np.frombuffer(raw[end:], "<f8")
+    assert body.size == n * length * channels + n * n * length + n
+    values, flows, population = np.split(body, np.cumsum([n * length * channels, n * n * length]))
+    return manifest, [
+        values.reshape(n, length, channels).copy(), flows.reshape(n, n, length).copy(),
+        population.copy(),
+    ]
+
+
+def rewrite_copy(directory: Path, arrays=None, **keys) -> None:
+    """Write ``panel.bin`` again with manifest ``keys`` replaced (None drops
+    one) and, when given, ``arrays`` as its body (each in its own dtype).
+    The manifest's crc32 is that of the new manifest and body unless
+    ``keys`` sets one."""
+    manifest, old = read_copy(directory)
+    body = b"".join(np.asarray(array).tobytes() for array in (old if arrays is None else arrays))
+    del manifest["crc32"]
+    manifest.update(keys)
+    manifest = {key: value for key, value in manifest.items() if value is not None}
+    manifest.setdefault("crc32", zlib.crc32(json.dumps(manifest, sort_keys=True).encode() + body))
+    (directory / "panel.bin").write_bytes(frame(manifest, body))
 
 
 UNPICKLED = []
@@ -831,7 +867,7 @@ def load_noting_parses(directory: Path):
 
 
 class TestBinaryCopy:
-    """``panel.npz``: written by ``save_dataset`` as the parse of its CSVs,
+    """``panel.bin``: written by ``save_dataset`` as the parse of its CSVs,
     read by ``load_dataset`` only while the CSVs' digests match."""
 
     @settings(max_examples=25, deadline=None)
@@ -850,7 +886,7 @@ class TestBinaryCopy:
             save_dataset(original, directory)
             with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
                 from_copy = load_dataset(directory)
-            (directory / "panel.npz").unlink()
+            (directory / "panel.bin").unlink()
             from_csv = load_dataset(directory)
         assert_same_panel(from_copy, from_csv)
         assert [name.strip() for name in original.regions] == from_copy.regions
@@ -890,29 +926,33 @@ class TestBinaryCopy:
     @pytest.mark.parametrize(
         "damage",
         [
-            "truncated", "empty", "not a zip", "an .npy", "directory", "compressed and corrupt",
-            "wrong digest", "digests of other files", "missing member", "extra member",
-            "member not stored as .npy", "another format", "no format (an older copy)",
-            "digests claiming a huge shape", "values claiming a huge shape",
-            "float32 values", "big-endian flows", "Fortran-ordered values",
-            "names as bytes", "dates as floats",
-            "a day short", "a region short", "flows transposed", "population 2-d", "3 channels",
+            "truncated", "empty", "not a frame", "an .npy", "directory", "an old panel.npz",
+            "bad magic", "manifest past the end", "manifest not JSON", "manifest not an object",
+            "manifest nested too deep", "a bit flipped in a region name",
+            "wrong digest", "digests of other files", "missing key", "extra key",
+            "crc32 as text", "another format", "no format (an older copy)",
+            "a shape of 10**13 values", "values claiming a huge shape",
+            "float32 values", "big-endian flows", "values in another order",
+            "a name as a number", "dates as floats", "a body a value long", "crc32 mismatch",
+            "a day short", "a region short", "flows a day short", "a 2-d shape", "3 channels",
             "negative case", "infinite extra", "nan flow", "zero population",
             "repeated name", "unstripped name", "a calendar gap", "a bad date",
         ],
     )
     def test_a_damaged_or_hand_made_copy_is_ignored(self, tmp_path, damage):
+        # every body rewritten here carries its own correct crc32 unless the
+        # case is about the crc32, so each array rule is checked on its own
         original = panel(2, 3, extras=1)
         save_dataset(original, tmp_path)
-        copy = tmp_path / "panel.npz"
-        with np.load(copy) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        values, flows, population = arrays["values"], arrays["flows"], arrays["population"]
+        copy = tmp_path / "panel.bin"
+        good = copy.read_bytes()
+        manifest, (values, flows, population) = read_copy(tmp_path)
+        body = good[-8 * (values.size + flows.size + population.size) :]
         if damage == "truncated":
-            copy.write_bytes(copy.read_bytes()[: copy.stat().st_size // 2])
+            copy.write_bytes(good[: len(good) // 2])
         elif damage == "empty":
             copy.write_bytes(b"")
-        elif damage == "not a zip":
+        elif damage == "not a frame":
             copy.write_bytes(b"region,population\r\n")
         elif damage == "an .npy":
             with copy.open("wb") as handle:
@@ -920,93 +960,106 @@ class TestBinaryCopy:
         elif damage == "directory":
             copy.unlink()
             copy.mkdir()
-        elif damage == "compressed and corrupt":
-            np.savez_compressed(copy, **arrays)
-            data = bytearray(copy.read_bytes())
-            start = data.index(b"values.npy") + len(b"values.npy") + 40
-            data[start : start + 8] = b"\xff" * 8
-            copy.write_bytes(bytes(data))
+        elif damage == "an old panel.npz":
+            with copy.open("wb") as handle:
+                np.savez(handle, values=values, flows=flows, population=population)
+        elif damage == "bad magic":
+            copy.write_bytes(b"EPCAST\x00\x01" + good[8:])
+        elif damage == "manifest past the end":
+            copy.write_bytes(good[:8] + len(good).to_bytes(4, "little") + good[12:])
+        elif damage == "manifest not JSON":
+            copy.write_bytes(frame(b"{'format': 'epicast-panel-2'}", body))
+        elif damage == "manifest not an object":
+            copy.write_bytes(frame(json.dumps(list(manifest.items())).encode(), body))
+        elif damage == "manifest nested too deep":
+            copy.write_bytes(frame(b"[" * 100_000 + b"]" * 100_000, body))
+        elif damage == "a bit flipped in a region name":
+            # "r0" -> "r2": a manifest that still parses, with every type,
+            # digest and rule right; only the crc32 can tell
+            assert manifest["regions"] == ["r0", "r1"]
+            at = good.index(b'"r0"') + 2
+            copy.write_bytes(good[:at] + bytes([good[at] ^ 2]) + good[at + 1 :])
         elif damage == "wrong digest":
-            digests = arrays["sha256"].tolist()
+            digests = manifest["sha256"]
             digests[1] = digests[1][::-1]
-            rewrite_copy(tmp_path, sha256=np.array(digests))
+            rewrite_copy(tmp_path, sha256=digests)
         elif damage == "digests of other files":
             save_dataset(panel(2, 3, extras=1, seed=601), tmp_path / "other")
-            with np.load(tmp_path / "other" / "panel.npz") as archive:
-                rewrite_copy(tmp_path, sha256=archive["sha256"])
-        elif damage == "missing member":
+            rewrite_copy(tmp_path, sha256=read_copy(tmp_path / "other")[0]["sha256"])
+        elif damage == "missing key":
             rewrite_copy(tmp_path, regions=None)
-        elif damage == "extra member":
-            rewrite_copy(tmp_path, notes=np.zeros(1))
-        elif damage == "member not stored as .npy":
-            rewrite_copy(tmp_path, values=None)
-            with zipfile.ZipFile(copy, "a") as archive:
-                archive.writestr("values", values.tobytes())
+        elif damage == "extra key":
+            rewrite_copy(tmp_path, notes=[0.0])
+        elif damage == "crc32 as text":
+            rewrite_copy(tmp_path, crc32=str(manifest["crc32"]))
         elif damage == "another format":
-            rewrite_copy(tmp_path, format=np.array("epicast-panel-0"))
+            rewrite_copy(tmp_path, format="epicast-panel-1")
         elif damage == "no format (an older copy)":
             rewrite_copy(tmp_path, format=None)
-        elif damage.endswith("claiming a huge shape"):
-            # numpy allocates the array its header claims before reading it
-            member = "sha256" if damage.startswith("digests") else "values"
-            rewrite_copy(tmp_path, **{member: None})
-            header = io.BytesIO()
-            np.lib.format.write_array_header_1_0(
-                header, {"descr": arrays[member].dtype.str, "fortran_order": False,
-                         "shape": (10**13,)},
-            )
-            with zipfile.ZipFile(copy, "a") as archive:
-                archive.writestr(f"{member}.npy", header.getvalue())
+        elif damage == "a shape of 10**13 values":
+            # nothing may be allocated from a shape before it is checked
+            rewrite_copy(tmp_path, shape=[10**13])
+        elif damage == "values claiming a huge shape":
+            rewrite_copy(tmp_path, shape=[2, 3, 10**13])
         elif damage == "float32 values":
-            rewrite_copy(tmp_path, values=values.astype(np.float32))
+            rewrite_copy(tmp_path, [values.astype(np.float32), flows, population])
         elif damage == "big-endian flows":
-            rewrite_copy(tmp_path, flows=flows.astype(">f8"))
-        elif damage == "Fortran-ordered values":
-            rewrite_copy(tmp_path, values=np.asfortranarray(values))
-        elif damage == "names as bytes":
-            rewrite_copy(tmp_path, regions=arrays["regions"].astype("S"))
+            rewrite_copy(tmp_path, [values, flows.astype(">f8"), population])
+        elif damage == "values in another order":
+            rewrite_copy(tmp_path, [values.transpose(1, 0, 2), flows, population], shape=[3, 2, 5])
+        elif damage == "a name as a number":
+            rewrite_copy(tmp_path, regions=[0, "r1"])
         elif damage == "dates as floats":
-            rewrite_copy(tmp_path, dates=np.arange(3.0))
+            rewrite_copy(tmp_path, dates=[0.0, 1.0, 2.0])
+        elif damage == "a body a value long":
+            rewrite_copy(tmp_path, [values, flows, population, [1.0]])
+        elif damage == "crc32 mismatch":
+            rewrite_copy(tmp_path, crc32=manifest["crc32"] ^ 1)
         elif damage == "a day short":
-            rewrite_copy(tmp_path, values=values[:, :2].copy())
+            rewrite_copy(tmp_path, [values[:, :2], flows, population], shape=[2, 2, 5])
         elif damage == "a region short":
-            rewrite_copy(tmp_path, population=population[:1].copy())
-        elif damage == "flows transposed":
-            rewrite_copy(tmp_path, flows=flows.transpose(2, 0, 1).copy())
-        elif damage == "population 2-d":
-            rewrite_copy(tmp_path, population=population[None].copy())
+            rewrite_copy(tmp_path, [values, flows, population[:1]])
+        elif damage == "flows a day short":
+            rewrite_copy(tmp_path, [values, flows[:, :, :2], population])
+        elif damage == "a 2-d shape":
+            rewrite_copy(tmp_path, shape=[2, 3])
         elif damage == "3 channels":
-            rewrite_copy(tmp_path, values=values[..., :3].copy())
+            rewrite_copy(tmp_path, [values[..., :3], flows, population], shape=[2, 3, 3])
         elif damage == "negative case":
             values[1, 2, 0] = -1.0
-            rewrite_copy(tmp_path, values=values)
+            rewrite_copy(tmp_path, [values, flows, population])
         elif damage == "infinite extra":
             values[0, 1, 4] = np.inf
-            rewrite_copy(tmp_path, values=values)
+            rewrite_copy(tmp_path, [values, flows, population])
         elif damage == "nan flow":
             flows[0, 1, 1] = np.nan
-            rewrite_copy(tmp_path, flows=flows)
+            rewrite_copy(tmp_path, [values, flows, population])
         elif damage == "zero population":
             population[0] = 0.0
-            rewrite_copy(tmp_path, population=population)
+            rewrite_copy(tmp_path, [values, flows, population])
         elif damage == "repeated name":
-            rewrite_copy(tmp_path, regions=np.array(["r0", "r0"]))
+            rewrite_copy(tmp_path, regions=["r0", "r0"])
         elif damage == "unstripped name":
-            rewrite_copy(tmp_path, regions=np.array(["r0", " r1"]))
+            rewrite_copy(tmp_path, regions=["r0", " r1"])
         elif damage == "a calendar gap":
-            rewrite_copy(tmp_path, dates=np.array(["2021-03-01", "2021-03-02", "2021-03-04"]))
+            rewrite_copy(tmp_path, dates=["2021-03-01", "2021-03-02", "2021-03-04"])
         elif damage == "a bad date":
-            rewrite_copy(tmp_path, dates=np.array(["2021-02-29", "2021-03-01", "2021-03-02"]))
+            rewrite_copy(tmp_path, dates=["2021-02-29", "2021-03-01", "2021-03-02"])
         else:
             raise AssertionError(damage)
         loaded, parsed_csv = load_noting_parses(tmp_path)
         assert parsed_csv, "the damaged copy was read"
         assert_same_panel(loaded, original)
 
-    def test_an_object_member_is_refused_without_unpickling(self, tmp_path):
+    def test_an_old_npz_copy_is_ignored_without_unpickling(self, tmp_path):
+        # a copy of the previous format holding pickled objects, under its
+        # old name and under the new one: neither is read or unpickled
         original = panel(2, 3)
         save_dataset(original, tmp_path)
-        rewrite_copy(tmp_path, regions=np.array([Tripwire(), Tripwire()], dtype=object))
+        tripwires = np.array([Tripwire(), Tripwire()], dtype=object)
+        for name in ("panel.npz", "panel.bin"):
+            with (tmp_path / name).open("wb") as handle:
+                np.savez(handle, regions=tripwires)
         UNPICKLED.clear()
         loaded, parsed_csv = load_noting_parses(tmp_path)
         assert_same_panel(loaded, original)
@@ -1015,11 +1068,13 @@ class TestBinaryCopy:
     def test_single_byte_damage_falls_back_or_reads_the_same(self, tmp_path):
         original = panel(1, 1)
         save_dataset(original, tmp_path)
-        copy = tmp_path / "panel.npz"
+        copy = tmp_path / "panel.bin"
         good = copy.read_bytes()
-        for at in range(0, len(good), 3):  # every third byte, headers and data alike
+        # every third byte, headers and data alike, all its bits or its
+        # lowest (which keeps a manifest byte ASCII, so the JSON may parse)
+        for at, flip in product(range(0, len(good), 3), (0xFF, 0x01)):
             damaged = bytearray(good)
-            damaged[at] ^= 0xFF
+            damaged[at] ^= flip
             copy.write_bytes(bytes(damaged))
             assert_same_panel(load_dataset(tmp_path), original)
 
@@ -1030,12 +1085,29 @@ class TestBinaryCopy:
         with pytest.raises(DataError, match=rf"missing input file: .*{re.escape(name)}$"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("block", [None, 1000], ids=["1 MiB", "1000 bytes"])
+    def test_digests_read_in_blocks_equal_the_whole_file_digests(
+        self, tmp_path, monkeypatch, block
+    ):
+        # files of several blocks, one an exact multiple of a block, and empty
+        if block:
+            monkeypatch.setattr(datasets_module, "_HASH_BLOCK", block)
+        size = datasets_module._HASH_BLOCK
+        rng = rng_for(612)
+        paths = []
+        for name, length in (("a", 2 * size + 3), ("b", 3 * size), ("c", 0), ("d", 17)):
+            paths.append(tmp_path / name)
+            paths[-1].write_bytes(rng.bytes(length))
+        assert datasets_module._digests(paths) == [
+            hashlib.sha256(path.read_bytes()).hexdigest() for path in paths
+        ]
+
     def test_a_panel_the_parse_refuses_gets_no_copy(self, tmp_path):
         save_dataset(panel(2, 3), tmp_path)
         bad = panel(2, 3, seed=601)
         bad.values[1, 1, 2] = -5.0
         save_dataset(bad, tmp_path)  # raises nothing, as a save never has
-        assert not (tmp_path / "panel.npz").exists()
+        assert not (tmp_path / "panel.bin").exists()
         with pytest.raises(DataError, match=r"^observations\.csv:5: column 'infected'"):
             load_dataset(tmp_path)
 
@@ -1054,7 +1126,7 @@ class TestBinaryCopy:
             (tmp_path / name).write_bytes(text)
         loaded, parsed_csv = load_noting_parses(tmp_path)
         assert_same_panel(loaded, original)
-        assert parsed_csv and not (tmp_path / "panel.npz").exists()
+        assert parsed_csv and not (tmp_path / "panel.bin").exists()
 
     @pytest.mark.parametrize("old_copy", [False, True])
     def test_a_copy_that_cannot_be_written_leaves_the_save_whole(self, tmp_path, old_copy):
@@ -1062,7 +1134,7 @@ class TestBinaryCopy:
             save_dataset(panel(2, 3, seed=601), tmp_path)
         original = panel(2, 3, extras=1)
         full = OSError(28, "No space left on device")
-        with mock.patch.object(np, "savez", side_effect=full):
+        with mock.patch.object(datasets_module, "write_frame", side_effect=full):
             save_dataset(original, tmp_path)
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "mobility.csv", "observations.csv", "population.csv"
@@ -1087,7 +1159,7 @@ class TestTrainingLoad:
         hand_written(tmp_path, original)
         expected = parsed(tmp_path)
         assert_same_panel(load_and_copy_dataset(tmp_path), expected)
-        assert (tmp_path / "panel.npz").is_file()
+        assert (tmp_path / "panel.bin").is_file()
         with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
             assert_same_panel(load_dataset(tmp_path), expected)
             assert_same_panel(load_and_copy_dataset(tmp_path), expected)
@@ -1096,7 +1168,8 @@ class TestTrainingLoad:
         save_dataset(panel(2, 3), tmp_path)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         expected = parsed(tmp_path)
-        with mock.patch.object(np, "savez", side_effect=AssertionError("written")), \
+        with mock.patch.object(datasets_module, "write_frame",
+                               side_effect=AssertionError("written")), \
                 mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
             assert_same_panel(load_and_copy_dataset(tmp_path), expected)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
@@ -1123,23 +1196,23 @@ class TestTrainingLoad:
 
         monkeypatch.setattr(datasets_module, "_parse", parse_then_edit)
         assert_same_panel(load_and_copy_dataset(tmp_path), original)
-        assert not (tmp_path / "panel.npz").exists()
+        assert not (tmp_path / "panel.bin").exists()
 
     @pytest.mark.parametrize("obstacle", ["a directory", "a full disk"])
     def test_a_copy_that_cannot_be_written_is_left_out(self, tmp_path, obstacle):
         original = panel(2, 3)
         hand_written(tmp_path, original)
         if obstacle == "a directory":
-            (tmp_path / "panel.npz").mkdir()
+            (tmp_path / "panel.bin").mkdir()
             loaded = load_and_copy_dataset(tmp_path)
         else:
             full = OSError(28, "No space left on device")
-            with mock.patch.object(np, "savez", side_effect=full):
+            with mock.patch.object(datasets_module, "write_frame", side_effect=full):
                 loaded = load_and_copy_dataset(tmp_path)
         assert_same_panel(loaded, original)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             ["mobility.csv", "observations.csv", "population.csv"]
-            + (["panel.npz"] if obstacle == "a directory" else [])
+            + (["panel.bin"] if obstacle == "a directory" else [])
         )
 
     def test_a_refused_panel_still_raises_and_gets_no_copy(self, tmp_path):
@@ -1147,7 +1220,7 @@ class TestTrainingLoad:
         edit_line(tmp_path / "mobility.csv", 4, with_value(b"-1"))
         with pytest.raises(DataError, match=r"^mobility\.csv:4: flow must be >= 0"):
             load_and_copy_dataset(tmp_path)
-        assert not (tmp_path / "panel.npz").exists()
+        assert not (tmp_path / "panel.bin").exists()
 
     @pytest.mark.parametrize("name", ["population.csv", "observations.csv", "mobility.csv"])
     def test_a_missing_csv_is_still_a_missing_input_file(self, tmp_path, name):

@@ -4,6 +4,8 @@ early stopping, and run-to-run determinism."""
 from __future__ import annotations
 
 import json
+import re
+import zlib
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -399,6 +401,86 @@ class TestCheckpoint:
             np.testing.assert_allclose(model.forward(batch).cases.data, want, rtol=1e-5)
             with model.float64_compute():
                 np.testing.assert_array_equal(model.forward(batch).cases.data, want)
+
+    def test_a_manifest_past_the_end_of_the_file_is_refused(self, tmp_path):
+        # "{}" would parse: the length, not the JSON, has to give the defect
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(b"EPCAST\x00\x01" + (100).to_bytes(4, "little") + b"{}")
+        past = r"manifest is not UTF-8 JSON \(it would end at byte 112 of 14\)"
+        with pytest.raises(ValueError, match=past):
+            load_checkpoint(path)
+
+    def test_manifest_holds_the_payload_crc32(self, tmp_path):
+        train_w, _, config = build_windows()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(train_w, config), path)
+        raw = path.read_bytes()
+        end = 12 + int.from_bytes(raw[8:12], "little")
+        manifest = json.loads(raw[12:end])
+        crc = manifest.pop("payload_crc32")
+        assert crc == zlib.crc32(json.dumps(manifest, sort_keys=True).encode() + raw[end:])
+
+    @pytest.mark.parametrize("bit", [0, 17, 44], ids=["lowest", "middle", "high-mantissa"])
+    def test_a_flipped_payload_bit_is_refused(self, tmp_path, bit):
+        # a flipped mantissa bit leaves a finite number that no other check sees
+        train_w, _, config = build_windows()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(train_w, config), path)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) - 8 * 100 + bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        corrupt = rf"^{re.escape(str(path))}: checkpoint is corrupt"
+        with pytest.raises(ValueError, match=corrupt):
+            load_checkpoint(path)
+
+    def test_a_flipped_bit_in_a_region_name_is_refused(self, tmp_path):
+        # the manifest still parses and passes every key and value check;
+        # only the crc32, which covers the manifest too, can tell
+        train_w, _, config = build_windows()
+        path = tmp_path / "model.ckpt"
+        regions = list(train_w.regions)
+        save_checkpoint(build_model(train_w, config), path, regions=regions)
+        raw = path.read_bytes()
+        at = raw.index(json.dumps(regions[0]).encode()) + len(regions[0])
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1 :])
+        corrupt = rf"^{re.escape(str(path))}: checkpoint is corrupt"
+        with pytest.raises(ValueError, match=corrupt):
+            load_checkpoint(path)
+
+    def test_a_checkpoint_without_a_payload_crc32_loads(self, tmp_path):
+        raw = (DATA / "small_model.ckpt").read_bytes()
+        assert b"payload_crc32" not in raw  # written before the key existed
+        load_checkpoint(DATA / "small_model.ckpt")
+        train_w, _, config = build_windows()
+        model = build_model(train_w, config)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        end = 12 + int.from_bytes(raw[8:12], "little")
+        manifest = json.loads(raw[12:end])
+        del manifest["payload_crc32"]
+        encoded = json.dumps(manifest, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded + raw[end:])
+        loaded = load_checkpoint(path).model.parameters().data
+        assert loaded.tobytes() == model.parameters().data.tobytes()
+
+    def test_loading_draws_no_initial_values(self, tmp_path, monkeypatch):
+        train_w, _, config = build_windows()
+        model = build_model(train_w, config)
+        params = model.parameters()
+        params.data += rng_for(511).normal(0.0, 0.1, params.data.shape)
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_checkpoint(model, first, epoch=1, regions=list(train_w.regions))
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = load_checkpoint(first)
+        assert loaded.model.parameters().data.tobytes() == params.data.tobytes()
+        assert list(loaded.model.parameters()) == list(params)
+        save_checkpoint(loaded.model, second, epoch=1, regions=list(train_w.regions))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
