@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, evaluation, training
-from .datasets import DataError, SyntheticScenario
+from .datasets import CASES_CHANNEL, DataError, SyntheticScenario
 from .domain import ConfigRangeError, ValidationError, config_from
 from .estimator import BackboneConfig
-from .pipeline import CASES_CHANNEL, ForecastModel, ModelConfig
+from .pipeline import ForecastModel, ModelConfig
 from .training import TrainConfig
 
 __all__ = ["main"]
@@ -47,6 +47,9 @@ class _Parser(argparse.ArgumentParser):
 
 # -------------------------------------------------------------- configuration
 
+_SECTIONS = ("model", "synthetic", "training")  # a config file's top-level keys
+
+
 def load_config(path: str | Path | None) -> dict:
     if path is None:
         return {}
@@ -59,10 +62,17 @@ def load_config(path: str | Path | None) -> dict:
         payload = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as err:
         raise UsageError(f"{path}: invalid YAML ({err})") from None
+    except (OSError, UnicodeDecodeError) as err:  # a directory, say, or not UTF-8
+        raise UsageError(f"{path}: cannot read config ({getattr(err, 'strerror', err)})") from None
     if payload is None:
         return {}
     if not isinstance(payload, dict):
         raise UsageError(f"{path}: top level must be a mapping of sections")
+    unknown = sorted(map(str, payload.keys() - set(_SECTIONS)))
+    if unknown:
+        raise UsageError(
+            f"{path}: unknown section {unknown[0]!r}; valid sections: {', '.join(_SECTIONS)}"
+        )
     return payload
 
 
@@ -194,11 +204,10 @@ def _cmd_forecast(args) -> int:
             f"need {t_in} observed days before {dataset.dates[end_index]}, "
             f"but only {end_index + 1} are available"
         )
-    # the one window that ends on the anchor, with no target days
+    # the one window that ends on the anchor, with no target days: a batch
     window = dataset.day_range(end_index + 1 - t_in, end_index + 1)
-    batch = datasets.windowize(window, t_in, 0).batch(slice(1))
     with model.inference():
-        result = model.forward(batch, training=False)
+        result = model.forward(datasets.windowize(window, t_in, 0), training=False)
 
     beta = np.clip(result.beta.data[0], RATE_EPSILON, 1.0 - RATE_EPSILON)
     gamma = np.clip(result.gamma.data[0], RATE_EPSILON, 1.0 - RATE_EPSILON)

@@ -44,12 +44,14 @@ as a little-endian uint32, the manifest as UTF-8 JSON with sorted keys,
 then the body, raw little-endian float64 values.
 
 A ``Dataset`` holds the channels as one (N, L, C) block, ``values``, from
-load to window.  ``windowize`` cuts every window (the forecast's too) as
-contiguous copies of sliding views of it, except the mobility, which stays
-one read-only sliding view of the segment's flows.  ``WindowSet.batch`` of
-a slice (validation, ``evaluate``, ``forecast``) hands out views, so their
-mobility is never gathered; a shuffled training batch asks with an index
-array and gets copies.
+load to window, in the order this module owns (``CORE_CHANNELS``).
+``windowize`` cuts every window into a ``WindowSet``, the one window type
+every forward reads (a forecast's one-window set too), as contiguous
+copies of sliding views of the block, except the mobility, which stays one
+read-only sliding view of the segment's flows.  ``WindowSet.batch`` of a
+slice (validation, ``evaluate``) is a set of views, so their mobility is
+never gathered; a shuffled training batch asks with an index array and
+gets a set of copies.
 
 The synthetic generator runs the mechanistic core day by day
 (``metapop.trajectory``), so at zero observation noise the stored cases
@@ -76,12 +78,13 @@ import numpy as np
 
 from .domain import ConfigRangeError, check_ranges
 from . import metapop
-from .pipeline import WindowBatch
 
 __all__ = [
+    "CASES_CHANNEL",
     "CORE_CHANNELS",
     "DataError",
     "Dataset",
+    "INFECTED_CHANNEL",
     "SyntheticScenario",
     "WindowSet",
     "atomic_write",
@@ -102,8 +105,11 @@ class DataError(ValueError):
     """Malformed or inconsistent input data (CLI exit code 2)."""
 
 
-# the channels every panel starts with, in observations.csv column order
+# the channels every panel starts with, in observations.csv column order,
+# and the positions of the two the model reads by name
 CORE_CHANNELS = ("cases", "susceptible", "infected", "recovered")
+CASES_CHANNEL = CORE_CHANNELS.index("cases")
+INFECTED_CHANNEL = CORE_CHANNELS.index("infected")
 
 
 @dataclass
@@ -518,7 +524,7 @@ def _read_observations(path: Path, regions: list[str]) -> tuple[list[str], np.nd
     for k, (column, values) in enumerate(zip(columns, channels)):
         # the S/I/R core is a head count; extra channels may go negative
         bad, bound = ~np.isfinite(values), "finite"
-        if k < 4:
+        if k < len(CORE_CHANNELS):
             bad, bound = bad | (values < 0.0), ">= 0 and finite"
         defects.check(
             bad, lambda i: f"column {column!r} must be {bound}, got {float(values[i])}"
@@ -606,12 +612,13 @@ _COPY_KEYS = {
 _COPY_ERRORS = (OSError, ValueError)
 
 
-def frame_crc(manifest: dict, body) -> int:
+def frame_crc(manifest: dict, body, crc_key: str) -> int:
     """The zlib crc32 of a frame's contents: of ``manifest`` (string keys
-    only, its crc key left out) as UTF-8 JSON with sorted keys, then of each
+    only) without ``crc_key`` as UTF-8 JSON with sorted keys, then of each
     part of ``body`` in turn.  It covers the manifest too, so a flipped bit
     in a name or a shape is caught like one in a value."""
-    crc = zlib.crc32(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+    rest = {key: value for key, value in manifest.items() if key != crc_key}
+    crc = zlib.crc32(json.dumps(rest, sort_keys=True).encode("utf-8"))
     for part in body:
         crc = zlib.crc32(part, crc)
     return crc
@@ -624,7 +631,7 @@ def write_frame(path: str | Path, magic: bytes, manifest: dict, arrays, crc_key:
     turn as raw little-endian float64 values in C order.  The manifest
     written also holds the frame's ``frame_crc`` under ``crc_key``."""
     body = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
-    crc = frame_crc(manifest, body)
+    crc = frame_crc(manifest, body, crc_key)
     encoded = json.dumps({**manifest, crc_key: crc}, sort_keys=True).encode("utf-8")
     with atomic_write(path, binary=True) as handle:
         handle.write(magic + len(encoded).to_bytes(4, "little") + encoded)
@@ -705,8 +712,7 @@ def _read_copy(path: Path, digests: list[str]) -> Dataset:
     sizes = [n * length * shape[2], n * n * length, n]
     if len(body) != 8 * sum(sizes):
         raise ValueError(f"{path}: body of {len(body)} bytes, not {8 * sum(sizes)}")
-    crc = manifest.pop("crc32")
-    if frame_crc(manifest, [body]) != crc:
+    if frame_crc(manifest, [body], "crc32") != manifest["crc32"]:
         raise ValueError(f"{path}: corrupt (crc32 mismatch)")
     values, flows, population = np.split(np.frombuffer(body, "<f8"), np.cumsum(sizes[:2]))
     values, flows = values.reshape(shape), flows.reshape(n, n, length)
@@ -882,7 +888,8 @@ def chronological_split(dataset: Dataset) -> tuple[Dataset, Dataset, Dataset]:
 
 @dataclass
 class WindowSet:
-    """Sliding windows (stride 1) over one data segment.
+    """Sliding windows (stride 1) over one data segment: the one window type,
+    which ``windowize`` cuts, ``batch`` selects from and every forward reads.
 
     ``mobility`` is a read-only view of the segment's flows.  ``batch`` of a
     slice returns views of every array, mobility included (read-only, never
@@ -892,19 +899,20 @@ class WindowSet:
 
     observations: np.ndarray  # (W, N, T_in, C)
     mobility: np.ndarray  # (W, N, N, T_in)
-    susceptible0: np.ndarray  # (W, N)
+    susceptible0: np.ndarray  # (W, N): each window's rollout start state
     infected0: np.ndarray
     recovered0: np.ndarray
     targets: np.ndarray  # (W, N, T_out)
-    population: np.ndarray
+    population: np.ndarray  # (N,)
     regions: list[str]
     t_out: int
 
     def __len__(self) -> int:
         return self.observations.shape[0]
 
-    def batch(self, indices) -> WindowBatch:
-        """The windows at ``indices``: a slice, or a 1-D integer index array."""
+    def batch(self, indices) -> WindowSet:
+        """The windows at ``indices``, a slice or a 1-D integer index array,
+        as a set sharing this one's ``population``, ``regions`` and ``t_out``."""
         if not isinstance(indices, slice):
             indices = np.asarray(indices)
             if indices.ndim != 1 or indices.dtype.kind not in "iu":
@@ -912,14 +920,16 @@ class WindowSet:
                     "WindowSet.batch takes a slice or a 1-D integer index array, "
                     f"got {indices.dtype} values of shape {indices.shape}"
                 )
-        return WindowBatch(
+        return WindowSet(
             observations=self.observations[indices],
             mobility=self.mobility[indices],
             susceptible0=self.susceptible0[indices],
             infected0=self.infected0[indices],
             recovered0=self.recovered0[indices],
-            population=self.population,
             targets=self.targets[indices],
+            population=self.population,
+            regions=self.regions,
+            t_out=self.t_out,
         )
 
 
@@ -939,8 +949,8 @@ def windowize(dataset: Dataset, t_in: int, t_out: int) -> WindowSet:
     view = np.lib.stride_tricks.sliding_window_view
     # (W, N, t_in + t_out, C): each window's days, observed then targeted
     days = view(dataset.values, t_in + t_out, axis=1).transpose(1, 0, 3, 2)
-    susceptible0, infected0, recovered0 = np.ascontiguousarray(
-        days[:, :, t_in - 1, 1:4].transpose(2, 0, 1)  # the S/I/R channels
+    susceptible0, infected0, recovered0 = np.ascontiguousarray(  # the S/I/R channels
+        days[:, :, t_in - 1, CASES_CHANNEL + 1 : len(CORE_CHANNELS)].transpose(2, 0, 1)
     )
     mobility = view(dataset.flows, t_in, axis=2)
     return WindowSet(
@@ -949,7 +959,7 @@ def windowize(dataset: Dataset, t_in: int, t_out: int) -> WindowSet:
         susceptible0=susceptible0,
         infected0=infected0,
         recovered0=recovered0,
-        targets=np.ascontiguousarray(days[:, :, t_in:, 0]),
+        targets=np.ascontiguousarray(days[:, :, t_in:, CASES_CHANNEL]),
         population=dataset.population.copy(),
         regions=list(dataset.regions),
         t_out=t_out,

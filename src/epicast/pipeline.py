@@ -3,11 +3,12 @@
 ``ForecastModel`` holds the input scaler, the suppression smoothing state,
 and one ``Parameters`` table built from ``_parameter_list``, the one
 ordered list that names and initializes every learnable tensor.  ``forward``
-reads each parameter from that table and turns a window batch into
-predicted daily cases along with the intermediate quantities the CLI
-exposes (rates before and after suppression, coupling strengths, flags,
-trajectories).  The feature path sees standardized channels; the
-mechanistic core and the loss stay in raw counts.
+reads each parameter from that table and turns a ``datasets.WindowSet``
+(a batch, or a forecast's one window) into predicted daily cases along
+with the intermediate quantities the CLI exposes (rates before and after
+suppression, coupling strengths, flags, trajectories).  The feature path
+sees standardized channels; the mechanistic core and the loss stay in raw
+counts.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ import numpy as np
 
 from . import adjacency, estimator, metapop
 from .autodiff import Parameters, Tensor
+from .datasets import CASES_CHANNEL, INFECTED_CHANNEL, WindowSet
 from .domain import ConfigRangeError, DimensionMismatchError, check_ranges
 from .estimator import Backbone, BackboneConfig
 from .suppression import THRESHOLD_KINDS, ThresholdConfig, detect, suppress_beta
 
-__all__ = ["ForecastModel", "ForwardResult", "ModelConfig", "WindowBatch"]
+__all__ = ["ForecastModel", "ForwardResult", "ModelConfig"]
 
-# Channel order inside stacked observation blocks.
-CASES_CHANNEL = 0
-INFECTED_CHANNEL = 2
 # ModelConfig fields that count something, so must be at least 1.
 _POSITIVE_SIZES = (
     "t_in", "t_out", "pattern_count", "pattern_window", "pattern_key_dim",
@@ -76,28 +75,6 @@ class ModelConfig:
                 f"backbone receptive field {self.backbone.receptive_field} "
                 f"cannot see the full {self.t_in}-day window"
             ))
-
-
-@dataclass
-class WindowBatch:
-    """A stack of sliding windows ready for one forward pass.
-
-    Shapes: ``observations`` (B, N, T_in, C); ``mobility`` (B, N, N, T_in);
-    start-state vectors (B, N); ``targets`` (B, N, T_out) or None;
-    ``population`` (N,).
-    """
-
-    observations: np.ndarray
-    mobility: np.ndarray
-    susceptible0: np.ndarray
-    infected0: np.ndarray
-    recovered0: np.ndarray
-    population: np.ndarray
-    targets: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.observations.shape[0]
 
 
 @dataclass
@@ -269,7 +246,7 @@ class ForecastModel:
 
     # ---------------------------------------------------------------- forward
 
-    def _check_batch(self, batch: WindowBatch) -> None:
+    def _check_batch(self, batch: WindowSet) -> None:
         B, N, T, C = batch.observations.shape
         if N != self.n_regions:
             raise DimensionMismatchError(
@@ -299,7 +276,7 @@ class ForecastModel:
 
     def forward(
         self,
-        batch: WindowBatch,
+        batch: WindowSet,
         training: bool = False,
         fixed_filter: np.ndarray | None = None,
     ) -> ForwardResult:

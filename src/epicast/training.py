@@ -415,8 +415,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"holds a non-finite value"
         )
     if "payload_crc32" in manifest:
-        rest = {key: value for key, value in manifest.items() if key != "payload_crc32"}
-        crc = frame_crc(rest, [payload])
+        crc = frame_crc(manifest, [payload], "payload_crc32")
         if crc != manifest["payload_crc32"]:
             raise ValueError(
                 f"{path}: checkpoint is corrupt (its crc32 is {crc}, but the "

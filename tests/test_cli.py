@@ -324,6 +324,37 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "warmup" in err and "valid keys" in err
 
+    def test_unknown_config_section_is_usage_error(self, workdir, tmp_path, capsys):
+        # a misspelt section would otherwise leave training at its defaults
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("trainig:\n  max_epochs: 1\n", encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        code = main(
+            ["train", "--config", str(bad), "--data", str(workdir["data"]), "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{bad}: unknown section 'trainig'" in err
+        assert "valid sections: model, synthetic, training" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    @pytest.mark.parametrize("damage", ["not UTF-8", "a directory"])
+    def test_unreadable_config_is_usage_error(self, workdir, tmp_path, capsys, command, damage):
+        config = tmp_path / "config.yaml"
+        if damage == "a directory":
+            config.mkdir()
+        else:
+            config.write_bytes(b"training:\n  max_epochs: 1  # caf\xe9\n")
+        out = tmp_path / "out"
+        data = ["--data", str(workdir["data"])] if command == "train" else []
+        code = main([command, "--config", str(config), *data, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ")
+        assert "Traceback" not in err and "data error" not in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "key,value",

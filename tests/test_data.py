@@ -28,8 +28,10 @@ from epicast.datasets import (
     DataError,
     Dataset,
     SyntheticScenario,
+    WindowSet,
     atomic_write,
     chronological_split,
+    frame_crc,
     generate_synthetic,
     load_and_copy_dataset,
     load_dataset,
@@ -870,6 +872,15 @@ class TestBinaryCopy:
     """``panel.bin``: written by ``save_dataset`` as the parse of its CSVs,
     read by ``load_dataset`` only while the CSVs' digests match."""
 
+    def test_frame_crc_leaves_out_the_key_it_is_stored_under(self):
+        manifest, body = {"regions": ["r0", "r1"], "shape": [2]}, [np.arange(2.0)]
+        crc = frame_crc(manifest, body, "crc32")
+        stored = {**manifest, "crc32": crc}
+        assert frame_crc(stored, body, "crc32") == crc
+        assert frame_crc(stored, body, "payload_crc32") != crc
+        assert stored == {**manifest, "crc32": crc}  # read, not changed
+        assert crc == zlib.crc32(json.dumps(manifest, sort_keys=True).encode() + body[0].tobytes())
+
     @settings(max_examples=25, deadline=None)
     @given(fuzz_panels(), st.integers(0, len(ODD_NAMES)))
     def test_copy_loads_bitwise_equal_to_the_parse(self, case, odd):
@@ -1314,7 +1325,26 @@ class TestWindowize:
         batch = windows.batch([3, 7])
         np.testing.assert_array_equal(batch.observations[0], windows.observations[3])
         np.testing.assert_array_equal(batch.targets[1], windows.targets[7])
-        assert batch.size == 2
+        assert len(batch) == 2
+
+    @pytest.mark.parametrize("indices", [slice(2, 6), np.arange(2, 6)], ids=["slice", "array"])
+    def test_batch_is_a_window_set_sharing_the_set_wide_fields(self, indices):
+        data = panel(3, 20)
+        windows = windowize(data, 5, 3)
+        batch = windows.batch(indices)
+        assert type(batch) is WindowSet and len(batch) == 4
+        assert batch.regions is windows.regions and batch.t_out == windows.t_out == 3
+        assert batch.population is windows.population
+        views = isinstance(indices, slice)
+        for name in ("observations", "mobility", "susceptible0", "infected0",
+                     "recovered0", "targets"):
+            array = getattr(batch, name)
+            assert np.shares_memory(array, getattr(windows, name)) == views, name
+            assert array.tobytes() == getattr(windows, name)[2:6].tobytes(), name
+        # a batch of a batch selects from it alike
+        again = batch.batch(np.array([3, 0]))
+        assert again.observations.tobytes() == windows.observations[[5, 2]].tobytes()
+        assert again.regions is windows.regions
 
     def test_mobility_is_a_read_only_view_of_the_flows(self):
         data = panel(2, 18)

@@ -309,7 +309,7 @@ class TestSuppressionIntegration:
         model.forward(batch, training=True)  # seeds the EMA, so detectors fire
         flags = None
         if fixed:
-            flags = rng_for(193).uniform(size=(batch.size, 3)) < 0.5
+            flags = rng_for(193).uniform(size=(len(batch), 3)) < 0.5
         result = model.forward(batch, fixed_filter=flags)
         assert result.flags.any() and not result.flags.all()
         want = suppression.suppress_beta(Tensor(result.beta.data), result.flags, 0.3)
