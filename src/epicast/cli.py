@@ -133,8 +133,12 @@ def _cmd_train(args) -> int:
     config = load_config(args.config)
     model_config = model_config_from(config)
     train_config = train_config_from(config)
-    # later forecasts and evaluations read the panel's binary copy
-    dataset = datasets.load_and_copy_dataset(args.data)
+    dataset = datasets.load_dataset(args.data)
+    if model_config.channels != dataset.values.shape[2]:
+        raise DataError(
+            f"model.input_channels is {model_config.channels}, but observations.csv "
+            f"has {dataset.values.shape[2]} channels"
+        )
     train_split, val_split, _ = datasets.chronological_split(dataset)
     train_windows = datasets.windowize(train_split, model_config.t_in, model_config.t_out)
     val_windows = datasets.windowize(val_split, model_config.t_in, model_config.t_out)

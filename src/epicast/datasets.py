@@ -27,16 +27,14 @@ order (never filling anything in):
 * a non-finite value anywhere, a negative case, S/I/R count or flow, and a
   population that is not positive.
 
-``save_dataset`` (and so ``epicast simulate``) also writes ``panel.bin``, a
-binary copy of the panel: the parse of the CSVs it just wrote, with the
-sha256 of each one's bytes.  ``load_and_copy_dataset`` (and so ``epicast
-train``) writes it for a panel written by hand or by another tool when it
-has to parse one.  ``load_dataset`` (``forecast``, ``evaluate``) returns
-the copy in place of the parse only when it is of the current format, all
-three digests match the files on disk, the crc32 of its manifest and body
-matches and its arrays pass the loader's value rules; any other copy is
-ignored, and ``load_dataset`` never writes one.  So an edited CSV is always parsed and
-checked again, and a panel without a copy is parsed as before.
+``load_dataset`` alone writes ``panel.bin`` beside the CSVs, a binary copy
+of its own parse with the sha256 of each CSV's bytes, and returns it in
+place of the parse only when it is of the current format, all three
+digests match the files on disk, the crc32 of its manifest and body
+matches and its arrays pass the loader's value rules.  Any other copy, or
+none, means a parse, after which the copy is written again if no CSV
+changed meanwhile: an edited CSV is parsed and checked once.
+``save_dataset`` writes only the CSVs.
 
 The copy is one binary frame, the container checkpoints use too
 (``write_frame``, ``read_frame``): an 8-byte magic, the manifest's length
@@ -90,7 +88,6 @@ __all__ = [
     "atomic_write",
     "chronological_split",
     "generate_synthetic",
-    "load_and_copy_dataset",
     "load_dataset",
     "mobility_schedule",
     "read_frame",
@@ -391,42 +388,34 @@ def _missing(regions: list[str], present: np.ndarray, day: str) -> str:
 def load_dataset(directory: str | Path) -> Dataset:
     """Read the three CSV files under ``directory`` into an aligned panel.
 
-    When ``directory`` also holds the binary copy ``panel.bin`` (written by
-    ``save_dataset`` and ``load_and_copy_dataset``), and the sha256 of each
-    CSV's bytes matches the digest the copy holds, the panel is read from
-    the copy instead, which equals the parse bit for bit; its arrays are
-    views of the one buffer the file was read into.  Any other copy
-    (stale, corrupt, hand-made, of another format, or one whose arrays
-    break the loader's rules) is ignored, and the CSVs are parsed.  This
-    never writes the copy.
+    While the binary copy ``panel.bin`` beside them holds the sha256 of
+    each CSV's bytes, the panel is read from it instead, which equals the
+    parse bit for bit; its arrays are views of the one buffer the file was
+    read into.  Any other copy (stale, corrupt, hand-made, of another
+    format, or one whose arrays break the loader's rules), or none, means a
+    parse, after which the copy is written through ``atomic_write`` if no
+    CSV changed meanwhile.  A copy that cannot be written (a read-only
+    directory, a full disk) is left out without an error; a panel the parse
+    refuses raises its ``DataError`` and gets no copy.
     """
     paths = _csv_paths(directory)
     copy = paths[0].with_name(_COPY_NAME)
-    if copy.is_file():
-        try:
-            return _read_copy(copy, _digests(paths))
-        except _COPY_ERRORS:
-            pass
-    return _parse(*paths)
-
-
-def load_and_copy_dataset(directory: str | Path) -> Dataset:
-    """``load_dataset``, which also writes the binary copy of a panel it
-    has to parse (``epicast train`` loads its panel this way).
-
-    So a panel written by hand or by another tool is read from the copy by
-    every ``forecast`` and ``evaluate`` after training, until one of its
-    CSVs changes.  The copy is a cache: one that cannot be written (a
-    read-only directory, a full disk) is left out without an error, and a
-    panel the parse refuses raises its ``DataError`` as before.
-    """
-    paths = _csv_paths(directory)
     digests = _digests(paths)
     try:
-        return _read_copy(paths[0].with_name(_COPY_NAME), digests)
+        return _read_copy(copy, digests)
     except _COPY_ERRORS:
         pass
-    return _parse_and_copy(paths, digests)
+    panel = _parse(*paths)
+    if _digests(paths) == digests:
+        manifest = {
+            "format": _COPY_FORMAT, "regions": panel.regions, "dates": panel.dates,
+            "sha256": digests, "shape": list(panel.values.shape),
+        }
+        try:
+            write_frame(copy, _COPY_MAGIC, manifest, (panel.values, panel.flows, panel.population))
+        except OSError:  # atomic_write has removed its temporary file
+            pass
+    return panel
 
 
 def _csv_paths(directory: str | Path) -> list[Path]:
@@ -606,33 +595,34 @@ _COPY_FORMAT = "epicast-panel-2"
 # Its body is ``values``, ``flows`` and ``population``.
 _COPY_KEYS = {
     "format": str, "regions": [str], "dates": [str], "sha256": [str], "shape": [int],
-    "crc32": int,
+    "payload_crc32": int,
 }
 # What reading a damaged or hand-made copy may raise; each means "parse".
 _COPY_ERRORS = (OSError, ValueError)
 
 
-def frame_crc(manifest: dict, body, crc_key: str) -> int:
+def frame_crc(manifest: dict, body) -> int:
     """The zlib crc32 of a frame's contents: of ``manifest`` (string keys
-    only) without ``crc_key`` as UTF-8 JSON with sorted keys, then of each
-    part of ``body`` in turn.  It covers the manifest too, so a flipped bit
-    in a name or a shape is caught like one in a value."""
-    rest = {key: value for key, value in manifest.items() if key != crc_key}
+    only) without ``payload_crc32``, the key the crc is stored under, as
+    UTF-8 JSON with sorted keys, then of each part of ``body`` in turn.  It
+    covers the manifest too, so a flipped bit in a name or a shape is caught
+    like one in a value."""
+    rest = {key: value for key, value in manifest.items() if key != "payload_crc32"}
     crc = zlib.crc32(json.dumps(rest, sort_keys=True).encode("utf-8"))
     for part in body:
         crc = zlib.crc32(part, crc)
     return crc
 
 
-def write_frame(path: str | Path, magic: bytes, manifest: dict, arrays, crc_key: str) -> None:
+def write_frame(path: str | Path, magic: bytes, manifest: dict, arrays) -> None:
     """Write ``path`` through ``atomic_write`` as one frame: the 8-byte
     ``magic``, the manifest's length as a little-endian uint32, ``manifest``
     as UTF-8 JSON with sorted keys, then the body, each of ``arrays`` in
     turn as raw little-endian float64 values in C order.  The manifest
-    written also holds the frame's ``frame_crc`` under ``crc_key``."""
+    written also holds the frame's ``frame_crc`` as ``payload_crc32``."""
     body = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
-    crc = frame_crc(manifest, body, crc_key)
-    encoded = json.dumps({**manifest, crc_key: crc}, sort_keys=True).encode("utf-8")
+    crc = frame_crc(manifest, body)
+    encoded = json.dumps({**manifest, "payload_crc32": crc}, sort_keys=True).encode("utf-8")
     with atomic_write(path, binary=True) as handle:
         handle.write(magic + len(encoded).to_bytes(4, "little") + encoded)
         for part in body:
@@ -712,7 +702,7 @@ def _read_copy(path: Path, digests: list[str]) -> Dataset:
     sizes = [n * length * shape[2], n * n * length, n]
     if len(body) != 8 * sum(sizes):
         raise ValueError(f"{path}: body of {len(body)} bytes, not {8 * sum(sizes)}")
-    if frame_crc(manifest, [body], "crc32") != manifest["crc32"]:
+    if frame_crc(manifest, [body]) != manifest["payload_crc32"]:
         raise ValueError(f"{path}: corrupt (crc32 mismatch)")
     values, flows, population = np.split(np.frombuffer(body, "<f8"), np.cumsum(sizes[:2]))
     values, flows = values.reshape(shape), flows.reshape(n, n, length)
@@ -726,24 +716,6 @@ def _read_copy(path: Path, digests: list[str]) -> Dataset:
     ):
         raise ValueError(f"{path}: arrays break the panel's rules")
     return Dataset(regions, dates, values, flows, population)
-
-
-def _parse_and_copy(paths: list[Path], digests: list[str]) -> Dataset:
-    """The parse of the CSVs at ``paths``, whose bytes had these
-    ``digests``; the binary copy is written beside them when no file changed
-    while the parse ran.  A copy that cannot be written is left out."""
-    panel = _parse(*paths)
-    if _digests(paths) == digests:
-        manifest = {
-            "format": _COPY_FORMAT, "regions": panel.regions, "dates": panel.dates,
-            "sha256": digests, "shape": list(panel.values.shape),
-        }
-        arrays = (panel.values, panel.flows, panel.population)
-        try:
-            write_frame(paths[0].with_name(_COPY_NAME), _COPY_MAGIC, manifest, arrays, "crc32")
-        except OSError:  # atomic_write has removed its temporary file
-            pass
-    return panel
 
 
 @contextmanager
@@ -827,46 +799,30 @@ def _csv_chunks(dataset: Dataset):
 
 
 def save_dataset(dataset: Dataset, directory: str | Path) -> None:
-    """Write the three CSV files (round-trip exact via 17 significant digits)
-    and their binary copy, ``panel.bin``.
+    """Write the three CSV files (round-trip exact via 17 significant
+    digits), and nothing else: ``load_dataset`` writes the binary copy.
 
     Each CSV goes through ``atomic_write``, and all three temporary files
-    are complete before any is moved into place, so a failure while writing
-    leaves the old panel byte-identical.  Any old copy is deleted before the
-    moves.  A panel file that exists as anything but a regular file is
-    refused (``DataError``) before anything is written.  The three moves are
-    still not one atomic step: a rename that fails after an earlier one
-    succeeded leaves a mixed panel.
-
-    The copy is the parse of the files just written, with the sha256 of
-    each file's bytes, so ``load_dataset`` can return it in place of the
-    parse while the CSVs stay unchanged.  A panel the parse refuses
-    (``DataError``) gets no copy, and neither does one whose copy cannot be
-    written (``OSError``) or whose CSVs change while they are parsed; the
-    save succeeds all the same.
+    are complete and flushed before any is moved into place, so a failure
+    while writing leaves the old panel byte-identical.  A CSV that exists as
+    anything but a regular file is refused (``DataError``) before anything
+    is written.  The three moves are still not one atomic step: a rename
+    that fails after an earlier one succeeded leaves a mixed panel.  A copy
+    of the old panel is left in place; it holds the old CSVs' digests, so
+    ``load_dataset`` reads it only while the CSVs keep those bytes.
     """
     directory = Path(directory)
-    for name in (*_CSV_NAMES, _COPY_NAME):
+    for name in _CSV_NAMES:
         target = directory / name
         if target.exists() and not target.is_file():
             raise DataError(f"{target}: exists and is not a regular file")
     directory.mkdir(parents=True, exist_ok=True)
-    paths = [directory / name for name in _CSV_NAMES]
-    digests = []
     with ExitStack() as moves:
-        for path, chunks in zip(paths, _csv_chunks(dataset)):
-            handle = moves.enter_context(atomic_write(path, binary=True))
-            digest = hashlib.sha256()
+        for name, chunks in zip(_CSV_NAMES, _csv_chunks(dataset)):
+            handle = moves.enter_context(atomic_write(directory / name, binary=True))
             for chunk in chunks:
-                data = chunk.encode()
-                handle.write(data)
-                digest.update(data)
-            digests.append(digest.hexdigest())
-        (directory / _COPY_NAME).unlink(missing_ok=True)
-    try:
-        _parse_and_copy(paths, digests)
-    except DataError:
-        pass
+                handle.write(chunk.encode())
+            handle.flush()  # a full disk fails here, before any move
 
 
 # ------------------------------------------------------------------ splitting

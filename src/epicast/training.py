@@ -26,7 +26,8 @@ written to a temporary sibling and renamed into place, so a failed save
 leaves the previous file intact.  Loading raises a ``ValueError`` naming
 the file when the manifest is not UTF-8 JSON, when a manifest key is
 missing, of the wrong JSON type or of a value the model cannot take (naming
-the key; ``ema`` must hold exactly the four threshold kinds), when the
+the key; ``ema`` must hold exactly the four threshold kinds, and it and
+the scaler statistics only finite numbers), when the
 records differ from the layout of the model the stored configuration builds
 (naming the first differing record), when the payload is not exactly that
 layout's size, when it holds a NaN or an infinity (naming the first record
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -314,7 +316,7 @@ def save_checkpoint(
         "train_config": asdict(train_config) if train_config else None,
         "params": _layout(params),
     }
-    write_frame(path, _MAGIC, manifest, [params.data], "payload_crc32")
+    write_frame(path, _MAGIC, manifest, [params.data])
 
 
 # Manifest keys that loading reads, with the JSON type each must have.
@@ -331,8 +333,11 @@ _MANIFEST_KEYS = {
 _PARAM_KEYS = {"name": str, "shape": list, "offset": int, "count": int}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    # NaN fails both comparisons; an int past the float range, which JSON
+    # reads exactly, is refused before anything converts it
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _check_values(manifest: dict, channels: int, path) -> None:
@@ -344,11 +349,11 @@ def _check_values(manifest: dict, channels: int, path) -> None:
         "regions": (f"null or a list of {count} names", regions is None or (
             isinstance(regions, list) and len(regions) == count
             and all(isinstance(name, str) for name in regions))),
-        "ema": (f"a number or null for exactly {', '.join(THRESHOLD_KINDS)}",
+        "ema": (f"a finite number or null for exactly {', '.join(THRESHOLD_KINDS)}",
                 set(ema) == set(THRESHOLD_KINDS)
-                and all(v is None or _is_number(v) for v in ema.values())),
-        **{key: (f"a list of {channels} numbers", len(manifest[key]) == channels
-                 and all(map(_is_number, manifest[key])))
+                and all(v is None or _is_finite_number(v) for v in ema.values())),
+        **{key: (f"a list of {channels} finite numbers", len(manifest[key]) == channels
+                 and all(map(_is_finite_number, manifest[key])))
            for key in ("scaler_mean", "scaler_scale")},
     }
     for key, (rule, ok) in rules.items():
@@ -415,7 +420,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"holds a non-finite value"
         )
     if "payload_crc32" in manifest:
-        crc = frame_crc(manifest, [payload], "payload_crc32")
+        crc = frame_crc(manifest, [payload])
         if crc != manifest["payload_crc32"]:
             raise ValueError(
                 f"{path}: checkpoint is corrupt (its crc32 is {crc}, but the "

@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import yaml
 from epicast import cli
 from epicast.autodiff import Tensor
 from epicast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from epicast.datasets import SyntheticScenario
+from epicast.datasets import SyntheticScenario, frame_crc
 from epicast.pipeline import ForecastModel, ModelConfig
 from epicast.training import TrainConfig
 
@@ -97,11 +98,11 @@ class TestSimulate:
             ["simulate", "--config", str(workdir["config"]), "--out", str(twin)]
         )
         assert code == EXIT_OK
-        originals = sorted(Path(workdir["data"]).iterdir())
-        assert [path.name for path in originals] == [
-            "mobility.csv", "observations.csv", "panel.bin", "population.csv"
+        # simulate writes the CSVs alone; the first load writes the copy
+        assert sorted(path.name for path in twin.iterdir()) == [
+            "mobility.csv", "observations.csv", "population.csv"
         ]
-        for original in originals:
+        for original in Path(workdir["data"]).glob("*.csv"):
             assert (twin / original.name).read_bytes() == original.read_bytes()
 
     def test_flag_overrides_beat_config(self, tmp_path, workdir):
@@ -177,7 +178,7 @@ class TestSimulate:
         self, workdir, tmp_path, capsys
     ):
         panel = tmp_path / "panel"
-        shutil.copytree(workdir["data"], panel)
+        shutil.copytree(workdir["data"], panel, ignore=shutil.ignore_patterns("*.bin"))
         (panel / "mobility.csv").unlink()
         (panel / "mobility.csv").mkdir()
         before = {path.name: path.read_bytes() for path in panel.glob("*.csv") if path.is_file()}
@@ -188,7 +189,7 @@ class TestSimulate:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert "mobility.csv" in err
         assert sorted(path.name for path in panel.iterdir()) == [
-            "mobility.csv", "observations.csv", "panel.bin", "population.csv"
+            "mobility.csv", "observations.csv", "population.csv"
         ]
         assert {name: (panel / name).read_bytes() for name in before} == before
         assert not any((panel / "mobility.csv").iterdir())
@@ -200,7 +201,7 @@ class TestSimulate:
         # mobility.csv is moved into place first: a later file that cannot be
         # replaced must stop the write before that move
         panel = tmp_path / "panel"
-        shutil.copytree(workdir["data"], panel)
+        shutil.copytree(workdir["data"], panel, ignore=shutil.ignore_patterns("*.bin"))
         (panel / name).unlink()
         (panel / name).mkdir()
         before = {path.name: path.read_bytes() for path in panel.iterdir() if path.is_file()}
@@ -209,7 +210,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"data error: {panel / name}: exists and is not a regular file\n"
         assert sorted(path.name for path in panel.iterdir()) == [
-            "mobility.csv", "observations.csv", "panel.bin", "population.csv"
+            "mobility.csv", "observations.csv", "population.csv"
         ]
         assert {path.name: path.read_bytes() for path in panel.iterdir() if path.is_file()} == before
 
@@ -262,7 +263,7 @@ class TestTrain:
              "--out", str(ckpt), "--quiet"]
         )
         assert code == EXIT_OK
-        # the parse of the same CSVs gives the copy simulate wrote
+        # the parse of the same CSVs gives the copy the shared panel's first load wrote
         assert (data / "panel.bin").read_bytes() == (workdir["data"] / "panel.bin").read_bytes()
         outputs = []
         for panel in (data, bare):
@@ -272,7 +273,24 @@ class TestTrain:
             assert main(["evaluate", *common, "--out", str(report)]) == EXIT_OK
             outputs.append((out.read_bytes(), report.read_bytes()))
         assert outputs[0] == outputs[1]
-        assert not (bare / "panel.bin").exists()
+        # the forecast of the bare panel parsed it and wrote the same copy
+        assert (bare / "panel.bin").read_bytes() == (data / "panel.bin").read_bytes()
+
+    def test_channel_count_that_differs_from_the_panel_is_data_error(
+        self, workdir, tmp_path, capsys
+    ):
+        config = yaml.safe_load(TINY_CONFIG)
+        config["model"]["input_channels"] = 5
+        path = tmp_path / "five.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        code = main(["train", "--config", str(path), "--data", str(workdir["data"]),
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: model.input_channels is 5, but observations.csv has 4 channels\n"
+        )
+        assert not out.exists()
 
     def test_missing_dataset_is_data_error(self, workdir, tmp_path, capsys):
         code = main(
@@ -511,7 +529,8 @@ class TestForecast:
             assert main(["evaluate", *common, "--out", str(report)]) == EXIT_OK
             outputs.append((out.read_bytes(), report.read_bytes()))
         assert outputs[0] == outputs[1]
-        assert not (bare / "panel.bin").exists()  # forecast and evaluate write no copy
+        # the forecast of the bare panel parsed it and wrote the same copy
+        assert (bare / "panel.bin").read_bytes() == (workdir["data"] / "panel.bin").read_bytes()
         with out.open(newline="", encoding="utf-8") as handle:
             header, *rows = list(csv.reader(handle))
         assert header == [
@@ -526,6 +545,29 @@ class TestForecast:
         assert rows == forecast_rows(model, window.batch([0]), dataset, end)
         header = report.read_text(encoding="utf-8").splitlines()[0]
         assert header == "source,slice,rmse,mae,smape,rae,rae_defined"
+
+    def test_an_edited_panel_is_parsed_once_then_read_from_its_copy(self, workdir, tmp_path):
+        from epicast import datasets
+
+        data = tmp_path / "data"
+        shutil.copytree(workdir["data"], data)
+        assert (data / "panel.bin").is_file()
+        # the first flow of the first day becomes 5: the copy is stale
+        path = data / "mobility.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",5"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        parses, outputs = [], []
+        for k in range(2):
+            out = tmp_path / f"forecast-{k}.csv"
+            with mock.patch.object(datasets, "_parse", wraps=datasets._parse) as parse:
+                assert main(["forecast", "--data", str(data), "--checkpoint",
+                             str(workdir["ckpt"]), "--out", str(out)]) == EXIT_OK
+            parses.append(parse.call_count)
+            outputs.append(out.read_bytes())
+        assert parses == [1, 0]
+        assert outputs[0] == outputs[1]
+        assert datasets.load_dataset(data).flows[0, 0, 0] == 5.0
 
     def test_a_load_that_draws_nothing_forecasts_the_same_bytes(
         self, workdir, tmp_path, monkeypatch
@@ -785,17 +827,17 @@ class TestOutOfRangeInput:
 
 def rewrite_manifest(source, target, edit, payload=None):
     """Copy a checkpoint with its JSON manifest changed by ``edit`` and, when
-    given, its payload bytes by ``payload``."""
+    given, its payload bytes by ``payload``.  The manifest gets the crc32 of
+    the new contents, so only another check can refuse it."""
     raw = Path(source).read_bytes()
     length = int.from_bytes(raw[8:12], "little")
     manifest = json.loads(raw[12 : 12 + length])
     edit(manifest)
-    encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
     tail = raw[12 + length :]
-    Path(target).write_bytes(
-        raw[:8] + len(encoded).to_bytes(4, "little") + encoded
-        + (payload(tail) if payload else tail)
-    )
+    tail = payload(tail) if payload else tail
+    manifest["payload_crc32"] = frame_crc(manifest, [tail])
+    encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    Path(target).write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded + tail)
 
 
 def swap_first_records(manifest):
@@ -860,12 +902,17 @@ class TestCorruptCheckpoint:
             (lambda m: m["ema"].update(delta=0.5), "ema"),
             (lambda m: m.update(regions=5), "regions"),
             (lambda m: m.update(seed=-1), "seed"),
+            # JSON's Infinity and NaN
+            (lambda m: m["ema"].update(beta=float("inf")), "ema"),
+            (lambda m: m["scaler_mean"].__setitem__(1, float("nan")), "scaler_mean"),
         ],
         ids=["short-scaler", "non-numeric-scaler", "string-ema-slot", "misspelt-ema-slot",
-             "empty-ema", "extra-ema-slot", "integer-regions", "negative-seed"],
+             "empty-ema", "extra-ema-slot", "integer-regions", "negative-seed",
+             "infinite-ema-slot", "nan-scaler"],
     )
     def test_value_defect_names_file_and_key(self, workdir, tmp_path, capsys, edit, key):
-        # each passes the configuration hash, which covers only model_config
+        # each passes the configuration hash, which covers only model_config,
+        # and the crc32, which rewrite_manifest recomputes
         broken = tmp_path / "broken.ckpt"
         rewrite_manifest(workdir["ckpt"], broken, edit)
         out = tmp_path / "x.csv"

@@ -33,7 +33,6 @@ from epicast.datasets import (
     chronological_split,
     frame_crc,
     generate_synthetic,
-    load_and_copy_dataset,
     load_dataset,
     mobility_schedule,
     save_dataset,
@@ -97,9 +96,7 @@ class TestAtomicWrite:
         assert ".tmp" not in str(caught.value)
         assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
-    @pytest.mark.parametrize(
-        "name", ["population.csv", "observations.csv", "mobility.csv", "panel.bin"]
-    )
+    @pytest.mark.parametrize("name", ["population.csv", "observations.csv", "mobility.csv"])
     def test_panel_file_that_is_not_a_file_is_refused_before_any_write(self, tmp_path, name):
         save_dataset(panel(2, 3), tmp_path)
         (tmp_path / name).unlink()
@@ -108,10 +105,21 @@ class TestAtomicWrite:
         with pytest.raises(DataError, match=rf"{re.escape(name)}: exists and is not a regular file"):
             save_dataset(panel(2, 4, seed=601), tmp_path)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
-            ["population.csv", "observations.csv", "mobility.csv", "panel.bin"]
+            ["population.csv", "observations.csv", "mobility.csv"]
         )
         after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
         assert after == before
+
+    def test_a_save_writes_the_csvs_alone_and_leaves_panel_bin_be(self, tmp_path):
+        # the copy is the loader's: not even a directory in its place stops a save
+        (tmp_path / "panel.bin").mkdir()
+        original = panel(2, 3)
+        save_dataset(original, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["population.csv", "observations.csv", "mobility.csv", "panel.bin"]
+        )
+        assert (tmp_path / "panel.bin").is_dir()
+        assert_same_panel(load_dataset(tmp_path), original)
 
 
 class TestDatasetPanel:
@@ -841,10 +849,12 @@ def rewrite_copy(directory: Path, arrays=None, **keys) -> None:
     ``keys`` sets one."""
     manifest, old = read_copy(directory)
     body = b"".join(np.asarray(array).tobytes() for array in (old if arrays is None else arrays))
-    del manifest["crc32"]
+    del manifest["payload_crc32"]
     manifest.update(keys)
     manifest = {key: value for key, value in manifest.items() if value is not None}
-    manifest.setdefault("crc32", zlib.crc32(json.dumps(manifest, sort_keys=True).encode() + body))
+    manifest.setdefault(
+        "payload_crc32", zlib.crc32(json.dumps(manifest, sort_keys=True).encode() + body)
+    )
     (directory / "panel.bin").write_bytes(frame(manifest, body))
 
 
@@ -868,17 +878,24 @@ def load_noting_parses(directory: Path):
         return load_dataset(directory), loadtxt.called
 
 
+def saved_with_copy(dataset, directory: Path) -> None:
+    """``save_dataset``, then the one load that writes the copy."""
+    save_dataset(dataset, directory)
+    load_dataset(directory)
+    assert (directory / "panel.bin").is_file()
+
+
 class TestBinaryCopy:
-    """``panel.bin``: written by ``save_dataset`` as the parse of its CSVs,
-    read by ``load_dataset`` only while the CSVs' digests match."""
+    """``panel.bin``: written by ``load_dataset`` as the parse of the CSVs,
+    read by it only while the CSVs' digests match."""
 
     def test_frame_crc_leaves_out_the_key_it_is_stored_under(self):
         manifest, body = {"regions": ["r0", "r1"], "shape": [2]}, [np.arange(2.0)]
-        crc = frame_crc(manifest, body, "crc32")
-        stored = {**manifest, "crc32": crc}
-        assert frame_crc(stored, body, "crc32") == crc
-        assert frame_crc(stored, body, "payload_crc32") != crc
-        assert stored == {**manifest, "crc32": crc}  # read, not changed
+        crc = frame_crc(manifest, body)
+        stored = {**manifest, "payload_crc32": crc}
+        assert frame_crc(stored, body) == crc
+        assert frame_crc({**manifest, "crc32": crc}, body) != crc
+        assert stored == {**manifest, "payload_crc32": crc}  # read, not changed
         assert crc == zlib.crc32(json.dumps(manifest, sort_keys=True).encode() + body[0].tobytes())
 
     @settings(max_examples=25, deadline=None)
@@ -895,10 +912,9 @@ class TestBinaryCopy:
         with tempfile.TemporaryDirectory() as directory:
             directory = Path(directory)
             save_dataset(original, directory)
+            from_csv = load_dataset(directory)
             with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
                 from_copy = load_dataset(directory)
-            (directory / "panel.bin").unlink()
-            from_csv = load_dataset(directory)
         assert_same_panel(from_copy, from_csv)
         assert [name.strip() for name in original.regions] == from_copy.regions
         assert np.signbit(from_copy.flows).any()
@@ -906,7 +922,7 @@ class TestBinaryCopy:
     def test_a_matching_copy_is_read_without_parsing(self, tmp_path):
         original = panel(len(ODD_NAMES), 5, extras=1)
         original.regions = list(ODD_NAMES)
-        save_dataset(original, tmp_path)
+        saved_with_copy(original, tmp_path)
         expected = parsed(tmp_path)
         assert "padded" in expected.regions  # as the parse strips it
         with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
@@ -920,19 +936,26 @@ class TestBinaryCopy:
             ("mobility.csv", 2, b"5", "flows", (0, 0, 0)),
         ],
     )
-    def test_an_edited_csv_is_parsed_again(self, tmp_path, name, line, value, field, where):
-        save_dataset(panel(2, 3), tmp_path)
+    def test_an_edited_csv_is_parsed_once_again(
+        self, tmp_path, name, line, value, field, where
+    ):
+        saved_with_copy(panel(2, 3), tmp_path)
         edit_line(tmp_path / name, line, with_value(value))
         loaded, parsed_csv = load_noting_parses(tmp_path)
         assert parsed_csv
         assert getattr(loaded, field)[where] == float(value)
         assert_same_panel(loaded, parsed(tmp_path))
+        again, parsed_csv = load_noting_parses(tmp_path)
+        assert not parsed_csv
+        assert_same_panel(again, loaded)
 
     def test_an_edit_that_breaks_a_rule_still_names_file_and_line(self, tmp_path):
-        save_dataset(panel(2, 3), tmp_path)
+        saved_with_copy(panel(2, 3), tmp_path)
+        old = (tmp_path / "panel.bin").read_bytes()
         edit_line(tmp_path / "mobility.csv", 4, with_value(b"-1"))
         with pytest.raises(DataError, match=r"^mobility\.csv:4: flow must be >= 0"):
             load_dataset(tmp_path)
+        assert (tmp_path / "panel.bin").read_bytes() == old
 
     @pytest.mark.parametrize(
         "damage",
@@ -945,6 +968,7 @@ class TestBinaryCopy:
             "a shape of 10**13 values", "values claiming a huge shape",
             "float32 values", "big-endian flows", "values in another order",
             "a name as a number", "dates as floats", "a body a value long", "crc32 mismatch",
+            "crc under the old key",
             "a day short", "a region short", "flows a day short", "a 2-d shape", "3 channels",
             "negative case", "infinite extra", "nan flow", "zero population",
             "repeated name", "unstripped name", "a calendar gap", "a bad date",
@@ -954,7 +978,7 @@ class TestBinaryCopy:
         # every body rewritten here carries its own correct crc32 unless the
         # case is about the crc32, so each array rule is checked on its own
         original = panel(2, 3, extras=1)
-        save_dataset(original, tmp_path)
+        saved_with_copy(original, tmp_path)
         copy = tmp_path / "panel.bin"
         good = copy.read_bytes()
         manifest, (values, flows, population) = read_copy(tmp_path)
@@ -995,14 +1019,14 @@ class TestBinaryCopy:
             digests[1] = digests[1][::-1]
             rewrite_copy(tmp_path, sha256=digests)
         elif damage == "digests of other files":
-            save_dataset(panel(2, 3, extras=1, seed=601), tmp_path / "other")
+            saved_with_copy(panel(2, 3, extras=1, seed=601), tmp_path / "other")
             rewrite_copy(tmp_path, sha256=read_copy(tmp_path / "other")[0]["sha256"])
         elif damage == "missing key":
             rewrite_copy(tmp_path, regions=None)
         elif damage == "extra key":
             rewrite_copy(tmp_path, notes=[0.0])
         elif damage == "crc32 as text":
-            rewrite_copy(tmp_path, crc32=str(manifest["crc32"]))
+            rewrite_copy(tmp_path, payload_crc32=str(manifest["payload_crc32"]))
         elif damage == "another format":
             rewrite_copy(tmp_path, format="epicast-panel-1")
         elif damage == "no format (an older copy)":
@@ -1025,7 +1049,11 @@ class TestBinaryCopy:
         elif damage == "a body a value long":
             rewrite_copy(tmp_path, [values, flows, population, [1.0]])
         elif damage == "crc32 mismatch":
-            rewrite_copy(tmp_path, crc32=manifest["crc32"] ^ 1)
+            rewrite_copy(tmp_path, payload_crc32=manifest["payload_crc32"] ^ 1)
+        elif damage == "crc under the old key":
+            # a copy as written before the key's rename, under the same format tag
+            older = {key: value for key, value in manifest.items() if key != "payload_crc32"}
+            copy.write_bytes(frame({**older, "crc32": manifest["payload_crc32"]}, body))
         elif damage == "a day short":
             rewrite_copy(tmp_path, [values[:, :2], flows, population], shape=[2, 2, 5])
         elif damage == "a region short":
@@ -1061,6 +1089,10 @@ class TestBinaryCopy:
         loaded, parsed_csv = load_noting_parses(tmp_path)
         assert parsed_csv, "the damaged copy was read"
         assert_same_panel(loaded, original)
+        # the parse wrote the copy again, except over a directory
+        loaded, parsed_csv = load_noting_parses(tmp_path)
+        assert parsed_csv == (damage == "directory")
+        assert_same_panel(loaded, original)
 
     def test_an_old_npz_copy_is_ignored_without_unpickling(self, tmp_path):
         # a copy of the previous format holding pickled objects, under its
@@ -1075,10 +1107,13 @@ class TestBinaryCopy:
         loaded, parsed_csv = load_noting_parses(tmp_path)
         assert_same_panel(loaded, original)
         assert parsed_csv and not UNPICKLED
+        loaded, parsed_csv = load_noting_parses(tmp_path)
+        assert_same_panel(loaded, original)
+        assert not parsed_csv
 
     def test_single_byte_damage_falls_back_or_reads_the_same(self, tmp_path):
         original = panel(1, 1)
-        save_dataset(original, tmp_path)
+        saved_with_copy(original, tmp_path)
         copy = tmp_path / "panel.bin"
         good = copy.read_bytes()
         # every third byte, headers and data alike, all its bits or its
@@ -1088,10 +1123,13 @@ class TestBinaryCopy:
             damaged[at] ^= flip
             copy.write_bytes(bytes(damaged))
             assert_same_panel(load_dataset(tmp_path), original)
+            loaded, parsed_csv = load_noting_parses(tmp_path)
+            assert not parsed_csv
+            assert_same_panel(loaded, original)
 
     @pytest.mark.parametrize("name", ["population.csv", "observations.csv", "mobility.csv"])
     def test_a_missing_csv_is_still_a_missing_input_file(self, tmp_path, name):
-        save_dataset(panel(2, 3), tmp_path)
+        saved_with_copy(panel(2, 3), tmp_path)
         (tmp_path / name).unlink()
         with pytest.raises(DataError, match=rf"missing input file: .*{re.escape(name)}$"):
             load_dataset(tmp_path)
@@ -1114,16 +1152,18 @@ class TestBinaryCopy:
         ]
 
     def test_a_panel_the_parse_refuses_gets_no_copy(self, tmp_path):
-        save_dataset(panel(2, 3), tmp_path)
+        saved_with_copy(panel(2, 3), tmp_path)
+        old = (tmp_path / "panel.bin").read_bytes()
         bad = panel(2, 3, seed=601)
         bad.values[1, 1, 2] = -5.0
         save_dataset(bad, tmp_path)  # raises nothing, as a save never has
-        assert not (tmp_path / "panel.bin").exists()
-        with pytest.raises(DataError, match=r"^observations\.csv:5: column 'infected'"):
-            load_dataset(tmp_path)
+        for _ in range(2):
+            with pytest.raises(DataError, match=r"^observations\.csv:5: column 'infected'"):
+                load_dataset(tmp_path)
+        assert (tmp_path / "panel.bin").read_bytes() == old
 
     def test_a_save_that_fails_keeps_the_old_copy(self, tmp_path):
-        save_dataset(panel(2, 3), tmp_path)
+        saved_with_copy(panel(2, 3), tmp_path)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         flows = panel(2, 3, seed=601)
         flows.flows = flows.flows[:, :, :2]  # one day short: refused while writing
@@ -1131,28 +1171,18 @@ class TestBinaryCopy:
             save_dataset(flows, tmp_path)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-    def test_a_hand_written_panel_has_no_copy_and_parses(self, tmp_path):
-        original = panel(2, 3)
-        for name, text in reference_texts(original).items():
-            (tmp_path / name).write_bytes(text)
-        loaded, parsed_csv = load_noting_parses(tmp_path)
-        assert_same_panel(loaded, original)
-        assert parsed_csv and not (tmp_path / "panel.bin").exists()
-
-    @pytest.mark.parametrize("old_copy", [False, True])
-    def test_a_copy_that_cannot_be_written_leaves_the_save_whole(self, tmp_path, old_copy):
-        if old_copy:
-            save_dataset(panel(2, 3, seed=601), tmp_path)
+    def test_a_save_leaves_the_old_copy_for_the_next_load_to_replace(self, tmp_path):
+        saved_with_copy(panel(2, 3, seed=601), tmp_path)
+        old = (tmp_path / "panel.bin").read_bytes()
         original = panel(2, 3, extras=1)
-        full = OSError(28, "No space left on device")
-        with mock.patch.object(datasets_module, "write_frame", side_effect=full):
-            save_dataset(original, tmp_path)
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "mobility.csv", "observations.csv", "population.csv"
-        ]
+        save_dataset(original, tmp_path)
+        assert (tmp_path / "panel.bin").read_bytes() == old
         assert {name: (tmp_path / name).read_bytes() for name in reference_texts(original)} \
             == reference_texts(original)
-        assert_same_panel(load_dataset(tmp_path), original)
+        for parses in (True, False):
+            loaded, parsed_csv = load_noting_parses(tmp_path)
+            assert parsed_csv == parses
+            assert_same_panel(loaded, original)
 
 
 def hand_written(directory: Path, dataset) -> None:
@@ -1160,37 +1190,36 @@ def hand_written(directory: Path, dataset) -> None:
         (directory / name).write_bytes(text)
 
 
-class TestTrainingLoad:
-    """``load_and_copy_dataset`` (``epicast train``): ``load_dataset`` that
-    writes the copy of a panel it has to parse."""
+class TestCopyWrite:
+    """``load_dataset`` writes the copy of a panel it has to parse."""
 
     def test_a_hand_written_panel_gets_its_copy(self, tmp_path):
         original = panel(len(ODD_NAMES), 4, extras=1)
         original.regions = list(ODD_NAMES)
         hand_written(tmp_path, original)
         expected = parsed(tmp_path)
-        assert_same_panel(load_and_copy_dataset(tmp_path), expected)
+        loaded, parsed_csv = load_noting_parses(tmp_path)
+        assert parsed_csv
+        assert_same_panel(loaded, expected)
         assert (tmp_path / "panel.bin").is_file()
         with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
             assert_same_panel(load_dataset(tmp_path), expected)
-            assert_same_panel(load_and_copy_dataset(tmp_path), expected)
 
     def test_a_matching_copy_is_read_and_kept(self, tmp_path):
-        save_dataset(panel(2, 3), tmp_path)
+        saved_with_copy(panel(2, 3), tmp_path)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         expected = parsed(tmp_path)
         with mock.patch.object(datasets_module, "write_frame",
                                side_effect=AssertionError("written")), \
                 mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
-            assert_same_panel(load_and_copy_dataset(tmp_path), expected)
+            assert_same_panel(load_dataset(tmp_path), expected)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_a_stale_copy_is_written_again(self, tmp_path):
-        save_dataset(panel(2, 3), tmp_path)
+        saved_with_copy(panel(2, 3), tmp_path)
         edit_line(tmp_path / "mobility.csv", 2, with_value(b"5"))
-        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            loaded = load_and_copy_dataset(tmp_path)
-        assert loadtxt.called and loaded.flows[0, 0, 0] == 5.0
+        loaded, parsed_csv = load_noting_parses(tmp_path)
+        assert parsed_csv and loaded.flows[0, 0, 0] == 5.0
         loaded, parsed_csv = load_noting_parses(tmp_path)
         assert not parsed_csv
         assert_same_panel(loaded, parsed(tmp_path))
@@ -1206,7 +1235,7 @@ class TestTrainingLoad:
             return panel_parsed
 
         monkeypatch.setattr(datasets_module, "_parse", parse_then_edit)
-        assert_same_panel(load_and_copy_dataset(tmp_path), original)
+        assert_same_panel(load_dataset(tmp_path), original)
         assert not (tmp_path / "panel.bin").exists()
 
     @pytest.mark.parametrize("obstacle", ["a directory", "a full disk"])
@@ -1215,11 +1244,11 @@ class TestTrainingLoad:
         hand_written(tmp_path, original)
         if obstacle == "a directory":
             (tmp_path / "panel.bin").mkdir()
-            loaded = load_and_copy_dataset(tmp_path)
+            loaded = load_dataset(tmp_path)
         else:
             full = OSError(28, "No space left on device")
             with mock.patch.object(datasets_module, "write_frame", side_effect=full):
-                loaded = load_and_copy_dataset(tmp_path)
+                loaded = load_dataset(tmp_path)
         assert_same_panel(loaded, original)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             ["mobility.csv", "observations.csv", "population.csv"]
@@ -1230,15 +1259,8 @@ class TestTrainingLoad:
         hand_written(tmp_path, panel(2, 3))
         edit_line(tmp_path / "mobility.csv", 4, with_value(b"-1"))
         with pytest.raises(DataError, match=r"^mobility\.csv:4: flow must be >= 0"):
-            load_and_copy_dataset(tmp_path)
+            load_dataset(tmp_path)
         assert not (tmp_path / "panel.bin").exists()
-
-    @pytest.mark.parametrize("name", ["population.csv", "observations.csv", "mobility.csv"])
-    def test_a_missing_csv_is_still_a_missing_input_file(self, tmp_path, name):
-        save_dataset(panel(2, 3), tmp_path)
-        (tmp_path / name).unlink()
-        with pytest.raises(DataError, match=rf"missing input file: .*{re.escape(name)}$"):
-            load_and_copy_dataset(tmp_path)
 
 
 class TestChronologicalSplit:

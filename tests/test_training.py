@@ -447,6 +447,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=corrupt):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["nan", "inf", "-inf", "int-past-float"],
+    )
+    @pytest.mark.parametrize("key", ["scaler_mean", "scaler_scale", "ema"])
+    def test_a_non_finite_manifest_number_is_refused(self, tmp_path, key, value):
+        # JSON reads NaN and Infinity, and an int of any size, as numbers;
+        # the manifest is sealed with its new crc32, so only the value rule
+        # can refuse it
+        train_w, _, config = build_windows()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(train_w, config), path)
+        raw = path.read_bytes()
+        end = 12 + int.from_bytes(raw[8:12], "little")
+        manifest = json.loads(raw[12:end])
+        if key == "ema":
+            manifest["ema"]["beta"] = value
+        else:
+            manifest[key][1] = value
+        manifest["payload_crc32"] = datasets.frame_crc(manifest, [raw[end:]])
+        encoded = json.dumps(manifest, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded + raw[end:])
+        refused = rf"^{re.escape(str(path))}: checkpoint manifest key '{key}' must be .*finite"
+        with pytest.raises(ValueError, match=refused):
+            load_checkpoint(path)
+
     def test_a_checkpoint_without_a_payload_crc32_loads(self, tmp_path):
         raw = (DATA / "small_model.ckpt").read_bytes()
         assert b"payload_crc32" not in raw  # written before the key existed
