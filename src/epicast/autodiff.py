@@ -251,7 +251,14 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                if b.data.ndim == 2:
+                if b.data.ndim == 2 and b.data.shape[1] == 1:
+                    # a one-column b (the rate heads): with inner size 1 the
+                    # product has no sum, so a broadcast product has its bits
+                    # without one tiny GEMM per stacked matrix of g; adding
+                    # +0.0 turns a -0.0 product into the GEMM's +0.0
+                    ga = g * b.data.T
+                    ga += 0.0
+                elif b.data.ndim == 2:
                     # a contiguous transpose: BLAS's transposed-operand path is slower
                     ga = g @ np.ascontiguousarray(b.data.T)
                 else:
@@ -367,7 +374,8 @@ class Parameters(dict):
     ``grad`` holds every gradient, with zeros where a leaf's ``grad`` is None.
     A leaf's ``grad`` is never rebound from outside, and its ``data`` is only
     written in place; ``zero_grad``, of the table or of a leaf, also zeroes
-    the slice.
+    the slice.  The names are fixed when the table is built, so each
+    ``group`` is worked out then, once.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]):
@@ -383,6 +391,10 @@ class Parameters(dict):
             )
             leaf._slot = self.grad[offset:end].reshape(value.shape)
             offset = end
+        self._groups: dict[str, dict[str, Tensor]] = {}
+        for name, leaf in self.items():
+            for cut in (i for i, char in enumerate(name) if char == "."):
+                self._groups.setdefault(name[:cut], {})[name[cut + 1 :]] = leaf
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
@@ -390,11 +402,9 @@ class Parameters(dict):
             leaf.grad = None
 
     def group(self, prefix: str) -> dict[str, Tensor]:
-        """The leaves named ``prefix.<short>``, keyed by short name, in order."""
-        head = prefix + "."
-        return {
-            name[len(head) :]: leaf for name, leaf in self.items() if name.startswith(head)
-        }
+        """The leaves named ``prefix.<short>``, keyed by short name, in
+        order: a new dict each call, so a caller may edit it."""
+        return dict(self._groups.get(prefix, {}))
 
 
 def _axis_count(shape: tuple[int, ...], axis) -> int:

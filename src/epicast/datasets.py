@@ -385,6 +385,10 @@ def _missing(regions: list[str], present: np.ndarray, day: str) -> str:
     return f"missing entry for region {regions[absent[0]]!r} on {day}"
 
 
+class _CsvChanged(Exception):
+    """A CSV changed while it was parsed, so the parse gets no copy."""
+
+
 def load_dataset(directory: str | Path) -> Dataset:
     """Read the three CSV files under ``directory`` into an aligned panel.
 
@@ -394,7 +398,8 @@ def load_dataset(directory: str | Path) -> Dataset:
     read into.  Any other copy (stale, corrupt, hand-made, of another
     format, or one whose arrays break the loader's rules), or none, means a
     parse, after which the copy is written through ``atomic_write`` if no
-    CSV changed meanwhile.  A copy that cannot be written (a read-only
+    CSV changed meanwhile: the CSVs are hashed again once its temporary
+    file exists, and only then.  A copy that cannot be written (a read-only
     directory, a full disk) is left out without an error; a panel the parse
     refuses raises its ``DataError`` and gets no copy.
     """
@@ -406,15 +411,21 @@ def load_dataset(directory: str | Path) -> Dataset:
     except _COPY_ERRORS:
         pass
     panel = _parse(*paths)
-    if _digests(paths) == digests:
-        manifest = {
-            "format": _COPY_FORMAT, "regions": panel.regions, "dates": panel.dates,
-            "sha256": digests, "shape": list(panel.values.shape),
-        }
-        try:
-            write_frame(copy, _COPY_MAGIC, manifest, (panel.values, panel.flows, panel.population))
-        except OSError:  # atomic_write has removed its temporary file
-            pass
+    manifest = {
+        "format": _COPY_FORMAT, "regions": panel.regions, "dates": panel.dates,
+        "sha256": digests, "shape": list(panel.values.shape),
+    }
+    try:
+        # the temporary file first: a directory that refuses it costs no
+        # second digest
+        with atomic_write(copy, binary=True) as handle:
+            if _digests(paths) != digests:
+                raise _CsvChanged
+            handle.writelines(
+                _frame_parts(_COPY_MAGIC, manifest, (panel.values, panel.flows, panel.population))
+            )
+    except (OSError, _CsvChanged):  # atomic_write has removed its temporary file
+        pass
     return panel
 
 
@@ -615,18 +626,22 @@ def frame_crc(manifest: dict, body) -> int:
 
 
 def write_frame(path: str | Path, magic: bytes, manifest: dict, arrays) -> None:
-    """Write ``path`` through ``atomic_write`` as one frame: the 8-byte
-    ``magic``, the manifest's length as a little-endian uint32, ``manifest``
-    as UTF-8 JSON with sorted keys, then the body, each of ``arrays`` in
-    turn as raw little-endian float64 values in C order.  The manifest
-    written also holds the frame's ``frame_crc`` as ``payload_crc32``."""
+    """Write ``path`` through ``atomic_write`` as one frame (``_frame_parts``)."""
+    parts = _frame_parts(magic, manifest, arrays)
+    with atomic_write(path, binary=True) as handle:
+        handle.writelines(parts)
+
+
+def _frame_parts(magic: bytes, manifest: dict, arrays) -> list:
+    """One frame's bytes, in order: the 8-byte ``magic``, the manifest's
+    length as a little-endian uint32 and ``manifest`` as UTF-8 JSON with
+    sorted keys, then the body, each of ``arrays`` in turn as raw
+    little-endian float64 values in C order.  The manifest encoded also
+    holds the frame's ``frame_crc`` as ``payload_crc32``."""
     body = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
     crc = frame_crc(manifest, body)
     encoded = json.dumps({**manifest, "payload_crc32": crc}, sort_keys=True).encode("utf-8")
-    with atomic_write(path, binary=True) as handle:
-        handle.write(magic + len(encoded).to_bytes(4, "little") + encoded)
-        for part in body:
-            handle.write(part)
+    return [magic + len(encoded).to_bytes(4, "little") + encoded, *body]
 
 
 def read_frame(path: str | Path, magic: bytes, what: str) -> tuple[dict, memoryview]:

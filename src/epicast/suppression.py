@@ -8,9 +8,10 @@ Two per-region detectors feed one decision:
   adaptive absolute level on a large enough fraction of days.
 
 Thresholds are interpolated quantiles over the regions of the current
-window, smoothed by an exponential moving average that only advances while
-training, and floored by configured minimums (the quiet-ratio cutoff is
-additionally capped).  The smoothing state is a plain dict keyed by the
+window (``np.quantile``'s, bit for bit, from one sort of a batch's rows,
+except that a -0.0 counts as +0.0), smoothed by an exponential moving
+average that only advances while training, and floored by configured
+minimums (the quiet-ratio cutoff is additionally capped).  The smoothing state is a plain dict keyed by the
 threshold kinds of ``THRESHOLD_KINDS``, each value a float or None until
 first seeded; the model checkpoints it as is.  A flagged region has its
 infection rate multiplied by a fixed downscale before the mechanistic
@@ -20,6 +21,7 @@ concerned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,30 +83,57 @@ def adaptive_threshold(
     """Smoothed interpolated quantile of ``values``, never below ``floor``.
 
     The fresh quantile interpolates linearly between order statistics at
-    rank 1 + (count - 1) * quantile.  With a smoothing ``state`` attached,
-    training steps fold the fresh value into ``state[kind]`` (seeding it on
-    first use) and the smoothed value is used; outside training the stored
-    average is read without being advanced.
+    rank 1 + (count - 1) * quantile, bit for bit as ``np.quantile`` does,
+    except that a -0.0 among ``values`` counts as +0.0.  With a smoothing
+    ``state`` attached, training steps fold the fresh value into
+    ``state[kind]`` (seeding it on first use) and the smoothed value is
+    used; outside training the stored average is read without being
+    advanced.
     """
     rows = np.asarray(values, dtype=np.float64).reshape(1, -1)
     return float(_thresholds(rows, quantile, floor, state, kind, training, decay)[0])
 
 
+def _quantiles(rows: np.ndarray, quantile: float) -> np.ndarray:
+    """``np.quantile(rows, quantile, axis=1)`` of (B, M) ``rows``, from one sort.
+
+    numpy's linear method: the order statistics ``a``, ``b`` around
+    position (M - 1) * quantile, at weight ``t`` past ``a``, give
+    ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` when t >= 0.5; at
+    the last position both are the last element.  A row holding a NaN gets
+    NaN.  The rows are sorted after ``+ 0.0``, which turns -0.0 into +0.0:
+    a sort and numpy's partition may order the two zeros differently, and
+    so return a cut of either sign.  No comparison tells them apart, so no
+    flag depends on this rule.
+    """
+    ordered = rows + 0.0
+    ordered.sort(axis=1)
+    last = ordered.shape[1] - 1
+    position = last * quantile
+    low = min(math.floor(position), last)
+    high, t = min(low + 1, last), position - low
+    a, b = ordered[:, low], ordered[:, high]
+    cuts = b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+    cuts[np.isnan(ordered[:, -1])] = np.nan  # NaN sorts last
+    return cuts
+
+
 def _thresholds(rows: np.ndarray, quantile, floor, state, kind, training, decay) -> np.ndarray:
-    """``adaptive_threshold`` of each row of (B, M) ``rows``: one vectorized
-    quantile call, then the scalar EMA fold row by row, in row order."""
+    """``adaptive_threshold`` of each row of (B, M) ``rows``: one sort of
+    the block (``_quantiles``), then the scalar EMA fold row by row, in row
+    order."""
     if state is None:  # no smoothing: an unseeded value that never advances
         state, training = {kind: None}, False
     value = state[kind]
     if not training and value is not None:  # read, not advanced
         return np.full(len(rows), max(value, floor), dtype=np.float64)
-    cuts = np.quantile(rows, quantile, axis=1)
-    for b, fresh in enumerate(cuts.tolist()):
+    cuts = []
+    for fresh in _quantiles(rows, quantile).tolist():
         if training:
             value = fresh if value is None else decay * value + (1.0 - decay) * fresh
-        cuts[b] = max(fresh if value is None else value, floor)
+        cuts.append(max(fresh if value is None else value, floor))
     state[kind] = value
-    return cuts
+    return np.array(cuts, dtype=np.float64)
 
 
 class Detection(NamedTuple):

@@ -140,6 +140,22 @@ class TestArithmetic:
         for shapes in ([(5, 3, 4), (4, 2)], [(2, 3, 5, 4), (4, 2)], [(5, 3, 4), (1, 4, 2)]):
             check_op(build, shapes, tag=12)
 
+    @pytest.mark.parametrize("left", [(7, 16), (5, 3, 16), (4, 3, 5, 16)])
+    def test_one_column_left_gradient_is_the_gemm_bitwise(self, left):
+        # the rate heads' (d, 1) weights take a broadcast product in place
+        # of g @ b.T; zeros of both signs in g and b check the zero's sign
+        rng = rng_for(14)
+        a = Tensor(rng.standard_normal(left), requires_grad=True)
+        b = Tensor(rng.standard_normal((16, 1)), requires_grad=True)
+        b.data[[3, 5], 0] = [0.0, -0.0]
+        upstream = rng.standard_normal(left[:-1] + (1,))
+        upstream.flat[::4] = 0.0
+        upstream.flat[1::4] = -0.0
+        (a @ b).backward(upstream)
+        want = upstream @ np.ascontiguousarray(b.data.T)
+        assert a.grad.tobytes() == want.tobytes()
+        check_op(lambda a, b: project(a @ b, 14), [left[:-1] + (4,), (4, 1)], tag=14)
+
     def test_rmatmul_lifts_an_ndarray_left_operand(self):
         rng = rng_for(13)
         left = rng.standard_normal((5, 3, 4))
@@ -485,6 +501,27 @@ class TestParameterTable:
         np.testing.assert_array_equal(w.grad, np.full((2, 3), 5.0))
         np.testing.assert_array_equal(params.grad[:6], np.full(6, 5.0))
         np.testing.assert_array_equal(params.grad[6:], [2.0, 2.0, 2.0, 0.0])
+
+    def test_group_holds_the_tables_own_leaves_in_table_order(self):
+        params = Parameters({
+            "heads.w": np.ones((2, 1)), "lift.w": np.ones(2),
+            "heads.b": np.zeros(1), "head.x": np.zeros(1), "a.b.c": np.zeros(1),
+        })
+        heads = params.group("heads")
+        assert list(heads) == ["w", "b"]
+        assert heads["w"] is params["heads.w"] and heads["b"] is params["heads.b"]
+        assert params.group("a") == {"b.c": params["a.b.c"]}
+        assert params.group("a.b") == {"c": params["a.b.c"]}
+        assert params.group("head.x") == params.group("missing") == {}
+
+    def test_an_edited_group_does_not_change_the_next(self):
+        params = Parameters({"g.w": np.ones(2), "g.b": np.zeros(2)})
+        first = params.group("g")
+        first["w"] = Tensor(np.zeros(2))
+        del first["b"]
+        again = params.group("g")
+        assert again is not first
+        assert again == {"w": params["g.w"], "b": params["g.b"]}
 
     def test_zero_grad_clears_every_leaf_and_the_flat_gradient(self):
         params = self.table()

@@ -4,6 +4,7 @@ chronological splitting, window slicing, and the seeded synthetic generator."""
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -1209,7 +1210,7 @@ class TestCopyWrite:
         saved_with_copy(panel(2, 3), tmp_path)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         expected = parsed(tmp_path)
-        with mock.patch.object(datasets_module, "write_frame",
+        with mock.patch.object(datasets_module, "atomic_write",
                                side_effect=AssertionError("written")), \
                 mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
             assert_same_panel(load_dataset(tmp_path), expected)
@@ -1247,13 +1248,38 @@ class TestCopyWrite:
             loaded = load_dataset(tmp_path)
         else:
             full = OSError(28, "No space left on device")
-            with mock.patch.object(datasets_module, "write_frame", side_effect=full):
+            with mock.patch.object(datasets_module, "_frame_parts", side_effect=full):
                 loaded = load_dataset(tmp_path)
         assert_same_panel(loaded, original)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             ["mobility.csv", "observations.csv", "population.csv"]
             + (["panel.bin"] if obstacle == "a directory" else [])
         )
+
+    def test_a_directory_that_refuses_the_copy_is_hashed_once(self, tmp_path, monkeypatch):
+        original = panel(2, 3)
+        hand_written(tmp_path, original)
+        open_path, digests = Path.open, datasets_module._digests
+        hashed = []
+
+        def refuse_temporaries(path, *args, **kwargs):
+            if path.name.endswith(".tmp"):
+                raise OSError(errno.EROFS, "Read-only file system", str(path))
+            return open_path(path, *args, **kwargs)
+
+        def counted(paths):
+            hashed.append(len(paths))
+            return digests(paths)
+
+        monkeypatch.setattr(Path, "open", refuse_temporaries)
+        monkeypatch.setattr(datasets_module, "_digests", counted)
+        monkeypatch.setattr(datasets_module, "_frame_parts",
+                            mock.Mock(side_effect=AssertionError("encoded")))
+        assert_same_panel(load_dataset(tmp_path), original)
+        assert hashed == [3]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "mobility.csv", "observations.csv", "population.csv"
+        ]
 
     def test_a_refused_panel_still_raises_and_gets_no_copy(self, tmp_path):
         hand_written(tmp_path, panel(2, 3))

@@ -18,12 +18,14 @@ from epicast.domain import (
     MobilitySeries,
     PopulationVector,
 )
+from epicast.pipeline import ForecastModel
 from epicast.suppression import (
     THRESHOLD_KINDS,
     ThresholdConfig,
     adaptive_threshold,
     suppress_beta,
 )
+from epicast.training import mae_loss
 
 from conftest import rng_for
 
@@ -147,7 +149,7 @@ class TestAdaptiveThreshold:
         assert got.dtype == np.float64 and got.tolist() == [want] * 4
         assert state == {"infection": stored}
         # the same with no quantile at hand: the fresh values would be unread
-        monkeypatch.setattr(np, "quantile", lambda *args, **kwargs: np.full(4, np.nan))
+        monkeypatch.setattr(suppression, "_quantiles", lambda *args: np.full(4, np.nan))
         got = suppression._thresholds(rows, 0.3, floor, state, "infection", False, 0.9)
         assert got.tolist() == [want] * 4
 
@@ -180,6 +182,78 @@ class TestAdaptiveThreshold:
         assert out >= floor - 1e-12
         assert out >= min(values) - 1e-12 or out == pytest.approx(floor)
         assert out <= max(max(values), floor) + 1e-9
+
+
+class TestSortedQuantiles:
+    """``_quantiles``: one sort of the rows, numpy's interpolation bit for bit."""
+
+    LEVELS = (0.0, 1.0, 0.5, *(getattr(ThresholdConfig(), f"{kind}_quantile")
+                               for kind in THRESHOLD_KINDS))
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 14, 112])
+    def test_equals_np_quantile_bitwise(self, width):
+        rng = rng_for(405)
+        for trial in range(40):
+            rows = rng.uniform(0, 10, size=(int(rng.integers(1, 33)), width))
+            if trial % 2:  # small counts and sparse draws make ties common
+                rows = np.floor(rows / 3) * (rng.random(rows.shape) > 0.4)
+            if trial % 5 == 0:
+                rows[rng.integers(len(rows)), rng.integers(width)] = np.nan
+            if trial % 7 == 0:  # an infinite neighbour gives NaN, as in numpy
+                rows[rng.integers(len(rows)), rng.integers(width)] = np.inf
+            if trial % 3 == 0:
+                rows -= 5.0
+            levels = (*self.LEVELS, float(rng.random()))
+            for q in levels:
+                with np.errstate(invalid="ignore"):
+                    want = np.quantile(rows, q, axis=1)
+                    got = suppression._quantiles(rows, q)
+                assert got.tobytes() == want.tobytes(), q
+
+    def test_a_negative_zero_counts_as_positive(self):
+        rows = np.array([[-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, -0.0, 1.0], [-0.0] * 4])
+        for q in (0.0, 0.1, 0.2, 0.5, 0.9, 1.0):
+            # np.quantile returns -0.0 for the last row at q = 0.2, say
+            cuts = suppression._quantiles(rows, q)
+            np.testing.assert_array_equal(cuts, np.quantile(rows, q, axis=1))
+            assert not np.signbit(cuts).any(), q
+        # neither the flags nor the cuts and the state can tell the zeros
+        # apart: the detector gives the same bits for the rows made +0.0
+        config = ThresholdConfig(infection_floor=0.0, beta_floor=0.0, gamma_floor=0.0)
+        signed_state, plain_state = (dict.fromkeys(THRESHOLD_KINDS) for _ in range(2))
+        signed, plain = (
+            suppression.detect(rates, rates, rates.repeat(2, axis=2), config, state, True)
+            for rates, state in ((rows[:, :, None], signed_state),
+                                 (rows[:, :, None] + 0.0, plain_state))
+        )
+        for got, want in zip(signed, plain):
+            assert got.tobytes() == want.tobytes()
+        assert slot_bits(signed_state) == slot_bits(plain_state)
+
+    def test_one_training_step_has_the_gradients_of_np_quantile(
+        self, monkeypatch, model_config, small_windows
+    ):
+        def step():
+            model = ForecastModel(model_config, n_regions=3, seed=11)
+            obs = small_windows.observations
+            model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+            batch = small_windows.batch(np.arange(6))
+            out = model.forward(batch, training=True)
+            mae_loss(out.cases, batch.targets).backward()
+            return model.parameters().grad.tobytes(), slot_bits(model.ema), out.flags
+
+        got = step()
+        calls = []
+
+        def np_quantile(rows, q):
+            calls.append(rows.shape)
+            return np.quantile(rows, q, axis=1)
+
+        monkeypatch.setattr(suppression, "_quantiles", np_quantile)
+        want = step()
+        assert len(calls) == 4 and any(np.frombuffer(want[0]))
+        assert got[0] == want[0] and got[1] == want[1]
+        np.testing.assert_array_equal(got[2], want[2])
 
 
 class TestEmaState:
