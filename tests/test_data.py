@@ -8,6 +8,7 @@ import errno
 import hashlib
 import io
 import json
+import random
 import re
 import tempfile
 import zlib
@@ -1287,6 +1288,90 @@ class TestCopyWrite:
         with pytest.raises(DataError, match=r"^mobility\.csv:4: flow must be >= 0"):
             load_dataset(tmp_path)
         assert not (tmp_path / "panel.bin").exists()
+
+
+# bytes a hand edit or a damaged file often brings: CSV syntax, line ends, a
+# sign, a blank, number parts, NUL and a byte that is never UTF-8
+DAMAGE_BYTES = b'",\r\n- .0e\x00\xff'
+DAMAGE_KINDS = ("flip", "set", "delete", "insert", "truncate", "duplicate line")
+# what a refusal of a mutated panel must start with: the file it names, and
+# its line where there is one
+NAMES_A_CSV = re.compile(r"(population|observations|mobility)\.csv(:(\d+))?: \S")
+
+
+def damage(data: bytes, rnd) -> tuple[bytes, str]:
+    """``data`` with one seeded mutation, and the mutation in words."""
+    kind = rnd.choice(DAMAGE_KINDS)
+    at = rnd.randrange(len(data))
+
+    def some_byte() -> int:
+        return rnd.choice([rnd.randrange(256), rnd.choice(DAMAGE_BYTES)])
+
+    if kind == "flip":
+        bit = rnd.randrange(8)
+        flipped = bytes([data[at] ^ 1 << bit])
+        return data[:at] + flipped + data[at + 1 :], f"flip bit {bit} of byte {at}"
+    if kind == "set":
+        value = bytes([some_byte()])
+        return data[:at] + value + data[at + 1 :], f"set byte {at} to {value!r}"
+    if kind == "delete":
+        count = rnd.randint(1, 16)
+        return data[:at] + data[at + count :], f"delete bytes {at}..{at + count - 1}"
+    if kind == "insert":
+        chunk = bytes(some_byte() for _ in range(rnd.randint(1, 4)))
+        return data[:at] + chunk + data[at:], f"insert {chunk!r} before byte {at}"
+    if kind == "truncate":
+        return data[:at], f"truncate to {at} bytes"
+    lines = data.splitlines(keepends=True)
+    k = rnd.randrange(len(lines))
+    return b"".join(lines[: k + 1] + lines[k:]), f"duplicate line {k + 1}"
+
+
+class TestMutationReferee:
+    """Seeded damage to each file of a small panel: a CSV loads or is
+    refused by a ``DataError`` naming a panel file, and a damaged
+    ``panel.bin`` never changes what loads.  A failure names its seed and
+    mutation; ``damage(data, random.Random(seed))`` replays it."""
+
+    MUTATIONS = 40  # per file
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("referee")
+        save_dataset(generate_synthetic(SyntheticScenario(seed=31, n_regions=3, length=300)),
+                     directory)
+        original = load_dataset(directory)
+        files = {path.name: path.read_bytes() for path in directory.iterdir()}
+        assert sorted(files) == sorted(datasets_module._CSV_NAMES + ("panel.bin",))
+        return directory, files, original
+
+    @pytest.mark.parametrize(
+        "name", ["population.csv", "observations.csv", "mobility.csv", "panel.bin"]
+    )
+    def test_damage_loads_or_names_a_file(self, pristine, name):
+        directory, files, original = pristine
+        for k in range(self.MUTATIONS):
+            seed = f"31/{name}/{k}"
+            data, mutation = damage(files[name], random.Random(seed))
+            replay = f"seed {seed!r}: {mutation}"
+            for other, text in files.items():
+                (directory / other).write_bytes(data if other == name else text)
+            try:
+                loaded = load_dataset(directory)
+            except DataError as err:
+                found = NAMES_A_CSV.match(str(err))
+                assert found and name != "panel.bin", f"{replay}: {err}"
+                named = data if found[1] + ".csv" == name else files[found[1] + ".csv"]
+                assert found[3] is None or 1 <= int(found[3]) <= len(named.splitlines()) + 1, (
+                    f"{replay}: {err}"
+                )
+                continue
+            except Exception as err:
+                pytest.fail(f"{replay}: {type(err).__name__}: {err}")
+            if name == "panel.bin":
+                assert_same_panel(loaded, original)
+            else:  # the copy the load wrote holds the same panel
+                assert_same_panel(load_dataset(directory), loaded)
 
 
 class TestChronologicalSplit:
