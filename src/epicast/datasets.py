@@ -10,11 +10,11 @@ On-disk layout is three UTF-8 CSV files with headers and YYYY-MM-DD dates:
 ``population.csv`` defines the region universe and its order.  Floats are
 written with 17 significant digits so a save/load round trip is exact.
 
-``load_dataset`` parses each file in one columnar ``np.loadtxt`` pass
-and runs every check over whole arrays.  Days must be non-decreasing
-in both dated files; within a day, rows may come in any order.  It rejects,
-as a ``DataError`` naming the file and line of the first defect in file
-order (never filling anything in):
+``load_dataset`` reads each file in one ``csv.reader`` loop that checks
+each record as it reads it, so the first defect in file order is the one
+raised, as a ``DataError`` naming the file and the line its record starts
+on.  Days must be non-decreasing in both dated files; within a day, rows
+may come in any order.  It rejects (never filling anything in):
 
 * a byte that is not UTF-8, a NUL byte;
 * a bad header, a wrong column count (a blank line has none), an
@@ -22,8 +22,9 @@ order (never filling anything in):
 * a region missing from ``population.csv``, or named twice there;
 * a calendar gap between observation days, or a mobility date that is not
   an observation day;
-* a duplicate row, a region missing from an observation day (reported
-  where that day ends) or a missing flow (reported after the last row);
+* a duplicate row, a region missing from an observation day (reported on
+  the row after that day, or on the last row) or a missing flow (reported
+  on the last row);
 * a non-finite value anywhere, a negative case, S/I/R count or flow, and a
   population that is not positive.
 
@@ -53,8 +54,10 @@ gets a set of copies.
 
 The synthetic generator runs the mechanistic core day by day
 (``metapop.trajectory``), so at zero observation noise the stored cases
-are an exact fixed point of the forecaster's own rollout given the true
-rates and flows.
+are an exact fixed point of that loop given the true rates and flows.  The
+forecaster's batched rollout kernel multiplies by ``1 / population`` where
+the loop divides, so over 50 days of the default world it differs in
+about half the entries, by about 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -63,13 +66,14 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
-import warnings
 import zlib
+from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import date as date_type, timedelta
-from itertools import chain, product
+from itertools import chain, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -145,19 +149,6 @@ class Dataset:
 # ----------------------------------------------------------------------- CSV
 
 
-_INF = float("inf")
-# Bytes per text field of the columnar parse.  A field that fills its width
-# may have been cut short, so the file is then parsed again with it wider.
-_DATE_WIDTH = 11  # an ISO date and a spare byte
-_VALUE_WIDTH = 25  # a double at 17 significant digits and a spare byte
-# the days of a common year before each month, and in all
-_MONTH_STARTS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365)
-
-
-def _text(raw: bytes) -> str:
-    return raw.decode("utf-8", "replace")
-
-
 def iso_date(text: str) -> date_type:
     """The date ``text`` spells as ``YYYY-MM-DD``, the one form read alike on
     every supported Python (``date.fromisoformat`` takes more from 3.11)."""
@@ -176,213 +167,66 @@ def _day(raw: str) -> date_type | str:
         return f"bad date {raw!r} ({err})"
 
 
-class _Defects:
-    """The first defect among one file's records.
+def _rows(path: Path, head: list[str], exact: bool = True):
+    """Yield the header's fields, then each record's first line and fields,
+    from one ``csv.reader`` pass over the open file.
 
-    Readers run their checks in a fixed order, each over the records before
-    the earliest defect found so far.  So the defect raised is the first, in
-    that order, of the earliest record that has one, and a check may rely on
-    every record it sees having passed the checks before it.
-    """
+    The header must start with ``head`` (stripped fields).  A record needs
+    as many columns as the header if ``exact``, else ``len(head)`` or more;
+    a blank line has none.  A byte that is not UTF-8, or is NUL, is the
+    defect of its line, raised once the lines before it are read (on line 1,
+    before the header).  A misfit or a ``csv.Error`` (an unclosed quote run
+    past the field size limit) is a ``DataError`` at its record's line.
 
-    def __init__(self, path: Path, records: int, message: str | None = None):
-        self.path, self.end, self.message = path, records, message
-
-    def add(self, record: int, message: str) -> None:
-        self.end, self.message = record, message
-
-    def check(self, bad: np.ndarray, message) -> None:
-        """Add the first record ``bad`` marks, worded by ``message(record)``."""
-        hits = np.flatnonzero(bad[: self.end])
-        if hits.size:
-            self.add(int(hits[0]), message(int(hits[0])))
-
-    def raise_first(self) -> None:
-        if self.message is not None:
-            raise DataError(f"{self.path.name}:{self.end + 2}: {self.message}")
-
-
-def _records(path: Path, head: list[str], rule: str, widths: list[int], exact: bool):
-    """The header's fields, the records after it from one ``np.loadtxt``
-    pass, and the ``_Defects`` to check them.
-
-    Fields ``f0``, ``f1``, ... are raw UTF-8 bytes (first of the given
-    ``widths``); the value fields after them are float64.  A record needs as
-    many columns as the header if ``exact``, else at least ``len(head)``.
-    loadtxt skips blank lines, records of no columns to ``csv``, so records
-    are counted against lines.  If the two differ (a quoted field may span
-    lines) or loadtxt fails, the file is read again record by record for the
-    first misfit, the first defect; the records before it are parsed again
-    with the values as bytes, for ``float()`` (which reads ``1_000``, say).
-    A byte that is not UTF-8, or is NUL, is the defect of its line (on line
-    1, before the header is checked), and only the lines before it are read.
+    An ASCII file is not decoded to be checked: the decoded copy doubled the
+    parse's peak memory on a 64-region, 400-day panel (157 against 78 MB).
     """
     data = path.read_bytes()
     bad, why = len(data), None
     try:
-        data.decode("utf-8")
+        if not data.isascii():
+            data.decode("utf-8")
     except UnicodeDecodeError as err:
         bad, why = err.start, f"byte 0x{data[err.start]:02x} is not valid UTF-8"
     nul = data.find(b"\0", 0, bad)
-    if nul >= 0:  # loadtxt's parser would end the field there
+    if nul >= 0:  # csv refuses NUL before Python 3.11
         bad, why = nul, "a NUL byte"
-    # the bad byte's line, else the last: "\r\n", "\r" and "\n" end one, so
-    # count each "\r\n", at even and at odd offsets, once
-    view = memoryview(data)[:bad]
-    codes = np.frombuffer(view, np.uint8)
-    pairs = (np.frombuffer(v, "<u2", len(v) // 2) == 0x0A0D for v in (view, view[1:]))
-    ends = np.count_nonzero(codes == 10) + np.count_nonzero(codes == 13)
-    line = int(ends - sum(map(np.count_nonzero, pairs))) + 1
-    if why and line == 1:
+    # "\r\n", "\r" and "\n" each end a line, as for the reader below
+    bad_line = len((data[:bad] + b"x").splitlines()) if why else 0
+    del data
+    if bad_line == 1:
         raise DataError(f"{path.name}:1: {why}")
-    keep = line - bool(why)  # the lines to read; decoding reads ahead of them
-    with path.open(newline="", encoding="utf-8", errors="replace") as handle:
-        reader = csv.reader(text for _, text in zip(range(keep), handle))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[: len(head)]] != head:
-            raise DataError(f"{path.name}:1: header must {rule}")
-        skip = reader.line_num
-    width = len(header) if exact else len(head)
-    lines = keep - skip - (why is None and data.endswith((b"\n", b"\r")))
-    del data, view, codes
-    names = len(widths)
-    widths = widths + [_VALUE_WIDTH] * (width - names)
-
-    def parse(max_rows, number=None):
-        while True:
-            dtype = np.dtype([
-                (f"f{k}", number if number and k >= names else f"S{w}")
-                for k, w in enumerate(widths)
-            ])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no records: checked below
-                table = np.loadtxt(
-                    path, dtype, delimiter=",", comments=None, quotechar='"',
-                    skiprows=skip, usecols=None if exact else range(width),
-                    max_rows=max_rows, encoding="latin-1", ndmin=1,
-                )  # latin-1 hands every byte through unchanged
-            cells = table.view(np.uint8).reshape(len(table), dtype.itemsize)
-            full = [
-                k for k, (kind, start) in enumerate(dtype.fields.values())
-                if kind.char == "S" and cells[:, start + kind.itemsize - 1].any()
-            ]
-            if not full:
-                return table
-            for k in full:
-                widths[k] *= 4
-
-    def misfit(count: int) -> str | None:
-        if exact and count != width:
-            return f"expected {width} columns, got {count}"
-        return None if count >= width else f"expected {width} columns"
-
-    table = found = None
-    if why is None:
+    end = 0  # the last line read
+    # universal newlines: a line break in a quoted field reads as "\n"
+    with path.open(encoding="utf-8", errors="replace") as handle:
+        reader = csv.reader(islice(handle, bad_line - 1) if why else handle)
         try:
-            table = parse(None, "f8")
-        except ValueError:  # a misfit, or a number only float() reads
-            pass
-    if table is None or len(table) != lines:
-        with path.open(newline="", encoding="utf-8", errors="replace") as handle:
-            rows = csv.reader(text for _, text in zip(range(keep), handle))
-            next(rows)
-            counts = [len(row) for row in rows]
-        found = next(
-            ((i, reason) for i, count in enumerate(counts) if (reason := misfit(count))),
-            None,
-        )
-        try:
-            table = parse(found[0] if found else len(counts) if why else None)
-        except ValueError as err:
-            raise DataError(f"{path.name}: {err}") from None
-    return header, table, _Defects(path, len(table), found[1] if found else why)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[: len(head)]] != head:
+                rule = "start with" if exact else "be"
+                raise DataError(f"{path.name}:1: header must {rule} '{','.join(head)}'")
+            yield header
+            width = len(header) if exact else len(head)
+            end = reader.line_num
+            for row in reader:
+                line, end = end + 1, reader.line_num
+                if len(row) != width and (exact or len(row) < width):
+                    got = f", got {len(row)}" if exact else ""
+                    raise DataError(f"{path.name}:{line}: expected {width} columns{got}")
+                yield line, row
+        except csv.Error as err:
+            raise DataError(f"{path.name}:{end + 1}: {err}") from None
+    if why:
+        raise DataError(f"{path.name}:{bad_line}: {why}")
 
 
-def _name_width(names: list[str]) -> int:
-    return 1 + max(len(name.encode()) for name in names)
-
-
-def _indices(defects: _Defects, raw: np.ndarray, names: list[str], note: str = ""):
-    """Each record's position in ``names``, by its bytes or else by its text
-    less surrounding blanks, once per distinct spelling.  A record that names
-    none is a defect, an unknown region (``note`` says where it is missing)."""
-    keys = np.array([name.encode() for name in names])
-    order = np.argsort(keys)
-    index = order[np.searchsorted(keys[order], raw).clip(max=len(names) - 1)]
-    miss = keys[index] != raw
-    if miss.any():
-        lookup = {name: i for i, name in enumerate(names)}
-        spellings, inverse = np.unique(raw[miss], return_inverse=True)
-        places = [lookup.get(_text(s).strip(), -1) for s in spellings]
-        index[miss] = np.array(places)[inverse]
-        defects.check(index < 0, lambda i: (
-            f"unknown region {_text(raw[i]).strip()!r}{note}"
-        ))
-    return index
-
-
-def _floats(defects: _Defects, raw: np.ndarray, column: str) -> np.ndarray:
-    """The field of every record still checked as a float, up to the first
-    that is not a number, which is a defect."""
-    if raw.dtype.kind == "f":
-        return raw[: defects.end]
-    text = np.char.decode(raw[: defects.end], "utf-8", "replace")
-    try:
-        return text.astype(np.float64)  # float() of each field
-    except ValueError:
-        for i, field in enumerate(map(str, text)):
-            try:
-                float(field)
-            except ValueError:
-                defects.add(i, f"column {column!r} has non-numeric value {field!r}")
-                return text[:i].astype(np.float64)
-        raise
-
-
-def _ordinals(defects: _Defects, raw: np.ndarray) -> np.ndarray:
-    """Each record's date as its ``date.toordinal()``.  A field of exactly
-    ``YYYY-MM-DD`` is read by arithmetic on its bytes, once per run of equal
-    fields; any other spelling goes through ``_day`` once, and one that is
-    no date is a defect."""
-    starts = np.flatnonzero(np.r_[len(raw) > 0, raw[1:] != raw[:-1]])  # of each run
-    cells = raw[starts].view(np.uint8).reshape(len(starts), raw.itemsize)
-    digits = (cells[:, [0, 1, 2, 3, 5, 6, 8, 9]] - 48).astype(np.int64)  # a non-digit > 9
-    year, month, day = (digits[:, a:b] @ scale for a, b, scale in (
-        (0, 4, [1000, 100, 10, 1]), (4, 6, [10, 1]), (6, 8, [10, 1])
-    ))
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    m = month.clip(1, 12)
-    before = np.take(_MONTH_STARTS, m - 1) + (leap & (m > 2))  # the year's days before
-    ok = (
-        (digits <= 9).all(axis=1) & (cells[:, 4] == 45) & (cells[:, 7] == 45)
-        & ~cells[:, 10:].any(axis=1) & (year > 0) & (month == m) & (day > 0)
-        & (day <= np.take(_MONTH_STARTS, m) + (leap & (m > 1)) - before)
-    )
-    prior = year - 1
-    ordinal = prior * 365 + prior // 4 - prior // 100 + prior // 400 + before + day
-    if not ok.all():
-        spellings, inverse = np.unique(raw[starts[~ok]], return_inverse=True)
-        days = [_day(_text(s)) for s in spellings]
-        places = np.array([0 if isinstance(d, str) else d.toordinal() for d in days])
-        ordinal[~ok] = places[inverse]
-    ordinal = np.repeat(ordinal, np.diff(starts, append=len(raw)))
-    defects.check(ordinal == 0, lambda i: _day(_text(raw[i])))
-    return ordinal
-
-
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """Marks the records whose key, an int >= 0, an earlier record already has."""
-    repeat = np.zeros(len(keys), dtype=bool)
-    if np.bincount(keys, minlength=1).max() > 1:  # sorted only to find where
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        repeat[order[1:][ordered[1:] == ordered[:-1]]] = True
-    return repeat
-
-
-def _missing(regions: list[str], present: np.ndarray, day: str) -> str:
-    absent = np.setdiff1d(np.arange(len(regions)), present)
-    return f"missing entry for region {regions[absent[0]]!r} on {day}"
+def _region(index: dict, field: str, defect, note: str = "") -> int:
+    """The position of the region ``field`` names, less surrounding blanks;
+    an unknown name is a ``defect`` (``note`` says where it is missing)."""
+    found = index.get(field.strip())
+    if found is None:
+        raise defect(f"unknown region {field.strip()!r}{note}")
+    return found
 
 
 class _CsvChanged(Exception):
@@ -459,136 +303,139 @@ def _parse(population_path: Path, observation_path: Path, mobility_path: Path) -
 
 
 def _read_population(path: Path) -> tuple[list[str], np.ndarray]:
-    # 16 bytes is a first guess at the names; a longer one is parsed again wider
-    _, table, defects = _records(
-        path, ["region", "population"], "be 'region,population'", [16], exact=False
-    )
-    names = [raw.decode().strip() for raw in table["f0"]]
-    defects.check(
-        _repeats(np.unique(names, return_inverse=True)[1]),
-        lambda i: f"duplicate region {names[i]!r}",
-    )
-    sizes = _floats(defects, table["f1"], "population")
-    defects.check(~((sizes > 0.0) & (sizes < _INF)), lambda i: (
-        f"population for {names[i]!r} must be > 0 and finite, got {float(sizes[i])}"
-    ))
-    defects.raise_first()
-    if not names:
+    def defect(message: str) -> DataError:  # of the record being read
+        return DataError(f"{path.name}:{line}: {message}")
+
+    rows = _rows(path, ["region", "population"], exact=False)
+    next(rows)
+    index, sizes = {}, []
+    for line, row in rows:
+        name = row[0].strip()
+        if name in index:
+            raise defect(f"duplicate region {name!r}")
+        index[name] = len(index)
+        try:
+            sizes.append(float(row[1]))
+        except ValueError:
+            raise defect(f"column 'population' has non-numeric value {row[1]!r}") from None
+        if not 0.0 < sizes[-1] < math.inf:
+            raise defect(f"population for {name!r} must be > 0 and finite, got {sizes[-1]}")
+    if not index:
         raise DataError(f"{path.name}: no regions defined")
-    return names, np.array(sizes)
+    return list(index), np.array(sizes)
 
 
 def _read_observations(path: Path, regions: list[str]) -> tuple[list[str], np.ndarray]:
     """Dates and the ``(N, L, C)`` channel values.  Rows of one day may come
     in any order; a day is checked for completeness where it ends."""
-    n = len(regions)
-    head = ["date", "region", *CORE_CHANNELS]
-    header, table, defects = _records(
-        path, head, f"start with '{','.join(head)}'",
-        [_DATE_WIDTH, _name_width(regions)], exact=True,
-    )
-    columns = [h.strip() for h in header[2:]]
-    if defects.message is None and not len(table):
+
+    def defect(message: str) -> DataError:  # of the record being read
+        return DataError(f"{path.name}:{line}: {message}")
+
+    n, core = len(regions), len(CORE_CHANNELS)
+    rows = _rows(path, ["date", "region", *CORE_CHANNELS])
+    columns = [h.strip() for h in next(rows)[2:]]
+    index = {name: k for k, name in enumerate(regions)}
+    days, dates = {}, []  # each spelling's date or why it is none; each day's
+    order, values = array("q"), array("d")  # each record's region and values
+    present = bytearray(b"\1" * n)  # the regions of the day read (all, before day 1)
+    line, today = 1, None
+    for line, row in rows:
+        day = days.get(row[0]) or days.setdefault(row[0], _day(row[0]))
+        if isinstance(day, str):
+            raise defect(day)
+        region = index.get(row[1])
+        if region is None:
+            region = _region(index, row[1], defect, " (not in population.csv)")
+        if day != today:
+            if today and day < today:
+                raise defect(f"dates must be non-decreasing, {day} follows {today}")
+            if 0 in present:
+                raise defect(f"missing entry for region {regions[present.index(0)]!r} on {today}")
+            if today and (day - today).days > 1:
+                raise defect(f"calendar gap, {day} follows {today}; "
+                             "dates must be consecutive days")
+            today = day
+            dates.append(day.isoformat())
+            present = bytearray(n)
+        elif present[region]:
+            raise defect(f"duplicate entry for {regions[region]!r} on {day}")
+        present[region] = 1
+        numbers = []
+        for column, field in zip(columns, row[2:]):
+            try:
+                numbers.append(float(field))
+            except ValueError:
+                raise defect(f"column {column!r} has non-numeric value {field!r}") from None
+        for k, value in enumerate(numbers):
+            # the S/I/R core is a head count; extra channels may go negative
+            if not (0.0 <= value < math.inf if k < core else math.isfinite(value)):
+                bound = ">= 0 and finite" if k < core else "finite"
+                raise defect(f"column {columns[k]!r} must be {bound}, got {value}")
+        order.append(region)
+        values.extend(numbers)
+    if today is None:
         raise DataError(f"{path.name}: no data rows")
-
-    day = _ordinals(defects, table["f0"])
-    region = _indices(defects, table["f1"], regions, " (not in population.csv)")
-
-    def iso(i: int) -> str:
-        return date_type.fromordinal(int(day[i])).isoformat()
-
-    step = np.diff(day, prepend=day[:1])  # 0 within a day
-    defects.check(step < 0, lambda i: (
-        f"dates must be non-decreasing, {iso(i)} follows {iso(i - 1)}"
-    ))
-    number = np.cumsum(step != 0)  # each record's day, from 0
-    # A day's first record repeats no key, so checking for repeats before
-    # the day boundaries still reports the first defect.
-    defects.check(
-        _repeats((number * n + region)[: defects.end]),
-        lambda i: f"duplicate entry for {regions[region[i]]!r} on {iso(i)}",
-    )
-    starts = np.flatnonzero(np.r_[True, step[1:] != 0])  # each day's first record
-    sizes = np.diff(starts, append=len(day))
-    short = np.zeros(len(day), dtype=bool)
-    short[starts[1:]] = sizes[:-1] != n
-    defects.check(short, lambda i: _missing(
-        regions, region[starts[np.searchsorted(starts, i) - 1] : i], iso(i - 1)
-    ))
-    defects.check(step > 1, lambda i: (
-        f"calendar gap, {iso(i)} follows {iso(i - 1)}; dates must be consecutive days"
-    ))
-    channels = [
-        _floats(defects, table[f"f{k + 2}"], column) for k, column in enumerate(columns)
-    ]
-    for k, (column, values) in enumerate(zip(columns, channels)):
-        # the S/I/R core is a head count; extra channels may go negative
-        bad, bound = ~np.isfinite(values), "finite"
-        if k < len(CORE_CHANNELS):
-            bad, bound = bad | (values < 0.0), ">= 0 and finite"
-        defects.check(
-            bad, lambda i: f"column {column!r} must be {bound}, got {float(values[i])}"
-        )
-    defects.raise_first()
-    if sizes[-1] != n:
-        raise DataError(f"{path.name}:{len(day) + 1}: " + _missing(
-            regions, region[starts[-1] :], iso(len(day) - 1)
-        ))
-    by_region = np.empty((n, len(starts), len(columns)))
-    for k, values in enumerate(channels):
-        by_region[region, number, k] = values
-    # a valid date of 10 bytes is spelt YYYY-MM-DD
-    first = zip(starts.tolist(), table["f0"][starts].tolist())
-    return [s.decode() if len(s) == 10 else iso(i) for i, s in first], by_region
+    if 0 in present:
+        raise defect(f"missing entry for region {regions[present.index(0)]!r} on {today}")
+    count = len(order)  # each day has one record per region
+    by_region = np.empty((n, len(dates), len(columns)))
+    by_region[np.array(order), np.arange(count) // n] = np.frombuffer(values).reshape(count, -1)
+    return dates, by_region
 
 
 def _read_mobility(path: Path, regions: list[str], dates: list[str]) -> np.ndarray:
     """The ``(N, N, L)`` flows.  Rows of one day may come in any order; every
     origin, destination and day needs exactly one row."""
-    n, length = len(regions), len(dates)
-    head = ["date", "origin", "destination", "flow"]
-    name = _name_width(regions)
-    _, table, defects = _records(
-        path, head, f"be '{','.join(head)}'", [_DATE_WIDTH, name, name], exact=False
-    )
 
-    # days are consecutive, so a day's index is its ordinal less the first's
-    first = iso_date(dates[0]).toordinal()
-    t = _ordinals(defects, table["f0"]) - first
-    defects.check((t < 0) | (t >= length), lambda i: (
-        f"date {date_type.fromordinal(int(t[i]) + first)} does not appear in "
-        "observations.csv"
-    ))
-    defects.check(np.diff(t, prepend=t[:1]) < 0, lambda i: (
-        f"dates must be non-decreasing, {dates[t[i]]} follows {dates[t[i - 1]]}"
-    ))
-    o, d = (_indices(defects, table[field], regions) for field in ("f1", "f2"))
-    flat = (o * n + d) * length + t
-    defects.check(_repeats(flat[: defects.end]), lambda i: (
-        f"duplicate flow {regions[o[i]]!r}->{regions[d[i]]!r} on {dates[t[i]]}"
-    ))
-    flow = _floats(defects, table["f3"], "flow")
-    defects.check(~((flow >= 0.0) & (flow < _INF)), lambda i: (
-        f"flow must be >= 0 and finite, got {float(flow[i])}"
-    ))
-    defects.raise_first()
-    # Rows are unique and on known days and regions, so a short count means
-    # some flows are missing; zero-filling them would invent data.
-    count, expected = len(flat), n * n * length
-    if count != expected:
-        # the first unmarked cell in (day, origin, destination) order
-        marks = np.zeros(expected, dtype=np.uint8)
-        marks[flat] = 1
-        marks = marks.reshape(n, n, length).transpose(2, 0, 1)
+    def defect(message: str) -> DataError:  # of the record being read
+        return DataError(f"{path.name}:{line}: {message}")
+
+    n, length = len(regions), len(dates)
+    rows = _rows(path, ["date", "origin", "destination", "flow"], exact=False)
+    next(rows)
+    index = {name: k for k, name in enumerate(regions)}
+    days = {spelling: t for t, spelling in enumerate(dates)}  # and other spellings read
+    flows = np.empty((n, n, length))
+    cells, seen = flows.reshape(-1), bytearray(flows.size)
+    line, t = 1, 0
+    for line, row in rows:
+        now = days.get(row[0])
+        if now is None:
+            day = _day(row[0])
+            if isinstance(day, str):
+                raise defect(day)
+            now = days[row[0]] = (day - iso_date(dates[0])).days
+            if not 0 <= now < length:
+                raise defect(f"date {day} does not appear in observations.csv")
+        if now < t:
+            raise defect(f"dates must be non-decreasing, {dates[now]} follows {dates[t]}")
+        t = now
+        o, d = index.get(row[1]), index.get(row[2])
+        if o is None or d is None:
+            o, d = (_region(index, field, defect) for field in row[1:3])
+        cell = (o * n + d) * length + t
+        if seen[cell]:
+            raise defect(f"duplicate flow {regions[o]!r}->{regions[d]!r} on {dates[t]}")
+        seen[cell] = 1
+        try:
+            flow = float(row[3])
+        except ValueError:
+            raise defect(f"column 'flow' has non-numeric value {row[3]!r}") from None
+        if not 0.0 <= flow < math.inf:
+            raise defect(f"flow must be >= 0 and finite, got {flow}")
+        cells[cell] = flow
+    count = seen.count(1)
+    if count != flows.size:
+        # unique rows on known days and regions fell short: name the first
+        # missing flow in (day, origin, destination) order, never zero-fill
+        marks = np.frombuffer(seen, np.uint8).reshape(n, n, length).transpose(2, 0, 1)
         t, o, d = np.unravel_index(np.argmin(marks), (length, n, n))
-        raise DataError(
-            f"{path.name}:{count + 1}: {count} flow rows, expected "
-            f"{n}*{n}*{length} = {expected} (every origin, destination and day); "
-            f"first missing: {regions[o]!r}->{regions[d]!r} on {dates[t]}"
+        raise defect(
+            f"{count} flow rows, expected {n}*{n}*{length} = {flows.size} (every origin, "
+            f"destination and day); first missing: {regions[o]!r}->{regions[d]!r} on {dates[t]}"
         )
-    flows = np.empty(expected)
-    flows[flat] = flow
-    return flows.reshape(n, n, length)
+    return flows
 
 
 # ---------------------------------------------------------------- binary copy
@@ -724,8 +571,8 @@ def _read_copy(path: Path, digests: list[str]) -> Dataset:
     days = np.datetime64(iso_date(dates[0]), "D") + np.arange(length)
     if not (
         np.isfinite(values).all() and (values[..., : len(CORE_CHANNELS)] >= 0.0).all()
-        and ((flows >= 0.0) & (flows < _INF)).all()
-        and ((population > 0.0) & (population < _INF)).all()
+        and ((flows >= 0.0) & (flows < math.inf)).all()
+        and ((population > 0.0) & (population < math.inf)).all()
         and len(set(regions)) == n and all(name == name.strip() for name in regions)
         and days.astype(str).tolist() == dates
     ):

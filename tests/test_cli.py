@@ -824,6 +824,30 @@ class TestOutOfRangeInput:
         assert re.search(pattern, err), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("file_name", ["observations.csv", "mobility.csv"])
+    def test_unclosed_quote_in_a_serve_size_panel_names_file_and_line(
+        self, workdir, tmp_path, capsys, file_name
+    ):
+        from epicast import datasets
+
+        # the default 8-region, 400-day world: the quote's field runs to the
+        # end of the file, past the csv module's field size limit
+        data = tmp_path / "data"
+        datasets.save_dataset(datasets.generate_synthetic(SyntheticScenario()), data)
+        path = data / file_name
+        lines = path.read_bytes().split(b"\r\n")
+        lines[5] = lines[5].replace(b",", b',"', 1)
+        path.write_bytes(b"\r\n".join(lines))
+        out = tmp_path / "f.csv"
+        code = main(
+            ["forecast", "--data", str(data), "--checkpoint", str(workdir["ckpt"]),
+             "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert f"{file_name}:6: " in err
+        assert not out.exists()
+
 
 def rewrite_manifest(source, target, edit, payload=None):
     """Copy a checkpoint with its JSON manifest changed by ``edit`` and, when

@@ -386,6 +386,35 @@ class TestLoaderInputRules:
         with pytest.raises(DataError, match=rf"^{re.escape(name)}:{line}: {message}$"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "name,old,new,where",
+        [
+            # the day's first three flows each name "two\nlines" once or
+            # twice, so the fourth, r1->r1, starts on line 9
+            ("mobility.csv", rb"(2021-03-01,r1,r1,)[^\r]*", rb"\g<1>-1",
+             r"9: flow must be >= 0 and finite, got -1\.0$"),
+            # day 2's r1 row, after three lines of "two\nlines" rows
+            ("observations.csv", rb"(2021-03-02,r1,)[^,]*", rb"\g<1>-1",
+             "7: column 'cases' must be >= 0"),
+            # day 1 loses r1: reported where day 2 starts, on its first row
+            ("observations.csv", rb"2021-03-01,r1,[^\r]*\r\n", b"",
+             "4: missing entry for region 'r1' on 2021-03-01"),
+            # the last day loses r1: reported on the last row, where it starts
+            ("observations.csv", rb"2021-03-03,r1,[^\r]*\r\n", b"",
+             "8: missing entry for region 'r1' on 2021-03-03"),
+        ],
+    )
+    def test_a_defect_after_a_name_that_spans_lines_names_the_line_its_row_starts_on(
+        self, tmp_path, name, old, new, where
+    ):
+        original = panel(2, 3)
+        original.regions = ["two\nlines", "r1"]
+        save_dataset(original, tmp_path)
+        path = tmp_path / name
+        path.write_bytes(re.sub(old, new, path.read_bytes(), 1))
+        with pytest.raises(DataError, match=rf"^{re.escape(name)}:{where}"):
+            load_dataset(tmp_path)
+
     def test_blank_line_at_the_end_is_refused(self, tmp_path):
         self.saved(tmp_path, n=2, length=3)
         mob = tmp_path / "mobility.csv"
@@ -460,27 +489,6 @@ class TestLoaderInputRules:
         message = f"bad date {spelling!r} ({reason})"
         with pytest.raises(DataError, match=rf"^{re.escape(name)}:{line}: {re.escape(message)}$"):
             load_dataset(tmp_path)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(
-        st.one_of(
-            st.dates().map(date.isoformat),
-            st.text("0123456789- ", max_size=11),
-            st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32)).map(
-                lambda ymd: "%04d-%02d-%02d" % ymd
-            ),
-        ),
-        min_size=1, max_size=40,
-    ))
-    def test_dates_read_by_arithmetic_match_the_per_field_rule(self, spellings):
-        from epicast.datasets import _Defects, _day, _ordinals
-
-        raw = np.array(sorted(s.encode() for s in spellings), dtype="S11")
-        days = [_day(s) for s in sorted(spellings)]
-        want = [0 if isinstance(d, str) else d.toordinal() for d in days]
-        defects = _Defects(Path("x.csv"), len(raw))
-        assert _ordinals(defects, raw).tolist() == want
-        assert defects.end == next((i for i, w in enumerate(want) if not w), len(raw))
 
     @pytest.mark.parametrize(
         "line,old,new", [(2, b"2021-03-01", b"2021-02-28"), (13, b"2021-03-03", b"2021-03-04")]
@@ -876,8 +884,8 @@ class Tripwire:
 
 def load_noting_parses(directory: Path):
     """``load_dataset(directory)``, and whether it parsed a CSV."""
-    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-        return load_dataset(directory), loadtxt.called
+    with mock.patch.object(datasets_module, "_parse", wraps=datasets_module._parse) as parse:
+        return load_dataset(directory), parse.called
 
 
 def saved_with_copy(dataset, directory: Path) -> None:
@@ -915,7 +923,7 @@ class TestBinaryCopy:
             directory = Path(directory)
             save_dataset(original, directory)
             from_csv = load_dataset(directory)
-            with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+            with mock.patch.object(datasets_module, "_parse", side_effect=AssertionError("parsed")):
                 from_copy = load_dataset(directory)
         assert_same_panel(from_copy, from_csv)
         assert [name.strip() for name in original.regions] == from_copy.regions
@@ -927,7 +935,7 @@ class TestBinaryCopy:
         saved_with_copy(original, tmp_path)
         expected = parsed(tmp_path)
         assert "padded" in expected.regions  # as the parse strips it
-        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+        with mock.patch.object(datasets_module, "_parse", side_effect=AssertionError("parsed")):
             assert_same_panel(load_dataset(tmp_path), expected)
 
     @pytest.mark.parametrize(
@@ -1204,7 +1212,7 @@ class TestCopyWrite:
         assert parsed_csv
         assert_same_panel(loaded, expected)
         assert (tmp_path / "panel.bin").is_file()
-        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+        with mock.patch.object(datasets_module, "_parse", side_effect=AssertionError("parsed")):
             assert_same_panel(load_dataset(tmp_path), expected)
 
     def test_a_matching_copy_is_read_and_kept(self, tmp_path):
@@ -1213,7 +1221,7 @@ class TestCopyWrite:
         expected = parsed(tmp_path)
         with mock.patch.object(datasets_module, "atomic_write",
                                side_effect=AssertionError("written")), \
-                mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+                mock.patch.object(datasets_module, "_parse", side_effect=AssertionError("parsed")):
             assert_same_panel(load_dataset(tmp_path), expected)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
@@ -1333,7 +1341,7 @@ class TestMutationReferee:
     ``panel.bin`` never changes what loads.  A failure names its seed and
     mutation; ``damage(data, random.Random(seed))`` replays it."""
 
-    MUTATIONS = 40  # per file
+    MUTATIONS = 100  # per file
 
     @pytest.fixture(scope="class")
     def pristine(self, tmp_path_factory):
