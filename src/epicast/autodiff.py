@@ -337,9 +337,14 @@ class Tensor:
             grad = g
             if not keepdims and axis is not None:
                 grad = np.expand_dims(grad, axis)
+            if a.grad is not None:
+                # broadcast into the gradient held, no spread buffer; cast
+                # first, as the spread's assignment would
+                a._accumulate(grad.astype(a.data.dtype, copy=False))
+                return
             spread = np.empty_like(a.data)  # keeps a's layout, e.g. the time-major flows
             spread[...] = grad
-            a._accumulate(spread)
+            a._accumulate(spread, fresh=True)
 
         return _from_op(out_data, (a,), backward)
 

@@ -122,13 +122,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _channel_scaler(windows: datasets.WindowSet) -> tuple[np.ndarray, np.ndarray]:
-    observations = windows.observations
-    mean = observations.mean(axis=(0, 1, 2))
-    scale = observations.std(axis=(0, 1, 2))
-    return mean, scale
-
-
 def _cmd_train(args) -> int:
     config = load_config(args.config)
     model_config = model_config_from(config)
@@ -143,7 +136,7 @@ def _cmd_train(args) -> int:
     train_windows = datasets.windowize(train_split, model_config.t_in, model_config.t_out)
     val_windows = datasets.windowize(val_split, model_config.t_in, model_config.t_out)
     model = ForecastModel(model_config, dataset.n_regions, seed=train_config.seed)
-    model.set_scaler(*_channel_scaler(train_windows))
+    model.set_scaler(*datasets.channel_scaler(train_windows))
     log = None if args.quiet else print
     history = training.fit(model, train_windows, val_windows, train_config, log=log)
     training.save_checkpoint(
@@ -334,7 +327,7 @@ def tiny_gradcheck_setup(seed: int = 7):
     windows = datasets.windowize(dataset, config.t_in, config.t_out)
     batch = windows.batch(np.arange(min(4, len(windows))))
     model = ForecastModel(config, dataset.n_regions, seed=seed)
-    model.set_scaler(*_channel_scaler(windows))
+    model.set_scaler(*datasets.channel_scaler(windows))
     # The blend and the retrieval scale initialize at exactly zero, which
     # silences entire parameter groups; probe at a generic operating point.
     # The dependency and memory paths are smooth (softmax/sigmoid) but

@@ -44,13 +44,14 @@ then the body, raw little-endian float64 values.
 
 A ``Dataset`` holds the channels as one (N, L, C) block, ``values``, from
 load to window, in the order this module owns (``CORE_CHANNELS``).
-``windowize`` cuts every window into a ``WindowSet``, the one window type
-every forward reads (a forecast's one-window set too), as contiguous
-copies of sliding views of the block, except the mobility, which stays one
-read-only sliding view of the segment's flows.  ``WindowSet.batch`` of a
-slice (validation, ``evaluate``) is a set of views, so their mobility is
-never gathered; a shuffled training batch asks with an index array and
-gets a set of copies.
+``day_range`` and ``chronological_split`` cut read-only views of the
+panel's arrays, and ``windowize`` cuts every window into a ``WindowSet``,
+the one window type every forward reads (a forecast's one-window set too),
+whose observations, targets and mobility are read-only sliding views of the
+segment: a training or scoring process holds each panel day once.
+``WindowSet.batch`` of a slice (validation, ``evaluate``) is a set of views,
+so nothing is gathered; a shuffled training batch asks with an index array
+and gets a set of C-ordered copies.
 
 The synthetic generator runs the mechanistic core day by day
 (``metapop.trajectory``), so at zero observation noise the stored cases
@@ -62,6 +63,7 @@ about half the entries, by about 1e-15 relative.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -90,6 +92,7 @@ __all__ = [
     "SyntheticScenario",
     "WindowSet",
     "atomic_write",
+    "channel_scaler",
     "chronological_split",
     "generate_synthetic",
     "load_dataset",
@@ -137,13 +140,20 @@ class Dataset:
         return len(self.dates)
 
     def day_range(self, start: int, stop: int) -> "Dataset":
+        """Days ``start:stop`` of the panel, its arrays read-only views of
+        this panel's: nothing is copied, and a write through one raises."""
         return Dataset(
             regions=list(self.regions),
             dates=self.dates[start:stop],
-            values=self.values[:, start:stop].copy(),
-            flows=self.flows[:, :, start:stop].copy(),
-            population=self.population.copy(),
+            values=_read_only(self.values[:, start:stop]),
+            flows=_read_only(self.flows[:, :, start:stop]),
+            population=_read_only(self.population[:]),
         )
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 # ----------------------------------------------------------------------- CSV
@@ -174,26 +184,13 @@ def _rows(path: Path, head: list[str], exact: bool = True):
     The header must start with ``head`` (stripped fields).  A record needs
     as many columns as the header if ``exact``, else ``len(head)`` or more;
     a blank line has none.  A byte that is not UTF-8, or is NUL, is the
-    defect of its line, raised once the lines before it are read (on line 1,
-    before the header).  A misfit or a ``csv.Error`` (an unclosed quote run
-    past the field size limit) is a ``DataError`` at its record's line.
-
-    An ASCII file is not decoded to be checked: the decoded copy doubled the
-    parse's peak memory on a 64-region, 400-day panel (157 against 78 MB).
+    defect of its line (``_first_bad_byte``), raised once the lines before
+    it are read (on line 1, before the header).  A misfit or a ``csv.Error``
+    (an unclosed quote run past the field size limit) is a ``DataError`` at
+    its record's line.
     """
-    data = path.read_bytes()
-    bad, why = len(data), None
-    try:
-        if not data.isascii():
-            data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        bad, why = err.start, f"byte 0x{data[err.start]:02x} is not valid UTF-8"
-    nul = data.find(b"\0", 0, bad)
-    if nul >= 0:  # csv refuses NUL before Python 3.11
-        bad, why = nul, "a NUL byte"
-    # "\r\n", "\r" and "\n" each end a line, as for the reader below
-    bad_line = len((data[:bad] + b"x").splitlines()) if why else 0
-    del data
+    bad, why = _first_bad_byte(path)
+    bad_line = _line_of(path, bad) if why else 0
     if bad_line == 1:
         raise DataError(f"{path.name}:1: {why}")
     end = 0  # the last line read
@@ -218,6 +215,52 @@ def _rows(path: Path, head: list[str], exact: bool = True):
             raise DataError(f"{path.name}:{end + 1}: {err}") from None
     if why:
         raise DataError(f"{path.name}:{bad_line}: {why}")
+
+
+def _first_bad_byte(path: Path) -> tuple[int, str | None]:
+    """The offset of the first byte of ``path`` that is not UTF-8 or is NUL,
+    and why; else the file's size and None.
+
+    The file is read in blocks of ``_BLOCK`` bytes through one
+    incremental decoder, so no file is held whole: a character split across
+    two blocks is decoded whole, and a bad one is reported at its first
+    byte, as a decode of the whole file would.  An ASCII block is not
+    decoded: a decoded copy of a whole file doubled the parse's peak memory
+    on a 64-region, 400-day panel (157 against 78 MB).
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    start = 0  # the offset of the block
+    with path.open("rb") as handle:
+        while True:
+            block = handle.read(_BLOCK)
+            held = len(decoder.getstate()[0])  # the begun character of the block before
+            end, why = start + len(block), None
+            try:
+                if held or not block.isascii():
+                    decoder.decode(block, final=not block)
+            except UnicodeDecodeError as err:
+                end = start - held + err.start
+                why = f"byte 0x{err.object[err.start]:02x} is not valid UTF-8"
+            nul = block.find(b"\0", 0, max(end - start, 0))
+            if nul >= 0:  # csv refuses NUL before Python 3.11
+                return start + nul, "a NUL byte"
+            if why or not block:
+                return end, why
+            start = end
+
+
+def _line_of(path: Path, offset: int) -> int:
+    """The line of ``path`` that byte ``offset`` is on, counted from 1, as
+    the reader counts them: "\\r\\n", "\\r" and "\\n" each end a line."""
+    line, after_cr = 1, False
+    with path.open("rb") as handle:
+        while offset > 0 and (block := handle.read(min(offset, _BLOCK))):
+            offset -= len(block)
+            line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            if after_cr and block.startswith(b"\n"):
+                line -= 1  # one "\r\n", split across two blocks
+            after_cr = block.endswith(b"\r")
+    return line
 
 
 def _region(index: dict, field: str, defect, note: str = "") -> int:
@@ -283,8 +326,8 @@ def _csv_paths(directory: str | Path) -> list[Path]:
 
 def _digests(paths: list[Path]) -> list[str]:
     """The sha256 of each file's bytes, read in blocks of at most
-    ``_HASH_BLOCK`` bytes into one buffer, so no file is held whole."""
-    block = memoryview(np.empty(_HASH_BLOCK, np.uint8))  # pages are touched only as read
+    ``_BLOCK`` bytes into one buffer, so no file is held whole."""
+    block = memoryview(np.empty(_BLOCK, np.uint8))  # pages are touched only as read
     digests = []
     for path in paths:
         digest = hashlib.sha256()
@@ -442,7 +485,7 @@ def _read_mobility(path: Path, regions: list[str], dates: list[str]) -> np.ndarr
 
 
 _CSV_NAMES = ("population.csv", "observations.csv", "mobility.csv")
-_HASH_BLOCK = 1 << 20  # the bytes of a CSV hashed at a time
+_BLOCK = 1 << 20  # the bytes of a CSV hashed or scanned at a time
 _COPY_NAME = "panel.bin"
 _COPY_MAGIC = b"EPPANEL\x00"
 # The copy stores the parse, so it is only as current as ``_parse``: bump
@@ -691,7 +734,8 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> None:
 
 
 def chronological_split(dataset: Dataset) -> tuple[Dataset, Dataset, Dataset]:
-    """Split days 6:1:1 (train gets floor(6L/8), validation floor(L/8))."""
+    """Split days 6:1:1 (train gets floor(6L/8), validation floor(L/8)),
+    each segment a ``day_range``: read-only views of the panel's arrays."""
     length = dataset.n_days
     if length < 8:
         raise DataError(f"need at least 8 days to split, got {length}")
@@ -709,10 +753,13 @@ class WindowSet:
     """Sliding windows (stride 1) over one data segment: the one window type,
     which ``windowize`` cuts, ``batch`` selects from and every forward reads.
 
-    ``mobility`` is a read-only view of the segment's flows.  ``batch`` of a
-    slice returns views of every array, mobility included (read-only, never
-    gathered); ``batch`` of an integer index array gathers fresh, writeable
-    copies, the mobility as C-ordered (B, N, N, T_in) rows.
+    ``observations``, ``mobility`` and ``targets`` are read-only views of the
+    segment's arrays, so each day is held once however many windows see it;
+    the start states are small (W, N) copies.  ``batch`` of a slice returns
+    views of every array (read-only, never gathered); ``batch`` of an integer
+    index array gathers fresh, writeable, C-ordered copies, the mobility as
+    (B, N, N, T_in) rows.  A result that depends on the order of a sum over
+    the windows reduces a C-ordered copy (``channel_scaler``).
     """
 
     observations: np.ndarray  # (W, N, T_in, C)
@@ -756,7 +803,9 @@ def windowize(dataset: Dataset, t_in: int, t_out: int) -> WindowSet:
 
     Window ``w`` observes days ``w .. w + t_in - 1``, starts its rollout from
     the S/I/R counts of the last of them and targets the cases of the
-    ``t_out`` days after it.
+    ``t_out`` days after it.  The observations, mobility and targets are
+    read-only sliding views of the segment's ``values`` and ``flows``: no
+    buffer of the windows' size is allocated.
     """
     length = dataset.n_days
     count = length - (t_in + t_out) + 1
@@ -772,16 +821,25 @@ def windowize(dataset: Dataset, t_in: int, t_out: int) -> WindowSet:
     )
     mobility = view(dataset.flows, t_in, axis=2)
     return WindowSet(
-        observations=np.ascontiguousarray(days[:, :, :t_in]),
+        observations=days[:, :, :t_in],
         mobility=mobility[:, :, :count].transpose(2, 0, 1, 3),
         susceptible0=susceptible0,
         infected0=infected0,
         recovered0=recovered0,
-        targets=np.ascontiguousarray(days[:, :, t_in:, CASES_CHANNEL]),
+        targets=days[:, :, t_in:, CASES_CHANNEL],
         population=dataset.population.copy(),
         regions=list(dataset.regions),
         t_out=t_out,
     )
+
+
+def channel_scaler(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:
+    """The per-channel mean and standard deviation of every observed day of
+    every window, the model's input scaler.  They are reduced from a
+    transient C-ordered copy of the observations, so their rounding is that
+    of the (W, N, T_in, C) block, not of the view's strides."""
+    observations = np.ascontiguousarray(windows.observations)
+    return observations.mean(axis=(0, 1, 2)), observations.std(axis=(0, 1, 2))
 
 
 # ------------------------------------------------------------------ synthetic

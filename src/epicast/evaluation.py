@@ -79,10 +79,12 @@ def horizon_report(
 
     ``predictions``/``truth`` are (windows, regions, horizon).  Each entry
     of ``days`` is a single 1-based lead time scored on its own; ``overall``
-    pools every lead time.
+    pools every lead time.  Both are scored as C-ordered arrays (a view,
+    such as a window set's targets, is copied), since the rounding of a
+    mean follows the layout of the array it reduces.
     """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    predictions = np.ascontiguousarray(predictions, dtype=np.float64)
+    truth = np.ascontiguousarray(truth, dtype=np.float64)
     if predictions.ndim != 3 or predictions.shape != truth.shape:
         raise DimensionMismatchError(
             f"expected matching (windows, regions, horizon) arrays, got "

@@ -69,8 +69,7 @@ def small_windows(small_dataset, model_config):
 @pytest.fixture
 def small_model(model_config, small_windows) -> ForecastModel:
     model = ForecastModel(model_config, n_regions=3, seed=11)
-    obs = small_windows.observations
-    model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+    model.set_scaler(*datasets.channel_scaler(small_windows))
     return model
 
 

@@ -236,8 +236,7 @@ def test_criterion_06_zeroed_corrections_are_bitwise_neutral():
     dataset = datasets.generate_synthetic(scenario)
     windows = datasets.windowize(dataset, config.t_in, config.t_out)
     batch = windows.batch(np.arange(4))
-    mean = windows.observations.mean(axis=(0, 1, 2))
-    scale = windows.observations.std(axis=(0, 1, 2))
+    mean, scale = datasets.channel_scaler(windows)
 
     base = ForecastModel(config, n_regions=3, seed=3)
     base.set_scaler(mean, scale)
@@ -285,8 +284,7 @@ def test_criterion_07_learned_model_beats_persistence_on_synthetic():
     test_w = datasets.windowize(test_split, model_config.t_in, model_config.t_out)
 
     model = ForecastModel(model_config, dataset.n_regions, seed=train_config.seed)
-    obs = train_w.observations
-    model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+    model.set_scaler(*datasets.channel_scaler(train_w))
     training.fit(model, train_w, val_w, train_config, log=None)
 
     predictions = np.concatenate(

@@ -466,6 +466,50 @@ class TestGraphEngine:
         assert x.grad is view  # kept, layout and all, and added into in place
         np.testing.assert_array_equal(made, np.arange(6.0).reshape(3, 2) + 1.0)
 
+    @pytest.mark.parametrize("held", ["leaf", "owned", "borrowed"])
+    @pytest.mark.parametrize("axis,keepdims", [((1, 3), False), (2, True), (None, False)])
+    def test_sum_backward_into_a_held_gradient_equals_the_spread_path(
+        self, held, axis, keepdims
+    ):
+        # the spread path: g broadcast into a new buffer of the operand's
+        # layout, which is then added to the gradient the operand holds
+        rng = rng_for(60)
+        data = rng.standard_normal((2, 4, 3, 5)).transpose(0, 2, 1, 3)  # not C-ordered
+        earlier = rng.standard_normal(data.shape)
+        table = Parameters({"x": data})
+        a = table["x"] if held == "leaf" else Tensor(data, requires_grad=True)
+        total = a.sum(axis=axis, keepdims=keepdims)
+        g = rng.standard_normal(total.shape)
+        if held == "owned":
+            a._accumulate(earlier[::-1][::-1])  # a view: copied, so the buffer is a's
+            assert a._owns_grad
+        else:
+            a._accumulate(earlier)  # a leaf copies it into its slot; else it is borrowed
+        spread = np.empty_like(data)
+        spread[...] = g if keepdims or axis is None else np.expand_dims(g, axis)
+        want = earlier + spread
+        before = earlier.copy()
+        total._backward(g)
+        assert a.grad.tobytes() == want.tobytes()
+        assert earlier.tobytes() == before.tobytes()  # a borrowed gradient is not added into
+        if held == "leaf":
+            assert a.grad is table["x"]._slot
+            assert table.grad.tobytes() == want.tobytes()
+
+    def test_sum_backward_first_write_is_an_owned_spread_of_the_operand_layout(self):
+        data = np.arange(24.0).reshape(2, 3, 4).transpose(2, 0, 1)
+        a = Tensor(data, requires_grad=True)
+        total = a.sum(axis=1)
+        g = np.arange(12.0).reshape(4, 3)
+        total._backward(g)
+        assert a.grad.strides == np.empty_like(data).strides
+        assert a.grad.tobytes() == np.broadcast_to(g[:, None, :], data.shape).tobytes()
+        assert a._owns_grad  # a later write adds into it in place
+        buffer = a.grad
+        total._backward(g)
+        assert a.grad is buffer
+        assert a.grad.tobytes() == (2.0 * np.broadcast_to(g[:, None, :], data.shape)).tobytes()
+
 
 class TestParameterTable:
     """``Parameters``: leaves viewing one flat data and one flat grad buffer."""
@@ -582,8 +626,7 @@ def acceptance_step_gradients(walk) -> tuple[dict, list[Tensor]]:
     windows = datasets.windowize(train_split, config.t_in, config.t_out)
     seed = cli.train_config_from(payload).seed
     model = ForecastModel(config, world.n_regions, seed=seed)
-    obs = windows.observations
-    model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+    model.set_scaler(*datasets.channel_scaler(windows))
     batch = windows.batch(np.arange(32))
     loss = training.mae_loss(model.forward(batch, training=True).cases, batch.targets)
     intermediates = [node for node in topological(loss) if node._backward is not None]

@@ -11,6 +11,7 @@ import json
 import random
 import re
 import tempfile
+import tracemalloc
 import zlib
 from datetime import date, timedelta
 from itertools import product
@@ -32,6 +33,7 @@ from epicast.datasets import (
     SyntheticScenario,
     WindowSet,
     atomic_write,
+    channel_scaler,
     chronological_split,
     frame_crc,
     generate_synthetic,
@@ -154,12 +156,18 @@ class TestDatasetPanel:
         np.testing.assert_array_equal(part.flows, data.flows[:, :, 3:7])
         np.testing.assert_array_equal(part.population, data.population)
 
-    def test_day_range_copies_its_arrays(self):
+    def test_day_range_is_read_only_views(self):
         data = panel(2, 6, extras=1)
         before = data.values.copy(), data.flows.copy(), data.population.copy()
         part = data.day_range(1, 4)
-        for array in (part.values, part.flows, part.population):
-            array[...] = -1.0
+        for name in ("values", "flows", "population"):
+            array, whole = getattr(part, name), getattr(data, name)
+            assert np.shares_memory(array, whole), name
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = -1.0
+        # the panel itself stays writable and unchanged
+        assert data.values.flags.writeable and data.flows.flags.writeable
         np.testing.assert_array_equal(data.values, before[0])
         np.testing.assert_array_equal(data.flows, before[1])
         np.testing.assert_array_equal(data.population, before[2])
@@ -608,6 +616,84 @@ class TestLoaderInputRules:
         path.write_bytes(path.read_bytes().replace(b"\r\n", end))
         with pytest.raises(DataError, match=rf"^mobility\.csv:3: {message}$"):
             load_dataset(tmp_path)
+
+
+class TestByteScanInBlocks:
+    """The UTF-8 and NUL scan reads a CSV ``_BLOCK`` bytes at a time; at
+    every block size it finds the byte, the reason and the line that a scan
+    of the whole file finds."""
+
+    @staticmethod
+    def scan(path: Path, data: bytes, block: int, monkeypatch) -> tuple:
+        monkeypatch.setattr(datasets_module, "_BLOCK", block)
+        path.write_bytes(data)
+        bad, why = datasets_module._first_bad_byte(path)
+        return bad, why, datasets_module._line_of(path, bad) if why else None
+
+    @pytest.mark.parametrize("block", range(1, 6))
+    def test_a_character_split_across_blocks_is_valid(self, tmp_path, monkeypatch, block):
+        # two-, three- and four-byte characters at every offset of a block
+        data = "a,b\r\né,r€1,😀\r\n€€😀é\r\n".encode()
+        assert self.scan(tmp_path / "f.csv", data, block, monkeypatch) == (len(data), None, None)
+
+    @pytest.mark.parametrize("block", range(1, 6))
+    @pytest.mark.parametrize(
+        "data,bad,byte",
+        [(b"a\r\n\xe2\x82x\r\n", 3, 0xE2),  # a three-byte character cut short
+         (b"a\r\nb\xf0\x9f\x98", 4, 0xF0),  # a four-byte one cut by the end of the file
+         (b"a\r\nb\xed\xa0\x80", 4, 0xED)],  # a surrogate, which UTF-8 refuses
+        ids=["cut-short", "at-the-end", "surrogate"],
+    )
+    def test_a_bad_character_split_across_blocks_is_reported_at_its_first_byte(
+        self, tmp_path, monkeypatch, block, data, bad, byte
+    ):
+        assert self.scan(tmp_path / "f.csv", data, block, monkeypatch) == (
+            bad, f"byte 0x{byte:02x} is not valid UTF-8", 2
+        )
+
+    @pytest.mark.parametrize("block", range(1, 6))
+    def test_a_crlf_split_across_blocks_ends_one_line(self, tmp_path, monkeypatch, block):
+        data = b"ab\r\ncd\r\n\r\nef\r\rg\n\xff"
+        assert self.scan(tmp_path / "f.csv", data, block, monkeypatch) == (
+            len(data) - 1, "byte 0xff is not valid UTF-8", 7
+        )
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 8])
+    @pytest.mark.parametrize(
+        "byte,why",
+        [(b"\0", "a NUL byte"), (b"\xff", "byte 0xff is not valid UTF-8"),
+         (b"\x80", "byte 0x80 is not valid UTF-8")],
+        ids=["nul", "0xff", "continuation"],
+    )
+    def test_a_bad_byte_first_in_its_block(self, tmp_path, monkeypatch, block, byte, why):
+        # byte 8 starts a block at each of these sizes; a NUL after a bad
+        # byte, and a bad byte after a NUL, are not the first defect
+        later = b"\xff" if byte == b"\0" else b"\0"
+        data = b"ab\r\ncd\r\n" + byte + b"x\r\n" + later
+        assert self.scan(tmp_path / "f.csv", data, block, monkeypatch) == (8, why, 3)
+
+    @pytest.mark.parametrize("block", [None, 1, 3, 64], ids=["1 MiB", "1", "3", "64"])
+    @pytest.mark.parametrize(
+        "edit,message",
+        [(None, None), (with_value(b"1.5\0"), "a NUL byte"),
+         (with_value("1.5€".encode()[:-1]), "byte 0xe2 is not valid UTF-8")],
+        ids=["valid", "nul", "cut-short"],
+    )
+    def test_a_load_reads_alike_at_any_block_size(
+        self, tmp_path, monkeypatch, block, edit, message
+    ):
+        original = panel(2, 4)
+        original.regions = ["r€", "😀"]  # characters of several bytes
+        save_dataset(original, tmp_path)
+        if edit:
+            edit_line(tmp_path / "mobility.csv", 5, edit)
+        if block:
+            monkeypatch.setattr(datasets_module, "_BLOCK", block)
+        if message:
+            with pytest.raises(DataError, match=rf"^mobility\.csv:5: {message}$"):
+                load_dataset(tmp_path)
+        else:
+            assert_bit_identical(load_dataset(tmp_path), original)
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -1150,8 +1236,8 @@ class TestBinaryCopy:
     ):
         # files of several blocks, one an exact multiple of a block, and empty
         if block:
-            monkeypatch.setattr(datasets_module, "_HASH_BLOCK", block)
-        size = datasets_module._HASH_BLOCK
+            monkeypatch.setattr(datasets_module, "_BLOCK", block)
+        size = datasets_module._BLOCK
         rng = rng_for(612)
         paths = []
         for name, length in (("a", 2 * size + 3), ("b", 3 * size), ("c", 0), ("d", 17)):
@@ -1406,6 +1492,22 @@ class TestChronologicalSplit:
         with pytest.raises(DataError, match="at least 8 days"):
             chronological_split(panel(1, 7))
 
+    def test_segments_are_views_and_allocate_no_copy(self):
+        data = panel(64, 60)
+        chronological_split(data)  # a first call imports and caches what it needs
+        tracemalloc.start()
+        try:
+            segments = chronological_split(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of the flows alone would be 64 * 64 * 60 * 8 bytes
+        assert peak < 8192
+        for segment in segments:
+            assert np.shares_memory(segment.values, data.values)
+            assert np.shares_memory(segment.flows, data.flows)
+            assert not segment.values.flags.writeable
+
 
 class TestWindowize:
     def test_count_and_shapes(self):
@@ -1439,16 +1541,46 @@ class TestWindowize:
             ):
                 np.testing.assert_array_equal(start[w], last[:, k])
 
-    def test_windows_are_contiguous_copies(self):
+    def test_observations_and_targets_are_read_only_views(self):
         data = panel(3, 12, extras=2)
         windows = windowize(data, 4, 2)
         before = data.values.copy()
-        for name in ("observations", "targets", "susceptible0", "infected0", "recovered0"):
+        for name in ("observations", "targets"):
+            array = getattr(windows, name)
+            assert np.shares_memory(array, data.values), name
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = -1.0
+        # the start states are small copies, the caller's to write into
+        for name in ("susceptible0", "infected0", "recovered0"):
             array = getattr(windows, name)
             assert array.flags.c_contiguous and array.flags.writeable, name
             assert not np.shares_memory(array, data.values), name
             array[...] = -1.0
         np.testing.assert_array_equal(data.values, before)
+
+    def test_windowize_allocates_no_buffer_of_the_windows_size(self):
+        data = panel(64, 60)
+        t_in, t_out = 14, 14
+        windowize(data, t_in, t_out)  # a first call imports and caches what it needs
+        tracemalloc.start()
+        try:
+            windows = windowize(data, t_in, t_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = len(windows)
+        # the three (W, N) start states and small change; a copy of the
+        # observations would be (W, N, t_in, C), 14 times the segment's days
+        assert peak < 3 * count * 64 * 8 + 8192
+        assert windows.observations.nbytes > 10 * peak
+
+    def test_channel_scaler_reduces_a_c_ordered_copy(self):
+        windows = windowize(panel(5, 40, extras=1), 6, 3)
+        copied = np.ascontiguousarray(windows.observations)
+        mean, scale = channel_scaler(windows)
+        assert mean.tobytes() == copied.mean(axis=(0, 1, 2)).tobytes()
+        assert scale.tobytes() == copied.std(axis=(0, 1, 2)).tobytes()
 
     def test_no_target_days_gives_every_observed_window(self):
         # the forecast's cut: each window ending on a day with t_in days before it
@@ -1524,10 +1656,15 @@ class TestWindowize:
             view, copy = getattr(batch, name), getattr(gathered, name)
             assert np.shares_memory(view, getattr(windows, name)), name
             assert view.tobytes() == copy.tobytes(), name
-        assert not batch.mobility.flags.writeable
-        assert np.shares_memory(batch.mobility, data.flows)
-        with pytest.raises(ValueError, match="read-only"):
-            batch.mobility[0, 0, 0, 0] = -1.0
+            # a gathered batch is fresh, writable and C-ordered
+            assert copy.flags.c_contiguous and copy.flags.writeable, name
+        for name, source in (("mobility", data.flows), ("observations", data.values),
+                             ("targets", data.values)):
+            view = getattr(batch, name)
+            assert not view.flags.writeable, name
+            assert np.shares_memory(view, source), name
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0, 0] = -1.0
 
     @pytest.mark.parametrize(
         "indices",

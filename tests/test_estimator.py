@@ -874,8 +874,7 @@ class TestTapeSize:
         world = datasets.generate_synthetic(datasets.SyntheticScenario())
         windows = datasets.windowize(world, config.t_in, config.t_out)
         model = ForecastModel(config, len(windows.regions), seed=2024)
-        obs = windows.observations
-        model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+        model.set_scaler(*datasets.channel_scaler(windows))
         return model, windows.batch(np.arange(32))
 
     def test_train_regional_step_records_64_nodes(self, acceptance_step):

@@ -194,8 +194,7 @@ class TestForward:
         )
         windows = datasets.windowize(data, model_config.t_in, model_config.t_out)
         model = ForecastModel(model_config, n_regions=n_regions, seed=11)
-        obs = windows.observations
-        model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+        model.set_scaler(*datasets.channel_scaler(windows))
         results = []
         for indices in (slice(3, 8), np.arange(3, 8)):
             with model.inference():
@@ -221,8 +220,7 @@ class TestNeutralInitialization:
     def _twin_models(model_config, small_windows, seed=2):
         base = ForecastModel(model_config, n_regions=3, seed=seed)
         peer = ForecastModel(model_config, n_regions=3, seed=seed)
-        obs = small_windows.observations
-        mean, scale = obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2))
+        mean, scale = datasets.channel_scaler(small_windows)
         base.set_scaler(mean, scale)
         peer.set_scaler(mean, scale)
         return base, peer

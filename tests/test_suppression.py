@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epicast import metapop, suppression
+from epicast import datasets, metapop, suppression
 from epicast.autodiff import Tensor
 from epicast.domain import (
     CompartmentState,
@@ -235,8 +235,7 @@ class TestSortedQuantiles:
     ):
         def step():
             model = ForecastModel(model_config, n_regions=3, seed=11)
-            obs = small_windows.observations
-            model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+            model.set_scaler(*datasets.channel_scaler(small_windows))
             batch = small_windows.batch(np.arange(6))
             out = model.forward(batch, training=True)
             mae_loss(out.cases, batch.targets).backward()

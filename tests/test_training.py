@@ -54,8 +54,7 @@ def build_windows(scenario=None, config=None):
 
 def build_model(train_windows, config, seed=3):
     model = ForecastModel(config, n_regions=len(train_windows.regions), seed=seed)
-    obs = train_windows.observations
-    model.set_scaler(obs.mean(axis=(0, 1, 2)), obs.std(axis=(0, 1, 2)))
+    model.set_scaler(*datasets.channel_scaler(train_windows))
     return model
 
 
@@ -199,6 +198,32 @@ class TestValidationLoss:
         assert validation_loss(model, val_w, batch_size=3) == total / count
 
 
+class TestViewWindows:
+    def test_a_step_and_a_validation_pass_equal_those_on_copied_windows(self):
+        # the windows' observations and targets are read-only views of the
+        # panel; copies of them, as windowize once made, give the same bytes
+        train_w, val_w, config = build_windows()
+        copies = [
+            replace(w, observations=np.ascontiguousarray(w.observations),
+                    targets=np.ascontiguousarray(w.targets))
+            for w in (train_w, val_w)
+        ]
+        assert not train_w.observations.flags.writeable
+        runs = []
+        for train, val in ((train_w, val_w), copies):
+            model = build_model(train, config)
+            batch = train.batch(np.array([5, 0, 3, 9]))
+            out = model.forward(batch, training=True)
+            loss = mae_loss(out.cases, batch.targets)
+            loss.backward()
+            runs.append((
+                loss.data.tobytes(), model.parameters().grad.tobytes(),
+                out.cases.data.tobytes(), validation_loss(model, val, 4),
+                [(name, np.asarray(value).tobytes()) for name, value in model.ema.items()],
+            ))
+        assert runs[0] == runs[1]
+
+
 class TestFit:
     def test_loss_improves_and_history_is_consistent(self):
         train_w, val_w, config = build_windows()
@@ -230,7 +255,11 @@ class TestFit:
         # absurd learning rates, so trip the guard through the loss itself
         train_w, val_w, config = build_windows()
         model = build_model(train_w, config)
-        train_w.targets[0, 0, 0] = np.nan
+        # the windows' targets are read-only views of the panel: the NaN goes
+        # into a writable copy
+        targets = train_w.targets.copy()
+        targets[0, 0, 0] = np.nan
+        train_w = replace(train_w, targets=targets)
         t_config = TrainConfig(batch_size=len(train_w), max_epochs=3, seed=0)
         with pytest.raises(TrainingDivergedError, match="epoch"):
             fit(model, train_w, val_w, t_config)
