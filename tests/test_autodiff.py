@@ -481,7 +481,7 @@ class TestGraphEngine:
         total = a.sum(axis=axis, keepdims=keepdims)
         g = rng.standard_normal(total.shape)
         if held == "owned":
-            a._accumulate(earlier[::-1][::-1])  # a view: copied, so the buffer is a's
+            a._accumulate(earlier[...])  # a view: copied, so the buffer is a's
             assert a._owns_grad
         else:
             a._accumulate(earlier)  # a leaf copies it into its slot; else it is borrowed
