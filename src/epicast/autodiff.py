@@ -17,10 +17,16 @@ heap for the next step instead of going back to the OS to be faulted in again.
 Broadcasting follows numpy semantics; gradients flowing back through a
 broadcast are summed down to the original operand shape.
 
-The module-level helpers (``exp``, ``sigmoid``, ``softmax``, ...) take a
-Tensor and return one; an ndarray operand of a Tensor operator, on either
-side (``@`` included), is lifted to a constant.  A model's parameters live
-in one ``Parameters`` table over flat data and gradient buffers.
+The engine offers only the operations a forward or backward of the model
+records: arithmetic, ``@``, ``reshape``, ``swapaxes``, indexing (the
+curriculum's horizon cut), ``sum`` and ``mean``, and the module-level
+helpers ``exp``, ``sigmoid``, ``relu``, ``absolute`` and ``softmax``, each
+of which takes a Tensor and returns one.  The model's fused nodes (the
+mobility forecast, the attention dependency, the backbone and the rollout)
+record themselves through ``make_op``.  An ndarray operand of a Tensor
+operator, on either side (``@`` included), is lifted to a constant.  A
+model's parameters live in one ``Parameters`` table over flat data and
+gradient buffers.
 """
 
 from __future__ import annotations
@@ -36,11 +42,9 @@ __all__ = [
     "absolute",
     "as_data",
     "exp",
-    "pad_axis",
     "relu",
     "sigmoid",
     "softmax",
-    "tanh",
 ]
 
 
@@ -291,18 +295,6 @@ class Tensor:
 
         return _from_op(out_data, (a,), backward)
 
-    def transpose(self, axes: Sequence[int]):
-        a = self
-        axes = tuple(axes)
-        inverse = tuple(int(i) for i in np.argsort(axes))
-        out_data = a.data.transpose(axes)
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(g.transpose(inverse))
-
-        return _from_op(out_data, (a,), backward)
-
     def swapaxes(self, axis1: int, axis2: int):
         a = self
         out_data = np.swapaxes(a.data, axis1, axis2)
@@ -477,10 +469,6 @@ def exp(value: Tensor) -> Tensor:
     return _unary(value, np.exp, lambda x, out: lambda: out)
 
 
-def tanh(value: Tensor) -> Tensor:
-    return _unary(value, np.tanh, lambda x, out: lambda: 1.0 - out * out)
-
-
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) cannot overflow; min(x, -x) is -|x| but keeps a NaN's sign bit.
     with np.errstate(under="ignore"):
@@ -509,19 +497,3 @@ def softmax(value: Tensor, axis: int = -1) -> Tensor:
     shifted = value - np.max(value.data, axis=axis, keepdims=True)
     grown = exp(shifted)
     return grown / grown.sum(axis=axis, keepdims=True)
-
-
-def pad_axis(a: Tensor, axis: int, before: int, after: int = 0) -> Tensor:
-    """Zero-pad one axis (used for causal left-padding of the time axis)."""
-    widths = [(0, 0)] * a.data.ndim
-    widths[axis] = (before, after)
-    out_data = np.pad(a.data, widths)
-    slicer = [slice(None)] * a.data.ndim
-    slicer[axis] = slice(before, before + a.data.shape[axis])
-    slicer = tuple(slicer)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g[slicer])
-
-    return _from_op(out_data, (a,), backward)

@@ -301,9 +301,6 @@ class CompartmentState:
     def n_regions(self) -> int:
         return self.susceptible.shape[0]
 
-    def totals(self) -> np.ndarray:
-        return self.susceptible + self.infected + self.recovered
-
 
 @dataclass(frozen=True)
 class Forecast:

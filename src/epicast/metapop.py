@@ -17,13 +17,12 @@ fires, and never increase when one does.
 
 ``rollout_batch`` is what the model runs: batched and differentiable, its
 forward and hand-derived adjoint are the rollout kernels of ``kernels``.
-``trajectory`` is the day-by-day reference loop on arrays: each day it
-calls ``transmission_strength`` and ``step``.  ``rollout`` checks its domain
-types and runs ``trajectory``.  The loop stays separate from the kernels on
-purpose: the benchmark's output check and the tests compare
-``rollout_batch`` against it, and ``datasets.generate_synthetic`` runs its
-worlds through it (its ``x / P`` rounds differently from the kernel's
-``x * (1 / P)``).
+``trajectory`` is the one day-by-day reference loop on arrays, with the
+update above written out for each day; ``rollout`` checks its domain types
+and runs it.  The loop stays separate from the kernels on purpose: the
+benchmark's output check and the tests compare ``rollout_batch`` against
+it, and ``datasets.generate_synthetic`` runs its worlds through it (its
+``x / P`` rounds differently from the kernel's ``x * (1 / P)``).
 """
 
 from __future__ import annotations
@@ -41,45 +40,7 @@ from .domain import (
     PopulationVector,
 )
 
-__all__ = ["rollout", "rollout_batch", "step", "trajectory", "transmission_strength"]
-
-
-def transmission_strength(
-    flows_day: np.ndarray, population: np.ndarray, infected: np.ndarray
-) -> np.ndarray:
-    """Coupling strength for one day: flows (N, N), population/infected (N,)."""
-    flows_day = np.asarray(flows_day, dtype=np.float64)
-    population = np.asarray(population, dtype=np.float64)
-    infected = np.asarray(infected, dtype=np.float64)
-    n = population.shape[0]
-    if flows_day.shape != (n, n) or infected.shape != (n,):
-        raise DimensionMismatchError(
-            f"transmission_strength got flows {flows_day.shape}, infected "
-            f"{infected.shape} for {n} regions"
-        )
-    return flows_day @ (infected / population) + (flows_day.T @ infected) / population
-
-
-def step(s, i, r, beta_day, gamma_day, strength) -> tuple[np.ndarray, ...]:
-    """One forward-Euler day over (N,) arrays: the next susceptible, infected
-    and recovered counts, then the day's predicted new cases."""
-    names = ("susceptible", "infected", "recovered", "beta", "gamma", "strength")
-    arrays = [np.asarray(a, dtype=np.float64) for a in (s, i, r, beta_day, gamma_day, strength)]
-    n = len(arrays[0])
-    for name, arr in zip(names, arrays):
-        if arr.shape != (n,):
-            raise DimensionMismatchError(
-                f"step got {name} with shape {arr.shape}, expected ({n},)"
-            )
-    s, i, r, beta_day, gamma_day, strength = arrays
-    new_inf = np.minimum(beta_day * strength, s)
-    recovered_now = gamma_day * i
-    return (
-        np.maximum(s - new_inf, 0.0),
-        np.maximum(i + new_inf - recovered_now, 0.0),
-        np.maximum(r + recovered_now, 0.0),
-        new_inf,
-    )
+__all__ = ["rollout", "rollout_batch", "trajectory"]
 
 
 def trajectory(s0, i0, r0, beta, gamma, flows, population) -> np.ndarray:
@@ -87,14 +48,20 @@ def trajectory(s0, i0, r0, beta, gamma, flows, population) -> np.ndarray:
     the T days of ``beta`` and ``gamma`` (N, T), over ``flows`` (N, N, T).
 
     Returns a (4, N, T) array: each day's new cases, then the susceptible,
-    infected and recovered counts at its end.
+    infected and recovered counts at its end.  Shapes are the caller's to
+    get right (``rollout`` checks its domain types).
     """
     out = np.empty((4, *np.shape(beta)))
     s, i, r = s0, i0, r0
     for t in range(out.shape[2]):
-        strength = transmission_strength(flows[:, :, t], population, i)
-        s, i, r, out[0, :, t] = step(s, i, r, beta[:, t], gamma[:, t], strength)
-        out[1:, :, t] = s, i, r
+        moved = flows[:, :, t]
+        strength = moved @ (i / population) + (moved.T @ i) / population
+        cases = np.minimum(beta[:, t] * strength, s)
+        recovered_now = gamma[:, t] * i
+        s = np.maximum(s - cases, 0.0)
+        i = np.maximum(i + cases - recovered_now, 0.0)
+        r = np.maximum(r + recovered_now, 0.0)
+        out[:, :, t] = cases, s, i, r
     return out
 
 

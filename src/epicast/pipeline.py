@@ -164,26 +164,25 @@ def _parameter_list(config: ModelConfig, n_regions: int) -> list:
         # sigmoid(-2) ~ 0.12 for recovery: per-day rates are weakly
         # identified from short horizons, and a start near a realistic
         # regime avoids the high-recovery/high-infection valley
-        ("heads.beta_weight", *_glorot(out, 1)), ("heads.beta_bias", *_full(1, -1.0)),
-        ("heads.gamma_weight", *_glorot(out, 1)), ("heads.gamma_bias", *_full(1, -2.0)),
+        ("heads.beta_weight", *_glorot(out, 1)), ("heads.beta_bias", *_full((1,), -1.0)),
+        ("heads.gamma_weight", *_glorot(out, 1)), ("heads.gamma_bias", *_full((1,), -2.0)),
     ]
 
 
 class ForecastModel:
     """Owns parameters, scaler, and smoothing state; runs the forward pass."""
 
-    def __init__(self, config: ModelConfig, n_regions: int, seed: int = 0, *, _draw=True):
-        """``_draw=False`` leaves every parameter zero and draws nothing, for a
-        caller that fills the table itself (``load_checkpoint``)."""
+    def __init__(self, config: ModelConfig, n_regions: int, seed: int = 0, *, _params=None):
+        """``_params``, a table laid out by ``_parameter_list``, is taken as it
+        is and nothing is drawn (``load_checkpoint`` fills one itself)."""
         self.config = config
         self.n_regions = n_regions
         self.seed = seed
-        entries = _parameter_list(config, n_regions)
-        self._params = Parameters({name: np.zeros(shape) for name, shape, _ in entries})
-        if _draw:
+        if _params is None:
             rng = np.random.default_rng(seed)
-            for name, _, draw in entries:
-                self._params[name].data[...] = draw(rng)
+            entries = _parameter_list(config, n_regions)
+            _params = Parameters({name: draw(rng) for name, _, draw in entries})
+        self._params = _params
         self.scaler_mean = np.zeros(config.channels)
         self.scaler_scale = np.ones(config.channels)
         self.ema = dict.fromkeys(THRESHOLD_KINDS)

@@ -20,28 +20,28 @@ Checkpoint container (documented layout, version 1):
 
 This is the binary frame of ``datasets.write_frame``, which also puts the
 ``datasets.frame_crc`` of the rest of the manifest and of the payload in the
-manifest as ``payload_crc32``.  Round trips are
-bit-exact: identical state serializes to identical bytes.  A checkpoint is
-written to a temporary sibling and renamed into place, so a failed save
-leaves the previous file intact.  Loading raises a ``ValueError`` naming
-the file when the manifest is not UTF-8 JSON, when a manifest key is
-missing, of the wrong JSON type or of a value the model cannot take (naming
-the key; ``ema`` must hold exactly the four threshold kinds, and it and
-the scaler statistics only finite numbers), when the
-records differ from the layout of the model the stored configuration builds
-(naming the first differing record), when the payload is not exactly that
-layout's size, when it holds a NaN or an infinity (naming the first record
-that does), or when the crc32 of its manifest and payload differs from
-``payload_crc32`` (a checkpoint written before that key existed has none,
-and loads unchecked).  Loading
-draws no initial values: the parameter table is laid out from the stored
-configuration and filled from the payload.
+manifest as ``payload_crc32``.  Round trips are bit-exact: identical state
+serializes to identical bytes.  A checkpoint is written to a temporary
+sibling and renamed into place, so a failed save leaves the previous file
+intact.  Loading raises a ``ValueError`` naming the file when the manifest
+is not UTF-8 JSON, when a manifest key is missing, of the wrong JSON type or
+of a value the model cannot take (naming the key; ``ema`` must hold exactly
+the four threshold kinds, and it and the scaler statistics only finite
+numbers), when the records differ from the layout of the model the stored
+configuration builds (naming the first differing record), when the payload
+is not exactly that layout's size, when it holds a NaN, an infinity or a
+value past float32's range (naming the first record that does), or when the
+crc32 of its manifest and payload differs from ``payload_crc32`` (a
+checkpoint written before that key existed has none, and loads unchecked).
+Loading draws no initial values and allocates nothing model-sized until the
+records and the payload's length have passed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -52,7 +52,7 @@ from . import autodiff as ad
 from .autodiff import Parameters
 from .datasets import WindowSet, frame_crc, read_frame, require_keys, write_frame
 from .domain import ConfigRangeError, DimensionMismatchError, check_ranges, config_from
-from .pipeline import ForecastModel, ModelConfig
+from .pipeline import ForecastModel, ModelConfig, _parameter_list
 from .suppression import THRESHOLD_KINDS
 
 __all__ = [
@@ -278,14 +278,13 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _layout(params: Parameters) -> list[dict]:
-    """The manifest's ``params`` records, in table order, with byte offsets."""
+def _layout(entries) -> list[dict]:
+    """The manifest's ``params`` records for ``(name, shape, ...)`` entries in
+    table order, with byte offsets."""
     records, offset = [], 0
-    for name, tensor in params.items():
-        count = tensor.size
-        records.append(
-            {"name": name, "shape": list(tensor.shape), "offset": offset, "count": count}
-        )
+    for name, shape, *_ in entries:
+        count = math.prod(shape)
+        records.append({"name": name, "shape": list(shape), "offset": offset, "count": count})
         offset += 8 * count
     return records
 
@@ -314,7 +313,7 @@ def save_checkpoint(
         "scaler_mean": [float(v) for v in model.scaler_mean],
         "scaler_scale": [float(v) for v in model.scaler_scale],
         "train_config": asdict(train_config) if train_config else None,
-        "params": _layout(params),
+        "params": _layout((name, leaf.shape) for name, leaf in params.items()),
     }
     write_frame(path, _MAGIC, manifest, [params.data])
 
@@ -389,9 +388,10 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if _config_hash(manifest["model_config"]) != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration hash mismatch")
     _check_values(manifest, config.channels, path)
-    model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"], _draw=False)
-    params = model.parameters()
-    stored, expected = manifest["params"], _layout(params)
+    # the layout is checked from shapes alone, and the payload's length
+    # against it, before anything model-sized is allocated
+    entries = _parameter_list(config, manifest["n_regions"])
+    stored, expected = manifest["params"], _layout(entries)
     if stored != expected:
         pad = [None] * abs(len(stored) - len(expected))  # a missing record reads null
         index, (have, want) = next(
@@ -404,20 +404,22 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"{path}: checkpoint manifest params[{index}] is {have}, "
             f"but this build's layout has {want} there"
         )
-    if len(payload) != params.data.nbytes:
+    nbytes = 8 * sum(record["count"] for record in expected)
+    if len(payload) != nbytes:
         raise ValueError(
             f"{path}: checkpoint payload has {len(payload)} bytes, but the "
-            f"{len(expected)} parameter records take {params.data.nbytes}"
+            f"{len(expected)} parameter records take {nbytes}"
         )
-    params.data[...] = np.frombuffer(payload, dtype="<f8")
-    if not np.isfinite(params.data).all():
-        index, name = next(
-            (index, name) for index, (name, leaf) in enumerate(params.items())
-            if not np.isfinite(leaf.data).all()
-        )
+    values = np.frombuffer(payload, dtype="<f8")
+    # the fused nodes compute in float32, where a larger value is infinite
+    # (a NaN fails the comparison too)
+    unfit = np.flatnonzero(~(np.abs(values) <= np.finfo(np.float32).max))
+    if unfit.size:
+        index = sum(record["offset"] <= 8 * unfit[0] for record in expected) - 1
         raise ValueError(
-            f"{path}: checkpoint payload of manifest params[{index}] ({name!r}) "
-            f"holds a non-finite value"
+            f"{path}: checkpoint payload of manifest params[{index}] "
+            f"({expected[index]['name']!r}) holds a value that is non-finite in "
+            f"float32, the model's compute dtype"
         )
     if "payload_crc32" in manifest:
         crc = frame_crc(manifest, [payload])
@@ -426,6 +428,9 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
                 f"{path}: checkpoint is corrupt (its crc32 is {crc}, but the "
                 f"manifest's payload_crc32 is {manifest['payload_crc32']!r})"
             )
+    params = Parameters({name: np.zeros(shape) for name, shape, _ in entries})
+    params.data[...] = values
+    model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"], _params=params)
     model.set_scaler(manifest["scaler_mean"], manifest["scaler_scale"])
     model.ema = {kind: manifest["ema"][kind] for kind in THRESHOLD_KINDS}
     return LoadedCheckpoint(model=model, manifest=manifest)

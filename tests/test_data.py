@@ -1703,14 +1703,13 @@ class TestSyntheticGenerator:
         data = generate_synthetic(scenario)
         beta, gamma = true_parameter_series(scenario)
         flows = mobility_schedule(scenario)
-        # replay the simulation with the public mechanistic pieces
+        # replay the simulation with the public reference loop
         infected0 = scenario.initial_infected_fraction * data.population
-        s, i, r = data.population - infected0, infected0, np.zeros(scenario.n_regions)
-        for t in range(scenario.length):
-            strength = metapop.transmission_strength(flows[:, :, t], data.population, i)
-            s, i, r, fresh = metapop.step(s, i, r, beta[:, t], gamma[:, t], strength)
-            np.testing.assert_array_equal(data.values[:, t, 0], fresh)
-            np.testing.assert_array_equal(data.values[:, t, 1:], np.stack([s, i, r], axis=-1))
+        replay = metapop.trajectory(
+            data.population - infected0, infected0, np.zeros(scenario.n_regions),
+            beta, gamma, flows, data.population,
+        )
+        np.testing.assert_array_equal(data.values, np.moveaxis(replay, 0, -1))
 
     def test_noise_only_touches_observed_cases(self):
         quiet = generate_synthetic(small_scenario(noise=0.0))

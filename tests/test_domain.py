@@ -71,14 +71,6 @@ class TestEpidemicParams:
 
 
 class TestCompartmentState:
-    def test_totals(self):
-        state = CompartmentState(
-            susceptible=np.array([90.0]),
-            infected=np.array([8.0]),
-            recovered=np.array([2.0]),
-        )
-        np.testing.assert_array_equal(state.totals(), [100.0])
-
     def test_rejects_negative(self):
         with pytest.raises(NegativeValueError):
             CompartmentState(

@@ -13,7 +13,7 @@ from epicast.domain import ConfigRangeError, DimensionMismatchError
 from epicast.estimator import Backbone, BackboneConfig
 from epicast.pipeline import ForecastModel, ModelConfig
 
-from conftest import initial_group, on_kernel_set, rng_for, small_model_config
+from conftest import initial_group, pad_axis, rng_for, small_model_config, tanh
 
 
 class TestLiftFeatures:
@@ -60,9 +60,8 @@ def composed_dependency(lifted, query_weight, key_weight, heads):
     head_dim = channels // heads
 
     def split_heads(projected):
-        return projected.reshape(batch, regions, days, heads, head_dim).transpose(
-            (0, 3, 2, 1, 4)
-        )
+        # (B, N, T, H, D) -> (B, H, T, N, D)
+        return projected.reshape(batch, regions, days, heads, head_dim).swapaxes(1, 3)
 
     query = split_heads(lifted @ query_weight)
     key = split_heads(lifted @ key_weight)
@@ -387,23 +386,21 @@ def swap_major(array):
     return np.ascontiguousarray(np.swapaxes(array, 1, 2))
 
 
-def kernel_causal_conv(x, weight, bias, dilation, kernel_set=None):
+def kernel_causal_conv(x, weight, bias, dilation):
     """The kernel set's convolution of region-major ``x``, region-major."""
-    kernel_set = kernel_set or kernels.active()
-    return swap_major(kernel_set.conv_fwd(swap_major(x), weight, bias, dilation))
+    return swap_major(kernels.active().conv_fwd(swap_major(x), weight, bias, dilation))
 
 
 class TestDilatedCausalConv:
     """The kernel convolution that every backbone layer runs."""
 
-    @on_kernel_set
     @pytest.mark.parametrize("dilation", [1, 2, 3])
-    def test_matches_loop_oracle(self, kernel_set, dilation):
+    def test_matches_loop_oracle(self, dilation):
         rng = rng_for(310 + dilation)
         x = rng.standard_normal((2, 3, 8, 4))
         weight = rng.standard_normal((2, 4, 5))
         bias = rng.standard_normal(5)
-        out = kernel_causal_conv(x, weight, bias, dilation, kernel_set)
+        out = kernel_causal_conv(x, weight, bias, dilation)
         want = oracle_causal_conv(x, weight, bias, dilation)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
@@ -424,7 +421,6 @@ class TestDilatedCausalConv:
         out = kernel_causal_conv(x, np.zeros((2, 2, 4)), np.zeros(4), dilation=3)
         assert out.shape == (1, 1, 7, 4)
 
-    @on_kernel_set
     @pytest.mark.parametrize(
         "batch,regions,taps,dilation",
         [
@@ -437,9 +433,8 @@ class TestDilatedCausalConv:
             pytest.param(2, 2, 3, 4, id="b2-n2-k3-d4"),
         ],
     )
-    def test_gradients_match_finite_differences(
-        self, batch, regions, taps, dilation, kernel_set
-    ):
+    def test_gradients_match_finite_differences(self, batch, regions, taps, dilation):
+        kernel_set = kernels.active()
         rng = rng_for(315)
         days = 6
         x = rng.standard_normal((batch, regions, days, 3))
@@ -492,8 +487,7 @@ class TestDilatedCausalConv:
                     1.0, abs(numeric)
                 )
 
-    @on_kernel_set
-    def test_float32_blocks_stay_float32(self, kernel_set):
+    def test_float32_blocks_stay_float32(self):
         # a default-dtype temporary silently upcasts: float64 ones in the
         # bias gradient's GEMV make g_b float64.  (The forward's bias row is
         # added in place, which casts back to float32, so a float64 row shows
@@ -503,6 +497,7 @@ class TestDilatedCausalConv:
         g = rng.standard_normal((2, 6, 3, 5)).astype(np.float32)
         weight = rng.standard_normal((2, 4, 5)).astype(np.float32)
         bias = rng.standard_normal(5).astype(np.float32)
+        kernel_set = kernels.active()
         out = kernel_set.conv_fwd(x, weight, bias, 2)
         g_x, g_w, g_b = kernel_set.conv_bwd(g, x, weight, 2)
         for name, array in {"out": out, "g_x": g_x, "g_w": g_w, "g_b": g_b}.items():
@@ -612,7 +607,7 @@ class TestBackbone:
 def composed_causal_conv(x, weight, bias, dilation):
     """The dilated causal convolution from generic tape operations."""
     taps, days = weight.shape[0], x.shape[2]
-    xpad = ad.pad_axis(x, 2, (taps - 1) * dilation)
+    xpad = pad_axis(x, 2, (taps - 1) * dilation)
     out = bias
     for k in range(taps):
         out = out + xpad[:, :, k * dilation : k * dilation + days, :] @ weight[k]
@@ -635,7 +630,7 @@ def composed_backbone(backbone, features, adjacency):
         gate = composed_causal_conv(
             x, p[tag + "gate_weight"], p[tag + "gate_bias"], dilation
         )
-        h = ad.tanh(filt) * ad.sigmoid(gate)
+        h = tanh(filt) * ad.sigmoid(gate)
         contribution = h @ p[tag + "skip_weight"]
         skip_total = contribution if skip_total is None else skip_total + contribution
         flat = h.reshape(batch, regions, days * hid)

@@ -1,5 +1,6 @@
-"""Mechanistic-core oracles: independent loop implementations, conservation,
-clamping, and equivalence between the single and batched rollout paths."""
+"""Mechanistic-core oracles: independent scalar loops against one day (or
+every day) of ``metapop.trajectory``, conservation, clamping, and
+equivalence between the reference loop and the batched rollout."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicast import metapop
+from epicast import kernels, metapop
 from epicast.autodiff import Tensor
 from epicast.domain import (
     CompartmentState,
@@ -19,7 +20,7 @@ from epicast.domain import (
     PopulationVector,
 )
 
-from conftest import on_kernel_set, rng_for
+from conftest import rng_for
 
 
 # ------------------------------------------------------------ oracle (loops)
@@ -68,9 +69,27 @@ def random_instance(rng, n=None, horizon=None):
     return pop, susceptible, infected, recovered, flows, beta, gamma
 
 
+def one_day(s, i, r, beta, gamma, flows_day, pop):
+    """One day of ``metapop.trajectory`` from (N,) counts and rates over
+    (N, N) flows: that day's new cases, then S, I and R at its end."""
+    return metapop.trajectory(
+        s, i, r, beta[:, None], gamma[:, None], flows_day[:, :, None], pop
+    )[:, :, 0]
+
+
+def strength_of(flows_day, pop, infected):
+    """The day's coupling strength, read off ``trajectory`` exactly: with
+    beta = 1, gamma = 0 and an unbounded susceptible pool the day's new
+    cases are ``min(1.0 * strength, inf)``, the strength itself."""
+    n = len(pop)
+    return one_day(
+        np.full(n, np.inf), infected, np.zeros(n), np.ones(n), np.zeros(n), flows_day, pop
+    )[0]
+
+
 class TestTransmissionStrength:
     def test_worked_two_region_example(self):
-        strength = metapop.transmission_strength(
+        strength = strength_of(
             np.array([[0.0, 5.0], [5.0, 0.0]]),
             np.array([100.0, 100.0]),
             np.array([10.0, 20.0]),
@@ -78,31 +97,21 @@ class TestTransmissionStrength:
         np.testing.assert_allclose(strength, [2.0, 1.0], atol=1e-15)
 
     def test_zero_flows_give_zero(self):
-        out = metapop.transmission_strength(
-            np.zeros((3, 3)), np.full(3, 100.0), np.full(3, 10.0)
-        )
+        out = strength_of(np.zeros((3, 3)), np.full(3, 100.0), np.full(3, 10.0))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_zero_infected_give_zero(self):
         rng = rng_for(101)
-        out = metapop.transmission_strength(
-            rng.uniform(0, 10, (4, 4)), np.full(4, 100.0), np.zeros(4)
-        )
+        out = strength_of(rng.uniform(0, 10, (4, 4)), np.full(4, 100.0), np.zeros(4))
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_matches_loop_oracle(self):
         rng = rng_for(102)
         for _ in range(200):
             pop, _, infected, _, flows, _, _ = random_instance(rng)
-            got = metapop.transmission_strength(flows[:, :, 0], pop, infected)
+            got = strength_of(flows[:, :, 0], pop, infected)
             want = oracle_strength(flows[:, :, 0], pop, infected)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(DimensionMismatchError):
-            metapop.transmission_strength(
-                np.zeros((2, 3)), np.full(2, 10.0), np.zeros(2)
-            )
 
 
 class TestStep:
@@ -111,15 +120,18 @@ class TestStep:
         for _ in range(200):
             pop, s, i, r, flows, beta, gamma = random_instance(rng)
             strength = oracle_strength(flows[:, :, 0], pop, i)
-            got = metapop.step(s, i, r, beta[:, 0], gamma[:, 0], strength)
+            cases, *state = one_day(s, i, r, beta[:, 0], gamma[:, 0], flows[:, :, 0], pop)
             want = oracle_step(s, i, r, beta[:, 0], gamma[:, 0], strength)
-            for name, a, b in zip(("susceptible", "infected", "recovered", "cases"), got, want):
+            for name, a, b in zip(
+                ("susceptible", "infected", "recovered", "cases"), (*state, cases), want
+            ):
                 np.testing.assert_allclose(a, b, atol=1e-12, rtol=1e-12, err_msg=name)
 
     def test_cases_capped_by_susceptibles(self):
-        s, _, _, fresh = metapop.step(
+        # one region: strength = 2 * flow * I / P = 1e6
+        fresh, s, _, _ = one_day(
             np.array([1.0]), np.array([50.0]), np.array([0.0]),
-            np.array([0.999]), np.array([0.001]), np.array([1e6]),
+            np.array([0.999]), np.array([0.001]), np.array([[1e6]]), np.array([100.0]),
         )
         np.testing.assert_allclose(fresh, [1.0])
         np.testing.assert_allclose(s, [0.0])
@@ -128,18 +140,8 @@ class TestStep:
         rng = rng_for(104)
         for _ in range(50):
             pop, s, i, r, flows, beta, gamma = random_instance(rng)
-            strength = metapop.transmission_strength(flows[:, :, 0], pop, i)
-            *nxt, _ = metapop.step(s, i, r, beta[:, 0], gamma[:, 0], strength)
+            _, *nxt = one_day(s, i, r, beta[:, 0], gamma[:, 0], flows[:, :, 0], pop)
             np.testing.assert_allclose(sum(nxt), s + i + r, rtol=1e-12, atol=1e-9)
-
-    def test_shape_error(self):
-        # every argument must be shaped like the susceptible counts
-        names = ("susceptible", "infected", "recovered", "beta", "gamma", "strength")
-        for wrong in range(1, 6):
-            args = [np.ones(2)] * 6
-            args[wrong] = np.ones(3)
-            with pytest.raises(DimensionMismatchError, match=f"step got {names[wrong]} "):
-                metapop.step(*args)
 
 
 class TestRollout:
@@ -222,12 +224,11 @@ class TestRolloutBatch:
             pop,
         )
 
-    @on_kernel_set
-    def test_matches_single_rollout(self, kernel_set):
+    def test_matches_single_rollout(self):
         rng = rng_for(108)
         s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(rng)
         cases, aux = metapop.rollout_batch(s0, i0, r0, beta, gamma, flows, pop)
-        direct = kernel_set.rollout_fwd(s0, i0, r0, beta, gamma, flows, pop)
+        direct = kernels.active().rollout_fwd(s0, i0, r0, beta, gamma, flows, pop)
         np.testing.assert_array_equal(cases, direct[0])
         for b in range(s0.shape[0]):
             single = metapop.rollout(
@@ -249,8 +250,7 @@ class TestRolloutBatch:
                 aux["recovered"][b], single.recovered, atol=1e-10
             )
 
-    @on_kernel_set
-    def test_gradients_match_finite_differences(self, kernel_set):
+    def test_gradients_match_finite_differences(self):
         rng = rng_for(109)
         s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(
             rng, batch=2, n=3, horizon=4
@@ -272,6 +272,7 @@ class TestRolloutBatch:
         )
         (cases * weights).sum().backward()
         # the tape's adjoint is the kernel set's backward, unchanged
+        kernel_set = kernels.active()
         saved = kernel_set.rollout_fwd(s0, i0, r0, beta, gamma, flows, pop)
         direct = kernel_set.rollout_bwd(
             weights, s0, i0, r0, beta, gamma, flows, pop, saved[2], *saved[4:]
@@ -313,9 +314,9 @@ class TestRolloutBatch:
         for c_ordered, strided in zip(*results):
             np.testing.assert_array_equal(strided, c_ordered)
 
-    @on_kernel_set
-    def test_kernels_read_c_ordered_and_day_major_flows_alike(self, kernel_set):
+    def test_kernels_read_c_ordered_and_day_major_flows_alike(self):
         # the model hands the kernels day-major flows; a caller may pass C order
+        kernel_set = kernels.active()
         rng = rng_for(112)
         s0, i0, r0, beta, gamma, flows, pop = self.batch_instance(rng, n=5, horizon=6)
         day_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(flows, 3, 0)), 0, 3)

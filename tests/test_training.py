@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 import zlib
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from epicast import datasets, estimator, training
 from epicast.autodiff import Parameters, Tensor
 from epicast.domain import DimensionMismatchError
-from epicast.pipeline import ForecastModel
+from epicast.pipeline import ForecastModel, ModelConfig
 from epicast.suppression import ThresholdConfig
 from epicast.training import (
     Adam,
@@ -536,6 +537,30 @@ class TestCheckpoint:
         assert list(loaded.model.parameters()) == list(params)
         save_checkpoint(loaded.model, second, epoch=1, regions=list(train_w.regions))
         assert second.read_bytes() == first.read_bytes()
+
+    def test_a_resized_layout_is_refused_before_the_model_is_allocated(self, tmp_path):
+        # a default 3-region checkpoint whose n_regions now reads 2,000 and
+        # whose payload_crc32 is gone, so it loads as a file written before
+        # that key existed: the records decide, and must do so before the
+        # N x N spatial prior (and every other parameter) is allocated
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ForecastModel(ModelConfig(), 3, seed=0), path)
+        raw = path.read_bytes()
+        end = 12 + int.from_bytes(raw[8:12], "little")
+        manifest = json.loads(raw[12:end])
+        del manifest["payload_crc32"]
+        manifest["n_regions"] = 2000
+        encoded = json.dumps(manifest, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded + raw[end:])
+        refused = rf"^{re.escape(str(path))}: checkpoint manifest params\[8\] is "
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=refused):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, f"peak {peak / 2**20:.1f} MiB before the refusal"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
