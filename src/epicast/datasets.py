@@ -10,11 +10,12 @@ On-disk layout is three UTF-8 CSV files with headers and YYYY-MM-DD dates:
 ``population.csv`` defines the region universe and its order.  Floats are
 written with 17 significant digits so a save/load round trip is exact.
 
-``load_dataset`` reads each file in one ``csv.reader`` loop that checks
-each record as it reads it, so the first defect in file order is the one
-raised, as a ``DataError`` naming the file and the line its record starts
-on.  Days must be non-decreasing in both dated files; within a day, rows
-may come in any order.  It rejects (never filling anything in):
+``load_dataset`` decodes each file once, in one ``csv.reader`` loop that
+checks each record as it reads it, so the first defect in file order is
+the one raised, as a ``DataError`` naming the file and the line its
+record starts on.  Days must be non-decreasing in both dated files;
+within a day, rows may come in any order.  It rejects (never filling
+anything in):
 
 * a byte that is not UTF-8, a NUL byte;
 * a bad header, a wrong column count (a blank line has none), an
@@ -63,7 +64,6 @@ about half the entries, by about 1e-15 relative.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import hashlib
 import io
@@ -75,7 +75,7 @@ from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import date as date_type, timedelta
-from itertools import chain, islice, product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -179,24 +179,20 @@ def _day(raw: str) -> date_type | str:
 
 def _rows(path: Path, head: list[str], exact: bool = True):
     """Yield the header's fields, then each record's first line and fields,
-    from one ``csv.reader`` pass over the open file.
+    from one ``csv.reader`` pass over the file's one decode.
 
     The header must start with ``head`` (stripped fields).  A record needs
     as many columns as the header if ``exact``, else ``len(head)`` or more;
     a blank line has none.  A byte that is not UTF-8, or is NUL, is the
-    defect of its line (``_first_bad_byte``), raised once the lines before
-    it are read (on line 1, before the header).  A misfit or a ``csv.Error``
-    (an unclosed quote run past the field size limit) is a ``DataError`` at
-    its record's line.
+    defect of its line (``_checked_lines``), raised once the lines before
+    it are read.  A misfit or a ``csv.Error`` (an unclosed quote run past
+    the field size limit) is a ``DataError`` at its record's line.
     """
-    bad, why = _first_bad_byte(path)
-    bad_line = _line_of(path, bad) if why else 0
-    if bad_line == 1:
-        raise DataError(f"{path.name}:1: {why}")
     end = 0  # the last line read
-    # universal newlines: a line break in a quoted field reads as "\n"
-    with path.open(encoding="utf-8", errors="replace") as handle:
-        reader = csv.reader(islice(handle, bad_line - 1) if why else handle)
+    # universal newlines: a line break in a quoted field reads as "\n"; a
+    # byte that is not UTF-8 reads as a lone surrogate
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
+        reader = csv.reader(_checked_lines(handle, path.name))
         try:
             header = next(reader, None)
             if header is None or [h.strip() for h in header[: len(head)]] != head:
@@ -213,54 +209,35 @@ def _rows(path: Path, head: list[str], exact: bool = True):
                 yield line, row
         except csv.Error as err:
             raise DataError(f"{path.name}:{end + 1}: {err}") from None
-    if why:
-        raise DataError(f"{path.name}:{bad_line}: {why}")
 
 
-def _first_bad_byte(path: Path) -> tuple[int, str | None]:
-    """The offset of the first byte of ``path`` that is not UTF-8 or is NUL,
-    and why; else the file's size and None.
-
-    The file is read in blocks of ``_BLOCK`` bytes through one
-    incremental decoder, so no file is held whole: a character split across
-    two blocks is decoded whole, and a bad one is reported at its first
-    byte, as a decode of the whole file would.  An ASCII block is not
-    decoded: a decoded copy of a whole file doubled the parse's peak memory
-    on a 64-region, 400-day panel (157 against 78 MB).
+def _checked_lines(handle, name: str):
+    """Yield the lines of ``handle``, decoded with ``errors="surrogateescape"``
+    (a byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text
+    holds), whole lines of about ``_TEXT_BLOCK`` characters at a time.  Only
+    a block with a NUL or a surrogate is walked line by line: the first is a
+    ``DataError`` at its line, raised once the lines before it are yielded
+    (csv refuses a NUL itself before Python 3.11).
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    start = 0  # the offset of the block
-    with path.open("rb") as handle:
-        while True:
-            block = handle.read(_BLOCK)
-            held = len(decoder.getstate()[0])  # the begun character of the block before
-            end, why = start + len(block), None
-            try:
-                if held or not block.isascii():
-                    decoder.decode(block, final=not block)
-            except UnicodeDecodeError as err:
-                end = start - held + err.start
-                why = f"byte 0x{err.object[err.start]:02x} is not valid UTF-8"
-            nul = block.find(b"\0", 0, max(end - start, 0))
-            if nul >= 0:  # csv refuses NUL before Python 3.11
-                return start + nul, "a NUL byte"
-            if why or not block:
-                return end, why
-            start = end
-
-
-def _line_of(path: Path, offset: int) -> int:
-    """The line of ``path`` that byte ``offset`` is on, counted from 1, as
-    the reader counts them: "\\r\\n", "\\r" and "\\n" each end a line."""
-    line, after_cr = 1, False
-    with path.open("rb") as handle:
-        while offset > 0 and (block := handle.read(min(offset, _BLOCK))):
-            offset -= len(block)
-            line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
-            if after_cr and block.startswith(b"\n"):
-                line -= 1  # one "\r\n", split across two blocks
-            after_cr = block.endswith(b"\r")
-    return line
+    number = 0  # the lines yielded
+    while lines := handle.readlines(_TEXT_BLOCK):
+        text = "".join(lines)
+        try:
+            clean = "\0" not in text and (text.isascii() or bool(text.encode()))
+        except UnicodeEncodeError:
+            clean = False
+        if clean:
+            number += len(lines)
+            yield from lines
+            continue
+        for number, line in enumerate(lines, number + 1):
+            bad = next((c for c in line if c == "\0" or "\udc80" <= c <= "\udcff"), "")
+            if bad == "\0":
+                raise DataError(f"{name}:{number}: a NUL byte")
+            if bad:
+                byte = ord(bad) - 0xDC00  # surrogateescape's U+DC80-U+DCFF
+                raise DataError(f"{name}:{number}: byte 0x{byte:02x} is not valid UTF-8")
+            yield line
 
 
 def _region(index: dict, field: str, defect, note: str = "") -> int:
@@ -485,7 +462,8 @@ def _read_mobility(path: Path, regions: list[str], dates: list[str]) -> np.ndarr
 
 
 _CSV_NAMES = ("population.csv", "observations.csv", "mobility.csv")
-_BLOCK = 1 << 20  # the bytes of a CSV hashed or scanned at a time
+_BLOCK = 1 << 20  # the bytes of a CSV hashed at a time
+_TEXT_BLOCK = 1 << 16  # the characters of a CSV checked at a time, in whole lines
 _COPY_NAME = "panel.bin"
 _COPY_MAGIC = b"EPPANEL\x00"
 # The copy stores the parse, so it is only as current as ``_parse``: bump

@@ -174,18 +174,22 @@ def dynamic_dependency(
         spaced = np.zeros((channels, heads, width), dtype=dtype)
         spaced[:, :, :head_dim] = weight.reshape(channels, heads, head_dim)
         out = flat_lifted @ spaced.reshape(channels, heads * width)
-        norms = np.sqrt(np.square(out).reshape(-1, width) @ np.ones(width, dtype=dtype))
+        with np.errstate(over="ignore"):  # a norm past the dtype's range is +inf
+            norms = np.sqrt(np.square(out).reshape(-1, width) @ np.ones(width, dtype=dtype))
         return out, norms.reshape(batch, regions, days, heads)
 
     # The 1/√d of the scores folds into the query weight.  Each row is
     # shifted by the Cauchy-Schwarz bound |q_i|·max_j|k_j| on its scores
     # instead of by its max: with the negated bound in the query's spare
     # column and 1 in the key's, the shifted scores are one product, none
-    # exceeds 0, and exp cannot overflow.
+    # exceeds 0, and exp cannot overflow.  A bound past the dtype's range
+    # (+inf) makes its row's shifted scores -inf or NaN, and the row sum
+    # check below recomputes that block with the row max.
     q_scaled = q_data / scale
     query_flat, bound = projected(q_scaled)
     key_flat, key_norms = projected(k_data)
-    bound *= key_norms.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound *= key_norms.max(axis=1, keepdims=True)
     query_ext, key_ext = split_heads(query_flat), split_heads(key_flat)
     np.negative(bound.transpose(0, 3, 2, 1), out=query_ext[..., head_dim])
     key_ext[..., head_dim] = 1.0
@@ -206,10 +210,11 @@ def dynamic_dependency(
     smallest_row_sum = _SMALLEST_ROW_SUM[dtype]
     for part in blocks:
         block = grown[part]
-        np.matmul(query_ext[part], np.swapaxes(key_ext[part], -1, -2), out=block)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound
+            np.matmul(query_ext[part], np.swapaxes(key_ext[part], -1, -2), out=block)
         np.exp(block, out=block)
         sums = block.reshape(-1, regions) @ ones
-        if sums.min() < smallest_row_sum:
+        if not sums.min() >= smallest_row_sum:  # a NaN row sum too
             _exp_shifted_by_row_max(block, query[part], key[part])
             sums = block.reshape(-1, regions) @ ones
         recips = inverse[part]

@@ -617,62 +617,94 @@ class TestLoaderInputRules:
         with pytest.raises(DataError, match=rf"^mobility\.csv:3: {message}$"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "byte,message", [(b"\0", "a NUL byte"), (b"\xff", "byte 0xff is not valid UTF-8")]
+    )
+    def test_a_bad_byte_in_a_quoted_name_is_the_defect_of_its_own_line(
+        self, tmp_path, byte, message
+    ):
+        # the record starts on line 2 and its name runs onto line 3
+        self.saved(tmp_path)
+        (tmp_path / "population.csv").write_bytes(
+            b'region,population\r\n"r0\r\nx' + byte + b'",5\r\nr1,6\r\n'
+        )
+        with pytest.raises(DataError, match=rf"^population\.csv:3: {message}$"):
+            load_dataset(tmp_path)
 
-class TestByteScanInBlocks:
-    """The UTF-8 and NUL scan reads a CSV ``_BLOCK`` bytes at a time; at
-    every block size it finds the byte, the reason and the line that a scan
-    of the whole file finds."""
+
+class TestDecodeCheckInBlocks:
+    """The loader checks a CSV's decoded text ``_TEXT_BLOCK`` characters of
+    whole lines at a time; at every block size it refuses the byte, for the
+    reason and on the line, that a check of the whole file refuses."""
 
     @staticmethod
-    def scan(path: Path, data: bytes, block: int, monkeypatch) -> tuple:
-        monkeypatch.setattr(datasets_module, "_BLOCK", block)
-        path.write_bytes(data)
-        bad, why = datasets_module._first_bad_byte(path)
-        return bad, why, datasets_module._line_of(path, bad) if why else None
+    def read(directory: Path, data: bytes, block: int, monkeypatch):
+        """The regions of a ``population.csv`` whose header is followed by
+        ``data``, or the line and reason of its refusal."""
+        monkeypatch.setattr(datasets_module, "_TEXT_BLOCK", block)
+        path = directory / "population.csv"
+        path.write_bytes(b"region,population\r\n" + data)
+        try:
+            return datasets_module._read_population(path)[0]
+        except DataError as err:
+            line, why = re.fullmatch(r"population\.csv:(\d+): (.*)", str(err)).groups()
+            return int(line), why
 
     @pytest.mark.parametrize("block", range(1, 6))
-    def test_a_character_split_across_blocks_is_valid(self, tmp_path, monkeypatch, block):
-        # two-, three- and four-byte characters at every offset of a block
-        data = "a,b\r\né,r€1,😀\r\n€€😀é\r\n".encode()
-        assert self.scan(tmp_path / "f.csv", data, block, monkeypatch) == (len(data), None, None)
+    def test_characters_of_several_bytes_are_valid(self, tmp_path, monkeypatch, block):
+        data = "é,1\r\nr€1,2\r\n😀,3\r\n€€😀é,4\r\n".encode()
+        assert self.read(tmp_path, data, block, monkeypatch) == ["é", "r€1", "😀", "€€😀é"]
 
     @pytest.mark.parametrize("block", range(1, 6))
     @pytest.mark.parametrize(
-        "data,bad,byte",
-        [(b"a\r\n\xe2\x82x\r\n", 3, 0xE2),  # a three-byte character cut short
-         (b"a\r\nb\xf0\x9f\x98", 4, 0xF0),  # a four-byte one cut by the end of the file
-         (b"a\r\nb\xed\xa0\x80", 4, 0xED)],  # a surrogate, which UTF-8 refuses
+        "data,byte",
+        [(b"a,1\r\n\xe2\x82x,2\r\n", 0xE2),  # a three-byte character cut short
+         (b"a,1\r\nb,2\xf0\x9f\x98", 0xF0),  # a four-byte one cut by the end of the file
+         (b"a,1\r\nb\xed\xa0\x80,2\r\n", 0xED)],  # a surrogate, which UTF-8 refuses
         ids=["cut-short", "at-the-end", "surrogate"],
     )
-    def test_a_bad_character_split_across_blocks_is_reported_at_its_first_byte(
-        self, tmp_path, monkeypatch, block, data, bad, byte
+    def test_a_bad_character_is_reported_at_its_first_byte(
+        self, tmp_path, monkeypatch, block, data, byte
     ):
-        assert self.scan(tmp_path / "f.csv", data, block, monkeypatch) == (
-            bad, f"byte 0x{byte:02x} is not valid UTF-8", 2
+        assert self.read(tmp_path, data, block, monkeypatch) == (
+            3, f"byte 0x{byte:02x} is not valid UTF-8"
         )
 
     @pytest.mark.parametrize("block", range(1, 6))
-    def test_a_crlf_split_across_blocks_ends_one_line(self, tmp_path, monkeypatch, block):
-        data = b"ab\r\ncd\r\n\r\nef\r\rg\n\xff"
-        assert self.scan(tmp_path / "f.csv", data, block, monkeypatch) == (
-            len(data) - 1, "byte 0xff is not valid UTF-8", 7
+    def test_crlf_cr_and_lf_each_end_one_line(self, tmp_path, monkeypatch, block):
+        # lines 3 to 7 are one record: a quoted name with a blank line after
+        # a CRLF and after a CR
+        data = b'ab,1\r\n"c\r\n\r\nd\r\re",2\n\xff,3'
+        assert self.read(tmp_path, data, block, monkeypatch) == (
+            8, "byte 0xff is not valid UTF-8"
         )
 
+    @pytest.mark.parametrize("pad", range(8169, 8173))
+    def test_a_crlf_across_the_decoders_chunks_ends_one_line(self, tmp_path, monkeypatch, pad):
+        # the header's 19 bytes and a name of ``pad`` bytes put line 2's
+        # CRLF at bytes 8,190 to 8,194, across the end of the decoder's
+        # first 8,192-byte read
+        data = b"x" * pad + b",1\r\n\r\n"
+        assert self.read(tmp_path, data, 1 << 16, monkeypatch) == (3, "expected 2 columns")
+
     @pytest.mark.parametrize("block", [1, 2, 4, 8])
+    @pytest.mark.parametrize("between", [b"x", b"x,3\r\ny"], ids=["same-line", "next-line"])
     @pytest.mark.parametrize(
         "byte,why",
         [(b"\0", "a NUL byte"), (b"\xff", "byte 0xff is not valid UTF-8"),
          (b"\x80", "byte 0x80 is not valid UTF-8")],
         ids=["nul", "0xff", "continuation"],
     )
-    def test_a_bad_byte_first_in_its_block(self, tmp_path, monkeypatch, block, byte, why):
-        # byte 8 starts a block at each of these sizes; a NUL after a bad
-        # byte, and a bad byte after a NUL, are not the first defect
+    def test_the_first_bad_byte_is_reported(
+        self, tmp_path, monkeypatch, block, between, byte, why
+    ):
+        # a NUL after a bad byte, and a bad byte after a NUL, on the same
+        # line or the next, are not the first defect
         later = b"\xff" if byte == b"\0" else b"\0"
-        data = b"ab\r\ncd\r\n" + byte + b"x\r\n" + later
-        assert self.scan(tmp_path / "f.csv", data, block, monkeypatch) == (8, why, 3)
+        data = b"ab,1\r\ncd,2\r\n" + byte + between + later + b",4\r\n"
+        assert self.read(tmp_path, data, block, monkeypatch) == (4, why)
 
-    @pytest.mark.parametrize("block", [None, 1, 3, 64], ids=["1 MiB", "1", "3", "64"])
+    @pytest.mark.parametrize("block", [None, 1, 3, 64], ids=["64 KiB", "1", "3", "64"])
     @pytest.mark.parametrize(
         "edit,message",
         [(None, None), (with_value(b"1.5\0"), "a NUL byte"),
@@ -688,7 +720,7 @@ class TestByteScanInBlocks:
         if edit:
             edit_line(tmp_path / "mobility.csv", 5, edit)
         if block:
-            monkeypatch.setattr(datasets_module, "_BLOCK", block)
+            monkeypatch.setattr(datasets_module, "_TEXT_BLOCK", block)
         if message:
             with pytest.raises(DataError, match=rf"^mobility\.csv:5: {message}$"):
                 load_dataset(tmp_path)

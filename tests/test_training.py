@@ -432,6 +432,21 @@ class TestCheckpoint:
             with model.float64_compute():
                 np.testing.assert_array_equal(model.forward(batch).cases.data, want)
 
+    def test_a_query_weight_near_float32s_limit_forecasts_without_a_warning(self):
+        # a checkpoint without payload_crc32 can hold a weight far past any
+        # trained one yet inside float32's range: the dependency's score
+        # bound overflows to +inf, and its rows are shifted by their max
+        # instead; a numeric warning fails this test (pyproject.toml)
+        _, val_w, _ = build_windows()
+        model = load_checkpoint(DATA / "small_model.ckpt").model
+        model.parameters()["attention.query_weight"].data[0, 0] = 1e32
+        batch = val_w.batch(np.arange(3))
+        with model.inference():
+            got = model.forward(batch).cases.data
+            with model.float64_compute():
+                want = model.forward(batch).cases.data
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+
     def test_a_manifest_past_the_end_of_the_file_is_refused(self, tmp_path):
         # "{}" would parse: the length, not the JSON, has to give the defect
         path = tmp_path / "cut.ckpt"
