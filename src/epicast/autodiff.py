@@ -14,18 +14,19 @@ one per node.  Leaves keep ``grad``; walking a freed node again raises
 256 MB and its mmap threshold to 32 MB, so buffers freed mid-walk stay in the
 heap for the next step instead of going back to the OS to be faulted in again.
 
-Broadcasting follows numpy semantics; gradients flowing back through a
-broadcast are summed down to the original operand shape.
-
 The engine offers only the operations a forward or backward of the model
 records: arithmetic, ``@``, ``reshape``, ``swapaxes``, indexing (the
 curriculum's horizon cut), ``sum`` and ``mean``, and the module-level
 helpers ``exp``, ``sigmoid``, ``relu``, ``absolute`` and ``softmax``, each
-of which takes a Tensor and returns one.  The model's fused nodes (the
-mobility forecast, the attention dependency, the backbone and the rollout)
-record themselves through ``make_op``.  An ndarray operand of a Tensor
-operator, on either side (``@`` included), is lifted to a constant.  A
-model's parameters live in one ``Parameters`` table over flat data and
+of which takes a Tensor and returns one.  Broadcasting follows numpy.  Each
+generic operation is recorded by ``_record`` with one gradient function per
+parent; its one backward skips the parents that need no gradient and sums
+the others' gradients down from a broadcast to the parent's shape.  Only
+``sum`` and ``make_op`` build their own backward: the model's fused nodes
+(the mobility forecast, the attention dependency, the backbone and the
+rollout) record themselves through ``make_op``.  An ndarray operand of a
+Tensor operator, on either side (``@`` included), is lifted to a constant.
+A model's parameters live in one ``Parameters`` table over flat data and
 gradient buffers.
 """
 
@@ -189,94 +190,57 @@ class Tensor:
 
     def __add__(self, other):
         other = _lift(other)
-        out_data = self.data + other.data
-        a, b = self, other
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(unbroadcast(g, b.data.shape))
-
-        return _from_op(out_data, (a, b), backward)
+        return _record(self.data + other.data, (self, other), (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _lift(other)
-        out_data = self.data - other.data
-        a, b = self, other
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(unbroadcast(-g, b.data.shape))
-
-        return _from_op(out_data, (a, b), backward)
+        return _record(self.data - other.data, (self, other), (lambda g: g, lambda g: -g))
 
     def __rsub__(self, other):
         return _lift(other).__sub__(self)
 
     def __mul__(self, other):
-        other = _lift(other)
-        out_data = self.data * other.data
-        a, b = self, other
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(unbroadcast(g * a.data, b.data.shape))
-
-        return _from_op(out_data, (a, b), backward)
+        a, b = self, _lift(other)
+        return _record(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _lift(other)
-        out_data = self.data / other.data
-        a, b = self, other
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return _from_op(out_data, (a, b), backward)
+        a, b = self, _lift(other)
+        return _record(
+            a.data / b.data,
+            (a, b),
+            (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)),
+        )
 
     def __matmul__(self, other):
-        other = _lift(other)
-        a, b = self, other
+        a, b = self, _lift(other)
         if a.data.ndim < 2 or b.data.ndim < 2:
             raise ValueError("matmul requires operands with at least 2 dimensions")
-        out_data = a.data @ b.data
 
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                if b.data.ndim == 2 and b.data.shape[1] == 1:
-                    # a one-column b (the rate heads): with inner size 1 the
-                    # product has no sum, so a broadcast product has its bits
-                    # without one tiny GEMM per stacked matrix of g; adding
-                    # +0.0 turns a -0.0 product into the GEMM's +0.0
-                    ga = g * b.data.T
-                    ga += 0.0
-                elif b.data.ndim == 2:
-                    # a contiguous transpose: BLAS's transposed-operand path is slower
-                    ga = g @ np.ascontiguousarray(b.data.T)
-                else:
-                    ga = g @ np.swapaxes(b.data, -1, -2)
-                a._accumulate(unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                if b.data.ndim == 2:
-                    # One GEMM over all batch rows, not a batched product plus unbroadcast.
-                    gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-                else:
-                    gb = unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-                b._accumulate(gb)
+        def grad_a(g: np.ndarray) -> np.ndarray:
+            if b.data.ndim == 2 and b.data.shape[1] == 1:
+                # a one-column b (the rate heads): with inner size 1 the
+                # product has no sum, so a broadcast product has its bits
+                # without one tiny GEMM per stacked matrix of g; adding
+                # +0.0 turns a -0.0 product into the GEMM's +0.0
+                ga = g * b.data.T
+                ga += 0.0
+                return ga
+            if b.data.ndim == 2:
+                # a contiguous transpose: BLAS's transposed-operand path is slower
+                return g @ np.ascontiguousarray(b.data.T)
+            return g @ np.swapaxes(b.data, -1, -2)
 
-        return _from_op(out_data, (a, b), backward)
+        def grad_b(g: np.ndarray) -> np.ndarray:
+            if b.data.ndim == 2:
+                # One GEMM over all batch rows, not a batched product plus unbroadcast.
+                return a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            return np.swapaxes(a.data, -1, -2) @ g
+
+        return _record(a.data @ b.data, (a, b), (grad_a, grad_b))
 
     def __rmatmul__(self, other):
         return _lift(other).__matmul__(self)
@@ -286,36 +250,22 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        out_data = a.data.reshape(shape)
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(g.reshape(a.data.shape))
-
-        return _from_op(out_data, (a,), backward)
+        return _record(self.data.reshape(shape), (self,), (lambda g: g.reshape(self.data.shape),))
 
     def swapaxes(self, axis1: int, axis2: int):
-        a = self
-        out_data = np.swapaxes(a.data, axis1, axis2)
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(np.swapaxes(g, axis1, axis2))
-
-        return _from_op(out_data, (a,), backward)
+        return _record(
+            np.swapaxes(self.data, axis1, axis2),
+            (self,),
+            (lambda g: np.swapaxes(g, axis1, axis2),),
+        )
 
     def __getitem__(self, index):
-        a = self
-        out_data = a.data[index]
+        def scatter(g: np.ndarray) -> np.ndarray:
+            buffer = np.zeros_like(self.data)
+            np.add.at(buffer, index, g)
+            return buffer
 
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                buffer = np.zeros_like(a.data)
-                np.add.at(buffer, index, g)
-                a._accumulate(buffer)
-
-        return _from_op(out_data, (a,), backward)
+        return _record(self.data[index], (self,), (scatter,))
 
     # -------------------------------------------------------------- reductions
 
@@ -323,6 +273,8 @@ class Tensor:
         a = self
         out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
+        # its own backward, not _record's: it spreads into a's layout, or adds
+        # straight into a gradient already held, and hands over a fresh buffer
         def backward(g: np.ndarray) -> None:
             if not a.requires_grad:
                 return
@@ -437,12 +389,29 @@ def _from_op(
     return out
 
 
+def _record(
+    data: np.ndarray,
+    parents: tuple[Tensor, ...],
+    grads: tuple[Callable[[np.ndarray], np.ndarray], ...],
+) -> Tensor:
+    """Record a generic op: ``grads[k](g)`` maps the output gradient ``g`` to
+    parent ``k``'s gradient, in the output's shape or in the parent's."""
+
+    def backward(g: np.ndarray) -> None:
+        for parent, grad in zip(parents, grads):
+            if parent.requires_grad:
+                parent._accumulate(unbroadcast(grad(g), parent.data.shape))
+
+    return _from_op(data, parents, backward)
+
+
 def make_op(
     data: np.ndarray,
     parents: Sequence[Tensor],
     backward: Callable[[np.ndarray], None],
 ) -> Tensor:
     """Public hook for fused custom operations (see the kernel modules)."""
+    # not _record: a fused node's one backward shares work across its parents
     return _from_op(_asarray(data), tuple(parents), backward)
 
 
@@ -454,19 +423,9 @@ def as_data(value) -> np.ndarray:
 # ------------------------------------------------------------------ elementwise
 
 
-def _unary(a: Tensor, fn_np, make_grad) -> Tensor:
-    out_data = fn_np(a.data)
-    grad_fn = make_grad(a.data, out_data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * grad_fn())
-
-    return _from_op(out_data, (a,), backward)
-
-
 def exp(value: Tensor) -> Tensor:
-    return _unary(value, np.exp, lambda x, out: lambda: out)
+    out = np.exp(value.data)
+    return _record(out, (value,), (lambda g: g * out,))
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -477,19 +436,18 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(value: Tensor) -> Tensor:
-    return _unary(value, _sigmoid_np, lambda x, out: lambda: out * (1.0 - out))
+    out = _sigmoid_np(value.data)
+    return _record(out, (value,), (lambda g: g * (out * (1.0 - out)),))
 
 
 def relu(value: Tensor) -> Tensor:
-    return _unary(
-        value,
-        lambda x: np.maximum(x, 0.0),
-        lambda x, out: lambda: (out > 0.0).astype(np.float64),
-    )
+    out = np.maximum(value.data, 0.0)
+    return _record(out, (value,), (lambda g: g * (out > 0.0).astype(np.float64),))
 
 
 def absolute(value: Tensor) -> Tensor:
-    return _unary(value, np.abs, lambda x, out: lambda: np.sign(x))
+    x = value.data
+    return _record(np.abs(x), (value,), (lambda g: g * np.sign(x),))
 
 
 def softmax(value: Tensor, axis: int = -1) -> Tensor:

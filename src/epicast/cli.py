@@ -456,7 +456,10 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--step", type=positive, default=1e-5, help="finite-difference step")
     p.add_argument("--tolerance", type=positive, default=1e-4, help="relative tolerance")
-    p.add_argument("--seed", type=int, default=7, help="setup and sampling seed")
+    p.add_argument(
+        "--seed", type=_flag(int, ">= 0", lambda v: v >= 0), default=7,
+        help="setup and sampling seed",
+    )
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

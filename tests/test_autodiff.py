@@ -106,18 +106,22 @@ class TestArithmetic:
 
         check_op(build, [(3, 2)], tag=4)
 
-    def test_mul_broadcast(self):
+    @pytest.mark.parametrize("shapes", [[(3, 4), (3, 1)], [(3, 1), (3, 4)]])
+    def test_mul_broadcast(self, shapes):
         def build(a, b):
             return project(a * b, 5)
 
-        check_op(build, [(3, 4), (3, 1)], tag=5)
+        check_op(build, shapes, tag=5)
 
-    def test_div(self):
+    # equal shapes, then a denominator broadcast along the rows, then both
+    # operands broadcast against each other
+    @pytest.mark.parametrize("shapes", [[(3, 3), (3, 3)], [(2, 3), (3,)], [(3, 1), (1, 4)]])
+    def test_div(self, shapes):
         # keep denominators bounded away from zero
         def build(a, b):
             return project(a / (b * b + 0.5), 6)
 
-        check_op(build, [(3, 3), (3, 3)], tag=6)
+        check_op(build, shapes, tag=6)
 
     def test_matmul_2d(self):
         def build(a, b):

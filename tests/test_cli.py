@@ -1262,6 +1262,7 @@ class TestGradcheck:
             ("--tolerance", "0"),
             ("--tolerance", "-1"),
             ("--tolerance", "inf"),
+            ("--seed", "-1"),
         ],
     )
     def test_argument_it_cannot_run_or_fail_under_is_usage_error(

@@ -1775,6 +1775,30 @@ class TestSyntheticGenerator:
         period = int(scenario.season_period)
         np.testing.assert_allclose(beta[:, :100], beta[:, period : period + 100], atol=1e-12)
 
+    def test_bump_rates_peak_mid_panel_alike_in_every_region(self):
+        scenario = small_scenario(n_regions=3, length=60, beta_kind="bump")
+        beta, _ = true_parameter_series(scenario)
+        peak = scenario.length // 2
+        assert beta[:, peak] == pytest.approx(scenario.beta_high)
+        assert (beta.argmax(axis=1) == peak).all()
+        # mirror images about the peak day, on the days both sides have
+        np.testing.assert_array_equal(beta[:, peak - 1 : 0 : -1], beta[:, peak + 1 :])
+        assert beta.min() >= scenario.beta_low
+        np.testing.assert_array_equal(beta, np.broadcast_to(beta[0], beta.shape))
+
+    def test_constant_rates_sit_mid_band(self):
+        scenario = small_scenario(n_regions=3, length=60, beta_kind="constant")
+        beta, _ = true_parameter_series(scenario)
+        mid = (scenario.beta_low + scenario.beta_high) / 2
+        np.testing.assert_array_equal(beta, np.full((3, 60), mid))
+
+    @pytest.mark.parametrize("kind", ["bump", "constant"])
+    def test_other_rate_kinds_simulate_a_valid_world(self, kind):
+        data = generate_synthetic(small_scenario(n_regions=3, length=60, beta_kind=kind))
+        assert data.values.shape[:2] == (3, 60)
+        assert np.isfinite(data.values).all()
+        assert (data.values >= 0.0).all()
+
     def test_phases_cover_the_cycle(self):
         # stratified phases: with n regions, consecutive sorted phases are
         # no more than two strata apart
