@@ -33,6 +33,7 @@ gradient buffers.
 from __future__ import annotations
 
 import ctypes
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -324,26 +325,34 @@ class Parameters(dict):
     A leaf's ``grad`` is never rebound from outside, and its ``data`` is only
     written in place; ``zero_grad``, of the table or of a leaf, also zeroes
     the slice.  The names are fixed when the table is built, so each
-    ``group`` is worked out then, once.
+    ``group`` is worked out then, once.  Built from ``arrays``, a table
+    concatenates them into a new ``data``; ``over`` takes ``data`` as it is.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]):
-        super().__init__()
         arrays = {name: _asarray(value) for name, value in arrays.items()}
-        self.data = np.concatenate([value.ravel() for value in arrays.values()])
-        self.grad = np.zeros_like(self.data)
+        flat = np.concatenate([value.ravel() for value in arrays.values()])
+        self._bind(flat, [(name, value.shape) for name, value in arrays.items()])
+
+    @classmethod
+    def over(cls, data: np.ndarray, entries) -> Parameters:
+        """A table over ``data``, a flat float64 buffer, in ``(name, shape, ...)`` entries."""
+        table = cls.__new__(cls)
+        table._bind(data, entries)
+        return table
+
+    def _bind(self, data: np.ndarray, entries) -> None:
+        self.data, self.grad, self._groups = data, np.zeros_like(data), {}
         offset = 0
-        for name, value in arrays.items():
-            end = offset + value.size
-            leaf = self[name] = _Leaf(
-                self.data[offset:end].reshape(value.shape), requires_grad=True, name=name
-            )
-            leaf._slot = self.grad[offset:end].reshape(value.shape)
+        for name, shape, *_ in entries:
+            end = offset + math.prod(shape)
+            leaf = self[name] = _Leaf(data[offset:end].reshape(shape), True, name)
+            leaf._slot = self.grad[offset:end].reshape(shape)
             offset = end
-        self._groups: dict[str, dict[str, Tensor]] = {}
-        for name, leaf in self.items():
-            for cut in (i for i, char in enumerate(name) if char == "."):
+            cut = name.find(".")
+            while cut >= 0:
                 self._groups.setdefault(name[:cut], {})[name[cut + 1 :]] = leaf
+                cut = name.find(".", cut + 1)
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)

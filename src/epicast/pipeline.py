@@ -33,6 +33,7 @@ _POSITIVE_SIZES = (
     "t_in", "t_out", "pattern_count", "pattern_window", "pattern_key_dim",
     "pattern_embed_dim", "lifted_channels", "attention_heads",
 )
+_MIN_SCALE = 1e-8  # ``set_scaler`` puts 1.0 in place of a smaller scale
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ class ForecastModel:
                 f"scaler must cover {self.config.channels} channels"
             )
         self.scaler_mean = mean
-        self.scaler_scale = np.where(scale < 1e-8, 1.0, scale)
+        self.scaler_scale = np.where(scale < _MIN_SCALE, 1.0, scale)
 
     # ---------------------------------------------------------------- forward
 

@@ -25,16 +25,17 @@ serializes to identical bytes.  A checkpoint is written to a temporary
 sibling and renamed into place, so a failed save leaves the previous file
 intact.  Loading raises a ``ValueError`` naming the file when the manifest
 is not UTF-8 JSON, when a manifest key is missing, of the wrong JSON type or
-of a value the model cannot take (naming the key; ``ema`` must hold exactly
-the four threshold kinds, and it and the scaler statistics only finite
-numbers), when the records differ from the layout of the model the stored
-configuration builds (naming the first differing record), when the payload
-is not exactly that layout's size, when it holds a NaN, an infinity or a
-value past float32's range (naming the first record that does), or when the
-crc32 of its manifest and payload differs from ``payload_crc32`` (a
-checkpoint written before that key existed has none, and loads unchecked).
-Loading draws no initial values and allocates nothing model-sized until the
-records and the payload's length have passed.
+of a value the model cannot take (naming the key; a record's numbers must
+be ints, ``ema`` must hold the four threshold kinds, it and the scaler only
+finite numbers, each scale at least 1e-8), when the records differ from the
+layout of the model the stored configuration builds (naming the first
+differing record; a match is checked in one pass), when the payload is not
+exactly that layout's size, when it holds a NaN, an infinity or a value past
+float32's range (naming the first record that does), or when the crc32 of
+its manifest and payload differs from ``payload_crc32`` (a checkpoint written
+before that key existed has none, and loads unchecked).  Loading allocates
+nothing model-sized, and draws nothing, before the records and the payload's
+length have passed; the table is then one copy of the payload.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from . import autodiff as ad
 from .autodiff import Parameters
 from .datasets import WindowSet, frame_crc, read_frame, require_keys, write_frame
 from .domain import ConfigRangeError, DimensionMismatchError, check_ranges, config_from
-from .pipeline import ForecastModel, ModelConfig, _parameter_list
+from .pipeline import _MIN_SCALE, ForecastModel, ModelConfig, _parameter_list
 from .suppression import THRESHOLD_KINDS
 
 __all__ = [
@@ -329,7 +330,7 @@ _MANIFEST_KEYS = {
     "scaler_scale": list,
     "ema": dict,
 }
-_PARAM_KEYS = {"name": str, "shape": list, "offset": int, "count": int}
+_PARAM_KEYS = {"name": str, "shape": [int], "offset": int, "count": int}
 
 
 def _is_finite_number(value) -> bool:
@@ -351,9 +352,10 @@ def _check_values(manifest: dict, channels: int, path) -> None:
         "ema": (f"a finite number or null for exactly {', '.join(THRESHOLD_KINDS)}",
                 set(ema) == set(THRESHOLD_KINDS)
                 and all(v is None or _is_finite_number(v) for v in ema.values())),
-        **{key: (f"a list of {channels} finite numbers", len(manifest[key]) == channels
-                 and all(map(_is_finite_number, manifest[key])))
-           for key in ("scaler_mean", "scaler_scale")},
+        **{key: (f"a list of {channels} finite numbers{floor}", len(manifest[key]) == channels
+                 and all(_is_finite_number(v) and v >= low for v in manifest[key]))
+           for key, low, floor in (("scaler_mean", -math.inf, ""),
+                                   ("scaler_scale", _MIN_SCALE, f", each >= {_MIN_SCALE}"))},
     }
     for key, (rule, ok) in rules.items():
         if not ok:
@@ -373,25 +375,28 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Rebuild a model bit-for-bit from a checkpoint file."""
     manifest, payload = read_frame(path, _MAGIC, "checkpoint")
     require_keys(manifest, _MANIFEST_KEYS, "checkpoint manifest", path)
-    for index, record in enumerate(manifest["params"]):
-        require_keys(record, _PARAM_KEYS, f"checkpoint manifest params[{index}]", path)
+    stored, expected, malformed = manifest["params"], None, None
     try:
         config = config_from(
             ModelConfig, manifest["model_config"], "model_config", yaml_keys=False
         )
     except ConfigRangeError as err:
-        raise ValueError(
-            f"{path}: checkpoint manifest key 'model_config' is malformed ({err})"
-        ) from None
+        malformed = f"{path}: checkpoint manifest key 'model_config' is malformed ({err})"
+    else:
+        entries = _parameter_list(config, manifest["n_regions"])  # shapes: nothing allocated
+        expected = _layout(entries)
+    # a match needs no check per record once its numbers are ints: 0.0 == 0, true == 1
+    numbers = (n for r in stored for n in (r["offset"], r["count"], *r["shape"]))
+    if stored != expected or not all(type(n) is int for n in numbers):
+        for index, record in enumerate(stored):
+            require_keys(record, _PARAM_KEYS, f"checkpoint manifest params[{index}]", path)
+    if malformed:  # a record's type error is reported before the configuration's
+        raise ValueError(malformed)
     # the stored payload, not ``config``: a float field that a caller set to
     # an int is stored as one but reads back as a float
     if _config_hash(manifest["model_config"]) != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration hash mismatch")
     _check_values(manifest, config.channels, path)
-    # the layout is checked from shapes alone, and the payload's length
-    # against it, before anything model-sized is allocated
-    entries = _parameter_list(config, manifest["n_regions"])
-    stored, expected = manifest["params"], _layout(entries)
     if stored != expected:
         pad = [None] * abs(len(stored) - len(expected))  # a missing record reads null
         index, (have, want) = next(
@@ -428,8 +433,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
                 f"{path}: checkpoint is corrupt (its crc32 is {crc}, but the "
                 f"manifest's payload_crc32 is {manifest['payload_crc32']!r})"
             )
-    params = Parameters({name: np.zeros(shape) for name, shape, _ in entries})
-    params.data[...] = values
+    # one aligned, native copy of the payload, made once every check has passed
+    params = Parameters.over(values.astype(np.float64), entries)
     model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"], _params=params)
     model.set_scaler(manifest["scaler_mean"], manifest["scaler_scale"])
     model.ema = {kind: manifest["ema"][kind] for kind in THRESHOLD_KINDS}

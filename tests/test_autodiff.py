@@ -556,6 +556,26 @@ class TestParameterTable:
         assert params.group("a.b") == {"c": params["a.b.c"]}
         assert params.group("head.x") == params.group("missing") == {}
 
+    def test_a_table_over_a_buffer_equals_one_built_from_arrays(self):
+        arrays = {
+            "heads.w": np.arange(2.0).reshape(2, 1), "a.b.c": np.array([2.0]),
+            "a.b": np.arange(3.0, 9.0).reshape(3, 2), "heads.b": np.array(9.0), "x": np.ones(1),
+        }
+        built = Parameters(arrays)
+        data = built.data.copy()
+        over = Parameters.over(data, [(name, value.shape) for name, value in arrays.items()])
+        assert over.data is data and over.grad.shape == data.shape and not over.grad.any()
+        assert list(over) == list(built)
+        for name, leaf in over.items():
+            assert leaf.data.tobytes() == built[name].data.tobytes()
+            assert leaf.shape == built[name].shape and np.shares_memory(leaf.data, data)
+            assert np.shares_memory(leaf._slot, over.grad) and leaf.name == name
+        groups = {prefix: list(group) for prefix, group in built._groups.items()}
+        assert groups == {"heads": ["w", "b"], "a": ["b.c", "b"], "a.b": ["c"]}
+        assert {prefix: list(group) for prefix, group in over._groups.items()} == groups
+        assert over.group("a") == {"b.c": over["a.b.c"], "b": over["a.b"]}
+        assert over.group("a.b") == {"c": over["a.b.c"]}
+
     def test_an_edited_group_does_not_change_the_next(self):
         params = Parameters({"g.w": np.ones(2), "g.b": np.zeros(2)})
         first = params.group("g")

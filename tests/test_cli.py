@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 import yaml
 
-from epicast import cli
+from epicast import cli, training
 from epicast.autodiff import Tensor
 from epicast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from epicast.datasets import SyntheticScenario, frame_crc
@@ -873,6 +873,12 @@ def swap_first_records(manifest):
     records[0], records[1] = records[1], records[0]
 
 
+def memory_scale_count_true(manifest):
+    record = manifest["params"][9]
+    assert record["name"] == "memory.scale" and record["count"] == 1  # so true == 1
+    record["count"] = True
+
+
 class TestCorruptCheckpoint:
     def test_non_integral_size_with_its_hash_is_data_error(
         self, workdir, tmp_path, capsys
@@ -899,8 +905,11 @@ class TestCorruptCheckpoint:
             (lambda m: m.update(n_regions="3"), "n_regions"),
             (lambda m: m["params"][0].pop("offset"), "offset"),
             (lambda m: m.update(model_config={"no_such_field": 1}), "model_config"),
+            # a record's defect is reported before the configuration's
+            (lambda m: m.update(model_config={"no_such_field": 1}, params=[{}]), "name"),
         ],
-        ids=["missing-seed", "string-n_regions", "record-without-offset", "bad-config"],
+        ids=["missing-seed", "string-n_regions", "record-without-offset", "bad-config",
+             "bad-record-and-config"],
     )
     def test_manifest_defect_is_data_error(self, workdir, tmp_path, capsys, edit, key):
         broken = tmp_path / "broken.ckpt"
@@ -933,10 +942,13 @@ class TestCorruptCheckpoint:
             # JSON's Infinity and NaN
             (lambda m: m["ema"].update(beta=float("inf")), "ema"),
             (lambda m: m["scaler_mean"].__setitem__(1, float("nan")), "scaler_mean"),
+            # a scale below 1e-8 would load as 1.0 and save again as 1.0
+            (lambda m: m["scaler_scale"].__setitem__(0, -2.0), "scaler_scale"),
+            (lambda m: m["scaler_scale"].__setitem__(2, 0.0), "scaler_scale"),
         ],
         ids=["short-scaler", "non-numeric-scaler", "string-ema-slot", "misspelt-ema-slot",
              "empty-ema", "extra-ema-slot", "integer-regions", "negative-seed",
-             "infinite-ema-slot", "nan-scaler"],
+             "infinite-ema-slot", "nan-scaler", "negative-scale", "zero-scale"],
     )
     def test_value_defect_names_file_and_key(self, workdir, tmp_path, capsys, edit, key):
         # each passes the configuration hash, which covers only model_config,
@@ -979,11 +991,17 @@ class TestCorruptCheckpoint:
             (lambda m: m["params"][0].update(shape=m["params"][0]["shape"][::-1]), None,
              "params[0]"),
             (lambda m: m["params"].pop(), None, "is null"),
+            # each equals this build's layout under ==, which the load's
+            # one-pass check must not take for a JSON int
+            (lambda m: m["params"][0].update(offset=0.0), None, "params[0] key 'offset'"),
+            (memory_scale_count_true, None, "params[9] key 'count'"),
+            (lambda m: m["params"][1].update(shape=[float(n) for n in m["params"][1]["shape"]]),
+             None, "params[1] key 'shape'"),
         ],
         ids=[
             "truncated-payload", "trailing-bytes", "count-against-shape",
             "overlapping-offsets", "reordered-records", "unknown-name",
-            "other-shape", "missing-record",
+            "other-shape", "missing-record", "float-offset", "bool-count", "float-shape",
         ],
     )
     def test_layout_defect_names_file_and_record(
@@ -1038,6 +1056,38 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {broken}: checkpoint is corrupt")
         assert not out.exists()
+
+
+class TestLoadedCheckpoint:
+    """What a load of the shared trained checkpoint builds."""
+
+    def test_table_is_its_own_aligned_writeable_copy_of_the_payload(self, workdir, monkeypatch):
+        payloads = []
+        read_frame = training.read_frame
+
+        def keep_payload(*args):
+            manifest, payload = read_frame(*args)
+            payloads.append(payload)
+            return manifest, payload
+
+        monkeypatch.setattr(training, "read_frame", keep_payload)
+        data = training.load_checkpoint(workdir["ckpt"]).model.parameters().data
+        [payload] = payloads
+        assert data.dtype == np.float64 and data.dtype.isnative
+        assert data.flags.owndata and data.flags.c_contiguous
+        assert data.flags.aligned and data.flags.writeable
+        assert not np.shares_memory(data, np.frombuffer(payload.obj, np.uint8))  # the file's bytes
+        assert data.astype("<f8").tobytes() == bytes(payload)
+
+    def test_saved_again_with_its_manifest_gives_the_same_bytes(self, workdir, tmp_path):
+        loaded = training.load_checkpoint(workdir["ckpt"])
+        manifest, again = loaded.manifest, tmp_path / "again.ckpt"
+        assert manifest["regions"] and manifest["train_config"] and manifest["val_loss"] > 0
+        training.save_checkpoint(
+            loaded.model, again, epoch=manifest["epoch"], val_loss=manifest["val_loss"],
+            train_config=TrainConfig(**manifest["train_config"]), regions=manifest["regions"],
+        )
+        assert again.read_bytes() == workdir["ckpt"].read_bytes()
 
 
 class TestCheckpointMutationReferee:
