@@ -29,13 +29,13 @@ of a value the model cannot take (naming the key; a record's numbers must
 be ints, ``ema`` must hold the four threshold kinds, it and the scaler only
 finite numbers, each scale at least 1e-8), when the records differ from the
 layout of the model the stored configuration builds (naming the first
-differing record; a match is checked in one pass), when the payload is not
-exactly that layout's size, when it holds a NaN, an infinity or a value past
-float32's range (naming the first record that does), or when the crc32 of
-its manifest and payload differs from ``payload_crc32`` (a checkpoint written
-before that key existed has none, and loads unchecked).  Loading allocates
-nothing model-sized, and draws nothing, before the records and the payload's
-length have passed; the table is then one copy of the payload.
+differing record), when the payload is not exactly that layout's size, when
+it holds a NaN, an infinity or a value past float32's range (naming the
+first record that does), or when the crc32 of its manifest and payload
+differs from ``payload_crc32`` (a checkpoint written before that key existed
+has none, and loads unchecked).  Loading allocates nothing model-sized, and
+draws nothing, before the records and the payload's length have passed; the
+table is then one copy of the payload.
 """
 
 from __future__ import annotations
@@ -375,28 +375,25 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Rebuild a model bit-for-bit from a checkpoint file."""
     manifest, payload = read_frame(path, _MAGIC, "checkpoint")
     require_keys(manifest, _MANIFEST_KEYS, "checkpoint manifest", path)
-    stored, expected, malformed = manifest["params"], None, None
+    for index, record in enumerate(manifest["params"]):
+        require_keys(record, _PARAM_KEYS, f"checkpoint manifest params[{index}]", path)
     try:
         config = config_from(
             ModelConfig, manifest["model_config"], "model_config", yaml_keys=False
         )
     except ConfigRangeError as err:
-        malformed = f"{path}: checkpoint manifest key 'model_config' is malformed ({err})"
-    else:
-        entries = _parameter_list(config, manifest["n_regions"])  # shapes: nothing allocated
-        expected = _layout(entries)
-    # a match needs no check per record once its numbers are ints: 0.0 == 0, true == 1
-    numbers = (n for r in stored for n in (r["offset"], r["count"], *r["shape"]))
-    if stored != expected or not all(type(n) is int for n in numbers):
-        for index, record in enumerate(stored):
-            require_keys(record, _PARAM_KEYS, f"checkpoint manifest params[{index}]", path)
-    if malformed:  # a record's type error is reported before the configuration's
-        raise ValueError(malformed)
+        raise ValueError(
+            f"{path}: checkpoint manifest key 'model_config' is malformed ({err})"
+        ) from None
     # the stored payload, not ``config``: a float field that a caller set to
     # an int is stored as one but reads back as a float
     if _config_hash(manifest["model_config"]) != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration hash mismatch")
     _check_values(manifest, config.channels, path)
+    # the layout is checked from shapes alone, and the payload's length
+    # against it, before anything model-sized is allocated
+    entries = _parameter_list(config, manifest["n_regions"])
+    stored, expected = manifest["params"], _layout(entries)
     if stored != expected:
         pad = [None] * abs(len(stored) - len(expected))  # a missing record reads null
         index, (have, want) = next(

@@ -991,8 +991,7 @@ class TestCorruptCheckpoint:
             (lambda m: m["params"][0].update(shape=m["params"][0]["shape"][::-1]), None,
              "params[0]"),
             (lambda m: m["params"].pop(), None, "is null"),
-            # each equals this build's layout under ==, which the load's
-            # one-pass check must not take for a JSON int
+            # each equals this build's layout under ==, but is not a JSON int
             (lambda m: m["params"][0].update(offset=0.0), None, "params[0] key 'offset'"),
             (memory_scale_count_true, None, "params[9] key 'count'"),
             (lambda m: m["params"][1].update(shape=[float(n) for n in m["params"][1]["shape"]]),
