@@ -165,21 +165,23 @@ class Tensor:
                 raise ValueError(
                     f"seed shape {seed.shape} does not match tensor shape {self.data.shape}"
                 )
+        # post-order of the nodes with a backward: one goes back above its
+        # parents and is placed when it comes up again; its copies below are stale
         order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        placed: dict[Tensor, bool] = {}
+        stack = [self]
         while stack:
-            node, processed = stack.pop()
-            if processed:
+            node = stack.pop()
+            state = placed.get(node)
+            if state is None:
+                placed[node] = False
+                stack.append(node)
+                for parent in node._parents:
+                    if parent._backward is not None and parent not in placed:
+                        stack.append(parent)
+            elif not state:
+                placed[node] = True
                 order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
         self._accumulate(seed)
         for node in reversed(order):
             if node._backward is not None:

@@ -38,47 +38,52 @@ class KernelSet(NamedTuple):
 # work day-major: the flows are read as (T, B, N, N), so each day's coupling
 # is a batched matmul over a contiguous (B, N, N) block; the model's flows
 # are already stored that way (``adjacency.forecast_mobility``), and flows in
-# C order are copied once per call.  The forward keeps S, I and R stacked as
-# one (3, B, N) block per day, so that day's clamp masks, clamps and state
-# stores are one pass each, and every output leaves as a (B, N, T) view of
-# its day-major buffer.  The backward carries the three state adjoints
-# stacked the same way; the flow gradient is built day-major and returned as
-# a (B, N, N, T) view of that buffer, while the beta and gamma gradients are
-# C-ordered, as the layers before the rollout expect.
+# C order are copied once per call.  Each day loop runs only the recurrence,
+# writing through ``out=`` into day-major buffers: the forward the coupling
+# strength, force, cap choice and clamped S/I/R update, the backward the S
+# and I adjoints.  The rest is one pass over the horizon: the day-major beta,
+# gamma, g_cases and 1 - gamma before the loop; after it, the clamp masks
+# (``raw > 0`` is ``state > 0`` once clamped), the beta and gamma gradients
+# and both factor columns of the flow adjoint.  No day writes the R adjoint,
+# so it stays +0.0 and is not carried, but its terms gamma * 0 and 0 - g_I
+# stay: they decide the sign of a zero.  Outputs leave as (B, N, T) views of
+# day-major buffers; the beta and gamma gradients are C-ordered, as the
+# layers before the rollout expect.
 
 
 def _rollout_fwd(s0, i0, r0, beta, gamma, flows, pop):
     B, N, T = beta.shape
-    cases = np.empty((T, B, N))
-    strength = np.empty((T, B, N))
+    cases, strength = np.empty((2, T, B, N))
     cap = np.empty((T, B, N), dtype=np.bool_)
     # day t's start state is states[t]; its end state, clamped, states[t + 1]
     states = np.empty((T + 1, 3, B, N))
     states[0] = s0, i0, r0
-    kept = np.empty((T, 3, B, N), dtype=np.bool_)
-    inv = 1.0 / pop
+    inv = np.tile(1.0 / pop, (B, 1))  # a (N,) row would run numpy's inner loop N long
     by_day = np.ascontiguousarray(np.moveaxis(flows, 3, 0))
+    beta, gamma = (np.ascontiguousarray(np.moveaxis(a, 2, 0)) for a in (beta, gamma))
+    scaled, inbound, force, recovered_now = np.empty((4, B, N))
+    # the matmuls' per-day operands and outputs, viewed once
+    S, I, R = states.swapaxes(0, 1)
+    i_rows, pi_cols = I[:, :, None, :], strength.reshape(T, B, N, 1)
+    scaled_col, inbound_row = scaled[:, :, None], inbound.reshape(B, 1, N)
     for t in range(T):
-        s, i_cur, r = states[t]
-        moved = by_day[t]
-        pi = strength[t]
-        np.add(
-            (moved @ (i_cur * inv)[:, :, None])[:, :, 0],
-            (i_cur[:, None, :] @ moved)[:, 0, :] * inv,
-            out=pi,
-        )
-        force = beta[:, :, t] * pi
+        s, i_cur, r, moved, pi = S[t], I[t], R[t], by_day[t], strength[t]
+        np.multiply(i_cur, inv, out=scaled)
+        np.matmul(moved, scaled_col, out=pi_cols[t])
+        np.matmul(i_rows[t], moved, out=inbound_row)
+        inbound *= inv
+        pi += inbound
+        np.multiply(beta[t], pi, out=force)
         capped = np.less_equal(force, s, out=cap[t])
         new_inf = cases[t]
         new_inf[...] = np.where(capped, force, s)
-        recovered_now = gamma[:, :, t] * i_cur
-        raw = states[t + 1]
-        np.subtract(s, new_inf, out=raw[0])
-        np.add(i_cur, new_inf, out=raw[1])
-        raw[1] -= recovered_now
-        np.add(r, recovered_now, out=raw[2])
-        np.greater(raw, 0.0, out=kept[t])
-        np.maximum(raw, 0.0, out=raw)
+        np.multiply(gamma[t], i_cur, out=recovered_now)
+        np.subtract(s, new_inf, out=S[t + 1])
+        np.add(i_cur, new_inf, out=I[t + 1])
+        I[t + 1] -= recovered_now
+        np.add(r, recovered_now, out=R[t + 1])
+        np.maximum(states[t + 1], 0.0, out=states[t + 1])
+    kept = states[1:] > 0.0
     saved = (cases, *states[1:].swapaxes(0, 1), strength, cap, *kept.swapaxes(0, 1))
     return tuple(np.moveaxis(a, 0, -1) for a in saved)  # (T, B, N) -> (B, N, T)
 
@@ -87,43 +92,46 @@ def _rollout_bwd(
     g_cases, s0, i0, r0, beta, gamma, flows, pop, i_traj, strength, cap, ms, mi, mr
 ):
     B, N, T = beta.shape
-    inv = 1.0 / pop
+    inv = np.tile(1.0 / pop, (B, 1))
     by_day = np.ascontiguousarray(np.moveaxis(flows, 3, 0))
-    kept = np.stack([np.moveaxis(m, -1, 0) for m in (ms, mi, mr)], axis=1)  # (T, 3, B, N)
-    g_beta = np.empty_like(beta)
-    g_gamma = np.empty_like(gamma)
+    day_major = (np.ascontiguousarray(np.moveaxis(a, 2, 0)) for a in (g_cases, beta, gamma))
+    g_cases, beta_by_day, gamma_by_day = day_major
+    keep_i, to_r = 1.0 - gamma_by_day, gamma_by_day * 0.0  # to_r: gamma * (R adjoint)
+    cap, ms, mi = (np.moveaxis(m, -1, 0) for m in (cap, ms, mi))
+    # per day: the I adjoint after its clamp mask, g_force, g_pi and g_pi / P
+    gi_kept, g_pi, g_pi_scaled = np.empty((3, T, B, N))
+    g_force = np.zeros((T, B, N))
+    gs, gi, outbound, inbound = np.zeros((4, B, N))  # the S and I adjoints
+    g_pi_rows, g_pi_scaled_cols = g_pi[:, :, None, :], g_pi_scaled[..., None]
+    outbound_row, inbound_col = outbound.reshape(B, 1, N), inbound.reshape(B, N, 1)
+    for t in range(T - 1, -1, -1):
+        gs *= ms[t]
+        gi_pre = np.multiply(gi, mi[t], out=gi_kept[t])
+        gx = g_cases[t] + gi_pre - gs
+        np.copyto(g_force[t], gx, where=cap[t])
+        np.multiply(g_force[t], beta_by_day[t], out=g_pi[t])
+        np.multiply(g_pi[t], inv, out=g_pi_scaled[t])
+        moved = by_day[t]
+        np.matmul(g_pi_rows[t], moved, out=outbound_row)
+        outbound *= inv
+        np.matmul(moved, g_pi_scaled_cols[t], out=inbound_col)
+        np.multiply(keep_i[t], gi_pre, out=gi)
+        gi += to_r[t]
+        gi += outbound
+        gi += inbound
+        gs += np.where(cap[t], 0.0, gx)
     # Day t's flow adjoint is g_pi (x) i_prev/P + i_prev (x) g_pi/P: stack the
     # two factor pairs per day and form every day's outer sums in one matmul.
     left = np.empty((T, B, N, 2))
     right = np.empty((T, B, 2, N))
-    g_state = np.zeros((3, B, N))  # the S, I and R adjoints
-    for t in range(T - 1, -1, -1):
-        i_prev = i_traj[:, :, t - 1] if t > 0 else i0
-        gamma_t = gamma[:, :, t]
-        g_state *= kept[t]
-        gs_pre, gi_pre, gr_pre = g_state
-        gx = g_cases[:, :, t] + gi_pre - gs_pre
-        g_gamma[:, :, t] = i_prev * (gr_pre - gi_pre)
-        capped = cap[:, :, t]
-        g_force = np.where(capped, gx, 0.0)
-        g_beta[:, :, t] = g_force * strength[:, :, t]
-        g_pi = g_force * beta[:, :, t]
-        g_pi_scaled = g_pi * inv
-        moved = by_day[t]
-        gi_next = (
-            (1.0 - gamma_t) * gi_pre
-            + gamma_t * gr_pre
-            + (g_pi[:, None, :] @ moved)[:, 0, :] * inv
-            + (moved @ g_pi_scaled[:, :, None])[:, :, 0]
-        )
-        left[t, :, :, 0] = g_pi
-        left[t, :, :, 1] = i_prev
-        right[t, :, 0, :] = i_prev * inv
-        right[t, :, 1, :] = g_pi_scaled
-        gs_pre += np.where(capped, 0.0, gx)
-        gi_pre[...] = gi_next  # the R adjoint carries over as it is
-    g_flows = np.moveaxis(left @ right, 0, 3)
-    return g_beta, g_gamma, g_flows
+    i_prev = left[..., 1]
+    i_prev[0], i_prev[1:] = i0, np.moveaxis(i_traj[..., :-1], -1, 0)
+    left[..., 0], right[:, :, 1] = g_pi, g_pi_scaled
+    np.multiply(i_prev, inv, out=right[:, :, 0])
+    g_beta, g_gamma = np.empty_like(beta), np.empty_like(gamma)
+    np.multiply(g_force, np.moveaxis(strength, -1, 0), out=np.moveaxis(g_beta, -1, 0))
+    np.multiply(i_prev, 0.0 - gi_kept, out=np.moveaxis(g_gamma, -1, 0))
+    return g_beta, g_gamma, np.moveaxis(left @ right, 0, 3)
 
 
 # Conv shapes: x (B, T, N, Ci), time-major and unpadded, so each batch

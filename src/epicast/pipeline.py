@@ -13,6 +13,7 @@ counts.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -96,10 +97,14 @@ class ForwardResult:
 
 
 def _glorot(n_in: int, n_out: int, *lead: int):
-    """A Glorot-uniform draw shaped (*lead, n_in, n_out)."""
-    bound = np.sqrt(6.0 / (n_in + n_out))
+    """A Glorot-uniform draw shaped (*lead, n_in, n_out), its bound taken in the draw."""
     shape = (*lead, n_in, n_out)
-    return shape, lambda rng: rng.uniform(-bound, bound, size=shape)
+
+    def draw(rng):
+        bound = math.sqrt(6.0 / (n_in + n_out))
+        return rng.uniform(-bound, bound, size=shape)
+
+    return shape, draw
 
 
 def _normal(*shape: int):

@@ -9,6 +9,7 @@ against the walk that keeps every gradient, bit for bit, on a training step.
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 import types
 from pathlib import Path
@@ -692,6 +693,26 @@ class TestFreedGraph:
         assert intermediates
         for node in intermediates:
             assert node.grad is None and node._parents == ()
+
+    def test_nodes_run_backward_in_the_oracle_order(self):
+        # the walk never visits leaves or constants, but every node with a
+        # backward keeps its place, so every gradient adds up in one order
+        ran, expected = [], []
+
+        def logged(node, backward, g):
+            ran.append(node)
+            backward(g)
+
+        def walk(loss):
+            expected.extend(n for n in topological(loss) if n._backward is not None)
+            for node in expected:
+                node._backward = functools.partial(logged, node, node._backward)
+            loss.backward()
+
+        acceptance_step_gradients(walk)
+        called = set(map(id, ran))
+        assert len(ran) > 50
+        assert ran == [node for node in reversed(expected) if id(node) in called]
 
     def test_backward_of_a_long_chain_holds_a_few_buffers(self):
         x = Tensor(np.ones(1 << 17), requires_grad=True)  # 1 MB
