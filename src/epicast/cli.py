@@ -19,7 +19,7 @@ import numpy as np
 
 from . import datasets, evaluation, training
 from .datasets import CASES_CHANNEL, DataError, SyntheticScenario
-from .domain import ConfigRangeError, ValidationError, config_from
+from .domain import ConfigRangeError, ValidationError, read_record
 from .estimator import BackboneConfig
 from .pipeline import ForecastModel, ModelConfig
 from .training import TrainConfig
@@ -77,11 +77,11 @@ def load_config(path: str | Path | None) -> dict:
 
 
 def model_config_from(config: dict) -> ModelConfig:
-    return config_from(ModelConfig, config.get("model"), "model")
+    return read_record(ModelConfig, config.get("model"), "model")
 
 
 def train_config_from(config: dict) -> TrainConfig:
-    return config_from(TrainConfig, config.get("training"), "training")
+    return read_record(TrainConfig, config.get("training"), "training")
 
 
 # the scenario fields that ``simulate`` flags override
@@ -98,13 +98,13 @@ def scenario_from(config: dict, overrides: dict | None = None) -> SyntheticScena
     if section is None or isinstance(section, dict):
         section = {**(section or {}), **overridden}
     try:
-        return config_from(SyntheticScenario, section, "synthetic")
+        return read_record(SyntheticScenario, section, "synthetic")
     except ConfigRangeError as err:
         key = err.field.removeprefix("synthetic.")
         if key not in overridden:
             raise
-        flag = _SCENARIO_FLAGS[key]
-        raise UsageError(f"{flag} = {err.value!r}; must be {err.rule}") from None
+        flagged = ConfigRangeError(_SCENARIO_FLAGS[key], err.value, err.rule, err.reason)
+        raise UsageError(str(flagged)) from None
 
 
 # ----------------------------------------------------------------- subcommands

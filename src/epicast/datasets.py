@@ -80,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import ConfigRangeError, check_ranges
+from .domain import ConfigRangeError, check_ranges, read_record
 from . import metapop
 
 __all__ = [
@@ -470,12 +470,6 @@ _COPY_MAGIC = b"EPPANEL\x00"
 # this whenever ``_parse`` may return another panel for the same bytes, and
 # every copy written before is ignored.
 _COPY_FORMAT = "epicast-panel-2"
-# The copy's manifest keys and the JSON type of each (``require_keys``).
-# Its body is ``values``, ``flows`` and ``population``.
-_COPY_KEYS = {
-    "format": str, "regions": [str], "dates": [str], "sha256": [str], "shape": [int],
-    "payload_crc32": int,
-}
 # What reading a damaged or hand-made copy may raise; each means "parse".
 _COPY_ERRORS = (OSError, ValueError)
 
@@ -540,26 +534,23 @@ def read_frame(path: str | Path, magic: bytes, what: str) -> tuple[dict, memoryv
     return manifest, view[end:]
 
 
-def require_keys(mapping, keys: dict, where: str, path) -> None:
-    """Refuse, with a ``ValueError`` naming ``path`` and ``where`` in it,
-    a ``mapping`` read from JSON that is not an object, lacks one of
-    ``keys`` or holds one whose value is not of its JSON type: a Python
-    type, or ``[t]`` for a list of ``t``.  A bool is never a number."""
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{path}: {where} is not a JSON object")
-    for key, kind in keys.items():
-        if key not in mapping:
-            raise ValueError(f"{path}: {where} lacks key {key!r}")
-        value = mapping[key]
-        outer, inner = (list, kind[0]) if isinstance(kind, list) else (kind, None)
-        typed = isinstance(value, outer) and not isinstance(value, bool)
-        if typed and inner:
-            typed = all(isinstance(item, inner) and not isinstance(item, bool) for item in value)
-        if not typed:
-            name = f"list of {inner.__name__}" if inner else outer.__name__
-            raise ValueError(
-                f"{path}: {where} key {key!r} must be a JSON {name}, got {type(value).__name__}"
-            )
+@dataclass(frozen=True)
+class _CopyManifest:
+    """The manifest of ``panel.bin``, whose body is ``values`` of ``shape``,
+    then ``flows`` and ``population``."""
+
+    format: str
+    regions: tuple[str, ...]
+    dates: tuple[str, ...]
+    sha256: tuple[str, ...]
+    shape: tuple[int, ...]
+    payload_crc32: int
+
+    def __post_init__(self):
+        n, length, shape = len(self.regions), len(self.dates), self.shape
+        if not (n and length) or len(shape) != 3 or shape[:2] != (n, length) \
+                or shape[2] < len(CORE_CHANNELS):
+            raise ConfigRangeError("shape", shape, None, "disagrees with the regions and dates")
 
 
 def _read_copy(path: Path, digests: list[str]) -> Dataset:
@@ -570,25 +561,19 @@ def _read_copy(path: Path, digests: list[str]) -> Dataset:
     body's length against it, before any array exists, so no manifest can
     make this allocate.  The arrays are views of the buffer read."""
     manifest, body = read_frame(path, _COPY_MAGIC, "panel copy")
-    if manifest.keys() != _COPY_KEYS.keys():
-        raise ValueError(f"{path}: manifest keys are not the format's")
-    require_keys(manifest, _COPY_KEYS, "panel copy manifest", path)
-    if manifest["format"] != _COPY_FORMAT:
+    copy = read_record(_CopyManifest, manifest, f"{path}: manifest", "json")
+    if copy.format != _COPY_FORMAT:
         raise ValueError(f"{path}: of another format")
-    if manifest["sha256"] != digests:
+    if list(copy.sha256) != digests:
         raise ValueError(f"{path}: written for other CSVs")
-    regions, dates, shape = manifest["regions"], manifest["dates"], manifest["shape"]
-    n, length = len(regions), len(dates)
-    if not (n and length) or len(shape) != 3 or shape[:2] != [n, length] \
-            or shape[2] < len(CORE_CHANNELS):
-        raise ValueError(f"{path}: shapes disagree")
-    sizes = [n * length * shape[2], n * n * length, n]
+    regions, dates, (n, length, channels) = list(copy.regions), list(copy.dates), copy.shape
+    sizes = [n * length * channels, n * n * length, n]
     if len(body) != 8 * sum(sizes):
         raise ValueError(f"{path}: body of {len(body)} bytes, not {8 * sum(sizes)}")
-    if frame_crc(manifest, [body]) != manifest["payload_crc32"]:
+    if frame_crc(manifest, [body]) != copy.payload_crc32:
         raise ValueError(f"{path}: corrupt (crc32 mismatch)")
     values, flows, population = np.split(np.frombuffer(body, "<f8"), np.cumsum(sizes[:2]))
-    values, flows = values.reshape(shape), flows.reshape(n, n, length)
+    values, flows = values.reshape(copy.shape), flows.reshape(n, n, length)
     days = np.datetime64(iso_date(dates[0]), "D") + np.arange(length)
     if not (
         np.isfinite(values).all() and (values[..., : len(CORE_CHANNELS)] >= 0.0).all()
@@ -823,6 +808,9 @@ def channel_scaler(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:
 # ------------------------------------------------------------------ synthetic
 
 
+_MAX_WORLD_CELLS = 1 << 27  # the most flows (regions squared times days) of a world: 1 GiB
+
+
 @dataclass(frozen=True)
 class SyntheticScenario:
     """Reproducible mechanistic world used by ``generate_synthetic``.
@@ -871,11 +859,22 @@ class SyntheticScenario:
                 "population_high", self.population_high, "finite and >= population_low"
             )
         try:
-            iso_date(self.start_date)
+            start = iso_date(self.start_date)
         except (TypeError, ValueError):
             raise ConfigRangeError(
                 "start_date", self.start_date, "an ISO date such as 2020-01-01"
             ) from None
+        if self.length > (date_type.max - start).days + 1:
+            raise ConfigRangeError("length", self.length, None, (
+                f"{self.length} days from {self.start_date} run past {date_type.max}"
+            ))
+        cells = self.n_regions**2 * self.length
+        if cells > _MAX_WORLD_CELLS:  # named by the larger factor
+            key = "n_regions" if self.n_regions**2 >= self.length else "length"
+            raise ConfigRangeError(key, getattr(self, key), None, (
+                f"{self.n_regions} regions over {self.length} days make {cells} "
+                f"flows, more than the {_MAX_WORLD_CELLS} a world may hold"
+            ))
 
 
 def _structure_rng(scenario: SyntheticScenario) -> np.random.Generator:

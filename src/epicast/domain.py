@@ -1,4 +1,9 @@
-"""Immutable value types, config mapping and range checks.
+"""Immutable value types, the typed-record reader and range checks.
+
+``read_record`` is the one reader of what operators hand the CLI: it builds
+each YAML config section and each JSON manifest (checkpoint, ``panel.bin``)
+into a frozen dataclass by its type hints, and ``check_ranges`` applies the
+rules of ``_RULES`` in each record's ``__post_init__``.
 
 The value types are the edge of the reference rollout (``metapop.rollout``)
 and of forecast output: every one freezes its arrays on construction
@@ -9,9 +14,10 @@ Panel input is checked once, by ``datasets.load_dataset``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+import functools
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import date
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -27,7 +33,7 @@ __all__ = [
     "PopulationVector",
     "ValidationError",
     "check_ranges",
-    "config_from",
+    "read_record",
 ]
 
 
@@ -58,14 +64,20 @@ class ConfigRangeError(ValidationError):
         self.field, self.value, self.rule, self.reason = field, value, rule, reason
 
 
+MAX_SIZE = 1024  # the largest model width, count or window: the model allocates their squares
+SIZE = f"in [1, {MAX_SIZE}]"  # the rule of every model size
+
 _RULES = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "> 0": lambda v: v > 0,
+    SIZE: lambda v: 1 <= v <= MAX_SIZE,
     "finite and >= 0": lambda v: 0 <= v < np.inf,
     "finite and > 0": lambda v: 0 < v < np.inf,
+    "finite or null": lambda v: v is None or -np.inf < v < np.inf,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in [0, 1)": lambda v: 0 <= v < 1,
+    "a list of finite numbers": lambda v: all(-np.inf < x < np.inf for x in v),
     "a non-empty list of integers >= 1": lambda v: len(v) > 0 and min(v) >= 1,
 }
 
@@ -79,68 +91,135 @@ def check_ranges(config, rules: dict[str, str]) -> None:
             raise ConfigRangeError(name, value, rule)
 
 
-def _integral(value) -> bool:
-    if isinstance(value, float):
-        return value.is_integer()
-    return isinstance(value, int) and not isinstance(value, bool)
+class _Refused(Exception):
+    """A value of a type its field does not take; the reader names the field."""
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string",
-          tuple[int, ...]: "a list of integers"}
+def _refuse():
+    raise _Refused
 
 
-def _field_value(kind, value, where: str, yaml_keys: bool):
-    if is_dataclass(kind):
-        return config_from(kind, value, where, yaml_keys)
-    if kind is int and _integral(value):
-        return int(value)
-    if kind is float and not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if kind is str and isinstance(value, (str, date)):
-        return value if isinstance(value, str) else value.isoformat()
-    if kind == tuple[int, ...] and isinstance(value, (list, tuple)):
-        if all(map(_integral, value)):
-            return tuple(map(int, value))
-    raise ConfigRangeError(where, value, _KINDS[kind])
-
-
-_TYPE_HINTS: dict[type, dict] = {}  # per config class, resolved once
-
-
-def config_from(cls, mapping, where: str, yaml_keys: bool = True):
-    """Build the config dataclass ``cls``, and those nested in it, from
-    ``mapping`` (``None``: all defaults) keyed by YAML key (a field's
-    ``metadata["key"]``, else its name) or, without ``yaml_keys``, by field
-    name.  A bool is never a number.  An int field takes an int or an
-    integral float; a float field a number or a string ``float()`` reads
-    (PyYAML reads ``1e-3`` as one), as a float; a str field a date, as ISO
-    text.  Every defect, ``cls``'s own checks included, is a
-    ``ConfigRangeError`` naming the ``where.key`` path."""
-    mapping = {} if mapping is None else mapping
-    if not isinstance(mapping, dict):
-        raise ConfigRangeError(where, mapping, "a mapping")
-    keys = {
-        f.name: f.metadata.get("key", f.name) if yaml_keys else f.name for f in fields(cls)
-    }
-    names = {key: name for name, key in keys.items()}
-    unknown = sorted(map(str, mapping.keys() - names))
-    if unknown:
-        reason = f"unknown key; valid keys: {', '.join(sorted(names))}"
-        raise ConfigRangeError(f"{where}.{unknown[0]}", None, None, reason)
-    kinds = _TYPE_HINTS.get(cls) or _TYPE_HINTS.setdefault(cls, get_type_hints(cls))
-    kwargs = {
-        names[key]: _field_value(kinds[names[key]], value, f"{where}.{key}", yaml_keys)
-        for key, value in mapping.items()
-    }
+def _number(value) -> float:
     try:
-        return cls(**kwargs)
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _Refused from None
+
+
+# Per source and scalar type: the value as its field holds it, else _Refused.
+_SCALARS = {
+    "yaml": {
+        int: lambda v: v if type(v) is int else int(v) if type(v) is float and v.is_integer() \
+            else _refuse(),
+        float: lambda v: _refuse() if isinstance(v, bool) else _number(v),
+        str: lambda v: v if isinstance(v, str) else v.isoformat() if isinstance(v, date) \
+            else _refuse(),
+    },
+    "json": {
+        int: lambda v: v if type(v) is int else _refuse(),
+        float: lambda v: _number(v) if type(v) in (int, float) else _refuse(),
+        str: lambda v: v if type(v) is str else _refuse(),
+    },
+}
+_KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          str: ("a string", "strings")}
+
+
+def _below(prefix: str, err: ConfigRangeError) -> ConfigRangeError:
+    dot = "." if err.field[:1] not in ("", "[") else ""
+    return ConfigRangeError(prefix + dot + err.field, err.value, err.rule, err.reason)
+
+
+def _judge(hint, source: str):
+    """``(check, kind)`` of a ``hint`` value: ``check`` returns the value as
+    its field holds it, raises ``_Refused`` if it is not ``kind``, and a
+    ``ConfigRangeError`` with the path below it for a defect within it."""
+    if is_dataclass(hint):
+        return _reader(hint, source), "a mapping"
+    args = get_args(hint)
+    if type(None) in args:  # ``X | None``
+        inner, kind = _judge(args[0], source)
+        return (lambda value: None if value is None else inner(value)), kind
+    if not args:
+        return _SCALARS[source][hint], _KINDS[hint][0]
+    item, kind = _judge(args[0], source)  # ``tuple[X, ...]``
+    if args[0] in _KINDS:  # an item's refusal refuses the list
+        return (lambda value: tuple(map(item, value)) if isinstance(value, (list, tuple))
+                else _refuse()), f"a list of {_KINDS[args[0]][1]}"
+
+    def records(value):
+        if not isinstance(value, (list, tuple)):
+            raise _Refused
+        held = []
+        for index, entry in enumerate(value):
+            try:
+                held.append(item(entry))
+            except ConfigRangeError as err:
+                raise _below(f"[{index}]", err) from None
+            except _Refused:
+                raise ConfigRangeError(f"[{index}]", entry, kind) from None
+        return tuple(held)
+
+    return records, "a list of mappings"
+
+
+@functools.cache
+def _reader(cls, source: str):
+    """``read_record``'s reader of ``cls``, its checkers resolved once."""
+    hints = get_type_hints(cls)
+    plan = [(f.metadata.get("key", f.name) if source == "yaml" else f.name, f.name,
+             *_judge(hints[f.name], source), f.default is MISSING is f.default_factory)
+            for f in fields(cls)]  # the last entry: no default, so the key is required
+    keys = {name: key for key, name, *_ in plan}
+    known = frozenset(keys.values())
+
+    def read(mapping):
+        mapping = {} if mapping is None and source == "yaml" else mapping
+        if not isinstance(mapping, dict):
+            raise _Refused
+        if not mapping.keys() <= known:
+            reason = f"unknown key; valid keys: {', '.join(sorted(known))}"
+            raise ConfigRangeError(min(map(str, mapping.keys() - known)), None, None, reason)
+        values = {}
+        for key, name, check, kind, required in plan:
+            if key in mapping:
+                try:
+                    values[name] = check(mapping[key])
+                except ConfigRangeError as err:
+                    raise _below(key, err) from None
+                except _Refused:
+                    raise ConfigRangeError(key, mapping[key], kind) from None
+            elif required:
+                raise ConfigRangeError(key, None, None, "missing")
+        try:
+            return cls(**values)
+        except ConfigRangeError as err:  # ``backbone.dilations`` too
+            head, dot, rest = err.field.partition(".")
+            raise ConfigRangeError(keys[head] + dot + rest, err.value, err.rule,
+                                   err.reason) from None
+
+    return read
+
+
+def read_record(cls, mapping, where: str, source: str = "yaml"):
+    """The frozen dataclass ``cls`` built from ``mapping`` by its type hints,
+    through nested records, ``tuple[X, ...]`` and ``X | None``.
+
+    From ``source`` ``"yaml"`` (a config section), keys are a field's
+    ``metadata["key"]``, else its name, and null keeps every default; an int
+    field takes an integral float, a float field a string ``float()`` reads
+    (PyYAML reads ``1e-3`` as one), a str field a date, as ISO text.  From
+    ``"json"`` (a manifest), keys are field names and values strict: a float
+    is never an int, nor a string a number.  A bool is never a number, an
+    unknown key is refused, and a key may be missing only if its field has a
+    default.  Every defect, ``cls``'s own checks too, is a
+    ``ConfigRangeError`` whose field is its path below ``where``."""
+    try:
+        return _reader(cls, source)(mapping)
     except ConfigRangeError as err:
-        head, dot, rest = err.field.partition(".")  # ``backbone.dilations`` too
-        field = f"{where}.{keys[head]}{dot}{rest}"
-        raise ConfigRangeError(field, err.value, err.rule, err.reason) from None
+        raise (_below(where, err) if where else err) from None
+    except _Refused:
+        raise ConfigRangeError(where, mapping, "a mapping") from None
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:

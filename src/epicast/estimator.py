@@ -52,7 +52,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor, make_op
-from .domain import DimensionMismatchError, check_ranges
+from .domain import SIZE, DimensionMismatchError, check_ranges
 
 __all__ = [
     "Backbone",
@@ -322,7 +322,7 @@ class BackboneConfig:
     def __post_init__(self):
         sizes = ("hidden_dim", "skip_dim", "output_dim", "kernel_size")
         check_ranges(self, {
-            **dict.fromkeys(sizes, ">= 1"),
+            **dict.fromkeys(sizes, SIZE),
             "dilations": "a non-empty list of integers >= 1",
         })
 

@@ -23,13 +23,13 @@ import numpy as np
 from . import adjacency, estimator, metapop
 from .autodiff import Parameters, Tensor
 from .datasets import CASES_CHANNEL, INFECTED_CHANNEL, WindowSet
-from .domain import ConfigRangeError, DimensionMismatchError, check_ranges
+from .domain import SIZE, ConfigRangeError, DimensionMismatchError, check_ranges
 from .estimator import Backbone, BackboneConfig
 from .suppression import THRESHOLD_KINDS, ThresholdConfig, detect, suppress_beta
 
 __all__ = ["ForecastModel", "ForwardResult", "ModelConfig"]
 
-# ModelConfig fields that count something, so must be at least 1.
+# ModelConfig fields that count something: each must be a ``SIZE``.
 _POSITIVE_SIZES = (
     "t_in", "t_out", "pattern_count", "pattern_window", "pattern_key_dim",
     "pattern_embed_dim", "lifted_channels", "attention_heads",
@@ -61,7 +61,7 @@ class ModelConfig:
             raise ConfigRangeError("channels", self.channels, None, (
                 f"observations need at least the 4 core channels, got {self.channels}"
             ))
-        check_ranges(self, dict.fromkeys(_POSITIVE_SIZES, ">= 1"))
+        check_ranges(self, dict.fromkeys(_POSITIVE_SIZES, SIZE))
         if self.lifted_channels % self.attention_heads != 0:
             raise ConfigRangeError("attention_heads", self.attention_heads, None, (
                 f"{self.attention_heads} attention heads do not evenly divide "

@@ -24,18 +24,16 @@ manifest as ``payload_crc32``.  Round trips are bit-exact: identical state
 serializes to identical bytes.  A checkpoint is written to a temporary
 sibling and renamed into place, so a failed save leaves the previous file
 intact.  Loading raises a ``ValueError`` naming the file when the manifest
-is not UTF-8 JSON, when a manifest key is missing, of the wrong JSON type or
-of a value the model cannot take (naming the key; a record's numbers must
-be ints, ``ema`` must hold the four threshold kinds, it and the scaler only
-finite numbers, each scale at least 1e-8), when the records differ from the
-layout of the model the stored configuration builds (naming the first
-differing record), when the payload is not exactly that layout's size, when
-it holds a NaN, an infinity or a value past float32's range (naming the
-first record that does), or when the crc32 of its manifest and payload
-differs from ``payload_crc32`` (a checkpoint written before that key existed
-has none, and loads unchecked).  Loading allocates nothing model-sized, and
-draws nothing, before the records and the payload's length have passed; the
-table is then one copy of the payload.
+is not UTF-8 JSON or not a ``_Manifest`` (``domain.read_record``'s JSON
+rules; naming the key), when the records differ from the layout of the
+model the stored configuration builds (naming the first differing record),
+when the payload is not exactly that layout's size, when it holds a NaN, an
+infinity or a value past float32's range (naming the first record that
+does), or when the crc32 of its manifest and payload differs from
+``payload_crc32`` (a checkpoint written before that key existed has none,
+and loads unchecked).  Loading allocates nothing model-sized, and draws
+nothing, before the records and the payload's length have passed; the table
+is then one copy of the payload.
 """
 
 from __future__ import annotations
@@ -43,16 +41,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameters
-from .datasets import WindowSet, frame_crc, read_frame, require_keys, write_frame
-from .domain import ConfigRangeError, DimensionMismatchError, check_ranges, config_from
+from .datasets import WindowSet, frame_crc, read_frame, write_frame
+from .domain import ConfigRangeError, DimensionMismatchError, check_ranges, read_record
 from .pipeline import _MIN_SCALE, ForecastModel, ModelConfig, _parameter_list
 from .suppression import THRESHOLD_KINDS
 
@@ -319,50 +316,63 @@ def save_checkpoint(
     write_frame(path, _MAGIC, manifest, [params.data])
 
 
-# Manifest keys that loading reads, with the JSON type each must have.
-_MANIFEST_KEYS = {
-    "config_hash": str,
-    "model_config": dict,
-    "n_regions": int,
-    "seed": int,
-    "params": list,
-    "scaler_mean": list,
-    "scaler_scale": list,
-    "ema": dict,
-}
-_PARAM_KEYS = {"name": str, "shape": [int], "offset": int, "count": int}
+@dataclass(frozen=True)
+class _Record:
+    """A manifest's ``params`` entry: where a parameter's bytes lie."""
+
+    name: str
+    shape: tuple[int, ...]
+    offset: int
+    count: int
 
 
-def _is_finite_number(value) -> bool:
-    # NaN fails both comparisons; an int past the float range, which JSON
-    # reads exactly, is refused before anything converts it
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and -sys.float_info.max <= value <= sys.float_info.max
+# A manifest's ``ema``: the smoothed value of each threshold kind, if any.
+_Smoothing = make_dataclass(
+    "_Smoothing", [(kind, float | None) for kind in THRESHOLD_KINDS], frozen=True,
+    namespace={"__post_init__": lambda self: check_ranges(
+        self, dict.fromkeys(THRESHOLD_KINDS, "finite or null"))},
+)
 
 
-def _check_values(manifest: dict, channels: int, path) -> None:
-    """Refuse well-typed manifest values that the model cannot take."""
-    count, regions, ema = manifest["n_regions"], manifest.get("regions"), manifest["ema"]
-    rules = {
-        "n_regions": (">= 1", count >= 1),
-        "seed": (">= 0", manifest["seed"] >= 0),
-        "regions": (f"null or a list of {count} names", regions is None or (
-            isinstance(regions, list) and len(regions) == count
-            and all(isinstance(name, str) for name in regions))),
-        "ema": (f"a finite number or null for exactly {', '.join(THRESHOLD_KINDS)}",
-                set(ema) == set(THRESHOLD_KINDS)
-                and all(v is None or _is_finite_number(v) for v in ema.values())),
-        **{key: (f"a list of {channels} finite numbers{floor}", len(manifest[key]) == channels
-                 and all(_is_finite_number(v) and v >= low for v in manifest[key]))
-           for key, low, floor in (("scaler_mean", -math.inf, ""),
-                                   ("scaler_scale", _MIN_SCALE, f", each >= {_MIN_SCALE}"))},
-    }
-    for key, (rule, ok) in rules.items():
-        if not ok:
-            raise ValueError(
-                f"{path}: checkpoint manifest key {key!r} must be {rule}, "
-                f"got {manifest.get(key)!r}"
-            )
+@dataclass(frozen=True)
+class _Manifest:
+    """A checkpoint manifest.  ``params`` comes before ``model_config``, so a
+    damaged record is reported before a damaged configuration."""
+
+    format_version: int
+    config_hash: str
+    params: tuple[_Record, ...]
+    model_config: ModelConfig
+    n_regions: int
+    regions: tuple[str, ...] | None
+    seed: int
+    epoch: int
+    val_loss: float | None
+    ema: _Smoothing
+    scaler_mean: tuple[float, ...]
+    scaler_scale: tuple[float, ...]
+    train_config: TrainConfig | None
+    payload_crc32: int | None = None  # none in a file written before the key
+
+    def __post_init__(self):
+        channels = self.model_config.channels
+        check_ranges(self, {"n_regions": ">= 1", "seed": ">= 0",
+                            "scaler_mean": "a list of finite numbers",
+                            "scaler_scale": "a list of finite numbers"})
+        if self.regions is not None and len(self.regions) != self.n_regions:
+            raise ConfigRangeError("regions", self.regions, f"null or {self.n_regions} names")
+        for key in ("scaler_mean", "scaler_scale"):
+            if len(getattr(self, key)) != channels:
+                raise ConfigRangeError(key, getattr(self, key), f"{channels} numbers")
+        if min(self.scaler_scale) < _MIN_SCALE:  # ``set_scaler`` would load it as 1.0
+            raise ConfigRangeError("scaler_scale", self.scaler_scale, f"entries >= {_MIN_SCALE}")
+
+
+def _refusal(path, err: ConfigRangeError) -> ValueError:
+    """The manifest defect ``err`` as an error naming ``path`` and the key."""
+    head, dot, key = err.field.partition(".")
+    named = f"{head} key {key!r}" if dot and "[" in head else f"key {head!r}"  # params[i]
+    return ValueError(f"{path}: checkpoint manifest {named} is malformed ({err})")
 
 
 @dataclass
@@ -374,25 +384,17 @@ class LoadedCheckpoint:
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Rebuild a model bit-for-bit from a checkpoint file."""
     manifest, payload = read_frame(path, _MAGIC, "checkpoint")
-    require_keys(manifest, _MANIFEST_KEYS, "checkpoint manifest", path)
-    for index, record in enumerate(manifest["params"]):
-        require_keys(record, _PARAM_KEYS, f"checkpoint manifest params[{index}]", path)
     try:
-        config = config_from(
-            ModelConfig, manifest["model_config"], "model_config", yaml_keys=False
-        )
+        typed = read_record(_Manifest, manifest, "", "json")
     except ConfigRangeError as err:
-        raise ValueError(
-            f"{path}: checkpoint manifest key 'model_config' is malformed ({err})"
-        ) from None
-    # the stored payload, not ``config``: a float field that a caller set to
-    # an int is stored as one but reads back as a float
-    if _config_hash(manifest["model_config"]) != manifest["config_hash"]:
+        raise _refusal(path, err) from None
+    # the stored payload, not ``typed.model_config``: a float field that a
+    # caller set to an int is stored as one but reads back as a float
+    if _config_hash(manifest["model_config"]) != typed.config_hash:
         raise ValueError(f"{path}: configuration hash mismatch")
-    _check_values(manifest, config.channels, path)
     # the layout is checked from shapes alone, and the payload's length
     # against it, before anything model-sized is allocated
-    entries = _parameter_list(config, manifest["n_regions"])
+    entries = _parameter_list(typed.model_config, typed.n_regions)
     stored, expected = manifest["params"], _layout(entries)
     if stored != expected:
         pad = [None] * abs(len(stored) - len(expected))  # a missing record reads null
@@ -423,7 +425,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"({expected[index]['name']!r}) holds a value that is non-finite in "
             f"float32, the model's compute dtype"
         )
-    if "payload_crc32" in manifest:
+    if "payload_crc32" in manifest:  # null too: it is not the crc32
         crc = frame_crc(manifest, [payload])
         if crc != manifest["payload_crc32"]:
             raise ValueError(
@@ -432,9 +434,9 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             )
     # one aligned, native copy of the payload, made once every check has passed
     params = Parameters.over(values.astype(np.float64), entries)
-    model = ForecastModel(config, manifest["n_regions"], seed=manifest["seed"], _params=params)
-    model.set_scaler(manifest["scaler_mean"], manifest["scaler_scale"])
-    model.ema = {kind: manifest["ema"][kind] for kind in THRESHOLD_KINDS}
+    model = ForecastModel(typed.model_config, typed.n_regions, seed=typed.seed, _params=params)
+    model.set_scaler(typed.scaler_mean, typed.scaler_scale)
+    model.ema = {kind: getattr(typed.ema, kind) for kind in THRESHOLD_KINDS}
     return LoadedCheckpoint(model=model, manifest=manifest)
 
 

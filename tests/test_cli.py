@@ -4,11 +4,13 @@ synthetic dataset, plus exit-code and error-message behaviour."""
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import datetime
 import io
 import hashlib
 import json
+import math
 import random
 import re
 import shutil
@@ -26,6 +28,7 @@ from epicast import cli, training
 from epicast.autodiff import Tensor
 from epicast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from epicast.datasets import SyntheticScenario, frame_crc
+from epicast.domain import ConfigRangeError
 from epicast.pipeline import ForecastModel, ModelConfig
 from epicast.training import TrainConfig
 
@@ -177,6 +180,40 @@ class TestSimulate:
     )
     def test_shipped_configs_build_their_scenario(self, config):
         cli.scenario_from(cli.load_config(config))
+
+    @pytest.mark.parametrize(
+        "section,flags,named,reason",
+        [
+            # the last day, 9999-12-01 + 59, is past the last date there is
+            ({"start_date": datetime.date(9999, 12, 1), "length": 60, "n_regions": 3}, [],
+             "config synthetic.length: ", "60 days from 9999-12-01 run past 9999-12-31"),
+            # a reason-only refusal of a flag prints the reason
+            ({}, ["--length", "4000000"], "--length: ",
+             "4000000 days from 2020-01-01 run past 9999-12-31"),
+            # 14.6 TiB of flows
+            ({"n_regions": 1_000_000}, [], "config synthetic.n_regions: ",
+             "1000000 regions over 400 days make 400000000000000 flows"),
+            ({}, ["--regions", "600"], "--regions: ", "600 regions over 400 days"),
+            ({"n_regions": 7}, ["--length", "2900000"], "--length: ",
+             "7 regions over 2900000 days make 142100000 flows"),
+        ],
+        ids=["date-past-9999", "length-flag-past-9999", "million-regions", "regions-flag",
+             "length-flag"],
+    )
+    def test_a_world_past_the_dates_or_the_cap_is_usage_error(
+        self, tmp_path, capsys, section, flags, named, reason
+    ):
+        config = tmp_path / "big.yaml"
+        config.write_text(yaml.safe_dump({"synthetic": section}), encoding="utf-8")
+        out = tmp_path / "panel"
+        assert main(["simulate", "--config", str(config), "--out", str(out), *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {named}{reason}" in err
+        assert not out.exists()
+
+    def test_the_world_cap_admits_the_benchmark_worlds(self):
+        for n_regions, length in ((64, 400), (8, 400), (1, 2_900_000)):
+            SyntheticScenario(n_regions=n_regions, length=length)
 
     def test_unwritable_panel_file_is_data_error_and_keeps_the_old_panel(
         self, workdir, tmp_path, capsys
@@ -396,6 +433,10 @@ class TestTrain:
             ("model.suppression.downscale", True),
             ("training.seed", 2.5),
             ("training.batch_size", True),
+            # sizes past the cap, which the model would allocate by
+            ("model.pattern_count", 10**12),
+            ("model.backbone.hidden_dim", 3_000_000),
+            ("model.forecast_horizon", 1025),
         ],
     )
     def test_out_of_range_value_is_usage_error(
@@ -411,7 +452,10 @@ class TestTrain:
         argv = ["train", "--config", str(bad), "--data", str(workdir["data"]),
                 "--out", str(out), "--quiet"]
         assert main(argv) == EXIT_USAGE
-        assert f"config {key} = {value!r}; must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config {key} = {value!r}; must be" in err
+        if isinstance(value, int) and value > 1024:  # past the cap of a size
+            assert "must be in [1, 1024]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1119,6 +1163,71 @@ class TestCheckpointMutationReferee:
             assert code == EXIT_OK or (code == EXIT_DATA and str(broken) in err), (
                 f"{replay}: exit {code}: {err}"
             )
+
+
+# What a mutated config value becomes: every kind of YAML scalar and
+# collection, out-of-range and past-the-cap numbers, and dates
+CONFIG_VALUES = [
+    None, True, False, 0, -1, 1, 3, 1025, 10**12, 10**400, 0.5, -0.5, 14.0, 1e300,
+    math.nan, math.inf, -math.inf, "", "x", "1e-3", "16", "2020-02-30", [], [0], [1, 2.5],
+    [1, 2, 4, 8], {}, {"x": 1}, datetime.date(9999, 12, 31), datetime.date(2020, 1, 1),
+]
+
+
+def mutate_config(config: dict, rnd) -> tuple[dict, str]:
+    """A deep copy of ``config`` with one seeded mutation, and the mutation
+    in words."""
+    config = copy.deepcopy(config)
+    places = [(config, key, key) for key in config]
+    for section, body in config.items():
+        if isinstance(body, dict):
+            places += [(body, key, f"{section}.{key}") for key in body]
+            places += [(value, key, f"{section}.{name}.{key}") for name, value in body.items()
+                       if isinstance(value, dict) for key in value]
+    mapping, key, path = rnd.choice(places)
+    kind = rnd.choice(["set", "set", "set", "scale", "delete", "rename", "add"])
+    if kind == "scale" and isinstance(mapping[key], (int, float)):
+        mapping[key] *= rnd.choice([-1, 0, 2, 10**6, 1e9, 0.5])
+        return config, f"scale {path} to {mapping[key]!r}"
+    if kind == "delete":
+        del mapping[key]
+        return config, f"delete {path}"
+    if kind == "rename":
+        mapping[key + "s"] = mapping.pop(key)
+        return config, f"rename {path} to {key}s"
+    if kind == "add":
+        mapping[f"{key}_extra"] = rnd.choice(CONFIG_VALUES)
+        return config, f"add {path}_extra = {mapping[f'{key}_extra']!r}"
+    mapping[key] = rnd.choice(CONFIG_VALUES)
+    return config, f"set {path} to {mapping[key]!r}"
+
+
+class TestConfigMutationReferee:
+    """Seeded mutations of each shipped config: every one builds its model,
+    training and scenario configs or is refused by a ``UsageError`` or a
+    ``ConfigRangeError`` (exit code 1), never by anything else.  A failure
+    names its seed and mutation; ``mutate_config(config, random.Random(seed))``
+    replays it."""
+
+    MUTATIONS = 100  # per file
+
+    @pytest.mark.parametrize("name", ["default.yaml", "acceptance.yaml"])
+    def test_mutation_builds_or_is_a_usage_error(self, tmp_path, name):
+        pristine = yaml.safe_load((CONFIG_DIR / name).read_text(encoding="utf-8"))
+        path = tmp_path / name
+        for k in range(self.MUTATIONS):
+            seed = f"71/{name}/{k}"
+            config, mutation = mutate_config(pristine, random.Random(seed))
+            path.write_text(yaml.safe_dump(config), encoding="utf-8")
+            try:
+                loaded = cli.load_config(path)
+                cli.model_config_from(loaded)
+                cli.train_config_from(loaded)
+                cli.scenario_from(loaded)
+            except (cli.UsageError, ConfigRangeError):
+                pass
+            except BaseException as err:
+                pytest.fail(f"seed {seed!r}: {mutation}: {type(err).__name__}: {err}")
 
 
 class TestAtomicOutputs:

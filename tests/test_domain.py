@@ -1,12 +1,18 @@
-"""Validation behavior of the typed data containers."""
+"""Validation behavior of the typed data containers and of the typed-record
+reader."""
 
 from __future__ import annotations
+
+import datetime
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from epicast.domain import (
     CompartmentState,
+    ConfigRangeError,
     DimensionMismatchError,
     EpidemicParams,
     Forecast,
@@ -15,7 +21,11 @@ from epicast.domain import (
     NonFiniteError,
     PopulationVector,
     ValidationError,
+    check_ranges,
+    read_record,
 )
+from epicast.pipeline import ModelConfig
+from epicast.training import TrainConfig
 
 
 class TestMobilitySeries:
@@ -99,3 +109,93 @@ class TestForecast:
                 infected=np.ones((1, 1)),
                 recovered=np.ones((1, 1)),
             )
+
+
+@dataclass(frozen=True)
+class Part:
+    size: int
+
+
+@dataclass(frozen=True)
+class Probe:
+    """A record with every kind of field ``read_record`` reads."""
+
+    size: int  # no default
+    count: int = field(default=1, metadata={"key": "how_many"})  # YAML name
+    rate: float = 0.5
+    label: str = "x"
+    parts: tuple[Part, ...] = ()
+    note: str | None = None
+
+    def __post_init__(self):
+        check_ranges(self, {"rate": "finite and >= 0"})
+
+
+# (mapping, what YAML reads, what JSON reads): the field values read, or the
+# refused field and the text of its refusal
+TYPE_RULES = {
+    "true-for-an-int": (
+        {"size": True}, ("size", "must be an integer"), ("size", "must be an integer")),
+    "true-for-a-float": (
+        {"size": 1, "rate": True}, ("rate", "must be a number"), ("rate", "must be a number")),
+    "integral-float-for-an-int": (
+        {"size": 14.0}, {"size": 14}, ("size", "= 14.0; must be an integer")),
+    "fractional-float-for-an-int": (
+        {"size": 14.5}, ("size", "must be an integer"), ("size", "must be an integer")),
+    "numeric-string-for-a-float": (
+        {"size": 1, "rate": "1e-3"}, {"rate": 1e-3}, ("rate", "= '1e-3'; must be a number")),
+    "int-for-a-float": ({"size": 1, "rate": 2}, {"rate": 2.0}, {"rate": 2.0}),
+    "nan-where-a-rule-applies": (
+        {"size": 1, "rate": math.nan}, ("rate", "must be finite and >= 0"),
+        ("rate", "must be finite and >= 0")),
+    "date-for-a-str": (
+        {"size": 1, "label": datetime.date(2020, 1, 2)}, {"label": "2020-01-02"},
+        ("label", "must be a string")),
+    "missing-with-a-default": ({"size": 3}, {"size": 3, "count": 1}, {"size": 3, "count": 1}),
+    "missing-without-a-default": ({"rate": 0.1}, ("size", ": missing"), ("size", ": missing")),
+    "unknown-key": (
+        {"size": 1, "sise": 2}, ("sise", ": unknown key; valid keys: "),
+        ("sise", ": unknown key; valid keys: ")),
+    "null-for-an-optional": ({"size": 1, "note": None}, {"note": None}, {"note": None}),
+    "record-in-a-list": (
+        {"size": 1, "parts": [{"size": 2}, {"size": 2.5}]}, ("parts[1].size", "must be an integer"),
+        ("parts[1].size", "must be an integer")),
+}
+
+
+class TestReadRecord:
+    """``read_record``'s type rules, one table through both sources."""
+
+    @pytest.mark.parametrize("source", ["yaml", "json"])
+    @pytest.mark.parametrize("case", list(TYPE_RULES))
+    def test_type_rules(self, case, source):
+        mapping, *outcomes = TYPE_RULES[case]
+        outcome = outcomes[source == "json"]
+        if isinstance(outcome, dict):
+            record = read_record(Probe, mapping, "probe", source)
+            for name, value in outcome.items():
+                assert getattr(record, name) == value and type(getattr(record, name)) is type(value)
+        else:
+            field_path, text = outcome
+            with pytest.raises(ConfigRangeError) as raised:
+                read_record(Probe, mapping, "probe", source)
+            assert raised.value.field == f"probe.{field_path}"
+            assert text in str(raised.value)
+
+    def test_keys_are_yaml_names_or_field_names(self):
+        assert read_record(Probe, {"size": 1, "how_many": 5}, "probe").count == 5
+        assert read_record(Probe, {"size": 1, "count": 5}, "probe", "json").count == 5
+        for mapping, source in (({"size": 1, "count": 5}, "yaml"),
+                                ({"size": 1, "how_many": 5}, "json")):
+            with pytest.raises(ConfigRangeError, match="unknown key"):
+                read_record(Probe, mapping, "probe", source)
+
+    def test_null_keeps_the_defaults_in_yaml_only(self):
+        assert read_record(TrainConfig, None, "training") == TrainConfig()
+        with pytest.raises(ConfigRangeError, match="must be a mapping"):
+            read_record(TrainConfig, None, "training", "json")
+
+    def test_a_list_refused_whole_names_its_field(self):
+        with pytest.raises(ConfigRangeError) as raised:
+            read_record(ModelConfig, {"backbone": {"dilations": [1, True]}}, "model")
+        assert str(raised.value) == "model.backbone.dilations = [1, True]; must be a list of integers"

@@ -15,7 +15,7 @@ from epicast.domain import (
     ConfigRangeError,
     DimensionMismatchError,
     ValidationError,
-    config_from,
+    read_record,
 )
 from epicast.estimator import BackboneConfig
 from epicast.pipeline import ForecastModel, ModelConfig
@@ -33,7 +33,7 @@ from conftest import (
 class TestModelConfig:
     def test_dict_round_trip(self):
         config = small_model_config()
-        rebuilt = config_from(ModelConfig, asdict(config), "model_config", yaml_keys=False)
+        rebuilt = read_record(ModelConfig, asdict(config), "model_config", "json")
         assert rebuilt == config
         assert rebuilt.backbone.dilations == config.backbone.dilations
 
