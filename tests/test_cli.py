@@ -478,6 +478,40 @@ class TestTrain:
         assert f"config model.{named}: " in err and reason in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            "backbone: {dilations: [" + ", ".join(["1"] * 100_000) + "]}",
+            "pattern_count: 1024\n  pattern_key_dim: 1024\n  pattern_embed_dim: 1024\n"
+            "  lifted_channels: 1024\n  backbone: {hidden_dim: 1024, skip_dim: 1024, "
+            "output_dim: 1024, kernel_size: 1024}",
+        ],
+        ids=["100000-layers", "every-size-at-its-cap"],
+    )
+    def test_a_model_past_the_parameter_cap_is_usage_error(
+        self, workdir, tmp_path, capsys, model
+    ):
+        # each size is inside its cap, but the model would hold 209.6 million
+        # or 8.6 billion parameters; the windows fit the tiny world's splits
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"model:\n  input_window: 8\n  forecast_horizon: 4\n  {model}\n")
+        out = tmp_path / "m.ckpt"
+        argv = ["train", "--config", str(bad), "--data", str(workdir["data"]),
+                "--out", str(out), "--quiet"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: config model: " in err
+        assert "parameters at 3 regions, more than the 16,777,216" in err
+        assert not out.exists()
+
+    def test_the_parameter_cap_admits_every_shipped_and_benchmark_model(self):
+        for path in sorted(CONFIG_DIR.glob("*.yaml")):
+            payload = cli.load_config(path)
+            regions = cli.scenario_from(payload).n_regions
+            ForecastModel(cli.model_config_from(payload), regions)
+        ForecastModel(ModelConfig(), 64)  # the benchmark's train-wide model
+        training.load_checkpoint(DATA / "small_model.ckpt")
+
     def test_default_yaml_holds_the_builtin_defaults(self):
         config = cli.load_config(CONFIG_DIR / "default.yaml")
         assert cli.model_config_from(config) == ModelConfig()
@@ -1005,6 +1039,27 @@ class TestCorruptCheckpoint:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert str(broken) in err and repr(key) in err
+        assert not out.exists()
+
+    def test_a_stored_model_past_the_parameter_cap_is_data_error(
+        self, workdir, tmp_path, capsys
+    ):
+        # its hash and crc32 recomputed, the stored config holds 100,000
+        # backbone layers: refused before its parameter records are listed
+        def edit(manifest):
+            manifest["model_config"]["backbone"]["dilations"] = [1] * 100_000
+            canonical = json.dumps(manifest["model_config"], sort_keys=True)
+            manifest["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+
+        broken = tmp_path / "broken.ckpt"
+        rewrite_manifest(workdir["ckpt"], broken, edit)
+        out = tmp_path / "x.csv"
+        code = main(["forecast", "--data", str(workdir["data"]), "--checkpoint",
+                     str(broken), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(broken) in err and "'model_config' is malformed" in err
+        assert "parameters at 3 regions" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from epicast.domain import ConfigRangeError, DimensionMismatchError
 from epicast.estimator import Backbone, BackboneConfig
 from epicast.pipeline import ForecastModel, ModelConfig
 
-from conftest import initial_group, pad_axis, rng_for, small_model_config, tanh
+from conftest import initial_group, pad_axis, relu, rng_for, small_model_config, tanh
 
 
 class TestLiftFeatures:
@@ -275,9 +275,53 @@ class TestFloat32Dependency:
         assert [value.dtype for value in results] == [np.float64] * 4
 
 
+# The SPE tail composed from generic tape operations around the attention
+# node: the layers ``estimator.spatial_enhancement`` fuses, and its bitwise
+# oracle.
+
+
+def static_dependency(prior):
+    """Row-softmax the static prior logits into a row-stochastic matrix."""
+    return ad.softmax(prior, axis=-1)
+
+
+def fuse_dependencies(node_adj, struct_adj, gate):
+    """Convex per-entry blend of the dynamic and static maps, opened by the
+    entrywise affine ``gate`` through a sigmoid."""
+    logits = (
+        gate["node_weight"] * node_adj + gate["struct_weight"] * struct_adj + gate["bias"]
+    )
+    opening = ad.sigmoid(logits)
+    return opening * node_adj + (1.0 - opening) * struct_adj
+
+
+def regularize_dependency(fused):
+    """Symmetrize, clamp at zero, then row-normalize (guarded by 1e-8)."""
+    symmetric = (fused + fused.swapaxes(-1, -2)) * 0.5
+    rectified = relu(symmetric)
+    return rectified / (rectified.sum(axis=-1, keepdims=True) + 1e-8)
+
+
+def enhance_features(lifted, dependency, blend):
+    """Blend features with their dependency-weighted neighborhood average."""
+    batch, regions, days, channels = lifted.shape
+    flat = lifted.reshape(batch, regions, days * channels)
+    mixed = (dependency @ flat).reshape(batch, regions, days, channels)
+    return (1.0 - blend) * lifted + blend * mixed
+
+
+def composed_spatial_enhancement(
+    lifted, query_weight, key_weight, prior, gate, blend, heads, dtype=np.float32
+):
+    """The SPE branch as the forward composed it layer by layer."""
+    node_adj = estimator.dynamic_dependency(lifted, query_weight, key_weight, heads, dtype=dtype)
+    fused = fuse_dependencies(node_adj, static_dependency(prior), gate)
+    return enhance_features(lifted, regularize_dependency(fused), blend)
+
+
 class TestStaticDependency:
     def test_identity_prior_rows_softmaxed(self):
-        dep = estimator.static_dependency(Tensor(np.eye(4))).data
+        dep = static_dependency(Tensor(np.eye(4))).data
         np.testing.assert_allclose(dep.sum(axis=-1), 1.0, atol=1e-12)
         # diagonal logits of 1 versus 0 elsewhere: diagonal entries dominate
         off = dep[~np.eye(4, dtype=bool)]
@@ -291,14 +335,14 @@ class TestFuseDependencies:
         node = rng.uniform(0, 1, (3, 3))
         struct = rng.uniform(0, 1, (3, 3))
         gate = initial_group("gate")
-        fused = estimator.fuse_dependencies(Tensor(node), Tensor(struct), gate).data
+        fused = fuse_dependencies(Tensor(node), Tensor(struct), gate).data
         np.testing.assert_allclose(fused, 0.5 * node + 0.5 * struct, atol=1e-12)
 
     def test_saturated_gate_selects_node_side(self):
         gate = dict.fromkeys(("node_weight", "struct_weight", "bias"), Tensor(np.array(50.0)))
         node = np.full((2, 2), 0.25)
         struct = np.full((2, 2), 0.75)
-        fused = estimator.fuse_dependencies(Tensor(node), Tensor(struct), gate).data
+        fused = fuse_dependencies(Tensor(node), Tensor(struct), gate).data
         np.testing.assert_allclose(fused, node, atol=1e-9)
 
     def test_blend_stays_between_inputs(self):
@@ -309,7 +353,7 @@ class TestFuseDependencies:
             name: Tensor(np.array(rng.standard_normal()))
             for name in ("node_weight", "struct_weight", "bias")
         }
-        fused = estimator.fuse_dependencies(Tensor(node), Tensor(struct), gate).data
+        fused = fuse_dependencies(Tensor(node), Tensor(struct), gate).data
         lo = np.minimum(node, struct) - 1e-12
         hi = np.maximum(node, struct) + 1e-12
         assert ((fused >= lo) & (fused <= hi)).all()
@@ -319,7 +363,7 @@ class TestRegularizeDependency:
     def test_output_symmetric_nonnegative_row_normalized(self):
         rng = rng_for(306)
         raw = rng.standard_normal((5, 5)) * 3
-        out = estimator.regularize_dependency(Tensor(raw)).data
+        out = regularize_dependency(Tensor(raw)).data
         assert (out >= 0).all()
         sums = out.sum(axis=-1)
         # rows with any surviving mass normalize to 1 (up to the 1e-8 guard)
@@ -329,7 +373,7 @@ class TestRegularizeDependency:
     def test_negative_half_discarded(self):
         raw = np.array([[-4.0, 2.0], [2.0, -4.0]])
         # symmetrized matrix equals the input; relu kills the diagonal
-        out = estimator.regularize_dependency(Tensor(raw)).data
+        out = regularize_dependency(Tensor(raw)).data
         np.testing.assert_allclose(np.diag(out), 0.0, atol=1e-12)
         np.testing.assert_allclose(out[0, 1], 1.0, atol=1e-6)
 
@@ -339,24 +383,160 @@ class TestEnhanceFeatures:
         rng = rng_for(307)
         lifted = rng.standard_normal((2, 3, 4, 5))
         dep = rng.uniform(0, 1, (2, 3, 3))
-        out = estimator.enhance_features(Tensor(lifted), Tensor(dep), Tensor(np.zeros(()))).data
+        out = enhance_features(Tensor(lifted), Tensor(dep), Tensor(np.zeros(()))).data
         np.testing.assert_array_equal(out, lifted)
 
     def test_full_blend_is_neighborhood_average(self):
         rng = rng_for(308)
         lifted = rng.standard_normal((1, 3, 2, 2))
         dep = rng.uniform(0, 1, (1, 3, 3))
-        out = estimator.enhance_features(Tensor(lifted), Tensor(dep), Tensor(np.ones(()))).data
+        out = enhance_features(Tensor(lifted), Tensor(dep), Tensor(np.ones(()))).data
         expected = np.einsum("bnm,bmtc->bntc", dep, lifted)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_identity_dependency_is_noop_at_any_blend(self):
         rng = rng_for(309)
         lifted = rng.standard_normal((1, 3, 4, 5))
-        out = estimator.enhance_features(
+        out = enhance_features(
             Tensor(lifted), Tensor(np.eye(3)[None]), Tensor(np.array(0.37))
         ).data
         np.testing.assert_allclose(out, lifted, atol=1e-12)
+
+
+SPE_PARENTS = (
+    "lifted", "query_weight", "key_weight", "prior",
+    "node_weight", "struct_weight", "bias", "blend",
+)
+SPE_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+
+
+def spe_inputs(rng, batch, regions, blend=0.37, days=6, channels=8):
+    """Arrays for the SPE node's parents, keyed as in ``SPE_PARENTS``."""
+    lifted, query_weight, key_weight = dependency_inputs(rng, (batch, regions, days, channels))
+    node_weight, struct_weight, bias = rng.standard_normal(3)
+    return {
+        "lifted": lifted, "query_weight": query_weight, "key_weight": key_weight,
+        "prior": np.eye(regions) + rng.standard_normal((regions, regions)),
+        "node_weight": np.array(node_weight), "struct_weight": np.array(struct_weight),
+        "bias": np.array(bias), "blend": np.array(blend),
+    }
+
+
+def spe_upstream(rng, shape):
+    """An upstream gradient holding exact zeros of both signs."""
+    upstream = rng.standard_normal(shape)
+    flat = upstream.reshape(-1)
+    flat[::5] = 0.0
+    flat[1::7] = -0.0
+    return upstream
+
+
+def spe_pass(build, arrays, upstream, tracked=SPE_PARENTS, dtype=np.float64, heads=2):
+    """The output and each parent's gradient, None for a parent not in ``tracked``."""
+    tensors = {
+        name: Tensor(value.copy(), requires_grad=name in tracked)
+        for name, value in arrays.items()
+    }
+    gate = {name: tensors[name] for name in ("node_weight", "struct_weight", "bias")}
+    out = build(
+        tensors["lifted"], tensors["query_weight"], tensors["key_weight"], tensors["prior"],
+        gate, tensors["blend"], heads, dtype=dtype,
+    )
+    out.backward(upstream)
+    return {"out": out.data, **{name: tensor.grad for name, tensor in tensors.items()}}
+
+
+def assert_node_matches_composed_tape(arrays, upstream, **options):
+    """The fused node and the composed tape give the same bytes, output and gradients."""
+    got = spe_pass(estimator.spatial_enhancement, arrays, upstream, **options)
+    want = spe_pass(composed_spatial_enhancement, arrays, upstream, **options)
+    for name, reference in want.items():
+        value = got[name]
+        if reference is None:
+            assert value is None, name
+            continue
+        assert (value.dtype, value.shape) == (reference.dtype, reference.shape), name
+        assert value.tobytes() == reference.tobytes(), name
+    return got
+
+
+class TestFusedSpatialEnhancement:
+    """The fused SPE node against the layers it fuses, composed on the
+    generic tape: the same bytes on either compute dtype's route."""
+
+    @SPE_DTYPES
+    @pytest.mark.parametrize("blend", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("regions", [1, 2, 8])
+    def test_matches_composed_tape_bitwise(self, regions, batch, blend, dtype):
+        rng = rng_for(350 + 10 * regions + batch)
+        arrays = spe_inputs(rng, batch, regions, blend)
+        upstream = spe_upstream(rng, arrays["lifted"].shape)
+        got = assert_node_matches_composed_tape(arrays, upstream, dtype=dtype)
+        if blend == 0.0:
+            assert got["out"].tobytes() == arrays["lifted"].tobytes()
+
+    @SPE_DTYPES
+    @pytest.mark.parametrize("tracked", SPE_PARENTS)
+    def test_each_parent_alone_matches_composed_tape_bitwise(self, tracked, dtype):
+        rng = rng_for(351)
+        arrays = spe_inputs(rng, 3, 4)
+        upstream = spe_upstream(rng, arrays["lifted"].shape)
+        got = assert_node_matches_composed_tape(arrays, upstream, tracked=(tracked,), dtype=dtype)
+        assert [name for name in SPE_PARENTS if got[name] is not None] == [tracked]
+
+    @SPE_DTYPES
+    @pytest.mark.parametrize("bias", [800.0, -800.0], ids=["open", "shut"])
+    def test_saturated_gate_and_clamped_entries_match_composed_tape_bitwise(self, bias, dtype):
+        # the opening is exactly 1 or 0, so its sigmoid passes no gradient;
+        # the prior's softmax is exactly the identity, so with the gate shut
+        # the fused map is too, and the clamp at zero takes every entry off
+        # the diagonal
+        rng = rng_for(352)
+        arrays = spe_inputs(rng, 3, 5)
+        arrays["bias"] = np.array(bias)
+        arrays["prior"] = np.where(np.eye(5) > 0, 0.0, -1000.0)
+        upstream = spe_upstream(rng, arrays["lifted"].shape)
+        assert_node_matches_composed_tape(arrays, upstream, dtype=dtype)
+
+    @SPE_DTYPES
+    def test_blocks_with_a_ragged_tail_match_composed_tape_bitwise(self, monkeypatch, dtype):
+        # forward blocks of two batch elements: 5 elements make blocks of 2, 2
+        # and 1; the backward's blocks hold one element
+        rng = rng_for(353)
+        arrays = spe_inputs(rng, 5, 4)
+        heads, days, regions = 2, 6, 4
+        itemsize = np.dtype(dtype).itemsize
+        monkeypatch.setattr(
+            estimator, "_DEPENDENCY_BLOCK_BYTES", 2 * heads * days * regions * regions * itemsize
+        )
+        upstream = spe_upstream(rng, arrays["lifted"].shape)
+        assert_node_matches_composed_tape(arrays, upstream, dtype=dtype, heads=heads)
+
+    @SPE_DTYPES
+    def test_block_with_an_overshot_bound_matches_composed_tape_bitwise(self, monkeypatch, dtype):
+        itemsize = np.dtype(dtype).itemsize
+        (lifted, query_weight, key_weight), _, heads, exact = overshot_bound_inputs(
+            monkeypatch, itemsize
+        )
+        rng = rng_for(354)
+        arrays = spe_inputs(rng, *lifted.shape[:2])
+        arrays.update(lifted=lifted, query_weight=query_weight, key_weight=key_weight)
+        upstream = spe_upstream(rng, lifted.shape)
+        assert_node_matches_composed_tape(arrays, upstream, dtype=dtype, heads=heads)
+        # the last block, of one element, is recomputed once by each build
+        assert exact == [1, 1]
+
+    def test_constant_inputs_build_no_tape(self):
+        rng = rng_for(355)
+        arrays = spe_inputs(rng, 2, 3)
+        tensors = {name: Tensor(value) for name, value in arrays.items()}
+        gate = {name: tensors[name] for name in ("node_weight", "struct_weight", "bias")}
+        out = estimator.spatial_enhancement(
+            tensors["lifted"], tensors["query_weight"], tensors["key_weight"],
+            tensors["prior"], gate, tensors["blend"], heads=2,
+        )
+        assert not out.requires_grad and out._backward is None
 
 
 # ------------------------------------------------------------- conv backbone
@@ -638,7 +818,7 @@ def composed_backbone(backbone, features, adjacency):
         x = x + (
             mixed @ p[tag + "neighbor_weight"] + h @ p[tag + "self_weight"] + p[tag + "mix_bias"]
         )
-    read = ad.relu(ad.relu(skip_total) @ p["end_weight"] + p["end_bias"])
+    read = relu(relu(skip_total) @ p["end_weight"] + p["end_bias"])
     mapped = read.swapaxes(2, 3) @ p["time_weight"] + p["time_bias"]
     return mapped.swapaxes(2, 3)
 
@@ -852,9 +1032,7 @@ MODEL_LAYERS = (
         "case_adjacency", "compose_adjacency",
     )],
     *[(estimator, name) for name in (
-        "lift_features", "dynamic_dependency", "static_dependency",
-        "fuse_dependencies", "regularize_dependency", "enhance_features",
-        "estimate_params",
+        "lift_features", "spatial_enhancement", "estimate_params",
     )],
     (Backbone, "__call__"),
     (pipeline, "suppress_beta"),
@@ -872,11 +1050,11 @@ class TestTapeSize:
         model.set_scaler(*datasets.channel_scaler(windows))
         return model, windows.batch(np.arange(32))
 
-    def test_train_regional_step_records_64_nodes(self, acceptance_step):
+    def test_train_regional_step_records_37_nodes(self, acceptance_step):
         # as a training step sees it; each fused node is one tape node
-        # however it works inside
+        # however it works inside, and the SPE node's attention core is none
         model, batch = acceptance_step
-        assert tape_nodes(model.forward(batch, training=True)) == 64
+        assert tape_nodes(model.forward(batch, training=True)) == 37
 
     def test_inference_forward_records_none(self, acceptance_step):
         model, batch = acceptance_step

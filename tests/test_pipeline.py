@@ -215,6 +215,115 @@ class TestForward:
             small_model.forward(batch)
 
 
+def permuted_batch(batch, order):
+    """The batch with its regions listed in ``order``, on every axis that has them."""
+    return datasets.WindowSet(
+        observations=batch.observations[:, order],
+        mobility=batch.mobility[:, order][:, :, order],
+        susceptible0=batch.susceptible0[:, order],
+        infected0=batch.infected0[:, order],
+        recovered0=batch.recovered0[:, order],
+        targets=batch.targets[:, order],
+        population=batch.population[order],
+        regions=[batch.regions[i] for i in order],
+        t_out=batch.t_out,
+    )
+
+
+# The region-indexed parameters, with the axes that index regions.
+REGION_AXES = {"memory.region_embeddings": (0,), "spatial.prior": (0, 1)}
+
+
+def permuted_parameter(name, value, order):
+    for axis in REGION_AXES.get(name, ()):
+        value = np.take(value, order, axis=axis)
+    return value
+
+
+class TestRegionPermutation:
+    """Relabelled regions give relabelled outputs and gradients: a model with
+    its region-indexed parameters permuted, on a batch permuted on every
+    region axis, gives the permuted forward and the permuted gradients."""
+
+    @pytest.fixture(
+        params=[
+            # a shape where the regions match no other axis, and one where
+            # they match the observation window (N = T_in = 14), so that a
+            # swap of two same-sized axes cannot pass unseen
+            (6, 8, dict(t_in=8)),
+            (14, 4, None),
+        ],
+        ids=["n6-b8", "n14-t14"],
+    )
+    def models_and_batches(self, request):
+        regions, batch_size, overrides = request.param
+        config = ModelConfig(t_out=7) if overrides is None else small_model_config(**overrides)
+        data = datasets.generate_synthetic(small_scenario(n_regions=regions, length=60))
+        windows = datasets.windowize(data, config.t_in, config.t_out)
+        batch = windows.batch(np.arange(batch_size))
+        rng = rng_for(800 + regions)
+        order = rng.permutation(regions)
+        models = [ForecastModel(config, regions, seed=13) for _ in range(2)]
+        params, moved = (model.parameters() for model in models)
+        params.data += 0.1 * rng.standard_normal(params.data.shape)
+        for name, leaf in params.items():
+            moved[name].data[...] = permuted_parameter(name, leaf.data, order)
+        scaler = datasets.channel_scaler(windows)
+        for model in models:
+            model.set_scaler(*scaler)
+        return models, (batch, permuted_batch(batch, order)), order
+
+    @staticmethod
+    def forward_arrays(result):
+        """Every region-indexed output of a forward, region axes first in line."""
+        arrays = {
+            name: getattr(result, name).data
+            for name in ("cases", "beta", "gamma", "suppressed_beta")
+        }
+        arrays["strength"] = result.strength
+        arrays.update(result.trajectories)
+        return arrays
+
+    def assert_permuted_forward(self, models, batches, order, tolerance):
+        results = [model.forward(batch, training=True) for model, batch in zip(models, batches)]
+        base, moved = (self.forward_arrays(result) for result in results)
+        for name, value in base.items():
+            want = value[:, order]
+            assert np.abs(moved[name] - want).max() <= tolerance * np.abs(want).max(), name
+        coupling = results[0].coupling.data[:, order][:, :, order]
+        error = np.abs(results[1].coupling.data - coupling).max()
+        assert error <= tolerance * np.abs(coupling).max()
+        for name in ("small_flags", "quiet_flags", "flags"):
+            flags = [getattr(result, name) for result in results]
+            np.testing.assert_array_equal(flags[1], flags[0][:, order], err_msg=name)
+        # the smoothed thresholds are sums over the rates, which a permutation
+        # rounds differently: equal to the route's tolerance, not bit for bit
+        assert models[0].ema.keys() == models[1].ema.keys()
+        for kind, value in models[0].ema.items():
+            assert abs(models[1].ema[kind] - value) <= tolerance * abs(value), kind
+        return results
+
+    def test_float64_forward_and_gradients_are_permuted(self, models_and_batches):
+        models, batches, order = models_and_batches
+        with models[0].float64_compute(), models[1].float64_compute():
+            results = self.assert_permuted_forward(models, batches, order, 1e-12)
+        for result, batch in zip(results, batches):
+            mae_loss(result.cases, batch.targets).backward()
+        base, moved = (model.parameters() for model in models)
+        for name, leaf in base.items():
+            if leaf.grad is None:
+                assert moved[name].grad is None, name
+                continue
+            want = permuted_parameter(name, leaf.grad, order)
+            scale = np.abs(want).max()
+            assert np.abs(moved[name].grad - want).max() <= 1e-12 * scale, name
+
+    def test_float32_forward_is_permuted(self, models_and_batches):
+        models, batches, order = models_and_batches
+        with models[0].inference(), models[1].inference():
+            self.assert_permuted_forward(models, batches, order, 1e-5)
+
+
 class TestNeutralInitialization:
     @staticmethod
     def _twin_models(model_config, small_windows, seed=2):
